@@ -1,5 +1,6 @@
 """Tests for the fleet resilience simulator (section 5.5 closed loop)."""
 
+import hashlib
 import json
 
 import pytest
@@ -441,6 +442,21 @@ class TestSection55Arc:
         assert (
             again.mitigated.events.to_jsonable()
             == drill.mitigated.events.to_jsonable()
+        )
+
+    def test_event_logs_match_pinned_digest(self, drill):
+        # Pins the exact seed-0 event order of both arms, so a change to
+        # the event engine underneath cannot reorder events unnoticed
+        # (the same-seed test above only compares a run with itself).
+        logs = [
+            drill.baseline.events.to_jsonable(),
+            drill.mitigated.events.to_jsonable(),
+        ]
+        digest = hashlib.sha256(
+            json.dumps(logs, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "02d421d965858e28a60eb7334e4cc6ee0ad3755d818165d623aacd43fa9753c3"
         )
 
     def test_different_seed_different_schedule(self, drill):
