@@ -46,10 +46,11 @@ only while it is inside its deadline (``retry_deadline_slos`` times the
 P99 SLO); past that it is counted ``timed_out`` instead of bouncing
 through the front door forever.
 
-The engine is the same discipline as :mod:`repro.resilience.simulator`:
-one event heap keyed ``(time, sequence)``, every random draw from one
-seeded generator in a fixed order, so a seed fully determines the run —
-the property tests assert byte-identical event logs.  An attached
+The engine is :class:`repro.fastsim.engine.EventEngine`, the same event
+queue :mod:`repro.resilience.simulator` runs on: events keyed
+``(time, sequence)``, every random draw from one seeded generator in a
+fixed order, so a seed fully determines the run — the property tests
+assert byte-identical event logs.  An attached
 :class:`~repro.obs.metrics.MetricsRegistry` or
 :class:`~repro.obs.tracing.TraceWriter` observes without steering.
 """
@@ -420,18 +421,13 @@ class ClusterSimulator:
             for s in self.locality.sample_shards(len(self.requests), self._rng)
         ]
         self._fault_schedule = self._presample_faults()
-        # ``fast`` and ``calendar`` differ only in event-queue backend
-        # (identical pop order by construction); ``reference`` is the
-        # verifier mode — it revalidates the incremental queue-depth
-        # counters against full recomputation after every event.
-        if engine in ("fast", "reference"):
-            backend = "heap"
-        elif engine == "calendar":
-            backend = "calendar"
-        else:
+        # ``reference`` is the verifier mode — it revalidates the
+        # incremental queue-depth counters against full recomputation
+        # after every event.
+        if engine not in ("fast", "reference"):
             raise ValueError(
                 f"unknown cluster engine {engine!r}; "
-                f"expected 'fast', 'calendar', or 'reference'"
+                f"expected 'fast' or 'reference'"
             )
         self._validate = engine == "reference"
         self.engine = engine
@@ -451,7 +447,7 @@ class ClusterSimulator:
         # whatever is pending) but describes a truncated run.
         self._fail_fast = fail_fast
         self._slo_over = 0
-        self._events = EventEngine(backend=backend)
+        self._events = EventEngine()
         self._outstanding_total = 0
         self._replicas: Dict[int, _Replica] = {}
         self._next_replica_id = 0
@@ -566,7 +562,7 @@ class ClusterSimulator:
             self._spawn_replica()
         self._peak_replicas = len(self._replicas)
         # The pre-known event populations are all time-sorted, so they
-        # stage as cursor streams (see EventEngine.schedule_batch) and
+        # stage as sorted runs (see EventEngine.schedule_batch) and
         # the heap carries only the in-flight runtime events (departs,
         # recoveries, retry timers) — pop order is identical, the
         # per-event log factor is not.
@@ -1199,11 +1195,10 @@ def run_cluster(
 ) -> ClusterReport:
     """One-call entry point: simulate a cluster run and return the report.
 
-    ``engine`` selects the event substrate: ``fast`` (binary heap,
-    default), ``calendar`` (bucketed calendar queue — identical pop
-    order), or ``reference`` (fast plus per-event revalidation of the
-    incremental queue-depth counters — the differential-test oracle).
-    All three are byte-identical in every report field.
+    ``engine`` selects the run mode: ``fast`` (default) or
+    ``reference`` (fast plus per-event revalidation of the incremental
+    queue-depth counters — the differential-test oracle).  Both are
+    byte-identical in every report field.
 
     ``fail_fast`` stops the run at the first lost request — a
     feasibility probe for searches that only ask "does this size hold

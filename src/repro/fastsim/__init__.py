@@ -1,12 +1,14 @@
 """Shared fast-simulation substrate (ROADMAP item 1).
 
 The hot engines — ``serving.scheduler``, ``cluster.simulator`` (and
-through it ``fleet_global``), the ``sdc`` campaign loop, and
-``autotune`` evaluation — all run on the pieces in this package:
+through it ``fleet_global`` and ``chaos``), ``resilience.simulator``,
+the ``sdc`` campaign loop, and ``autotune`` evaluation — all run on the
+pieces in this package:
 
-- :mod:`repro.fastsim.engine`: a deterministic event queue with a
-  binary-heap and a calendar-queue (bucketed) backend sharing one total
-  order, ``(time_s, tiebreak)``.
+- :mod:`repro.fastsim.engine`: the one deterministic event queue every
+  discrete-event simulator uses — a binary heap plus a staged sorted
+  list for pre-known event populations, drained in one total order,
+  ``(time_s, tiebreak)``.
 - :mod:`repro.fastsim.memo`: memoized kernel-latency tables keyed on
   (op, shape, dtype, frequency, variant).
 - :mod:`repro.fastsim.vectorize`: numpy vectorizations of per-request
@@ -23,15 +25,13 @@ byte-identical on the fast paths, and ``tests/test_fastsim_equivalence``
 proves report-level parity against the reference engines.
 """
 
-from repro.fastsim.engine import CalendarQueue, EventEngine, HeapQueue
+from repro.fastsim.engine import EventEngine
 from repro.fastsim.memo import KernelLatencyMemo
 from repro.fastsim.trials import trial_map
 from repro.fastsim.vectorize import seeded_poisson_arrivals, sorted_percentile
 
 __all__ = [
-    "CalendarQueue",
     "EventEngine",
-    "HeapQueue",
     "KernelLatencyMemo",
     "seeded_poisson_arrivals",
     "sorted_percentile",

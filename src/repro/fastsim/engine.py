@@ -1,149 +1,33 @@
-"""Deterministic event queues for the discrete-event simulators.
+"""The deterministic event queue every discrete-event simulator runs on.
 
 Every entry is a tuple ``(time_s, tiebreak, payload)`` and pop order is
 the total order ``(time_s, tiebreak)`` — the payload is never compared.
 Callers make ``tiebreak`` unique per engine (the default is a
 monotonically increasing sequence number, i.e. FIFO among equal
 timestamps — exactly the ``(time_s, seq, ...)`` heap tuples the cluster
-simulator has always used).  Injection-style callers that need an
-argument-order-independent total order pass an explicit tiebreak tuple
-built from ``repro.cluster.simulator.injection_sort_key`` semantics:
-``(kind_rank, targets, magnitude, seq)``.
+and resilience simulators have always used).  Injection-style callers
+that need an argument-order-independent total order pass an explicit
+tiebreak tuple built from ``repro.cluster.simulator.injection_sort_key``
+semantics: ``(kind_rank, targets, magnitude, seq)``.
 
-Two backends share the contract:
-
-- :class:`HeapQueue` — a plain binary heap (``heapq``), the default.
-- :class:`CalendarQueue` — bucketed (calendar-queue) scheduling: events
-  land in ``floor(time_s / bucket_width)`` buckets; pop takes the min
-  entry of the earliest non-empty bucket.  Bucket ids are monotone in
-  time, so the earliest non-empty bucket always holds the global
-  minimum, and entries inside one bucket are a small heap ordered by
-  the same ``(time_s, tiebreak)`` key — the pop sequence is therefore
-  *identical* to the binary heap's for any push/pop interleaving
-  (property-tested in ``tests/test_fastsim_properties.py``).  The queue
-  re-buckets itself with a halved width when any bucket grows past
-  ``resize_threshold``, keeping per-pop work O(1)-ish for the
-  clustered-in-time event populations a DES produces.
-
-The simulators advance time monotonically, so pushes never land before
-the last popped bucket — but nothing here relies on that: lazy bucket-id
-bookkeeping keeps the order correct for arbitrary interleavings.
+Runtime events live in a binary heap (``heapq``); pre-known event
+populations staged with :meth:`EventEngine.schedule_batch` drain from
+the end of one list sorted latest-first instead.  ``pop`` merges the
+two heads, so the drain order is exactly that of one heap holding every
+entry (property-tested in ``tests/test_fastsim_properties.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 Entry = Tuple[float, Any, Any]  # (time_s, tiebreak, payload)
 
 
-class HeapQueue:
-    """Binary-heap backend: a thin wrapper over ``heapq``."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-
-    def push(self, entry: Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def pop(self) -> Entry:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> Entry:
-        return self._heap[0]
-
-    def __iter__(self):
-        return iter(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class CalendarQueue:
-    """Calendar-queue (bucketed) backend with heap-identical pop order."""
-
-    __slots__ = ("_buckets", "_bucket_ids", "_width", "_size", "_threshold")
-
-    def __init__(
-        self, bucket_width: float = 0.25, resize_threshold: int = 128
-    ) -> None:
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be positive")
-        if resize_threshold < 8:
-            raise ValueError("resize threshold must be at least 8")
-        self._buckets: dict = {}
-        self._bucket_ids: List[int] = []  # lazy min-heap of bucket ids
-        self._width = float(bucket_width)
-        self._size = 0
-        self._threshold = resize_threshold
-
-    def push(self, entry: Entry) -> None:
-        bucket_id = math.floor(entry[0] / self._width)
-        bucket = self._buckets.get(bucket_id)
-        if not bucket:
-            self._buckets[bucket_id] = bucket = []
-            heapq.heappush(self._bucket_ids, bucket_id)
-        heapq.heappush(bucket, entry)
-        self._size += 1
-        if len(bucket) > self._threshold:
-            self._rebucket()
-
-    def pop(self) -> Entry:
-        bucket = self._min_bucket()
-        entry = heapq.heappop(bucket)
-        self._size -= 1
-        return entry
-
-    def peek(self) -> Entry:
-        return self._min_bucket()[0]
-
-    def _min_bucket(self) -> List[Entry]:
-        if not self._size:
-            raise IndexError("pop from an empty calendar queue")
-        while True:
-            bucket_id = self._bucket_ids[0]
-            bucket = self._buckets.get(bucket_id)
-            if bucket:
-                return bucket
-            # Bucket drained since its id was queued: retire the id.  A
-            # later push into the same bucket re-queues it.
-            heapq.heappop(self._bucket_ids)
-            self._buckets.pop(bucket_id, None)
-
-    def _rebucket(self) -> None:
-        """Halve the bucket width and redistribute every entry."""
-        entries = [e for bucket in self._buckets.values() for e in bucket]
-        self._width /= 2.0
-        self._buckets = {}
-        self._bucket_ids = []
-        for entry in entries:
-            bucket_id = math.floor(entry[0] / self._width)
-            bucket = self._buckets.get(bucket_id)
-            if bucket is None:
-                self._buckets[bucket_id] = bucket = []
-                heapq.heappush(self._bucket_ids, bucket_id)
-            bucket.append(entry)
-        for bucket in self._buckets.values():
-            heapq.heapify(bucket)
-
-    def __iter__(self):
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def __len__(self) -> int:
-        return self._size
-
-
-BACKENDS = ("heap", "calendar")
-
-
 class EventEngine:
-    """A deterministic event queue over a selectable backend.
+    """A deterministic event queue: a binary heap plus a staged list.
 
     ``schedule(time_s, payload)`` assigns the next sequence number as
     the tiebreak (FIFO among equal timestamps); ``schedule(time_s,
@@ -151,40 +35,25 @@ class EventEngine:
     returns the full ``(time_s, tiebreak, payload)`` entry.
     """
 
-    __slots__ = ("_queue", "_seq", "_staged", "_cursor", "_heap")
+    __slots__ = ("_heap", "_seq", "_staged")
 
-    def __init__(
-        self, backend: str = "heap", bucket_width: Optional[float] = None
-    ) -> None:
-        if backend == "heap":
-            self._queue = HeapQueue()
-            # Direct view of the heap list: ``pop`` on the default
-            # backend runs in one Python frame (len / index / compare /
-            # heappop are all C-level).
-            self._heap: Optional[List[Entry]] = self._queue._heap
-        elif backend == "calendar":
-            self._queue = CalendarQueue(bucket_width=bucket_width or 0.25)
-            self._heap = None
-        else:
-            raise ValueError(
-                f"unknown event-engine backend {backend!r}; "
-                f"expected one of {BACKENDS}"
-            )
+    def __init__(self) -> None:
+        self._heap: List[Entry] = []
         self._seq = itertools.count()
-        # Staged entries: pre-known, already-sorted event populations
-        # kept as one flat sorted list behind a cursor instead of heap
-        # entries (see ``schedule_batch``).  ``pop`` compares the
-        # staged head with the queue head, so the drain order is
+        # Staged entries: pre-known event populations kept as one flat
+        # list sorted latest-first instead of heap entries (see
+        # ``schedule_batch``), so the next one is ``_staged[-1]`` and a
+        # drained entry is released as it pops.  ``pop`` compares the
+        # staged head with the heap head, so the drain order is
         # exactly what individual ``schedule`` calls would produce.
         self._staged: List[Entry] = []
-        self._cursor = 0
 
     def schedule(
         self, time_s: float, payload: Any = None, tiebreak: Any = None
     ) -> None:
         if tiebreak is None:
             tiebreak = next(self._seq)
-        self._queue.push((time_s, tiebreak, payload))
+        heapq.heappush(self._heap, (time_s, tiebreak, payload))
 
     def schedule_batch(self, items) -> None:
         """Schedule many ``(time_s, payload)`` pairs in one call.
@@ -192,69 +61,35 @@ class EventEngine:
         Tiebreaks come off the same running sequence as ``schedule``,
         in iteration order — byte-identical pop order to the equivalent
         loop of ``schedule`` calls, whatever order the items arrive in.
-        The batch joins the staged list: entries drain through a cursor
-        rather than the heap, so a simulator that stages its pre-known
-        populations this way (request arrivals, fault schedules, probe
-        ticks) keeps the heap down to the handful of in-flight runtime
-        events, which is where the log-factor of every push and pop
-        goes.  Merging a batch into the staged list is one Timsort pass
+        The batch joins the staged list: entries drain from its end
+        rather than through the heap, so a simulator that stages its
+        pre-known populations this way (request arrivals, fault
+        schedules, probe ticks) keeps the heap down to the handful of
+        in-flight runtime events, which is where the log-factor of every
+        push and pop goes.  Merging a batch into the staged list is one Timsort pass
         — near-linear, since both sides are already sorted runs.
         """
         seq = self._seq
-        entries = [(time_s, next(seq), payload) for time_s, payload in items]
-        if not entries:
-            return
-        undrained = self._staged[self._cursor:]
-        undrained.extend(entries)
-        undrained.sort()
-        self._staged = undrained
-        self._cursor = 0
+        staged = self._staged
+        staged.extend((time_s, next(seq), payload) for time_s, payload in items)
+        staged.sort(reverse=True)
 
     def pop(self) -> Entry:
         staged = self._staged
-        cursor = self._cursor
         heap = self._heap
-        if heap is not None:
-            if cursor < len(staged):
-                head = staged[cursor]
-                if not heap or head < heap[0]:
-                    self._cursor = cursor + 1
-                    return head
-            return heapq.heappop(heap)  # IndexError when empty: done
-        queue = self._queue
-        if cursor < len(staged):
-            head = staged[cursor]
-            if not len(queue) or head < queue.peek():
-                self._cursor = cursor + 1
-                return head
-        return queue.pop()
-
-    def peek(self) -> Entry:
-        staged_head: Optional[Entry] = None
-        if self._cursor < len(self._staged):
-            staged_head = self._staged[self._cursor]
-        if len(self._queue):
-            queued = self._queue.peek()
-            if staged_head is None or queued < staged_head:
-                return queued
-        if staged_head is None:
-            raise IndexError("peek on an empty event engine")
-        return staged_head
+        if staged and (not heap or staged[-1] < heap[0]):
+            return staged.pop()
+        return heapq.heappop(heap)  # IndexError when empty: done
 
     def count_due(self, time_s: float) -> int:
         """How many pending entries have ``time <= time_s`` (an O(n)
         observability probe — callers gate it on metrics being on)."""
-        due = sum(1 for entry in self._queue if entry[0] <= time_s)
-        due += sum(
-            1 for entry in self._staged[self._cursor:]
-            if entry[0] <= time_s
-        )
+        due = sum(1 for entry in self._heap if entry[0] <= time_s)
+        due += sum(1 for entry in self._staged if entry[0] <= time_s)
         return due
 
     def __len__(self) -> int:
-        return len(self._queue) + (len(self._staged) - self._cursor)
+        return len(self._heap) + len(self._staged)
 
     def __bool__(self) -> bool:
-        return (
-            self._cursor < len(self._staged) or len(self._queue) > 0
-        )
+        return bool(self._staged or self._heap)

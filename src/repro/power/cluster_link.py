@@ -180,7 +180,6 @@ class PowerLimitedSweep:
 # ``max_qps_at_slo``/``_step_fractions`` moved to
 # ``repro.cluster.capacity`` (the codesign DSE scores candidates with
 # the same scan); imported above and re-exported via ``__all__``.
-_max_qps_at_slo = max_qps_at_slo  # pre-rename alias
 
 
 def _guided_max_qps_at_slo(

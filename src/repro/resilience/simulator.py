@@ -14,7 +14,8 @@ closed loop over simulated time:
   wave under its restart-concurrency limit when the pool's
   ``slo_at_risk`` signal (from :mod:`repro.serving.faults`) trips.
 
-The engine is a classic event heap keyed on ``(time, sequence)``; all
+The engine is :class:`repro.fastsim.engine.EventEngine`, the event queue
+every simulator in the repo shares, keyed on ``(time, sequence)``; all
 randomness flows from one seeded generator consumed in a fixed order, so
 two runs with the same seed produce identical event logs — byte for
 byte — which the acceptance tests assert.
@@ -23,12 +24,11 @@ byte — which the acceptance tests assert.
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.fastsim.engine import EventEngine
 from repro.resilience.device import (
     Device,
     DeviceState,
@@ -142,8 +142,8 @@ class ResilienceSimulator:
             for i in range(config.devices)
         }
         self._log = EventLog()
-        self._heap: List[Tuple[float, int, str, Optional[int], dict]] = []
-        self._seq = itertools.count()
+        # Payloads are ``(kind, device_id, handler_kwargs)``.
+        self._events = EventEngine()
         self._intervals: List[IntervalMetrics] = []
         # Transient bookkeeping.
         self._degrade_until: Dict[int, float] = {}
@@ -160,9 +160,7 @@ class ResilienceSimulator:
 
     def _push(self, time_s: float, kind: str, device_id: Optional[int] = None,
               **payload: float) -> None:
-        heapq.heappush(
-            self._heap, (time_s, next(self._seq), kind, device_id, payload)
-        )
+        self._events.schedule(time_s, (kind, device_id, payload))
 
     def _emit(self, time_s: float, kind: EventKind,
               device_id: Optional[int] = None, **detail: float) -> None:
@@ -181,18 +179,26 @@ class ResilienceSimulator:
         schedule = presample_fault_arrivals(
             self.rates, config.devices, config.duration_s, self._rng
         )
-        for family, arrivals in schedule.items():
-            for time_s, device_id in arrivals:
-                self._push(time_s, f"fault_{family}", device_id)
+        # Pre-known populations are staged (fault arrivals, then metrics
+        # ticks), taking their sequence numbers in this order; runtime
+        # events go through ``_push``.
+        events = self._events
+        events.schedule_batch(
+            (time_s, (f"fault_{family}", device_id, {}))
+            for family, arrivals in schedule.items()
+            for time_s, device_id in arrivals
+        )
         # Metrics ticks: t=0 baseline, then every interval, then t=end.
+        ticks = []
         t = 0.0
         while t < config.duration_s:
-            self._push(t, "metrics")
+            ticks.append((t, ("metrics", None, {})))
             t += config.metrics_interval_s
-        self._push(config.duration_s, "metrics")
+        ticks.append((config.duration_s, ("metrics", None, {})))
+        events.schedule_batch(ticks)
 
-        while self._heap:
-            time_s, _, kind, device_id, payload = heapq.heappop(self._heap)
+        while events:
+            time_s, _, (kind, device_id, payload) = events.pop()
             if time_s > config.duration_s + 1e-9:
                 break
             self._dispatch(time_s, kind, device_id, payload)

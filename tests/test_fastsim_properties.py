@@ -3,9 +3,10 @@
 Hypothesis drives the primitives the fast engines are built on and
 checks the contracts every consumer relies on:
 
-* queue equivalence — the calendar queue pops arbitrary event sets in
-  exactly the binary heap's total (time, tiebreak) order, whatever the
-  bucket width or insertion order;
+* queue order — any interleaving of ``schedule``, ``schedule_batch``
+  and ``pop`` drains in exactly the order of one plain ``heapq`` over
+  ``(time_s, seq)`` entries, so staging a population as a batch never
+  reorders events;
 * total ordering under ties — same-timestamp events drain in tiebreak
   order regardless of push order, and the cluster tier's
   ``injection_sort_key`` is permutation-invariant (any arrangement of
@@ -20,6 +21,8 @@ checks the contracts every consumer relies on:
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +35,6 @@ from repro.cluster.simulator import (
     injection_sort_key,
 )
 from repro.fastsim import (
-    CalendarQueue,
     EventEngine,
     KernelLatencyMemo,
     seeded_poisson_arrivals,
@@ -40,57 +42,67 @@ from repro.fastsim import (
 from repro.kernels.gemm import default_variants
 from repro.tensors import DType, GemmShape
 
-# Event times in a range that spans many calendar buckets, including
-# exact duplicates (drawn times are rounded to force collisions).
-event_times = st.lists(
-    st.floats(min_value=0.0, max_value=50.0,
-              allow_nan=False, allow_infinity=False).map(
-        lambda t: round(t, 1)
+# Event times including exact duplicates (drawn times are rounded to
+# force collisions).
+event_time = st.floats(min_value=0.0, max_value=50.0,
+                       allow_nan=False, allow_infinity=False).map(
+    lambda t: round(t, 1)
+)
+event_times = st.lists(event_time, min_size=0, max_size=120)
+
+
+# One engine operation: a single ``schedule``, a ``schedule_batch`` of
+# several times, or a ``pop``.
+queue_ops = st.lists(
+    st.one_of(
+        event_times.map(lambda times: ("batch", times)),
+        event_time.map(lambda t: ("schedule", t)),
+        st.just(("pop", None)),
     ),
-    min_size=0,
-    max_size=120,
+    max_size=40,
 )
 
 
 class TestQueueEquivalence:
-    @given(times=event_times, width=st.sampled_from((0.05, 0.25, 1.0, 8.0)))
-    @settings(max_examples=60, deadline=None)
-    def test_calendar_pops_in_heap_order(self, times, width):
-        heap = EventEngine(backend="heap")
-        calendar = EventEngine(backend="calendar", bucket_width=width)
-        for payload, time_s in enumerate(times):
-            heap.schedule(time_s, payload)
-            calendar.schedule(time_s, payload)
-        assert len(heap) == len(calendar) == len(times)
-        while heap:
-            assert heap.pop() == calendar.pop()
-        assert not calendar
-
-    @given(times=event_times)
-    @settings(max_examples=40, deadline=None)
-    def test_rebucketing_preserves_order(self, times):
-        # A pathologically wide bucket forces everything into one bucket
-        # and (past the threshold) a rebucketing cascade; order must
-        # survive the resize.
-        wide = EventEngine(backend="calendar", bucket_width=1e6)
-        reference = EventEngine(backend="heap")
-        for payload, time_s in enumerate(times):
-            wide.schedule(time_s, payload)
-            reference.schedule(time_s, payload)
-        drained = [wide.pop() for _ in range(len(wide))]
-        expected = [reference.pop() for _ in range(len(reference))]
-        assert drained == expected
+    @given(ops=queue_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_batch_interleavings_drain_in_heapq_order(self, ops):
+        # The reference is one plain heap of ``(time_s, seq, payload)``
+        # with ``seq`` taken in call order — what the simulators used
+        # before staged batches existed.
+        engine = EventEngine()
+        reference = []
+        seq = 0
+        for op, arg in ops:
+            if op == "pop":
+                if reference:
+                    assert engine.pop() == heapq.heappop(reference)
+                continue
+            times = arg if op == "batch" else [arg]
+            payloads = list(range(seq, seq + len(times)))
+            if op == "batch":
+                engine.schedule_batch(zip(times, payloads))
+            else:
+                engine.schedule(times[0], payloads[0])
+            for time_s, payload in zip(times, payloads):
+                heapq.heappush(reference, (time_s, seq, payload))
+                seq += 1
+            assert len(engine) == len(reference)
+        drained = [engine.pop() for _ in range(len(engine))]
+        assert drained == [
+            heapq.heappop(reference) for _ in range(len(reference))
+        ]
+        assert not engine
 
     @given(
         ties=st.lists(st.integers(min_value=0, max_value=10**6),
                       min_size=1, max_size=60, unique=True),
-        backend=st.sampled_from(("heap", "calendar")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_timestamp_drains_in_tiebreak_order(self, ties, backend):
+    def test_same_timestamp_drains_in_tiebreak_order(self, ties):
         # Every event lands at t=1.0; the explicit tiebreak alone must
         # decide the order, whatever order the pushes arrived in.
-        engine = EventEngine(backend=backend)
+        engine = EventEngine()
         for tiebreak in ties:
             engine.schedule(1.0, f"payload-{tiebreak}", tiebreak=tiebreak)
         popped = [engine.pop()[1] for _ in range(len(engine))]
@@ -101,39 +113,11 @@ class TestQueueEquivalence:
     def test_default_tiebreak_is_fifo_at_equal_times(self, times):
         # Without explicit tiebreaks the engine falls back to insertion
         # sequence, so equal-time events drain first-scheduled-first.
-        engine = EventEngine(backend="calendar", bucket_width=0.5)
+        engine = EventEngine()
         for payload, time_s in enumerate(times):
             engine.schedule(time_s, payload)
         drained = [engine.pop() for _ in range(len(engine))]
         assert drained == sorted(drained, key=lambda e: (e[0], e[1]))
-
-    @given(
-        times=event_times,
-        mid_drain=st.integers(min_value=0, max_value=30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_interleaved_push_pop(self, times, mid_drain):
-        # Pops interleaved with pushes (the simulator's actual access
-        # pattern) still come out globally sorted.
-        calendar = CalendarQueue(bucket_width=0.25)
-        first, second = times[: len(times) // 2], times[len(times) // 2:]
-        for seq, time_s in enumerate(first):
-            calendar.push((time_s, seq, None))
-        drained = [
-            calendar.pop() for _ in range(min(mid_drain, len(calendar)))
-        ]
-        for seq, time_s in enumerate(second, start=len(first)):
-            calendar.push((time_s, seq, None))
-        while len(calendar):
-            drained.append(calendar.pop())
-        # Each pop returns the global minimum of what was enqueued, so
-        # the prefix drained early is sorted and below the later pushes
-        # only where times allow; the full multiset must be preserved.
-        assert sorted(drained) == sorted(
-            (t, s, None) for s, t in enumerate(first + second)
-        )
-        tail = drained[len(drained) - len(second) - (len(first) - mid_drain):]
-        assert tail == sorted(tail)
 
 
 injections = st.lists(
