@@ -65,12 +65,14 @@ def _replacement_ablation():
             capacity_bytes=192 * MiB, block_bytes=64 * KiB,
             associativity=16, replacement=policy,
         )
+        # Integer keys: a str in the block id would make the set mapping
+        # depend on the per-process hash salt.
         for _ in range(3):
             for block in range(working_set_blocks):
-                cache.access(("w", block))
+                cache.access((-1, block))
         cache.stats.reset()
         for block in range(working_set_blocks):
-            cache.access(("w", block))
+            cache.access((-1, block))
         rates[policy] = cache.stats.hit_rate
     return rates
 

@@ -96,7 +96,7 @@ def simulate_tbe_hit_rate(
     indices = pattern.sample(num_lookups, rng)
     before_hits, before_total = cache.stats.hits, cache.stats.accesses
     for index in indices:
-        cache.access(("tbe", int(index)), write=False, size_bytes=row_bytes)
+        cache.access((-1, int(index)), write=False, size_bytes=row_bytes)
     hits = cache.stats.hits - before_hits
     total = cache.stats.accesses - before_total
     return hits / total if total else 0.0

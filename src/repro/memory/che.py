@@ -16,6 +16,8 @@ generalized harmonic numbers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -82,6 +84,7 @@ def che_hit_rate(popularities: np.ndarray, cache_blocks: int) -> float:
     return float(np.sum(p * -np.expm1(-p * t)))
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
 def tbe_llc_hit_rate(
     num_rows_per_table: int,
     num_tables: int,
@@ -93,7 +96,9 @@ def tbe_llc_hit_rate(
     """Steady-state LLC hit rate for a multi-table TBE gather.
 
     Tables are statistically identical, so the aggregate system is the
-    single-table system with 1/num_tables of the capacity.
+    single-table system with 1/num_tables of the capacity.  The result is
+    a pure function of the arguments and is memoized: the executor asks
+    for the same table geometry on every warmup and measured pass.
     """
     if num_tables <= 0 or llc_bytes_for_tbe < 0:
         raise ValueError("invalid TBE cache parameters")

@@ -97,6 +97,18 @@ class TestTbeHitRate:
     def test_validation(self):
         with pytest.raises(ValueError):
             tbe_llc_hit_rate(100, 0, 256, 1 << 20)
+        with pytest.raises(ValueError):
+            tbe_llc_hit_rate(100, 4, 256, -1)
+
+    def test_memo_is_bit_identical_and_hits(self):
+        args = (3_000_000, 48, 128, 96 << 20)
+        first = tbe_llc_hit_rate(*args, zipf_exponent=1.1)
+        hits = tbe_llc_hit_rate.cache_info().hits
+        again = tbe_llc_hit_rate(*args, zipf_exponent=1.1)
+        assert tbe_llc_hit_rate.cache_info().hits == hits + 1
+        exact = tbe_llc_hit_rate.__wrapped__(*args, zipf_exponent=1.1)
+        assert np.float64(first).tobytes() == np.float64(again).tobytes()
+        assert np.float64(first).tobytes() == np.float64(exact).tobytes()
 
 
 @given(
