@@ -133,13 +133,20 @@ def max_qps_at_slo(
     which still re-exports it; it moved here because it is the serving
     tier's Perf primitive — the power sweep and the codesign DSE both
     score candidates with it.)
+
+    Probes run ``fail_fast`` against the caller's SLO, which the config
+    carries: the verdict is ``meets_slo(p99_slo_s)`` with zero loss
+    allowed, so a probe that aborts would have failed in full, and the
+    probe that holds the SLO runs to the end, byte-identical.
     """
     ceiling = replicas * service.capacity_per_replica()
-    config = ClusterConfig(replicas=replicas, num_hosts=replicas, seed=seed)
+    config = ClusterConfig(
+        replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
+    )
     for fraction in _step_fractions(qps_step_fraction):
         qps = ceiling * fraction
         requests = poisson_stream(qps, duration_s, seed=seed)
-        report = run_cluster(config, service, requests)
+        report = run_cluster(config, service, requests, fail_fast=True)
         if report.meets_slo(p99_slo_s):
             return qps, report.p99_latency_s
     return 0.0, float("inf")

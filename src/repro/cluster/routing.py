@@ -125,17 +125,31 @@ class LeastOutstandingPolicy(RoutingPolicy):
 
 
 class PowerOfTwoPolicy(RoutingPolicy):
-    """Sample two distinct replicas, queue the less loaded one."""
+    """Sample two distinct replicas, queue the less loaded one.
+
+    The pair is ``rng.choice(n, size=2, replace=False)`` drawn as three
+    scalar draws that consume the generator identically: numpy's Floyd
+    sampler takes ``a`` in ``[0, n-2]`` and ``b`` in ``[0, n-1]``
+    (``b = n-1`` if it repeats ``a``), then its two-element shuffle
+    swaps them on a coin draw.  ``tests/test_po2_draw_equivalence.py``
+    pins the equivalence against ``choice`` itself.
+    """
 
     name = "po2"
 
     def choose(self, candidates, shard_id, rng):
         if not candidates:
             return None
-        if len(candidates) == 1:
+        n = len(candidates)
+        if n == 1:
             return candidates[0]
-        first, second = rng.choice(len(candidates), size=2, replace=False)
-        return _least_outstanding([candidates[int(first)], candidates[int(second)]])
+        first = int(rng.integers(0, n - 1))
+        second = int(rng.integers(0, n))
+        if second == first:
+            second = n - 1
+        if rng.integers(0, 2) == 0:
+            first, second = second, first
+        return _least_outstanding([candidates[first], candidates[second]])
 
 
 class LocalityAwarePolicy(RoutingPolicy):

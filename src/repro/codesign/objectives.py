@@ -146,12 +146,16 @@ def _shards_from_bytes(
 class CodesignObjective:
     """Scores candidate chips against the zoo at the three fidelities.
 
-    Reference per-sample latencies are exact-measured once on the base
-    chip (the MTIA 2i production point, where the default service model
-    was calibrated) and cached; every candidate's request service time
-    is the calibrated mean stretched by its latency ratio.  Graph
-    summaries are likewise cached so surrogate-fidelity scoring never
-    touches a graph.
+    Every exact result is paid for once: the placement-tuned latency
+    and the shard count are cached per (full chip spec, model name),
+    so a device-rung finalist promoted to the serving rung, or an
+    anchor equal to the base chip, reuses its runs.  Reference
+    per-sample latencies are the base chip's (the MTIA 2i production
+    point, where the default service model was calibrated) entries in
+    that cache; every candidate's request service time is the
+    calibrated mean stretched by its latency ratio.  Graph summaries
+    are likewise cached so surrogate-fidelity scoring never touches a
+    graph.
     """
 
     def __init__(
@@ -180,7 +184,12 @@ class CodesignObjective:
             m.name: summarize_graph(self.stable_builder(m)(m.batch), m.batch)
             for m in self.models
         }
-        self._reference_latency: Dict[str, float] = {}
+        # Exact results keyed by (repr of the full chip spec, model
+        # name).  ChipSpec holds dicts and so cannot be hashed; its
+        # dataclass repr spells out every field, floats exactly, so
+        # equal reprs mean equal specs.
+        self._latency: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+        self._shard_counts: Dict[Tuple[str, str], int] = {}
         self._server = mtia2i_server()
 
     @staticmethod
@@ -197,31 +206,44 @@ class CodesignObjective:
 
         return build
 
-    # -- cached reference ---------------------------------------------
+    # -- cached exact pieces ------------------------------------------
 
     def reference_sample_latency(self, model: ZooModel) -> float:
         """Exact per-sample latency of a model on the base chip."""
-        if model.name not in self._reference_latency:
-            self._reference_latency[model.name] = self._device_latency(
-                self.base_chip, model
-            )[1]
-        return self._reference_latency[model.name]
-
-    # -- per-model pieces ---------------------------------------------
+        return self._device_latency(self.base_chip, model)[1]
 
     def _device_latency(
         self, chip: ChipSpec, model: ZooModel
     ) -> Tuple[float, float, float]:
         """Exact ``(batch_latency_s, per_sample_s, avg_power_w)`` via
-        the placement autotuner (which may pick a fallback batch)."""
-        decision = tune_placement(self.stable_builder(model), model.batch, chip)
-        report = decision.report
-        batch_latency = report.latency_s + model.host_overhead_s_per_batch
-        return (
-            batch_latency,
-            batch_latency / report.batch,
-            report.avg_power_w,
-        )
+        the placement autotuner (which may pick a fallback batch),
+        computed once per (chip, model)."""
+        key = (repr(chip), model.name)
+        if key not in self._latency:
+            decision = tune_placement(
+                self.stable_builder(model), model.batch, chip
+            )
+            report = decision.report
+            batch_latency = report.latency_s + model.host_overhead_s_per_batch
+            self._latency[key] = (
+                batch_latency,
+                batch_latency / report.batch,
+                report.avg_power_w,
+            )
+        return self._latency[key]
+
+    def _device_shards(self, chip: ChipSpec, model: ZooModel) -> int:
+        """``required_shards`` on the real graph, computed once per
+        (chip, model); a chip that cannot hold the model raises every
+        time."""
+        key = (repr(chip), model.name)
+        if key not in self._shard_counts:
+            self._shard_counts[key] = required_shards(
+                self.stable_builder(model)(model.batch), chip
+            )
+        return self._shard_counts[key]
+
+    # -- per-model pieces ---------------------------------------------
 
     def _surrogate_latency(
         self, chip: ChipSpec, model: ZooModel
@@ -247,9 +269,7 @@ class CodesignObjective:
             )
             _, per_sample, chip_power = self._surrogate_latency(chip, model)
         else:
-            shards = required_shards(
-                self.stable_builder(model)(model.batch), chip
-            )
+            shards = self._device_shards(chip, model)
             _, per_sample, chip_power = self._device_latency(chip, model)
 
         reference = self.reference_sample_latency(model)

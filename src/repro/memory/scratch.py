@@ -13,12 +13,20 @@ memory planners: process buffers in order of increasing start time and
 place each at the lowest offset not overlapping any live, already-placed
 buffer.  It is not optimal (optimal is NP-hard) but matches what
 production planners do.
+
+The packer makes one sweep over the start-ordered buffers.  Because
+starts never decrease, a placed buffer whose ``end`` is before the
+current ``start`` can never overlap a later one, so it leaves the live
+set for good; the live set stays sorted by offset, the order the
+first-fit scan walks.  Each placement therefore costs the size of the
+live set rather than of every buffer placed so far.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,14 +115,20 @@ def plan_allocation(
         raise ValueError("alignment must be positive")
     ordered = sorted(requests, key=lambda r: (r.start, -r.size_bytes))
     placements: List[Placement] = []
+    # (offset, aligned end offset, end step) of every placed buffer
+    # still live at the current start.  All are live at that one step,
+    # so their offsets are distinct and offset order alone fixes the
+    # first-fit scan.
+    live: List[Tuple[int, int, int]] = []
     for request in ordered:
-        live = [p for p in placements if p.request.overlaps(request)]
-        live.sort(key=lambda p: p.offset)
+        start, size = request.start, request.size_bytes
+        live = [entry for entry in live if entry[2] >= start]
         offset = 0
-        for placed in live:
-            if offset + request.size_bytes <= placed.offset:
+        for placed_offset, aligned_end, _ in live:
+            if offset + size <= placed_offset:
                 break
-            offset = max(offset, _align(placed.end_offset, alignment))
+            offset = max(offset, aligned_end)
+        bisect.insort(live, (offset, _align(offset + size, alignment), request.end))
         placements.append(Placement(request=request, offset=offset))
     return AllocationPlan(placements=placements)
 

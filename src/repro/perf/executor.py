@@ -237,9 +237,11 @@ class Executor:
         graph.validate_schedule()
         hierarchy, activation_bytes, in_lls = self._build_hierarchy(graph)
         rng = np.random.default_rng(self.seed)
+        # The kernel estimate depends only on (op, chip, variant), so one
+        # per op serves the warm-up and measured passes alike.
+        scheduled = [(op, self._estimate(op)) for op in graph.ops]
         for _ in range(warmup_runs):
-            for op in graph.ops:
-                estimate = self._estimate(op)
+            for op, estimate in scheduled:
                 self._op_traffic(op, hierarchy, estimate, rng)
         profiles: List[OpProfile] = []
         energy = 0.0
@@ -247,8 +249,7 @@ class Executor:
         sim_hits = sim_samples = 0
         dense_hits_before = hierarchy.llc.stats.hits if hierarchy.llc else 0
         dense_total_before = hierarchy.llc.stats.accesses if hierarchy.llc else 0
-        for op in graph.ops:
-            estimate = self._estimate(op)
+        for op, estimate in scheduled:
             traffic, tbe_stats = self._op_traffic(op, hierarchy, estimate, rng)
             if tbe_stats is not None:
                 sparse_hits += tbe_stats["scaled_hits"]

@@ -13,11 +13,22 @@ of percent for cross-platform float slack.
 
 import pytest
 
+import repro.codesign.objectives as objectives
+import repro.codesign.search as search
 from repro.chaos import (
     CampaignConfig as ChaosCampaignConfig,
     run_scenario,
     scenario_by_name,
 )
+from repro.codesign import (
+    CodesignObjective,
+    SearchConfig,
+    result_scalars,
+    run_codesign_search,
+    smoke_space,
+)
+from repro.models import figure6_models
+from repro.obs.bench import golden_violations
 from repro.sdc import CampaignConfig, run_campaign
 from repro.serving import (
     CoalescingConfig,
@@ -212,3 +223,98 @@ class TestCoalescingGoldens:
             0.9230967930385044, rel=0.02
         )
         assert outcome.mean_fill_fraction > 0.6
+
+
+
+class _UncachedObjective(CodesignObjective):
+    """The objective before its exact-result cache: only the base chip's
+    per-sample latency was kept, per model, and every device and serving
+    evaluation re-ran ``tune_placement`` and ``required_shards``.  The
+    methods are the retired ones verbatim, except that they reach both
+    functions through the objectives module, so one patch counts the
+    placement runs of either objective."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._reference_latency = {}
+
+    def reference_sample_latency(self, model):
+        if model.name not in self._reference_latency:
+            self._reference_latency[model.name] = self._device_latency(
+                self.base_chip, model
+            )[1]
+        return self._reference_latency[model.name]
+
+    def _device_latency(self, chip, model):
+        decision = objectives.tune_placement(
+            self.stable_builder(model), model.batch, chip
+        )
+        report = decision.report
+        batch_latency = report.latency_s + model.host_overhead_s_per_batch
+        return (
+            batch_latency,
+            batch_latency / report.batch,
+            report.avg_power_w,
+        )
+
+    def _device_shards(self, chip, model):
+        return objectives.required_shards(
+            self.stable_builder(model)(model.batch), chip
+        )
+
+
+def _sec6_search(objective_cls):
+    """The pinned ``sec6_codesign`` search scored by ``objective_cls``,
+    plus every ``tune_placement`` call as (chip repr, model name)."""
+    tune_placement = objectives.tune_placement
+    calls = []
+
+    def counted(build_graph, batch, chip):
+        decision = tune_placement(build_graph, batch, chip)
+        calls.append((repr(chip), decision.report.model_name))
+        return decision
+
+    models = [m for m in figure6_models() if m.name in ("LC1", "LC3", "HC1")]
+    config = SearchConfig(
+        seed=0, iterations=40, device_rung_keep=10, serving_rung_keep=5,
+        train_chips=10,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives, "tune_placement", counted)
+        patch.setattr(search, "CodesignObjective", objective_cls)
+        result = run_codesign_search(smoke_space(), models, config, duration_s=4.0)
+    return result, calls
+
+
+class TestCodesignGoldens:
+    """Section 6: the co-design search (the ``sec6_codesign`` scenario).
+
+    The search pays each exact (chip, model) result once: the cached
+    objective gives the same result, bit for bit, as the uncached one it
+    replaced, with fewer placement runs.
+    """
+
+    @pytest.fixture(scope="class")
+    def cached(self):
+        return _sec6_search(CodesignObjective)
+
+    @pytest.fixture(scope="class")
+    def uncached(self):
+        return _sec6_search(_UncachedObjective)
+
+    def test_scalars_match_pinned_goldens(self, cached):
+        result, _ = cached
+        results = {"benchmarks": {"sec6_codesign": {"scalars": result_scalars(result)}}}
+        assert golden_violations(results) == []
+
+    def test_identical_to_uncached_objective(self, cached, uncached):
+        assert cached[0] == uncached[0]
+        assert result_scalars(cached[0]) == result_scalars(uncached[0])
+
+    def test_one_placement_run_per_chip_model_pair(self, cached, uncached):
+        calls, uncached_calls = cached[1], uncached[1]
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(uncached_calls)
+        # The device-rung finalists re-scored at the serving rung and the
+        # MTIA 2i anchor (the base chip) no longer re-run placement.
+        assert (len(calls), len(uncached_calls)) == (36, 54)
