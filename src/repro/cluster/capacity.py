@@ -129,10 +129,8 @@ def max_qps_at_slo(
     shedding, by stepping down from the fluid capacity bound.
 
     Returns ``(max_qps, p99_at_max)``; ``(0, inf)`` if even the lightest
-    probe misses.  (Historically lived in ``repro.power.cluster_link``,
-    which still re-exports it; it moved here because it is the serving
-    tier's Perf primitive — the power sweep and the codesign DSE both
-    score candidates with it.)
+    probe misses.  It is the serving tier's Perf primitive: the power
+    sweep and the codesign DSE both score candidates with it.
 
     Probes run ``fail_fast`` against the caller's SLO, which the config
     carries: the verdict is ``meets_slo(p99_slo_s)`` with zero loss

@@ -53,11 +53,21 @@ fixed order, so a seed fully determines the run — the property tests
 assert byte-identical event logs.  An attached
 :class:`~repro.obs.metrics.MetricsRegistry` or
 :class:`~repro.obs.tracing.TraceWriter` observes without steering.
+
+A hook-free run — the fast engine with no chaos hook, autoscaler,
+throttle, fault schedule, tracer or enabled registry — has only
+arrivals and departures, and takes a specialized loop
+(``ClusterSimulator._run_plain``) that merges the pre-sorted arrivals
+with a local departure heap and inlines routing and service.  Every
+other run, and every ``engine="reference"`` run, takes the general
+loop, which is the specialized loop's oracle: the two produce the same
+report, event log included.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -416,10 +426,9 @@ class ClusterSimulator:
         # Plain ints up front: ``_route`` reads one shard per routing
         # attempt, and repeated numpy-scalar conversion there is
         # measurable at event-loop rates.
-        self._shards = [
-            int(s)
-            for s in self.locality.sample_shards(len(self.requests), self._rng)
-        ]
+        self._shards = self.locality.sample_shards(
+            len(self.requests), self._rng
+        ).tolist()
         self._fault_schedule = self._presample_faults()
         # ``reference`` is the verifier mode — it revalidates the
         # incremental queue-depth counters against full recomputation
@@ -455,7 +464,6 @@ class ClusterSimulator:
         self._now = 0.0
         # Outcomes.
         self._latencies: List[float] = []
-        self._admitted_at: Dict[int, float] = {}
         self._terminal: Dict[int, str] = {}
         self._attempts: Dict[int, int] = {}
         self._served = 0
@@ -555,12 +563,56 @@ class ClusterSimulator:
         asserts.  Requests still unresolved once the event heap empties
         (e.g. stuck behind a partition that never healed) are finalized
         as timed out.
+
+        A hook-free run (see :meth:`_is_plain`) takes the specialized
+        :meth:`_run_plain` loop; every other run, and every
+        ``engine="reference"`` run, takes the general event loop.  Both
+        produce the same report field for field.
         """
-        horizon = max((r.arrival_s for r in self.requests), default=0.0)
-        self._horizon = horizon
+        arrivals = [request.arrival_s for request in self.requests]
+        self._horizon = max(arrivals, default=0.0)
         for replica_id in range(self.config.replicas):
             self._spawn_replica()
         self._peak_replicas = len(self._replicas)
+        slo_budget = 0
+        if self._fail_fast and self.requests:
+            # Largest over-SLO completion count the final P99 could
+            # absorb, at the maximum possible served count (see the
+            # nearest-rank formula in fastsim.vectorize
+            # .sorted_percentile; the allowance only grows with count).
+            n = len(self.requests)
+            slo_budget = (n - 1) - min(n - 1, int(round(0.99 * (n - 1))))
+        if self._is_plain():
+            pending = self._run_plain(arrivals, slo_budget)
+        else:
+            self._run_general(slo_budget)
+            pending = [
+                index for index in range(len(self.requests))
+                if index not in self._terminal
+            ]
+        return self._finish(pending)
+
+    def _is_plain(self) -> bool:
+        """Whether this run is hook-free: the fast engine with nothing
+        attached that could fault, partition, retry, throttle, rescale
+        or observe the tier, so arrival and departure are the only
+        events."""
+        return (
+            not self._validate
+            and self._tracer is None
+            and not self._obs_enabled
+            and self.defense is None
+            and self.client is None
+            and self.brownout is None
+            and self.autoscaler is None
+            and self.throttle is None
+            and not self.injections
+            and not self._fault_schedule
+        )
+
+    def _run_general(self, slo_budget: int) -> None:
+        """The event loop every hook runs under, and the oracle for
+        :meth:`_run_plain`."""
         # The pre-known event populations are all time-sorted, so they
         # stage as sorted runs (see EventEngine.schedule_batch) and
         # the heap carries only the in-flight runtime events (departs,
@@ -588,23 +640,14 @@ class ClusterSimulator:
             tick = self.autoscaler.config.tick_interval_s
             ticks = []
             t = tick
-            while t < horizon:
+            while t < self._horizon:
                 ticks.append((t, ("scale", -1)))
                 t += tick
             self._events.schedule_batch(ticks)
 
-        events = self._events
         validate = self._validate
         fail_fast = self._fail_fast
-        slo_budget = 0
-        if fail_fast and self.requests:
-            # Largest over-SLO completion count the final P99 could
-            # absorb, at the maximum possible served count (see the
-            # nearest-rank formula in fastsim.vectorize
-            # .sorted_percentile; the allowance only grows with count).
-            n = len(self.requests)
-            slo_budget = (n - 1) - min(n - 1, int(round(0.99 * (n - 1))))
-        pop = events.pop
+        pop = self._events.pop
         route = self._route
         while True:
             if fail_fast and (
@@ -636,11 +679,136 @@ class ClusterSimulator:
             if validate:
                 self._validate_counters(kind)
 
+    def _run_plain(self, arrivals: List[float], slo_budget: int) -> List[int]:
+        """The hook-free event loop: :meth:`_run_general` with every
+        hook removed and route, start, depart and next-from-queue
+        inlined.  Returns the still-pending request indices (non-empty
+        only when a ``fail_fast`` certificate stopped the run early).
+
+        Arrivals are a stable sort of request indices by time, exactly
+        the order ``EventEngine.schedule_batch`` stages them in, merged
+        with a local heap of ``(depart_time, seq, replica)`` entries.
+        An arrival wins a timestamp tie, because every staged arrival's
+        sequence number is below every departure's; departures tie FIFO
+        by ``seq``.  Nothing can fault or partition, so every replica
+        stays up and no departure goes stale.  The candidate list is the
+        static id-ordered replica list while no replica sits at the
+        admission cap, and otherwise the filter ``healthy_candidates``
+        applies.  The policy and the service draw consume the generator
+        in the general loop's order.
+        """
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        times = [arrivals[index] for index in order]
+        shards = self._shards
+        replicas = list(self._replicas.values())
+        admission = self.config.admission
+        cap = admission.max_outstanding_per_replica
+        max_total = admission.max_total_outstanding
+        choose = self.policy.choose
+        rng = self._rng
+        # ``ServiceModel.sample``, inlined: the same expression, the
+        # same draw.
+        service = self.service
+        mean_s = service.mean_service_s
+        sigma = service.jitter_sigma
+        mu = service._lognormal_mu
+        penalty = service.cross_host_penalty
+        lognormal = rng.lognormal
+        multi_shard = self.locality.num_shards > 1
+        slo_s = self.config.p99_slo_s
+        fail_fast = self._fail_fast
+        log = self._event_log.append
+        record_latency = self._latencies.append
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        departs: List[Tuple[float, int, _Replica]] = []
+        seq = 0
+        saturated = 0  # replicas at the admission cap
+        total = served = shed = cross_served = slo_over = 0
+        busy = 0.0
+        now = 0.0
+        n = len(order)
+        next_arrival = 0
+        while not (fail_fast and (shed or slo_over > slo_budget)):
+            if next_arrival < n and (
+                not departs or times[next_arrival] <= departs[0][0]
+            ):
+                index = order[next_arrival]
+                now = times[next_arrival]
+                next_arrival += 1
+                shard = shards[index]
+                if saturated:
+                    candidates = [r for r in replicas if r.outstanding < cap]
+                else:
+                    candidates = replicas
+                if max_total is not None and total >= max_total:
+                    candidates = []
+                chosen = choose(candidates, shard, rng) if candidates else None
+                if chosen is None:
+                    shed += 1
+                    log((now, "shed", index))
+                    continue
+                outstanding = chosen.outstanding + 1
+                chosen.outstanding = outstanding
+                if outstanding == cap:
+                    saturated += 1
+                total += 1
+                cross = multi_shard and chosen.shard != shard
+                if chosen.in_service is not None:
+                    chosen.queue.append((index, cross))
+                    continue
+                replica = chosen
+            elif departs:
+                now, _, replica = heappop(departs)
+                index = replica.in_service
+                latency = now - arrivals[index]
+                record_latency(latency)
+                if latency > slo_s:
+                    slo_over += 1
+                served += 1
+                log((now, "serve", index))
+                if replica.in_service_cross:
+                    cross_served += 1
+                if replica.outstanding == cap:
+                    saturated -= 1
+                replica.outstanding -= 1
+                total -= 1
+                if not replica.queue:
+                    replica.in_service = None
+                    continue
+                index, cross = replica.queue.popleft()
+            else:
+                break
+            # Start service of ``index`` on ``replica``.
+            base = mean_s if sigma == 0 else lognormal(mu, sigma)
+            service_s = base * (penalty if cross else 1.0)
+            replica.in_service = index
+            replica.in_service_cross = cross
+            busy += service_s
+            seq += 1
+            heappush(departs, (now + service_s, seq, replica))
+
+        self._now = now
+        self._served = served
+        self._shed = shed
+        self._cross_served = cross_served
+        self._busy_seconds = busy
+        self._slo_over = slo_over
+        self._outstanding_total = total
+        pending = order[next_arrival:]
+        for replica in replicas:
+            if replica.in_service is not None:
+                pending.append(replica.in_service)
+            pending.extend(index for index, _ in replica.queue)
+        return sorted(pending)
+
+    def _finish(self, pending: Sequence[int]) -> ClusterReport:
+        """The report both loops share, after the conservation sweep."""
         # Conservation sweep: anything still pending (wedged behind an
-        # unhealed partition, a never-recovered outage) is lost work.
-        for index in range(len(self.requests)):
-            if index not in self._terminal:
-                self._finalize_timeout(index)
+        # unhealed partition, a never-recovered outage, or cut off by a
+        # fail_fast certificate) is lost work.
+        for index in pending:
+            self._finalize_timeout(index)
 
         for replica in self._replicas.values():
             replica.accrue_up_time(self._now)
@@ -649,7 +817,7 @@ class ClusterSimulator:
         report = ClusterReport(
             policy=self.config.policy,
             seed=self.config.seed,
-            duration_s=horizon,
+            duration_s=self._horizon,
             offered=len(self.requests),
             served=self._served,
             shed=self._shed,
@@ -688,7 +856,6 @@ class ClusterSimulator:
     def _finalize_shed(self, index: int) -> None:
         self._terminal[index] = "shed"
         self._shed += 1
-        self._admitted_at.pop(index, None)
         self._emit("shed", index)
         if self._tracer is not None:
             self._tracer.instant(
@@ -699,7 +866,6 @@ class ClusterSimulator:
     def _finalize_timeout(self, index: int) -> None:
         self._terminal[index] = "timeout"
         self._timed_out += 1
-        self._admitted_at.pop(index, None)
         if self._obs_enabled:
             self._obs.counter("cluster.timed_out").inc()
         self._emit("timeout", index)
@@ -722,9 +888,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-
-    def _total_outstanding(self) -> int:
-        return self._outstanding_total
 
     def _validate_counters(self, kind: str) -> None:
         """Reference-engine invariant check, run after every event: the
@@ -798,17 +961,15 @@ class ClusterSimulator:
             self._replicas.values(), admission,
             now_s=self._now, defense=self.defense,
         )
-        if candidates and not admission.tier_admissible(self._total_outstanding()):
+        if candidates and not admission.tier_admissible(self._outstanding_total):
             candidates = []
         chosen = self.policy.choose(candidates, shard, self._rng) \
             if candidates else None
         if chosen is None:
             self._drop_copy(index)
             return
-        if mode == "arrival":
-            self._admitted_at[index] = self._now
-            if self._obs_enabled:
-                self._obs.counter("cluster.admitted").inc()
+        if mode == "arrival" and self._obs_enabled:
+            self._obs.counter("cluster.admitted").inc()
         if self.defense is not None:
             self.defense.on_dispatch(chosen.replica_id, self._now)
         cross = chosen.shard != shard and self.locality.num_shards > 1
@@ -825,7 +986,7 @@ class ClusterSimulator:
 
     def _brownout_observe(self) -> None:
         level = self.brownout.on_route(
-            self._now, self._total_outstanding(), self._up_count()
+            self._now, self._outstanding_total, self._up_count()
         )
         if level != getattr(self, "_brownout_level", 0):
             self._brownout_level = level
@@ -863,9 +1024,6 @@ class ClusterSimulator:
                 cat="service",
                 args={"cross_host": int(cross)},
             )
-
-    def _on_arrival(self, index: int) -> None:
-        self._route(index, mode="arrival")
 
     def _next_from_queue(self, replica: _Replica) -> None:
         """Start the next viable queued request, discarding dead work.
@@ -924,7 +1082,6 @@ class ClusterSimulator:
             self._next_from_queue(replica)
             return
         self._terminal[index] = "serve"
-        self._admitted_at.pop(index, None)
         # Latency spans original arrival (not retry time) to completion.
         start = self.requests[index].arrival_s
         latency = self._now - start

@@ -39,7 +39,6 @@ from repro.power.capping import (
 from repro.power.cluster_link import (
     PowerLimitedSweep,
     ThrottleSchedule,
-    max_qps_at_slo,
     power_limited_capacity_sweep,
     service_model_at_budget,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "chip_power_w",
     "dynamic_power_w",
     "gpu_thermal",
-    "max_qps_at_slo",
     "mtia2i_thermal",
     "overclock_with_thermal_feedback",
     "power_limited_capacity_sweep",

@@ -177,11 +177,6 @@ class PowerLimitedSweep:
         }
 
 
-# ``max_qps_at_slo``/``_step_fractions`` moved to
-# ``repro.cluster.capacity`` (the codesign DSE scores candidates with
-# the same scan); imported above and re-exported via ``__all__``.
-
-
 def _guided_max_qps_at_slo(
     service: ServiceModel,
     replicas: int,
@@ -213,13 +208,15 @@ def _guided_max_qps_at_slo(
 
     fractions = _step_fractions(qps_step_fraction)
     ceiling = replicas * service.capacity_per_replica()
-    config = ClusterConfig(replicas=replicas, num_hosts=replicas, seed=seed)
+    config = ClusterConfig(
+        replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
+    )
     probed: Dict[int, Tuple[float, float, bool]] = {}
 
     def _feasible(index: int) -> bool:
         qps = ceiling * fractions[index]
         requests = poisson_stream(qps, duration_s, seed=seed)
-        report = run_cluster(config, service, requests)
+        report = run_cluster(config, service, requests, fail_fast=True)
         ok = report.meets_slo(p99_slo_s)
         probed[index] = (qps, report.p99_latency_s, ok)
         return ok
@@ -327,7 +324,6 @@ __all__ = [
     "PowerLimitedSweep",
     "ThrottleSchedule",
     "frequency_for_chip_budget",
-    "max_qps_at_slo",
     "power_limited_capacity_sweep",
     "service_model_at_budget",
 ]

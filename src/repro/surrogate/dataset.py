@@ -363,7 +363,8 @@ def train_power_surrogate(
     :func:`repro.power.cluster_link.power_limited_capacity_sweep`.
     """
     from repro.arch.mtia import mtia2i_spec
-    from repro.power.cluster_link import max_qps_at_slo, service_model_at_budget
+    from repro.cluster.capacity import max_qps_at_slo
+    from repro.power.cluster_link import service_model_at_budget
 
     chip = chip or mtia2i_spec()
     X: List[np.ndarray] = []

@@ -400,3 +400,13 @@ class TestThrottleScheduleValidation:
             DvfsConfig(thermal_limit_c=90.0, thermal_target_c=95.0)
         with pytest.raises(ValueError):
             dataclasses.replace(DvfsConfig(), qualification_margin=0.5)
+
+
+def test_power_no_longer_reexports_the_capacity_scan():
+    """``max_qps_at_slo`` lives in ``repro.cluster.capacity`` only."""
+    import repro.power
+    import repro.power.cluster_link
+
+    assert not hasattr(repro.power, "max_qps_at_slo")
+    assert "max_qps_at_slo" not in repro.power.__all__
+    assert "max_qps_at_slo" not in repro.power.cluster_link.__all__
