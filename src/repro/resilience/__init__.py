@@ -15,9 +15,9 @@ one closed system.
 from repro.resilience.device import (
     Device,
     DeviceState,
+    PoolCensus,
     TransitionError,
     downed_device_minutes,
-    pool_summary,
 )
 from repro.resilience.events import Event, EventKind, EventLog
 from repro.resilience.faults import (
@@ -65,6 +65,7 @@ __all__ = [
     "HedgePolicy",
     "IntervalMetrics",
     "LoadShedPolicy",
+    "PoolCensus",
     "ResilienceConfig",
     "ResiliencePolicies",
     "ResilienceReport",
@@ -76,7 +77,6 @@ __all__ = [
     "downed_device_minutes",
     "evaluate_interval",
     "fault_rates_from_reliability",
-    "pool_summary",
     "presample_fault_arrivals",
     "run_resilience",
     "run_section_55_drill",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 class DeviceState(enum.Enum):
@@ -149,12 +149,49 @@ class Device:
         return True
 
 
-def pool_summary(devices: Dict[int, "Device"]) -> Dict[str, int]:
-    """Device counts per lifecycle state (for metrics sampling)."""
-    counts = {state.value: 0 for state in DeviceState}
-    for device in devices.values():
-        counts[device.state.value] += 1
-    return counts
+@dataclasses.dataclass
+class PoolCensus:
+    """The pool's lifecycle census, kept live across transitions.
+
+    ``counts`` holds the number of devices per state. ``scales[i]`` is
+    device ``i``'s rotation throughput scale: 1.0 when healthy, its
+    ``degraded_scale`` when degraded, 0.0 otherwise. Device ids must be
+    ``0 .. n-1``.
+    """
+
+    counts: Dict[DeviceState, int]
+    scales: List[float]
+
+    @classmethod
+    def of(cls, devices: Dict[int, Device]) -> "PoolCensus":
+        """Take a census of ``devices`` from scratch."""
+        counts = {state: 0 for state in DeviceState}
+        scales = [0.0] * len(devices)
+        for device in devices.values():
+            counts[device.state] += 1
+            scales[device.device_id] = device.throughput_scale
+        return cls(counts, scales)
+
+    def moved(self, device: Device, old_state: DeviceState) -> None:
+        """Record that ``device`` left ``old_state`` for its current one."""
+        self.counts[old_state] -= 1
+        self.counts[device.state] += 1
+        self.scales[device.device_id] = device.throughput_scale
+
+    @property
+    def live_scale(self) -> float:
+        """Summed throughput scale of the devices in rotation.
+
+        A plain left-to-right loop in device-id order: adding the 0.0 of
+        a device out of rotation is exact, so this is bit-identical to
+        summing ``throughput_scale`` over the in-rotation devices of a
+        full scan. Builtin ``sum`` (compensated from Python 3.12),
+        ``math.fsum`` and pairwise ``np.sum`` all round differently.
+        """
+        total = 0.0
+        for scale in self.scales:
+            total += scale
+        return total
 
 
 def downed_device_minutes(devices: Dict[int, "Device"], end_s: Optional[float] = None) -> float:

@@ -1,8 +1,13 @@
 """Time-series availability metrics for the resilience simulator.
 
-Once per metrics interval the simulator snapshots the pool and converts
-device states into serving-tier outcomes: goodput fraction, retry
+Once per metrics interval the simulator converts the pool's lifecycle
+census into serving-tier outcomes: goodput fraction, retry
 amplification, shed and failed load, and tail latency with retries.
+The census is a :class:`~repro.resilience.device.PoolCensus` the
+simulator keeps live across transitions, so a tick reads its counts in
+O(1) instead of rescanning every device; its rotation capacity is a
+left-to-right sum in device-id order, bit-identical to the retired scan
+(kept as the oracle in ``tests/test_resilience_census_equivalence.py``).
 The arithmetic deliberately reuses the :mod:`repro.serving.faults`
 machinery — :func:`~repro.serving.faults.queueing_delay_factor` for the
 latency blow-up and :class:`~repro.serving.faults.FaultImpact` for the
@@ -14,11 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
-from repro.resilience.device import Device, DeviceState
+from repro.resilience.device import DeviceState, PoolCensus
 from repro.resilience.events import EventLog
 from repro.resilience.policies import ResiliencePolicies
 
@@ -67,7 +72,7 @@ class IntervalMetrics:
 
 def evaluate_interval(
     now_s: float,
-    devices: Dict[int, Device],
+    census: PoolCensus,
     offered_samples_per_s: float,
     device_throughput: float,
     policies: ResiliencePolicies,
@@ -76,20 +81,14 @@ def evaluate_interval(
     baseline_utilization: float,
     corrupted_samples_per_s: float = 0.0,
 ) -> IntervalMetrics:
-    """Convert the pool's device states into one metrics sample."""
-    census = {state: 0 for state in DeviceState}
-    live_scale = 0.0
-    for device in devices.values():
-        census[device.state] += 1
-        if device.in_rotation:
-            live_scale += device.throughput_scale
-    rotation = (
-        census[DeviceState.HEALTHY]
-        + census[DeviceState.DEGRADED]
-        + census[DeviceState.WEDGED]
-    )
-    live_capacity = live_scale * device_throughput
-    p_bad = census[DeviceState.WEDGED] / rotation if rotation else 1.0
+    """Convert the pool's lifecycle census into one metrics sample."""
+    counts = census.counts
+    healthy = counts[DeviceState.HEALTHY]
+    degraded = counts[DeviceState.DEGRADED]
+    wedged = counts[DeviceState.WEDGED]
+    rotation = healthy + degraded + wedged
+    live_capacity = census.live_scale * device_throughput
+    p_bad = wedged / rotation if rotation else 1.0
 
     # --- Retry chain: attempts and terminal failures -------------------
     if policies.retry is None:
@@ -148,7 +147,7 @@ def evaluate_interval(
             p99 = policies.retry.timeout_s + policies.retry.backoff_s(1) + p99
 
     # --- SLO verdict via the serving-tier machinery --------------------
-    total = len(devices)
+    total = len(census.scales)
     effective_devices = max(1, int(round(live_capacity / device_throughput)))
     impact = FaultImpact(
         before=PoolState(
@@ -166,11 +165,11 @@ def evaluate_interval(
 
     return IntervalMetrics(
         time_s=now_s,
-        healthy=census[DeviceState.HEALTHY],
-        degraded=census[DeviceState.DEGRADED],
-        wedged=census[DeviceState.WEDGED],
-        draining=census[DeviceState.DRAINING],
-        rebooting=census[DeviceState.REBOOTING],
+        healthy=healthy,
+        degraded=degraded,
+        wedged=wedged,
+        draining=counts[DeviceState.DRAINING],
+        rebooting=counts[DeviceState.REBOOTING],
         capacity_samples_per_s=live_capacity,
         offered_samples_per_s=offered_samples_per_s,
         admitted_samples_per_s=admitted,

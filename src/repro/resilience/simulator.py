@@ -19,6 +19,14 @@ every simulator in the repo shares, keyed on ``(time, sequence)``; all
 randomness flows from one seeded generator consumed in a fixed order, so
 two runs with the same seed produce identical event logs — byte for
 byte — which the acceptance tests assert.
+
+Every lifecycle change (wedge, degrade, degrade-end, drain,
+reboot-start, reboot-done, rollout wave) goes through one
+``_transition`` helper, which keeps a
+:class:`~repro.resilience.device.PoolCensus` live; the hourly metrics
+tick reads that census instead of rescanning the pool.  Ticks fall at
+``k * metrics_interval_s`` plus the window's end, and a final partial
+interval averages its corrupted samples over the time it covers.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from repro.fastsim.engine import EventEngine
 from repro.resilience.device import (
     Device,
     DeviceState,
+    PoolCensus,
     downed_device_minutes,
 )
 from repro.resilience.events import Event, EventKind, EventLog
@@ -141,6 +150,9 @@ class ResilienceSimulator:
             i: Device(device_id=i, degraded_scale=config.degraded_scale)
             for i in range(config.devices)
         }
+        # Every lifecycle change goes through _transition, which keeps
+        # this census live for the metrics ticks.
+        self._census = PoolCensus.of(self._devices)
         self._log = EventLog()
         # Payloads are ``(kind, device_id, handler_kwargs)``.
         self._events = EventEngine()
@@ -153,6 +165,20 @@ class ResilienceSimulator:
         self._rollout_done = False
         self._patch_scheduled: set = set()
         self._last_shedding = False
+        self._last_tick_s = 0.0
+        self._handlers = {
+            "fault_deadlock": self._on_deadlock,
+            "fault_ecc_ue": self._on_ecc_ue,
+            "fault_sdc": self._on_sdc,
+            "fault_throttle": self._on_throttle,
+            "degrade_end": self._on_degrade_end,
+            "drain_decision": self._on_drain_decision,
+            "reboot_start": self._on_reboot_start,
+            "reboot_done": self._on_reboot_done,
+            "metrics": self._on_metrics,
+            "rollout_start": self._on_rollout_start,
+            "rollout_wave": self._on_rollout_wave,
+        }
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -164,7 +190,8 @@ class ResilienceSimulator:
 
     def _emit(self, time_s: float, kind: EventKind,
               device_id: Optional[int] = None, **detail: float) -> None:
-        self._obs.counter("resilience.events." + kind.value).inc()
+        if self._obs.enabled:
+            self._obs.counter("resilience.events." + kind.value).inc()
         self._log.append(
             Event(time_s=time_s, kind=kind, device_id=device_id, detail=detail)
         )
@@ -189,11 +216,12 @@ class ResilienceSimulator:
             for time_s, device_id in arrivals
         )
         # Metrics ticks: t=0 baseline, then every interval, then t=end.
+        # ``k * interval`` rather than a running sum, which drifts.
         ticks = []
-        t = 0.0
-        while t < config.duration_s:
-            ticks.append((t, ("metrics", None, {})))
-            t += config.metrics_interval_s
+        k = 0
+        while k * config.metrics_interval_s < config.duration_s:
+            ticks.append((k * config.metrics_interval_s, ("metrics", None, {})))
+            k += 1
         ticks.append((config.duration_s, ("metrics", None, {})))
         events.schedule_batch(ticks)
 
@@ -220,23 +248,19 @@ class ResilienceSimulator:
 
     def _dispatch(self, time_s: float, kind: str, device_id: Optional[int],
                   payload: dict) -> None:
-        handler = {
-            "fault_deadlock": self._on_deadlock,
-            "fault_ecc_ue": self._on_ecc_ue,
-            "fault_sdc": self._on_sdc,
-            "fault_throttle": self._on_throttle,
-            "degrade_end": self._on_degrade_end,
-            "drain_decision": self._on_drain_decision,
-            "reboot_start": self._on_reboot_start,
-            "reboot_done": self._on_reboot_done,
-            "metrics": self._on_metrics,
-            "rollout_start": self._on_rollout_start,
-            "rollout_wave": self._on_rollout_wave,
-        }[kind]
+        handler = self._handlers[kind]
         if device_id is None:
             handler(time_s, **payload)
         else:
             handler(time_s, self._devices[device_id], **payload)
+
+    def _transition(self, device: Device, state: DeviceState,
+                    time_s: float) -> None:
+        """Move ``device`` to ``state`` (legality-checked, residency
+        accrued) and update the live census."""
+        old_state = device.state
+        device.transition(state, time_s)
+        self._census.moved(device, old_state)
 
     # ------------------------------------------------------------------
     # Fault handlers (arrivals on no-longer-susceptible devices are
@@ -246,7 +270,7 @@ class ResilienceSimulator:
     def _on_deadlock(self, time_s: float, device: Device) -> None:
         if not device.susceptible_to_deadlock:
             return
-        device.transition(DeviceState.WEDGED, time_s)
+        self._transition(device, DeviceState.WEDGED, time_s)
         self._emit(time_s, EventKind.FAULT_DEADLOCK, device.device_id)
         drain = self.policies.drain
         if drain is not None:
@@ -284,7 +308,7 @@ class ResilienceSimulator:
             self._degrade_until.get(device.device_id, 0.0), until
         )
         if device.state == DeviceState.HEALTHY:
-            device.transition(DeviceState.DEGRADED, time_s)
+            self._transition(device, DeviceState.DEGRADED, time_s)
         self._push(until, "degrade_end", device.device_id)
 
     def _on_degrade_end(self, time_s: float, device: Device) -> None:
@@ -292,7 +316,7 @@ class ResilienceSimulator:
             return  # wedged, drained, or rebooted in the meantime
         if time_s + 1e-9 < self._degrade_until.get(device.device_id, 0.0):
             return  # a later episode extended the degradation
-        device.transition(DeviceState.HEALTHY, time_s)
+        self._transition(device, DeviceState.HEALTHY, time_s)
         self._emit(time_s, EventKind.DEGRADE_END, device.device_id)
 
     # ------------------------------------------------------------------
@@ -308,7 +332,7 @@ class ResilienceSimulator:
             self._emit(time_s, EventKind.HEALTH_CHECK_FAIL, device.device_id,
                        consecutive=float(device.consecutive_health_failures))
         if device.consecutive_health_failures >= drain.failures_to_drain:
-            device.transition(DeviceState.DRAINING, time_s)
+            self._transition(device, DeviceState.DRAINING, time_s)
             self._emit(time_s, EventKind.DRAIN_START, device.device_id)
             self._push(time_s + drain.drain_grace_s, "reboot_start",
                        device.device_id)
@@ -317,7 +341,7 @@ class ResilienceSimulator:
         drain = self.policies.drain
         if drain is None or device.state != DeviceState.DRAINING:
             return
-        device.transition(DeviceState.REBOOTING, time_s)
+        self._transition(device, DeviceState.REBOOTING, time_s)
         reboot_s = drain.sample_reboot_s(self._rng)
         self._obs.histogram("resilience.reboot_duration_s").observe(reboot_s)
         self._emit(time_s, EventKind.REBOOT_START, device.device_id,
@@ -329,7 +353,7 @@ class ResilienceSimulator:
                         patch: float) -> None:
         if device.state != DeviceState.REBOOTING:
             return  # pragma: no cover - defensive; single reboot in flight
-        device.transition(DeviceState.HEALTHY, time_s)
+        self._transition(device, DeviceState.HEALTHY, time_s)
         self._degrade_until.pop(device.device_id, None)
         if patch:
             device.patched = True
@@ -348,12 +372,16 @@ class ResilienceSimulator:
     # ------------------------------------------------------------------
 
     def _on_metrics(self, time_s: float) -> None:
-        interval_s = self.config.metrics_interval_s
-        corrupted_per_s = self._corrupted_samples / interval_s
+        # The last interval may be partial: average over what elapsed.
+        elapsed_s = time_s - self._last_tick_s
+        self._last_tick_s = time_s
+        corrupted_per_s = (
+            self._corrupted_samples / elapsed_s if elapsed_s > 0 else 0.0
+        )
         self._corrupted_samples = 0.0
         metrics = evaluate_interval(
             now_s=time_s,
-            devices=self._devices,
+            census=self._census,
             offered_samples_per_s=self.config.offered_load,
             device_throughput=self.config.device_throughput,
             policies=self.policies,
@@ -418,7 +446,7 @@ class ResilienceSimulator:
         wave = candidates[:wave_size]
         restart_s = plan.restart_minutes * 60.0
         for device in wave:
-            device.transition(DeviceState.REBOOTING, time_s)
+            self._transition(device, DeviceState.REBOOTING, time_s)
             self._patch_scheduled.add(device.device_id)
             self._emit(time_s, EventKind.REBOOT_START, device.device_id,
                        reboot_s=restart_s, rollout=1.0)
