@@ -28,6 +28,8 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.fastsim.vectorize import bounded_uint32, uint32_source
+
 POLICY_NAMES = ("round_robin", "jsq", "po2", "locality")
 
 
@@ -128,14 +130,26 @@ class PowerOfTwoPolicy(RoutingPolicy):
     """Sample two distinct replicas, queue the less loaded one.
 
     The pair is ``rng.choice(n, size=2, replace=False)`` drawn as three
-    scalar draws that consume the generator identically: numpy's Floyd
+    bounded draws that consume the generator identically: numpy's Floyd
     sampler takes ``a`` in ``[0, n-2]`` and ``b`` in ``[0, n-1]``
     (``b = n-1`` if it repeats ``a``), then its two-element shuffle
-    swaps them on a coin draw.  ``tests/test_po2_draw_equivalence.py``
-    pins the equivalence against ``choice`` itself.
+    swaps them on a coin draw.  Each draw is
+    :func:`~repro.fastsim.vectorize.bounded_uint32` through the
+    generator's ctypes handle, the same stream as ``rng.integers``.
+    The handle is cached next to the generator it points into and is
+    dropped when the policy is pickled.
+    ``tests/test_po2_draw_equivalence.py`` pins the equivalence against
+    ``choice`` itself.
     """
 
     name = "po2"
+
+    def __init__(self) -> None:
+        self._rng: Optional[np.random.Generator] = None
+        self._source = None
+
+    def __getstate__(self):
+        return {"_rng": None, "_source": None}
 
     def choose(self, candidates, shard_id, rng):
         if not candidates:
@@ -143,11 +157,15 @@ class PowerOfTwoPolicy(RoutingPolicy):
         n = len(candidates)
         if n == 1:
             return candidates[0]
-        first = int(rng.integers(0, n - 1))
-        second = int(rng.integers(0, n))
+        if rng is not self._rng:
+            self._rng = rng
+            self._source = uint32_source(rng)
+        next_uint32, state = self._source
+        first = bounded_uint32(next_uint32, state, n - 1)
+        second = bounded_uint32(next_uint32, state, n)
         if second == first:
             second = n - 1
-        if rng.integers(0, 2) == 0:
+        if bounded_uint32(next_uint32, state, 2) == 0:
             first, second = second, first
         return _least_outstanding([candidates[first], candidates[second]])
 

@@ -161,6 +161,11 @@ class SpillRouter:
     LB.  State is advanced one arrival at a time in chronological order,
     so the assignment sequence is a pure function of the arrival
     sequence and the monitors.
+
+    :meth:`assign` runs once per request fleet-wide, so it checks the
+    home monitor inline and returns one of three per-region
+    :class:`Assignment` instances (home, spilled-in, LB-shed) built
+    once here; ``Assignment`` is frozen, so sharing them is safe.
     """
 
     def __init__(
@@ -195,10 +200,13 @@ class SpillRouter:
         self.spilled_out = [0] * len(replicas)
         self.spilled_in = [0] * len(replicas)
         self.lb_shed = 0
-
-    def _down(self, region: int, t_s: float) -> bool:
-        monitor = self.monitors[region]
-        return monitor is not None and monitor.down_at(t_s)
+        regions = range(len(replicas))
+        self._home = [Assignment(region, spilled=False) for region in regions]
+        self._spill = [Assignment(region, spilled=True) for region in regions]
+        self._shed = [
+            Assignment(region, spilled=False, lb_shed=True)
+            for region in regions
+        ]
 
     def _spill_down(self, region: int, t_s: float) -> bool:
         monitor = self.spill_monitors[region]
@@ -206,9 +214,10 @@ class SpillRouter:
 
     def assign(self, home: int, arrival_s: float) -> Assignment:
         """Route one arrival: home, spill, or LB shed."""
-        if not self._down(home, arrival_s):
+        monitor = self.monitors[home]
+        if monitor is None or not monitor.down_at(arrival_s):
             self.assigned[home] += 1
-            return Assignment(region=home, spilled=False)
+            return self._home[home]
         best: Optional[int] = None
         best_load = float("inf")
         for region in range(len(self.replicas)):
@@ -223,11 +232,11 @@ class SpillRouter:
                 best, best_load = region, load
         if best is None:
             self.lb_shed += 1
-            return Assignment(region=home, spilled=False, lb_shed=True)
+            return self._shed[home]
         self.assigned[best] += 1
         self.spilled_out[home] += 1
         self.spilled_in[best] += 1
-        return Assignment(region=best, spilled=True)
+        return self._spill[best]
 
 
 __all__ = [

@@ -22,6 +22,7 @@ from typing import Optional, Tuple
 
 from repro.arch.mtia import mtia2i_spec
 from repro.chaos.domains import FaultDomainTopology
+from repro.cluster.routing import POLICY_NAMES
 from repro.power.cluster_link import ThrottleSchedule, frequency_for_chip_budget
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import DiurnalTrafficModel
@@ -157,6 +158,24 @@ class FleetConfig:
             raise ValueError("duration must be positive")
         if self.p99_slo_s <= 0:
             raise ValueError("SLO must be positive")
+        if self.peak_to_mean < 1:
+            raise ValueError("peak-to-mean must be at least 1")
+        if self.samples_per_request <= 0:
+            raise ValueError("requests must carry at least one sample")
+        if self.policy not in POLICY_NAMES:
+            raise ValueError(
+                f"unknown routing policy {self.policy!r}; "
+                f"choose one of {POLICY_NAMES}"
+            )
+        weights = tuple(self.priority_weights)
+        if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
+            raise ValueError(
+                "priority weights must be non-negative, non-empty and "
+                "sum to a positive total"
+            )
+        # A tuple whatever the caller passed, so the config (and the
+        # stream cache keyed on the weights) stays hashable.
+        object.__setattr__(self, "priority_weights", weights)
 
     @property
     def global_mean_rate_s(self) -> float:

@@ -13,7 +13,10 @@ deterministic two-pass design:
    .SpillRouter`: home when the probes say the home region is healthy,
    spilled to the least-loaded healthy region when not (paying the
    inter-region forward leg as a shifted arrival), shed at the LB when
-   the whole planet is full or dark.
+   the whole planet is full or dark.  Streams depend only on the
+   traffic, so they and their merge order are cached across replica
+   counts and arms, and a request is re-stamped only when it spilled
+   or changed index.
 2. **Region pass.**  Each region's final stream — home traffic plus
    whatever spilled in — runs through its own seeded cluster
    simulation.  Regions are independent given their streams, so the
@@ -36,6 +39,7 @@ against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.brownout import BrownoutController, default_ladder
@@ -49,6 +53,7 @@ from repro.cluster.simulator import (
     Injection,
     run_cluster,
 )
+from repro.fastsim.vectorize import sorted_percentile
 from repro.fleet_global.drills import DrillSchedule
 from repro.fleet_global.failover import (
     FailoverConfig,
@@ -58,6 +63,7 @@ from repro.fleet_global.failover import (
 from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.workload import (
+    DiurnalTrafficModel,
     Request,
     diurnal_poisson_stream,
     with_priorities,
@@ -160,14 +166,7 @@ class FleetReport:
     def latency_percentile(self, percentile: float) -> float:
         """Exact global-latency percentile over every answered request
         (spilled answers already carry both inter-region legs)."""
-        if not self.latencies_s:
-            return 0.0
-        ordered = sorted(self.latencies_s)
-        index = min(
-            len(ordered) - 1,
-            int(round(percentile / 100 * (len(ordered) - 1))),
-        )
-        return ordered[index]
+        return sorted_percentile(sorted(self.latencies_s), percentile)
 
     @property
     def p99_latency_s(self) -> float:
@@ -216,30 +215,84 @@ class FleetReport:
         return "\n".join(lines)
 
 
+# Bound on cached region streams: a capacity study touches one base
+# stream per region and two merged fleet streams (with and without
+# priority tiers), however many sizes and arms it sweeps.
+_STREAM_CACHE_SIZE = 32
+
+Streams = Tuple[Tuple[Request, ...], ...]
+MergeOrder = Tuple[Tuple[float, int, int], ...]
+
+
+@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
+def _base_stream(
+    model: DiurnalTrafficModel,
+    duration_s: float,
+    samples_per_request: int,
+    seed: int,
+) -> Tuple[Request, ...]:
+    """One region's diurnal arrivals: a pure function of its inputs,
+    so every replica count and arm of a sweep shares it."""
+    return tuple(diurnal_poisson_stream(
+        model,
+        duration_s=duration_s,
+        samples_per_request=samples_per_request,
+        seed=seed,
+    ))
+
+
+@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
+def _merged_streams(
+    base_keys: Tuple[Tuple, ...],
+    tier_keys: Optional[Tuple[Tuple[Tuple[float, ...], int], ...]],
+) -> Tuple[Streams, MergeOrder]:
+    """The fleet's region streams and their global merge order.
+
+    ``tier_keys`` holds each region's ``(weights, seed)`` priority draw
+    on the defended arm and is ``None`` otherwise.  The merge order's
+    key is total — (time, origin region, origin index) — so the LB
+    pass's assignment sequence is a pure function of the seed and the
+    drill.
+    """
+    streams = tuple(_base_stream(*key) for key in base_keys)
+    if tier_keys is not None:
+        streams = tuple(
+            tuple(with_priorities(stream, weights, seed=seed))
+            for stream, (weights, seed) in zip(streams, tier_keys)
+        )
+    order = tuple(sorted(
+        (request.arrival_s, origin, index)
+        for origin, stream in enumerate(streams)
+        for index, request in enumerate(stream)
+    ))
+    return streams, order
+
+
 def _region_streams(
     config: FleetConfig, defended: bool
-) -> List[List[Request]]:
-    """Per-region diurnal arrivals, seeded independently per region.
+) -> Tuple[Streams, MergeOrder]:
+    """Per-region diurnal arrivals, seeded independently per region,
+    with their global merge order.
 
     The defended arm additionally tiers each stream by priority (for
     the brownout ladder) — a seeded draw independent of arrival timing,
-    so both arms see identical arrival processes.
+    so both arms see identical arrival processes.  Both are cached:
+    streams depend on the traffic, never on replica counts or arms.
     """
-    streams: List[List[Request]] = []
-    for index, spec in enumerate(config.regions):
-        stream = diurnal_poisson_stream(
+    base_keys = tuple(
+        (
             config.traffic_model(spec),
-            duration_s=config.duration_s,
-            samples_per_request=config.samples_per_request,
-            seed=config.seed + _STREAM_SEED + index,
+            config.duration_s,
+            config.samples_per_request,
+            config.seed + _STREAM_SEED + index,
         )
-        if defended:
-            stream = with_priorities(
-                stream, config.priority_weights,
-                seed=config.seed + _PRIORITY_SEED + index,
-            )
-        streams.append(stream)
-    return streams
+        for index, spec in enumerate(config.regions)
+    )
+    tier_keys = tuple(
+        (config.priority_weights, config.seed + _PRIORITY_SEED + index)
+        for index in range(len(config.regions))
+    ) if defended else None
+    return _merged_streams(base_keys, tier_keys)
 
 
 def _build_monitors(
@@ -269,6 +322,81 @@ def _build_monitors(
     return home, spill
 
 
+def _build_router(
+    config: FleetConfig,
+    drill: Optional[DrillSchedule],
+    defended: bool,
+    failover: FailoverConfig,
+    service: ServiceModel,
+) -> Tuple[List[Optional[HealthMonitor]], SpillRouter]:
+    """The home monitors and the LB's spill router for one run; the
+    undefended arm has no monitors, so it never spills or LB-sheds."""
+    num_regions = len(config.regions)
+    if defended:
+        home_monitors, spill_monitors = _build_monitors(
+            config, drill, failover
+        )
+    else:
+        home_monitors = [None] * num_regions
+        spill_monitors = [None] * num_regions
+    capacity_requests = [
+        spec.replicas * service.capacity_per_replica() * config.duration_s
+        for spec in config.regions
+    ]
+    router = SpillRouter(
+        home_monitors,
+        [spec.replicas for spec in config.regions],
+        capacity_requests,
+        failover,
+        spill_monitors=spill_monitors,
+    )
+    return home_monitors, router
+
+
+def _lb_pass(
+    streams: Streams,
+    order: MergeOrder,
+    router: SpillRouter,
+    spill_one_way_s: float,
+) -> Tuple[List[List[Request]], List[List[Tuple[int, bool]]], List[int]]:
+    """The LB pass: one global chronological sweep through ``router``.
+
+    Returns, per destination region, the final stream and, aligned by
+    index, each request's (origin region, spilled) attribution tag;
+    plus the LB sheds per origin.  A request is re-stamped only when it
+    spilled (its arrival shifts by the forward leg) or its destination
+    index differs from its ``request_id``; every other request passes
+    through as the same frozen object.
+    """
+    num_regions = len(streams)
+    dest_streams: List[List[Request]] = [[] for _ in range(num_regions)]
+    dest_tags: List[List[Tuple[int, bool]]] = [[] for _ in range(num_regions)]
+    lb_shed_by_origin = [0] * num_regions
+    assign = router.assign
+    for arrival_s, origin, index in order:
+        assignment = assign(origin, arrival_s)
+        if assignment.lb_shed:
+            lb_shed_by_origin[origin] += 1
+            continue
+        request = streams[origin][index]
+        dest = assignment.region
+        spilled = assignment.spilled
+        bucket = dest_streams[dest]
+        if spilled or request.request_id != len(bucket):
+            arrival = request.arrival_s
+            if spilled:
+                arrival += spill_one_way_s
+            request = Request(
+                arrival_s=arrival,
+                samples=request.samples,
+                request_id=len(bucket),
+                priority=request.priority,
+            )
+        bucket.append(request)
+        dest_tags[dest].append((origin, spilled))
+    return dest_streams, dest_tags, lb_shed_by_origin
+
+
 def run_fleet(
     config: FleetConfig,
     drill: Optional[DrillSchedule] = None,
@@ -292,64 +420,15 @@ def run_fleet(
     """
     failover = failover or FailoverConfig()
     service = service or default_service_model()
-    streams = _region_streams(config, defended)
+    streams, order = _region_streams(config, defended)
     offered = sum(len(stream) for stream in streams)
     num_regions = len(config.regions)
-
-    if defended:
-        home_monitors, spill_monitors = _build_monitors(
-            config, drill, failover
-        )
-    else:
-        home_monitors = [None] * num_regions
-        spill_monitors = [None] * num_regions
-    capacity_requests = [
-        spec.replicas * service.capacity_per_replica() * config.duration_s
-        for spec in config.regions
-    ]
-    router = SpillRouter(
-        home_monitors,
-        [spec.replicas for spec in config.regions],
-        capacity_requests,
-        failover,
-        spill_monitors=spill_monitors,
+    home_monitors, router = _build_router(
+        config, drill, defended, failover, service
     )
-
-    # LB pass: one global chronological sweep.  The sort key is total
-    # (time, origin region, origin index), so the assignment sequence —
-    # and with it every downstream stream — is a pure function of the
-    # seed and the drill.
-    order = sorted(
-        (request.arrival_s, origin, index)
-        for origin, stream in enumerate(streams)
-        for index, request in enumerate(stream)
+    dest_streams, dest_tags, lb_shed_by_origin = _lb_pass(
+        streams, order, router, failover.spill_one_way_s
     )
-    # Per destination region: the final stream plus, aligned by index,
-    # each request's (origin region, spilled) attribution tag.
-    dest_streams: List[List[Request]] = [[] for _ in range(num_regions)]
-    dest_tags: List[List[Tuple[int, bool]]] = [[] for _ in range(num_regions)]
-    lb_shed_by_origin = [0] * num_regions
-    for arrival_s, origin, index in order:
-        assignment = router.assign(origin, arrival_s)
-        if assignment.lb_shed:
-            lb_shed_by_origin[origin] += 1
-            continue
-        request = streams[origin][index]
-        dest = assignment.region
-        arrival = request.arrival_s
-        if assignment.spilled:
-            arrival += failover.spill_one_way_s
-        bucket = dest_streams[dest]
-        # Direct construction instead of ``dataclasses.replace`` — this
-        # re-stamp runs once per routed request fleet-wide and the
-        # field-introspecting replace() dominated the LB pass.
-        bucket.append(Request(
-            arrival_s=arrival,
-            samples=request.samples,
-            request_id=len(bucket),
-            priority=request.priority,
-        ))
-        dest_tags[dest].append((origin, assignment.spilled))
 
     # Region pass: independent seeded cluster runs.
     extra_injections = extra_injections or {}

@@ -65,8 +65,13 @@ def with_priorities(
         len(weights), size=len(requests), p=[w / total for w in weights]
     )
     return [
-        dataclasses.replace(request, priority=int(priority))
-        for request, priority in zip(requests, priorities)
+        Request(
+            arrival_s=request.arrival_s,
+            samples=request.samples,
+            request_id=request.request_id,
+            priority=priority,
+        )
+        for request, priority in zip(requests, priorities.tolist())
     ]
 
 
@@ -228,7 +233,11 @@ def diurnal_poisson_stream(
         t += rng.exponential(1.0 / lam_max)
         if t >= duration_s:
             break
-        rate = model.rate_at(t) * (burst_factor if in_burst(t) else 1.0)
+        rate = model.rate_at(t)
+        # Outside a burst the old ``rate * 1.0`` was exact, so only an
+        # episode lookup that hits changes the rate.
+        if episodes and in_burst(t):
+            rate *= burst_factor
         if rng.random() * lam_max <= rate:
             arrivals.append(t)
     sizes = np.maximum(

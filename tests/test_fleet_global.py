@@ -86,6 +86,35 @@ class TestRegions:
         with pytest.raises(KeyError):
             standard_fleet().region_index("atlantis")
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fleet_rejects_non_positive_samples(self, samples):
+        # Once clamped to one sample per request and run to a P99.
+        with pytest.raises(ValueError, match="sample"):
+            FleetConfig(regions=standard_regions(),
+                        samples_per_request=samples)
+
+    def test_fleet_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="policy"):
+            FleetConfig(regions=standard_regions(), policy="random")
+
+    @pytest.mark.parametrize(
+        "weights", [(), (0.5, -0.1, 0.6), (0.0, 0.0, 0.0)]
+    )
+    def test_fleet_rejects_bad_priority_weights(self, weights):
+        # Used to fail only once the defended arm started.
+        with pytest.raises(ValueError, match="priority weights"):
+            FleetConfig(regions=standard_regions(), priority_weights=weights)
+
+    def test_fleet_rejects_peak_below_mean(self):
+        with pytest.raises(ValueError, match="peak-to-mean"):
+            FleetConfig(regions=standard_regions(), peak_to_mean=0.9)
+
+    def test_fleet_priority_weights_become_a_tuple(self):
+        fleet = FleetConfig(regions=standard_regions(),
+                            priority_weights=[0.3, 0.5, 0.2])
+        assert fleet.priority_weights == (0.3, 0.5, 0.2)
+        hash(fleet)
+
 
 class TestHealthMonitor:
     CFG = FailoverConfig(probe_interval_s=0.5, probe_lag_s=0.25,
