@@ -113,7 +113,9 @@ class MemoryHierarchy:
         partition: Optional[SramPartition] = None,
         block_bytes: int = 64 * 1024,
         llc_associativity: int = 16,
+        seed: int = 0,
     ) -> None:
+        """``seed`` seeds the LLC's random-victim sequence."""
         self.chip = chip
         if partition is None:
             half = _round_up(chip.sram.capacity_bytes // 2, chip.sram_partition_bytes)
@@ -131,6 +133,7 @@ class MemoryHierarchy:
                 capacity_bytes=partition.llc_bytes,
                 block_bytes=block_bytes,
                 associativity=llc_associativity,
+                seed=seed,
             )
             if partition.llc_bytes >= block_bytes
             else None

@@ -1,17 +1,24 @@
 """The graph executor: turns (model graph, chip) into latency, hit rates,
 throughput, and energy.
 
-This is the performance model's core loop.  For each op in the schedule:
+This is the performance model's core loop.  A run makes two passes over
+the schedule:
 
-1. the kernel model supplies engine-side times (compute, issue, Local
-   Memory staging) and operand re-read factors;
-2. the memory hierarchy routes every operand according to its placement,
-   measuring LLC hits with a real cache simulation (embedding gathers
-   replay a Zipf-skewed index stream);
-3. the op's latency is the maximum of the engine time and each memory
-   level's streaming time (engines and DMA pipeline against each other),
-   plus the job-launch overhead;
-4. energy integrates a utilization-scaled power model.
+1. the **memory pass** places every tensor (section 4.1 policy) and
+   routes every operand access through the memory hierarchy, measuring
+   LLC hits with a real cache simulation.  It records the raw bytes each
+   access moved per level in a :class:`MemoryTrace`.  It reads nothing
+   of the chip but its SRAM size and partition granularity, so the
+   trace is memoized (:data:`memory_trace`) and every chip in one SRAM
+   rung replays the LLC once;
+2. the **kernel pass**, per chip: the kernel model supplies engine-side
+   times (compute, issue, Local Memory staging) and operand re-read
+   factors that scale each recorded access; embedding gathers take
+   their hit rate from Che's approximation of a Zipf-skewed row stream;
+   the op's latency is the maximum of the engine time and each memory
+   level's streaming time (engines and DMA pipeline against each
+   other), plus the job-launch overhead; energy integrates a
+   utilization-scaled power model.
 
 The same executor runs MTIA 1, MTIA 2i, and the GPU baseline — only the
 chip spec and the placement policy differ, which is what makes the
@@ -20,11 +27,12 @@ cross-platform Perf/TCO comparisons apples-to-apples (section 5.6).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import math
+from array import array
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from repro.arch.specs import ChipSpec
 from repro.graph.graph import OpGraph
@@ -32,9 +40,16 @@ from repro.graph.ops import Op, OpType
 from repro.kernels.base import KernelEstimate
 from repro.kernels.gemm import GemmVariant
 from repro.kernels.registry import estimate_op
-from repro.memory.hierarchy import MemoryHierarchy, Placement, partition_for_activations
+from repro.memory.cache import CacheStats
+from repro.memory.hierarchy import (
+    MemoryHierarchy,
+    Placement,
+    SramPartition,
+    Traffic,
+    partition_for_activations,
+)
 from repro.memory.scratch import plan_allocation
-from repro.tensors.tensor import TensorKind
+from repro.tensors.tensor import TensorKind, TensorSpec
 
 # Streaming efficiency of LPDDR/HBM with and without DMA prefetch hiding
 # the access latency (calibrated so prefetch-optimized DRAM-bound GEMMs
@@ -46,6 +61,10 @@ DRAM_EFFICIENCY_DEMAND = 0.62
 # caching; the rest churns with dense-weight and spilled-activation
 # traffic.  Applied to Che's-approximation capacity for TBE gathers.
 TBE_LLC_SHARE = 0.6
+
+# Memory traces kept by :data:`memory_trace`, least recently used first
+# out.  A zoo-model trace is a few kilobytes.
+MEMORY_TRACE_CACHE_SIZE = 64
 
 
 @dataclasses.dataclass
@@ -126,8 +145,247 @@ class ExecutionReport:
         return {k: v / total for k, v in histogram.items()}
 
 
+# -- memory pass ---------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class MemoryTrace:
+    """What one memory pass measured: everything a run needs from the
+    memory hierarchy, with no reference to the graph it came from.
+
+    ``moves`` holds five raw byte counts per access — Local Memory,
+    SRAM, DRAM, host, NoC, the :class:`Traffic` field order — in access
+    order: per op, its :func:`_op_reads` and then its outputs.
+    ``writebacks`` holds each op's dirty-eviction bytes, and the dense
+    counters cover the measured pass (after the warm-up passes).
+    """
+
+    partition: SramPartition
+    activation_bytes: int
+    activations_in_lls: bool
+    block_bytes: int
+    has_llc: bool
+    moves: array
+    writebacks: array
+    dense_hits: int
+    dense_accesses: int
+
+
+def _op_reads(op: Op) -> List[TensorSpec]:
+    """The op's operand reads that go through the hierarchy: each
+    distinct input once, except a TBE's tables (gathered, not
+    streamed — see :meth:`Executor._tbe_gather_traffic`)."""
+    seen = set()
+    reads = []
+    for tensor in op.inputs:
+        if tensor.uid in seen:
+            continue
+        seen.add(tensor.uid)
+        if op.op_type is OpType.TBE and tensor.kind == TensorKind.EMBEDDING:
+            continue
+        reads.append(tensor)
+    return reads
+
+
+def _build_hierarchy(graph: OpGraph, chip: ChipSpec, seed: int) -> tuple:
+    """Apply the section 4.1 placement policy and return the hierarchy
+    plus the activation buffer size and whether it landed in LLS.
+
+    Policy, in order:
+
+    1. size the LLS to hold the activation buffer (liveness-packed);
+    2. if the dense FC weights exceed what the remaining LLC can keep
+       resident, *pin* as many weight tensors as fit into spare SRAM
+       granules — the hardware-cache path cannot hold a cyclically
+       streamed working set, but pinned data never gets evicted
+       (the same reason the paper pins activations);
+    3. everything else: weights/tables cached in LLC over DRAM,
+       inputs/outputs over the host link.
+    """
+    plan = plan_allocation(graph.activation_buffer_requests())
+    activation_bytes = plan.peak_bytes
+    partition = partition_for_activations(chip, activation_bytes)
+    activations_in_lls = (
+        partition.lls_bytes >= activation_bytes and partition.lls_bytes > 0
+    )
+    # Weight pinning: if dense weights overflow the LLC, convert spare
+    # SRAM into pinned weight space, keeping a floor of LLC for
+    # embedding and streaming traffic.
+    pinned: set = set()
+    if activations_in_lls:
+        gran = chip.sram_partition_bytes
+        min_llc = 2 * gran
+        dense_weights = [
+            t for t in graph.weights() if t.kind == TensorKind.WEIGHT
+        ]
+        dense_total = sum(t.num_bytes for t in dense_weights)
+        default_llc = partition.llc_bytes
+        if dense_total > default_llc * 0.8 and default_llc > min_llc:
+            budget = chip.sram.capacity_bytes - partition.lls_bytes - min_llc
+            used = 0
+            for tensor in sorted(dense_weights, key=lambda t: t.num_bytes):
+                if used + tensor.num_bytes <= budget:
+                    pinned.add(tensor.uid)
+                    used += tensor.num_bytes
+            if used:
+                new_lls = _round_up_to(partition.lls_bytes + used, gran)
+                new_lls = min(new_lls, chip.sram.capacity_bytes - min_llc)
+                partition = SramPartition(
+                    lls_bytes=new_lls,
+                    llc_bytes=chip.sram.capacity_bytes - new_lls,
+                    granularity_bytes=gran,
+                )
+    hierarchy = MemoryHierarchy(chip, partition, seed=seed)
+    target = Placement.LLS if activations_in_lls else Placement.LLC
+    for op in graph.ops:
+        for tensor in op.outputs:
+            if tensor.kind == TensorKind.ACTIVATION:
+                hierarchy.place(tensor, target, reserve=False)
+        for tensor in op.inputs:
+            if tensor.kind == TensorKind.INPUT:
+                hierarchy.place(tensor, Placement.HOST)
+            elif tensor.uid in pinned:
+                hierarchy.place(tensor, Placement.LLS, reserve=False)
+            elif tensor.kind in (TensorKind.WEIGHT, TensorKind.EMBEDDING):
+                hierarchy.place(tensor, Placement.LLC)
+    # Graph outputs return to the host.
+    for tensor in graph.graph_outputs():
+        hierarchy.place(tensor, Placement.HOST)
+    return hierarchy, activation_bytes, activations_in_lls
+
+
+def _replay_memory(
+    graph: OpGraph, chip: ChipSpec, warmup_runs: int, seed: int
+) -> MemoryTrace:
+    """Run the memory pass: ``warmup_runs`` passes prime the LLC, then
+    the measured pass records every access."""
+    hierarchy, activation_bytes, in_lls = _build_hierarchy(graph, chip, seed)
+    accesses = [(_op_reads(op), op.outputs) for op in graph.ops]
+    read, write = hierarchy.read, hierarchy.write
+    for _ in range(warmup_runs):
+        for reads, writes in accesses:
+            for tensor in reads:
+                read(tensor)
+            for tensor in writes:
+                write(tensor)
+    # Without an LLC nothing hits, misses or writes back.
+    stats = hierarchy.llc.stats if hierarchy.llc else CacheStats()
+    hits_before, accesses_before = stats.hits, stats.accesses
+    moves = array("d")
+    writebacks = array("q")
+    for reads, writes in accesses:
+        written_back = stats.bytes_written_back
+        for moved in itertools.chain(map(read, reads), map(write, writes)):
+            moves.extend((
+                moved.local_memory_bytes, moved.sram_bytes, moved.dram_bytes,
+                moved.host_bytes, moved.noc_bytes,
+            ))
+        writebacks.append(stats.bytes_written_back - written_back)
+    return MemoryTrace(
+        partition=hierarchy.partition,
+        activation_bytes=activation_bytes,
+        activations_in_lls=in_lls,
+        block_bytes=hierarchy.block_bytes,
+        has_llc=hierarchy.llc is not None,
+        moves=moves,
+        writebacks=writebacks,
+        dense_hits=stats.hits - hits_before,
+        dense_accesses=stats.accesses - accesses_before,
+    )
+
+
+_OP_TYPE_CODES = {op_type: code for code, op_type in enumerate(OpType)}
+_KIND_CODES = {kind: code for code, kind in enumerate(TensorKind.ALL)}
+
+
+def _trace_key(graph: OpGraph, chip: ChipSpec, warmup_runs: int, seed: int) -> tuple:
+    """Every value the memory pass reads, as exact integers.
+
+    Per op: its type and operand counts, then ``(uid, kind, bytes)`` of
+    each input and output.  That fixes the liveness, the placement and
+    the access stream; the uid also fixes the LLC set each block maps
+    to.  Of the chip only the SRAM size and partition granularity are
+    read; the block size and associativity are the hierarchy's fixed
+    defaults.  The key holds no graph object, so a cached trace pins
+    no graph.
+    """
+    fields = array("q")
+    for op in graph.ops:
+        fields.extend((_OP_TYPE_CODES[op.op_type], len(op.inputs), len(op.outputs)))
+        for tensor in itertools.chain(op.inputs, op.outputs):
+            fields.extend((tensor.uid, _KIND_CODES[tensor.kind], tensor.num_bytes))
+    return (
+        fields.tobytes(),
+        chip.sram.capacity_bytes,
+        chip.sram_partition_bytes,
+        warmup_runs,
+        seed,
+    )
+
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class MemoryTraceCache:
+    """LRU memo of :class:`MemoryTrace` keyed by :func:`_trace_key`.
+
+    Call it as ``memory_trace(graph, chip, warmup_runs, seed)``: a miss
+    replays the memory pass and records it, a hit returns the recorded
+    trace.  ``cache_info()`` and ``cache_clear()`` follow
+    :func:`functools.lru_cache`.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._traces: "collections.OrderedDict[tuple, MemoryTrace]" = (
+            collections.OrderedDict()
+        )
+        self._hits = self._misses = 0
+
+    def __call__(
+        self, graph: OpGraph, chip: ChipSpec, warmup_runs: int, seed: int
+    ) -> MemoryTrace:
+        key = _trace_key(graph, chip, warmup_runs, seed)
+        trace = self._traces.get(key)
+        if trace is not None:
+            self._hits += 1
+            self._traces.move_to_end(key)
+            return trace
+        self._misses += 1
+        trace = _replay_memory(graph, chip, warmup_runs, seed)
+        self._traces[key] = trace
+        if len(self._traces) > self.maxsize:
+            self._traces.popitem(last=False)
+        return trace
+
+    def cache_info(self) -> CacheInfo:
+        """Hits, misses, the bound and the current number of traces."""
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._traces))
+
+    def cache_clear(self) -> None:
+        """Drop every trace and zero the counters."""
+        self._traces.clear()
+        self._hits = self._misses = 0
+
+
+memory_trace = MemoryTraceCache(MEMORY_TRACE_CACHE_SIZE)
+
+
+# -- kernel pass -----------------------------------------------------------
+
+
 class Executor:
-    """Runs op graphs against a chip model."""
+    """Runs op graphs against a chip model.
+
+    Each run takes its memory pass from :data:`memory_trace` — replayed
+    on a miss, reused on a hit — and makes the kernel pass for this
+    chip.  ``seed`` seeds the LLC's random-victim sequence (and is part
+    of the trace key).  ``host_input_fraction`` in [0, 1] scales every
+    op's host-link bytes; ``zipf_exponent`` (>= 0) skews the embedding
+    row stream; ``temperature_c`` sets the junction temperature of the
+    leakage term (None: the chip's reference temperature).  Bad values
+    raise ``ValueError`` here, not as a NaN latency later.
+    """
 
     def __init__(
         self,
@@ -139,6 +397,16 @@ class Executor:
         host_input_fraction: float = 1.0,
         temperature_c: Optional[float] = None,
     ) -> None:
+        if not 0.0 <= host_input_fraction <= 1.0:
+            raise ValueError(
+                f"host_input_fraction must be in [0, 1], got {host_input_fraction!r}"
+            )
+        if not 0.0 <= zipf_exponent < math.inf:
+            raise ValueError(
+                f"zipf_exponent must be finite and non-negative, got {zipf_exponent!r}"
+            )
+        if temperature_c is not None and not math.isfinite(temperature_c):
+            raise ValueError(f"temperature_c must be finite, got {temperature_c!r}")
         self.chip = chip
         self.gemm_variant = gemm_variant
         self.variant_selector = variant_selector
@@ -149,78 +417,6 @@ class Executor:
         # None evaluates leakage at the chip's reference temperature —
         # exactly the historical constant-idle behaviour.
         self.temperature_c = temperature_c
-
-    # -- placement ---------------------------------------------------------
-
-    def _build_hierarchy(self, graph: OpGraph) -> tuple:
-        """Apply the section 4.1 placement policy and return the hierarchy
-        plus whether the activation buffer landed in LLS.
-
-        Policy, in order:
-
-        1. size the LLS to hold the activation buffer (liveness-packed);
-        2. if the dense FC weights exceed what the remaining LLC can keep
-           resident, *pin* as many weight tensors as fit into spare SRAM
-           granules — the hardware-cache path cannot hold a cyclically
-           streamed working set, but pinned data never gets evicted
-           (the same reason the paper pins activations);
-        3. everything else: weights/tables cached in LLC over DRAM,
-           inputs/outputs over the host link.
-        """
-        plan = plan_allocation(graph.activation_buffer_requests())
-        activation_bytes = plan.peak_bytes
-        partition = partition_for_activations(self.chip, activation_bytes)
-        activations_in_lls = (
-            partition.lls_bytes >= activation_bytes and partition.lls_bytes > 0
-        )
-        # Weight pinning: if dense weights overflow the LLC, convert spare
-        # SRAM into pinned weight space, keeping a floor of LLC for
-        # embedding and streaming traffic.
-        pinned: set = set()
-        if activations_in_lls:
-            gran = self.chip.sram_partition_bytes
-            min_llc = 2 * gran
-            dense_weights = [
-                t for t in graph.weights() if t.kind == TensorKind.WEIGHT
-            ]
-            dense_total = sum(t.num_bytes for t in dense_weights)
-            default_llc = partition.llc_bytes
-            if dense_total > default_llc * 0.8 and default_llc > min_llc:
-                budget = self.chip.sram.capacity_bytes - partition.lls_bytes - min_llc
-                used = 0
-                for tensor in sorted(dense_weights, key=lambda t: t.num_bytes):
-                    if used + tensor.num_bytes <= budget:
-                        pinned.add(tensor.uid)
-                        used += tensor.num_bytes
-                if used:
-                    from repro.memory.hierarchy import SramPartition
-
-                    new_lls = _round_up_to(partition.lls_bytes + used, gran)
-                    new_lls = min(new_lls, self.chip.sram.capacity_bytes - min_llc)
-                    partition = SramPartition(
-                        lls_bytes=new_lls,
-                        llc_bytes=self.chip.sram.capacity_bytes - new_lls,
-                        granularity_bytes=gran,
-                    )
-        hierarchy = MemoryHierarchy(self.chip, partition)
-        target = Placement.LLS if activations_in_lls else Placement.LLC
-        for op in graph.ops:
-            for tensor in op.outputs:
-                if tensor.kind == TensorKind.ACTIVATION:
-                    hierarchy.place(tensor, target, reserve=False)
-            for tensor in op.inputs:
-                if tensor.kind == TensorKind.INPUT:
-                    hierarchy.place(tensor, Placement.HOST)
-                elif tensor.uid in pinned:
-                    hierarchy.place(tensor, Placement.LLS, reserve=False)
-                elif tensor.kind in (TensorKind.WEIGHT, TensorKind.EMBEDDING):
-                    hierarchy.place(tensor, Placement.LLC)
-        # Graph outputs return to the host.
-        for tensor in graph.graph_outputs():
-            hierarchy.place(tensor, Placement.HOST)
-        return hierarchy, activation_bytes, activations_in_lls
-
-    # -- execution -----------------------------------------------------------
 
     def run(self, graph: OpGraph, batch: int, warmup_runs: int = 1) -> ExecutionReport:
         """Execute the graph and report steady-state behaviour.
@@ -235,40 +431,27 @@ class Executor:
         if warmup_runs < 0:
             raise ValueError("warmup_runs must be non-negative")
         graph.validate_schedule()
-        hierarchy, activation_bytes, in_lls = self._build_hierarchy(graph)
-        rng = np.random.default_rng(self.seed)
-        # The kernel estimate depends only on (op, chip, variant), so one
-        # per op serves the warm-up and measured passes alike.
-        scheduled = [(op, self._estimate(op)) for op in graph.ops]
-        for _ in range(warmup_runs):
-            for op, estimate in scheduled:
-                self._op_traffic(op, hierarchy, estimate, rng)
+        trace = memory_trace(graph, self.chip, warmup_runs, self.seed)
+        grid_side = max(1, int(round(math.sqrt(self.chip.num_pes))))
         profiles: List[OpProfile] = []
         energy = 0.0
         sparse_hits = sparse_total = 0
-        sim_hits = sim_samples = 0
-        dense_hits_before = hierarchy.llc.stats.hits if hierarchy.llc else 0
-        dense_total_before = hierarchy.llc.stats.accesses if hierarchy.llc else 0
-        for op, estimate in scheduled:
-            traffic, tbe_stats = self._op_traffic(op, hierarchy, estimate, rng)
-            if tbe_stats is not None:
-                sparse_hits += tbe_stats["scaled_hits"]
-                sparse_total += tbe_stats["total_rows"]
-                sim_hits += tbe_stats["sim_hits"]
-                sim_samples += tbe_stats["sim_samples"]
+        at = 0  # offset of the op's first access in trace.moves
+        for index, op in enumerate(graph.ops):
+            estimate = self._estimate(op)
+            traffic, at, tbe_rows = self._scaled_traffic(
+                op, estimate, trace, at, grid_side
+            )
+            traffic.dram_bytes += trace.writebacks[index]
+            if self.host_input_fraction != 1.0:
+                traffic.host_bytes *= self.host_input_fraction
+            if tbe_rows is not None:
+                sparse_hits += tbe_rows[0]
+                sparse_total += tbe_rows[1]
             profile = self._profile_op(op, estimate, traffic)
             profiles.append(profile)
             energy += self._op_energy(profile)
-        if hierarchy.llc:
-            dense_hits = hierarchy.llc.stats.hits - dense_hits_before
-            dense_total = hierarchy.llc.stats.accesses - dense_total_before
-        else:
-            dense_hits = dense_total = 0
-        # The dense LLC counters include the *simulated* TBE accesses;
-        # subtract the simulation counts to report the dense-network hit
-        # rate on its own.
-        dense_hits -= sim_hits
-        dense_total -= sim_samples
+        dense_hits, dense_total = trace.dense_hits, trace.dense_accesses
         return ExecutionReport(
             chip_name=self.chip.name,
             model_name=graph.name,
@@ -276,10 +459,10 @@ class Executor:
             op_profiles=profiles,
             dense_hit_rate=dense_hits / dense_total if dense_total > 0 else 1.0,
             sparse_hit_rate=sparse_hits / sparse_total if sparse_total > 0 else 0.0,
-            activation_buffer_bytes=activation_bytes,
-            lls_bytes=hierarchy.partition.lls_bytes,
-            llc_bytes=hierarchy.partition.llc_bytes,
-            activations_in_lls=in_lls,
+            activation_buffer_bytes=trace.activation_bytes,
+            lls_bytes=trace.partition.lls_bytes,
+            llc_bytes=trace.partition.llc_bytes,
+            activations_in_lls=trace.activations_in_lls,
             weight_bytes=graph.weight_bytes(),
             energy_j=energy,
         )
@@ -292,59 +475,44 @@ class Executor:
             variant = self.gemm_variant
         return estimate_op(op, self.chip, gemm_variant=variant)
 
-    def _op_traffic(self, op, hierarchy, estimate, rng):
-        """Route the op's operands through the hierarchy; returns the
-        accumulated traffic and, for TBE ops, (hits, total) row stats."""
-        from repro.memory.hierarchy import Traffic
+    def _scaled_traffic(self, op, estimate, trace, at, grid_side):
+        """Scale the op's recorded accesses, starting at ``moves[at]``,
+        by its kernel's re-read factors.  Each access is scaled before
+        it is summed, exactly as the accesses were modelled one by one.
 
+        Returns the op's traffic (before writebacks and the host
+        fraction), the offset of the next op's first access and, for a
+        TBE op, its (hit, total) row counts.
+        """
         traffic = Traffic()
-        tbe_stats = None
-        writebacks_before = (
-            hierarchy.llc.stats.bytes_written_back if hierarchy.llc else 0
-        )
-        grid_side = max(1, int(round(math.sqrt(self.chip.num_pes))))
+        tbe_rows = None
         if op.op_type is OpType.TBE:
             tables = [t for t in op.inputs if t.kind == TensorKind.EMBEDDING]
             if tables:
-                gathered, tbe_stats = self._tbe_gather_traffic(op, tables, hierarchy, rng)
+                gathered, tbe_rows = self._tbe_gather_traffic(op, tables, trace)
                 traffic += gathered
-        seen = set()
-        for tensor in op.inputs:
-            if tensor.uid in seen:
-                continue
-            seen.add(tensor.uid)
-            if op.op_type is OpType.TBE and tensor.kind == TensorKind.EMBEDDING:
-                continue  # handled above
+        moves = trace.moves
+        for tensor in _op_reads(op):
             is_weight = tensor.kind in (TensorKind.WEIGHT, TensorKind.EMBEDDING)
             factor = (
                 estimate.weight_read_factor if is_weight else estimate.activation_read_factor
             )
-            moved = hierarchy.read(tensor)
             replication = 1.0
             if is_weight and not estimate.broadcast_weights:
                 # Without hardware broadcast reads each PE column fetches
                 # its own copy of the shared weight tile.
                 replication = float(grid_side)
-            scaled = _scale_traffic(moved, factor, noc_scale=factor * replication)
             # A host-resident operand crosses PCIe exactly once; tiling
             # re-reads are served from on-chip staging after that.
-            scaled.host_bytes = moved.host_bytes
-            traffic += scaled
-        for tensor in op.outputs:
-            moved = hierarchy.write(tensor)
-            traffic += _scale_traffic(moved, estimate.output_write_factor)
-        if hierarchy.llc:
-            # Dirty LLC evictions (activations spilled from SRAM) write
-            # back to DRAM — the cost the paper avoids by pinning the
-            # activation buffer in LLS and hinting no-reuse tensors.
-            traffic.dram_bytes += (
-                hierarchy.llc.stats.bytes_written_back - writebacks_before
-            )
-        if self.host_input_fraction != 1.0:
-            traffic.host_bytes *= self.host_input_fraction
-        return traffic, tbe_stats
+            _add_scaled(traffic, moves, at, factor, factor * replication, 1.0)
+            at += 5
+        factor = estimate.output_write_factor
+        for _ in op.outputs:
+            _add_scaled(traffic, moves, at, factor, factor, factor)
+            at += 5
+        return traffic, at, tbe_rows
 
-    def _tbe_gather_traffic(self, op, tables, hierarchy, rng):
+    def _tbe_gather_traffic(self, op, tables, trace):
         """Convert the Zipf-skewed row gather into byte traffic.
 
         The steady-state LLC hit rate comes from Che's characteristic-
@@ -353,21 +521,21 @@ class Executor:
         multi-gigabyte tables is infeasible, and Che's approximation is
         near-exact for independent-reference Zipf traffic.  The tables
         compete with dense-weight traffic for LLC capacity, modelled by
-        the ``TBE_LLC_SHARE`` of the cache partition.
+        the ``TBE_LLC_SHARE`` of the cache partition.  Returns the
+        traffic and the (hit, total) row counts.
         """
         from repro.memory.che import tbe_llc_hit_rate
-        from repro.memory.hierarchy import Traffic
 
         total_rows = max(1, op.attrs["total_rows"])
         num_tables = max(1, op.attrs["num_tables"])
         row_bytes = max(1, tables[0].shape[1] * tables[0].dtype.bytes)
-        if hierarchy.llc is not None:
+        if trace.has_llc:
             hit_rate = tbe_llc_hit_rate(
                 num_rows_per_table=tables[0].shape[0],
                 num_tables=num_tables,
                 row_bytes=row_bytes,
-                llc_bytes_for_tbe=int(hierarchy.partition.llc_bytes * TBE_LLC_SHARE),
-                block_bytes=hierarchy.block_bytes,
+                llc_bytes_for_tbe=int(trace.partition.llc_bytes * TBE_LLC_SHARE),
+                block_bytes=trace.block_bytes,
                 zipf_exponent=self.zipf_exponent,
             )
         else:
@@ -378,13 +546,7 @@ class Executor:
             dram_bytes=total_bytes * (1.0 - hit_rate),
             noc_bytes=total_bytes,
         )
-        stats = {
-            "scaled_hits": int(round(hit_rate * total_rows)),
-            "total_rows": total_rows,
-            "sim_hits": 0,
-            "sim_samples": 0,
-        }
-        return traffic, stats
+        return traffic, (int(round(hit_rate * total_rows)), total_rows)
 
     def _profile_op(self, op, estimate, traffic) -> OpProfile:
         chip = self.chip
@@ -447,13 +609,14 @@ def _round_up_to(value: int, granule: int) -> int:
     return (value + granule - 1) // granule * granule
 
 
-def _scale_traffic(traffic, factor: float, noc_scale: Optional[float] = None):
-    from repro.memory.hierarchy import Traffic
-
-    return Traffic(
-        local_memory_bytes=traffic.local_memory_bytes * factor,
-        sram_bytes=traffic.sram_bytes * factor,
-        dram_bytes=traffic.dram_bytes * factor,
-        host_bytes=traffic.host_bytes * factor,
-        noc_bytes=traffic.noc_bytes * (noc_scale if noc_scale is not None else factor),
-    )
+def _add_scaled(
+    traffic: Traffic, moves: array, at: int, factor: float, noc_scale: float,
+    host_scale: float,
+) -> None:
+    """Add the access recorded at ``moves[at:at + 5]`` to ``traffic``,
+    each level scaled by its factor."""
+    traffic.local_memory_bytes += moves[at] * factor
+    traffic.sram_bytes += moves[at + 1] * factor
+    traffic.dram_bytes += moves[at + 2] * factor
+    traffic.host_bytes += moves[at + 3] * host_scale
+    traffic.noc_bytes += moves[at + 4] * noc_scale

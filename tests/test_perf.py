@@ -88,6 +88,25 @@ class TestExecutor:
         with pytest.raises(ValueError):
             Executor(mtia2i_spec()).run(_small_graph(), 0)
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"host_input_fraction": -0.5},
+            {"host_input_fraction": 1.5},
+            {"host_input_fraction": float("nan")},
+            {"host_input_fraction": float("inf")},
+            {"zipf_exponent": -0.1},
+            {"zipf_exponent": float("nan")},
+            {"zipf_exponent": float("inf")},
+            {"temperature_c": float("nan")},
+            {"temperature_c": float("-inf")},
+        ],
+        ids=lambda option: "{}={}".format(*next(iter(option.items()))),
+    )
+    def test_rejects_bad_configuration(self, option):
+        with pytest.raises(ValueError):
+            Executor(mtia2i_spec(), **option)
+
     def test_deterministic(self):
         chip = mtia2i_spec()
         a = Executor(chip, seed=3).run(_small_graph(256), 256)
