@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+from repro.cluster.checks import require_count
+
 
 @dataclasses.dataclass(frozen=True)
 class AdmissionConfig:
@@ -23,6 +25,9 @@ class AdmissionConfig:
     max_total_outstanding: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_count("per-replica outstanding cap", self.max_outstanding_per_replica)
+        if self.max_total_outstanding is not None:
+            require_count("total outstanding cap", self.max_total_outstanding)
         if self.max_outstanding_per_replica < 1:
             raise ValueError("per-replica outstanding cap must be at least 1")
         if self.max_total_outstanding is not None and self.max_total_outstanding < 1:

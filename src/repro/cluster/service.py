@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from repro.cluster.checks import require_finite
 from repro.serving.batcher import CoalescingConfig
 from repro.serving.scheduler import ModelJobProfile
 from repro.serving.simulator import simulate_serving
@@ -37,6 +38,9 @@ class ServiceModel:
     cross_host_penalty: float = 1.35  # remote-shard fetch multiplier
 
     def __post_init__(self) -> None:
+        require_finite("mean service time", self.mean_service_s)
+        require_finite("jitter sigma", self.jitter_sigma)
+        require_finite("cross-host penalty", self.cross_host_penalty)
         if self.mean_service_s <= 0:
             raise ValueError("mean service time must be positive")
         if self.jitter_sigma < 0:
