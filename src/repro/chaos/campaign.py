@@ -254,7 +254,6 @@ def run_scenario(
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
     ne_deltas: Optional[Dict[str, float]] = None,
-    engine: str = "fast",
 ) -> ScenarioOutcome:
     """Run one scenario once and score it.
 
@@ -295,7 +294,6 @@ def run_scenario(
         client=scenario.client,
         injections=scenario.injections(topology),
         brownout=brownout,
-        engine=engine,
     )
     quality_cost = 0.0
     if brownout is not None and ne_deltas:

@@ -31,7 +31,6 @@ from repro.cluster.routing import (
     PowerOfTwoPolicy,
     RoundRobinPolicy,
     RoutingPolicy,
-    healthy_candidates,
     make_policy,
 )
 from repro.cluster.service import ServiceModel, default_service_model
@@ -74,7 +73,6 @@ __all__ = [
     "capacity_sweep",
     "default_service_model",
     "fault_rate_from_reliability",
-    "healthy_candidates",
     "locality_comparison",
     "make_policy",
     "max_qps_at_slo",

@@ -33,16 +33,6 @@ class AdmissionConfig:
         if self.max_total_outstanding is not None and self.max_total_outstanding < 1:
             raise ValueError("total outstanding cap must be at least 1")
 
-    def replica_admissible(self, outstanding: int) -> bool:
-        """Whether a replica at ``outstanding`` may take another request."""
-        return outstanding < self.max_outstanding_per_replica
-
-    def tier_admissible(self, total_outstanding: int) -> bool:
-        """Whether the tier as a whole may admit another request."""
-        if self.max_total_outstanding is None:
-            return True
-        return total_outstanding < self.max_total_outstanding
-
     @staticmethod
     def priority_admissible(priority: int, floor: int) -> bool:
         """Priority-tiered admission for brownout serving.

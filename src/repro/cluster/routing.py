@@ -41,31 +41,6 @@ class ReplicaView(Protocol):
     outstanding: int
 
 
-def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
-    """The admissible routing targets at ``now_s``.
-
-    A replica is a candidate when it is up, reachable (not severed by a
-    network partition), and below the admission queue cap; when an
-    overload ``defense`` (duck-typing
-    :class:`repro.chaos.defense.DefenseRuntime`) is armed, its
-    per-replica circuit breaker must also admit traffic.  With
-    ``defense=None`` and no partitions this reduces exactly to the
-    historical up-and-admissible filter.
-    """
-    # Inlined ``admission.replica_admissible`` — this filter runs once
-    # per routed request and is the cluster tier's hottest loop.
-    cap = admission.max_outstanding_per_replica
-    candidates = [
-        r for r in replicas
-        if r.state == "up" and not r.partitioned and r.outstanding < cap
-    ]
-    if defense is not None:
-        candidates = [
-            r for r in candidates if defense.replica_allowed(r.replica_id, now_s)
-        ]
-    return candidates
-
-
 class RoutingPolicy:
     """Base: pick one of ``candidates`` for a request with ``shard_id``."""
 

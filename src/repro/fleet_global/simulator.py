@@ -405,7 +405,6 @@ def run_fleet(
     service: Optional[ServiceModel] = None,
     extra_injections: Optional[Dict[str, Sequence[Injection]]] = None,
     registry: Optional[MetricsRegistry] = None,
-    engine: str = "fast",
 ) -> FleetReport:
     """Run the global fleet once and return the attributed report.
 
@@ -459,7 +458,6 @@ def run_fleet(
             ),
             injections=schedule,
             brownout=brownout,
-            engine=engine,
         ))
 
     # Attribution pass: read each region's event log back and charge

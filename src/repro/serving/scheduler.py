@@ -139,7 +139,6 @@ def schedule_batches(
     batches: Sequence[Batch],
     profile: ModelJobProfile,
     registry: Optional[MetricsRegistry] = None,
-    engine: str = "fast",
 ) -> ScheduleResult:
     """FIFO job scheduling of a batch stream on a single device.
 
@@ -150,25 +149,18 @@ def schedule_batches(
     a later batch's remotes ahead of an earlier batch's merge exactly as
     the paper's traces showed.
 
-    ``engine="fast"`` (the default) runs a ready-heap port on the
-    :class:`~repro.fastsim.engine.EventEngine` — O(n log n) instead of
-    the legacy O(n^2) pending-list scan — and is byte-identical to
-    ``engine="reference"`` (the original loop, kept verbatim in
-    :mod:`repro.fastsim.reference`): the legacy dispatch rule picks the
-    runnable job minimizing (current enqueue time, position in the
-    initial (enqueue, remote-before-merge) stable sort), which is
-    exactly the ready-heap key; busy time accumulates in the same
-    dispatch order, so every float matches.
+    A ready heap on the :class:`~repro.fastsim.engine.EventEngine`
+    dispatches in O(n log n).  It is byte-identical to the original
+    O(n^2) pending-list scan, kept verbatim as a test oracle
+    (``tests/scheduler_oracle.py``): the scan picks the runnable job
+    minimizing (current enqueue time, position in the initial
+    (enqueue, remote-before-merge) stable sort), which is exactly the
+    ready-heap key, and busy time accumulates in the same dispatch
+    order, so every float matches.
 
     An attached registry sees the runnable-queue depth at every dispatch
     plus job counts and final utilization (``serving.scheduler.*``).
     """
-    if engine == "reference":
-        from repro.fastsim.reference import schedule_batches_reference
-
-        return schedule_batches_reference(batches, profile, registry)
-    if engine != "fast":
-        raise ValueError(f"unknown scheduler engine {engine!r}")
     obs = active(registry)
     observe_depth = obs.enabled
     runnable_depth = obs.histogram("serving.scheduler.runnable_depth")

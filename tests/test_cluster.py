@@ -25,6 +25,7 @@ from repro.cluster import (
 from repro.fleet import AllocationError
 from repro.obs import MetricsRegistry, TraceWriter
 from repro.serving import DiurnalTrafficModel, diurnal_poisson_stream, poisson_stream
+from repro.serving.workload import Request
 
 
 @dataclasses.dataclass
@@ -149,18 +150,46 @@ class TestRoutingPolicies:
 
 
 class TestAdmission:
+    """The caps, observed through runs: ``count`` simultaneous arrivals
+    on a tier whose service outlasts them all."""
+
+    @staticmethod
+    def _burst(count, admission, replicas=1, policy="po2"):
+        requests = [
+            Request(arrival_s=0.0, samples=1, request_id=i)
+            for i in range(count)
+        ]
+        return run_cluster(
+            ClusterConfig(replicas=replicas, policy=policy,
+                          admission=admission),
+            ServiceModel(mean_service_s=1.0, jitter_sigma=0.0),
+            requests,
+        )
+
     def test_replica_cap(self):
-        admission = AdmissionConfig(max_outstanding_per_replica=4)
-        assert admission.replica_admissible(3)
-        assert not admission.replica_admissible(4)
+        report = self._burst(2, AdmissionConfig(max_outstanding_per_replica=1))
+        assert (report.served, report.shed) == (1, 1)
+        assert report.event_log[0] == (0.0, "shed", 1)
+        for policy in POLICY_NAMES:
+            report = self._burst(
+                9, AdmissionConfig(max_outstanding_per_replica=4),
+                replicas=2, policy=policy,
+            )
+            assert (report.served, report.shed) == (8, 1)
 
     def test_tier_cap(self):
-        admission = AdmissionConfig(max_total_outstanding=10)
-        assert admission.tier_admissible(9)
-        assert not admission.tier_admissible(10)
+        for policy in POLICY_NAMES:
+            report = self._burst(
+                11, AdmissionConfig(max_total_outstanding=10),
+                replicas=4, policy=policy,
+            )
+            assert (report.served, report.shed) == (10, 1)
+            assert report.event_log[0] == (0.0, "shed", 10)
 
     def test_unbounded_tier_by_default(self):
-        assert AdmissionConfig().tier_admissible(10**9)
+        report = self._burst(64 * 16, AdmissionConfig(), replicas=64)
+        assert report.shed == 0
+        assert report.served == 64 * 16
 
     def test_validation(self):
         with pytest.raises(ValueError):

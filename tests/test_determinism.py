@@ -277,12 +277,9 @@ def test_fastsim_entry_points_leave_global_rng_alone(seed):
         ModelJobProfile(
             remote_time_s=0.002, merge_time_s=0.004, remote_jobs_per_batch=2
         ),
-        engine="fast",
     )
     service = default_service_model()
-    run_cluster(
-        ClusterConfig(replicas=3, seed=0), service, requests, engine="fast"
-    )
+    run_cluster(ClusterConfig(replicas=3, seed=0), service, requests)
     assert trial_map(abs, [-1, 2, -3]) == [1, 2, 3]
 
     assert rng.standard_normal(2).tolist() == before[2:]

@@ -1,22 +1,23 @@
-"""Differential tests: the fastsim engines versus the reference paths.
+"""Differential tests: the fast simulation paths versus their oracles.
 
-The PR-8 determinism contract: porting the hot simulation loops onto
-:mod:`repro.fastsim` (ready-heap scheduling, the shared staged event
-queue, clean-artifact caching) changes *runtime only*.  Every report
-field — every float, every count, every event-log entry, and the Chrome
-trace bytes — must match the reference implementation exactly, not
-approximately.  These tests run the same seeded scenarios through each
-engine and assert structural equality, which for tuples of floats is
-byte-identity.
+The determinism contract: porting the hot simulation loops onto
+:mod:`repro.fastsim` (ready-heap scheduling, the shared event queue,
+clean-artifact caching) and onto the cluster's one event loop changes
+*runtime only*.  Every report field — every float, every count, every
+event-log entry, and the Chrome trace bytes — must match the exact
+path exactly, not approximately.  These tests run the same seeded
+scenarios through both and assert structural equality, which for
+tuples of floats is byte-identity.
 
-The reference arms are:
+The oracles are kept verbatim in ``tests/``:
 
-* serving — ``schedule_batches(engine="reference")``, the original
-  O(n^2) pending-list scan kept verbatim in
-  :mod:`repro.fastsim.reference`;
-* cluster / chaos / fleet — ``engine="reference"``, the fast engine
-  plus per-event revalidation of every incremental counter against a
-  from-scratch recount (the NeuroScalar-style online verifier).
+* serving — ``schedule_batches_reference``, the original O(n^2)
+  pending-list scan (``tests/scheduler_oracle.py``);
+* cluster / chaos / fleet — the cluster simulator's general event loop,
+  which revalidates every incremental counter against a from-scratch
+  recount after each event (``tests/cluster_oracle.py``, the
+  NeuroScalar-style online verifier).  Chaos and fleet runs reach it by
+  swapping the ``run_cluster`` they call.
 
 The resilience simulator's oracle is the pinned section 5.5 drill-log
 digest in ``tests/test_resilience.py``.
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-
-import pytest
 
 from repro.chaos import CampaignConfig as ChaosCampaignConfig
 from repro.chaos import run_scenario, scenario_by_name
@@ -45,8 +44,8 @@ from repro.obs.tracing import TraceWriter
 from repro.serving.batcher import CoalescingConfig, coalesce
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
 from repro.serving.workload import poisson_stream
-
-ENGINES = ("fast", "reference")
+from tests.cluster_oracle import run_reference
+from tests.scheduler_oracle import schedule_batches_reference
 
 
 def _schedule_fingerprint(result, registry):
@@ -86,27 +85,15 @@ class TestServingScheduler:
                 window_s=0.01, max_parallel_windows=4, max_batch_samples=512
             ),
         )
-        fingerprints = {}
-        for engine in ("fast", "reference"):
+        fingerprints = []
+        for schedule in (schedule_batches, schedule_batches_reference):
             registry = MetricsRegistry(enabled=True)
-            result = schedule_batches(
-                batches, profile, registry=registry, engine=engine
-            )
-            fingerprints[engine] = _schedule_fingerprint(result, registry)
-        assert fingerprints["fast"] == fingerprints["reference"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_batches(
-                (), ModelJobProfile(
-                    remote_time_s=0.001, merge_time_s=0.001,
-                    remote_jobs_per_batch=1,
-                ),
-                engine="warp",
-            )
+            result = schedule(batches, profile, registry=registry)
+            fingerprints.append(_schedule_fingerprint(result, registry))
+        assert fingerprints[0] == fingerprints[1]
 
 
-def _chaotic_cluster_run(engine: str):
+def _chaotic_cluster_run(run):
     """A cluster run exercising every event family the engines order:
     arrivals, departures, faults, autoscale-free injections (outage,
     slowdown, partition), and client retry timers."""
@@ -133,22 +120,18 @@ def _chaotic_cluster_run(engine: str):
         Injection(time_s=8.0, kind="partition", targets=(4,)),
         Injection(time_s=9.5, kind="heal", targets=(4,)),
     )
-    return run_cluster(
+    return run(
         config, service, requests,
         client=ClientRetryConfig(timeout_s=0.3, max_retries=2),
         injections=injections,
-        engine=engine,
     )
 
 
 class TestClusterEngines:
     def test_all_engines_byte_identical(self):
-        reports = {engine: _chaotic_cluster_run(engine) for engine in ENGINES}
-        assert reports["fast"] == reports["reference"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            _chaotic_cluster_run("warp")
+        fast = _chaotic_cluster_run(run_cluster)
+        assert fast.faults and fast.client_retries and fast.duplicate_service
+        assert fast == _chaotic_cluster_run(run_reference)
 
 
 def _trace_sha256(tracer: TraceWriter) -> str:
@@ -157,29 +140,30 @@ def _trace_sha256(tracer: TraceWriter) -> str:
 
 
 class TestChaosScenario:
-    def test_defended_storm_identical_across_engines(self):
+    def test_defended_storm_identical_across_engines(self, monkeypatch):
         scenario = scenario_by_name("retry_storm")
         config = ChaosCampaignConfig(duration_s=15.0)
-        outcomes = {}
-        hashes = {}
-        for engine in ENGINES:
+        outcomes = []
+        hashes = []
+        for run in (run_cluster, run_reference):
+            monkeypatch.setattr("repro.chaos.campaign.run_cluster", run)
             tracer = TraceWriter("chaos-equivalence")
-            outcomes[engine] = run_scenario(
-                scenario, config, defended=True, tracer=tracer, engine=engine
+            outcomes.append(
+                run_scenario(scenario, config, defended=True, tracer=tracer)
             )
-            hashes[engine] = _trace_sha256(tracer)
-        assert outcomes["fast"] == outcomes["reference"]
+            hashes.append(_trace_sha256(tracer))
+        assert outcomes[0] == outcomes[1]
         # The Chrome trace is the strictest observable: every event's
         # timestamp, lane, and payload, serialized — equal bytes or bust.
-        assert hashes["fast"] == hashes["reference"]
+        assert hashes[0] == hashes[1]
 
 
 class TestFleetDay:
-    def test_outage_drill_identical_across_engines(self):
+    def test_outage_drill_identical_across_engines(self, monkeypatch):
         fleet = standard_fleet(replicas_per_region=4, duration_s=24.0, seed=3)
         drill = region_outage_drill(fleet)
-        reports = {
-            engine: run_fleet(fleet, drill, defended=True, engine=engine)
-            for engine in ENGINES
-        }
-        assert reports["fast"] == reports["reference"]
+        reports = []
+        for run in (run_cluster, run_reference):
+            monkeypatch.setattr("repro.fleet_global.simulator.run_cluster", run)
+            reports.append(run_fleet(fleet, drill, defended=True))
+        assert reports[0] == reports[1]
