@@ -1,11 +1,12 @@
-"""The deterministic event queue every discrete-event simulator runs on.
+"""The deterministic event queue of the serving and resilience simulators.
 
 Every entry is a tuple ``(time_s, tiebreak, payload)`` and pop order is
 the total order ``(time_s, tiebreak)`` — the payload is never compared.
 Callers make ``tiebreak`` unique per engine (the default is a
 monotonically increasing sequence number, i.e. FIFO among equal
-timestamps — exactly the ``(time_s, seq, ...)`` heap tuples the cluster
-and resilience simulators have always used).  Injection-style callers
+timestamps — exactly the ``(time_s, seq, ...)`` heap tuples the
+resilience simulator has always used, and the order the cluster tier's
+own event loop keeps).  Injection-style callers
 that need an argument-order-independent total order pass an explicit
 tiebreak tuple built from ``repro.cluster.simulator.injection_sort_key``
 semantics: ``(kind_rank, targets, magnitude, seq)``.

@@ -14,8 +14,8 @@ closed loop over simulated time:
   wave under its restart-concurrency limit when the pool's
   ``slo_at_risk`` signal (from :mod:`repro.serving.faults`) trips.
 
-The engine is :class:`repro.fastsim.engine.EventEngine`, the event queue
-every simulator in the repo shares, keyed on ``(time, sequence)``; all
+The engine is :class:`repro.fastsim.engine.EventEngine`, the shared
+event queue, keyed on ``(time, sequence)``; all
 randomness flows from one seeded generator consumed in a fixed order, so
 two runs with the same seed produce identical event logs — byte for
 byte — which the acceptance tests assert.
