@@ -3,10 +3,12 @@
 The chaos tier turns the paper's productionization incidents into
 reproducible experiments against the cluster simulator: correlated
 fault domains (racks, power domains, ToR switches) sourced from the
-power/thermal/firmware models, the standard overload defenses against
-metastable retry storms, a measured brownout ladder for degrading
-quality before availability, and a scored scenario campaign with a
-``python -m repro chaos`` entry point.
+power/thermal/firmware models, campaigns that arm the standard overload
+defenses against metastable retry storms (deadlines, retry budgets,
+backoff and circuit breakers, defined with every other recovery
+mechanism in :mod:`repro.resilience.policies`), a measured brownout
+ladder for degrading quality before availability, and a scored scenario
+campaign with a ``python -m repro chaos`` entry point.
 
 Everything plugs into :mod:`repro.cluster` through hooks that are off
 by default — with the chaos tier unused, the cluster simulator's event
@@ -31,16 +33,6 @@ from repro.chaos.campaign import (
     run_scenario,
     smoke_config,
 )
-from repro.chaos.defense import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerConfig,
-    CircuitBreaker,
-    DefenseConfig,
-    DefenseRuntime,
-    TokenBucket,
-)
 from repro.chaos.domains import (
     FaultDomainTopology,
     firmware_rollout,
@@ -60,24 +52,16 @@ from repro.chaos.scenarios import (
 )
 
 __all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "BreakerConfig",
     "BrownoutConfig",
     "BrownoutController",
     "BrownoutRung",
     "CampaignConfig",
     "CampaignResult",
     "ChaosScenario",
-    "CircuitBreaker",
-    "DefenseConfig",
-    "DefenseRuntime",
     "FaultDomainTopology",
     "GoodputWindow",
     "STORM_CLIENT",
     "ScenarioOutcome",
-    "TokenBucket",
     "default_ladder",
     "firmware_rollout",
     "host_failure",

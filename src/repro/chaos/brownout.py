@@ -9,8 +9,8 @@ that ladder.
 * A :class:`BrownoutController` watches tier pressure (outstanding
   requests per up replica) on every routing attempt and moves through
   discrete brownout levels with hysteresis — each level raises the
-  priority floor (:meth:`repro.cluster.admission.AdmissionConfig
-  .priority_admissible`) and/or steps down the serving
+  priority floor (only requests at or above it are admitted; higher
+  number = more important) and/or steps down the serving
   :class:`BrownoutRung`.
 * Each rung is a real serving variant: full precision, FP16 dense math,
   the dynamic-INT8 path of :mod:`repro.quant.int8`, or a small
@@ -33,7 +33,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.admission import AdmissionConfig
 from repro.fleet.abtest import SyntheticCtrModel, run_ab_test
 from repro.quant.int8 import quantize_weights_static, quantized_matmul
 
@@ -118,7 +117,7 @@ class BrownoutController:
 
     def admit(self, priority: int) -> bool:
         floor = self.config.rungs[self.level].priority_floor
-        if AdmissionConfig.priority_admissible(priority, floor):
+        if priority >= floor:
             return True
         self.shed_below_floor += 1
         return False

@@ -36,14 +36,13 @@ from repro.chaos.brownout import (
     measure_ladder_quality,
     quality_cost_of_run,
 )
-from repro.chaos.defense import DefenseConfig, DefenseRuntime
 from repro.chaos.domains import FaultDomainTopology
 from repro.chaos.scenarios import ChaosScenario, standard_catalog
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
+from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
 from repro.serving.workload import poisson_stream, with_priorities
 
 

@@ -48,9 +48,10 @@ from repro.chaos.domains import (
     thermal_emergency,
 )
 from repro.arch.server import mtia2i_server
-from repro.cluster.simulator import ClientRetryConfig, Injection
+from repro.cluster.simulator import Injection
 from repro.reliability.firmware import emergency_rollout
 from repro.reliability.power import stress_test_budget
+from repro.resilience.policies import ClientRetryConfig
 
 
 @dataclasses.dataclass(frozen=True)

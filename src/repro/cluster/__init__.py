@@ -8,9 +8,12 @@ overload, a reactive + predictive autoscaler placing replicas through
 the NUMA-aware allocator, replica faults at the section 5 reliability
 rates, and the capacity-planning sweep production provisioning runs —
 hosts needed versus offered QPS at a fixed P99 SLO.
+
+The admission caps, client retries, drain and overload defenses a run
+takes are the shared recovery vocabulary of
+:mod:`repro.resilience.policies`, imported from there.
 """
 
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.capacity import (
     CapacityPoint,
@@ -36,7 +39,6 @@ from repro.cluster.routing import (
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import (
     INJECTION_KINDS,
-    ClientRetryConfig,
     ClusterConfig,
     ClusterReport,
     ClusterSimulator,
@@ -47,12 +49,10 @@ from repro.cluster.simulator import (
 )
 
 __all__ = [
-    "AdmissionConfig",
     "Autoscaler",
     "AutoscalerConfig",
     "CapacityPoint",
     "CapacitySweep",
-    "ClientRetryConfig",
     "ClusterConfig",
     "ClusterReport",
     "ClusterSimulator",

@@ -21,7 +21,6 @@ import dataclasses
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.routing import POLICY_NAMES
@@ -29,6 +28,7 @@ from repro.cluster.service import ServiceModel
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
 from repro.fastsim.trials import trial_map
 from repro.obs.tracing import TraceWriter
+from repro.resilience.policies import AdmissionConfig
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
     DiurnalTrafficModel,

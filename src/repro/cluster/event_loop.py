@@ -607,9 +607,7 @@ def run_events(
                     heappush(heap, (now + client.timeout_s, seq, _CLIENT, index))
                     continue
                 sim._attempts[index] = attempts + 1
-                delay = client.retry_delay_s
-                if defense is not None:
-                    delay += defense.backoff_s(attempts, rng)
+                delay = 0.0 if defense is None else defense.backoff_s(attempts, rng)
                 seq += 1
                 heappush(heap, (now + delay, seq, _CLIENT_RETRY, index))
                 seq += 1

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.cluster.checks import require_finite
+from repro.resilience.policies import require_finite
 from repro.serving.batcher import CoalescingConfig
 from repro.serving.scheduler import ModelJobProfile
 from repro.serving.simulator import simulate_serving

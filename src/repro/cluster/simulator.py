@@ -5,8 +5,8 @@ An event-driven composition of everything below it in the stack:
 * traffic from :mod:`repro.serving.workload` (Poisson or the diurnal +
   bursty stream);
 * a front door routing each request to one replica through a pluggable
-  :mod:`repro.cluster.routing` policy, under
-  :mod:`repro.cluster.admission` overload control;
+  :mod:`repro.cluster.routing` policy, under the
+  :class:`~repro.resilience.policies.AdmissionConfig` overload caps;
 * per-replica single-server queues whose service times come from
   :class:`~repro.cluster.service.ServiceModel` (calibrated from the
   device-level serving profiles);
@@ -18,7 +18,8 @@ An event-driven composition of everything below it in the stack:
   :class:`~repro.cluster.provisioning.HostPool`;
 * replica-stopping faults at rates from the section 5 reliability
   models (:func:`repro.resilience.faults.fault_rates_from_reliability`),
-  with reboot times from the resilience drain policy.
+  with reboot times from the
+  :class:`~repro.resilience.policies.DrainPolicy`.
 
 The chaos tier (:mod:`repro.chaos`) plugs in through four optional
 hooks, every one of which defaults to off and leaves the event log
@@ -28,12 +29,12 @@ byte-identical when unused:
   (:class:`Injection`): forced replica outages, network partitions,
   service-time inflation (thermal throttling);
 * ``client`` — client-side retry behaviour
-  (:class:`ClientRetryConfig`): a request that has not completed within
+  (:class:`~repro.resilience.policies.ClientRetryConfig`): a request that has not completed within
   the client timeout is re-sent, duplicating work — the raw material of
   a retry storm;
-* ``defense`` — the overload defenses of
-  :mod:`repro.chaos.defense` (deadline propagation, retry token bucket,
-  backoff with jitter, per-replica circuit breakers);
+* ``defense`` — a :class:`~repro.resilience.policies.DefenseRuntime`
+  (deadline propagation, retry token bucket, backoff with jitter,
+  per-replica circuit breakers);
 * ``brownout`` — the graceful-degradation ladder of
   :mod:`repro.chaos.brownout` (priority-tiered admission and
   cheaper-variant serving under overload).
@@ -67,9 +68,7 @@ import numpy as np
 
 from repro.fastsim.vectorize import seeded_poisson_arrivals, sorted_percentile
 
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.autoscaler import Autoscaler
-from repro.cluster.checks import require_count, require_finite
 from repro.cluster.event_loop import run_events
 from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.provisioning import HostPool, ReplicaGrant
@@ -78,7 +77,13 @@ from repro.cluster.service import ServiceModel
 from repro.fleet.allocator import AllocationError
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import DrainPolicy
+from repro.resilience.policies import (
+    AdmissionConfig,
+    ClientRetryConfig,
+    DrainPolicy,
+    require_count,
+    require_finite,
+)
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import Request
 
@@ -138,8 +143,14 @@ class Injection:
     magnitude: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("injection time", self.time_s)
+        require_finite("injection magnitude", self.magnitude)
         if self.time_s < 0:
             raise ValueError("injection time must be non-negative")
+        for target in self.targets:
+            require_count("injection target", target)
+            if target < 0:
+                raise ValueError(f"injection targets must be non-negative, got {self.targets}")
         if self.kind not in INJECTION_KINDS:
             raise ValueError(
                 f"unknown injection kind {self.kind!r}; "
@@ -147,30 +158,6 @@ class Injection:
             )
         if self.kind == "slow" and self.magnitude < 1.0:
             raise ValueError("slow injections must not speed replicas up")
-
-
-@dataclasses.dataclass(frozen=True)
-class ClientRetryConfig:
-    """Client-side retry behaviour — the load side of a retry storm.
-
-    A client that has not seen a response ``timeout_s`` after sending
-    re-sends the request (a duplicate the servers cannot distinguish),
-    up to ``max_retries`` times (``None`` = unbounded, the storm case).
-    ``retry_delay_s`` is the client's own send delay on top of whatever
-    backoff an armed defense imposes.
-    """
-
-    timeout_s: float = 0.25
-    max_retries: Optional[int] = None
-    retry_delay_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ValueError("client timeout must be positive")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max retries must be non-negative")
-        if self.retry_delay_s < 0:
-            raise ValueError("retry delay must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -401,13 +388,22 @@ class ClusterSimulator:
         # preserves byte-identical event logs.
         self.throttle = throttle
         # Chaos hooks — all off by default; see the module docstring.
-        # ``defense`` duck-types repro.chaos.defense.DefenseRuntime and
-        # ``brownout`` repro.chaos.brownout.BrownoutController, so the
-        # cluster tier stays importable without the chaos package.
+        # ``defense`` is a repro.resilience.policies.DefenseRuntime;
+        # ``brownout`` duck-types repro.chaos.brownout.BrownoutController,
+        # so the cluster tier stays importable without the chaos package.
         self.defense = defense
         self.client = client
         # Total-order sort (not time alone): see injection_sort_key.
         self.injections = sorted(injections, key=injection_sort_key)
+        if autoscaler is None:
+            # Without an autoscaler no replica beyond the initial set
+            # ever exists, so a target past it is a typo, not a drill.
+            for injection in self.injections:
+                if any(t >= config.replicas for t in injection.targets):
+                    raise ValueError(
+                        f"injection targets {injection.targets} name replicas "
+                        f"beyond the {config.replicas} this run has"
+                    )
         self.brownout = brownout
         self.locality = locality or ShardLocalityMap.uniform(1)
         self.autoscaler = autoscaler

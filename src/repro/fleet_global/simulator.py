@@ -43,9 +43,7 @@ import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.brownout import BrownoutController, default_ladder
-from repro.chaos.defense import DefenseConfig, DefenseRuntime
 from repro.chaos.domains import merge_schedules
-from repro.cluster.admission import AdmissionConfig
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import (
     ClusterConfig,
@@ -62,6 +60,7 @@ from repro.fleet_global.failover import (
 )
 from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
+from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
 from repro.serving.workload import (
     DiurnalTrafficModel,
     Request,

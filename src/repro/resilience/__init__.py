@@ -10,6 +10,12 @@ models land on a serving pool, devices walk an explicit lifecycle
 recovery policies fight back, and an emergency firmware rollout can
 patch the fleet mid-window — reproducing the paper's section 5.5 arc as
 one closed system.
+
+:mod:`repro.resilience.policies` is the recovery vocabulary every tier
+shares: retry and backoff, hedging, drain, load shed and admission caps,
+the rollout trigger, and the overload defenses (deadlines, retry token
+bucket, circuit breakers) the cluster and chaos tiers arm.  Its names
+are imported from that module, not from this package.
 """
 
 from repro.resilience.device import (
@@ -31,14 +37,6 @@ from repro.resilience.metrics import (
     ResilienceReport,
     evaluate_interval,
 )
-from repro.resilience.policies import (
-    DrainPolicy,
-    HedgePolicy,
-    LoadShedPolicy,
-    ResiliencePolicies,
-    RetryPolicy,
-    RolloutPolicy,
-)
 from repro.resilience.scenario import (
     DrillResult,
     run_section_55_drill,
@@ -55,23 +53,17 @@ from repro.resilience.trace import to_resilience_trace, write_resilience_trace
 __all__ = [
     "Device",
     "DeviceState",
-    "DrainPolicy",
     "DrillResult",
     "Event",
     "EventKind",
     "EventLog",
     "FAULT_FAMILIES",
     "FaultRates",
-    "HedgePolicy",
     "IntervalMetrics",
-    "LoadShedPolicy",
     "PoolCensus",
     "ResilienceConfig",
-    "ResiliencePolicies",
     "ResilienceReport",
     "ResilienceSimulator",
-    "RetryPolicy",
-    "RolloutPolicy",
     "TransitionError",
     "calibrate_base_latency",
     "downed_device_minutes",

@@ -100,7 +100,7 @@ def evaluate_interval(
     # is the conservative bound).
     retry_amplification = sum(p_bad**k for k in range(max_attempts))
     failed_fraction = p_bad**max_attempts
-    if policies.hedge.enabled:
+    if policies.hedge is not None:
         # A hedge fires for every wedged-routed first attempt plus the
         # healthy tail that trips the budget anyway.
         hedge_extra = p_bad + policies.hedge.false_hedge_fraction * (1.0 - p_bad)
@@ -121,7 +121,7 @@ def evaluate_interval(
         served_fraction = 0.0
     else:
         utilization = live_demand / live_capacity
-        if policies.shed.enabled and utilization > policies.shed.max_utilization:
+        if policies.shed is not None and utilization > policies.shed.max_utilization:
             shed_fraction = 1.0 - (
                 policies.shed.max_utilization * live_capacity / live_demand
             )
@@ -140,11 +140,11 @@ def evaluate_interval(
     p99 = base_p99_s * delay_ratio
     # When >=1% of requests need a second attempt, the 99th percentile
     # includes the first attempt's timeout (or the hedge budget).
-    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge.enabled):
-        if policies.hedge.enabled:
+    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge is not None):
+        if policies.hedge is not None:
             p99 = policies.hedge.hedge_after_s + p99
         elif policies.retry is not None:
-            p99 = policies.retry.timeout_s + policies.retry.backoff_s(1) + p99
+            p99 = policies.retry.timeout_s + policies.retry.backoff.delay_s(0) + p99
 
     # --- SLO verdict via the serving-tier machinery --------------------
     total = len(census.scales)

@@ -52,10 +52,10 @@ def section_55_policies() -> ResiliencePolicies:
     """The mitigated arm: retry + hedge + shed + emergency rollout."""
     return ResiliencePolicies(
         retry=RetryPolicy(),
-        hedge=HedgePolicy(enabled=True),
+        hedge=HedgePolicy(),
         drain=None,  # the wedge needs the rollout's power-cycle
-        shed=LoadShedPolicy(enabled=True),
-        rollout=RolloutPolicy(enabled=True),
+        shed=LoadShedPolicy(),
+        rollout=RolloutPolicy(),
     )
 
 

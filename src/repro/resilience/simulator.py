@@ -414,7 +414,7 @@ class ResilienceSimulator:
             self._emit(time_s, EventKind.SLO_AT_RISK,
                        wedged=float(metrics.wedged),
                        utilization=min(metrics.utilization, 1e6))
-            if self.policies.rollout.enabled and not self._rollout_started:
+            if self.policies.rollout is not None and not self._rollout_started:
                 delay = self.policies.rollout.detection_delay_s
                 self._emit(time_s, EventKind.ROLLOUT_TRIGGERED,
                            starts_in_s=delay)

@@ -31,7 +31,6 @@ from repro.cluster.provisioning import HostPool, ReplicaGrant
 from repro.cluster.routing import RoutingPolicy, make_policy
 from repro.cluster.service import ServiceModel
 from repro.cluster.simulator import (
-    ClientRetryConfig,
     ClusterConfig,
     ClusterReport,
     Injection,
@@ -42,7 +41,7 @@ from repro.fastsim.vectorize import seeded_poisson_arrivals
 from repro.fleet.allocator import AllocationError
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import DrainPolicy
+from repro.resilience.policies import ClientRetryConfig, DrainPolicy
 from repro.serving.workload import Request
 
 
@@ -52,7 +51,7 @@ def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
     A replica is a candidate when it is up, reachable (not severed by a
     network partition), and below the admission queue cap; when an
     overload ``defense`` (duck-typing
-    :class:`repro.chaos.defense.DefenseRuntime`) is armed, its
+    :class:`repro.resilience.policies.DefenseRuntime`) is armed, its
     per-replica circuit breaker must also admit traffic.  With
     ``defense=None`` and no partitions this reduces exactly to the
     historical up-and-admissible filter.
@@ -166,7 +165,7 @@ class ReferenceSimulator:
         # preserves byte-identical event logs.
         self.throttle = throttle
         # Chaos hooks — all off by default; see the module docstring.
-        # ``defense`` duck-types repro.chaos.defense.DefenseRuntime and
+        # ``defense`` duck-types repro.resilience.policies.DefenseRuntime and
         # ``brownout`` repro.chaos.brownout.BrownoutController, so the
         # cluster tier stays importable without the chaos package.
         self.defense = defense
@@ -896,7 +895,7 @@ class ReferenceSimulator:
                 self._push(self._now + client.timeout_s, "client", index)
                 return
         self._attempts[index] = attempts + 1
-        delay = client.retry_delay_s
+        delay = 0.0
         if self.defense is not None:
             delay += self.defense.backoff_s(attempts, self._rng)
         self._push(self._now + delay, "retry_fire", (index, "client_retry"))

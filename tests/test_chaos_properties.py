@@ -16,23 +16,23 @@ from collections import Counter as TallyCounter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerConfig,
-    CircuitBreaker,
-    DefenseConfig,
-    DefenseRuntime,
-)
 from repro.cluster import (
-    AdmissionConfig,
-    ClientRetryConfig,
     ClusterConfig,
     INJECTION_KINDS,
     Injection,
     ServiceModel,
     run_cluster,
+)
+from repro.resilience.policies import (
+    AdmissionConfig,
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
+    BreakerConfig,
+    CircuitBreaker,
+    ClientRetryConfig,
+    DefenseConfig,
+    DefenseRuntime,
 )
 from repro.serving import Request
 

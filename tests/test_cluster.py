@@ -1,17 +1,18 @@
 """Tests for the multi-host serving tier (repro.cluster)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
-    AdmissionConfig,
     Autoscaler,
     AutoscalerConfig,
     ClusterConfig,
     ClusterReport,
     HostPool,
+    Injection,
     POLICY_NAMES,
     ServiceModel,
     ShardLocalityMap,
@@ -24,6 +25,7 @@ from repro.cluster import (
 )
 from repro.fleet import AllocationError
 from repro.obs import MetricsRegistry, TraceWriter
+from repro.resilience.policies import AdmissionConfig
 from repro.serving import DiurnalTrafficModel, diurnal_poisson_stream, poisson_stream
 from repro.serving.workload import Request
 
@@ -645,6 +647,43 @@ class TestConfigBoundary:
             admission=AdmissionConfig(max_outstanding_per_replica=np.int64(4)),
         )
         assert config.replicas == 3
+
+
+class TestInjectionTargets:
+    """A scheduled injection names replicas that can exist, or fails loudly."""
+
+    @staticmethod
+    def _run(injections, replicas=2, autoscaler=None):
+        service = ServiceModel(mean_service_s=0.01, jitter_sigma=0.0)
+        requests = [Request(arrival_s=0.1 * i, samples=1, request_id=i)
+                    for i in range(10)]
+        return run_cluster(
+            ClusterConfig(replicas=replicas, num_hosts=2), service, requests,
+            autoscaler=autoscaler and Autoscaler(autoscaler, service),
+            injections=injections,
+        )
+
+    @pytest.mark.parametrize("fields", [
+        {"targets": (-1, 7)}, {"targets": (True,)}, {"targets": (1.0,)},
+        {"time_s": math.nan}, {"time_s": math.inf}, {"time_s": -1.0},
+        {"magnitude": math.nan}, {"magnitude": math.inf},
+    ], ids=repr)
+    def test_rejected_at_construction(self, fields):
+        with pytest.raises(ValueError):
+            Injection(**{"time_s": 0.5, "kind": "down", **fields})
+
+    def test_missing_replica_rejected_at_run_start(self):
+        with pytest.raises(ValueError, match="beyond the 2"):
+            self._run([Injection(0.5, "down", (1, 2))])
+        report = self._run([Injection(0.5, "down", (1,))])
+        assert (0.5, "inject_down", 1) in report.event_log
+
+    def test_autoscaled_runs_may_name_future_replicas(self):
+        report = self._run(
+            [Injection(0.5, "down", (5,))],
+            autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=8),
+        )
+        assert report.offered == 10
 
 
 class TestCapacityPlanning:

@@ -28,19 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
-    BreakerConfig,
     BrownoutConfig,
     BrownoutController,
     BrownoutRung,
-    DefenseConfig,
-    DefenseRuntime,
     run_scenario,
 )
 from repro.cluster import (
-    AdmissionConfig,
     Autoscaler,
     AutoscalerConfig,
-    ClientRetryConfig,
     ClusterConfig,
     ClusterSimulator,
     Injection,
@@ -53,6 +48,14 @@ from repro.fleet_global import run_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
 from repro.power.cluster_link import ThrottleSchedule
+from repro.resilience.policies import (
+    AdmissionConfig,
+    Backoff,
+    BreakerConfig,
+    ClientRetryConfig,
+    DefenseConfig,
+    DefenseRuntime,
+)
 from repro.serving.scheduler import schedule_batches
 from repro.serving.workload import Request, poisson_stream
 from tests.cluster_oracle import ReferenceSimulator
@@ -191,38 +194,38 @@ _BREAKER = BreakerConfig(
     failure_threshold=1, cooldown_s=2.0 ** -3, probe_quota=1,
     close_after_successes=1,
 )
+_BACKOFF = Backoff(base_s=2.0 ** -7, cap_s=2.0 ** -4)
 _DEFENSES = {
     "deadline": DefenseConfig(deadline_s=2.0 ** -4),
     "tokens": DefenseConfig(retry_tokens_per_s=8.0, retry_token_burst=1.0),
-    "backoff": DefenseConfig(backoff_base_s=2.0 ** -7, backoff_max_s=2.0 ** -4),
+    "backoff": DefenseConfig(backoff=_BACKOFF),
     "breaker": DefenseConfig(breaker=_BREAKER),
     "all": DefenseConfig(
         deadline_s=2.0 ** -4, retry_tokens_per_s=8.0, retry_token_burst=2.0,
-        backoff_base_s=2.0 ** -7, backoff_max_s=2.0 ** -4, breaker=_BREAKER,
+        backoff=_BACKOFF, breaker=_BREAKER,
     ),
     "full": DefenseConfig.full(deadline_s=2.0 ** -4),
 }
 _CLIENTS = (
     ClientRetryConfig(timeout_s=2.0 ** -5),
     ClientRetryConfig(timeout_s=2.0 ** -4, max_retries=0),
-    ClientRetryConfig(timeout_s=2.0 ** -4, max_retries=2,
-                      retry_delay_s=2.0 ** -6),
+    ClientRetryConfig(timeout_s=2.0 ** -4, max_retries=2),
 )
 
 
 @st.composite
-def _injections(draw, replicas, horizon):
+def _injections(draw, max_target, horizon):
     """Scheduled chaos: episodes of every kind (``down`` then ``up``,
     ``slow`` then ``slow_end``, ``partition`` then ``heal``), some left
-    open.  Targets exist, do not exist yet (autoscaled ids) or never
-    will, or are empty (every replica)."""
+    open.  Targets are ids up to ``max_target`` (in an autoscaled run,
+    ids that do not exist yet or never will) or empty (every replica)."""
     schedule = []
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         start, end = draw(st.sampled_from(
             [("down", "up"), ("slow", "slow_end"), ("partition", "heal")]
         ))
         targets = tuple(draw(st.lists(
-            st.integers(min_value=0, max_value=replicas + 2), max_size=3
+            st.integers(min_value=0, max_value=max_target), max_size=3
         )))
         time_s = draw(st.integers(min_value=0, max_value=horizon)) * GRID_S
         magnitude = draw(st.sampled_from([1.0, 2.0, 4.0]))
@@ -245,13 +248,6 @@ def _hooked(draw):
     run["fault_rate"] = draw(st.sampled_from([0.0, 3600.0, 14400.0]))
     run["retry_deadline_slos"] = draw(st.sampled_from([None, 1.0, 4.0]))
     run["accelerators"] = draw(st.sampled_from([1, 8, 12]))
-    run["injections"] = draw(
-        _injections(run["replicas"], max(run["ticks"]))
-    )
-    run["client"] = draw(st.sampled_from([None, *_CLIENTS]))
-    run["defense"] = draw(st.sampled_from([None, *_DEFENSES]))
-    run["brownout"] = draw(st.booleans())
-    run["throttle"] = draw(st.booleans())
     run["autoscaler"] = draw(st.none() | st.builds(
         AutoscalerConfig,
         min_replicas=st.just(1),
@@ -260,6 +256,14 @@ def _hooked(draw):
         cooldown_s=st.sampled_from([0.0, 2.0 ** -4]),
         predictive=st.just(False),
     ))
+    # Only an autoscaler can spawn ids past the initial replicas; a run
+    # without one rejects such targets (see test_cluster.TestInjectionTargets).
+    max_target = run["replicas"] + (2 if run["autoscaler"] is not None else -1)
+    run["injections"] = draw(_injections(max_target, max(run["ticks"])))
+    run["client"] = draw(st.sampled_from([None, *_CLIENTS]))
+    run["defense"] = draw(st.sampled_from([None, *_DEFENSES]))
+    run["brownout"] = draw(st.booleans())
+    run["throttle"] = draw(st.booleans())
     run["tracer"] = draw(st.booleans())
     run["registry"] = draw(st.booleans())
     return run

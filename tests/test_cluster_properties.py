@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import (
-    AdmissionConfig,
     ClusterConfig,
     POLICY_NAMES,
     ServiceModel,
@@ -27,6 +26,7 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.obs import MetricsRegistry
+from repro.resilience.policies import AdmissionConfig
 from repro.serving import Request
 
 policies = st.sampled_from(POLICY_NAMES)

@@ -29,10 +29,10 @@ from repro.reliability import (
 from repro.resilience import (
     FaultRates,
     ResilienceConfig,
-    ResiliencePolicies,
     presample_fault_arrivals,
     run_resilience,
 )
+from repro.resilience.policies import ResiliencePolicies
 from repro.serving import (
     CoalescingConfig,
     ModelJobProfile,

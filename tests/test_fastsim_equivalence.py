@@ -31,8 +31,6 @@ import json
 from repro.chaos import CampaignConfig as ChaosCampaignConfig
 from repro.chaos import run_scenario, scenario_by_name
 from repro.cluster import (
-    AdmissionConfig,
-    ClientRetryConfig,
     ClusterConfig,
     Injection,
     default_service_model,
@@ -41,6 +39,7 @@ from repro.cluster import (
 from repro.fleet_global import region_outage_drill, run_fleet, standard_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
+from repro.resilience.policies import AdmissionConfig, ClientRetryConfig
 from repro.serving.batcher import CoalescingConfig, coalesce
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
 from repro.serving.workload import poisson_stream

@@ -32,19 +32,21 @@ from repro.resilience import device as device_module
 from repro.resilience import (
     Device,
     DeviceState,
-    DrainPolicy,
     FaultRates,
-    HedgePolicy,
     IntervalMetrics,
-    LoadShedPolicy,
     PoolCensus,
     ResilienceConfig,
-    ResiliencePolicies,
     ResilienceSimulator,
+)
+from repro.resilience.metrics import _DELAY_CAP_UTILIZATION
+from repro.resilience.policies import (
+    DrainPolicy,
+    HedgePolicy,
+    LoadShedPolicy,
+    ResiliencePolicies,
     RetryPolicy,
     RolloutPolicy,
 )
-from repro.resilience.metrics import _DELAY_CAP_UTILIZATION
 from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
 
@@ -93,7 +95,7 @@ def scan_evaluate_interval(
     # is the conservative bound).
     retry_amplification = sum(p_bad**k for k in range(max_attempts))
     failed_fraction = p_bad**max_attempts
-    if policies.hedge.enabled:
+    if policies.hedge is not None:
         # A hedge fires for every wedged-routed first attempt plus the
         # healthy tail that trips the budget anyway.
         hedge_extra = p_bad + policies.hedge.false_hedge_fraction * (1.0 - p_bad)
@@ -114,7 +116,7 @@ def scan_evaluate_interval(
         served_fraction = 0.0
     else:
         utilization = live_demand / live_capacity
-        if policies.shed.enabled and utilization > policies.shed.max_utilization:
+        if policies.shed is not None and utilization > policies.shed.max_utilization:
             shed_fraction = 1.0 - (
                 policies.shed.max_utilization * live_capacity / live_demand
             )
@@ -133,11 +135,11 @@ def scan_evaluate_interval(
     p99 = base_p99_s * delay_ratio
     # When >=1% of requests need a second attempt, the 99th percentile
     # includes the first attempt's timeout (or the hedge budget).
-    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge.enabled):
-        if policies.hedge.enabled:
+    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge is not None):
+        if policies.hedge is not None:
             p99 = policies.hedge.hedge_after_s + p99
         elif policies.retry is not None:
-            p99 = policies.retry.timeout_s + policies.retry.backoff_s(1) + p99
+            p99 = policies.retry.timeout_s + policies.retry.backoff.delay_s(0) + p99
 
     # --- SLO verdict via the serving-tier machinery --------------------
     total = len(devices)
@@ -192,10 +194,10 @@ def compensated_builtin_sum():
 def _policies(retry, hedge, drain, shed, rollout, delay_s):
     return ResiliencePolicies(
         retry=RetryPolicy() if retry else None,
-        hedge=HedgePolicy(enabled=hedge),
+        hedge=HedgePolicy() if hedge else None,
         drain=DrainPolicy() if drain else None,
-        shed=LoadShedPolicy(enabled=shed),
-        rollout=RolloutPolicy(enabled=rollout, detection_delay_s=delay_s),
+        shed=LoadShedPolicy() if shed else None,
+        rollout=RolloutPolicy(detection_delay_s=delay_s) if rollout else None,
     )
 
 
@@ -319,7 +321,7 @@ def test_every_transition_kind_is_checked():
                        throttle_duration_s=900.0, ecc_degrade_duration_s=120.0)
     policies = dataclasses.replace(
         ResiliencePolicies.production(),
-        rollout=RolloutPolicy(enabled=True, detection_delay_s=600.0),
+        rollout=RolloutPolicy(detection_delay_s=600.0),
     )
     with compensated_builtin_sum():
         report, seen = run_checked(config, rates, policies)
