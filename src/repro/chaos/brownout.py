@@ -29,6 +29,7 @@ bit-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,13 +133,15 @@ class BrownoutController:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _tiny_model_multiplier() -> float:
     """Service-time ratio of the early-stage distillation proxy.
 
     The deepest brownout rung swaps the late-stage ranker for the
     early-stage model (the fleet already serves it upstream of the
     funnel), so the speedup is the per-sample dense-FLOP ratio of the
-    two zoo entries — derived, not asserted.
+    two zoo entries — derived, not asserted.  A constant of the zoo, so
+    it is computed once per process, not once per ladder.
     """
     from repro.models.zoo import early_stage_model, late_stage_model
 

@@ -151,10 +151,14 @@ def run_events(
     minimum depth is the lowest id, the policies' tie-break, and a
     minimum at or above the admission cap means no admissible target.
     Every other route (``round_robin``, ``po2``, a ``locality`` spill,
-    and every route while circuit breakers are armed) is the policy's
+    and every route while a circuit breaker is watched) is the policy's
     own ``choose`` over the admissible list: ``live`` while no replica
-    sits at the admission cap, else the cap filter, then each breaker
-    in id order, which counts its own rejections.
+    sits at the admission cap, else the cap filter, then each watched
+    breaker in id order, which counts its own rejections.  The defense
+    runtime's ``watched`` map holds the breakers that are not closed
+    with no failure counted; any other breaker admits every route and
+    ignores dispatches and serves, so while the map is empty no breaker
+    is consulted and ``jsq`` and ``locality`` route from the index.
 
     *Service times.*  While routing draws nothing (``round_robin``,
     ``jsq``, and ``locality`` until it spills), service times are
@@ -203,7 +207,9 @@ def run_events(
     tracer = sim._tracer
     obs = sim._obs
     observed = sim._obs_enabled
-    breakers = defense is not None and defense.config.breaker is not None
+    # The breakers a route, dispatch or serve must consult; every other
+    # replica's breaker admits everything and ignores both.
+    watched = {} if defense is None else defense.watched
     deadline = None if defense is None else defense.deadline_s
     retry_deadline = sim._retry_deadline_s
     # A client re-sends, so a copy can outlive its request's outcome.
@@ -255,8 +261,8 @@ def run_events(
     work: List[tuple] = []
 
     choose = sim.policy.choose
-    indexed = name in ("jsq", "locality") and not breakers
-    listed = name != "jsq" or breakers
+    indexed = name in ("jsq", "locality")
+    listed = name != "jsq"
     by_shard = name == "locality"
     # ``jsq`` routes below the cap; ``locality`` also below its spill.
     local_limit = cap
@@ -313,7 +319,7 @@ def run_events(
                         # is delivered at the heal.
                         replica.deferred_depart = True
                     continue
-                if defense is not None:
+                if watched:
                     defense.on_replica_success(replica.replica_id, now)
             index = replica.in_service
             if copies and resolved[index]:
@@ -421,22 +427,23 @@ def run_events(
                         continue
             shard = shards[index]
             chosen = None
-            if max_total is None or total < max_total or breakers:
-                if indexed:
+            if max_total is None or total < max_total or watched:
+                if indexed and not watched:
                     group = shard if by_shard else 0
                     depth = min_depth[group]
                     if depth < local_limit:
                         mask = masks[group][depth]
                         chosen = replicas[(mask & -mask).bit_length() - 1]
-                if chosen is None and listed:
+                if chosen is None and (listed or watched):
                     if saturated:
                         candidates = [r for r in live if r.outstanding < cap]
                     else:
                         candidates = live
-                    if breakers:
+                    if watched:
                         candidates = [
                             r for r in candidates
-                            if defense.replica_allowed(r.replica_id, now)
+                            if r.replica_id not in watched
+                            or defense.replica_allowed(r.replica_id, now)
                         ]
                         if max_total is not None and total >= max_total:
                             candidates = None
@@ -464,7 +471,7 @@ def run_events(
                     min_depth[group] = depth + 1
             total += 1
             if noted:
-                if defense is not None:
+                if watched:
                     defense.on_dispatch(chosen.replica_id, now)
                 if observed:
                     if kind == _ARRIVAL:

@@ -450,6 +450,9 @@ class ClusterSimulator:
         # whatever is pending) but describes a truncated run.
         self._fail_fast = fail_fast
         self._replicas: List[_Replica] = []
+        # Replicas in state "up", kept by every state change (a replica
+        # retires from "draining" or "down", so retiring leaves it be).
+        self._up = 0
         self._now = 0.0
         # Outcomes.
         self._resolved = bytearray(len(self.requests))
@@ -528,6 +531,7 @@ class ClusterSimulator:
             now_s=now,
         )
         self._replicas.append(replica)
+        self._up += 1
         if self._tracer is not None:
             self._tracer.lane(f"replica-{replica_id}")
         return replica
@@ -664,8 +668,7 @@ class ClusterSimulator:
         return 1
 
     def _brownout_observe(self, now: float, outstanding: int) -> None:
-        up = sum(1 for r in self._replicas if r.state == "up")
-        level = self.brownout.on_route(now, outstanding, up)
+        level = self.brownout.on_route(now, outstanding, self._up)
         if level != self._brownout_level:
             self._brownout_level = level
             self._obs.series("cluster.brownout_level").append(now, level)
@@ -676,6 +679,8 @@ class ClusterSimulator:
         injected outage, which also ends any partition.  Returns whether
         it was draining; the loop strands its work."""
         was_draining = replica.state == "draining"
+        if not was_draining:
+            self._up -= 1
         self._faults += 1
         replica.accrue_up_time(now)
         replica.state = "down"
@@ -696,6 +701,7 @@ class ClusterSimulator:
     def _revive(self, now: float, replica: _Replica, kind: str) -> None:
         """Bring a down replica back up (``recover`` or ``inject_up``)."""
         replica.state = "up"
+        self._up += 1
         replica.mark_up(now)
         self._emit(now, kind, replica.replica_id)
 
@@ -733,6 +739,7 @@ class ClusterSimulator:
                 : len(up) - desired
             ]:
                 replica.state = "draining"
+                self._up -= 1
                 self._emit(now, "drain", replica.replica_id)
                 if replica.outstanding == 0:
                     self._retire_replica(now, replica)

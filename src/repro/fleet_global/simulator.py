@@ -21,7 +21,9 @@ deterministic two-pass design:
    whatever spilled in — runs through its own seeded cluster
    simulation.  Regions are independent given their streams, so the
    passes compose without a global event heap while staying bit-for-bit
-   deterministic.
+   deterministic.  An unobserved undefended region run is a pure
+   function of its inputs, so its report is memoized and the arms that
+   repeat it share it.
 
 The :class:`FleetReport` then reads each region's event log back and
 attributes every terminal outcome to the request's *origin* region,
@@ -60,6 +62,7 @@ from repro.fleet_global.failover import (
 )
 from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
+from repro.power.cluster_link import ThrottleSchedule
 from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
 from repro.serving.workload import (
     DiurnalTrafficModel,
@@ -214,9 +217,10 @@ class FleetReport:
         return "\n".join(lines)
 
 
-# Bound on cached region streams: a capacity study touches one base
-# stream per region and two merged fleet streams (with and without
-# priority tiers), however many sizes and arms it sweeps.
+# Bound on each fleet cache.  A capacity study touches one base stream
+# per region and two merged fleet streams (with and without priority
+# tiers), however many sizes and arms it sweeps; its region-run memo
+# holds one report per region and size plus the drilled regions.
 _STREAM_CACHE_SIZE = 32
 
 Streams = Tuple[Tuple[Request, ...], ...]
@@ -267,6 +271,40 @@ def _merged_streams(
     return streams, order
 
 
+def _base_keys(config: FleetConfig) -> Tuple[Tuple, ...]:
+    """Each region's :func:`_base_stream` arguments."""
+    return tuple(
+        (
+            config.traffic_model(spec),
+            config.duration_s,
+            config.samples_per_request,
+            config.seed + _STREAM_SEED + index,
+        )
+        for index, spec in enumerate(config.regions)
+    )
+
+
+@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
+def _plain_region_run(
+    base_key: Tuple,
+    cluster_config: ClusterConfig,
+    service: ServiceModel,
+    throttle: Optional[ThrottleSchedule],
+    schedule: Tuple[Injection, ...],
+) -> ClusterReport:
+    """One undefended region's cluster run over its own base stream.
+
+    The arguments are every input of the run, and the run is seeded,
+    so a report is reused, never re-simulated: the undefended arm's
+    regions without a drill repeat the baseline arm's runs exactly.
+    The default five-size capacity study makes 20 entries.
+    """
+    return run_cluster(
+        cluster_config, service, _base_stream(*base_key),
+        throttle=throttle, injections=schedule,
+    )
+
+
 def _region_streams(
     config: FleetConfig, defended: bool
 ) -> Tuple[Streams, MergeOrder]:
@@ -278,15 +316,7 @@ def _region_streams(
     so both arms see identical arrival processes.  Both are cached:
     streams depend on the traffic, never on replica counts or arms.
     """
-    base_keys = tuple(
-        (
-            config.traffic_model(spec),
-            config.duration_s,
-            config.samples_per_request,
-            config.seed + _STREAM_SEED + index,
-        )
-        for index, spec in enumerate(config.regions)
-    )
+    base_keys = _base_keys(config)
     tier_keys = tuple(
         (config.priority_weights, config.seed + _PRIORITY_SEED + index)
         for index in range(len(config.regions))
@@ -428,8 +458,13 @@ def run_fleet(
         streams, order, router, failover.spill_one_way_s
     )
 
-    # Region pass: independent seeded cluster runs.
+    # Region pass: independent seeded cluster runs.  An undefended
+    # region's stream is its base stream (nothing spills or LB-sheds
+    # without monitors), so an unobserved one is looked up in the
+    # region-run memo; an observed run records its own metrics.
     extra_injections = extra_injections or {}
+    memo = not defended and registry is None
+    base_keys = _base_keys(config)
     reports: List[ClusterReport] = []
     for index, spec in enumerate(config.regions):
         schedule: Sequence[Injection] = (
@@ -446,6 +481,12 @@ def run_fleet(
             admission=AdmissionConfig(),
             seed=config.seed + _CLUSTER_SEED + index,
         )
+        if memo:
+            reports.append(_plain_region_run(
+                base_keys[index], cluster_config, service, spec.throttle(),
+                tuple(schedule),
+            ))
+            continue
         brownout = BrownoutController(default_ladder()) if defended else None
         reports.append(run_cluster(
             cluster_config, service, dest_streams[index],

@@ -450,7 +450,13 @@ class DefenseRuntime:
             TokenBucket(config.retry_tokens_per_s, config.retry_token_burst)
             if config.retry_tokens_per_s is not None else None
         )
+        # A replica's breaker is made at its first failure.  Until then,
+        # and whenever it is closed with no failure counted, it admits
+        # everything and a success or dispatch changes nothing, so
+        # ``watched`` holds only the breakers that are not in that
+        # state; the router consults those and no others.
         self._breakers: Dict[int, CircuitBreaker] = {}
+        self.watched: Dict[int, CircuitBreaker] = {}
         # Tallies read by the campaign report.
         self.retries_denied = 0
         self.deadline_drops = 0
@@ -485,31 +491,35 @@ class DefenseRuntime:
         return 0.0 if backoff is None else backoff.delay_s(retry, rng)
 
     def breaker(self, replica_id: int) -> Optional[CircuitBreaker]:
-        if self.config.breaker is None:
-            return None
-        breaker = self._breakers.get(replica_id)
-        if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker)
-            self._breakers[replica_id] = breaker
-        return breaker
+        """The replica's breaker, or None before its first failure."""
+        return self._breakers.get(replica_id)
 
     def replica_allowed(self, replica_id: int, now_s: float) -> bool:
         """Circuit-breaker gate for routing candidates."""
-        if self.config.breaker is None:
-            return True
-        if self.breaker(replica_id).allow(now_s):
+        breaker = self.watched.get(replica_id)
+        if breaker is None or breaker.allow(now_s):
             return True
         self.breaker_rejections += 1
         return False
 
     def on_dispatch(self, replica_id: int, now_s: float) -> None:
-        if self.config.breaker is not None:
-            self.breaker(replica_id).on_dispatch(now_s)
+        breaker = self.watched.get(replica_id)
+        if breaker is not None:
+            breaker.on_dispatch(now_s)
 
     def on_replica_success(self, replica_id: int, now_s: float) -> None:
-        if self.config.breaker is not None:
-            self.breaker(replica_id).record_success(now_s)
+        breaker = self.watched.get(replica_id)
+        if breaker is not None:
+            breaker.record_success(now_s)
+            if breaker.state == BREAKER_CLOSED:
+                del self.watched[replica_id]
 
     def on_replica_failure(self, replica_id: int, now_s: float) -> None:
-        if self.config.breaker is not None:
-            self.breaker(replica_id).record_failure(now_s)
+        if self.config.breaker is None:
+            return
+        breaker = self._breakers.get(replica_id)
+        if breaker is None:
+            breaker = CircuitBreaker(self.config.breaker)
+            self._breakers[replica_id] = breaker
+        breaker.record_failure(now_s)
+        self.watched[replica_id] = breaker

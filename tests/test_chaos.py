@@ -324,6 +324,34 @@ class TestDefenseRuntime:
         assert (runtime.retries_denied, runtime.deadline_drops,
                 runtime.breaker_rejections) == (0, 0, 0)
 
+    def test_breakers_are_watched_from_failure_to_close(self):
+        runtime = DefenseRuntime(DefenseConfig(breaker=BreakerConfig(
+            failure_threshold=2, cooldown_s=1.0, probe_quota=2,
+            close_after_successes=2,
+        )))
+        runtime.on_dispatch(0, 0.0)
+        runtime.on_replica_success(0, 0.0)
+        assert runtime.replica_allowed(0, 0.0)
+        assert runtime.breaker(0) is None and runtime.watched == {}
+        runtime.on_replica_failure(0, 0.0)  # closed, one failure counted
+        assert list(runtime.watched) == [0]
+        runtime.on_replica_success(0, 0.1)  # resets the count
+        assert runtime.watched == {} and runtime.breaker(0) is not None
+        runtime.on_replica_failure(0, 1.0)
+        runtime.on_replica_failure(0, 1.0)  # opens
+        assert not runtime.replica_allowed(0, 1.5)
+        assert runtime.breaker_rejections == 1
+        assert runtime.replica_allowed(0, 2.0)  # half-open
+        runtime.on_dispatch(0, 2.0)
+        runtime.on_dispatch(0, 2.0)
+        assert not runtime.replica_allowed(0, 2.0)  # probe quota spent
+        assert runtime.breaker_rejections == 2
+        runtime.on_replica_success(0, 2.1)
+        assert list(runtime.watched) == [0]
+        runtime.on_replica_success(0, 2.2)  # closes
+        assert runtime.watched == {}
+        assert runtime.breaker(0).state == BREAKER_CLOSED
+
     def test_deadline_propagation_counts_drops(self):
         runtime = DefenseRuntime(DefenseConfig(deadline_s=0.3))
         assert not runtime.past_deadline(0.2, arrival_s=0.0)
@@ -402,6 +430,14 @@ class TestBrownout:
         assert multipliers[0] == 1.0
         assert multipliers == sorted(multipliers, reverse=True)
         assert ladder.rungs[-1].priority_floor >= 1
+
+    def test_tiny_multiplier_is_computed_once(self):
+        from repro.chaos.brownout import _tiny_model_multiplier
+
+        cached = _tiny_model_multiplier()
+        assert _tiny_model_multiplier() is cached
+        assert cached == _tiny_model_multiplier.__wrapped__()
+        assert default_ladder().rungs[-1].service_multiplier == cached
 
     def test_ladder_quality_orders_by_damage(self):
         deltas = measure_ladder_quality(num_requests=6000, seed=0)

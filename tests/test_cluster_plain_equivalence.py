@@ -194,12 +194,19 @@ _BREAKER = BreakerConfig(
     failure_threshold=1, cooldown_s=2.0 ** -3, probe_quota=1,
     close_after_successes=1,
 )
+# Opens on the second failure and closes on the second probe success,
+# so a closed breaker's failure count is reset by a success.
+_BREAKER_2 = BreakerConfig(
+    failure_threshold=2, cooldown_s=2.0 ** -3, probe_quota=2,
+    close_after_successes=2,
+)
 _BACKOFF = Backoff(base_s=2.0 ** -7, cap_s=2.0 ** -4)
 _DEFENSES = {
     "deadline": DefenseConfig(deadline_s=2.0 ** -4),
     "tokens": DefenseConfig(retry_tokens_per_s=8.0, retry_token_burst=1.0),
     "backoff": DefenseConfig(backoff=_BACKOFF),
     "breaker": DefenseConfig(breaker=_BREAKER),
+    "breaker2": DefenseConfig(breaker=_BREAKER_2),
     "all": DefenseConfig(
         deadline_s=2.0 ** -4, retry_tokens_per_s=8.0, retry_token_burst=2.0,
         backoff=_BACKOFF, breaker=_BREAKER,
@@ -374,6 +381,72 @@ def test_each_hook_alone_matches_reference(hook, policy):
         locality=ShardLocalityMap.uniform(2),
     )
     assert fast == reference
+
+
+@pytest.mark.parametrize("max_total", [None, 6])
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_two_failure_breakers_match_reference(policy, max_total):
+    """Replica 1 fails once and its next success resets the count;
+    replica 0 fails twice, opens, rejects routes through its cooldown
+    (those at the tier cap too) and probes its way closed.  Only
+    breakers that are not closed with no failure counted stay watched."""
+    service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
+    config = ClusterConfig(
+        replicas=4, num_hosts=2, policy=policy, seed=5,
+        admission=AdmissionConfig(
+            max_outstanding_per_replica=4, max_total_outstanding=max_total,
+        ),
+    )
+    requests = poisson_stream(190.0, 3.0, seed=5)
+    injections = [
+        Injection(1.0, "down", (0, 1)), Injection(1.25, "up", (0, 1)),
+        Injection(1.251, "down", (0,)), Injection(1.3, "up", (0,)),
+    ]
+    runtimes = []
+
+    def make_hooks():
+        runtimes.append(DefenseRuntime(DefenseConfig(breaker=_BREAKER_2)))
+        return {"injections": injections, "defense": runtimes[-1]}
+
+    fast, reference = _both(
+        config, service, requests, make_hooks=make_hooks,
+        locality=ShardLocalityMap.uniform(2),
+    )
+    assert fast == reference
+    defense = runtimes[0]
+    assert defense.breaker_rejections > 0
+    assert sorted(defense._breakers) == [0, 1]
+    for breaker in defense._breakers.values():
+        assert breaker.state == "closed"
+        assert breaker._consecutive_failures == 0
+    assert defense.watched == {}
+
+
+def test_up_count_follows_every_state_change():
+    """The simulator's count of up replicas, which the brownout ladder
+    reads on every route, against a recount after a run that spawns,
+    drains, retires, fails and revives replicas."""
+    service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
+    config = ClusterConfig(
+        replicas=8, num_hosts=4, policy="jsq", seed=11,
+        fault_rate_per_replica_hour=1800.0,
+    )
+    simulator = ClusterSimulator(
+        config, service, poisson_stream(40.0, 8.0, seed=11),
+        autoscaler=Autoscaler(AutoscalerConfig(
+            min_replicas=1, max_replicas=8, tick_interval_s=0.5,
+            cooldown_s=0.0, predictive=False,
+        ), service),
+        injections=[Injection(2.0, "down", (1, 2)), Injection(3.0, "up", (1,))],
+    )
+    report = simulator.run()
+    states = {replica.state for replica in simulator._replicas}
+    kinds = {kind for _, kind, _ in report.event_log}
+    assert {"fault", "recover", "drain", "inject_down", "inject_up"} <= kinds
+    assert {"up", "down", "retired"} <= states
+    assert simulator._up == sum(
+        replica.state == "up" for replica in simulator._replicas
+    )
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)

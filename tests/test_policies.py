@@ -192,6 +192,40 @@ def test_imports_first_in_a_fresh_interpreter(module):
     )
 
 
+def test_vocabulary_import_leaves_the_cluster_tier_unloaded():
+    """The package exports its top-level names lazily, so importing the
+    vocabulary loads neither the cluster tier nor the rest of the stack."""
+    probe = (
+        "import sys, repro.resilience.policies\n"
+        "print(int('repro.cluster' in sys.modules), int('repro.core' in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", probe], check=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert result.stdout.split() == ["0", "0"]
+
+
+def test_package_exports_resolve_on_first_use():
+    probe = (
+        "import repro\n"
+        "from repro import Mtia2iSystem\n"
+        "assert Mtia2iSystem.__module__.startswith('repro.core')\n"
+        "assert all(hasattr(repro, name) for name in repro.__all__)\n"
+        "assert set(repro.__all__) <= set(dir(repro))\n"
+        "try:\n"
+        "    repro.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('missing name resolved')\n"
+    )
+    subprocess.run(
+        [sys.executable, "-B", "-c", probe], check=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 def test_vocabulary_imports_neither_cluster_nor_chaos():
     """Both tiers build on the vocabulary, so it must not import them."""
     path = SRC / "repro" / "resilience" / "policies.py"
