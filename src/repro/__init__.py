@@ -27,46 +27,15 @@ import importlib
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec, spec_ratio
-    from repro.core import (
-        Mtia2iSystem,
-        ModelEvaluation,
-        evaluate_model,
-        optimize_graph,
-        run_case_study,
-    )
-    from repro.graph import OpGraph
-    from repro.models import figure6_models, small_dlrm, table1_models
-    from repro.perf import (
-        ExecutionReport,
-        Executor,
-        evaluate_llm,
-        llama2_7b,
-        llama3_8b,
-    )
-    from repro.resilience import run_resilience, run_section_55_drill
-    from repro.tco import compare_platforms
+    from repro.core import Mtia2iSystem
+    from repro.models import small_dlrm
 
 __version__ = "1.0.0"
 
-# Each subpackage and the top-level names it provides.  They load on
+# Each top-level name and the subpackage that provides it.  They load on
 # first use (PEP 562), so importing one subpackage, say
 # ``repro.resilience.policies``, does not import the whole stack.
-_EXPORTS = {
-    "repro.arch": ("gpu_spec", "mtia1_spec", "mtia2i_spec", "spec_ratio"),
-    "repro.core": (
-        "Mtia2iSystem", "ModelEvaluation", "evaluate_model", "optimize_graph",
-        "run_case_study",
-    ),
-    "repro.graph": ("OpGraph",),
-    "repro.models": ("figure6_models", "small_dlrm", "table1_models"),
-    "repro.perf": (
-        "ExecutionReport", "Executor", "evaluate_llm", "llama2_7b", "llama3_8b",
-    ),
-    "repro.resilience": ("run_resilience", "run_section_55_drill"),
-    "repro.tco": ("compare_platforms",),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULE_OF = {"Mtia2iSystem": "repro.core", "small_dlrm": "repro.models"}
 
 
 def __getattr__(name: str):
@@ -82,27 +51,4 @@ def __dir__():
     return sorted({*globals(), *_MODULE_OF})
 
 
-__all__ = [
-    "ExecutionReport",
-    "Executor",
-    "ModelEvaluation",
-    "Mtia2iSystem",
-    "OpGraph",
-    "__version__",
-    "compare_platforms",
-    "evaluate_llm",
-    "evaluate_model",
-    "figure6_models",
-    "gpu_spec",
-    "llama2_7b",
-    "llama3_8b",
-    "mtia1_spec",
-    "mtia2i_spec",
-    "optimize_graph",
-    "run_case_study",
-    "run_resilience",
-    "run_section_55_drill",
-    "small_dlrm",
-    "spec_ratio",
-    "table1_models",
-]
+__all__ = ["Mtia2iSystem", "__version__", "small_dlrm"]

@@ -11,35 +11,13 @@ from repro.arch.describe import (
 from repro.arch.gpu import gpu_spec
 from repro.arch.mtia import mtia1_spec, mtia2i_spec
 from repro.arch.nextgen import mtia_nextgen_spec
-from repro.arch.server import (
-    CpuSocketSpec,
-    ServerSpec,
-    gpu_server,
-    grand_teton_socket,
-    mtia2i_server,
-)
-from repro.arch.specs import (
-    ChipSpec,
-    EagerLaunchSpec,
-    GemmEngineSpec,
-    IssueSpec,
-    MemoryLevelSpec,
-    VectorEngineSpec,
-    spec_ratio,
-)
+from repro.arch.server import gpu_server, grand_teton_socket, mtia2i_server
+from repro.arch.specs import spec_ratio
 
 __all__ = [
     "PE_FIXED_FUNCTION_UNITS",
     "PE_PROCESSORS",
     "SOFTWARE_STACK_LAYERS",
-    "ChipSpec",
-    "CpuSocketSpec",
-    "EagerLaunchSpec",
-    "GemmEngineSpec",
-    "IssueSpec",
-    "MemoryLevelSpec",
-    "ServerSpec",
-    "VectorEngineSpec",
     "describe_chip",
     "describe_pe",
     "describe_software_stack",

@@ -1,55 +1,22 @@
 """Autotuning framework (paper section 4.1): placement, kernels, batch,
 coalescing, sharding, and the orchestrator."""
 
-from repro.autotune.batch import (
-    BatchCandidate,
-    BatchTuningResult,
-    DEFAULT_BATCH_CANDIDATES,
-    tune_batch_size,
-)
-from repro.autotune.coalescing import (
-    CoalescingCandidate,
-    CoalescingTuningResult,
-    tune_coalescing,
-)
+from repro.autotune.batch import tune_batch_size
+from repro.autotune.coalescing import tune_coalescing
 from repro.autotune.kernel_tuner import (
     PerformanceDatabase,
-    TunerComparison,
-    TuningResult,
     ann_tune,
     compare_tuners,
     exhaustive_tune,
     measure_variant,
     surrogate_tune,
 )
-from repro.autotune.placement import (
-    PlacementDecision,
-    activation_buffer_bytes,
-    tune_placement,
-)
-from repro.autotune.sharding import (
-    RUNTIME_RESERVE_FRACTION,
-    ShardPlan,
-    plan_sharding,
-    required_shards,
-    shard_throughput_tax,
-)
-from repro.autotune.tuner import AutotuneResult, autotune_model
+from repro.autotune.placement import tune_placement
+from repro.autotune.sharding import plan_sharding, required_shards
+from repro.autotune.tuner import autotune_model
 
 __all__ = [
-    "AutotuneResult",
-    "BatchCandidate",
-    "BatchTuningResult",
-    "CoalescingCandidate",
-    "CoalescingTuningResult",
-    "DEFAULT_BATCH_CANDIDATES",
     "PerformanceDatabase",
-    "PlacementDecision",
-    "RUNTIME_RESERVE_FRACTION",
-    "ShardPlan",
-    "TunerComparison",
-    "TuningResult",
-    "activation_buffer_bytes",
     "ann_tune",
     "autotune_model",
     "compare_tuners",
@@ -57,7 +24,6 @@ __all__ = [
     "measure_variant",
     "plan_sharding",
     "required_shards",
-    "shard_throughput_tax",
     "surrogate_tune",
     "tune_batch_size",
     "tune_coalescing",

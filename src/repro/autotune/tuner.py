@@ -70,7 +70,6 @@ def autotune_model(
     kernel_database: Optional[PerformanceDatabase] = None,
     model_name: str = "model",
     registry: Optional[MetricsRegistry] = None,
-    use_surrogate: bool = False,
     surrogate=None,
     surrogate_top_k: int = 16,
 ) -> AutotuneResult:
@@ -80,20 +79,17 @@ def autotune_model(
     it every distinct shape is tuned exhaustively (and a database is
     built as a side effect for subsequent models).
 
-    ``use_surrogate=True`` (with a fitted
-    :class:`~repro.surrogate.model.GemmSurrogate`) replaces both kernel
-    search paths with verified surrogate tuning: the surrogate ranks
-    the variant catalog, the exact cost model re-measures the predicted
-    top ``surrogate_top_k``, and every deployed variant's
-    ``kernel_time_s`` is an exact evaluation.  Off by default and
-    byte-identical when off.
+    A fitted :class:`~repro.surrogate.model.GemmSurrogate` as
+    ``surrogate`` replaces both kernel search paths with verified
+    surrogate tuning: the surrogate ranks the variant catalog, the exact
+    cost model re-measures the predicted top ``surrogate_top_k``, and
+    every deployed variant's ``kernel_time_s`` is an exact evaluation.
+    ``surrogate=None`` (the default) is the exact path.
 
     An attached registry records the pass's shape: kernel measurements
     spent (exhaustive vs ANN vs verified-surrogate), FC ops covered,
     and per-stage wall time (``autotune.tuner.*``).
     """
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     obs = active(registry)
     started = time.perf_counter() if obs.enabled else 0.0
     probe_graph = build_graph(512)
@@ -121,7 +117,7 @@ def autotune_model(
         if shape in seen_shapes:
             variants[op.name] = seen_shapes[shape]
             continue
-        if use_surrogate:
+        if surrogate is not None:
             result = surrogate_tune(
                 shape, chip, surrogate, top_k=surrogate_top_k,
                 memo=memo, registry=registry,

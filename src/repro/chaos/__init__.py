@@ -22,13 +22,9 @@ from repro.chaos.brownout import (
     default_ladder,
     measure_ladder_quality,
     quality_cost_of_run,
-    rung_backends,
 )
 from repro.chaos.campaign import (
     CampaignConfig,
-    CampaignResult,
-    GoodputWindow,
-    ScenarioOutcome,
     run_campaign,
     run_scenario,
     smoke_config,
@@ -44,24 +40,14 @@ from repro.chaos.domains import (
     thermal_emergency,
     thermal_slow_factor,
 )
-from repro.chaos.scenarios import (
-    STORM_CLIENT,
-    ChaosScenario,
-    scenario_by_name,
-    standard_catalog,
-)
+from repro.chaos.scenarios import scenario_by_name, standard_catalog
 
 __all__ = [
     "BrownoutConfig",
     "BrownoutController",
     "BrownoutRung",
     "CampaignConfig",
-    "CampaignResult",
-    "ChaosScenario",
     "FaultDomainTopology",
-    "GoodputWindow",
-    "STORM_CLIENT",
-    "ScenarioOutcome",
     "default_ladder",
     "firmware_rollout",
     "host_failure",
@@ -73,7 +59,6 @@ __all__ = [
     "rack_failure",
     "run_campaign",
     "run_scenario",
-    "rung_backends",
     "scenario_by_name",
     "smoke_config",
     "standard_catalog",

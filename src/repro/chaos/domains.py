@@ -124,11 +124,6 @@ class FaultDomainTopology:
             if self.power_domain_of(r) == domain
         )
 
-    def hosts_in_power_domain(self, domain: int) -> Tuple[int, ...]:
-        return tuple(sorted({
-            self.host_of(r) for r in self.replicas_in_power_domain(domain)
-        }))
-
     def _check(self, replica_id: int) -> None:
         if not (0 <= replica_id < self.replicas):
             raise ValueError(f"replica {replica_id} outside topology")

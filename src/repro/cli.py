@@ -551,8 +551,7 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
             registry = MetricsRegistry()
             guided = replicas_needed(
                 "po2", qps, service, duration_s=8.0, max_replicas=48,
-                seed=args.seed, use_surrogate=True,
-                surrogate=cap_surrogate, registry=registry,
+                seed=args.seed, surrogate=cap_surrogate, registry=registry,
             )
             exact = replicas_needed(
                 "po2", qps, service, duration_s=8.0, max_replicas=48,
@@ -574,8 +573,7 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
         registry = MetricsRegistry()
         guided_sweep = power_limited_capacity_sweep(
             service, budgets, replicas=8, duration_s=10.0, seed=args.seed,
-            use_surrogate=True, surrogate=power_surrogate,
-            registry=registry,
+            surrogate=power_surrogate, registry=registry,
         )
         exact_sweep = power_limited_capacity_sweep(
             service, budgets, replicas=8, duration_s=10.0, seed=args.seed,

@@ -16,26 +16,14 @@ takes are the shared recovery vocabulary of
 
 from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
 from repro.cluster.capacity import (
-    CapacityPoint,
-    CapacitySweep,
     autoscaled_day,
     capacity_sweep,
     locality_comparison,
-    max_qps_at_slo,
     policy_comparison,
-    replicas_needed,
 )
 from repro.cluster.locality import ShardLocalityMap
-from repro.cluster.provisioning import HostPool, ReplicaGrant
-from repro.cluster.routing import (
-    POLICY_NAMES,
-    LeastOutstandingPolicy,
-    LocalityAwarePolicy,
-    PowerOfTwoPolicy,
-    RoundRobinPolicy,
-    RoutingPolicy,
-    make_policy,
-)
+from repro.cluster.provisioning import HostPool
+from repro.cluster.routing import POLICY_NAMES, make_policy
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import (
     INJECTION_KINDS,
@@ -51,8 +39,6 @@ from repro.cluster.simulator import (
 __all__ = [
     "Autoscaler",
     "AutoscalerConfig",
-    "CapacityPoint",
-    "CapacitySweep",
     "ClusterConfig",
     "ClusterReport",
     "ClusterSimulator",
@@ -60,13 +46,7 @@ __all__ = [
     "INJECTION_KINDS",
     "Injection",
     "injection_sort_key",
-    "LeastOutstandingPolicy",
-    "LocalityAwarePolicy",
     "POLICY_NAMES",
-    "PowerOfTwoPolicy",
-    "ReplicaGrant",
-    "RoundRobinPolicy",
-    "RoutingPolicy",
     "ServiceModel",
     "ShardLocalityMap",
     "autoscaled_day",
@@ -75,8 +55,6 @@ __all__ = [
     "fault_rate_from_reliability",
     "locality_comparison",
     "make_policy",
-    "max_qps_at_slo",
     "policy_comparison",
-    "replicas_needed",
     "run_cluster",
 ]

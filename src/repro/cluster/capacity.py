@@ -168,7 +168,6 @@ def replicas_needed(
     max_replicas: int = 96,
     seed: int = 0,
     admission: Optional[AdmissionConfig] = None,
-    use_surrogate: bool = False,
     surrogate=None,
     registry=None,
 ) -> CapacityPoint:
@@ -183,8 +182,8 @@ def replicas_needed(
     with or without the flag, so the returned point (and its report
     statistics) match the exhaustive search byte for byte.
 
-    ``use_surrogate=True`` (with a fitted capacity
-    :class:`~repro.surrogate.model.SurrogateModel`, see
+    A fitted capacity :class:`~repro.surrogate.model.SurrogateModel` as
+    ``surrogate`` (see
     :func:`repro.surrogate.dataset.train_capacity_surrogate`) keeps the
     answer exact but replaces the scan's *starting point*: the surrogate
     predicts the replica count and
@@ -193,12 +192,11 @@ def replicas_needed(
     monotone-feasibility assumption the linear scan already relies on,
     the returned point is identical — only the number of cluster
     simulations spent changes (tallied under ``surrogate.capacity.*``
-    on an attached registry).
+    on an attached registry).  ``surrogate=None`` (the default) is the
+    linear scan.
     """
     if offered_qps <= 0:
         raise ValueError("offered QPS must be positive")
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     requests = _stream(offered_qps, duration_s, seed)
     floor = max(1, math.ceil(offered_qps * service.mean_service_s))
 
@@ -224,7 +222,7 @@ def replicas_needed(
             feasible=True,
         )
 
-    if use_surrogate:
+    if surrogate is not None:
         from repro.obs.metrics import active
         from repro.surrogate.features import capacity_feature_row
         from repro.surrogate.verify import verified_min_feasible
@@ -303,7 +301,7 @@ def _sweep_row(args: Tuple) -> Tuple[CapacityPoint, ...]:
                 policy, qps, service,
                 p99_slo_s=p99_slo_s, locality=locality,
                 duration_s=duration_s, seed=seed,
-                use_surrogate=surrogate is not None, surrogate=surrogate,
+                surrogate=surrogate,
             )
             for policy in policies
         )
@@ -320,7 +318,6 @@ def capacity_sweep(
     duration_s: float = 40.0,
     seed: int = 0,
     processes: Optional[int] = None,
-    use_surrogate: bool = False,
     surrogate=None,
 ) -> CapacitySweep:
     """The full hosts-vs-QPS grid, one seeded run per cell step.
@@ -334,19 +331,17 @@ def capacity_sweep(
     each cell's randomness is a pure function of its arguments.  Points
     come back policy-major, in ``policies`` then ``qps_points`` order.
 
-    ``use_surrogate=True`` forwards a fitted capacity surrogate into
-    every cell (see :func:`replicas_needed`): the grid's points are
-    unchanged, only the simulations-per-cell count drops.
+    A fitted capacity ``surrogate`` goes into every cell (see
+    :func:`replicas_needed`): the grid's points are unchanged, only the
+    simulations-per-cell count drops.  ``surrogate=None`` (the default)
+    is exact.
     """
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     if any(qps <= 0 for qps in qps_points):
         raise ValueError("offered QPS must be positive")
     distinct = tuple(dict.fromkeys(policies))
     groups = [distinct] if processes is None else [(p,) for p in distinct]
     rows = [
-        (qps, group, service, p99_slo_s, locality, duration_s, seed,
-         surrogate if use_surrogate else None)
+        (qps, group, service, p99_slo_s, locality, duration_s, seed, surrogate)
         for qps in dict.fromkeys(qps_points)
         for group in groups
     ]

@@ -20,12 +20,7 @@ searches for the next one.)
 CLI: ``python -m repro codesign [--smoke]``.
 """
 
-from repro.codesign.objectives import (
-    CODESIGN_P99_SLO_S,
-    CandidateEval,
-    CodesignObjective,
-    ModelScore,
-)
+from repro.codesign.objectives import CandidateEval, CodesignObjective
 from repro.codesign.pareto import (
     dominates,
     front_ranks,
@@ -37,28 +32,14 @@ from repro.codesign.proposal import (
     proposal_summary,
     result_scalars,
 )
-from repro.codesign.search import (
-    SearchConfig,
-    SearchResult,
-    run_codesign_search,
-)
-from repro.codesign.space import (
-    DesignPoint,
-    DesignSpace,
-    default_space,
-    derive_chip,
-    smoke_space,
-)
+from repro.codesign.search import SearchConfig, run_codesign_search
+from repro.codesign.space import DesignSpace, default_space, derive_chip, smoke_space
 
 __all__ = [
-    "CODESIGN_P99_SLO_S",
     "CandidateEval",
     "CodesignObjective",
-    "DesignPoint",
     "DesignSpace",
-    "ModelScore",
     "SearchConfig",
-    "SearchResult",
     "default_space",
     "derive_chip",
     "dominates",

@@ -1,26 +1,16 @@
 """Lossless compression: rANS weight codec and the GZIP PCIe engine."""
 
 from repro.compression.ans import (
-    AnsEncoded,
-    AnsError,
     ans_decode,
     ans_encode,
     compression_ratio,
     fp16_weight_bytes,
     int8_weight_bytes,
 )
-from repro.compression.pcie import (
-    GZIP_ENGINE_BYTES_PER_S,
-    LinkTransferReport,
-    gzip_ratio,
-    link_transfer,
-)
+from repro.compression.pcie import GZIP_ENGINE_BYTES_PER_S, gzip_ratio, link_transfer
 
 __all__ = [
-    "AnsEncoded",
-    "AnsError",
     "GZIP_ENGINE_BYTES_PER_S",
-    "LinkTransferReport",
     "ans_decode",
     "ans_encode",
     "compression_ratio",

@@ -3,42 +3,17 @@ MTIA-vs-GPU evaluation pipeline, and the section 6 case study."""
 
 from repro.core.casestudy import (
     CaseStudyModelConfig,
-    CaseStudyStage,
     build_case_study_model,
-    consolidation_serving_gain,
     run_case_study,
 )
-from repro.core.codesign import (
-    CodesignResult,
-    Mtia2iSystem,
-    optimize_graph,
-)
-from repro.core.publish import PublishedModel, publish_model
-from repro.core.evaluation import (
-    GPU_HOST_EXPOSURE,
-    MEAN_LOAD_GPU_DEVICES,
-    MTIA_HOST_EXPOSURE,
-    MTIA_POWER_FACTOR,
-    MTIA_SERVING_EFFICIENCY,
-    ModelEvaluation,
-    evaluate_model,
-    gpu_shards_for,
-)
+from repro.core.codesign import Mtia2iSystem, optimize_graph
+from repro.core.publish import publish_model
+from repro.core.evaluation import evaluate_model, gpu_shards_for
 
 __all__ = [
     "CaseStudyModelConfig",
-    "CaseStudyStage",
-    "CodesignResult",
-    "GPU_HOST_EXPOSURE",
-    "MEAN_LOAD_GPU_DEVICES",
-    "MTIA_HOST_EXPOSURE",
-    "MTIA_POWER_FACTOR",
-    "MTIA_SERVING_EFFICIENCY",
-    "ModelEvaluation",
     "Mtia2iSystem",
-    "PublishedModel",
     "build_case_study_model",
-    "consolidation_serving_gain",
     "evaluate_model",
     "gpu_shards_for",
     "optimize_graph",

@@ -30,12 +30,11 @@ parity against them.
 from repro.fastsim.engine import EventEngine
 from repro.fastsim.memo import KernelLatencyMemo
 from repro.fastsim.trials import trial_map
-from repro.fastsim.vectorize import seeded_poisson_arrivals, sorted_percentile
+from repro.fastsim.vectorize import seeded_poisson_arrivals
 
 __all__ = [
     "EventEngine",
     "KernelLatencyMemo",
     "seeded_poisson_arrivals",
-    "sorted_percentile",
     "trial_map",
 ]

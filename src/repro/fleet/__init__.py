@@ -1,48 +1,24 @@
 """Fleet-level models: server contention, allocation, A/B testing."""
 
-from repro.fleet.abtest import (
-    AbTestResult,
-    SyntheticCtrModel,
-    normalized_entropy,
-    run_ab_test,
-)
-from repro.fleet.allocator import (
-    Allocation,
-    AllocationError,
-    FragmentationStats,
-    NumaAllocator,
-)
-from repro.fleet.colocation import (
-    ColocationRequest,
-    ColocationResult,
-    PlacedModel,
-    colocate,
-)
+from repro.fleet.abtest import SyntheticCtrModel, normalized_entropy, run_ab_test
+from repro.fleet.allocator import AllocationError, NumaAllocator
+from repro.fleet.colocation import ColocationRequest, colocate
 from repro.fleet.server_sim import (
     HOST_DRAM_AMPLIFICATION_NAIVE,
     HOST_DRAM_AMPLIFICATION_OPTIMIZED,
-    HostContentionResult,
-    UtilizationResult,
     host_dram_contention,
     production_gain,
     production_utilization,
 )
 
 __all__ = [
-    "AbTestResult",
-    "Allocation",
     "AllocationError",
     "ColocationRequest",
-    "ColocationResult",
-    "FragmentationStats",
-    "PlacedModel",
     "colocate",
     "HOST_DRAM_AMPLIFICATION_NAIVE",
     "HOST_DRAM_AMPLIFICATION_OPTIMIZED",
-    "HostContentionResult",
     "NumaAllocator",
     "SyntheticCtrModel",
-    "UtilizationResult",
     "host_dram_contention",
     "normalized_entropy",
     "production_gain",

@@ -15,14 +15,8 @@ question (:mod:`~repro.fleet_global.capacity`).
 allocator from the earlier PRs.)
 """
 
-from repro.fleet_global.capacity import (
-    CapacityPoint,
-    CapacityStudy,
-    run_capacity_study,
-    smoke_study,
-)
+from repro.fleet_global.capacity import run_capacity_study, smoke_study
 from repro.fleet_global.drills import (
-    DrillSchedule,
     RegionEvent,
     build_drill,
     global_firmware_rollout,
@@ -41,23 +35,14 @@ from repro.fleet_global.regions import (
     standard_fleet,
     standard_regions,
 )
-from repro.fleet_global.simulator import (
-    FleetReport,
-    RegionOutcome,
-    run_fleet,
-)
+from repro.fleet_global.simulator import run_fleet
 
 __all__ = [
     "Assignment",
-    "CapacityPoint",
-    "CapacityStudy",
-    "DrillSchedule",
     "FailoverConfig",
     "FleetConfig",
-    "FleetReport",
     "HealthMonitor",
     "RegionEvent",
-    "RegionOutcome",
     "RegionSpec",
     "SpillRouter",
     "build_drill",

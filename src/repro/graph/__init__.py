@@ -1,8 +1,7 @@
 """Model graph IR: operators, graphs, liveness, and optimization passes."""
 
-from repro.graph.graph import GraphError, Liveness, OpGraph
+from repro.graph.graph import GraphError, OpGraph
 from repro.graph.ops import (
-    Op,
     OpType,
     broadcast,
     cast,
@@ -24,8 +23,6 @@ from repro.graph.ops import (
 
 __all__ = [
     "GraphError",
-    "Liveness",
-    "Op",
     "OpGraph",
     "OpType",
     "broadcast",

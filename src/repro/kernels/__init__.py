@@ -10,20 +10,13 @@ from repro.kernels.gemm import (
     gemm_efficiency,
     naive_variant,
 )
-from repro.kernels.layout import (
-    estimate_cast,
-    estimate_copy,
-    estimate_quantize,
-    estimate_transpose,
-)
 from repro.kernels.normalization import (
     LAYERNORM_PASSES,
     SOFTMAX_PASSES,
-    estimate_elementwise,
     estimate_layernorm,
     estimate_softmax,
 )
-from repro.kernels.registry import FUSION_PIPELINE_FACTOR, estimate_op
+from repro.kernels.registry import estimate_op
 from repro.kernels.tbe import (
     EmbeddingAccessPattern,
     estimate_tbe,
@@ -32,25 +25,19 @@ from repro.kernels.tbe import (
 
 __all__ = [
     "EmbeddingAccessPattern",
-    "FUSION_PIPELINE_FACTOR",
     "GemmVariant",
     "KernelEstimate",
     "LAYERNORM_PASSES",
     "SOFTMAX_PASSES",
     "Stationarity",
     "default_variants",
-    "estimate_cast",
-    "estimate_copy",
-    "estimate_elementwise",
     "estimate_gemm",
     "estimate_hstu_attention",
     "estimate_layernorm",
     "estimate_mha",
     "estimate_op",
-    "estimate_quantize",
     "estimate_softmax",
     "estimate_tbe",
-    "estimate_transpose",
     "gemm_efficiency",
     "naive_variant",
     "simulate_tbe_hit_rate",

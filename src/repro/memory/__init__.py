@@ -9,22 +9,14 @@ from repro.memory.hierarchy import (
     Traffic,
     partition_for_activations,
 )
-from repro.memory.scratch import (
-    AllocationPlan,
-    BufferRequest,
-    Placement as ScratchPlacement,
-    ScratchAllocator,
-    plan_allocation,
-)
+from repro.memory.scratch import BufferRequest, ScratchAllocator, plan_allocation
 
 __all__ = [
-    "AllocationPlan",
     "BufferRequest",
     "CacheStats",
     "MemoryHierarchy",
     "Placement",
     "ScratchAllocator",
-    "ScratchPlacement",
     "SetAssociativeCache",
     "SramPartition",
     "Traffic",

@@ -46,12 +46,6 @@ class CacheStats:
         """Fraction of accesses that hit; 0.0 if no accesses yet."""
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def byte_hit_rate(self) -> float:
-        """Fraction of bytes served from the cache."""
-        total = self.bytes_hit + self.bytes_missed
-        return self.bytes_hit / total if total else 0.0
-
     def reset(self) -> None:
         """Zero all counters."""
         self.hits = self.misses = self.evictions = self.dirty_writebacks = 0

@@ -2,26 +2,14 @@
 
 from repro.models.dhen import DhenConfig, build_dhen
 from repro.models.dlrm import DlrmConfig, EmbeddingBagConfig, build_dlrm, small_dlrm
-from repro.models.hstu import HstuConfig, build_hstu, hstu_flops_per_request
+from repro.models.hstu import HstuConfig, build_hstu
 from repro.models.wukong import WukongConfig, build_wukong, scaling_sweep
 from repro.models.zoo import (
-    Table1Row,
-    ZooModel,
-    early_stage_model,
     figure6_models,
     hc1,
     hc2,
     hc3,
-    hc4,
-    hstu_ranking_model,
-    hstu_retrieval_model,
-    late_stage_model,
     lc1,
-    lc2,
-    lc3,
-    lc4,
-    lc5,
-    retrieval_model,
     table1_models,
     table1_row,
 )
@@ -31,29 +19,16 @@ __all__ = [
     "DlrmConfig",
     "EmbeddingBagConfig",
     "HstuConfig",
-    "Table1Row",
     "WukongConfig",
-    "ZooModel",
     "build_dhen",
     "build_dlrm",
     "build_hstu",
     "build_wukong",
-    "early_stage_model",
     "figure6_models",
     "hc1",
     "hc2",
     "hc3",
-    "hc4",
-    "hstu_flops_per_request",
-    "hstu_ranking_model",
-    "hstu_retrieval_model",
-    "late_stage_model",
     "lc1",
-    "lc2",
-    "lc3",
-    "lc4",
-    "lc5",
-    "retrieval_model",
     "scaling_sweep",
     "small_dlrm",
     "table1_models",

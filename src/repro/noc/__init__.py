@@ -1,19 +1,11 @@
 """Network-on-chip model: shaping, fragmentation, and fabric contention."""
 
 from repro.noc.fabric import Flow, NocFabric, mtia_fabric
-from repro.noc.fragmentation import (
-    DEFAULT_HEADER_BYTES,
-    DEFAULT_MAX_FRAGMENT_BYTES,
-    FragmentationResult,
-    fragment,
-)
+from repro.noc.fragmentation import fragment
 from repro.noc.shaping import LeakyBucketShaper, Packet, smoothness
 
 __all__ = [
-    "DEFAULT_HEADER_BYTES",
-    "DEFAULT_MAX_FRAGMENT_BYTES",
     "Flow",
-    "FragmentationResult",
     "LeakyBucketShaper",
     "NocFabric",
     "Packet",

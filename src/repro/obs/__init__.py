@@ -15,58 +15,14 @@ actually *evidenced* (every section 4-5 claim is a measurement):
   enforces.
 """
 
-from repro.obs.bench import (
-    BenchDiff,
-    DiffEntry,
-    aggregate,
-    diff_results,
-    dump_json,
-    golden_violations,
-    load_results,
-    load_scalar_documents,
-    normalize_text,
-    write_results,
-    write_scalars,
-)
-from repro.obs.golden import GOLDEN_SCALARS
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    active,
-)
-from repro.obs.tracing import (
-    TraceError,
-    TraceWriter,
-    trace_metadata,
-    write_trace_json,
-)
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, active
+from repro.obs.tracing import TraceError, TraceWriter, trace_metadata
 
 __all__ = [
-    "BenchDiff",
-    "Counter",
-    "DiffEntry",
-    "GOLDEN_SCALARS",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "Series",
     "TraceError",
     "TraceWriter",
     "active",
-    "aggregate",
-    "diff_results",
-    "dump_json",
-    "golden_violations",
-    "load_results",
-    "load_scalar_documents",
-    "normalize_text",
     "trace_metadata",
-    "write_results",
-    "write_scalars",
-    "write_trace_json",
 ]

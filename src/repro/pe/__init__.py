@@ -21,41 +21,24 @@ from repro.pe.reduction import (
     cross_pe_reduce_time,
     rowwise_minmax,
 )
-from repro.pe.riscv import (
-    IssueEstimate,
-    RiscvVectorConfig,
-    gemm_issue,
-    tbe_issue,
-    vector_kernel_issue,
-)
+from repro.pe.riscv import RiscvVectorConfig, gemm_issue, tbe_issue, vector_kernel_issue
 from repro.pe.simd import (
-    LUT_FUNCTIONS,
-    SimdConfig,
     elementwise_time,
     lut_approximation,
     lut_gather_time,
     mtia2i_simd_config,
 )
-from repro.pe.wqe import (
-    LaunchTimeline,
-    eager_launch_timeline,
-    eager_viable,
-    launch_reduction,
-)
+from repro.pe.wqe import eager_launch_timeline, eager_viable, launch_reduction
 
 __all__ = [
     "CircularBuffer",
     "CircularBufferError",
     "DmaConfig",
     "DpeConfig",
-    "IssueEstimate",
-    "LUT_FUNCTIONS",
-    "LaunchTimeline",
     "MluConfig",
     "PipelineStage",
     "ReductionConfig",
     "RiscvVectorConfig",
-    "SimdConfig",
     "accumulate_time",
     "cross_pe_reduce_time",
     "dma_time",

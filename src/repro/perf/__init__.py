@@ -1,18 +1,9 @@
 """Performance model: executor, roofline, LLM feasibility, metrics."""
 
-from repro.perf.executor import (
-    DRAM_EFFICIENCY_DEMAND,
-    DRAM_EFFICIENCY_PREFETCH,
-    ExecutionReport,
-    Executor,
-    OpProfile,
-)
+from repro.perf.executor import Executor
 from repro.perf.llm import (
     DECODE_REQUIREMENT_S,
     TTFT_REQUIREMENT_S,
-    LlmConfig,
-    LlmFeasibility,
-    LlmPhaseReport,
     decode_report,
     evaluate_llm,
     llama2_7b,
@@ -20,19 +11,10 @@ from repro.perf.llm import (
     llama3_8b,
     prefill_report,
 )
-from repro.perf.freshness import (
-    FreshnessReport,
-    freshness_quality_gain,
-    weight_update_latency,
-)
-from repro.perf.metrics import (
-    ModelEfficiency,
-    compare_reports,
-    efficiency_from_report,
-)
+from repro.perf.freshness import freshness_quality_gain, weight_update_latency
+from repro.perf.metrics import compare_reports, efficiency_from_report
 from repro.perf.trace import summarize_trace, to_chrome_trace, write_chrome_trace
 from repro.perf.roofline import (
-    RooflinePoint,
     attainable,
     dual_roofline,
     ridge_point,
@@ -42,19 +24,9 @@ from repro.perf.roofline import (
 
 __all__ = [
     "DECODE_REQUIREMENT_S",
-    "DRAM_EFFICIENCY_DEMAND",
-    "DRAM_EFFICIENCY_PREFETCH",
-    "ExecutionReport",
     "Executor",
-    "FreshnessReport",
     "freshness_quality_gain",
     "weight_update_latency",
-    "LlmConfig",
-    "LlmFeasibility",
-    "LlmPhaseReport",
-    "ModelEfficiency",
-    "OpProfile",
-    "RooflinePoint",
     "TTFT_REQUIREMENT_S",
     "attainable",
     "compare_reports",

@@ -22,22 +22,13 @@ loop in the time domain —
 """
 
 from repro.power.activity import (
-    PowerSegment,
-    PowerTrace,
     activity_trace,
     chip_power_w,
     dynamic_power_w,
     utilization_profile,
 )
-from repro.power.capping import (
-    CappingComparison,
-    PerChipCapController,
-    ServerCapController,
-    capping_study,
-    water_fill,
-)
+from repro.power.capping import capping_study, water_fill
 from repro.power.cluster_link import (
-    PowerLimitedSweep,
     ThrottleSchedule,
     power_limited_capacity_sweep,
     service_model_at_budget,
@@ -50,42 +41,28 @@ from repro.power.dvfs import (
     calibrate_throughput,
     overclock_with_thermal_feedback,
 )
-from repro.power.provisioning import (
-    TimeDomainProvisioning,
-    time_domain_provisioning,
-)
+from repro.power.provisioning import time_domain_provisioning
 from repro.power.thermal import (
     THROTTLE_LIMIT_C,
-    THROTTLE_TARGET_C,
     RcStage,
     ThermalNetwork,
-    gpu_thermal,
     mtia2i_thermal,
 )
 
 __all__ = [
     "DEFAULT_LADDER_HZ",
     "THROTTLE_LIMIT_C",
-    "THROTTLE_TARGET_C",
-    "CappingComparison",
     "DvfsConfig",
     "DvfsGovernor",
-    "PerChipCapController",
-    "PowerLimitedSweep",
-    "PowerSegment",
-    "PowerTrace",
     "RcStage",
-    "ServerCapController",
     "ThermalNetwork",
     "ThrottleSchedule",
     "ThroughputCurve",
-    "TimeDomainProvisioning",
     "activity_trace",
     "calibrate_throughput",
     "capping_study",
     "chip_power_w",
     "dynamic_power_w",
-    "gpu_thermal",
     "mtia2i_thermal",
     "overclock_with_thermal_feedback",
     "power_limited_capacity_sweep",

@@ -92,10 +92,6 @@ class CapOutcome:
     def p99_deficit(self) -> float:
         return float(np.percentile(self.deficits, 99))
 
-    @property
-    def mean_power_w(self) -> float:
-        return float(np.mean(self.power_w))
-
     def scalars(self) -> Dict[str, float]:
         return {
             f"{self.policy}_p99_deficit": self.p99_deficit,

@@ -246,7 +246,6 @@ def power_limited_capacity_sweep(
     duration_s: float = 20.0,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
-    use_surrogate: bool = False,
     surrogate=None,
 ) -> PowerLimitedSweep:
     """Sweep rack budget → sustainable QPS at the P99 SLO.
@@ -259,21 +258,19 @@ def power_limited_capacity_sweep(
     more watts → same-or-higher frequency → stochastically faster
     service on the identical arrival stream.
 
-    ``use_surrogate=True`` (with a fitted power
-    :class:`~repro.surrogate.model.SurrogateModel`, see
-    :func:`repro.surrogate.dataset.train_power_surrogate`) replaces the
-    per-budget step-down scan with the verified guided search
+    A fitted power :class:`~repro.surrogate.model.SurrogateModel` as
+    ``surrogate`` (see :func:`repro.surrogate.dataset.train_power_surrogate`)
+    replaces the per-budget step-down scan with the verified guided search
     (:func:`_guided_max_qps_at_slo`): identical sweep points whenever
     feasibility is monotone in load (see that function's caveat), with
     fewer cluster simulations, tallied under ``surrogate.power.*``.
+    ``surrogate=None`` (the default) is the exact scan.
     """
     if replicas <= 0:
         raise ValueError("need at least one replica")
-    if use_surrogate and surrogate is None:
-        raise ValueError("use_surrogate=True needs a fitted surrogate")
     chip = chip or mtia2i_spec()
     obs = active(registry)
-    if use_surrogate:
+    if surrogate is not None:
         from repro.surrogate.features import power_feature_row
     points = []
     for budget in sorted(server_budgets_w):
@@ -281,7 +278,7 @@ def power_limited_capacity_sweep(
         scaled, frequency = service_model_at_budget(
             service, per_chip, chip=chip, ladder_hz=ladder_hz
         )
-        if use_surrogate:
+        if surrogate is not None:
             row = power_feature_row(
                 scaled.mean_service_s, replicas, p99_slo_s, duration_s,
                 scaled.jitter_sigma,

@@ -1,13 +1,7 @@
 """Dynamic INT8 quantization: numerics and performance analysis."""
 
-from repro.quant.analysis import (
-    FcQuantizationReport,
-    ModelQuantizationPlan,
-    fc_quantization_report,
-    plan_model_quantization,
-)
+from repro.quant.analysis import fc_quantization_report, plan_model_quantization
 from repro.quant.sparsity import (
-    SparsityImpact,
     natural_sparsity,
     prune_2_4,
     satisfies_2_4,
@@ -17,8 +11,6 @@ from repro.quant.sparsity import (
 from repro.quant.int8 import (
     ACCUMULATOR_DTYPE,
     INT32_ACC_MAX,
-    INT8_MAX,
-    QuantizedTensor,
     accumulate_int8,
     dequantize_accumulator,
     fp16_matmul_error,
@@ -33,11 +25,7 @@ from repro.quant.int8 import (
 
 __all__ = [
     "ACCUMULATOR_DTYPE",
-    "FcQuantizationReport",
     "INT32_ACC_MAX",
-    "INT8_MAX",
-    "ModelQuantizationPlan",
-    "QuantizedTensor",
     "accumulate_int8",
     "dequantize_accumulator",
     "fc_quantization_report",
@@ -50,7 +38,6 @@ __all__ = [
     "quantize_rowwise",
     "quantize_weights_static",
     "quantized_matmul",
-    "SparsityImpact",
     "natural_sparsity",
     "prune_2_4",
     "satisfies_2_4",

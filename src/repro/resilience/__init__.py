@@ -18,34 +18,18 @@ bucket, circuit breakers) the cluster and chaos tiers arm.  Its names
 are imported from that module, not from this package.
 """
 
-from repro.resilience.device import (
-    Device,
-    DeviceState,
-    PoolCensus,
-    TransitionError,
-    downed_device_minutes,
-)
+from repro.resilience.device import Device, DeviceState, PoolCensus, TransitionError
 from repro.resilience.events import Event, EventKind, EventLog
 from repro.resilience.faults import (
-    FAULT_FAMILIES,
     FaultRates,
     fault_rates_from_reliability,
     presample_fault_arrivals,
 )
-from repro.resilience.metrics import (
-    IntervalMetrics,
-    ResilienceReport,
-    evaluate_interval,
-)
-from repro.resilience.scenario import (
-    DrillResult,
-    run_section_55_drill,
-    section_55_policies,
-)
+from repro.resilience.metrics import IntervalMetrics, evaluate_interval
+from repro.resilience.scenario import run_section_55_drill
 from repro.resilience.simulator import (
     ResilienceConfig,
     ResilienceSimulator,
-    calibrate_base_latency,
     run_resilience,
 )
 from repro.resilience.trace import to_resilience_trace, write_resilience_trace
@@ -53,26 +37,20 @@ from repro.resilience.trace import to_resilience_trace, write_resilience_trace
 __all__ = [
     "Device",
     "DeviceState",
-    "DrillResult",
     "Event",
     "EventKind",
     "EventLog",
-    "FAULT_FAMILIES",
     "FaultRates",
     "IntervalMetrics",
     "PoolCensus",
     "ResilienceConfig",
-    "ResilienceReport",
     "ResilienceSimulator",
     "TransitionError",
-    "calibrate_base_latency",
-    "downed_device_minutes",
     "evaluate_interval",
     "fault_rates_from_reliability",
     "presample_fault_arrivals",
     "run_resilience",
     "run_section_55_drill",
-    "section_55_policies",
     "to_resilience_trace",
     "write_resilience_trace",
 ]

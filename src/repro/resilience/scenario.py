@@ -69,11 +69,6 @@ class DrillResult:
     mitigated: ResilienceReport
 
     @property
-    def baseline_slo_trip_s(self) -> Optional[float]:
-        """When the unmitigated pool crossed into SLO risk."""
-        return self.baseline.first_slo_trip_s
-
-    @property
     def recovered(self) -> bool:
         """Whether the mitigated arm ended >= 99% of baseline goodput."""
         return self.mitigated.recovered(0.99)

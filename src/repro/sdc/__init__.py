@@ -15,20 +15,9 @@ latencies then replace the PR-1 resilience simulator's assumed SDC
 constants (:mod:`repro.sdc.resilience_link`).
 """
 
-from repro.sdc.campaign import (
-    ABFT_GEMM_SHAPE,
-    CampaignConfig,
-    CampaignResult,
-    ProfileSummary,
-    RANGE_GUARD_OVERHEAD,
-    TrialOutcome,
-    profile_overhead_fraction,
-    run_campaign,
-)
+from repro.sdc.campaign import CampaignConfig, run_campaign
 from repro.sdc.detectors import (
-    DETECTOR_ORDER,
     ProtectionProfile,
-    WordReadResult,
     abft_activation_checksum,
     abft_col_check,
     abft_overhead_fraction,
@@ -42,50 +31,23 @@ from repro.sdc.detectors import (
     triple_flip_escape_rate,
     verify_row_hashes,
 )
-from repro.sdc.pipeline import (
-    CtrServingPipeline,
-    PipelineState,
-    RequestSlice,
-    ServeResult,
-)
-from repro.sdc.resilience_link import (
-    DEFAULT_UNDETECTED_WINDOW_S,
-    expected_blast_window_s,
-    sdc_fault_rates,
-)
-from repro.sdc.screening import (
-    FleetScreeningModel,
-    margin_shortfall_fraction,
-)
+from repro.sdc.pipeline import CtrServingPipeline
+from repro.sdc.resilience_link import expected_blast_window_s, sdc_fault_rates
+from repro.sdc.screening import FleetScreeningModel
 from repro.sdc.sites import (
     CorruptionSite,
     DEFAULT_SITE_WEIGHTS,
-    Injection,
-    MEMORY_FLIP_COUNT_WEIGHTS,
     plan_injections,
     sites_in,
 )
 
 __all__ = [
-    "ABFT_GEMM_SHAPE",
     "CampaignConfig",
-    "CampaignResult",
     "CorruptionSite",
     "CtrServingPipeline",
     "DEFAULT_SITE_WEIGHTS",
-    "DEFAULT_UNDETECTED_WINDOW_S",
-    "DETECTOR_ORDER",
     "FleetScreeningModel",
-    "Injection",
-    "MEMORY_FLIP_COUNT_WEIGHTS",
-    "PipelineState",
-    "ProfileSummary",
     "ProtectionProfile",
-    "RANGE_GUARD_OVERHEAD",
-    "RequestSlice",
-    "ServeResult",
-    "TrialOutcome",
-    "WordReadResult",
     "abft_activation_checksum",
     "abft_col_check",
     "abft_overhead_fraction",
@@ -94,9 +56,7 @@ __all__ = [
     "accumulator_bound",
     "expected_blast_window_s",
     "hash_rows",
-    "margin_shortfall_fraction",
     "plan_injections",
-    "profile_overhead_fraction",
     "read_word_through_ecc",
     "read_word_unprotected",
     "run_campaign",

@@ -110,10 +110,6 @@ class ProfileSummary:
     def coverage(self) -> float:
         return self.detected / self.trials
 
-    @property
-    def undetected_ne_impacting_fraction(self) -> float:
-        return self.undetected_ne_impacting / self.trials
-
 
 @dataclasses.dataclass(frozen=True)
 class CampaignResult:

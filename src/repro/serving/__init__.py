@@ -1,31 +1,14 @@
 """Serving simulation: traffic, coalescing, device scheduling, SLOs."""
 
-from repro.serving.batcher import (
-    Batch,
-    CoalescingConfig,
-    CoalescingStats,
-    coalesce,
-    coalescing_stats,
-)
+from repro.serving.batcher import Batch, CoalescingConfig, coalesce, coalescing_stats
 from repro.serving.faults import (
-    FaultImpact,
     PoolState,
     headroom_for_fault_tolerance,
     inject_device_faults,
     queueing_delay_factor,
 )
-from repro.serving.scheduler import (
-    BatchCompletion,
-    ModelJobProfile,
-    ScheduleResult,
-    schedule_batches,
-)
-from repro.serving.simulator import (
-    DEFAULT_P99_SLO_S,
-    ServingOutcome,
-    max_throughput_under_slo,
-    simulate_serving,
-)
+from repro.serving.scheduler import ModelJobProfile, schedule_batches
+from repro.serving.simulator import max_throughput_under_slo, simulate_serving
 from repro.serving.workload import (
     DiurnalTrafficModel,
     Request,
@@ -38,16 +21,10 @@ from repro.serving.workload import (
 
 __all__ = [
     "Batch",
-    "BatchCompletion",
     "CoalescingConfig",
-    "CoalescingStats",
-    "DEFAULT_P99_SLO_S",
-    "FaultImpact",
     "ModelJobProfile",
     "PoolState",
     "Request",
-    "ScheduleResult",
-    "ServingOutcome",
     "DiurnalTrafficModel",
     "coalesce",
     "coalescing_stats",

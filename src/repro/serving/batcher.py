@@ -48,11 +48,6 @@ class Batch:
         """Total samples across coalesced requests."""
         return sum(r.samples for r in self.requests)
 
-    @property
-    def oldest_arrival_s(self) -> float:
-        """Arrival of the earliest request (queueing starts here)."""
-        return min(r.arrival_s for r in self.requests)
-
 
 @dataclasses.dataclass
 class _Window:

@@ -87,11 +87,6 @@ class BatchCompletion:
     remote_done_s: float
     merge_done_s: float
 
-    @property
-    def merge_latency_s(self) -> float:
-        """Time from batch formation to merge completion."""
-        return self.merge_done_s - self.batch.formed_at_s
-
 
 @dataclasses.dataclass(frozen=True)
 class ScheduleResult:

@@ -19,76 +19,42 @@ fast/accurate split those papers argue for:
   or pick starting points, the exact model re-evaluates and certifies,
   and every returned answer is exact-evaluated.
 
-Integrations (all opt-in via ``use_surrogate=``, byte-identical when
-off): ``autotune.kernel_tuner.surrogate_tune`` / ``autotune.tuner``,
-``cluster.capacity.replicas_needed``, and
+Integrations (each takes a fitted ``surrogate=``; ``surrogate=None``,
+the default, is the exact path): ``autotune.kernel_tuner.surrogate_tune``
+/ ``autotune.tuner``, ``cluster.capacity.replicas_needed`` and
+``capacity_sweep``, and
 ``power.cluster_link.power_limited_capacity_sweep``.  CLI:
 ``python -m repro surrogate [--smoke|--train|--sweep]``.
 
 This package never imports ``repro.autotune`` at module level — the
 tuner imports *us*, and the cluster/power integrations import their
-surrogate helpers lazily inside their ``use_surrogate`` branches.
+surrogate helpers lazily inside their ``surrogate is not None`` branches.
 """
 
 from repro.surrogate.dataset import (
     DatasetRecorder,
-    SurrogateDataset,
     collect_executor_dataset,
-    collect_executor_graph_dataset,
     collect_gemm_dataset,
     train_capacity_surrogate,
-    train_executor_surrogate,
     train_gemm_surrogate,
     train_power_surrogate,
 )
-from repro.surrogate.features import (
-    EXECUTOR_FEATURE_NAMES,
-    GEMM_FEATURE_NAMES,
-    GemmFeatureSpace,
-    GraphSummary,
-    capacity_feature_row,
-    executor_feature_row,
-    power_feature_row,
-    summarize_graph,
-)
-from repro.surrogate.model import (
-    BoostedStumps,
-    GemmSurrogate,
-    RidgeRegressor,
-    SurrogateModel,
-    TrainReport,
-)
+from repro.surrogate.features import GemmFeatureSpace
+from repro.surrogate.model import RidgeRegressor, SurrogateModel
 from repro.surrogate.verify import (
-    VerifiedArgmin,
-    argmin_match,
     verified_argmin,
     verified_max_feasible,
     verified_min_feasible,
 )
 
 __all__ = [
-    "BoostedStumps",
     "DatasetRecorder",
-    "EXECUTOR_FEATURE_NAMES",
-    "GEMM_FEATURE_NAMES",
     "GemmFeatureSpace",
-    "GemmSurrogate",
-    "GraphSummary",
     "RidgeRegressor",
-    "SurrogateDataset",
     "SurrogateModel",
-    "TrainReport",
-    "VerifiedArgmin",
-    "argmin_match",
-    "capacity_feature_row",
     "collect_executor_dataset",
-    "collect_executor_graph_dataset",
     "collect_gemm_dataset",
-    "executor_feature_row",
-    "power_feature_row",
-    "summarize_graph",
     "train_capacity_surrogate",
-    "train_executor_surrogate",
     "train_gemm_surrogate",
     "train_power_surrogate",
     "verified_argmin",

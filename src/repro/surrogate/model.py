@@ -400,9 +400,6 @@ class GemmSurrogate:
         self.latency = latency
         self.energy = energy
         self._fast = _FactorizedStack(latency)
-        self._fast_energy = (
-            _FactorizedStack(energy) if energy is not None else None
-        )
 
     @property
     def chip(self) -> ChipSpec:
@@ -415,16 +412,11 @@ class GemmSurrogate:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_fast")
-        state.pop("_fast_energy")
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._fast = _FactorizedStack(self.latency)
-        self._fast_energy = (
-            _FactorizedStack(self.energy) if self.energy is not None
-            else None
-        )
 
     def predict_time_grid(
         self,
@@ -435,17 +427,6 @@ class GemmSurrogate:
         sb, vb, cross = self.space.grid_blocks(shapes, variants)
         pred = self._fast.grid(sb, vb, cross)
         return np.exp2(pred) if self._fast.log_targets else pred
-
-    def predict_energy_grid(
-        self,
-        shapes: Sequence[Tuple[int, int, int]],
-        variants: Sequence[GemmVariant],
-    ) -> np.ndarray:
-        if self._fast_energy is None:
-            raise RuntimeError("no energy model attached")
-        sb, vb, cross = self.space.grid_blocks(shapes, variants)
-        pred = self._fast_energy.grid(sb, vb, cross)
-        return np.exp2(pred) if self._fast_energy.log_targets else pred
 
     def rank_variants(
         self,

@@ -4,10 +4,7 @@ from repro.tco.model import (
     GPU_COST,
     MTIA2I_COST,
     CostInputs,
-    PlatformComparison,
-    TcoBreakdown,
     compare_platforms,
-    derived_cost_inputs,
     measured_server_power_watts,
     perf_per_tco,
     perf_per_watt,
@@ -18,10 +15,7 @@ __all__ = [
     "CostInputs",
     "GPU_COST",
     "MTIA2I_COST",
-    "PlatformComparison",
-    "TcoBreakdown",
     "compare_platforms",
-    "derived_cost_inputs",
     "measured_server_power_watts",
     "perf_per_tco",
     "perf_per_watt",

@@ -192,10 +192,6 @@ class GemmShape:
         )
         return self.flops / total_bytes
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        """The (m, k, n) triple."""
-        return (self.m, self.k, self.n)
-
     def __str__(self) -> str:
         return f"{self.m}x{self.k}x{self.n}"
 

@@ -187,8 +187,7 @@ class TestKernelIntegration:
         build = lc1().graph_at
         off = autotune_model(build, CHIP, model_name="lc1")
         on = autotune_model(
-            build, CHIP, model_name="lc1",
-            use_surrogate=True, surrogate=SURROGATE,
+            build, CHIP, model_name="lc1", surrogate=SURROGATE,
         )
         assert off.kernel_variants.keys() == on.kernel_variants.keys()
         for name, gold in off.kernel_variants.items():
@@ -198,10 +197,6 @@ class TestKernelIntegration:
         evals_off = sum(r.evaluations for r in off.kernel_variants.values())
         evals_on = sum(r.evaluations for r in on.kernel_variants.values())
         assert evals_on < evals_off / 10
-
-    def test_autotune_model_requires_surrogate(self):
-        with pytest.raises(ValueError):
-            autotune_model(lc1().graph_at, CHIP, use_surrogate=True)
 
 
 class TestDataset:
@@ -246,7 +241,7 @@ class TestServingIntegrations:
             )
             on = replicas_needed(
                 "po2", qps, self.SERVICE, duration_s=6.0, max_replicas=40,
-                use_surrogate=True, surrogate=surrogate, registry=registry,
+                surrogate=surrogate, registry=registry,
             )
             assert off == on
         counters = registry.snapshot()["counters"]
@@ -264,7 +259,7 @@ class TestServingIntegrations:
         )
         on = capacity_sweep(
             self.SERVICE, qps_points=(600.0,), policies=("po2",),
-            duration_s=6.0, use_surrogate=True, surrogate=surrogate,
+            duration_s=6.0, surrogate=surrogate,
         )
         assert off == on
 
@@ -280,24 +275,10 @@ class TestServingIntegrations:
         )
         on = power_limited_capacity_sweep(
             self.SERVICE, budgets, replicas=24, duration_s=6.0,
-            use_surrogate=True, surrogate=surrogate, registry=registry,
+            surrogate=surrogate, registry=registry,
         )
         assert off == on
         counters = registry.snapshot()["counters"]
         assert counters["surrogate.power.exact_runs"] <= counters[
             "surrogate.power.linear_scan_runs"
         ]
-
-    def test_use_surrogate_requires_model(self):
-        with pytest.raises(ValueError):
-            replicas_needed(
-                "po2", 100.0, self.SERVICE, use_surrogate=True
-            )
-        with pytest.raises(ValueError):
-            power_limited_capacity_sweep(
-                self.SERVICE, (1200.0,), use_surrogate=True
-            )
-        with pytest.raises(ValueError):
-            capacity_sweep(
-                self.SERVICE, (100.0,), use_surrogate=True
-            )
