@@ -23,6 +23,11 @@ from repro.reliability import (
     staged_detection,
     typical_rollout,
 )
+from repro.reliability.firmware import (
+    EMERGENCY_ROLLOUT_HOURS,
+    OVERRIDE_ROLLOUT_HOURS,
+    TYPICAL_ROLLOUT_DAYS,
+)
 
 
 def _measure():
@@ -68,8 +73,11 @@ def test_sec55_firmware(benchmark, record):
         f"with {detection.servers_exposed:,} servers exposed "
         f"(of {detection.fleet_servers:,})",
         f"rollout wall times: typical {typical_rollout().total_days:.0f} days "
-        f"(paper: 18), emergency {emergency_rollout().total_hours:.1f} h "
-        f"(paper: 3), override {override_rollout().total_hours:.1f} h (paper: 1)",
+        f"(paper: {TYPICAL_ROLLOUT_DAYS}), "
+        f"emergency {emergency_rollout().total_hours:.1f} h "
+        f"(paper: {EMERGENCY_ROLLOUT_HOURS}), "
+        f"override {override_rollout().total_hours:.1f} h "
+        f"(paper: {OVERRIDE_ROLLOUT_HOURS})",
         f"build cadence: {BUILDS_PER_DAY}/day; "
         f"{PAPER_RELEASES_PER_YEAR} fleet releases in 2024 "
         "(vs 1-2/year for third-party GPUs)",

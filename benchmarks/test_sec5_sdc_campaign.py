@@ -18,6 +18,7 @@ from repro.sdc import (
     sdc_fault_rates,
     triple_flip_escape_rate,
 )
+from repro.sdc.campaign import NE_THRESHOLD
 
 
 def _measure():
@@ -32,7 +33,7 @@ def test_sec5_sdc_campaign(benchmark, record, record_json):
     lines = [
         f"{config.trials} injections x {config.requests} requests, "
         f"clean NE {result.clean_ne:.4f}, "
-        f"impact threshold |dNE| > {config.ne_threshold:g}",
+        f"impact threshold |dNE| > {NE_THRESHOLD:g}",
         "fault mix: " + ", ".join(
             f"{site.value}={count}"
             for site, count in result.site_counts.items()
@@ -43,7 +44,7 @@ def test_sec5_sdc_campaign(benchmark, record, record_json):
         "",
     ]
     for summary in result.profiles:
-        rates = sdc_fault_rates(summary, screening=config.screening)
+        rates = sdc_fault_rates(summary)
         lines.append(
             f"{summary.profile.name:<10} -> resilience sdc family: "
             f"{rates.sdc_per_device_hour:.2e}/device-hour, "

@@ -20,6 +20,7 @@ from repro.codesign import (
     proposal_summary,
     run_codesign_search,
 )
+from repro.codesign.search import CHAIN_WEIGHTS
 from repro.models import figure6_models
 from repro.units import GB, GHZ, GiB, MiB
 
@@ -55,7 +56,7 @@ def main() -> None:
         train_chips=6,
     )
     print(f"\nsearching {space.size()} grid points "
-          f"({len(config.chain_weights)} chains x "
+          f"({len(CHAIN_WEIGHTS)} chains x "
           f"{config.iterations} annealing steps)...")
     result = run_codesign_search(
         space, models, config, duration_s=3.0

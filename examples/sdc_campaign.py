@@ -19,6 +19,7 @@ from repro.sdc import (
     sdc_fault_rates,
     triple_flip_escape_rate,
 )
+from repro.sdc.campaign import NE_THRESHOLD
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     result = run_campaign(config)
 
     print(f"clean quantized-path NE: {result.clean_ne:.4f}  "
-          f"(|dNE| > {config.ne_threshold:g} counts as quality-impacting)")
+          f"(|dNE| > {NE_THRESHOLD:g} counts as quality-impacting)")
     print("fault mix:", ", ".join(
         f"{site.value}={count}" for site, count in result.site_counts.items()
     ))
@@ -50,8 +51,7 @@ def main() -> None:
           "corruptions than no protection.")
 
     for name in ("none", "full"):
-        rates = sdc_fault_rates(result.summary_for(name),
-                                screening=config.screening)
+        rates = sdc_fault_rates(result.summary_for(name))
         print(f"resilience linkage [{name:>4}]: "
               f"sdc {rates.sdc_per_device_hour:.2e}/device-hour, "
               f"expected blast window {rates.sdc_blast_window_s:,.1f} s")

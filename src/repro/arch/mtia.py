@@ -28,7 +28,6 @@ _CONTROLLER_ECC_PENALTY = 0.15
 
 def mtia2i_spec(
     frequency_hz: float = 1.35 * GHZ,
-    dram_capacity_bytes: int = 128 * GiB,
     ecc_enabled: bool = True,
 ) -> ChipSpec:
     """The MTIA 2i chip as deployed (overclocked to 1.35 GHz, ECC on).
@@ -80,7 +79,7 @@ def mtia2i_spec(
         ),
         dram=MemoryLevelSpec(
             name="lpddr5",
-            capacity_bytes=dram_capacity_bytes,
+            capacity_bytes=128 * GiB,
             bandwidth_bytes_per_s=204.8 * GB,
             access_latency_s=150e-9,
         ),
@@ -119,7 +118,7 @@ def mtia2i_spec(
     return spec.with_ecc_enabled() if ecc_enabled else spec
 
 
-def mtia1_spec(dram_capacity_bytes: int = 64 * GiB) -> ChipSpec:
+def mtia1_spec() -> ChipSpec:
     """The first-generation MTIA 1 chip (ISCA '23), per Table 2."""
     return ChipSpec(
         name="MTIA 1",
@@ -154,7 +153,7 @@ def mtia1_spec(dram_capacity_bytes: int = 64 * GiB) -> ChipSpec:
         ),
         dram=MemoryLevelSpec(
             name="lpddr5",
-            capacity_bytes=dram_capacity_bytes,
+            capacity_bytes=64 * GiB,
             bandwidth_bytes_per_s=176 * GB,
             access_latency_s=150e-9,
         ),

@@ -21,20 +21,16 @@ from repro.arch.specs import ChipSpec, GemmEngineSpec, MemoryLevelSpec, VectorEn
 from repro.units import GB, GiB, MiB
 
 
-def mtia_nextgen_spec(
-    compute_scale: float = 3.0,
-    sram_capacity_bytes: int = 512 * MiB,
-    dram_bandwidth_bytes_per_s: float = 360 * GB,  # LPDDR5X/6-class
-    dram_capacity_bytes: int = 256 * GiB,
-    tdp_watts: float = 130.0,
-) -> ChipSpec:
+def mtia_nextgen_spec(compute_scale: float = 3.0) -> ChipSpec:
     """Project a next-generation MTIA from the 2i baseline.
 
     Scaling mirrors the published MTIA 1 -> 2i deltas: compute and
     on-chip bandwidth scale together (``compute_scale``), SRAM capacity
-    doubles, and the off-chip link takes the next memory generation's
-    bandwidth rather than HBM (the cost thesis is kept).
+    doubles to 512 MiB, DRAM doubles to 256 GiB, and the off-chip link
+    takes the next memory generation's bandwidth (360 GB/s, LPDDR5X/6
+    class) rather than HBM (the cost thesis is kept), at a 130 W TDP.
     """
+    tdp_watts = 130.0
     base = mtia2i_spec(ecc_enabled=False)
     gemm = GemmEngineSpec(
         peak_flops={d: f * compute_scale for d, f in base.gemm.peak_flops.items()},
@@ -45,14 +41,14 @@ def mtia_nextgen_spec(
     )
     sram = MemoryLevelSpec(
         name="sram",
-        capacity_bytes=sram_capacity_bytes,
+        capacity_bytes=512 * MiB,
         bandwidth_bytes_per_s=base.sram.bandwidth_bytes_per_s * compute_scale,
         access_latency_s=base.sram.access_latency_s,
     )
     dram = MemoryLevelSpec(
         name="lpddr_next",
-        capacity_bytes=dram_capacity_bytes,
-        bandwidth_bytes_per_s=dram_bandwidth_bytes_per_s,
+        capacity_bytes=256 * GiB,
+        bandwidth_bytes_per_s=360 * GB,
         access_latency_s=base.dram.access_latency_s,
     )
     local = dataclasses.replace(

@@ -102,12 +102,12 @@ def grand_teton_socket() -> CpuSocketSpec:
     )
 
 
-def mtia2i_server(ecc_enabled: bool = True) -> ServerSpec:
+def mtia2i_server() -> ServerSpec:
     """The production MTIA 2i server: 2 sockets x 12 accelerators, two
     chips per module behind each PCIe switch."""
     return ServerSpec(
         name="Grand Teton MTIA 2i server",
-        chip=mtia2i_spec(ecc_enabled=ecc_enabled),
+        chip=mtia2i_spec(),
         accelerators_per_server=24,
         sockets=[grand_teton_socket(), grand_teton_socket()],
         accelerators_per_module=2,

@@ -281,12 +281,13 @@ class ChipSpec:
         return dataclasses.replace(self, dram=derated)
 
 
-def spec_ratio(new: ChipSpec, old: ChipSpec, dtype: DType = DType.INT8) -> Dict[str, float]:
-    """Generation-over-generation improvement ratios (Table 2 narrative:
+def spec_ratio(new: ChipSpec, old: ChipSpec) -> Dict[str, float]:
+    """Generation-over-generation improvement ratios, GEMM FLOPS at INT8
+    (Table 2 narrative:
     MTIA 2i delivers >3x FLOPS, >3x SRAM bandwidth, >3x NoC bandwidth,
     2x DRAM capacity, ~1.4x DRAM bandwidth over MTIA 1)."""
     return {
-        "gemm_flops": new.peak_gemm_flops(dtype) / old.peak_gemm_flops(dtype),
+        "gemm_flops": new.peak_gemm_flops(DType.INT8) / old.peak_gemm_flops(DType.INT8),
         "sram_bandwidth": new.sram.bandwidth_bytes_per_s / old.sram.bandwidth_bytes_per_s,
         "sram_capacity": new.sram.capacity_bytes / old.sram.capacity_bytes,
         "noc_bandwidth": new.noc_bandwidth_bytes_per_s / old.noc_bandwidth_bytes_per_s,

@@ -9,7 +9,7 @@ throughput subject to the serving latency SLO.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 from repro.arch.specs import ChipSpec
 from repro.graph.graph import OpGraph
@@ -40,10 +40,9 @@ def tune_batch_size(
     build_graph: Callable[[int], OpGraph],
     chip: ChipSpec,
     latency_slo_s: float = 0.100,
-    candidates: Sequence[int] = DEFAULT_BATCH_CANDIDATES,
-    executor: Optional[Executor] = None,
 ) -> BatchTuningResult:
-    """Replay model snapshots at each batch size and pick the winner.
+    """Replay model snapshots at each candidate batch size
+    (``DEFAULT_BATCH_CANDIDATES``) and pick the winner.
 
     The winner is the highest-throughput snapshot whose batch latency
     leaves room for queueing under the P99 SLO (batch latency below half
@@ -52,9 +51,9 @@ def tune_batch_size(
     """
     if latency_slo_s <= 0:
         raise ValueError("SLO must be positive")
-    executor = executor or Executor(chip)
+    executor = Executor(chip)
     results: List[BatchCandidate] = []
-    for batch in candidates:
+    for batch in DEFAULT_BATCH_CANDIDATES:
         graph = build_graph(batch)
         report = executor.run(graph, batch)
         results.append(

@@ -46,12 +46,11 @@ def tune_coalescing(
     max_batch_samples: int,
     windows_s: Sequence[float] = DEFAULT_WINDOWS_S,
     parallel_windows: Sequence[int] = DEFAULT_PARALLEL_WINDOWS,
-    p99_slo_s: float = DEFAULT_P99_SLO_S,
-    samples_per_request: int = 256,
     duration_s: float = 20.0,
     registry: Optional[MetricsRegistry] = None,
 ) -> CoalescingTuningResult:
-    """Sweep (window, parallelism) and keep the highest SLO-throughput.
+    """Sweep (window, parallelism) and keep the highest throughput under
+    the serving P99 SLO, for 256-sample requests.
 
     An attached registry records the sweep's progress: configs
     evaluated, per-config wall time (so configs/sec falls out of the
@@ -75,8 +74,8 @@ def tune_coalescing(
             outcome = max_throughput_under_slo(
                 profile,
                 config,
-                p99_slo_s=p99_slo_s,
-                samples_per_request=samples_per_request,
+                p99_slo_s=DEFAULT_P99_SLO_S,
+                samples_per_request=256,
                 duration_s=duration_s,
                 iterations=6,
             )

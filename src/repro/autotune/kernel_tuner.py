@@ -70,10 +70,10 @@ def exhaustive_tune(
     shape: GemmShape,
     chip: ChipSpec,
     variants: Optional[List[GemmVariant]] = None,
-    dtype: DType = DType.FP16,
     memo: Optional[KernelLatencyMemo] = None,
 ) -> TuningResult:
-    """Measure every variant and keep the best — the slow gold standard.
+    """Measure every variant at FP16 and keep the best — the slow gold
+    standard.
 
     ``evaluations`` counts cost-model invocations *requested* — the
     tuner's work metric — whether or not a ``memo`` short-circuited any
@@ -85,7 +85,7 @@ def exhaustive_tune(
     best_variant = None
     best_time = math.inf
     for variant in variants:
-        t = measure_variant(shape, variant, chip, dtype, memo=memo)
+        t = measure_variant(shape, variant, chip, DType.FP16, memo=memo)
         if t < best_time:
             best_time = t
             best_variant = variant
@@ -210,15 +210,15 @@ def ann_tune(
     shape: GemmShape,
     chip: ChipSpec,
     database: PerformanceDatabase,
-    dtype: DType = DType.FP16,
     memo: Optional[KernelLatencyMemo] = None,
 ) -> TuningResult:
-    """Pick a variant by ANN lookup: one neighbour probe plus a single
-    validation measurement — versus hundreds for exhaustive search."""
+    """Pick an FP16 variant by ANN lookup: one neighbour probe plus a
+    single validation measurement — versus hundreds for exhaustive
+    search."""
     neighbour = database.nearest(shape)
     if neighbour is None:
-        return exhaustive_tune(shape, chip, dtype=dtype, memo=memo)
-    t = measure_variant(shape, neighbour.variant, chip, dtype, memo=memo)
+        return exhaustive_tune(shape, chip, memo=memo)
+    t = measure_variant(shape, neighbour.variant, chip, DType.FP16, memo=memo)
     return TuningResult(shape=shape, variant=neighbour.variant, kernel_time_s=t, evaluations=1)
 
 
@@ -242,10 +242,10 @@ def compare_tuners(
     training_shapes: List[GemmShape],
     query_shapes: List[GemmShape],
     chip: ChipSpec,
-    dtype: DType = DType.FP16,
 ) -> TunerComparison:
-    """Build a database from ``training_shapes``, answer ``query_shapes``
-    via ANN, and compare against exhaustive tuning of the queries.
+    """Build an FP16 database from ``training_shapes``, answer
+    ``query_shapes`` via ANN, and compare against exhaustive tuning of
+    the queries.
 
     One :class:`~repro.fastsim.memo.KernelLatencyMemo` and one variant
     list span the whole comparison, so a (shape, variant) point shared
@@ -258,16 +258,16 @@ def compare_tuners(
     variants = default_variants()
     for shape in training_shapes:
         database.add(
-            exhaustive_tune(shape, chip, variants=variants, dtype=dtype, memo=memo)
+            exhaustive_tune(shape, chip, variants=variants, memo=memo)
         )
     exhaustive_evals = 0
     ann_evals = 0
     gaps: List[float] = []
     for shape in query_shapes:
         gold = exhaustive_tune(
-            shape, chip, variants=variants, dtype=dtype, memo=memo
+            shape, chip, variants=variants, memo=memo
         )
-        approx = ann_tune(shape, chip, database, dtype=dtype, memo=memo)
+        approx = ann_tune(shape, chip, database, memo=memo)
         exhaustive_evals += gold.evaluations
         ann_evals += approx.evaluations
         if gold.kernel_time_s > 0:

@@ -10,7 +10,7 @@ current batch size with activations in LLC and pick the winner."
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.arch.specs import ChipSpec
 from repro.graph.graph import OpGraph
@@ -44,7 +44,6 @@ def tune_placement(
     build_graph: Callable[[int], OpGraph],
     batch: int,
     chip: ChipSpec,
-    executor_factory: Optional[Callable[[ChipSpec], Executor]] = None,
 ) -> PlacementDecision:
     """Apply the section 4.1 policy and return the winning configuration.
 
@@ -54,12 +53,11 @@ def tune_placement(
     """
     if batch <= 0:
         raise ValueError("batch must be positive")
-    executor_factory = executor_factory or (lambda c: Executor(c))
     graph = build_graph(batch)
     buffer_bytes = activation_buffer_bytes(graph)
     partition = partition_for_activations(chip, buffer_bytes)
     fits = partition.lls_bytes >= buffer_bytes and partition.lls_bytes > 0
-    executor = executor_factory(chip)
+    executor = Executor(chip)
     report = executor.run(graph, batch)
     if fits:
         return PlacementDecision(
@@ -78,7 +76,7 @@ def tune_placement(
         smaller_bytes = activation_buffer_bytes(smaller_graph)
         smaller_partition = partition_for_activations(chip, smaller_bytes)
         if smaller_partition.lls_bytes >= smaller_bytes > 0:
-            smaller_report = executor_factory(chip).run(smaller_graph, candidate)
+            smaller_report = Executor(chip).run(smaller_graph, candidate)
             if (
                 smaller_report.throughput_samples_per_s
                 >= report.throughput_samples_per_s

@@ -95,7 +95,7 @@ def plan_sharding(graph: OpGraph, chip: ChipSpec, num_shards: int = 0) -> ShardP
     return plan
 
 
-def shard_throughput_tax(num_shards: int, floor: float = 0.5) -> float:
+def shard_throughput_tax(num_shards: int) -> float:
     """Throughput multiplier for serving a model sharded across devices.
 
     Sharding distributes capacity, not serving: every shard still
@@ -108,4 +108,4 @@ def shard_throughput_tax(num_shards: int, floor: float = 0.5) -> float:
     """
     if num_shards < 1:
         raise ValueError("need at least one shard")
-    return max(floor, 1.0 - 0.04 * (num_shards - 1))
+    return max(0.5, 1.0 - 0.04 * (num_shards - 1))

@@ -66,12 +66,10 @@ def _iter_fc_ops(graph: OpGraph):
 def autotune_model(
     build_graph: Callable[[int], OpGraph],
     chip: ChipSpec,
-    latency_slo_s: float = 0.100,
     kernel_database: Optional[PerformanceDatabase] = None,
     model_name: str = "model",
     registry: Optional[MetricsRegistry] = None,
     surrogate=None,
-    surrogate_top_k: int = 16,
 ) -> AutotuneResult:
     """Full autotuning pass for one model.
 
@@ -82,7 +80,7 @@ def autotune_model(
     A fitted :class:`~repro.surrogate.model.GemmSurrogate` as
     ``surrogate`` replaces both kernel search paths with verified
     surrogate tuning: the surrogate ranks the variant catalog, the exact
-    cost model re-measures the predicted top ``surrogate_top_k``, and
+    cost model re-measures the predicted top 16, and
     every deployed variant's ``kernel_time_s`` is an exact evaluation.
     ``surrogate=None`` (the default) is the exact path.
 
@@ -95,7 +93,7 @@ def autotune_model(
     probe_graph = build_graph(512)
     shard_plan = plan_sharding(probe_graph, chip)
 
-    batch_result = tune_batch_size(build_graph, chip, latency_slo_s=latency_slo_s)
+    batch_result = tune_batch_size(build_graph, chip)
     placement = tune_placement(build_graph, batch_result.best.batch, chip)
     if obs.enabled:
         obs.histogram("autotune.tuner.stage_s").observe(
@@ -119,7 +117,7 @@ def autotune_model(
             continue
         if surrogate is not None:
             result = surrogate_tune(
-                shape, chip, surrogate, top_k=surrogate_top_k,
+                shape, chip, surrogate, top_k=16,
                 memo=memo, registry=registry,
             )
             database.add(result)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def _tiny_model_multiplier() -> float:
     return float(min(max(ratio, 0.05), 1.0))
 
 
-def default_ladder(tiny_multiplier: Optional[float] = None) -> BrownoutConfig:
+def default_ladder() -> BrownoutConfig:
     """The standard four-rung ladder the chaos scenarios use.
 
     full → FP16 dense math (~25% cheaper on MTIA's double-rate FP16
@@ -161,14 +161,12 @@ def default_ladder(tiny_multiplier: Optional[float] = None) -> BrownoutConfig:
     → the early-stage distillation proxy, which also stops admitting
     best-effort (priority 0) traffic.
     """
-    if tiny_multiplier is None:
-        tiny_multiplier = _tiny_model_multiplier()
     return BrownoutConfig(
         rungs=(
             BrownoutRung("full", 1.0, 0),
             BrownoutRung("fp16", 0.75, 0),
             BrownoutRung("int8", 0.55, 0),
-            BrownoutRung("tiny", tiny_multiplier, 1),
+            BrownoutRung("tiny", _tiny_model_multiplier(), 1),
         )
     )
 

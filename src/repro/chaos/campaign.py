@@ -46,47 +46,46 @@ from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRun
 from repro.serving.workload import poisson_stream, with_priorities
 
 
+# Fixed campaign settings.  Two replicas per host and two hosts per rack
+# give the domain topology; every run routes power-of-two-choices.
+REPLICAS_PER_HOST = 2
+HOSTS_PER_RACK = 2
+WINDOW_S = 2.0
+# A serve is "good" if its latency fits this budget (2x the serving
+# SLO: generous enough that a healthy tier scores ~1.0, tight enough
+# that storm-era stale serves score 0).
+GOODPUT_LATENCY_S = 0.2
+# Defended-run defense suite; deadline 0.3 s sits above the storm
+# client's 250 ms timeout so first sends are never dead on arrival.
+DEFENSE = DefenseConfig.full(deadline_s=0.3)
+# Priority mix for brownout scenarios (best-effort, normal, critical).
+PRIORITY_WEIGHTS = (0.3, 0.5, 0.2)
+
+
 @dataclasses.dataclass(frozen=True)
 class CampaignConfig:
     """The fleet and traffic every scenario runs against."""
 
     replicas: int = 12
-    replicas_per_host: int = 2
-    hosts_per_rack: int = 2
     racks_per_power_domain: int = 2
-    policy: str = "po2"
     utilization: float = 0.75  # offered load / fleet capacity
     duration_s: float = 30.0
     seed: int = 0
-    window_s: float = 2.0
-    # A serve is "good" if its latency fits this budget (2x the serving
-    # SLO: generous enough that a healthy tier scores ~1.0, tight enough
-    # that storm-era stale serves score 0).
-    goodput_latency_s: float = 0.2
     recovery_threshold: float = 0.95
-    # Defended-run defense suite; deadline 0.3 s sits above the storm
-    # client's 250 ms timeout so first sends are never dead on arrival.
-    defense: DefenseConfig = dataclasses.field(
-        default_factory=lambda: DefenseConfig.full(deadline_s=0.3)
-    )
-    # Priority mix for brownout scenarios (best-effort, normal, critical).
-    priority_weights: Tuple[float, ...] = (0.3, 0.5, 0.2)
 
     def __post_init__(self) -> None:
         if not (0 < self.utilization < 1):
             raise ValueError("utilization must be in (0, 1)")
-        if self.duration_s <= 0 or self.window_s <= 0:
-            raise ValueError("duration and window must be positive")
+        if self.duration_s <= 0:
+            raise ValueError("duration must be positive")
         if not (0 < self.recovery_threshold <= 1):
             raise ValueError("recovery threshold must be in (0, 1]")
-        if self.goodput_latency_s <= 0:
-            raise ValueError("goodput latency budget must be positive")
 
     def topology(self) -> FaultDomainTopology:
         return FaultDomainTopology(
             replicas=self.replicas,
-            replicas_per_host=self.replicas_per_host,
-            hosts_per_rack=self.hosts_per_rack,
+            replicas_per_host=REPLICAS_PER_HOST,
+            hosts_per_rack=HOSTS_PER_RACK,
             racks_per_power_domain=self.racks_per_power_domain,
         )
 
@@ -171,7 +170,6 @@ class ScenarioOutcome:
 def _score_windows(
     report: ClusterReport,
     arrivals_s: Sequence[float],
-    config: CampaignConfig,
 ) -> Tuple[GoodputWindow, ...]:
     """Bucket arrivals and timely serves into fixed scoring windows.
 
@@ -181,20 +179,20 @@ def _score_windows(
     late-serve inflation.
     """
     horizon = max(arrivals_s) if arrivals_s else 0.0
-    num_windows = max(1, int(math.ceil(horizon / config.window_s)))
+    num_windows = max(1, int(math.ceil(horizon / WINDOW_S)))
     offered = [0] * num_windows
     good = [0] * num_windows
     for arrival in arrivals_s:
-        offered[min(int(arrival / config.window_s), num_windows - 1)] += 1
-    budget = config.goodput_latency_s
+        offered[min(int(arrival / WINDOW_S), num_windows - 1)] += 1
+    budget = GOODPUT_LATENCY_S
     for time_s, kind, index in report.event_log:
         if kind != "serve":
             continue
         arrival = arrivals_s[index]
         if time_s - arrival <= budget:
-            good[min(int(arrival / config.window_s), num_windows - 1)] += 1
+            good[min(int(arrival / WINDOW_S), num_windows - 1)] += 1
     return tuple(
-        GoodputWindow(start_s=k * config.window_s,
+        GoodputWindow(start_s=k * WINDOW_S,
                       offered=offered[k], good=good[k])
         for k in range(num_windows)
     )
@@ -208,7 +206,7 @@ def _score(
     config: CampaignConfig,
     quality_cost_ne: float,
 ) -> ScenarioOutcome:
-    windows = _score_windows(report, arrivals_s, config)
+    windows = _score_windows(report, arrivals_s)
     scored = [w for w in windows if w.offered > 0]
     post_clear = [w for w in scored if w.start_s >= scenario.fault_clear_s]
     post_ratio = (
@@ -221,7 +219,7 @@ def _score(
             ttr = max(0.0, window.start_s - scenario.fault_clear_s)
             break
     breach = sum(
-        config.window_s for w in scored
+        WINDOW_S for w in scored
         if w.start_s >= scenario.fault_at_s
         and w.ratio < config.recovery_threshold
     )
@@ -249,7 +247,6 @@ def run_scenario(
     scenario: ChaosScenario,
     config: Optional[CampaignConfig] = None,
     defended: bool = False,
-    service: Optional[ServiceModel] = None,
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
     ne_deltas: Optional[Dict[str, float]] = None,
@@ -264,7 +261,7 @@ def run_scenario(
     browned-out serving in NE damage.
     """
     config = config or CampaignConfig()
-    service = service or default_service_model()
+    service = default_service_model()
     topology = config.topology()
     if topology.replicas != config.replicas:
         raise ValueError("topology and campaign replica counts must agree")
@@ -276,20 +273,20 @@ def run_scenario(
     brownout = None
     if defended and scenario.use_brownout:
         requests = with_priorities(
-            requests, config.priority_weights, seed=config.seed + 1
+            requests, PRIORITY_WEIGHTS, seed=config.seed + 1
         )
         brownout = BrownoutController(default_ladder())
     cluster_config = ClusterConfig(
         replicas=config.replicas,
         num_hosts=topology.num_hosts,
-        policy=config.policy,
+        policy="po2",
         admission=AdmissionConfig(),
         seed=config.seed,
     )
     report = run_cluster(
         cluster_config, service, requests,
         registry=registry, tracer=tracer,
-        defense=DefenseRuntime(config.defense) if defended else None,
+        defense=DefenseRuntime(DEFENSE) if defended else None,
         client=scenario.client,
         injections=scenario.injections(topology),
         brownout=brownout,

@@ -32,13 +32,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from repro.arch.server import ServerSpec, mtia2i_server
+from repro.arch.server import mtia2i_server
 from repro.cluster.simulator import Injection, injection_sort_key
-from repro.power.thermal import (
-    THROTTLE_TARGET_C,
-    ThermalNetwork,
-    mtia2i_thermal,
-)
+from repro.power.thermal import THROTTLE_TARGET_C, mtia2i_thermal
 from repro.reliability.firmware import RolloutPlan, typical_rollout
 from repro.reliability.power import stress_test_budget
 
@@ -193,15 +189,14 @@ def power_domain_trip(
     at_s: float,
     duration_s: float,
     demand_w_per_server: float,
-    server: Optional[ServerSpec] = None,
     budget_w_per_server: Optional[float] = None,
 ) -> List[Injection]:
     """The domain breaker trips — but only on a genuine budget breach.
 
     Section 5.3's re-derived rack budgets run closer to the wire: the
-    provisioned per-server budget (by default the pre-production
-    :func:`~repro.reliability.power.stress_test_budget`, which the
-    revision then undercuts) caps the domain, and a synchronized demand
+    provisioned per-server budget (by default the MTIA 2i server's
+    pre-production :func:`~repro.reliability.power.stress_test_budget`,
+    which the revision then undercuts) caps the domain, and a synchronized demand
     spike above it opens the breaker for everything behind it.  If the
     offered ``demand_w_per_server`` stays within budget, no injection is
     produced — the trip is sourced from the power model, not asserted.
@@ -211,7 +206,7 @@ def power_domain_trip(
     if demand_w_per_server <= 0:
         raise ValueError("demand must be positive")
     if budget_w_per_server is None:
-        budget_w_per_server = stress_test_budget(server or mtia2i_server())
+        budget_w_per_server = stress_test_budget(mtia2i_server())
     if demand_w_per_server <= budget_w_per_server:
         return []  # within budget: the breaker holds
     targets = topology.replicas_in_power_domain(domain)
@@ -221,25 +216,21 @@ def power_domain_trip(
     ]
 
 
-def thermal_slow_factor(
-    power_w: float,
-    network: Optional[ThermalNetwork] = None,
-    target_c: float = THROTTLE_TARGET_C,
-) -> float:
+def thermal_slow_factor(power_w: float) -> float:
     """Service-time inflation implied by a thermal emergency.
 
-    With the RC chain settled at ``power_w`` the junction sits at
+    With the MTIA 2i RC chain settled at ``power_w`` the junction sits at
     ``ambient + P * R_total``; if that exceeds the throttle target the
     governor must cut power (≈ frequency) by the ratio that brings the
-    junction back to target, and service times stretch by the inverse.
+    junction back to the throttle target, and service times stretch by the inverse.
     Returns 1.0 when the package never crosses the target.
     """
     if power_w <= 0:
         raise ValueError("power must be positive")
-    network = network or mtia2i_thermal()
+    network = mtia2i_thermal()
     junction_c = network.steady_junction_c(power_w)
-    headroom_c = target_c - network.ambient_c
-    if junction_c <= target_c or headroom_c <= 0:
+    headroom_c = THROTTLE_TARGET_C - network.ambient_c
+    if junction_c <= THROTTLE_TARGET_C or headroom_c <= 0:
         return 1.0
     # Junction rise above ambient is proportional to power; the required
     # power cut is rise/headroom, and throughput scales with power.
@@ -253,7 +244,6 @@ def thermal_emergency(
     at_s: float,
     duration_s: float,
     power_w: float = 120.0,
-    network: Optional[ThermalNetwork] = None,
 ) -> List[Injection]:
     """A cooling failure in one rack: shared airflow heats every package.
 
@@ -263,7 +253,7 @@ def thermal_emergency(
     """
     if duration_s <= 0:
         raise ValueError("emergency duration must be positive")
-    factor = thermal_slow_factor(power_w, network=network)
+    factor = thermal_slow_factor(power_w)
     if factor <= 1.0:
         return []  # the package holds temperature: nothing to inject
     targets = topology.replicas_in_rack(rack)

@@ -252,6 +252,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_sdc(args: argparse.Namespace) -> int:
+    from repro.sdc.campaign import NE_THRESHOLD
     from repro.sdc import (
         CampaignConfig,
         run_campaign,
@@ -267,7 +268,7 @@ def cmd_sdc(args: argparse.Namespace) -> int:
     print(f"SDC injection campaign: {trials} trials x {requests} requests "
           f"(seed {args.seed})")
     print(f"  clean quantized-path NE: {result.clean_ne:.4f} "
-          f"(impact threshold |dNE| > {config.ne_threshold:g})")
+          f"(impact threshold |dNE| > {NE_THRESHOLD:g})")
     sites = ", ".join(f"{site.value}={count}"
                       for site, count in result.site_counts.items() if count)
     print(f"  corruption sites: {sites}")
@@ -284,8 +285,7 @@ def cmd_sdc(args: argparse.Namespace) -> int:
     ratio = result.undetected_impacting_ratio()
     print(f"\n  undetected NE-impacting corruptions, none vs ecc+abft: "
           f"{ratio if ratio != float('inf') else 'inf'}x fewer")
-    rates = sdc_fault_rates(result.summary_for("full"),
-                            screening=config.screening)
+    rates = sdc_fault_rates(result.summary_for("full"))
     print(f"  resilience-simulator linkage (full profile): "
           f"sdc rate {rates.sdc_per_device_hour:.2e}/device-hour, "
           f"blast window {rates.sdc_blast_window_s:.1f} s")
@@ -597,6 +597,7 @@ def cmd_codesign(args: argparse.Namespace) -> int:
         run_codesign_search,
         smoke_space,
     )
+    from repro.codesign.search import CHAIN_WEIGHTS
     from repro.obs.metrics import MetricsRegistry
 
     if args.smoke:
@@ -616,7 +617,7 @@ def cmd_codesign(args: argparse.Namespace) -> int:
 
     registry = MetricsRegistry()
     print(f"co-design search: {space.size()} grid points, "
-          f"{len(config.chain_weights)} annealing chains x "
+          f"{len(CHAIN_WEIGHTS)} annealing chains x "
           f"{config.iterations} iterations, seed {config.seed}")
     result = run_codesign_search(
         space, models, config, duration_s=duration, registry=registry,

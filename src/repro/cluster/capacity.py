@@ -110,8 +110,14 @@ def _stream(qps: float, duration_s: float, seed: int) -> Sequence[Request]:
     )
 
 
-def _step_fractions(qps_step_fraction: float) -> Tuple[float, ...]:
-    """The exact probe ladder ``max_qps_at_slo`` walks, highest first.
+# Rung spacing of the max-QPS probe ladder, as a fraction of the fluid
+# capacity bound.
+QPS_STEP_FRACTION = 0.05
+
+
+def _step_fractions() -> Tuple[float, ...]:
+    """The exact probe ladder ``max_qps_at_slo`` walks, highest first:
+    down from the fluid bound in steps of ``QPS_STEP_FRACTION``.
 
     Built by the same repeated subtraction the scan performs, so the
     float values (and therefore every derived QPS) are bit-identical
@@ -119,9 +125,9 @@ def _step_fractions(qps_step_fraction: float) -> Tuple[float, ...]:
     """
     fractions = []
     fraction = 1.0
-    while fraction > qps_step_fraction / 2:
+    while fraction > QPS_STEP_FRACTION / 2:
         fractions.append(fraction)
-        fraction -= qps_step_fraction
+        fraction -= QPS_STEP_FRACTION
     return tuple(fractions)
 
 
@@ -131,7 +137,6 @@ def max_qps_at_slo(
     p99_slo_s: float,
     duration_s: float,
     seed: int,
-    qps_step_fraction: float = 0.05,
 ) -> Tuple[float, float]:
     """Largest offered QPS the replica set serves within the SLO with no
     shedding, by stepping down from the fluid capacity bound.
@@ -149,7 +154,7 @@ def max_qps_at_slo(
     config = ClusterConfig(
         replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
     )
-    for fraction in _step_fractions(qps_step_fraction):
+    for fraction in _step_fractions():
         qps = ceiling * fraction
         requests = poisson_stream(qps, duration_s, seed=seed)
         report = run_cluster(config, service, requests, fail_fast=True)
@@ -167,7 +172,6 @@ def replicas_needed(
     duration_s: float = 40.0,
     max_replicas: int = 96,
     seed: int = 0,
-    admission: Optional[AdmissionConfig] = None,
     surrogate=None,
     registry=None,
 ) -> CapacityPoint:
@@ -206,7 +210,7 @@ def replicas_needed(
             num_hosts=math.ceil(max_replicas / 24) + 1,
             policy=policy,
             p99_slo_s=p99_slo_s,
-            admission=admission or AdmissionConfig(),
+            admission=AdmissionConfig(),
             seed=seed,
         )
 
@@ -364,7 +368,6 @@ def policy_comparison(
     locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 60.0,
     seed: int = 0,
-    admission: Optional[AdmissionConfig] = None,
 ) -> Dict[str, ClusterReport]:
     """Run every policy on the *same* traffic at high utilization.
 
@@ -379,62 +382,58 @@ def policy_comparison(
     """
     if not (0 < target_utilization <= 1):
         raise ValueError("target utilization must be in (0, 1]")
-    qps = target_utilization * replicas / service.mean_service_s
-    requests = _stream(qps, duration_s, seed)
-    reports: Dict[str, ClusterReport] = {}
-    for policy in policies:
-        config = ClusterConfig(
+    # Built before the stream, so a bad replica count is rejected as such.
+    configs = {
+        policy: ClusterConfig(
             replicas=replicas,
             num_hosts=math.ceil(replicas / 24) + 1,
             policy=policy,
-            admission=admission or AdmissionConfig(),
+            admission=AdmissionConfig(),
             seed=seed,
         )
-        reports[policy] = run_cluster(
-            config, service, requests, locality=locality
-        )
-    return reports
+        for policy in policies
+    }
+    qps = target_utilization * replicas / service.mean_service_s
+    requests = _stream(qps, duration_s, seed)
+    return {
+        policy: run_cluster(config, service, requests, locality=locality)
+        for policy, config in configs.items()
+    }
 
 
 def autoscaled_day(
     service: ServiceModel,
-    mean_rate_per_s: float = 30.0,
-    peak_to_mean: float = 2.2,
     day_length_s: float = 3600.0,
     policy: str = "po2",
-    burst_rate_per_hour: float = 6.0,
-    burst_factor: float = 2.5,
-    burst_duration_s: float = 30.0,
     fault_rate_per_replica_hour: float = 0.0,
-    predictive: bool = True,
-    max_replicas: int = 48,
     seed: int = 0,
     tracer: Optional["TraceWriter"] = None,
 ) -> Tuple[ClusterReport, DiurnalTrafficModel]:
-    """One (compressed) diurnal day under the autoscaler.
+    """One (compressed) diurnal day under the predictive autoscaler.
 
-    Traffic follows the sinusoidal day with burst episodes; the
-    autoscaler tracks it reactively and — when ``predictive`` — also
-    provisions ahead of the forecast ramp.  Returns the run report and
-    the traffic model (for plotting or for re-running with knobs
-    changed).  ``fault_rate_per_replica_hour`` composes the resilience
-    story in: faulted replicas drain mid-run and their requests retry
-    through the front door.
+    Traffic follows the sinusoidal day (30 req/s mean, 2.2x peak to
+    mean) with six 2.5x, 30 s burst episodes an hour; the autoscaler
+    tracks it reactively and also provisions ahead of the forecast ramp,
+    up to 48 replicas.  Returns the run report and the traffic model
+    (for plotting).  ``fault_rate_per_replica_hour`` composes the
+    resilience story in: faulted replicas drain mid-run and their
+    requests retry through the front door.
     """
     model = DiurnalTrafficModel(
-        mean_rate_per_s=mean_rate_per_s,
-        peak_to_mean=peak_to_mean,
+        mean_rate_per_s=30.0,
+        peak_to_mean=2.2,
         day_length_s=day_length_s,
         phase_s=0.0,
     )
     requests = diurnal_poisson_stream(
         model,
         duration_s=day_length_s,
-        burst_rate_per_hour=burst_rate_per_hour,
-        burst_factor=burst_factor,
-        burst_duration_s=burst_duration_s,
+        burst_rate_per_hour=6.0,
+        burst_factor=2.5,
+        burst_duration_s=30.0,
         seed=seed,
     )
+    max_replicas = 48
     floor = max(1, math.ceil(
         model.rate_at(0.0) * service.mean_service_s / 0.7
     ))
@@ -444,7 +443,7 @@ def autoscaled_day(
             max_replicas=max_replicas,
             tick_interval_s=min(30.0, day_length_s / 60.0),
             cooldown_s=min(60.0, day_length_s / 30.0),
-            predictive=predictive,
+            predictive=True,
             predictive_lead_s=day_length_s / 12.0,
         ),
         service,
@@ -466,10 +465,6 @@ def autoscaled_day(
 def locality_comparison(
     service: ServiceModel,
     replicas: int = 12,
-    num_shards: int = 4,
-    target_utilization: float = 0.60,
-    policies: Sequence[str] = ("jsq", "locality"),
-    locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 60.0,
     seed: int = 0,
 ) -> Dict[str, ClusterReport]:
@@ -479,16 +474,16 @@ def locality_comparison(
     loaded replica pays the cross-host embedding-fetch penalty whenever
     that replica does not hold its shard; the locality policy keeps
     traffic on shard-holding replicas and spills only under pressure.
-    Run below saturation so both policies shed nothing and the
-    cross-host fraction is the differentiator.
+    Four uniform shards, run at 60% utilization — below saturation, so
+    both policies shed nothing and the cross-host fraction is the
+    differentiator.
     """
-    shard_map = locality or ShardLocalityMap.uniform(num_shards)
     return policy_comparison(
         service,
         replicas=replicas,
-        target_utilization=target_utilization,
-        policies=policies,
-        locality=shard_map,
+        target_utilization=0.60,
+        policies=("jsq", "locality"),
+        locality=ShardLocalityMap.uniform(4),
         duration_s=duration_s,
         seed=seed,
     )

@@ -14,11 +14,10 @@ the bytes of the tables it holds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.arch.specs import ChipSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,9 +53,9 @@ class ShardLocalityMap:
         cls,
         model_name: str = "HC3",
         num_shards: int = 4,
-        chip: Optional[ChipSpec] = None,
     ) -> "ShardLocalityMap":
-        """Build from a zoo model's actual table-to-shard placement.
+        """Build from a zoo model's actual table-to-shard placement on
+        MTIA 2i.
 
         Plans sharding with the production LPT heuristic and weights each
         shard by the embedding bytes it ends up holding — lookup traffic
@@ -73,7 +72,7 @@ class ShardLocalityMap:
         else:
             raise ValueError(f"unknown zoo model {model_name!r}")
         plan = plan_sharding(
-            model.graph(), chip or mtia2i_spec(), num_shards=num_shards
+            model.graph(), mtia2i_spec(), num_shards=num_shards
         )
         total = sum(plan.bytes_per_shard)
         if total == 0:

@@ -12,7 +12,7 @@ still unable to place one more 12-accelerator sharded replica.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.arch.server import ServerSpec
 from repro.fleet.allocator import (
@@ -43,13 +43,11 @@ class HostPool:
     def __init__(
         self,
         num_hosts: int,
-        server_factory: Optional[Callable[[], ServerSpec]] = None,
     ) -> None:
         if num_hosts <= 0:
             raise ValueError("pool needs at least one host")
-        factory = server_factory or _default_server
         self._allocators: List[NumaAllocator] = [
-            NumaAllocator(factory()) for _ in range(num_hosts)
+            NumaAllocator(_default_server()) for _ in range(num_hosts)
         ]
 
     @property

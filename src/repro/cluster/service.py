@@ -97,30 +97,27 @@ class ServiceModel:
         cls,
         profile: ModelJobProfile,
         coalescing: CoalescingConfig,
-        request_rate_per_s: float = 100.0,
-        samples_per_request: int = 256,
-        duration_s: float = 30.0,
-        seed: int = 3,
         **kwargs: float,
     ) -> "ServiceModel":
         """Measured calibration: run the device-level serving simulator
-        once and take busy-seconds-per-offered-request as the mean."""
+        once (30 s of 256-sample requests at 100 req/s, seed 3) and take
+        busy-seconds-per-offered-request as the mean."""
         outcome = simulate_serving(
             profile,
             coalescing,
-            request_rate_per_s=request_rate_per_s,
-            samples_per_request=samples_per_request,
-            duration_s=duration_s,
-            seed=seed,
+            request_rate_per_s=100.0,
+            samples_per_request=256,
+            duration_s=30.0,
+            seed=3,
         )
-        mean_service_s = outcome.device_utilization / request_rate_per_s
+        mean_service_s = outcome.device_utilization / 100.0
         return cls(mean_service_s=mean_service_s, **kwargs)
 
 
-def default_service_model(requests_per_batch: float = 1.0) -> ServiceModel:
+def default_service_model() -> ServiceModel:
     """The ranking-model service model the CLI, example, and benchmark
     share: the same job profile the serving examples run, closed-form
-    calibrated.  ``requests_per_batch=1`` (no coalescing credit) keeps
+    calibrated.  One request per batch (no coalescing credit) keeps
     request counts — and so simulation time — small at cluster scale."""
     profile = ModelJobProfile(
         remote_time_s=0.005,
@@ -129,6 +126,4 @@ def default_service_model(requests_per_batch: float = 1.0) -> ServiceModel:
         dispatch_overhead_s=0.001,
         merge_submission_delay_s=0.0008,
     )
-    return ServiceModel.from_profile(
-        profile, requests_per_batch=requests_per_batch
-    )
+    return ServiceModel.from_profile(profile, requests_per_batch=1.0)

@@ -370,7 +370,6 @@ class ClusterSimulator:
         pool: Optional[HostPool] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[TraceWriter] = None,
-        model_name: str = "model",
         throttle=None,
         defense=None,
         client: Optional[ClientRetryConfig] = None,
@@ -408,7 +407,6 @@ class ClusterSimulator:
         self.locality = locality or ShardLocalityMap.uniform(1)
         self.autoscaler = autoscaler
         self.pool = pool or HostPool(config.num_hosts)
-        self.model_name = model_name
         self.policy: RoutingPolicy = make_policy(config.policy)
         self._obs = active(registry)
         # Zero-overhead-when-disabled: per-event instrument calls are
@@ -518,7 +516,7 @@ class ClusterSimulator:
     def _spawn_replica(self, now: float) -> Optional[_Replica]:
         try:
             grant = self.pool.acquire(
-                self.model_name, self.config.accelerators_per_replica
+                "model", self.config.accelerators_per_replica
             )
         except AllocationError:
             self._emit(now, "pool_exhausted")

@@ -50,20 +50,22 @@ from repro.surrogate.model import TrainReport
 _ZERO_SCALAR = -1e30  # scalarized score of an infeasible candidate
 
 
+# One weight vector per annealing chain over (perf, perf/TCO, perf/W) —
+# the three corner objectives plus the balanced chain.
+CHAIN_WEIGHTS: Tuple[Tuple[float, float, float], ...] = (
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0),
+    (1.0, 1.0, 1.0),
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the annealing + halving search."""
 
     seed: int = 0
     iterations: int = 60  # annealing steps per chain
-    # One weight vector per chain over (perf, perf/TCO, perf/W) — the
-    # three corner objectives plus the balanced chain.
-    chain_weights: Tuple[Tuple[float, float, float], ...] = (
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (1.0, 1.0, 1.0),
-    )
     t_initial: float = 0.4
     t_final: float = 0.02
     device_rung_keep: int = 16  # candidates promoted to exact device eval
@@ -71,8 +73,8 @@ class SearchConfig:
     train_chips: int = 16  # seeded derived-chip sample for training
 
     def __post_init__(self) -> None:
-        if self.iterations <= 0 or not self.chain_weights:
-            raise ValueError("need chains and iterations")
+        if self.iterations <= 0:
+            raise ValueError("need at least one iteration")
         if not (0 < self.t_final <= self.t_initial):
             raise ValueError("need 0 < t_final <= t_initial")
         if self.serving_rung_keep > self.device_rung_keep:
@@ -193,16 +195,14 @@ def run_codesign_search(
     space: Optional[DesignSpace] = None,
     models: Optional[Sequence[ZooModel]] = None,
     config: SearchConfig = SearchConfig(),
-    base_chip: Optional[ChipSpec] = None,
     duration_s: float = 6.0,
     registry=None,
 ) -> SearchResult:
-    """Run the full search and return the exact-evaluated front."""
+    """Run the full search around MTIA 2i and return the exact-evaluated
+    front."""
     space = space or default_space()
-    base = base_chip or mtia2i_spec()
     objective = CodesignObjective(
         models=models,
-        base_chip=base,
         duration_s=duration_s,
         seed=config.seed,
         registry=registry,
@@ -214,7 +214,7 @@ def run_codesign_search(
         (objective.summaries[m.name], objective.stable_builder(m), m.batch)
         for m in objective.models
     ]
-    chips = _training_sample(space, base, config)
+    chips = _training_sample(space, objective.base_chip, config)
     surrogate, train_report = train_executor_surrogate(
         chips, train_models, seed=config.seed
     )
@@ -222,7 +222,7 @@ def run_codesign_search(
 
     # Explore: annealing chains share one surrogate-fidelity cache.
     cache: Dict[tuple, CandidateEval] = {}
-    for chain_index, weights in enumerate(config.chain_weights):
+    for chain_index, weights in enumerate(CHAIN_WEIGHTS):
         _anneal_chain(space, objective, cache, weights, chain_index, config)
     scored = [e for e in cache.values() if e.feasible]
 

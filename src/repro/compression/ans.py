@@ -138,16 +138,18 @@ def compression_ratio(data: bytes) -> float:
     return ans_encode(data).compression_ratio()
 
 
-def int8_weight_bytes(num_weights: int, std: float = 5.0, seed: int = 0) -> bytes:
-    """Synthetic INT8 weights: narrow, centered distributions like trained
-    quantized weights — highly compressible (the paper's 'up to 50%')."""
+def int8_weight_bytes(num_weights: int, seed: int = 0) -> bytes:
+    """Synthetic INT8 weights: narrow, centered distributions (std 5)
+    like trained quantized weights — highly compressible (the paper's
+    'up to 50%')."""
     rng = np.random.default_rng(seed)
-    values = np.clip(np.round(rng.normal(0, std, size=num_weights)), -127, 127)
+    values = np.clip(np.round(rng.normal(0, 5.0, size=num_weights)), -127, 127)
     return values.astype(np.int8).tobytes()
 
 
-def fp16_weight_bytes(num_weights: int, std: float = 0.05, seed: int = 0) -> bytes:
-    """Synthetic FP16 weights: mantissa bytes are near-uniform, which is
-    why 'FP16 data does not compress efficiently'."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(0, std, size=num_weights).astype(np.float16).tobytes()
+def fp16_weight_bytes(num_weights: int) -> bytes:
+    """Synthetic FP16 weights (std 0.05, seed 0): mantissa bytes are
+    near-uniform, which is why 'FP16 data does not compress
+    efficiently'."""
+    rng = np.random.default_rng(0)
+    return rng.normal(0, 0.05, size=num_weights).astype(np.float16).tobytes()

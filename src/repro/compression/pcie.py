@@ -40,11 +40,11 @@ class LinkTransferReport:
         return self.raw_time_s / self.compressed_time_s if self.compressed_time_s else 1.0
 
 
-def gzip_ratio(data: bytes, level: int = 1) -> float:
-    """Measured GZIP saved fraction for a payload (real zlib)."""
+def gzip_ratio(data: bytes) -> float:
+    """Measured GZIP saved fraction for a payload (real zlib, level 1)."""
     if not data:
         return 0.0
-    compressed = zlib.compress(data, level)
+    compressed = zlib.compress(data, 1)
     return max(0.0, 1.0 - len(compressed) / len(data))
 
 
@@ -52,12 +52,11 @@ def link_transfer(
     payload_bytes: int,
     link: MemoryLevelSpec,
     compression_saved_fraction: float,
-    engine_bytes_per_s: float = GZIP_ENGINE_BYTES_PER_S,
 ) -> LinkTransferReport:
     """Transfer time over a link with an inline decompression engine.
 
     The wire carries the compressed bytes; the decompression engine
-    consumes them at up to ``engine_bytes_per_s`` (compressed side).  The
+    consumes them at up to ``GZIP_ENGINE_BYTES_PER_S`` (compressed side).  The
     two stages pipeline, so the slower one sets the pace.
     """
     if payload_bytes < 0:
@@ -67,7 +66,9 @@ def link_transfer(
     wire_bytes = payload_bytes * (1.0 - compression_saved_fraction)
     raw_time = link.transfer_time(payload_bytes)
     wire_time = link.transfer_time(wire_bytes)
-    engine_time = wire_bytes / engine_bytes_per_s if compression_saved_fraction else 0.0
+    engine_time = (
+        wire_bytes / GZIP_ENGINE_BYTES_PER_S if compression_saved_fraction else 0.0
+    )
     return LinkTransferReport(
         payload_bytes=payload_bytes,
         wire_bytes=int(wire_bytes),

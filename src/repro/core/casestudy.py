@@ -57,16 +57,15 @@ def _case_embeddings(total_gib: float, scale: float = 1.0) -> EmbeddingBagConfig
     )
 
 
+# Ads ranked per user request: the In-Batch Broadcast expansion factor.
+CANDIDATES_PER_USER = 8
+
+
 @dataclasses.dataclass(frozen=True)
 class CaseStudyModelConfig:
     """Knobs of the evolving case-study model."""
 
     batch: int = 512
-    candidates_per_user: int = 8
-    hidden: int = 4096
-    num_layers: int = 12
-    mha_heads: int = 8
-    embedding_gib: float = 90.0
     remote_input_scale: float = 1.0  # the rejected change sets 3.0
     early_stage_version: bool = False  # the 140 MF/sample starting point
 
@@ -95,22 +94,22 @@ def build_case_study_model(
         dhen = DhenConfig(
             name="case_study_940mf",
             batch=config.batch,
-            hidden_dim=config.hidden,
-            num_layers=config.num_layers,
+            hidden_dim=4096,
+            num_layers=12,
             num_dense_features=1024,
-            embeddings=(_case_embeddings(config.embedding_gib, config.remote_input_scale),),
+            embeddings=(_case_embeddings(90.0, config.remote_input_scale),),
             fm_features=32,
-            mha_heads=config.mha_heads,
+            mha_heads=8,
         )
     graph = build_dhen(dhen)
     # Prepend the user-side network with In-Batch Broadcast: per-user
     # inputs are expanded to user-ad pairs before the merge network.
     from repro.tensors.tensor import model_input, weight
 
-    users = max(1, config.batch // config.candidates_per_user)
+    users = max(1, config.batch // CANDIDATES_PER_USER)
     prologue = OpGraph(name=graph.name)
     user_in = model_input(users, 1024, name="user_features")
-    bcast = prologue.add(broadcast(user_in, config.candidates_per_user, name="ibb"))
+    bcast = prologue.add(broadcast(user_in, CANDIDATES_PER_USER, name="ibb"))
     current = bcast.output
     # The early merge network processes only user-side inputs: a couple
     # of projection FCs plus the user-history sequence encoder, whose

@@ -9,11 +9,10 @@ cross-platform comparison — returning one deployable, measured result.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.arch.gpu import gpu_spec
 from repro.arch.mtia import mtia2i_spec
-from repro.arch.specs import ChipSpec
 from repro.autotune.kernel_tuner import PerformanceDatabase
 from repro.autotune.tuner import AutotuneResult, autotune_model
 from repro.graph.graph import OpGraph
@@ -61,25 +60,23 @@ class Mtia2iSystem:
     >>> result = system.deploy(lambda b: build_dlrm(some_config_at(b)))
     """
 
-    def __init__(self, chip: Optional[ChipSpec] = None) -> None:
-        self.chip = chip or mtia2i_spec()
+    def __init__(self) -> None:
+        self.chip = mtia2i_spec()
         self.kernel_database = PerformanceDatabase()
 
     def deploy(
         self,
         build_graph: Callable[[int], OpGraph],
-        latency_slo_s: float = 0.100,
         model_name: str = "model",
-        apply_passes: bool = True,
     ) -> CodesignResult:
-        """Run the full co-design pipeline for one model."""
-        builder = (
-            (lambda b: optimize_graph(build_graph(b))) if apply_passes else build_graph
-        )
+        """Run the full co-design pipeline (graph passes, then autotuning
+        at a 100 ms latency SLO) for one model."""
+        def builder(batch: int) -> OpGraph:
+            return optimize_graph(build_graph(batch))
+
         tune = autotune_model(
             builder,
             self.chip,
-            latency_slo_s=latency_slo_s,
             kernel_database=self.kernel_database,
             model_name=model_name,
         )

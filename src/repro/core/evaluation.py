@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 from repro.arch.gpu import gpu_spec as default_gpu_spec
 from repro.arch.mtia import mtia2i_spec as default_mtia_spec
@@ -119,15 +118,12 @@ def gpu_shards_for(model: ZooModel, gpu_chip: ChipSpec) -> int:
     return max(1, math.ceil(weight_bytes / usable))
 
 
-def evaluate_model(
-    model: ZooModel,
-    mtia_chip: Optional[ChipSpec] = None,
-    gpu_chip: Optional[ChipSpec] = None,
-    warmup_runs: int = 2,
-) -> ModelEvaluation:
-    """Run the full cross-platform evaluation for one zoo model."""
-    mtia_chip = mtia_chip or default_mtia_spec()
-    gpu_chip = gpu_chip or default_gpu_spec()
+def evaluate_model(model: ZooModel) -> ModelEvaluation:
+    """Run the full cross-platform evaluation for one zoo model, MTIA 2i
+    against the GPU baseline, after two warmup runs."""
+    mtia_chip = default_mtia_spec()
+    gpu_chip = default_gpu_spec()
+    warmup_runs = 2
     mtia_srv, gpu_srv = mtia2i_server(), gpu_server()
     gpu_batch = model.gpu_batch or model.batch
 

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.arch.gpu import gpu_spec
-from repro.arch.specs import ChipSpec
 from repro.core.codesign import CodesignResult, Mtia2iSystem
 from repro.fleet.abtest import AbTestResult, SyntheticCtrModel, run_ab_test
 from repro.graph.graph import OpGraph
@@ -50,24 +49,22 @@ class PublishedModel:
 def publish_model(
     build_graph: Callable[[int], OpGraph],
     model_name: str = "model",
-    latency_slo_s: float = 0.100,
     quantization_threshold: float = 1.05,
     mtia_system: Optional[Mtia2iSystem] = None,
-    gpu_chip: Optional[ChipSpec] = None,
-    ab_requests: int = 100_000,
 ) -> PublishedModel:
     """Run the full publish pipeline for one model.
 
     Steps, in the paper's order: accelerator-specific co-design for MTIA
-    (graph passes + autotuning), a GPU runtime build at the same batch,
-    the quantization decision (adopt only if the end-to-end gain clears
-    ``quantization_threshold`` — section 4.4's cost/benefit bar), and the
-    A/B quality gate comparing the MTIA numerics path against the exact
-    reference before any traffic shifts.
+    (graph passes + autotuning at a 100 ms SLO), a GPU runtime build at
+    the same batch, the quantization decision (adopt only if the
+    end-to-end gain clears ``quantization_threshold`` — section 4.4's
+    cost/benefit bar), and the A/B quality gate (100,000 requests)
+    comparing the MTIA numerics path against the exact reference before
+    any traffic shifts.
     """
     system = mtia_system or Mtia2iSystem()
-    mtia = system.deploy(build_graph, latency_slo_s=latency_slo_s, model_name=model_name)
-    gpu_report = Executor(gpu_chip or gpu_spec()).run(
+    mtia = system.deploy(build_graph, model_name=model_name)
+    gpu_report = Executor(gpu_spec()).run(
         build_graph(mtia.autotune.batch), mtia.autotune.batch
     )
 
@@ -93,7 +90,7 @@ def publish_model(
         ctr,
         control=ctr.exact_backend(),
         treatment=ctr.backend_with(candidate_numerics),
-        num_requests=ab_requests,
+        num_requests=100_000,
     )
     return PublishedModel(
         model_name=model_name,

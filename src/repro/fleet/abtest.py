@@ -103,14 +103,15 @@ class AbTestResult:
     mean_prediction_delta: float
     revenue_proxy_ratio: float  # treatment / control expected value
 
-    def quality_parity(self, ne_tolerance: float = 0.01, ks_tolerance: float = 0.02) -> bool:
-        """The launch gate: NE within tolerance and matching distributions.
+    def quality_parity(self) -> bool:
+        """The launch gate: NE within 0.01 and matching distributions
+        (prediction KS distance within 0.02).
 
         The NE tolerance must sit above the arm-sampling noise floor for
         the test's traffic volume (~0.007 at 10^5 requests; production
         tests run many millions of requests and use tighter gates).
         """
-        return abs(self.ne_delta) <= ne_tolerance and self.prediction_ks <= ks_tolerance
+        return abs(self.ne_delta) <= 0.01 and self.prediction_ks <= 0.02
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,7 +10,7 @@ traffic never crosses sockets.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.arch.server import ServerSpec
 
@@ -68,11 +68,9 @@ class NumaAllocator:
         ]
         self.allocations: List[Allocation] = []
 
-    def free_accelerators(self, socket: Optional[int] = None) -> int:
-        """Count of unallocated accelerators (optionally per socket)."""
-        if socket is None:
-            return sum(len(f) for f in self._free)
-        return len(self._free[socket])
+    def free_accelerators(self) -> int:
+        """Count of unallocated accelerators."""
+        return sum(len(f) for f in self._free)
 
     def allocate(self, model_name: str, num_accelerators: int) -> Allocation:
         """Grant ``num_accelerators`` on a single socket (NUMA-aware).

@@ -21,7 +21,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.arch.server import ServerSpec
 from repro.arch.specs import ChipSpec
 from repro.fleet.allocator import NumaAllocator
-from repro.fleet.server_sim import HOST_DRAM_AMPLIFICATION_OPTIMIZED
+from repro.fleet.server_sim import (
+    HOST_BASELINE_FRACTION,
+    HOST_DRAM_AMPLIFICATION_OPTIMIZED,
+)
 from repro.perf.executor import ExecutionReport
 
 
@@ -96,7 +99,6 @@ def colocate(
     server: ServerSpec,
     requests: Sequence[ColocationRequest],
     amplification: float = HOST_DRAM_AMPLIFICATION_OPTIMIZED,
-    host_baseline_fraction: float = 0.2,
 ) -> ColocationResult:
     """Place model instances on the server and resolve host contention.
 
@@ -129,7 +131,7 @@ def colocate(
                     effective_throughput=request.report.throughput_samples_per_s,
                 )
             )
-    capacity = server.sockets[0].dram_bandwidth_bytes_per_s * (1 - host_baseline_fraction)
+    capacity = server.sockets[0].dram_bandwidth_bytes_per_s * (1 - HOST_BASELINE_FRACTION)
     result = ColocationResult(
         placements=placements,
         socket_demand_bytes_per_s=demand,

@@ -31,6 +31,9 @@ from repro.arch.server import ServerSpec
 HOST_DRAM_AMPLIFICATION_OPTIMIZED = 2.0
 # Before optimization: extra memcpys and an FP32 input representation.
 HOST_DRAM_AMPLIFICATION_NAIVE = 5.0
+# Host DRAM bandwidth reserved for the OS, the serving tier, and feature
+# preprocessing.
+HOST_BASELINE_FRACTION = 0.2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,17 +55,13 @@ def host_dram_contention(
     batches_per_s_per_chip: float,
     server: ServerSpec,
     amplification: float = HOST_DRAM_AMPLIFICATION_OPTIMIZED,
-    host_baseline_fraction: float = 0.2,
 ) -> HostContentionResult:
-    """Scale factor when every accelerator on a socket runs this model.
-
-    ``host_baseline_fraction`` reserves bandwidth for the OS, the serving
-    tier, and feature preprocessing.
-    """
+    """Scale factor when every accelerator on a socket runs this model,
+    after ``HOST_BASELINE_FRACTION`` of host bandwidth is reserved."""
     if host_bytes_per_batch < 0 or batches_per_s_per_chip < 0:
         raise ValueError("inputs must be non-negative")
     chips = server.accelerators_per_socket
-    capacity = server.sockets[0].dram_bandwidth_bytes_per_s * (1 - host_baseline_fraction)
+    capacity = server.sockets[0].dram_bandwidth_bytes_per_s * (1 - HOST_BASELINE_FRACTION)
     demand = chips * batches_per_s_per_chip * host_bytes_per_batch * amplification
     scale = 1.0 if demand <= capacity else capacity / demand
     return HostContentionResult(
@@ -86,7 +85,6 @@ def production_utilization(
     mean_load: float,
     peak_to_mean: float = 2.2,
     rng: Optional[np.random.Generator] = None,
-    num_intervals: int = 2000,
     seed: int = 42,
 ) -> UtilizationResult:
     """Average device utilization when capacity is provisioned for peak.
@@ -108,6 +106,7 @@ def production_utilization(
     if rng is None:
         rng = np.random.default_rng(seed)
     # Diurnal load curve with noise.
+    num_intervals = 2000
     t = np.linspace(0, 2 * np.pi, num_intervals)
     swing = (peak_to_mean - 1.0) / (peak_to_mean + 1.0)
     load = mean_load * (1 + swing * np.sin(t)) / (1 - swing * 0)
@@ -126,18 +125,18 @@ def production_gain(
     mtia_chip_throughput: float,
     gpu_chip_throughput: float,
     mean_load: float,
-    peak_to_mean: float = 2.2,
     seed: int = 42,
 ) -> float:
     """Extra MTIA-vs-GPU efficiency in production versus replay.
 
     Both platforms serve the same load; the one with the smaller device
-    quantum wastes less provisioned capacity.  Returns the ratio of mean
+    quantum wastes less provisioned capacity (load peaks at 2.2x its
+    mean).  Returns the ratio of mean
     utilizations (MTIA / GPU) — the paper observed 1.05x to 1.9x.  Both
     platforms see the same ``seed``-derived load curve.
     """
-    mtia = production_utilization(mtia_chip_throughput, mean_load, peak_to_mean, seed=seed)
-    gpu = production_utilization(gpu_chip_throughput, mean_load, peak_to_mean, seed=seed)
+    mtia = production_utilization(mtia_chip_throughput, mean_load, seed=seed)
+    gpu = production_utilization(gpu_chip_throughput, mean_load, seed=seed)
     if gpu.mean_utilization == 0:
         return 1.0
     return mtia.mean_utilization / gpu.mean_utilization

@@ -27,7 +27,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.fastsim.trials import trial_map
 from repro.fleet_global.drills import region_outage_drill
-from repro.fleet_global.failover import FailoverConfig
 from repro.fleet_global.regions import FleetConfig, standard_fleet
 from repro.fleet_global.simulator import FleetReport, run_fleet
 from repro.obs.metrics import MetricsRegistry, active
@@ -51,7 +50,7 @@ class CapacityPoint:
     defended: FleetReport
 
     def meets(self, report: FleetReport, config: FleetConfig) -> bool:
-        return report.meets_slo(config.p99_slo_s, DEFAULT_MAX_LOSS_FRACTION)
+        return report.meets_slo(DEFAULT_P99_SLO_S, DEFAULT_MAX_LOSS_FRACTION)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,7 +186,7 @@ class CapacityStudy:
 def _study_point(args: Tuple) -> CapacityPoint:
     """All three arms for one candidate size — module-level so the
     sweep's sizes pickle for :func:`~repro.fastsim.trials.trial_map`."""
-    size, users_millions, duration_s, seed, failover, registry = args
+    size, users_millions, duration_s, seed, registry = args
     fleet = standard_fleet(
         replicas_per_region=size,
         users_millions=users_millions,
@@ -199,14 +198,8 @@ def _study_point(args: Tuple) -> CapacityPoint:
         replicas_per_region=size,
         hosts_per_region=fleet.regions[0].num_hosts,
         baseline=run_fleet(fleet, registry=registry),
-        undefended=run_fleet(
-            fleet, drill, defended=False, failover=failover,
-            registry=registry,
-        ),
-        defended=run_fleet(
-            fleet, drill, defended=True, failover=failover,
-            registry=registry,
-        ),
+        undefended=run_fleet(fleet, drill, defended=False, registry=registry),
+        defended=run_fleet(fleet, drill, defended=True, registry=registry),
     )
 
 
@@ -216,7 +209,6 @@ def run_capacity_study(
     duration_s: float = 24.0,
     seed: int = 0,
     max_loss_fraction: float = DEFAULT_MAX_LOSS_FRACTION,
-    failover: Optional[FailoverConfig] = None,
     registry: Optional[MetricsRegistry] = None,
     processes: Optional[int] = None,
 ) -> CapacityStudy:
@@ -241,7 +233,7 @@ def run_capacity_study(
     points = trial_map(
         _study_point,
         [
-            (size, users_millions, duration_s, seed, failover, registry)
+            (size, users_millions, duration_s, seed, registry)
             for size in sizes
         ],
         processes=processes,
@@ -255,13 +247,13 @@ def run_capacity_study(
 
     def smallest(pick) -> Optional[int]:
         for point in points:
-            if pick(point).meets_slo(fleet.p99_slo_s, max_loss_fraction):
+            if pick(point).meets_slo(DEFAULT_P99_SLO_S, max_loss_fraction):
                 return point.replicas_per_region
         return None
 
     study = CapacityStudy(
         users_millions=users_millions,
-        p99_slo_s=fleet.p99_slo_s,
+        p99_slo_s=DEFAULT_P99_SLO_S,
         max_loss_fraction=max_loss_fraction,
         points=tuple(points),
         baseline_replicas=smallest(lambda p: p.baseline),

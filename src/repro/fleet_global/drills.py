@@ -45,7 +45,7 @@ from repro.chaos.domains import (
 )
 from repro.cluster.simulator import Injection
 from repro.fleet_global.regions import FleetConfig, RegionSpec
-from repro.reliability.firmware import RolloutPlan, emergency_rollout
+from repro.reliability.firmware import emergency_rollout
 
 EVENT_KINDS = ("outage", "brownout", "partition")
 
@@ -204,32 +204,29 @@ def global_firmware_rollout(
     fleet: FleetConfig,
     at_s: float,
     region_gap_s: float,
-    restart_s: float = 1.0,
-    wave_gap_s: float = 2.0,
-    plan: Optional[RolloutPlan] = None,
     regression_slow: float = 1.0,
     rollback_at_s: Optional[float] = None,
 ) -> Dict[str, Tuple[Injection, ...]]:
     """A staged *global* rollout: region-by-region, waves within each.
 
     Region ``i`` starts its :func:`~repro.chaos.domains.firmware_rollout`
-    wave schedule at ``at_s + i * region_gap_s``; every wave honors the
-    plan's restart-safety concurrency cap.  With ``regression_slow > 1``
-    the build is bad, and a ``rollback_at_s`` that lands before region 1
-    starts demonstrates the canary-region payoff: only the first
-    region's hosts ever serve degraded, later regions install the fixed
-    build from the start.
+    wave schedule at ``at_s + i * region_gap_s``: 1 s restarts, waves 2 s
+    apart, each honoring the emergency plan's restart-safety concurrency
+    cap.  With ``regression_slow > 1`` the build is bad, and a
+    ``rollback_at_s`` that lands before region 1 starts demonstrates the
+    canary-region payoff: only the first region's hosts ever serve
+    degraded, later regions install the fixed build from the start.
     """
     if region_gap_s < 0:
         raise ValueError("region gap must be non-negative")
-    plan = plan or emergency_rollout()
+    plan = emergency_rollout()
     schedules: Dict[str, Tuple[Injection, ...]] = {}
     for index, spec in enumerate(fleet.regions):
         schedules[spec.name] = tuple(firmware_rollout(
             spec.topology(),
             at_s=at_s + index * region_gap_s,
-            restart_s=restart_s,
-            wave_gap_s=wave_gap_s,
+            restart_s=1.0,
+            wave_gap_s=2.0,
             plan=plan,
             regression_slow=regression_slow,
             rollback_at_s=rollback_at_s,

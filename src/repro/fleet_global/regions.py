@@ -23,8 +23,11 @@ from typing import Optional, Tuple
 from repro.arch.mtia import mtia2i_spec
 from repro.chaos.domains import FaultDomainTopology
 from repro.cluster.routing import POLICY_NAMES
-from repro.power.cluster_link import ThrottleSchedule, frequency_for_chip_budget
-from repro.serving.simulator import DEFAULT_P99_SLO_S
+from repro.power.cluster_link import (
+    PLATFORM_POWER_W,
+    ThrottleSchedule,
+    frequency_for_chip_budget,
+)
 from repro.serving.workload import DiurnalTrafficModel
 
 # The traffic-scale knob tying "N million users" to simulated offered
@@ -50,6 +53,10 @@ def rate_for_users(
     return users_millions * PEAK_RPS_PER_MILLION_USERS / peak_to_mean
 
 
+# One accelerator (replica) per host slot, two to a host.
+REPLICAS_PER_HOST = 2
+
+
 @dataclasses.dataclass(frozen=True)
 class RegionSpec:
     """One region of the global fleet."""
@@ -57,17 +64,11 @@ class RegionSpec:
     name: str
     timezone_offset_h: float = 0.0  # hours east of the reference region
     replicas: int = 8
-    replicas_per_host: int = 2
-    hosts_per_rack: int = 2
-    # One rack per power domain: a region is several independent power
-    # feeds, so a partial brownout (some breakers trip) is expressible.
-    racks_per_power_domain: int = 1
     traffic_share: float = 1.0  # relative share of the global user base
     # Per-server power budget; None = unconstrained.  A budget that only
     # admits a lower ladder frequency stretches the region's service
     # times through a ThrottleSchedule, never silently.
     power_budget_w_per_server: Optional[float] = None
-    platform_power_w: float = 800.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -81,11 +82,14 @@ class RegionSpec:
             raise ValueError("power budget must be positive")
 
     def topology(self) -> FaultDomainTopology:
+        """Two replicas per host and two hosts per rack; one rack per
+        power domain, so a region is several independent power feeds and
+        a partial brownout (some breakers trip) is expressible."""
         return FaultDomainTopology(
             replicas=self.replicas,
-            replicas_per_host=self.replicas_per_host,
-            hosts_per_rack=self.hosts_per_rack,
-            racks_per_power_domain=self.racks_per_power_domain,
+            replicas_per_host=REPLICAS_PER_HOST,
+            hosts_per_rack=2,
+            racks_per_power_domain=1,
         )
 
     @property
@@ -95,9 +99,9 @@ class RegionSpec:
     def throttle(self) -> Optional[ThrottleSchedule]:
         """The region's power-budget throttle, if it is budget-capped.
 
-        The budget funds the platform first; the remainder splits across
-        the region's accelerators, and the highest ladder frequency that
-        fits sets a constant service-time multiplier
+        The budget funds the 800 W platform first; the remainder splits
+        across the region's accelerators, and the highest ladder frequency
+        that fits sets a constant service-time multiplier
         (``f_nominal / f_budget``).  ``None`` when unconstrained, so an
         unbudgeted region's event log stays byte-identical to a plain
         cluster run.
@@ -105,20 +109,15 @@ class RegionSpec:
         if self.power_budget_w_per_server is None:
             return None
         chip = mtia2i_spec()
-        chips_per_server = max(1, self.replicas_per_host)
         per_chip = max(
             0.0,
-            (self.power_budget_w_per_server - self.platform_power_w)
-            / chips_per_server,
+            (self.power_budget_w_per_server - PLATFORM_POWER_W) / REPLICAS_PER_HOST,
         )
         frequency = frequency_for_chip_budget(chip, per_chip)
         return ThrottleSchedule.constant(chip.frequency_hz / frequency)
 
 
-def standard_regions(
-    replicas_per_region: int = 8,
-    names: Tuple[str, ...] = ("us-east", "eu-west", "ap-south"),
-) -> Tuple[RegionSpec, ...]:
+def standard_regions(replicas_per_region: int = 8) -> Tuple[RegionSpec, ...]:
     """A three-region planet: peaks spread 8 hours apart, equal shares."""
     return tuple(
         RegionSpec(
@@ -126,20 +125,20 @@ def standard_regions(
             timezone_offset_h=8.0 * index,
             replicas=replicas_per_region,
         )
-        for index, name in enumerate(names)
+        for index, name in enumerate(("us-east", "eu-west", "ap-south"))
     )
 
 
 @dataclasses.dataclass(frozen=True)
 class FleetConfig:
-    """The global fleet: regions, worldwide traffic, timing, SLO."""
+    """The global fleet: regions, worldwide traffic and timing (judged
+    at the serving P99 SLO, ``DEFAULT_P99_SLO_S``)."""
 
     regions: Tuple[RegionSpec, ...]
     users_millions: float = 4.0
     peak_to_mean: float = 2.2
     duration_s: float = 24.0  # one compressed diurnal day
     policy: str = "po2"
-    p99_slo_s: float = DEFAULT_P99_SLO_S
     samples_per_request: int = 64
     seed: int = 0
     # Priority mix for the defended arm's brownout ladder
@@ -156,8 +155,6 @@ class FleetConfig:
             raise ValueError("user count must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.p99_slo_s <= 0:
-            raise ValueError("SLO must be positive")
         if self.peak_to_mean < 1:
             raise ValueError("peak-to-mean must be at least 1")
         if self.samples_per_request <= 0:

@@ -64,6 +64,7 @@ from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.cluster_link import ThrottleSchedule
 from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
+from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
     DiurnalTrafficModel,
     Request,
@@ -431,7 +432,6 @@ def run_fleet(
     drill: Optional[DrillSchedule] = None,
     defended: bool = False,
     failover: Optional[FailoverConfig] = None,
-    service: Optional[ServiceModel] = None,
     extra_injections: Optional[Dict[str, Sequence[Injection]]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> FleetReport:
@@ -447,7 +447,7 @@ def run_fleet(
     staged global firmware rollout) over the drill's.
     """
     failover = failover or FailoverConfig()
-    service = service or default_service_model()
+    service = default_service_model()
     streams, order = _region_streams(config, defended)
     offered = sum(len(stream) for stream in streams)
     num_regions = len(config.regions)
@@ -477,7 +477,7 @@ def run_fleet(
             replicas=spec.replicas,
             num_hosts=spec.num_hosts,
             policy=config.policy,
-            p99_slo_s=config.p99_slo_s,
+            p99_slo_s=DEFAULT_P99_SLO_S,
             admission=AdmissionConfig(),
             seed=config.seed + _CLUSTER_SEED + index,
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.tensors.dtypes import DType
 from repro.tensors.tensor import (
@@ -205,16 +205,16 @@ def fc(
     x: TensorSpec,
     w: TensorSpec,
     name: str = "fc",
-    out_dtype: Optional[DType] = None,
     sparse: bool = False,
 ) -> Op:
-    """A fully-connected layer: ``y[M,N] = x[M,K] @ w[K,N]``."""
+    """A fully-connected layer: ``y[M,N] = x[M,K] @ w[K,N]``, output in
+    the input's dtype."""
     if x.rank != 2 or w.rank != 2:
         raise ValueError(f"fc expects rank-2 tensors, got {x.shape} @ {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"fc shape mismatch: {x.shape} @ {w.shape}")
     shape = GemmShape(m=x.shape[0], k=x.shape[1], n=w.shape[1])
-    out = activation(shape.m, shape.n, dtype=out_dtype or x.dtype, name=f"{name}_out")
+    out = activation(shape.m, shape.n, dtype=x.dtype, name=f"{name}_out")
     return Op(
         op_type=OpType.FC,
         name=name,
@@ -283,14 +283,14 @@ def layernorm(x: TensorSpec, name: str = "layernorm") -> Op:
     )
 
 
-def softmax(x: TensorSpec, name: str = "softmax") -> Op:
+def softmax(x: TensorSpec) -> Op:
     """Row-wise softmax."""
-    out = activation(*x.shape, dtype=x.dtype, name=f"{name}_out")
+    out = activation(*x.shape, dtype=x.dtype, name="softmax_out")
     rows = x.shape[0] if x.rank > 1 else 1
     cols = x.num_elements // rows
     return Op(
         op_type=OpType.SOFTMAX,
-        name=name,
+        name="softmax",
         inputs=[x],
         outputs=[out],
         attrs={"rows": rows, "cols": cols},
@@ -422,16 +422,16 @@ def broadcast(x: TensorSpec, factor: int, name: str = "broadcast") -> Op:
     )
 
 
-def quantize(x: TensorSpec, name: str = "quantize") -> Op:
+def quantize(x: TensorSpec) -> Op:
     """Dynamic row-wise quantization FP16 -> INT8."""
-    out = activation(*x.shape, dtype=DType.INT8, name=f"{name}_out")
-    return Op(op_type=OpType.QUANTIZE, name=name, inputs=[x], outputs=[out])
+    out = activation(*x.shape, dtype=DType.INT8, name="quantize_out")
+    return Op(op_type=OpType.QUANTIZE, name="quantize", inputs=[x], outputs=[out])
 
 
-def dequantize(x: TensorSpec, out_dtype: DType = DType.FP16, name: str = "dequantize") -> Op:
-    """Dequantize INT32 accumulators / INT8 data back to floating point."""
-    out = activation(*x.shape, dtype=out_dtype, name=f"{name}_out")
-    return Op(op_type=OpType.DEQUANTIZE, name=name, inputs=[x], outputs=[out])
+def dequantize(x: TensorSpec) -> Op:
+    """Dequantize INT32 accumulators / INT8 data back to FP16."""
+    out = activation(*x.shape, dtype=DType.FP16, name="dequantize_out")
+    return Op(op_type=OpType.DEQUANTIZE, name="dequantize", inputs=[x], outputs=[out])
 
 
 def cast(x: TensorSpec, out_dtype: DType, name: str = "cast") -> Op:

@@ -86,8 +86,9 @@ def fuse_vertical(graph: OpGraph) -> OpGraph:
     return _rebuild(graph, new_ops)
 
 
-def fuse_sibling_transpose_fc(graph: OpGraph, min_siblings: int = 2) -> OpGraph:
-    """Fuse a transpose with all the sibling FCs consuming its output.
+def fuse_sibling_transpose_fc(graph: OpGraph) -> OpGraph:
+    """Fuse a transpose with all the sibling FCs (two or more) consuming
+    its output.
 
     This is the paper's example fusion: "a transposed output is used as
     input for multiple FC layers; fusing these improved cache locality".
@@ -104,7 +105,7 @@ def fuse_sibling_transpose_fc(graph: OpGraph, min_siblings: int = 2) -> OpGraph:
             c for c in graph.consumers_of(op.outputs[0]) if c.op_type is OpType.FC
         ]
         all_consumers = graph.consumers_of(op.outputs[0])
-        if len(siblings) < min_siblings or len(siblings) != len(all_consumers):
+        if len(siblings) < 2 or len(siblings) != len(all_consumers):
             new_ops.append(op)
             continue
         for sibling in siblings:
@@ -113,8 +114,9 @@ def fuse_sibling_transpose_fc(graph: OpGraph, min_siblings: int = 2) -> OpGraph:
     return _rebuild(graph, new_ops)
 
 
-def fuse_horizontal_fc(graph: OpGraph, min_group: int = 2) -> OpGraph:
-    """Fuse parallel FCs that read the same input tensor into one kernel."""
+def fuse_horizontal_fc(graph: OpGraph) -> OpGraph:
+    """Fuse parallel FCs (two or more) that read the same input tensor into
+    one kernel."""
     groups: Dict[int, List[Op]] = {}
     for op in graph.ops:
         if op.op_type is OpType.FC:
@@ -122,7 +124,7 @@ def fuse_horizontal_fc(graph: OpGraph, min_group: int = 2) -> OpGraph:
     fuse_sets = {
         id(member): members
         for members in groups.values()
-        if len(members) >= min_group
+        if len(members) >= 2
         for member in members
     }
     new_ops: List[Op] = []
@@ -178,15 +180,16 @@ def _rebuild_tolerant(graph: OpGraph, new_ops: List[Op]) -> OpGraph:
     return result
 
 
-def batch_layernorms(graph: OpGraph, min_group: int = 2) -> OpGraph:
-    """Batch independent LayerNorms into one horizontally-fused kernel.
+def batch_layernorms(graph: OpGraph) -> OpGraph:
+    """Batch independent LayerNorms (two or more) into one
+    horizontally-fused kernel.
 
     Section 6: "hundreds of LayerNorm layers ... batched together
     horizontally to amortize the kernel launch overhead."  Only
     LayerNorms with no dataflow path between them are grouped.
     """
     layernorms = [op for op in graph.ops if op.op_type is OpType.LAYERNORM]
-    if len(layernorms) < min_group:
+    if len(layernorms) < 2:
         return graph
     # Group LayerNorms whose inputs are all produced strictly before the
     # *first* member of the group.  This guarantees independence (no
@@ -214,7 +217,7 @@ def batch_layernorms(graph: OpGraph, min_group: int = 2) -> OpGraph:
             group_start = position[id(ln)]
     if current:
         groups.append(current)
-    to_fuse = {id(op): group for group in groups if len(group) >= min_group for op in group}
+    to_fuse = {id(op): group for group in groups if len(group) >= 2 for op in group}
     if not to_fuse:
         return graph
     new_ops: List[Op] = []

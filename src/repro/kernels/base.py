@@ -25,7 +25,6 @@ class KernelEstimate:
     # How many times each operand class is transferred (tiling re-reads).
     weight_read_factor: float = 1.0
     activation_read_factor: float = 1.0
-    output_write_factor: float = 1.0
     # When True, weight reads are broadcast to PE columns in hardware:
     # the NoC carries one copy instead of one per column (section 4.2).
     broadcast_weights: bool = False
@@ -38,11 +37,7 @@ class KernelEstimate:
     def __post_init__(self) -> None:
         if min(self.compute_s, self.issue_s, self.local_memory_s) < 0:
             raise ValueError("kernel times must be non-negative")
-        if min(
-            self.weight_read_factor,
-            self.activation_read_factor,
-            self.output_write_factor,
-        ) <= 0:
+        if min(self.weight_read_factor, self.activation_read_factor) <= 0:
             raise ValueError("read/write factors must be positive")
 
     @property

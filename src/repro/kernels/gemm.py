@@ -199,18 +199,15 @@ def estimate_gemm(
 def gemm_efficiency(
     shape: GemmShape,
     chip: ChipSpec,
-    dtype: DType = DType.FP16,
     variant: GemmVariant = GemmVariant(),
-    memory_time_s: float = 0.0,
 ) -> float:
-    """Achieved fraction of peak FLOPS for a GEMM.
+    """Achieved fraction of peak FP16 FLOPS for a GEMM.
 
-    ``memory_time_s`` lets callers include a measured memory bottleneck;
-    with 0 the figure is the compute/issue-side efficiency (the paper's
-    '>92% of peak for 2K x 2K' claim is of this kind, with operands
-    resident in SRAM).
+    The figure is the compute/issue-side efficiency (the paper's '>92%
+    of peak for 2K x 2K' claim is of this kind, with operands resident
+    in SRAM).
     """
-    est = estimate_gemm(shape, chip, dtype, variant)
-    actual = max(est.engine_time_s, memory_time_s)
-    ideal = shape.flops / chip.peak_gemm_flops(dtype)
+    est = estimate_gemm(shape, chip, DType.FP16, variant)
+    actual = est.engine_time_s
+    ideal = shape.flops / chip.peak_gemm_flops(DType.FP16)
     return ideal / actual if actual else 0.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -88,11 +87,10 @@ def simulate_tbe_hit_rate(
     row_bytes: int,
     cache,
     num_lookups: int,
-    rng: Optional[np.random.Generator] = None,
 ) -> float:
-    """Replay a synthetic index stream through an LLC instance and return
-    the measured hit rate for embedding-row gathers."""
-    rng = rng or np.random.default_rng(0)
+    """Replay a synthetic index stream (seed 0) through an LLC instance
+    and return the measured hit rate for embedding-row gathers."""
+    rng = np.random.default_rng(0)
     indices = pattern.sample(num_lookups, rng)
     before_hits, before_total = cache.stats.hits, cache.stats.accesses
     for index in indices:

@@ -104,6 +104,11 @@ class Traffic:
         return result
 
 
+# The LLC's block size and associativity.
+LLC_BLOCK_BYTES = 64 * 1024
+LLC_ASSOCIATIVITY = 16
+
+
 class MemoryHierarchy:
     """Stateful model of one chip's memory system during a model run."""
 
@@ -111,8 +116,6 @@ class MemoryHierarchy:
         self,
         chip: ChipSpec,
         partition: Optional[SramPartition] = None,
-        block_bytes: int = 64 * 1024,
-        llc_associativity: int = 16,
         seed: int = 0,
     ) -> None:
         """``seed`` seeds the LLC's random-victim sequence."""
@@ -127,15 +130,15 @@ class MemoryHierarchy:
         if partition.total_bytes > chip.sram.capacity_bytes:
             raise ValueError("partition exceeds SRAM capacity")
         self.partition = partition
-        self.block_bytes = block_bytes
+        self.block_bytes = LLC_BLOCK_BYTES
         self.llc: Optional[SetAssociativeCache] = (
             SetAssociativeCache(
                 capacity_bytes=partition.llc_bytes,
-                block_bytes=block_bytes,
-                associativity=llc_associativity,
+                block_bytes=LLC_BLOCK_BYTES,
+                associativity=LLC_ASSOCIATIVITY,
                 seed=seed,
             )
-            if partition.llc_bytes >= block_bytes
+            if partition.llc_bytes >= LLC_BLOCK_BYTES
             else None
         )
         self._placements: Dict[int, Placement] = {}

@@ -140,11 +140,11 @@ def _align(value: int, alignment: int) -> int:
 class ScratchAllocator:
     """A stateful wrapper enforcing an LLS capacity limit."""
 
-    def __init__(self, capacity_bytes: int, alignment: int = 128) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_bytes = capacity_bytes
-        self.alignment = alignment
+        self.alignment = 128
         self._requests: List[BufferRequest] = []
         self._plan: Optional[AllocationPlan] = None
 

@@ -136,7 +136,6 @@ def build_dhen(config: DhenConfig) -> OpGraph:
                 batch=config.batch,
                 avg_indices_per_lookup=bag.pooling_factor,
                 name=f"tbe{bag_index}",
-                weighted=bag.weighted,
             )
         )
         sparse_parts.append(tbe_op.output)

@@ -25,8 +25,7 @@ class EmbeddingBagConfig:
     num_tables: int
     rows_per_table: int
     embed_dim: int
-    pooling_factor: float  # average indices looked up per sample per table
-    weighted: bool = False
+    pooling_factor: float  # average indices looked up per sample per table (unweighted)
 
     def __post_init__(self) -> None:
         if min(self.num_tables, self.rows_per_table, self.embed_dim) <= 0:
@@ -50,7 +49,6 @@ class DlrmConfig:
     bottom_mlp_dims: Sequence[int]
     top_mlp_dims: Sequence[int]
     embeddings: Sequence[EmbeddingBagConfig]
-    dtype: DType = DType.FP16
 
     def __post_init__(self) -> None:
         if self.batch <= 0:
@@ -89,9 +87,9 @@ def build_dlrm(config: DlrmConfig) -> OpGraph:
     """Build the canonical DLRM op graph."""
     graph = OpGraph(name=config.name)
     dense_in = model_input(
-        config.batch, config.num_dense_features, dtype=config.dtype, name="dense_features"
+        config.batch, config.num_dense_features, dtype=DType.FP16, name="dense_features"
     )
-    bottom_out = _mlp(graph, dense_in, config.bottom_mlp_dims, "bottom", config.dtype)
+    bottom_out = _mlp(graph, dense_in, config.bottom_mlp_dims, "bottom", DType.FP16)
 
     pooled_outputs: List[TensorSpec] = []
     for bag_index, bag in enumerate(config.embeddings):
@@ -99,7 +97,7 @@ def build_dlrm(config: DlrmConfig) -> OpGraph:
             embedding_table(
                 bag.rows_per_table,
                 bag.embed_dim,
-                dtype=config.dtype,
+                dtype=DType.FP16,
                 name=f"emb{bag_index}_t{i}",
             )
             for i in range(bag.num_tables)
@@ -110,7 +108,6 @@ def build_dlrm(config: DlrmConfig) -> OpGraph:
                 batch=config.batch,
                 avg_indices_per_lookup=bag.pooling_factor,
                 name=f"tbe{bag_index}",
-                weighted=bag.weighted,
             )
         )
         pooled_outputs.append(tbe_op.output)
@@ -138,15 +135,15 @@ def build_dlrm(config: DlrmConfig) -> OpGraph:
     ).output
 
     top_in = graph.add(concat([bottom_out, inter], axis=-1, name="top_concat")).output
-    _mlp(graph, top_in, list(config.top_mlp_dims) + [1], "top", config.dtype)
+    _mlp(graph, top_in, list(config.top_mlp_dims) + [1], "top", DType.FP16)
     return graph
 
 
-def small_dlrm(name: str = "small_dlrm", batch: int = 512) -> DlrmConfig:
+def small_dlrm() -> DlrmConfig:
     """A small, fast-to-simulate DLRM for tests and the quickstart."""
     return DlrmConfig(
-        name=name,
-        batch=batch,
+        name="small_dlrm",
+        batch=512,
         num_dense_features=256,
         bottom_mlp_dims=(512, 256, 128),
         top_mlp_dims=(512, 256),

@@ -22,6 +22,12 @@ from repro.graph.graph import OpGraph
 from repro.models.dhen import DhenConfig, build_dhen
 from repro.models.dlrm import EmbeddingBagConfig
 
+# The scale-1.0 point every Wukong dimension grows from.
+BASE_HIDDEN = 1024
+BASE_LAYERS = 4
+BASE_EMBEDDING_GIB = 8.0
+BASE_TABLES = 32
+
 
 @dataclasses.dataclass(frozen=True)
 class WukongConfig:
@@ -35,11 +41,6 @@ class WukongConfig:
 
     scale: float = 1.0
     batch: int = 512
-    base_hidden: int = 1024
-    base_layers: int = 4
-    base_embedding_gib: float = 8.0
-    base_tables: int = 32
-    name: str = "wukong"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -48,23 +49,23 @@ class WukongConfig:
     @property
     def hidden_dim(self) -> int:
         """Width grows with sqrt(scale), rounded to a multiple of 256."""
-        width = self.base_hidden * math.sqrt(self.scale)
+        width = BASE_HIDDEN * math.sqrt(self.scale)
         return max(256, int(round(width / 256)) * 256)
 
     @property
     def num_layers(self) -> int:
         """Depth grows logarithmically with scale."""
-        return self.base_layers + max(0, int(round(2 * math.log2(max(1.0, self.scale)))))
+        return BASE_LAYERS + max(0, int(round(2 * math.log2(max(1.0, self.scale)))))
 
     @property
     def embedding_gib(self) -> float:
         """Larger models carry more sparse features (bigger tables)."""
-        return self.base_embedding_gib * self.scale ** 0.75
+        return BASE_EMBEDDING_GIB * self.scale ** 0.75
 
     @property
     def num_tables(self) -> int:
         """Table count grows with sqrt(scale)."""
-        return max(8, int(round(self.base_tables * math.sqrt(self.scale))))
+        return max(8, int(round(BASE_TABLES * math.sqrt(self.scale))))
 
     def to_dhen(self) -> DhenConfig:
         """The concrete DHEN-family instantiation of this scale point."""
@@ -72,7 +73,7 @@ class WukongConfig:
             1, int(self.embedding_gib * (1 << 30)) // (self.num_tables * 128 * 2)
         )
         return DhenConfig(
-            name=f"{self.name}_x{self.scale:g}",
+            name=f"wukong_x{self.scale:g}",
             batch=self.batch,
             hidden_dim=self.hidden_dim,
             num_layers=self.num_layers,
@@ -96,7 +97,7 @@ def build_wukong(config: WukongConfig) -> OpGraph:
 
 
 def scaling_sweep(
-    scales: List[float] = (1.0, 4.0, 16.0, 64.0), batch: int = 512
+    scales: List[float] = (1.0, 4.0, 16.0, 64.0),
 ) -> List[WukongConfig]:
     """Configurations walking the paper's two-orders-of-magnitude range."""
-    return [WukongConfig(scale=s, batch=batch) for s in scales]
+    return [WukongConfig(scale=s) for s in scales]

@@ -59,7 +59,7 @@ class ZooModel:
 
 
 def _embeddings(total_gib: float, num_tables: int, embed_dim: int,
-                pooling_factor: float, weighted: bool = False) -> EmbeddingBagConfig:
+                pooling_factor: float) -> EmbeddingBagConfig:
     """An embedding bag sized to a target total footprint."""
     total_bytes = int(total_gib * GiB)
     rows = max(1, total_bytes // (num_tables * embed_dim * 2))
@@ -68,7 +68,6 @@ def _embeddings(total_gib: float, num_tables: int, embed_dim: int,
         rows_per_table=rows,
         embed_dim=embed_dim,
         pooling_factor=pooling_factor,
-        weighted=weighted,
     )
 
 

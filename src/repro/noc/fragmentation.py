@@ -38,13 +38,12 @@ class FragmentationResult:
 
 def fragment(
     transfer_bytes: int,
-    arrival_s: float = 0.0,
     max_fragment_bytes: int = DEFAULT_MAX_FRAGMENT_BYTES,
     header_bytes: int = DEFAULT_HEADER_BYTES,
 ) -> FragmentationResult:
     """Split a transfer into header-carrying fragments.
 
-    All fragments share the transfer's arrival time; the shaper spreads
+    All fragments arrive together at time 0; the shaper spreads
     them out.
     """
     if transfer_bytes < 0:
@@ -56,7 +55,7 @@ def fragment(
     remaining = transfer_bytes
     while remaining > 0:
         payload = min(payload_per_fragment, remaining)
-        fragments.append(Packet(arrival_s=arrival_s, size_bytes=payload + header_bytes))
+        fragments.append(Packet(arrival_s=0.0, size_bytes=payload + header_bytes))
         remaining -= payload
     return FragmentationResult(
         fragments=fragments,

@@ -187,17 +187,16 @@ class BenchDiff:
         return "\n".join(lines)
 
 
-def diff_results(baseline: Dict, current: Dict, rel_tol: float = 0.05,
-                 abs_tol: float = 1e-12) -> BenchDiff:
+def diff_results(baseline: Dict, current: Dict, rel_tol: float = 0.05) -> BenchDiff:
     """Compare two results documents scalar by scalar.
 
     A scalar is within tolerance when ``|current - baseline| <=
-    max(abs_tol, rel_tol * |baseline|)``; the check is symmetric in
+    max(1e-12, rel_tol * |baseline|)``; the check is symmetric in
     direction — an unexplained speed*up* is drift worth flagging too.
     Benchmarks present on only one side are reported, not failed (a
     ``--smoke`` run legitimately covers a subset).
     """
-    if rel_tol < 0 or abs_tol < 0:
+    if rel_tol < 0:
         raise ValueError("tolerances must be non-negative")
     base_benchmarks = baseline.get("benchmarks", {})
     cur_benchmarks = current.get("benchmarks", {})
@@ -210,7 +209,7 @@ def diff_results(baseline: Dict, current: Dict, rel_tol: float = 0.05,
                 continue
             old = float(base_scalars[key])
             new = float(cur_scalars[key])
-            within = abs(new - old) <= max(abs_tol, rel_tol * abs(old))
+            within = abs(new - old) <= max(1e-12, rel_tol * abs(old))
             entries.append(DiffEntry(name, key, old, new, within))
     return BenchDiff(
         entries=entries,
@@ -269,12 +268,11 @@ class RuntimeRegression:
 
 def runtime_comparison(baseline: Dict, current: Dict,
                        ratio: float = RUNTIME_REGRESSION_RATIO,
-                       min_runtime_s: float = RUNTIME_GUARD_FLOOR_S,
                        ) -> Dict[str, Dict[str, float]]:
     """Per-benchmark runtime table: baseline, current, budget, verdict.
 
     Covers every benchmark carrying a ``runtime_s`` on both sides; the
-    budget is ``max(min_runtime_s, ratio * baseline_s)`` (tolerance
+    budget is ``max(RUNTIME_GUARD_FLOOR_S, ratio * baseline_s)`` (tolerance
     rationale on the module constants above).  This is the artifact CI
     uploads so a regression's evidence survives the failed run.
     """
@@ -290,7 +288,7 @@ def runtime_comparison(baseline: Dict, current: Dict,
             continue
         base_runtime = float(base_runtime)
         cur_runtime = float(cur_runtime)
-        budget = max(min_runtime_s, ratio * base_runtime)
+        budget = max(RUNTIME_GUARD_FLOOR_S, ratio * base_runtime)
         table[name] = {
             "baseline_s": base_runtime,
             "current_s": cur_runtime,
@@ -302,10 +300,7 @@ def runtime_comparison(baseline: Dict, current: Dict,
     return table
 
 
-def runtime_regressions(baseline: Dict, current: Dict,
-                        ratio: float = RUNTIME_REGRESSION_RATIO,
-                        min_runtime_s: float = RUNTIME_GUARD_FLOOR_S,
-                        ) -> List[RuntimeRegression]:
+def runtime_regressions(baseline: Dict, current: Dict) -> List[RuntimeRegression]:
     """Benchmarks whose runtime broke the budget, worst first."""
     offenders = [
         RuntimeRegression(
@@ -314,9 +309,7 @@ def runtime_regressions(baseline: Dict, current: Dict,
             current_s=row["current_s"],
             budget_s=row["budget_s"],
         )
-        for name, row in runtime_comparison(
-            baseline, current, ratio=ratio, min_runtime_s=min_runtime_s
-        ).items()
+        for name, row in runtime_comparison(baseline, current).items()
         if not row["ok"]
     ]
     offenders.sort(key=lambda r: r.ratio, reverse=True)

@@ -98,11 +98,14 @@ class Series:
         return tuple(self._points)
 
 
+BUCKETS_PER_DECADE = 10
+
+
 class Histogram:
     """Log-scale bucketed distribution with percentile extraction.
 
-    Buckets are geometric: ``buckets_per_decade`` buckets per power of
-    ten (default 10, i.e. ~26% bucket width, so percentile estimates
+    Buckets are geometric: ``BUCKETS_PER_DECADE`` buckets per power of
+    ten (10, i.e. ~26% bucket width, so percentile estimates
     carry ~13% worst-case relative error — plenty for latency and
     occupancy telemetry).  Non-positive observations land in a dedicated
     zero bucket.  Exact min/max are tracked so percentile estimates are
@@ -110,15 +113,12 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "buckets_per_decade", "_buckets", "_zeros",
+        "name", "_buckets", "_zeros",
         "_count", "_sum", "_min", "_max",
     )
 
-    def __init__(self, name: str, buckets_per_decade: int = 10) -> None:
-        if buckets_per_decade <= 0:
-            raise ValueError("buckets_per_decade must be positive")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.buckets_per_decade = buckets_per_decade
         self._buckets: Dict[int, int] = {}
         self._zeros = 0
         self._count = 0
@@ -138,7 +138,7 @@ class Histogram:
         if value <= 0.0:
             self._zeros += 1
             return
-        index = math.floor(math.log10(value) * self.buckets_per_decade)
+        index = math.floor(math.log10(value) * BUCKETS_PER_DECADE)
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
     @property
@@ -175,7 +175,7 @@ class Histogram:
             seen += self._buckets[index]
             if target <= seen:
                 # Geometric bucket midpoint, clamped to the exact range.
-                mid = 10.0 ** ((index + 0.5) / self.buckets_per_decade)
+                mid = 10.0 ** ((index + 0.5) / BUCKETS_PER_DECADE)
                 return min(self._max, max(self._min, mid))
         return self._max  # pragma: no cover - defensive
 
@@ -275,14 +275,12 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str, buckets_per_decade: int = 10) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         if not self._enabled:
             return _NULL_HISTOGRAM
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(
-                name, buckets_per_decade=buckets_per_decade
-            )
+            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     def series(self, name: str) -> Series:

@@ -152,17 +152,16 @@ class TraceWriter:
              "args": dict(values)}
         )
 
-    def begin(self, name: str, ts: float, tid: int, cat: str = "span",
-              args: Optional[Dict] = None) -> None:
+    def begin(self, name: str, ts: float, tid: int) -> None:
         """Open a nested (``ph: B``) span on ``tid``."""
         event = {
             "name": name,
-            "cat": cat,
+            "cat": "span",
             "ph": "B",
             "ts": ts,
             "pid": self.pid,
             "tid": tid,
-            "args": args if args is not None else {},
+            "args": {},
         }
         self._events.append(event)
         self._stacks.setdefault(tid, []).append(event)
@@ -197,8 +196,7 @@ class TraceWriter:
     # Output
     # ------------------------------------------------------------------
 
-    def document(self, display_time_unit: str = "ms",
-                 other_data: Optional[Dict] = None) -> Dict:
+    def document(self, other_data: Optional[Dict] = None) -> Dict:
         """The finished trace document (metadata first, then events)."""
         if self.open_span_count:
             open_names = [
@@ -210,13 +208,12 @@ class TraceWriter:
         document: Dict = {
             "traceEvents": trace_metadata(self.process_name, self._lanes,
                                           pid=self.pid) + self._events,
-            "displayTimeUnit": display_time_unit,
+            "displayTimeUnit": "ms",
         }
         if other_data is not None:
             document["otherData"] = other_data
         return document
 
-    def write(self, path: str, display_time_unit: str = "ms",
-              other_data: Optional[Dict] = None) -> None:
+    def write(self, path: str, other_data: Optional[Dict] = None) -> None:
         """Serialise the document to ``path``."""
-        write_trace_json(self.document(display_time_unit, other_data), path)
+        write_trace_json(self.document(other_data), path)

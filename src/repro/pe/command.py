@@ -105,7 +105,6 @@ def simulate_pipeline(
     stages: List[PipelineStage],
     num_tiles: int,
     cb_slots: int = 2,
-    slot_bytes: int = 32 * 1024,
 ) -> float:
     """Makespan of a CB-connected pipeline with *finite* buffers.
 

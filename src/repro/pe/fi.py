@@ -18,7 +18,6 @@ class DmaConfig:
 
     bandwidth_bytes_per_s: float = 64e9  # FI-to-NoC, per PE
     setup_latency_s: float = 200e-9
-    supports_prefetch: bool = True
 
     def __post_init__(self) -> None:
         if self.bandwidth_bytes_per_s <= 0:
@@ -37,20 +36,17 @@ def overlapped_load_time(
     compute_time_s: float,
     load_time_s: float,
     prefetch: bool,
-    prefetch_efficiency: float = 0.95,
 ) -> float:
     """Combined time when a data load can (or cannot) hide behind compute.
 
     With prefetch, the load overlaps compute and only the non-hidden
     remainder is exposed; without it, the kernel serializes load then
-    compute.  ``prefetch_efficiency`` reflects imperfect overlap at tile
-    boundaries.
+    compute.  Prefetch hides at most 95% of the compute time: overlap is
+    imperfect at tile boundaries.
     """
     if compute_time_s < 0 or load_time_s < 0:
         raise ValueError("times must be non-negative")
-    if not (0 < prefetch_efficiency <= 1):
-        raise ValueError("prefetch efficiency must be in (0, 1]")
     if not prefetch:
         return compute_time_s + load_time_s
-    hidden = min(load_time_s, compute_time_s * prefetch_efficiency)
+    hidden = min(load_time_s, compute_time_s * 0.95)
     return compute_time_s + (load_time_s - hidden)

@@ -11,19 +11,20 @@ from __future__ import annotations
 import dataclasses
 
 
+# Strided access patterns (transpose) run below streaming rate.
+TRANSPOSE_EFFICIENCY = 0.6
+
+
 @dataclasses.dataclass(frozen=True)
 class MluConfig:
-    """Throughput of one PE's MLU."""
+    """Throughput of one PE's MLU: 64 bytes a cycle."""
 
-    bytes_per_cycle: int = 64
     frequency_hz: float = 1.35e9
-    # Strided access patterns (transpose) run below streaming rate.
-    transpose_efficiency: float = 0.6
 
     @property
     def streaming_bandwidth(self) -> float:
         """Peak streaming bytes/s for layout-preserving moves."""
-        return self.bytes_per_cycle * self.frequency_hz
+        return 64 * self.frequency_hz
 
 
 def reshape_time(num_bytes: int, config: MluConfig) -> float:
@@ -37,7 +38,7 @@ def transpose_time(num_bytes: int, config: MluConfig) -> float:
     """Transpose pays the strided-access efficiency penalty."""
     if num_bytes < 0:
         raise ValueError("byte count must be non-negative")
-    return num_bytes / (config.streaming_bandwidth * config.transpose_efficiency)
+    return num_bytes / (config.streaming_bandwidth * TRANSPOSE_EFFICIENCY)
 
 
 def fused_transpose_savings(num_bytes: int, num_fused_ops: int, config: MluConfig) -> float:

@@ -20,19 +20,20 @@ import numpy as np
 class ReductionConfig:
     """Rates of the reduction network."""
 
-    # Accumulator elements written per cycle.
-    accumulate_lanes: int = 32
-    # Bandwidth of the PE-to-PE reduction link, bytes/s.
-    link_bandwidth: float = 128e9
     frequency_hz: float = 1.35e9
-    tracks_minmax: bool = True  # MTIA 2i feature for dynamic quantization
+
+
+# Accumulator elements written per cycle.
+ACCUMULATE_LANES = 32
+# Bandwidth of the PE-to-PE reduction link, bytes/s.
+LINK_BANDWIDTH = 128e9
 
 
 def accumulate_time(num_elements: int, config: ReductionConfig) -> float:
     """Time to fold ``num_elements`` partials into the accumulator."""
     if num_elements < 0:
         raise ValueError("element count must be non-negative")
-    return num_elements / (config.accumulate_lanes * config.frequency_hz)
+    return num_elements / (ACCUMULATE_LANES * config.frequency_hz)
 
 
 def cross_pe_reduce_time(
@@ -46,7 +47,7 @@ def cross_pe_reduce_time(
     """
     if num_pes <= 0:
         raise ValueError("need at least one PE")
-    stream = num_elements * element_bytes / config.link_bandwidth
+    stream = num_elements * element_bytes / LINK_BANDWIDTH
     hops = max(0, num_pes - 1)
     hop_latency = 4.0 / config.frequency_hz  # a few cycles per hop
     return stream + hops * hop_latency

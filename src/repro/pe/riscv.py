@@ -118,13 +118,13 @@ class RiscvVectorConfig:
     data-level parallelism is limited (section 4.3).
     """
 
-    vlen_bytes: int = 64
     frequency_hz: float = 1.35e9
-    # Table 2: RISC-V vector core at 1.4 TOPS FP32 chip-wide => ~16
-    # FP32 lanes per PE at 1.35 GHz.
-    throughput_scale: float = 1.0
 
     def elements_per_s(self, dtype: DType) -> float:
-        """Vector elements per second on one PE's vector core."""
-        lanes = self.vlen_bytes // dtype.bytes
-        return lanes * self.frequency_hz * self.throughput_scale
+        """Vector elements per second on one PE's vector core.
+
+        A 64-byte vector: Table 2's RISC-V vector core at 1.4 TOPS FP32
+        chip-wide => ~16 FP32 lanes per PE at 1.35 GHz.
+        """
+        lanes = 64 // dtype.bytes
+        return lanes * self.frequency_hz

@@ -20,6 +20,9 @@ from repro.tensors.dtypes import DType
 
 # Nonlinear functions with LUT approximation support.
 LUT_FUNCTIONS = ("exp", "sigmoid", "tanh", "gelu", "rsqrt", "log", "reciprocal")
+# LUT geometry: entries per table, and tables resident at once.
+LUT_ENTRIES = 1024
+LUT_TABLES = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,8 +33,6 @@ class SimdConfig:
     # 5.5 TOPS at every dtype => elements/cycle constant across widths).
     lanes: Dict[DType, int]
     frequency_hz: float = 1.35e9
-    lut_entries: int = 1024
-    lut_tables: int = 4
 
     def elements_per_s(self, dtype: DType) -> float:
         """Vector elements processed per second."""
@@ -65,17 +66,18 @@ def lut_gather_time(
     segments and performs the gather piecewise; each segment reload costs
     a table-load pass over the lookups.
     """
-    lut_capacity_bytes = config.lut_entries * config.lut_tables * dtype.bytes
+    lut_capacity_bytes = LUT_ENTRIES * LUT_TABLES * dtype.bytes
     segments = max(1, math.ceil(table_bytes / lut_capacity_bytes))
     per_pass = elementwise_time(num_lookups, config, dtype, ops_per_element=1.0)
     reloads = elementwise_time(
-        segments * config.lut_entries, config, dtype, ops_per_element=1.0
+        segments * LUT_ENTRIES, config, dtype, ops_per_element=1.0
     )
     return segments * per_pass + reloads
 
 
-def lut_approximation(function: str, x: np.ndarray, entries: int = 1024) -> np.ndarray:
-    """A concrete piecewise-linear LUT approximation of a nonlinearity.
+def lut_approximation(function: str, x: np.ndarray) -> np.ndarray:
+    """A concrete ``LUT_ENTRIES``-point piecewise-linear LUT approximation
+    of a nonlinearity.
 
     Used by the quantization-quality analysis to model the numeric error a
     LUT-based activation introduces relative to exact math.  The domain is
@@ -94,7 +96,7 @@ def lut_approximation(function: str, x: np.ndarray, entries: int = 1024) -> np.n
         raise ValueError(f"unknown LUT function {function!r}; supported: {LUT_FUNCTIONS}")
     exact = funcs[function]
     lo, hi = (1e-6, 16.0) if function in ("rsqrt", "log") else (-8.0, 8.0)
-    grid = np.linspace(lo, hi, entries)
+    grid = np.linspace(lo, hi, LUT_ENTRIES)
     table = exact(grid.astype(np.float64))
     clamped = np.clip(np.asarray(x, dtype=np.float64), lo, hi)
     return np.interp(clamped, grid, table)

@@ -69,11 +69,10 @@ def launch_reduction(new: EagerLaunchSpec, old: EagerLaunchSpec) -> float:
     return 1.0 - new.job_launch_s / old.job_launch_s
 
 
-def eager_viable(
-    chip: ChipSpec, median_op_time_s: float, max_overhead_fraction: float = 0.1
-) -> bool:
-    """Whether eager-mode execution keeps launch overhead acceptable for a
-    model whose median operator runs for ``median_op_time_s``."""
+def eager_viable(chip: ChipSpec, median_op_time_s: float) -> bool:
+    """Whether eager-mode execution keeps launch overhead at or below 10%
+    of the time for a model whose median operator runs for
+    ``median_op_time_s``."""
     if median_op_time_s <= 0:
         raise ValueError("op time must be positive")
     per_job = (
@@ -81,4 +80,4 @@ def eager_viable(
         if chip.eager.broadcast_work_queues
         else chip.eager.job_launch_s
     )
-    return per_job / (per_job + median_op_time_s) <= max_overhead_fraction
+    return per_job / (per_job + median_op_time_s) <= 0.1

@@ -506,9 +506,8 @@ class Executor:
             # re-reads are served from on-chip staging after that.
             _add_scaled(traffic, moves, at, factor, factor * replication, 1.0)
             at += 5
-        factor = estimate.output_write_factor
         for _ in op.outputs:
-            _add_scaled(traffic, moves, at, factor, factor, factor)
+            _add_scaled(traffic, moves, at, 1.0, 1.0, 1.0)
             at += 5
         return traffic, at, tbe_rows
 

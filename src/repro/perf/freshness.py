@@ -67,19 +67,15 @@ def weight_update_latency(
     )
 
 
-def freshness_quality_gain(
-    update_interval_s: float, decay_per_hour: float = 0.002
-) -> float:
+def freshness_quality_gain(update_interval_s: float) -> float:
     """Quality retained relative to perfectly fresh weights.
 
     A simple exponential-staleness model: prediction quality decays by
-    ``decay_per_hour`` per hour of average weight age (half the update
-    interval).  Used to translate update cadence into the quality terms
-    product teams reason about.
+    0.2% per hour of average weight age (half the update interval).
+    Used to translate update cadence into the quality terms product
+    teams reason about.
     """
     if update_interval_s < 0:
         raise ValueError("interval must be non-negative")
-    if not (0 <= decay_per_hour < 1):
-        raise ValueError("decay must be a fraction")
     average_age_hours = update_interval_s / 2 / 3600.0
-    return (1.0 - decay_per_hour) ** average_age_hours
+    return (1.0 - 0.002) ** average_age_hours

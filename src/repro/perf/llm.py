@@ -21,6 +21,8 @@ from repro.tensors.dtypes import DType
 # Serving requirements quoted in the paper.
 TTFT_REQUIREMENT_S = 0.600
 DECODE_REQUIREMENT_S = 0.060
+# The prompt length both phases are judged at.
+PROMPT_TOKENS = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,7 +36,6 @@ class LlmConfig:
     num_kv_heads: int
     ffn_dim: int
     vocab_size: int
-    dtype: DType = DType.FP16
 
     @property
     def head_dim(self) -> int:
@@ -55,13 +56,13 @@ class LlmConfig:
 
     @property
     def weight_bytes(self) -> int:
-        """Weight footprint at the serving dtype."""
-        return self.num_params * self.dtype.bytes
+        """Weight footprint at the FP16 serving dtype."""
+        return self.num_params * DType.FP16.bytes
 
     def kv_bytes_per_token(self) -> int:
         """KV-cache bytes appended per generated token."""
         return (
-            2 * self.num_layers * self.num_kv_heads * self.head_dim * self.dtype.bytes
+            2 * self.num_layers * self.num_kv_heads * self.head_dim * DType.FP16.bytes
         )
 
 
@@ -125,21 +126,17 @@ class LlmPhaseReport:
         return self.weight_stream_s + self.kv_stream_s > self.compute_s
 
 
-def prefill_report(
-    config: LlmConfig, chip: ChipSpec, prompt_tokens: int = 2048,
-    compute_efficiency: float = 0.6,
-) -> LlmPhaseReport:
-    """Prefill: process the whole prompt in one pass (compute-bound)."""
-    if prompt_tokens <= 0:
-        raise ValueError("prompt length must be positive")
-    flops = 2.0 * config.num_params * prompt_tokens
+def prefill_report(config: LlmConfig, chip: ChipSpec) -> LlmPhaseReport:
+    """Prefill: process the whole ``PROMPT_TOKENS`` prompt in one pass
+    (compute-bound, at 60% of sustained GEMM throughput)."""
+    flops = 2.0 * config.num_params * PROMPT_TOKENS
     # Attention score/value FLOPs grow quadratically but stay minor at
     # these lengths; include them for honesty.
     attn_flops = (
-        4.0 * config.num_layers * prompt_tokens * prompt_tokens * config.hidden_dim
+        4.0 * config.num_layers * PROMPT_TOKENS * PROMPT_TOKENS * config.hidden_dim
     )
-    peak = chip.peak_gemm_flops(config.dtype) * chip.sustained_gemm_fraction
-    compute = (flops + attn_flops) / (peak * compute_efficiency)
+    peak = chip.peak_gemm_flops(DType.FP16) * chip.sustained_gemm_fraction
+    compute = (flops + attn_flops) / (peak * 0.6)
     weight_stream = config.weight_bytes / chip.dram.bandwidth_bytes_per_s
     return LlmPhaseReport(
         phase="prefill",
@@ -150,17 +147,14 @@ def prefill_report(
 
 
 def decode_report(
-    config: LlmConfig, chip: ChipSpec, context_tokens: int = 2048, batch: int = 1
+    config: LlmConfig, chip: ChipSpec, context_tokens: int = PROMPT_TOKENS
 ) -> LlmPhaseReport:
-    """Decode: one token per step — every weight byte streams from DRAM.
-
-    A batch shares the weight stream but the per-token latency target
-    still applies to each step.
-    """
-    if context_tokens < 0 or batch <= 0:
+    """Decode: one token per step at batch 1 — every weight byte streams
+    from DRAM."""
+    if context_tokens < 0:
         raise ValueError("invalid decode parameters")
-    flops = 2.0 * config.num_params * batch
-    peak = chip.peak_gemm_flops(config.dtype) * chip.sustained_gemm_fraction
+    flops = 2.0 * config.num_params
+    peak = chip.peak_gemm_flops(DType.FP16) * chip.sustained_gemm_fraction
     compute = flops / (peak * 0.3)  # tiny GEMMs run far from peak
     # SRAM can pin only a sliver of the weights; the rest streams from
     # DRAM each step.
@@ -168,7 +162,7 @@ def decode_report(
     streamed = config.weight_bytes - resident
     weight_stream = streamed / chip.dram.bandwidth_bytes_per_s
     kv_stream = (
-        batch * context_tokens * config.kv_bytes_per_token()
+        context_tokens * config.kv_bytes_per_token()
         / chip.dram.bandwidth_bytes_per_s
     )
     return LlmPhaseReport(
@@ -196,12 +190,10 @@ class LlmFeasibility:
         return self.prefill_meets_ttft and self.decode_meets_latency
 
 
-def evaluate_llm(
-    config: LlmConfig, chip: ChipSpec, prompt_tokens: int = 2048
-) -> LlmFeasibility:
+def evaluate_llm(config: LlmConfig, chip: ChipSpec) -> LlmFeasibility:
     """Evaluate both phases against the paper's latency requirements."""
-    prefill = prefill_report(config, chip, prompt_tokens)
-    decode = decode_report(config, chip, context_tokens=prompt_tokens)
+    prefill = prefill_report(config, chip)
+    decode = decode_report(config, chip)
     return LlmFeasibility(
         model=config.name,
         chip=chip.name,

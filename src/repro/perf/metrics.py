@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from repro.arch.server import ServerSpec, gpu_server, mtia2i_server
+from repro.arch.server import gpu_server, mtia2i_server
 from repro.perf.executor import ExecutionReport
 from repro.tco.model import GPU_COST, MTIA2I_COST, PlatformComparison, compare_platforms
 
@@ -44,23 +43,20 @@ def efficiency_from_report(report: ExecutionReport) -> ModelEfficiency:
 def compare_reports(
     mtia_report: ExecutionReport,
     gpu_report: ExecutionReport,
-    mtia_accelerators_per_model: int = 1,
-    gpu_accelerators_per_model: int = 1,
-    mtia_srv: Optional[ServerSpec] = None,
-    gpu_srv: Optional[ServerSpec] = None,
 ) -> PlatformComparison:
     """Server-level Perf/TCO and Perf/Watt comparison from two per-chip
-    execution reports of the same model."""
+    execution reports of the same model, one accelerator per model on
+    the production servers."""
     return compare_platforms(
         model_name=mtia_report.model_name,
         mtia_chip_throughput=mtia_report.throughput_samples_per_s,
         gpu_chip_throughput=gpu_report.throughput_samples_per_s,
         mtia_chip_power_w=mtia_report.avg_power_w,
         gpu_chip_power_w=gpu_report.avg_power_w,
-        mtia_srv=mtia_srv or mtia2i_server(),
-        gpu_srv=gpu_srv or gpu_server(),
+        mtia_srv=mtia2i_server(),
+        gpu_srv=gpu_server(),
         mtia_costs=MTIA2I_COST,
         gpu_costs=GPU_COST,
-        mtia_accelerators_per_model=mtia_accelerators_per_model,
-        gpu_accelerators_per_model=gpu_accelerators_per_model,
+        mtia_accelerators_per_model=1,
+        gpu_accelerators_per_model=1,
     )

@@ -79,24 +79,16 @@ def dual_roofline(
     )
 
 
-def sram_cliff(
-    chip: ChipSpec, intensity_flops_per_byte: float, dtype: DType = DType.FP16
-) -> float:
+def sram_cliff(chip: ChipSpec, intensity_flops_per_byte: float) -> float:
     """Slowdown factor between fully-SRAM-resident and fully-DRAM-resident
-    execution at a given intensity — the 'performance drops sharply as
-    models exceed the SRAM capacity' effect (section 3.6)."""
-    high = dual_roofline(chip, intensity_flops_per_byte, 1.0, dtype).attainable_flops
-    low = dual_roofline(chip, intensity_flops_per_byte, 0.0, dtype).attainable_flops
+    FP16 execution at a given intensity — the 'performance drops sharply
+    as models exceed the SRAM capacity' effect (section 3.6)."""
+    high = dual_roofline(chip, intensity_flops_per_byte, 1.0, DType.FP16).attainable_flops
+    low = dual_roofline(chip, intensity_flops_per_byte, 0.0, DType.FP16).attainable_flops
     return high / low if low else float("inf")
 
 
-def sweep(
-    chip: ChipSpec,
-    intensities: List[float],
-    sram_resident_fraction: float = 1.0,
-    dtype: DType = DType.FP16,
-) -> List[RooflinePoint]:
-    """Roofline points across a range of intensities."""
-    return [
-        dual_roofline(chip, ai, sram_resident_fraction, dtype) for ai in intensities
-    ]
+def sweep(chip: ChipSpec, intensities: List[float]) -> List[RooflinePoint]:
+    """FP16 roofline points, fully SRAM-resident, across a range of
+    intensities."""
+    return [dual_roofline(chip, ai, 1.0, DType.FP16) for ai in intensities]

@@ -197,14 +197,13 @@ def utilization_profile(
     duration_s: float,
     dt_s: float,
     mean: float = 0.75,
-    swing: float = 0.2,
-    noise: float = 0.06,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
 ) -> np.ndarray:
     """A diurnal-plus-noise utilization trace on a uniform grid.
 
-    One sinusoidal 'day' is compressed into ``duration_s``; every
+    One sinusoidal 'day' (±20% around ``mean``, 6% lognormal noise) is
+    compressed into ``duration_s``; every
     time-domain power study (DVFS, capping, provisioning) draws its load
     shape from here so their inputs agree.
     """
@@ -214,8 +213,8 @@ def utilization_profile(
         rng = np.random.default_rng(seed)
     steps = int(np.ceil(duration_s / dt_s))
     t = np.arange(steps) * dt_s
-    base = mean * (1.0 + swing * np.sin(2.0 * np.pi * t / duration_s))
-    jitter = rng.lognormal(0.0, noise, size=steps)
+    base = mean * (1.0 + 0.2 * np.sin(2.0 * np.pi * t / duration_s))
+    jitter = rng.lognormal(0.0, 0.06, size=steps)
     return np.clip(base * jitter, 0.02, 1.0)
 
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.server import ServerSpec, mtia2i_server
+from repro.arch.server import mtia2i_server
 from repro.arch.specs import ChipSpec
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.activity import chip_power_w, utilization_profile
@@ -110,12 +110,11 @@ class PerChipCapController:
         chip: ChipSpec,
         num_chips: int,
         budget_w: float,
-        ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
     ) -> None:
         self.chip = chip
         self.num_chips = num_chips
         self.budget_w = budget_w
-        self.ladder_hz = tuple(ladder_hz)
+        self.ladder_hz = DEFAULT_LADDER_HZ
 
     def tick(self, utilizations: np.ndarray) -> Tuple[np.ndarray, float]:
         """Returns (per-chip frequency, total draw) for one tick."""
@@ -147,12 +146,11 @@ class ServerCapController:
         chip: ChipSpec,
         num_chips: int,
         budget_w: float,
-        ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
     ) -> None:
         self.chip = chip
         self.num_chips = num_chips
         self.budget_w = budget_w
-        self.ladder_hz = tuple(ladder_hz)
+        self.ladder_hz = DEFAULT_LADDER_HZ
         self.index = len(self.ladder_hz) - 1
         self._last_power: Optional[float] = None
 
@@ -199,7 +197,6 @@ def _spiky_utilization(
 def run_capping(
     controller,
     utilization_tape: np.ndarray,
-    ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
     registry: Optional[MetricsRegistry] = None,
 ) -> CapOutcome:
     """Drive one controller down a demand tape and score it.
@@ -209,7 +206,7 @@ def run_capping(
     """
     obs = active(registry)
     num_chips, steps = utilization_tape.shape
-    fmax = ladder_hz[-1]
+    fmax = DEFAULT_LADDER_HZ[-1]
     deficits, powers = [], []
     demanded_total = delivered_total = 0.0
     violations = 0
@@ -265,39 +262,33 @@ class CappingComparison:
 
 
 def capping_study(
-    server: Optional[ServerSpec] = None,
-    budget_fraction: float = 0.82,
     duration_s: float = 600.0,
-    dt_s: float = 1.0,
     mean_utilization: float = 0.6,
-    spike_probability: float = 0.03,
-    ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> CappingComparison:
     """Head-to-head: both controllers, one demand tape, one budget.
 
-    The budget is a fraction of the servers' worst-case accelerator draw
-    (all 24 chips flat-out at the top ladder frequency) — tight enough
-    that spikes force a choice, loose enough that the steady diurnal
-    load fits.
+    The tape runs one tick a second on the MTIA 2i server, with a 3%
+    chance per chip and tick of a full-load spike.  The budget is 82% of
+    the server's worst-case accelerator draw (all 24 chips flat-out at
+    the top ladder frequency) — tight enough that spikes force a choice,
+    loose enough that the steady diurnal load fits.
     """
-    server = server or mtia2i_server()
+    server = mtia2i_server()
     chip = server.chip
     num_chips = server.accelerators_per_server
-    worst_case = num_chips * chip_power_w(chip, ladder_hz[-1], 1.0)
-    budget = budget_fraction * worst_case
+    worst_case = num_chips * chip_power_w(chip, DEFAULT_LADDER_HZ[-1], 1.0)
+    budget = 0.82 * worst_case
     rng = np.random.default_rng(seed)
-    tape = _spiky_utilization(
-        num_chips, duration_s, dt_s, mean_utilization, spike_probability, rng
-    )
+    tape = _spiky_utilization(num_chips, duration_s, 1.0, mean_utilization, 0.03, rng)
     per_chip = run_capping(
-        PerChipCapController(chip, num_chips, budget, ladder_hz),
-        tape, ladder_hz, registry=registry,
+        PerChipCapController(chip, num_chips, budget),
+        tape, registry=registry,
     )
     server_level = run_capping(
-        ServerCapController(chip, num_chips, budget, ladder_hz),
-        tape, ladder_hz, registry=registry,
+        ServerCapController(chip, num_chips, budget),
+        tape, registry=registry,
     )
     return CappingComparison(
         per_chip=per_chip, server_level=server_level, budget_w=budget

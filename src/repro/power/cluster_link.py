@@ -39,6 +39,11 @@ from repro.serving.workload import poisson_stream
 from repro.units import GHZ
 
 
+# Server power outside the accelerators (host CPU, NICs, fans), funded
+# first out of every rack budget.
+PLATFORM_POWER_W = 800.0
+
+
 @dataclasses.dataclass(frozen=True)
 class ThrottleSchedule:
     """A piecewise-constant service-time multiplier over time.
@@ -86,40 +91,33 @@ class ThrottleSchedule:
         )
 
 
-def frequency_for_chip_budget(
-    chip: ChipSpec,
-    per_chip_budget_w: float,
-    ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
-    utilization: float = 1.0,
-) -> float:
-    """Highest ladder frequency whose worst-case draw fits the budget
-    (ladder floor if none does)."""
-    for frequency in reversed(ladder_hz):
-        if chip_power_w(chip, frequency, utilization) <= per_chip_budget_w:
+def frequency_for_chip_budget(chip: ChipSpec, per_chip_budget_w: float) -> float:
+    """Highest ``DEFAULT_LADDER_HZ`` frequency whose worst-case
+    (full-utilization) draw fits the budget (ladder floor if none does)."""
+    for frequency in reversed(DEFAULT_LADDER_HZ):
+        if chip_power_w(chip, frequency, 1.0) <= per_chip_budget_w:
             return frequency
-    return ladder_hz[0]
+    return DEFAULT_LADDER_HZ[0]
 
 
 def service_model_at_budget(
     service: ServiceModel,
     per_chip_budget_w: float,
     chip: Optional[ChipSpec] = None,
-    ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
-    reference_hz: Optional[float] = None,
 ) -> Tuple[ServiceModel, float]:
     """Slow a calibrated service model down to fit a power budget.
 
     Returns ``(scaled_model, frequency_hz)``.  The service model was
-    calibrated at the deployed frequency (``reference_hz``, default the
-    chip's rated clock); a budget that only admits a lower ladder state
-    stretches the mean service time by the frequency ratio.  Jitter and
-    cross-host penalty are shape parameters and carry over unchanged.
+    calibrated at the chip's rated clock; a budget that only admits a
+    lower ``DEFAULT_LADDER_HZ`` state stretches the mean service time by
+    the frequency ratio.  Jitter and cross-host penalty are shape
+    parameters and carry over unchanged.
     """
     chip = chip or mtia2i_spec()
-    reference = reference_hz or chip.frequency_hz
-    frequency = frequency_for_chip_budget(chip, per_chip_budget_w, ladder_hz)
+    frequency = frequency_for_chip_budget(chip, per_chip_budget_w)
     scaled = dataclasses.replace(
-        service, mean_service_s=service.mean_service_s * reference / frequency
+        service,
+        mean_service_s=service.mean_service_s * chip.frequency_hz / frequency,
     )
     return scaled, frequency
 
@@ -184,7 +182,6 @@ def _guided_max_qps_at_slo(
     duration_s: float,
     seed: int,
     predicted_fraction: float,
-    qps_step_fraction: float = 0.05,
 ) -> Tuple[float, float, int, int]:
     """Surrogate-guided :func:`max_qps_at_slo` over the same probe
     ladder.
@@ -206,7 +203,7 @@ def _guided_max_qps_at_slo(
     """
     from repro.surrogate.verify import verified_min_feasible
 
-    fractions = _step_fractions(qps_step_fraction)
+    fractions = _step_fractions()
     ceiling = replicas * service.capacity_per_replica()
     config = ClusterConfig(
         replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
@@ -239,22 +236,19 @@ def power_limited_capacity_sweep(
     service: ServiceModel,
     server_budgets_w: Sequence[float],
     replicas: int = 24,
-    platform_power_w: float = 800.0,
-    chip: Optional[ChipSpec] = None,
-    ladder_hz: Sequence[float] = DEFAULT_LADDER_HZ,
-    p99_slo_s: float = DEFAULT_P99_SLO_S,
     duration_s: float = 20.0,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
     surrogate=None,
 ) -> PowerLimitedSweep:
-    """Sweep rack budget → sustainable QPS at the P99 SLO.
+    """Sweep rack budget → sustainable QPS at the serving P99 SLO.
 
-    Each budget funds the platform first; the remainder splits evenly
-    across the ``replicas`` chips (one replica per accelerator, as the
-    MTIA server runs ranking models), picking the ladder frequency that
-    fits and scaling the service model accordingly.  Budgets are
-    evaluated under one seed so the sweep is deterministic and monotone:
+    Each budget funds the 800 W platform first; the remainder splits
+    evenly across the ``replicas`` MTIA 2i chips (one replica per
+    accelerator, as the MTIA server runs ranking models), picking the
+    ladder frequency that fits and scaling the service model
+    accordingly.  Budgets are evaluated under one seed so the sweep is
+    deterministic and monotone:
     more watts → same-or-higher frequency → stochastically faster
     service on the identical arrival stream.
 
@@ -268,24 +262,21 @@ def power_limited_capacity_sweep(
     """
     if replicas <= 0:
         raise ValueError("need at least one replica")
-    chip = chip or mtia2i_spec()
     obs = active(registry)
     if surrogate is not None:
         from repro.surrogate.features import power_feature_row
     points = []
     for budget in sorted(server_budgets_w):
-        per_chip = max(0.0, (budget - platform_power_w) / replicas)
-        scaled, frequency = service_model_at_budget(
-            service, per_chip, chip=chip, ladder_hz=ladder_hz
-        )
+        per_chip = max(0.0, (budget - PLATFORM_POWER_W) / replicas)
+        scaled, frequency = service_model_at_budget(service, per_chip)
         if surrogate is not None:
             row = power_feature_row(
-                scaled.mean_service_s, replicas, p99_slo_s, duration_s,
+                scaled.mean_service_s, replicas, DEFAULT_P99_SLO_S, duration_s,
                 scaled.jitter_sigma,
             )
             predicted = float(surrogate.predict(row[None, :])[0])
             max_qps, p99, exact_runs, scan_runs = _guided_max_qps_at_slo(
-                scaled, replicas, p99_slo_s, duration_s, seed, predicted
+                scaled, replicas, DEFAULT_P99_SLO_S, duration_s, seed, predicted
             )
             if obs.enabled:
                 obs.counter("surrogate.power.predictions").inc()
@@ -295,7 +286,7 @@ def power_limited_capacity_sweep(
                 )
         else:
             max_qps, p99 = max_qps_at_slo(
-                scaled, replicas, p99_slo_s, duration_s, seed
+                scaled, replicas, DEFAULT_P99_SLO_S, duration_s, seed
             )
         points.append(
             PowerLimitedPoint(
@@ -309,7 +300,7 @@ def power_limited_capacity_sweep(
         if obs.enabled:
             obs.series("power.sweep.max_qps").append(float(budget), max_qps)
     sweep = PowerLimitedSweep(
-        points=tuple(points), p99_slo_s=p99_slo_s, replicas=replicas
+        points=tuple(points), p99_slo_s=DEFAULT_P99_SLO_S, replicas=replicas
     )
     if obs.enabled:
         obs.gauge("power.sweep.knee_budget_w").set(sweep.knee_budget_w)

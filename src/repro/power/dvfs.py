@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,11 @@ DEFAULT_LADDER_HZ: Tuple[float, ...] = (
     0.8 * GHZ, 0.9 * GHZ, 1.0 * GHZ, 1.1 * GHZ,
     1.2 * GHZ, 1.25 * GHZ, 1.3 * GHZ, 1.35 * GHZ,
 )
+# The governed fleet study: one governor tick a second, load around 85%,
+# and 7 C of ambient rise from the upstream to the downstream chip.
+GOVERNOR_TICK_S = 1.0
+UTILIZATION_MEAN = 0.85
+AMBIENT_SPREAD_C = 7.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +58,6 @@ class DvfsConfig:
     """Governor parameters."""
 
     ladder_hz: Tuple[float, ...] = DEFAULT_LADDER_HZ
-    design_frequency_hz: float = DESIGN_FREQUENCY_HZ
     thermal_limit_c: float = THROTTLE_LIMIT_C
     thermal_target_c: float = THROTTLE_TARGET_C
     # A ladder state is usable only if the chip's measured fmax clears it
@@ -104,12 +108,9 @@ class ThroughputCurve:
         return values[i - 1] + frac * (values[i] - values[i - 1])
 
 
-def calibrate_throughput(
-    model,
-    frequencies_hz: Sequence[float] = DEFAULT_LADDER_HZ,
-    design_frequency_hz: float = DESIGN_FREQUENCY_HZ,
-) -> ThroughputCurve:
-    """Run the executor at each ladder frequency and normalize.
+def calibrate_throughput(model) -> ThroughputCurve:
+    """Run the executor at each ladder frequency and normalize to the
+    design frequency.
 
     ``model`` is a zoo model (anything with ``.graph()`` and
     ``.batch``).  This is where memory-bound models get their flat
@@ -119,11 +120,11 @@ def calibrate_throughput(
     from repro.perf.executor import Executor
 
     throughputs: Dict[float, float] = {}
-    for frequency in sorted(set(frequencies_hz) | {design_frequency_hz}):
+    for frequency in sorted(set(DEFAULT_LADDER_HZ) | {DESIGN_FREQUENCY_HZ}):
         chip = mtia2i_spec(frequency_hz=frequency)
         report = Executor(chip).run(model.graph(), model.batch, warmup_runs=1)
         throughputs[frequency] = report.throughput_samples_per_s
-    base = throughputs[design_frequency_hz]
+    base = throughputs[DESIGN_FREQUENCY_HZ]
     freqs = tuple(sorted(throughputs))
     return ThroughputCurve(
         frequencies_hz=freqs,
@@ -157,7 +158,7 @@ class DvfsGovernor:
         # Start at the design point, as the fleet did pre-study.
         self.index = min(
             range(len(ladder)),
-            key=lambda i: abs(ladder[i] - config.design_frequency_hz),
+            key=lambda i: abs(ladder[i] - DESIGN_FREQUENCY_HZ),
         )
         self.index = min(self.index, self.max_index)
         self.thermal_throttles = 0
@@ -208,13 +209,12 @@ def _warm_start(
     chip: ChipSpec,
     frequency_hz: float,
     utilization: float,
-    iterations: int = 40,
 ) -> np.ndarray:
     """Closed-loop steady state at an operating point: iterate the
     leakage/temperature fixed point (power depends on junction, junction
-    on power) to convergence."""
+    on power) to convergence (40 iterations)."""
     junction = network.ambient_c
-    for _ in range(iterations):
+    for _ in range(40):
         power = chip_power_w(chip, frequency_hz, utilization, junction)
         junction = network.steady_junction_c(power)
     return network.steady_state(
@@ -272,27 +272,21 @@ def overclock_with_thermal_feedback(
     curve: ThroughputCurve,
     num_chips: int = 24,
     duration_s: float = 600.0,
-    dt_s: float = 1.0,
-    config: Optional[DvfsConfig] = None,
-    margin: Optional[MarginModel] = None,
-    network: Optional[ThermalNetwork] = None,
-    chip: Optional[ChipSpec] = None,
-    utilization_mean: float = 0.85,
-    ambient_spread_c: float = 7.0,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> ThermalFeedbackResult:
     """The section 5.2 gain, re-measured with the loop closed.
 
-    For each chip: draw its fmax from the manufacturing-margin
-    distribution, then run the governed time-domain loop (governor →
-    power model → RC network → leakage feedback → governor) against the
-    shared utilization profile, accumulating work as the calibrated
-    relative throughput at the governed frequency.  The baseline is the
-    same chip pinned at the design frequency on identical load.
+    For each MTIA 2i chip: draw its fmax from the manufacturing-margin
+    distribution, then run the default governed time-domain loop
+    (governor → power model → RC network → leakage feedback → governor,
+    one tick a second) against a utilization profile around 85%,
+    accumulating work as the calibrated relative throughput at the
+    governed frequency.  The baseline is the same chip pinned at the
+    design frequency on identical load.
 
     Chips share the chassis airflow in series: chip ``i`` sees ambient
-    raised by ``ambient_spread_c * i / (n-1)`` — the downstream end of
+    raised by ``AMBIENT_SPREAD_C * i / (n-1)`` — the downstream end of
     the 24-module Grand Teton sled breathes air pre-heated by the
     upstream end.  That heterogeneity is what makes the closed loop
     differ from the static study: upstream chips hold the full ladder,
@@ -301,29 +295,29 @@ def overclock_with_thermal_feedback(
     """
     if num_chips <= 0:
         raise ValueError("need at least one chip")
-    config = config or DvfsConfig()
-    margin = margin or MarginModel()
-    chip = chip or mtia2i_spec()
+    dt_s = GOVERNOR_TICK_S
+    config = DvfsConfig()
+    chip = mtia2i_spec()
     obs = active(registry)
     rng = np.random.default_rng(seed)
-    fmax = margin.sample_fmax(num_chips, rng)
+    fmax = MarginModel().sample_fmax(num_chips, rng)
     steps = int(np.ceil(duration_s / dt_s))
     gains = []
     total_freq = 0.0
     peak_junction = -np.inf
     thermal_throttles = cap_throttles = 0
     example: Optional[GovernedChipRun] = None
-    template = network or mtia2i_thermal()
+    template = mtia2i_thermal()
     for chip_index in range(num_chips):
         offset = (
-            ambient_spread_c * chip_index / (num_chips - 1)
+            AMBIENT_SPREAD_C * chip_index / (num_chips - 1)
             if num_chips > 1 else 0.0
         )
         base_network = ThermalNetwork(
             template.stages, ambient_c=template.ambient_c + offset
         )
         util = utilization_profile(
-            duration_s, dt_s, mean=utilization_mean, rng=rng
+            duration_s, dt_s, mean=UTILIZATION_MEAN, rng=rng
         )
         governor = DvfsGovernor(chip, config, float(fmax[chip_index]),
                                 registry=registry)
@@ -332,7 +326,7 @@ def overclock_with_thermal_feedback(
         # steady state rather than a cold package — with slow heatsink
         # time constants a cold start would under-report throttling.
         temps = _warm_start(
-            base_network, chip, config.design_frequency_hz, utilization_mean
+            base_network, chip, DESIGN_FREQUENCY_HZ, UTILIZATION_MEAN
         )
         governed_work = 0.0
         times, freqs, junctions, powers = [], [], [], []
@@ -352,7 +346,7 @@ def overclock_with_thermal_feedback(
         # Baseline: the same load pinned at the design point (relative
         # throughput there is 1.0 by the curve's normalization).
         baseline_work = float(
-            np.sum(util) * dt_s * curve.relative(config.design_frequency_hz)
+            np.sum(util) * dt_s * curve.relative(DESIGN_FREQUENCY_HZ)
         )
         gains.append(governed_work / baseline_work - 1.0)
         thermal_throttles += governor.thermal_throttles

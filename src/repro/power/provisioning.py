@@ -25,10 +25,18 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.arch.server import ServerSpec, mtia2i_server
+from repro.arch.server import mtia2i_server
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.activity import chip_power_w, utilization_profile
 from repro.reliability.power import PAPER_REDUCTION_FRACTION, stress_test_budget
+
+
+# Optimized production models draw this fraction of the out-of-the-box
+# stress-test models' power at equal load.
+OPTIMIZED_POWER_FACTOR = 0.88
+# Ticks above this quantile of a chip's (or server's) own utilization are
+# its high-load windows.
+HIGH_LOAD_QUANTILE = 0.75
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,29 +76,26 @@ class TimeDomainProvisioning:
 
 
 def time_domain_provisioning(
-    server: Optional[ServerSpec] = None,
     num_servers: int = 40,
     duration_s: float = 600.0,
-    dt_s: float = 2.0,
-    mean_utilization: float = 0.55,
-    optimized_power_factor: float = 0.88,
-    high_load_quantile: float = 0.75,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> TimeDomainProvisioning:
     """Run the fleet and re-derive the budget from its telemetry.
 
-    Each chip runs the diurnal utilization profile (independent noise,
-    shared shape) through :func:`chip_power_w` at the deployed
-    frequency; ``optimized_power_factor`` captures that optimized
-    production models draw less than the out-of-the-box stress-test
-    models at equal load.  High-load windows are the ticks above
-    ``high_load_quantile`` of each chip's own utilization — the paper's
-    "peak throughput the largest models see in production".
+    Each MTIA 2i chip runs the diurnal utilization profile (55% mean,
+    independent noise, shared shape, one tick every 2 s) through
+    :func:`chip_power_w` at the deployed frequency;
+    ``OPTIMIZED_POWER_FACTOR`` captures that optimized production models
+    draw less than the out-of-the-box stress-test models at equal load.
+    High-load windows are the ticks above ``HIGH_LOAD_QUANTILE`` of each
+    chip's own utilization — the paper's "peak throughput the largest
+    models see in production".
     """
+    dt_s = 2.0
     if num_servers <= 0:
         raise ValueError("need at least one server")
-    server = server or mtia2i_server()
+    server = mtia2i_server()
     chip = server.chip
     obs = active(registry)
     rng = np.random.default_rng(seed)
@@ -115,7 +120,7 @@ def time_domain_provisioning(
         tape = np.empty((num_chips, steps))
         for i in range(num_chips):
             tape[i] = utilization_profile(
-                duration_s, dt_s, mean=mean_utilization, rng=rng
+                duration_s, dt_s, mean=0.55, rng=rng
             )
         draw = np.empty_like(tape)
         for i in range(num_chips):
@@ -123,17 +128,17 @@ def time_domain_provisioning(
                 draw[i, t] = chip_power_w(
                     chip, chip.frequency_hz, float(tape[i, t]) * peak_factor
                 )
-        draw *= optimized_power_factor
+        draw *= OPTIMIZED_POWER_FACTOR
         # Prong 1 telemetry: each chip's draw during its own high-load
         # windows.
         for i in range(num_chips):
-            threshold = np.quantile(tape[i], high_load_quantile)
+            threshold = np.quantile(tape[i], HIGH_LOAD_QUANTILE)
             high_load_chip_draws.append(draw[i, tape[i] >= threshold])
         # Prong 2 telemetry: server power while the server as a whole is
         # running hot (total utilization above its own high quantile).
         server_util = tape.mean(axis=0)
         server_power = draw.sum(axis=0) + server.platform_power_watts
-        hot = server_util >= np.quantile(server_util, high_load_quantile)
+        hot = server_util >= np.quantile(server_util, HIGH_LOAD_QUANTILE)
         server_high_load_power.append(float(np.percentile(server_power[hot], 90)))
         mean_power_sum += float(server_power.mean())
         peak_power = max(peak_power, float(server_power.max()))

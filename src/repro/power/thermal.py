@@ -22,7 +22,7 @@ degrees, per the AutoDNNchip-style substitution argument in DESIGN.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -127,22 +127,19 @@ class ThermalNetwork:
     def settle(
         self,
         power_w: float,
-        temps_c: Optional[np.ndarray] = None,
         tolerance_c: float = 0.01,
-        max_time_s: Optional[float] = None,
     ) -> Tuple[np.ndarray, float]:
-        """Step until within ``tolerance_c`` of steady state.
+        """Step from the initial state until within ``tolerance_c`` of
+        steady state.
 
-        Returns ``(temps, simulated_seconds)``.  Bounded by
-        ``max_time_s`` (default: 40x the slowest stage time constant) so
-        a pathological network cannot spin forever.
+        Returns ``(temps, simulated_seconds)``.  Bounded by 40x the
+        slowest stage time constant so a pathological network cannot
+        spin forever.
         """
-        temps = self.initial_state() if temps_c is None else np.asarray(
-            temps_c, dtype=float
-        ).copy()
+        temps = self.initial_state()
         target = self.steady_state(power_w)
         slowest = max(s.time_constant_s for s in self.stages)
-        horizon = max_time_s if max_time_s is not None else 40.0 * slowest
+        horizon = 40.0 * slowest
         dt = max(self.max_stable_dt(), slowest / 50.0)
         t = 0.0
         while t < horizon and float(np.max(np.abs(temps - target))) > tolerance_c:
@@ -151,11 +148,11 @@ class ThermalNetwork:
         return temps, t
 
 
-def mtia2i_thermal(ambient_c: float = 45.0) -> ThermalNetwork:
+def mtia2i_thermal() -> ThermalNetwork:
     """The per-chip MTIA 2i package stack in the dense 24-chip server.
 
-    ~0.75 °C/W junction-to-ambient with a pre-heated chassis ambient
-    (24 modules share the airflow): the 65 W typical draw settles in the
+    ~0.75 °C/W junction-to-ambient with a 45 °C pre-heated chassis
+    ambient (24 modules share the airflow): the 65 W typical draw settles in the
     low 90s °C, and the overclocked worst case brushes the throttle
     ceiling — exactly the regime the DVFS study needs to exercise.
     """
@@ -165,19 +162,20 @@ def mtia2i_thermal(ambient_c: float = 45.0) -> ThermalNetwork:
             RcStage("spreader", heat_capacity_j_per_c=120.0, resistance_c_per_w=0.18),
             RcStage("heatsink", heat_capacity_j_per_c=420.0, resistance_c_per_w=0.45),
         ),
-        ambient_c=ambient_c,
+        ambient_c=45.0,
     )
 
 
-def gpu_thermal(ambient_c: float = 35.0) -> ThermalNetwork:
-    """The GPU baseline: far more sink mass, far lower resistance."""
+def gpu_thermal() -> ThermalNetwork:
+    """The GPU baseline: far more sink mass, far lower resistance, and a
+    35 °C ambient."""
     return ThermalNetwork(
         stages=(
             RcStage("die", heat_capacity_j_per_c=60.0, resistance_c_per_w=0.030),
             RcStage("spreader", heat_capacity_j_per_c=400.0, resistance_c_per_w=0.025),
             RcStage("heatsink", heat_capacity_j_per_c=2500.0, resistance_c_per_w=0.045),
         ),
-        ambient_c=ambient_c,
+        ambient_c=35.0,
     )
 
 

@@ -56,11 +56,9 @@ class FcQuantizationReport:
         return self.net_speedup > 1.05
 
 
-def fc_quantization_report(
-    shape: GemmShape, chip: ChipSpec, variant: Optional[GemmVariant] = None
-) -> FcQuantizationReport:
-    """Cost out the dynamic-INT8 path for one FC."""
-    variant = variant or GemmVariant()
+def fc_quantization_report(shape: GemmShape, chip: ChipSpec) -> FcQuantizationReport:
+    """Cost out the dynamic-INT8 path for one FC (default GEMM variant)."""
+    variant = GemmVariant()
     fp16 = estimate_gemm(shape, chip, DType.FP16, variant)
     int8 = estimate_gemm(shape, chip, DType.INT8, variant)
     # Dynamic activation quantization: rescale M x K elements row-wise
@@ -95,10 +93,10 @@ class ModelQuantizationPlan:
 def plan_model_quantization(
     graph: OpGraph,
     chip: ChipSpec,
-    min_layer_speedup: float = 1.2,
     quality_sensitive: Optional[List[str]] = None,
 ) -> ModelQuantizationPlan:
-    """Select the FC layers worth quantizing (largest-first policy).
+    """Select the FC layers worth quantizing (largest-first policy): each
+    needs at least a 1.2x net layer speedup.
 
     ``quality_sensitive`` layers (typically those closest to the model's
     input and output, per the paper) are excluded regardless of their
@@ -129,7 +127,7 @@ def plan_model_quantization(
             if fc_op.name in quality_sensitive:
                 continue
             report = fc_quantization_report(fc_op.attrs["gemm"], chip)
-            if report.net_speedup >= min_layer_speedup:
+            if report.net_speedup >= 1.2:
                 chosen.append(fc_op.name)
                 saved += est.engine_time_s - est.engine_time_s / report.net_speedup
     return ModelQuantizationPlan(

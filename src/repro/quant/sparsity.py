@@ -61,8 +61,9 @@ def satisfies_2_4(weights: np.ndarray) -> bool:
     return bool(np.all(zeros_per_group >= GROUP - KEPT_PER_GROUP))
 
 
-def natural_sparsity(weights: np.ndarray, threshold_fraction: float = 0.05) -> float:
-    """Fraction of weights negligibly small relative to the matrix scale.
+def natural_sparsity(weights: np.ndarray) -> float:
+    """Fraction of weights negligibly small (at most 5% of the median
+    magnitude) relative to the matrix scale.
 
     Dense-trained recommendation weights have almost no natural sparsity,
     which is why magnitude pruning must discard *significant* weights —
@@ -72,7 +73,7 @@ def natural_sparsity(weights: np.ndarray, threshold_fraction: float = 0.05) -> f
     if w.size == 0:
         return 0.0
     scale = np.median(w[w > 0]) if np.any(w > 0) else 1.0
-    return float(np.mean(w <= threshold_fraction * scale))
+    return float(np.mean(w <= 0.05 * scale))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,14 +89,13 @@ class SparsityImpact:
         return self.relative_output_error <= error_tolerance
 
 
-def sparsity_impact(
-    weights: np.ndarray, num_probe_rows: int = 256, seed: int = 0
-) -> SparsityImpact:
-    """Measure the output error of a 2:4-pruned matrix on probe inputs."""
+def sparsity_impact(weights: np.ndarray) -> SparsityImpact:
+    """Measure the output error of a 2:4-pruned matrix on 256 seeded
+    probe inputs."""
     w = np.asarray(weights, dtype=np.float64)
     pruned = prune_2_4(w)
-    rng = np.random.default_rng(seed)
-    x = rng.normal(0, 1, size=(num_probe_rows, w.shape[0]))
+    rng = np.random.default_rng(0)
+    x = rng.normal(0, 1, size=(256, w.shape[0]))
     dense_out = x @ w
     sparse_out = x @ pruned
     denom = np.linalg.norm(dense_out)
@@ -109,12 +109,12 @@ def sparsity_impact(
     )
 
 
-def sparse_trained_weights(k: int, n: int, zero_fraction: float = 0.9, seed: int = 0) -> np.ndarray:
-    """Weights from a sparsity-aware training run: most entries already
-    near zero, so 2:4 pruning is nearly free — the regime where the DPE
-    feature would pay off."""
-    rng = np.random.default_rng(seed)
+def sparse_trained_weights(k: int, n: int) -> np.ndarray:
+    """Weights from a sparsity-aware training run (seed 0): 90% of the
+    entries already zero, so 2:4 pruning is nearly free — the regime
+    where the DPE feature would pay off."""
+    rng = np.random.default_rng(0)
     w = rng.normal(0, 0.05, size=(k, n))
-    mask = rng.uniform(size=(k, n)) < zero_fraction
+    mask = rng.uniform(size=(k, n)) < 0.9
     w[mask] = 0.0
     return w

@@ -104,6 +104,9 @@ def decode_word(code: int) -> DecodeResult:
 # ---------------------------------------------------------------------------
 
 ECC_THROUGHPUT_PENALTY = (0.10, 0.15)  # the paper's quoted band
+# The midpoint of that band: the penalty the decision and the SDC
+# campaign charge.
+ECC_MIDPOINT_PENALTY = sum(ECC_THROUGHPUT_PENALTY) / 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,7 +122,6 @@ class EccDecisionInputs:
     anomaly_budget_per_day: float
     errors_per_affected_server_per_day: float
     fleet_servers: int
-    throughput_penalty: float = 0.125
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,7 +151,7 @@ def decide_ecc(inputs: EccDecisionInputs) -> EccDecision:
         rationale = (
             f"{anomalies:.0f} expected product anomalies/day exceeds the "
             f"operator budget of {inputs.anomaly_budget_per_day:.0f}; the "
-            f"{inputs.throughput_penalty:.0%} throughput penalty is the "
+            f"{ECC_MIDPOINT_PENALTY:.0%} throughput penalty is the "
             "cheaper cost"
         )
     else:
@@ -160,7 +162,7 @@ def decide_ecc(inputs: EccDecisionInputs) -> EccDecision:
     return EccDecision(
         expected_anomalies_per_day=anomalies,
         anomaly_budget_per_day=inputs.anomaly_budget_per_day,
-        throughput_penalty=inputs.throughput_penalty,
+        throughput_penalty=ECC_MIDPOINT_PENALTY,
         enable_ecc=enable,
         rationale=rationale,
     )

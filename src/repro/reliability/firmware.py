@@ -251,19 +251,18 @@ class StagedDetectionResult:
 
 def staged_detection(
     issue_incidence: float,
-    fleet_servers: int = 80_000,
-    stages: Sequence[RolloutStage] = TYPICAL_STAGES,
     detection_threshold_servers: int = 3,
     seed: int = 0,
 ) -> StagedDetectionResult:
-    """Simulate whether the ring rollout catches an issue affecting
-    ``issue_incidence`` of servers (e.g. the 0.1% deadlock) before it
-    reaches the whole fleet."""
+    """Simulate whether the typical ring rollout catches an issue
+    affecting ``issue_incidence`` of an 80,000-server fleet (e.g. the
+    0.1% deadlock) before it reaches the whole fleet."""
+    fleet_servers = 80_000
     if not (0 <= issue_incidence <= 1):
         raise ValueError("incidence must be in [0, 1]")
     rng = np.random.default_rng(seed)
     exposed = 0
-    for stage in stages:
+    for stage in TYPICAL_STAGES:
         stage_servers = int(stage.fleet_fraction * fleet_servers)
         exposed = stage_servers
         affected = rng.binomial(stage_servers, issue_incidence)

@@ -42,9 +42,7 @@ class FleetErrorStats:
         return self.total_errored_cards / self.affected_servers
 
 
-def card_error_probability_for_server_fraction(
-    target_server_fraction: float, cards_per_server: int = CARDS_PER_SERVER
-) -> float:
+def card_error_probability_for_server_fraction(target_server_fraction: float) -> float:
     """The per-card error probability implying a target server fraction.
 
     P(server affected) = 1 - (1 - p)^cards, inverted for p.  The paper's
@@ -54,24 +52,23 @@ def card_error_probability_for_server_fraction(
     """
     if not (0 < target_server_fraction < 1):
         raise ValueError("target fraction must be in (0, 1)")
-    return 1.0 - (1.0 - target_server_fraction) ** (1.0 / cards_per_server)
+    return 1.0 - (1.0 - target_server_fraction) ** (1.0 / CARDS_PER_SERVER)
 
 
 def sample_fleet_errors(
     servers: int = PAPER_SAMPLE_SERVERS,
-    cards_per_server: int = CARDS_PER_SERVER,
     card_error_probability: Optional[float] = None,
     seed: int = 0,
 ) -> FleetErrorStats:
     """Monte-Carlo one observation window over the fleet."""
     if card_error_probability is None:
         card_error_probability = card_error_probability_for_server_fraction(
-            PAPER_AFFECTED_FRACTION, cards_per_server
+            PAPER_AFFECTED_FRACTION
         )
     if not (0 <= card_error_probability <= 1):
         raise ValueError("probability must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    errored = rng.uniform(size=(servers, cards_per_server)) < card_error_probability
+    errored = rng.uniform(size=(servers, CARDS_PER_SERVER)) < card_error_probability
     per_server = errored.sum(axis=1)
     return FleetErrorStats(
         servers=servers,

@@ -25,6 +25,8 @@ from repro.units import GHZ
 DESIGN_FREQUENCY_HZ = 1.1 * GHZ
 STUDY_FREQUENCIES_HZ = (1.1 * GHZ, 1.25 * GHZ, 1.35 * GHZ)
 PAPER_STUDY_CHIPS = 3000
+# Run-to-run measurement noise of one qualification test.
+TEST_NOISE_HZ = 0.01 * GHZ
 
 # The ten per-chip test types the paper lists (performance, power,
 # memory, kernel, module manufacturing, functional PCIe, plus the
@@ -49,7 +51,6 @@ class MarginModel:
 
     mean_fmax_hz: float = 1.52 * GHZ  # design guard band discovered by the study
     sigma_hz: float = 0.05 * GHZ
-    test_noise_hz: float = 0.01 * GHZ
 
     def sample_fmax(self, num_chips: int, rng: np.random.Generator) -> np.ndarray:
         """Draw each chip's true maximum stable frequency."""
@@ -76,7 +77,6 @@ class StudyResult:
 
 def run_overclocking_study(
     num_chips: int = PAPER_STUDY_CHIPS,
-    frequencies_hz: Sequence[float] = STUDY_FREQUENCIES_HZ,
     margin: Optional[MarginModel] = None,
     seed: int = 0,
     rng: Optional[np.random.Generator] = None,
@@ -94,17 +94,17 @@ def run_overclocking_study(
         rng = np.random.default_rng(seed)
     fmax = margin.sample_fmax(num_chips, rng)
     pass_rates: Dict[float, Dict[str, float]] = {}
-    for frequency in frequencies_hz:
+    for frequency in STUDY_FREQUENCIES_HZ:
         per_test: Dict[str, float] = {}
         for test_name, sensitivity in TEST_SUITE:
-            noise = rng.normal(0, margin.test_noise_hz, size=num_chips)
+            noise = rng.normal(0, TEST_NOISE_HZ, size=num_chips)
             # A test at sensitivity s effectively stresses the chip at
             # s * frequency relative to its margin.
             effective = frequency * sensitivity + noise
             per_test[test_name] = float(np.mean(effective <= fmax))
         pass_rates[frequency] = per_test
     return StudyResult(
-        frequencies_hz=tuple(frequencies_hz), pass_rates=pass_rates, chips=num_chips
+        frequencies_hz=tuple(STUDY_FREQUENCIES_HZ), pass_rates=pass_rates, chips=num_chips
     )
 
 

@@ -37,47 +37,35 @@ class PowerSample:
         return float(np.percentile(self.values_w, q))
 
 
-def stress_test_budget(
-    server: ServerSpec,
-    unoptimized_power_factor: float = 1.25,
-    safety_margin: float = 1.15,
-) -> float:
+def stress_test_budget(server: ServerSpec) -> float:
     """The initial (pre-production) rack budget per server.
 
-    Stress tests run out-of-the-box models that burn more power than
-    optimized ones, and planners stack a safety margin on top — both
-    factors the paper cites for the over-provisioning.
+    Stress tests run out-of-the-box models that burn 1.25x the power of
+    optimized ones, and planners stack a 1.15x safety margin on top —
+    both factors the paper cites for the over-provisioning.
     """
-    if unoptimized_power_factor < 1 or safety_margin < 1:
-        raise ValueError("factors must be >= 1")
     accelerators = server.accelerators_per_server * server.chip.tdp_watts
-    return (server.platform_power_watts + accelerators * unoptimized_power_factor) * safety_margin
+    return (server.platform_power_watts + accelerators * 1.25) * 1.15
 
 
-def sample_production_power(
-    server: ServerSpec,
-    mean_utilization: float = 0.55,
-    diurnal_swing: float = 0.35,
-    noise: float = 0.08,
-    num_samples: int = 10_000,
-    optimized_power_factor: float = 0.80,
-    seed: int = 0,
-) -> PowerSample:
-    """Synthetic per-accelerator production power telemetry.
+def sample_production_power(server: ServerSpec, seed: int = 0) -> PowerSample:
+    """Synthetic per-accelerator production power telemetry: 10,000
+    samples.
 
-    Optimized models draw ``optimized_power_factor`` of the stress-test
-    draw at equal load; utilization rides a diurnal curve with noise.
+    Optimized models draw 80% of the stress-test draw at equal load;
+    utilization rides a diurnal curve (55% mean, ±35% swing) with 8%
+    lognormal noise.
     """
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0, 2 * np.pi, size=num_samples)
+    t = rng.uniform(0, 2 * np.pi, size=10_000)
     utilization = np.clip(
-        mean_utilization * (1 + diurnal_swing * np.sin(t)) * rng.lognormal(0, noise, num_samples),
+        0.55 * (1 + 0.35 * np.sin(t)) * rng.lognormal(0, 0.08, 10_000),
         0.02,
         1.0,
     )
     chip = server.chip
     idle = chip.tdp_watts * chip.idle_power_fraction
-    draw = (idle + utilization * (chip.tdp_watts - idle)) * optimized_power_factor
+    draw = (idle + utilization * (chip.tdp_watts - idle)) * 0.80
     return PowerSample(values_w=draw)
 
 
@@ -121,15 +109,11 @@ class ProvisioningOutcome:
         return 1.0 - self.revised_budget_w / self.initial_budget_w
 
 
-def provisioning_study(
-    server: ServerSpec,
-    mean_utilization: float = 0.55,
-    seed: int = 0,
-) -> ProvisioningOutcome:
+def provisioning_study(server: ServerSpec, seed: int = 0) -> ProvisioningOutcome:
     """Run the full before/after provisioning analysis for one server
     generation."""
     initial = stress_test_budget(server)
-    telemetry = sample_production_power(server, mean_utilization=mean_utilization, seed=seed)
+    telemetry = sample_production_power(server, seed=seed)
     experiment = p90_experiment_budget(server, telemetry.percentile(90))
     # Fully-utilized servers: all accelerators near their production P90
     # simultaneously, with server-level dispersion.

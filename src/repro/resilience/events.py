@@ -107,8 +107,10 @@ class EventLog:
             for event in self._events
         ]
 
-    def timeline(self, max_events: int = 40) -> str:
-        """A human-readable digest of the log (for the drill example)."""
+    def timeline(self) -> str:
+        """A human-readable digest of the log (for the drill example): the
+        first and last 20 events."""
+        max_events = 40
         lines = []
         shown = self._events if len(self._events) <= max_events else (
             self._events[: max_events // 2] + self._events[-max_events // 2:]

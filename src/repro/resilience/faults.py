@@ -56,6 +56,9 @@ FLEET_OBSERVATION_DAYS = 30.0
 SDC_EVENTS_PER_MARGINAL_CHIP_HOUR = 0.05
 # Seconds of served traffic one SDC event poisons before detection.
 SDC_BLAST_WINDOW_S = 60.0
+# Fraction of production power samples above the rack cap (section
+# 5.3's P90 methodology leaves a small tail by construction).
+POWER_THROTTLE_TAIL = 0.02
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,38 +87,27 @@ class FaultRates:
             raise ValueError("durations must be non-negative")
 
 
-def _margin_shortfall_fraction(
-    margin: MarginModel, operating_hz: float, harshest_sensitivity: float = 1.0
-) -> float:
-    """P(chip f_max < effective stress frequency) under the margin model —
-    the tail of chips the overclock shipped with thin margin."""
-    effective = operating_hz * harshest_sensitivity
-    z = (effective - margin.mean_fmax_hz) / margin.sigma_hz
+def margin_shortfall_fraction(margin: MarginModel, operating_hz: float) -> float:
+    """P(chip f_max < operating frequency) under the margin model — the
+    tail of chips the overclock shipped with thin margin."""
+    z = (operating_hz - margin.mean_fmax_hz) / margin.sigma_hz
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def fault_rates_from_reliability(
     deadlock_fraction_per_day: Optional[float] = None,
     operating_frequency_hz: float = 1.35 * GHZ,
-    margin: Optional[MarginModel] = None,
-    power_throttle_tail: float = 0.02,
     mitigated: bool = False,
 ) -> FaultRates:
     """Derive the simulator's fault rates from the section 5 models.
 
     ``deadlock_fraction_per_day`` defaults to the incidence the firmware
     model produces at its paper-calibrated knobs (~0.1%/day).
-    ``power_throttle_tail`` is the fraction of production power samples
-    above the rack cap (section 5.3's P90 methodology leaves a small
-    tail by construction).
     """
     if deadlock_fraction_per_day is None:
         deadlock_fraction_per_day = deadlock_incidence(mitigated=mitigated)
     if not (0 <= deadlock_fraction_per_day <= 1):
         raise ValueError("deadlock fraction must be in [0, 1]")
-    if not (0 <= power_throttle_tail <= 1):
-        raise ValueError("throttle tail must be in [0, 1]")
-    margin = margin or MarginModel()
 
     card_error_per_window = card_error_probability_for_server_fraction(
         PAPER_AFFECTED_FRACTION
@@ -126,7 +118,7 @@ def fault_rates_from_reliability(
         / (FLEET_OBSERVATION_DAYS * HOURS_PER_DAY)
     )
 
-    marginal = _margin_shortfall_fraction(margin, operating_frequency_hz)
+    marginal = margin_shortfall_fraction(MarginModel(), operating_frequency_hz)
     sdc_per_hour = marginal * SDC_EVENTS_PER_MARGINAL_CHIP_HOUR
     if operating_frequency_hz <= DESIGN_FREQUENCY_HZ:
         # At the design point the study saw no measurable margin tail.
@@ -136,7 +128,7 @@ def fault_rates_from_reliability(
         deadlock_per_device_hour=deadlock_fraction_per_day / HOURS_PER_DAY,
         ecc_ue_per_device_hour=ecc_ue_per_hour,
         sdc_per_device_hour=sdc_per_hour,
-        throttle_per_device_hour=power_throttle_tail,
+        throttle_per_device_hour=POWER_THROTTLE_TAIL,
     )
 
 

@@ -237,7 +237,6 @@ class RolloutPolicy:
     # Wall time between the slo_at_risk trip and the rollout's first
     # wave (paging, triage, build pinning).
     detection_delay_s: float = 1800.0
-    plan: Optional[RolloutPlan] = None
 
     def __post_init__(self) -> None:
         require_finite("detection delay", self.detection_delay_s)
@@ -245,8 +244,8 @@ class RolloutPolicy:
             raise ValueError("detection delay must be non-negative")
 
     def resolved_plan(self) -> RolloutPlan:
-        """The plan to execute (defaults to the paper's ~3 h emergency)."""
-        return self.plan if self.plan is not None else emergency_rollout()
+        """The plan to execute: the paper's ~3 h emergency rollout."""
+        return emergency_rollout()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,16 +291,16 @@ class TokenBucket:
         self._tokens = float(burst)
         self._last_s = 0.0
 
-    def take(self, now_s: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens at ``now_s`` if available."""
+    def take(self, now_s: float) -> bool:
+        """Consume one token at ``now_s`` if available."""
         if now_s < self._last_s:
             raise ValueError("token bucket time must not run backwards")
         self._tokens = min(
             self.burst, self._tokens + (now_s - self._last_s) * self.rate_per_s
         )
         self._last_s = now_s
-        if self._tokens >= amount:
-            self._tokens -= amount
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 

@@ -39,13 +39,7 @@ from repro.resilience.policies import (
     RetryPolicy,
     RolloutPolicy,
 )
-from repro.resilience.simulator import (
-    ResilienceConfig,
-    calibrate_base_latency,
-    run_resilience,
-)
-from repro.serving.batcher import CoalescingConfig
-from repro.serving.scheduler import ModelJobProfile
+from repro.resilience.simulator import ResilienceConfig, run_resilience
 
 
 def section_55_policies() -> ResiliencePolicies:
@@ -140,41 +134,20 @@ def run_section_55_drill(
     devices: int = 300,
     duration_days: float = 90.0,
     utilization: float = 0.85,
-    device_throughput: float = 1000.0,
     seed: int = 0,
-    metrics_interval_s: float = 3600.0,
-    rates: Optional[FaultRates] = None,
-    job_profile: Optional[ModelJobProfile] = None,
-    coalescing: Optional[CoalescingConfig] = None,
 ) -> DrillResult:
-    """Run both arms of the drill on one shared fault schedule.
-
-    Pass a :class:`ModelJobProfile` (and optionally a
-    :class:`CoalescingConfig`) to calibrate the baseline latency through
-    the real serving pipeline; otherwise the stock case-study-shaped
-    defaults are used.
-    """
+    """Run both arms of the drill on one shared fault schedule, with the
+    stock case-study-shaped baseline latency and the fault rates derived
+    from the section 5 models."""
     if not (0 < utilization < 1):
         raise ValueError("baseline utilization must be in (0, 1)")
-    base_p50_s, base_p99_s = 0.020, 0.080
-    if job_profile is not None:
-        coalescing = coalescing or CoalescingConfig(
-            window_s=0.010, max_parallel_windows=4, max_batch_samples=512
-        )
-        base_p50_s, base_p99_s = calibrate_base_latency(
-            job_profile, coalescing, request_rate_per_s=60.0
-        )
     config = ResilienceConfig(
         devices=devices,
-        device_throughput=device_throughput,
-        offered_load=utilization * devices * device_throughput,
+        offered_load=utilization * devices * ResilienceConfig.device_throughput,
         duration_s=duration_days * 86_400.0,
-        metrics_interval_s=metrics_interval_s,
-        base_p50_s=base_p50_s,
-        base_p99_s=base_p99_s,
         seed=seed,
     )
-    rates = rates if rates is not None else fault_rates_from_reliability()
+    rates = fault_rates_from_reliability()
     baseline = run_resilience(config, rates, ResiliencePolicies.none())
     mitigated = run_resilience(config, rates, section_55_policies())
     return DrillResult(

@@ -32,7 +32,7 @@ interval averages its corrupted samples over the time it covers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -56,9 +56,6 @@ from repro.resilience.metrics import (
     evaluate_interval,
 )
 from repro.resilience.policies import ResiliencePolicies
-from repro.serving.batcher import CoalescingConfig
-from repro.serving.scheduler import ModelJobProfile
-from repro.serving.simulator import simulate_serving
 
 # Rollout-wave restart priority: cure the worst devices first.
 _WAVE_PRIORITY = {
@@ -79,8 +76,7 @@ class ResilienceConfig:
     duration_s: float = 90 * 86_400.0
     metrics_interval_s: float = 3600.0
     degraded_scale: float = 0.6
-    # Baseline request latency (fault-free, at baseline utilization);
-    # calibrate from the serving machinery via calibrate_base_latency().
+    # Baseline request latency (fault-free, at baseline utilization).
     base_p50_s: float = 0.020
     base_p99_s: float = 0.080
     seed: int = 0
@@ -101,31 +97,6 @@ class ResilienceConfig:
     def baseline_utilization(self) -> float:
         """Offered load over the fault-free pool capacity."""
         return self.offered_load / (self.devices * self.device_throughput)
-
-
-def calibrate_base_latency(
-    profile: ModelJobProfile,
-    coalescing: CoalescingConfig,
-    request_rate_per_s: float,
-    samples_per_request: int = 256,
-    duration_s: float = 30.0,
-    seed: int = 3,
-) -> Tuple[float, float]:
-    """Baseline (p50, p99) request latency from the serving simulator.
-
-    Runs the real coalescing + job-scheduling pipeline once so the
-    resilience time series starts from the same latency machinery the
-    rest of the serving stack uses.
-    """
-    outcome = simulate_serving(
-        profile,
-        coalescing,
-        request_rate_per_s=request_rate_per_s,
-        samples_per_request=samples_per_request,
-        duration_s=duration_s,
-        seed=seed,
-    )
-    return outcome.p50_latency_s, outcome.p99_latency_s
 
 
 class ResilienceSimulator:

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.fleet.abtest import normalized_entropy
 from repro.obs.metrics import MetricsRegistry, active
-from repro.reliability.ecc import ECC_THROUGHPUT_PENALTY, hashing_integrity_overhead
+from repro.reliability.ecc import ECC_MIDPOINT_PENALTY, hashing_integrity_overhead
 from repro.sdc.detectors import (
     ProtectionProfile,
     abft_overhead_fraction,
@@ -55,6 +55,20 @@ _RECURRING_SITES = (
 )
 
 
+# |NE delta| above this counts as quality-impacting (production A/B
+# gates detect shifts of this order at scale).
+NE_THRESHOLD = 1e-3
+# Latency credited to inline detectors (ECC read, ABFT check, range
+# guard): one serving batch.
+INLINE_LATENCY_S = 0.02
+# Background scrubber cadence for the embedding row hashes, and the rate
+# at which serving reads each table row.
+HASH_SCAN_INTERVAL_S = 3600.0
+TABLE_READS_PER_S = 1.0 / 3600.0
+# The periodic fleet screen the ``full`` profile arms.
+SCREENING = FleetScreeningModel()
+
+
 @dataclasses.dataclass(frozen=True)
 class CampaignConfig:
     """Knobs for one injection campaign."""
@@ -62,22 +76,11 @@ class CampaignConfig:
     trials: int = 400
     requests: int = 8000
     seed: int = 0
-    # |NE delta| above this counts as quality-impacting (production A/B
-    # gates detect shifts of this order at scale).
-    ne_threshold: float = 1e-3
-    # Latency credited to inline detectors (ECC read, ABFT check, range
-    # guard): one serving batch.
-    inline_latency_s: float = 0.02
-    # Background scrubber cadence for the embedding row hashes.
-    hash_scan_interval_s: float = 3600.0
-    screening: FleetScreeningModel = FleetScreeningModel()
     site_weights: Optional[Dict[CorruptionSite, float]] = None
 
     def __post_init__(self) -> None:
         if self.trials <= 0 or self.requests <= 0:
             raise ValueError("trials and requests must be positive")
-        if self.ne_threshold <= 0 or self.hash_scan_interval_s <= 0:
-            raise ValueError("thresholds and cadences must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,14 +129,12 @@ class CampaignResult:
                 return summary
         raise KeyError(f"no profile named {name!r}")
 
-    def undetected_impacting_ratio(
-        self, baseline: str = "none", protected: str = "ecc+abft"
-    ) -> float:
+    def undetected_impacting_ratio(self) -> float:
         """How many times fewer undetected NE-impacting corruptions the
-        protected profile leaves versus the baseline (the acceptance
+        ``ecc+abft`` profile leaves versus ``none`` (the acceptance
         criterion's >= 10x)."""
-        base = self.summary_for(baseline).undetected_ne_impacting
-        prot = self.summary_for(protected).undetected_ne_impacting
+        base = self.summary_for("none").undetected_ne_impacting
+        prot = self.summary_for("ecc+abft").undetected_ne_impacting
         if prot == 0:
             return float("inf")
         return base / prot
@@ -154,12 +155,7 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def profile_overhead_fraction(
-    profile: ProtectionProfile,
-    config: CampaignConfig,
-    table_bytes: int,
-    table_reads_per_s: float = 1.0 / 3600.0,
-) -> float:
+def profile_overhead_fraction(profile: ProtectionProfile, table_bytes: int) -> float:
     """Steady-state throughput cost of a profile's enabled detectors.
 
     ECC charges the midpoint of the paper's quoted 10-15%% band; ABFT
@@ -169,22 +165,20 @@ def profile_overhead_fraction(
     """
     overhead = 0.0
     if profile.ecc:
-        overhead += sum(ECC_THROUGHPUT_PENALTY) / 2.0
+        overhead += ECC_MIDPOINT_PENALTY
     if profile.abft:
         overhead += abft_overhead_fraction(*ABFT_GEMM_SHAPE)
     if profile.range_guard:
         overhead += RANGE_GUARD_OVERHEAD
     if profile.row_hash:
-        overhead += hashing_integrity_overhead(table_bytes, table_reads_per_s)
+        overhead += hashing_integrity_overhead(table_bytes, TABLE_READS_PER_S)
     if profile.fleet_screen:
-        overhead += config.screening.overhead_fraction()
+        overhead += SCREENING.overhead_fraction()
     return overhead
 
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    profiles: Optional[Tuple[ProtectionProfile, ...]] = None,
-    pipeline: Optional[CtrServingPipeline] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> CampaignResult:
     """Run one seeded campaign over every profile.
@@ -200,8 +194,7 @@ def run_campaign(
     """
     config = config or CampaignConfig()
     obs = active(registry)
-    pipeline = pipeline or CtrServingPipeline(seed=config.seed)
-    profiles = profiles or standard_profiles()
+    pipeline = CtrServingPipeline(seed=config.seed)
 
     rng = np.random.default_rng(config.seed)
     injections = plan_injections(
@@ -242,7 +235,7 @@ def run_campaign(
                     # Double-bit: detected-uncorrectable, surfaced loudly
                     # (the resilience simulator's ECC-UE fault family).
                     return TrialOutcome(
-                        injection, True, "ecc", config.inline_latency_s, 0.0, False
+                        injection, True, "ecc", INLINE_LATENCY_S, 0.0, False
                     )
                 result, ne_delta = served(index, injection, "ecc", read.data)
             else:
@@ -251,47 +244,47 @@ def run_campaign(
         else:
             result, ne_delta = served(index, injection, "raw", None)
 
-        ne_impacting = abs(ne_delta) > config.ne_threshold
+        ne_impacting = abs(ne_delta) > NE_THRESHOLD
         # First enabled detector to flag it, in datapath order.
         if result.overflowed:
             return TrialOutcome(
-                injection, True, "overflow", config.inline_latency_s,
+                injection, True, "overflow", INLINE_LATENCY_S,
                 ne_delta, ne_impacting,
             )
         if profile.abft and not result.abft_ok:
             return TrialOutcome(
-                injection, True, "abft", config.inline_latency_s,
+                injection, True, "abft", INLINE_LATENCY_S,
                 ne_delta, ne_impacting,
             )
         if profile.range_guard and not result.range_guard_ok:
             return TrialOutcome(
-                injection, True, "range_guard", config.inline_latency_s,
+                injection, True, "range_guard", INLINE_LATENCY_S,
                 ne_delta, ne_impacting,
             )
         if profile.row_hash and not result.row_hash_ok:
             # Caught by the background scrubber at its next pass.
             return TrialOutcome(
                 injection, True, "row_hash",
-                injection.latency_draw * config.hash_scan_interval_s,
+                injection.latency_draw * HASH_SCAN_INTERVAL_S,
                 ne_delta, ne_impacting,
             )
         if (
             profile.fleet_screen
             and injection.site in _RECURRING_SITES
-            and injection.screen_draw < config.screening.sensitivity
+            and injection.screen_draw < SCREENING.sensitivity
         ):
             # A recurring datapath fault marks a marginal chip; the
             # periodic screen catches it at its next pass on this device.
             return TrialOutcome(
                 injection, True, "fleet_screen",
-                injection.latency_draw * config.screening.interval_s,
+                injection.latency_draw * SCREENING.interval_s,
                 ne_delta, ne_impacting,
             )
         return TrialOutcome(injection, False, "", 0.0, ne_delta, ne_impacting)
 
     table_bytes = pipeline.table.nbytes
     summaries = []
-    for profile in profiles:
+    for profile in standard_profiles():
         outcomes = tuple(
             evaluate(index, injection, profile)
             for index, injection in enumerate(injections)
@@ -327,9 +320,7 @@ def run_campaign(
                     if detected
                     else 0.0
                 ),
-                overhead_fraction=profile_overhead_fraction(
-                    profile, config, table_bytes
-                ),
+                overhead_fraction=profile_overhead_fraction(profile, table_bytes),
                 outcomes=outcomes,
             )
         )

@@ -209,10 +209,10 @@ def abft_overhead_fraction(m: int, k: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def accumulator_bound(k: int, int8_max: int = 127) -> int:
+def accumulator_bound(k: int) -> int:
     """The algebraic maximum of a K-deep INT8 dot product; any larger
     accumulator value can only be corruption."""
-    return k * int8_max * int8_max
+    return k * 127 * 127
 
 
 def hash_rows(table: np.ndarray) -> Tuple[int, ...]:

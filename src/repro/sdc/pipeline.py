@@ -115,28 +115,23 @@ class ServeResult:
         return self.embed_guard_ok and self.acc_range_ok and self.logit_guard_ok
 
 
+# The fp16 embedding slice: 128 rows of 16 (whole 64-bit words), which
+# leaves 48 of the model's 64 features dense.
+EMBED_ROWS = 128
+EMBED_DIM = 16
+
+
 class CtrServingPipeline:
     """The quantized embedding + FC serving path for a synthetic CTR
     model, with publish-time integrity artifacts (weight checksum, row
     hashes, magnitude envelope)."""
 
-    def __init__(
-        self,
-        model: Optional[SyntheticCtrModel] = None,
-        embed_rows: int = 128,
-        embed_dim: int = 16,
-        seed: int = 0,
-    ) -> None:
-        self.model = model or SyntheticCtrModel(num_features=64, seed=seed)
-        if embed_dim >= self.model.num_features:
-            raise ValueError("embedding slice must leave dense features")
-        if (embed_rows * embed_dim * 2) % 8:
-            raise ValueError("embedding table must be whole 64-bit words")
-        self.embed_rows = embed_rows
-        self.embed_dim = embed_dim
-        self.dense_width = self.model.num_features - embed_dim
+    def __init__(self, seed: int = 0) -> None:
+        self.model = SyntheticCtrModel(num_features=64, seed=seed)
+        self.embed_rows = EMBED_ROWS
+        self.dense_width = self.model.num_features - EMBED_DIM
         rng = np.random.default_rng(seed)
-        self.table = rng.normal(0, 1, size=(embed_rows, embed_dim)).astype(np.float16)
+        self.table = rng.normal(0, 1, size=(EMBED_ROWS, EMBED_DIM)).astype(np.float16)
         self.qweights = quantize_weights_static(
             np.asarray(self.model.true_weights, dtype=np.float32)[:, None]
         )

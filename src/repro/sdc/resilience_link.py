@@ -27,8 +27,7 @@ import dataclasses
 from typing import Optional
 
 from repro.resilience.faults import FaultRates, fault_rates_from_reliability
-from repro.sdc.campaign import ProfileSummary
-from repro.sdc.screening import FleetScreeningModel
+from repro.sdc.campaign import SCREENING, ProfileSummary
 
 # How long a silent corruption keeps serving before out-of-band
 # replacement of the corrupted artifact (model republish cadence).
@@ -53,22 +52,18 @@ def expected_blast_window_s(
 
 
 def sdc_fault_rates(
-    summary: ProfileSummary,
-    base: Optional[FaultRates] = None,
-    screening: Optional[FleetScreeningModel] = None,
-    undetected_window_s: float = DEFAULT_UNDETECTED_WINDOW_S,
+    summary: ProfileSummary, base: Optional[FaultRates] = None
 ) -> FaultRates:
     """A :class:`FaultRates` whose SDC family is measured, not assumed.
 
-    The event rate comes from the screening model's margin tail (the
+    The event rate comes from the campaign screen's margin tail (the
     same §5.2 distribution PR-1 used), the blast window from the
     campaign's detection latencies under ``summary``'s profile.  All
     other fault families keep ``base``'s values.
     """
     base = base or fault_rates_from_reliability()
-    screening = screening or FleetScreeningModel()
     return dataclasses.replace(
         base,
-        sdc_per_device_hour=screening.sdc_rate_per_chip_hour(),
-        sdc_blast_window_s=expected_blast_window_s(summary, undetected_window_s),
+        sdc_per_device_hour=SCREENING.sdc_rate_per_chip_hour(),
+        sdc_blast_window_s=expected_blast_window_s(summary),
     )

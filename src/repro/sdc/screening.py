@@ -18,21 +18,14 @@ import dataclasses
 import math
 
 from repro.reliability.overclock import MarginModel
-from repro.resilience.faults import SDC_EVENTS_PER_MARGINAL_CHIP_HOUR
+from repro.resilience.faults import (
+    SDC_EVENTS_PER_MARGINAL_CHIP_HOUR,
+    margin_shortfall_fraction,
+)
 from repro.units import GHZ
 
 HOURS = 3600.0
 DAYS = 86_400.0
-
-
-def margin_shortfall_fraction(
-    margin: MarginModel, operating_hz: float, harshest_sensitivity: float = 1.0
-) -> float:
-    """P(chip f_max < effective stress frequency) under the margin model —
-    the tail of chips the overclock shipped with thin margin."""
-    effective = operating_hz * harshest_sensitivity
-    z = (effective - margin.mean_fmax_hz) / margin.sigma_hz
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,7 +34,6 @@ class FleetScreeningModel:
     drained for ``screen_duration_s`` and run through targeted patterns
     that catch a truly marginal chip with probability ``sensitivity``."""
 
-    margin: MarginModel = MarginModel()
     operating_frequency_hz: float = 1.35 * GHZ
     interval_s: float = 7 * DAYS
     screen_duration_s: float = 1800.0
@@ -58,7 +50,7 @@ class FleetScreeningModel:
     def marginal_chip_fraction(self) -> float:
         """Fraction of the fleet in the thin-margin tail at the shipped
         frequency (zero at the 1.1 GHz design point, by construction)."""
-        return margin_shortfall_fraction(self.margin, self.operating_frequency_hz)
+        return margin_shortfall_fraction(MarginModel(), self.operating_frequency_hz)
 
     def sdc_rate_per_chip_hour(self) -> float:
         """Fleet-average silent-corruption event rate, before detection:

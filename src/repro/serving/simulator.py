@@ -91,22 +91,19 @@ def max_throughput_under_slo(
     coalescing: CoalescingConfig,
     p99_slo_s: float = DEFAULT_P99_SLO_S,
     samples_per_request: int = 256,
-    low_rate: float = 10.0,
-    high_rate: float = 400.0,
     iterations: int = 8,
     duration_s: float = 40.0,
-    seed: int = 3,
 ) -> ServingOutcome:
-    """Binary-search the highest request rate whose P99 meets the SLO.
+    """Binary-search the highest request rate in [10, 400] req/s whose
+    P99 meets the SLO (every probe seeded 3).
 
     This is the capacity figure production provisioning uses ('a model's
     throughput at its P99 latency SLO is highly sensitive to these
     parameters', section 4.1).
     """
-    if low_rate <= 0 or high_rate <= low_rate:
-        raise ValueError("need 0 < low_rate < high_rate")
+    low_rate, seed = 10.0, 3
     best: Optional[ServingOutcome] = None
-    lo, hi = low_rate, high_rate
+    lo, hi = low_rate, 400.0
     for _ in range(iterations):
         mid = (lo + hi) / 2
         outcome = simulate_serving(

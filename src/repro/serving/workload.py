@@ -108,11 +108,11 @@ def poisson_stream(
 def diurnal_load_curve(
     mean_rate_per_s: float,
     peak_to_mean: float = 2.2,
-    num_points: int = 288,
     noise: float = 0.05,
     seed: int = 0,
 ) -> np.ndarray:
     """A day of 5-minute load samples with a sinusoidal diurnal swing."""
+    num_points = 288
     if mean_rate_per_s <= 0 or peak_to_mean < 1:
         raise ValueError("invalid load-curve parameters")
     rng = np.random.default_rng(seed)
@@ -124,6 +124,11 @@ def diurnal_load_curve(
     raw = raw / raw.mean()
     curve = mean_rate_per_s * raw * rng.lognormal(0, noise, size=num_points)
     return np.maximum(curve, 0.0)
+
+
+# The overnight trough never quite hits zero: the expected rate stays at
+# or above this fraction of the mean.
+FLOOR_FRACTION = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,7 +145,6 @@ class DiurnalTrafficModel:
     peak_to_mean: float = 2.2
     day_length_s: float = 86_400.0
     phase_s: float = 0.0  # where in the day t=0 lands (0 = trough side)
-    floor_fraction: float = 0.05  # overnight trough never quite hits zero
     # Timezone phase offset in *hours of the diurnal cycle* — a region 8
     # timezones east peaks 8/24 of a day earlier, whatever ``day_length_s``
     # compresses the day to.  The fleet tier threads one model per region
@@ -153,8 +157,6 @@ class DiurnalTrafficModel:
             raise ValueError("mean rate and day length must be positive")
         if self.peak_to_mean < 1:
             raise ValueError("peak-to-mean must be at least 1")
-        if not (0 <= self.floor_fraction <= 1):
-            raise ValueError("floor fraction must be in [0, 1]")
 
     def rate_at(self, t_s: float) -> float:
         """Expected arrival rate (requests/s) at wall time ``t_s``."""
@@ -165,7 +167,7 @@ class DiurnalTrafficModel:
             angle += 2.0 * math.pi * self.phase_h / 24.0
         amplitude = self.peak_to_mean - 1.0
         raw = 1.0 + amplitude * math.sin(angle - math.pi / 2.0)
-        return self.mean_rate_per_s * max(raw, self.floor_fraction)
+        return self.mean_rate_per_s * max(raw, FLOOR_FRACTION)
 
     @property
     def peak_rate_per_s(self) -> float:

@@ -129,16 +129,15 @@ class DatasetRecorder:
 def sample_gemm_points(
     n_samples: int,
     seed: int = 0,
-    variants: Optional[Sequence[GemmVariant]] = None,
-    log2_dim_range: Tuple[float, float] = (5.0, 13.5),
 ) -> Tuple[List[Tuple[int, int, int]], List[GemmVariant]]:
-    """Seeded log-uniform (shape, variant) sample of the tuning space."""
+    """Seeded log-uniform (shape, variant) sample of the tuning space:
+    each GEMM dimension is 2**u for u uniform in [5, 13.5], each variant
+    one of the default catalog."""
     if n_samples <= 0:
         raise ValueError("need a positive sample count")
-    variants = list(variants) if variants is not None else default_variants()
+    variants = default_variants()
     rng = np.random.default_rng(seed)
-    lo, hi = log2_dim_range
-    dims = np.exp2(rng.uniform(lo, hi, size=(n_samples, 3)))
+    dims = np.exp2(rng.uniform(5.0, 13.5, size=(n_samples, 3)))
     dims = np.maximum(1, np.round(dims)).astype(np.int64)
     picks = rng.integers(0, len(variants), size=n_samples)
     shapes = [tuple(int(d) for d in row) for row in dims]
@@ -148,25 +147,22 @@ def sample_gemm_points(
 def collect_gemm_dataset(
     chip: ChipSpec,
     n_samples: int = 6000,
-    dtype: DType = DType.FP16,
     seed: int = 0,
-    variants: Optional[Sequence[GemmVariant]] = None,
     include_energy: bool = True,
 ) -> Tuple[SurrogateDataset, GemmFeatureSpace]:
-    """Exact kernel-model traces over a seeded sample of tuning points.
+    """Exact FP16 kernel-model traces over a seeded sample of tuning
+    points.
 
     Every evaluation goes through a memo+recorder pair, so duplicate
     sampled points collapse to one exact evaluation and one row — the
     memo's dedup is the dataset's dedup.
     """
-    space = GemmFeatureSpace(chip, dtype)
+    space = GemmFeatureSpace(chip, DType.FP16)
     recorder = DatasetRecorder()
     collection_memo = KernelLatencyMemo(chip, recorder=recorder)
-    shapes, variant_picks = sample_gemm_points(
-        n_samples, seed=seed, variants=variants
-    )
+    shapes, variant_picks = sample_gemm_points(n_samples, seed=seed)
     for (m, k, n), variant in zip(shapes, variant_picks):
-        collection_memo.measure(GemmShape(m, k, n), variant, dtype)
+        collection_memo.measure(GemmShape(m, k, n), variant, DType.FP16)
     return recorder.to_dataset(space, include_energy=include_energy), space
 
 
@@ -174,10 +170,9 @@ def collect_executor_dataset(
     build_graph: Callable[[int], OpGraph],
     chip: ChipSpec,
     batches: Sequence[int] = (256, 512, 1024),
-    dtype: DType = DType.FP16,
-    variant: Optional[GemmVariant] = None,
 ) -> SurrogateDataset:
-    """Exact ``perf.executor`` traces: per-FC-op latency rows.
+    """Exact ``perf.executor`` traces: per-FC-op latency rows (FP16,
+    default GEMM variant).
 
     Runs the full executor (memory hierarchy, NoC, host link) on the
     model graph at each batch size and emits one row per FC op with the
@@ -189,14 +184,14 @@ def collect_executor_dataset(
     """
     from repro.perf.executor import Executor
 
-    space = GemmFeatureSpace(chip, dtype)
-    used = variant or GemmVariant()
+    space = GemmFeatureSpace(chip, DType.FP16)
+    used = GemmVariant()
     shapes: List[Tuple[int, int, int]] = []
     rows: List[GemmVariant] = []
     times: List[float] = []
     for batch in batches:
         graph = build_graph(batch)
-        report = Executor(chip, gemm_variant=variant).run(graph, batch)
+        report = Executor(chip).run(graph, batch)
         profiles = {p.op_name: p for p in report.op_profiles}
         for op in graph.ops:
             if op.op_type is not OpType.FC or op.name not in profiles:
@@ -216,9 +211,9 @@ def collect_executor_dataset(
 def collect_executor_graph_dataset(
     chips: Sequence[ChipSpec],
     models: Sequence[Tuple["GraphSummary", Callable[[int], OpGraph], int]],
-    dtype: DType = DType.FP16,
 ) -> SurrogateDataset:
-    """Exact whole-graph executor latencies across a chip sample.
+    """Exact whole-graph executor latencies across a chip sample (FP16
+    features).
 
     One row per (chip, model): features from
     :func:`~repro.surrogate.features.executor_feature_row` on the
@@ -241,7 +236,7 @@ def collect_executor_graph_dataset(
         executor = Executor(chip)
         for summary, build_graph, batch in models:
             report = executor.run(build_graph(batch), batch)
-            X.append(executor_feature_row(chip, summary, dtype))
+            X.append(executor_feature_row(chip, summary, DType.FP16))
             times.append(report.latency_s)
     return SurrogateDataset(
         X=np.vstack(X).astype(np.float32),
@@ -254,19 +249,17 @@ def collect_executor_graph_dataset(
 def train_executor_surrogate(
     chips: Sequence[ChipSpec],
     models: Sequence[Tuple["GraphSummary", Callable[[int], OpGraph], int]],
-    dtype: DType = DType.FP16,
     seed: int = 0,
-    holdout_fraction: float = 0.15,
-    n_rounds: int = 16,
 ) -> Tuple[SurrogateModel, TrainReport]:
-    """Collect whole-graph traces over a chip sample and fit the
-    executor-latency surrogate (log-space target, seeded, bit-for-bit
-    reproducible like every other surrogate here)."""
-    dataset = collect_executor_graph_dataset(chips, models, dtype=dtype)
-    model = SurrogateModel(n_rounds=n_rounds)
+    """Collect FP16 whole-graph traces over a chip sample and fit the
+    executor-latency surrogate (16 rounds, 15% holdout, log-space
+    target, seeded, bit-for-bit reproducible like every other surrogate
+    here)."""
+    dataset = collect_executor_graph_dataset(chips, models)
+    model = SurrogateModel(n_rounds=16)
     report = model.fit(
         dataset.X, dataset.latency_s, seed=seed,
-        holdout_fraction=holdout_fraction, target="executor_latency",
+        holdout_fraction=0.15, target="executor_latency",
     )
     return model, report
 
@@ -274,30 +267,27 @@ def train_executor_surrogate(
 def train_gemm_surrogate(
     chip: ChipSpec,
     n_samples: int = 6000,
-    dtype: DType = DType.FP16,
     seed: int = 0,
     include_energy: bool = True,
-    holdout_fraction: float = 0.2,
-    n_rounds: int = 24,
 ) -> Tuple[GemmSurrogate, Dict[str, TrainReport]]:
-    """Collect traces and fit the kernel latency (+ energy) surrogate."""
+    """Collect FP16 traces and fit the kernel latency (+ energy)
+    surrogate (24 rounds, 20% holdout)."""
     dataset, space = collect_gemm_dataset(
-        chip, n_samples=n_samples, dtype=dtype, seed=seed,
-        include_energy=include_energy,
+        chip, n_samples=n_samples, seed=seed, include_energy=include_energy,
     )
-    latency = SurrogateModel(n_rounds=n_rounds)
+    latency = SurrogateModel(n_rounds=24)
     reports = {
         "latency": latency.fit(
             dataset.X, dataset.latency_s, seed=seed,
-            holdout_fraction=holdout_fraction, target="latency",
+            holdout_fraction=0.2, target="latency",
         )
     }
     energy = None
     if include_energy and dataset.energy_j is not None:
-        energy = SurrogateModel(n_rounds=n_rounds)
+        energy = SurrogateModel(n_rounds=24)
         reports["energy"] = energy.fit(
             dataset.X, dataset.energy_j, seed=seed,
-            holdout_fraction=holdout_fraction, target="energy",
+            holdout_fraction=0.2, target="energy",
         )
     return GemmSurrogate(space, latency, energy), reports
 
@@ -306,12 +296,12 @@ def train_capacity_surrogate(
     service,
     qps_points: Sequence[float],
     policies: Sequence[str] = ("round_robin", "po2"),
-    p99_slo_s: float = 0.100,
     duration_s: float = 40.0,
     max_replicas: int = 96,
     seed: int = 0,
 ) -> Tuple[SurrogateModel, TrainReport]:
-    """Fit a replicas-needed predictor from exact capacity searches.
+    """Fit a replicas-needed predictor from exact capacity searches at
+    the serving P99 SLO.
 
     Each row costs a full seeded cluster search, so the grid is small;
     the resulting model seeds :func:`repro.cluster.capacity
@@ -319,6 +309,7 @@ def train_capacity_surrogate(
     it never decides feasibility itself.
     """
     from repro.cluster.capacity import replicas_needed
+    from repro.serving.simulator import DEFAULT_P99_SLO_S as p99_slo_s
 
     X: List[np.ndarray] = []
     y: List[float] = []
@@ -349,29 +340,26 @@ def train_power_surrogate(
     service,
     probe_budgets_w: Sequence[float],
     replicas: int = 24,
-    platform_power_w: float = 800.0,
-    chip: Optional[ChipSpec] = None,
-    p99_slo_s: float = 0.100,
     duration_s: float = 20.0,
     seed: int = 0,
 ) -> Tuple[SurrogateModel, TrainReport]:
-    """Fit a max-QPS-fraction predictor from exact power-sweep probes.
+    """Fit a max-QPS-fraction predictor from exact power-sweep probes at
+    the serving P99 SLO, on the MTIA 2i server's 800 W platform.
 
     Targets are the feasible fraction of the fluid capacity ceiling at
     each probe budget (linear-space targets: fractions live in [0, 1]).
     The model seeds the guided descent in
     :func:`repro.power.cluster_link.power_limited_capacity_sweep`.
     """
-    from repro.arch.mtia import mtia2i_spec
     from repro.cluster.capacity import max_qps_at_slo
-    from repro.power.cluster_link import service_model_at_budget
+    from repro.power.cluster_link import PLATFORM_POWER_W, service_model_at_budget
+    from repro.serving.simulator import DEFAULT_P99_SLO_S as p99_slo_s
 
-    chip = chip or mtia2i_spec()
     X: List[np.ndarray] = []
     y: List[float] = []
     for budget in probe_budgets_w:
-        per_chip = max(0.0, (budget - platform_power_w) / replicas)
-        scaled, _ = service_model_at_budget(service, per_chip, chip=chip)
+        per_chip = max(0.0, (budget - PLATFORM_POWER_W) / replicas)
+        scaled, _ = service_model_at_budget(service, per_chip)
         max_qps, _ = max_qps_at_slo(
             scaled, replicas, p99_slo_s, duration_s, seed
         )

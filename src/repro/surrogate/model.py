@@ -46,6 +46,12 @@ from repro.surrogate.features import (
 )
 from repro.tensors.dtypes import DType
 
+# Fit settings shared by every surrogate: the ridge penalty, the boosting
+# shrinkage, the split candidates per feature, and the smallest leaf.
+RIDGE_L2 = 1e-3
+LEARNING_RATE = 0.5
+N_QUANTILES = 24
+MIN_LEAF = 8
 
 @dataclasses.dataclass(frozen=True)
 class TrainReport:
@@ -155,21 +161,10 @@ class BoostedStumps:
     fast sweep path can afford dozens of rounds.
     """
 
-    def __init__(
-        self,
-        n_rounds: int = 24,
-        learning_rate: float = 0.5,
-        n_quantiles: int = 24,
-        min_leaf: int = 8,
-    ) -> None:
+    def __init__(self, n_rounds: int = 24) -> None:
         if n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
-        if not (0 < learning_rate <= 1):
-            raise ValueError("learning rate must be in (0, 1]")
         self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.n_quantiles = n_quantiles
-        self.min_leaf = min_leaf
         self.features = np.empty(0, dtype=np.int64)
         self.thresholds = np.empty(0, dtype=np.float64)
         self.deltas = np.empty(0, dtype=np.float64)  # left - right
@@ -182,7 +177,7 @@ class BoostedStumps:
         orders = [np.argsort(X[:, j], kind="stable") for j in range(d)]
         sorted_cols = [X[orders[j], j] for j in range(d)]
         candidates: List[np.ndarray] = []
-        qs = np.linspace(0.0, 1.0, self.n_quantiles + 2)[1:-1]
+        qs = np.linspace(0.0, 1.0, N_QUANTILES + 2)[1:-1]
         for j in range(d):
             values = np.unique(np.quantile(sorted_cols[j], qs))
             # Split *between* data values so float32 evaluation of the
@@ -201,15 +196,15 @@ class BoostedStumps:
             for j in range(d):
                 gain, thr, left, right = _best_split(
                     orders[j], sorted_cols[j], candidates[j],
-                    residual, self.min_leaf,
+                    residual, MIN_LEAF,
                 )
                 if gain > best[0]:
                     best = (gain, j, thr, left, right)
             if best[1] < 0:
                 break
             _, j, thr, left, right = best
-            left *= self.learning_rate
-            right *= self.learning_rate
+            left *= LEARNING_RATE
+            right *= LEARNING_RATE
             mask = X[:, j] <= thr
             residual[mask] -= left
             residual[~mask] -= right
@@ -237,15 +232,11 @@ class SurrogateModel:
     def __init__(
         self,
         log_targets: bool = True,
-        ridge_l2: float = 1e-3,
         n_rounds: int = 24,
-        learning_rate: float = 0.5,
     ) -> None:
         self.log_targets = log_targets
-        self.ridge = RidgeRegressor(l2=ridge_l2)
-        self.stumps = BoostedStumps(
-            n_rounds=n_rounds, learning_rate=learning_rate
-        )
+        self.ridge = RidgeRegressor(l2=RIDGE_L2)
+        self.stumps = BoostedStumps(n_rounds=n_rounds)
         self.report: Optional[TrainReport] = None
 
     def fit(

@@ -19,6 +19,12 @@ import dataclasses
 from repro.arch.server import ServerSpec, gpu_server, mtia2i_server
 
 
+ELECTRICITY_USD_PER_KWH = 0.08
+# Amortized datacenter provisioning cost per watt-year (power delivery +
+# cooling infrastructure).
+PROVISIONING_USD_PER_WATT_YEAR = 2.0
+
+
 @dataclasses.dataclass(frozen=True)
 class CostInputs:
     """Dollar and facility parameters of the TCO model."""
@@ -26,11 +32,7 @@ class CostInputs:
     accelerator_cost_usd: float
     platform_cost_usd: float  # CPUs, DRAM, NIC, chassis, switches
     depreciation_years: float = 4.0
-    electricity_usd_per_kwh: float = 0.08
     pue: float = 1.1
-    # Amortized datacenter provisioning cost per watt-year (power
-    # delivery + cooling infrastructure).
-    provisioning_usd_per_watt_year: float = 2.0
 
     def __post_init__(self) -> None:
         if self.depreciation_years <= 0:
@@ -59,12 +61,8 @@ DERIVED_COST_LPDDR_USD_PER_GIB = 3.5
 DERIVED_COST_AREA_EXPONENT = 1.25
 
 
-def derived_cost_inputs(
-    chip,
-    reference=None,
-    reference_costs: CostInputs = MTIA2I_COST,
-) -> CostInputs:
-    """Cost inputs for a chip derived from a reference design.
+def derived_cost_inputs(chip) -> CostInputs:
+    """Cost inputs for a chip derived from the MTIA 2i reference design.
 
     The TCO of a codesign candidate must not silently reuse the base
     chip's build cost: a 144-PE, 512 MiB-SRAM candidate is a much
@@ -73,30 +71,27 @@ def derived_cost_inputs(
     ``chip.dram.capacity_bytes``; the platform (host CPUs, NIC,
     chassis) is shared across candidates and carries over unchanged.
 
-    Calling this with the reference chip itself returns
-    ``reference_costs`` exactly (the silicon coefficient is calibrated
-    against it), so existing MTIA 2i results are unaffected.
+    Calling this with MTIA 2i itself returns ``MTIA2I_COST`` exactly
+    (the silicon coefficient is calibrated against it), so existing
+    MTIA 2i results are unaffected.
     """
-    if reference is None:
-        from repro.arch.mtia import mtia2i_spec
+    from repro.arch.mtia import mtia2i_spec
 
-        reference = mtia2i_spec()
+    reference = mtia2i_spec()
     gib = 1024.0**3
     ref_memory = DERIVED_COST_LPDDR_USD_PER_GIB * (
         reference.dram.capacity_bytes / gib
     )
     ref_silicon = (
-        reference_costs.accelerator_cost_usd
+        MTIA2I_COST.accelerator_cost_usd
         - DERIVED_COST_FIXED_USD
         - ref_memory
     )
-    if ref_silicon <= 0:
-        raise ValueError("reference cost does not cover fixed + memory terms")
     area_ratio = chip.die_area_mm2 / reference.die_area_mm2
     silicon = ref_silicon * area_ratio**DERIVED_COST_AREA_EXPONENT
     memory = DERIVED_COST_LPDDR_USD_PER_GIB * (chip.dram.capacity_bytes / gib)
     return dataclasses.replace(
-        reference_costs,
+        MTIA2I_COST,
         accelerator_cost_usd=silicon + memory + DERIVED_COST_FIXED_USD,
     )
 
@@ -156,8 +151,8 @@ def server_tco(
         + server.accelerators_per_server * costs.accelerator_cost_usd
     ) / costs.depreciation_years
     hours_per_year = 8760.0
-    energy = avg_power_watts / 1000.0 * costs.pue * hours_per_year * costs.electricity_usd_per_kwh
-    provisioning = server.max_power_watts * costs.provisioning_usd_per_watt_year
+    energy = avg_power_watts / 1000.0 * costs.pue * hours_per_year * ELECTRICITY_USD_PER_KWH
+    provisioning = server.max_power_watts * PROVISIONING_USD_PER_WATT_YEAR
     return TcoBreakdown(
         capex_per_year=capex,
         energy_per_year=energy,
@@ -167,10 +162,10 @@ def server_tco(
 
 def perf_per_tco(
     server_throughput: float, server: ServerSpec, costs: CostInputs,
-    avg_power_watts: float = None, report=None,
+    avg_power_watts: float = None,
 ) -> float:
     """Samples/s per annual TCO dollar."""
-    breakdown = server_tco(server, costs, avg_power_watts, report=report)
+    breakdown = server_tco(server, costs, avg_power_watts)
     return server_throughput / breakdown.total_per_year
 
 

@@ -23,7 +23,7 @@ _STABLE_UID_BASE = 1 << 40
 
 
 @contextlib.contextmanager
-def stable_uid_scope(base: int = _STABLE_UID_BASE):
+def stable_uid_scope():
     """Allocate tensor *and* op uids from a fixed base inside the scope.
 
     Tensor/op uids normally come from process-global counters, so a
@@ -45,8 +45,8 @@ def stable_uid_scope(base: int = _STABLE_UID_BASE):
     from repro.graph import ops as _ops
 
     saved_specs, saved_ops = _SPEC_IDS, _ops._OP_IDS
-    _SPEC_IDS = itertools.count(base)
-    _ops._OP_IDS = itertools.count(base)
+    _SPEC_IDS = itertools.count(_STABLE_UID_BASE)
+    _ops._OP_IDS = itertools.count(_STABLE_UID_BASE)
     try:
         yield
     finally:

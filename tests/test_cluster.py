@@ -27,7 +27,7 @@ from repro.fleet import AllocationError
 from repro.obs import MetricsRegistry, TraceWriter
 from repro.resilience.policies import AdmissionConfig
 from repro.serving import DiurnalTrafficModel, diurnal_poisson_stream, poisson_stream
-from repro.serving.workload import Request
+from repro.serving.workload import FLOOR_FRACTION, Request
 
 
 @dataclasses.dataclass
@@ -512,7 +512,7 @@ class TestDiurnalTraffic:
         assert model.rate_at(21_600.0) == pytest.approx(100.0)
         assert min(
             model.rate_at(t) for t in np.linspace(0, 86_400, 97)
-        ) >= 100.0 * model.floor_fraction
+        ) >= 100.0 * FLOOR_FRACTION
 
     def test_stream_is_seeded_deterministic(self):
         model = DiurnalTrafficModel(mean_rate_per_s=50.0)
@@ -565,7 +565,7 @@ class TestDiurnalTraffic:
             raw = 1.0 + (model.peak_to_mean - 1.0) * math.sin(
                 angle - math.pi / 2.0
             )
-            expected = model.mean_rate_per_s * max(raw, model.floor_fraction)
+            expected = model.mean_rate_per_s * max(raw, FLOOR_FRACTION)
             assert model.rate_at(float(t)) == expected  # exact, not approx
         assert diurnal_poisson_stream(
             model, duration_s=600.0, seed=7
@@ -647,6 +647,18 @@ class TestConfigBoundary:
             admission=AdmissionConfig(max_outstanding_per_replica=np.int64(4)),
         )
         assert config.replicas == 3
+
+    @pytest.mark.parametrize("compare", [policy_comparison, locality_comparison])
+    @pytest.mark.parametrize("replicas", [0, -4])
+    def test_comparisons_reject_replica_count_before_drawing(
+        self, monkeypatch, compare, replicas
+    ):
+        def no_stream(*args):
+            raise AssertionError("drew a request stream")
+
+        monkeypatch.setattr("repro.cluster.capacity._stream", no_stream)
+        with pytest.raises(ValueError, match="need at least one replica"):
+            compare(default_service_model(), replicas=replicas)
 
 
 class TestInjectionTargets:

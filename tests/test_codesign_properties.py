@@ -31,7 +31,7 @@ from repro.codesign import (
     pareto_front,
     select_by_rank,
 )
-from repro.codesign.search import _anneal_chain
+from repro.codesign.search import CHAIN_WEIGHTS, _anneal_chain
 from repro.units import GB, GHZ, GiB, MiB
 
 SPACE = DesignSpace(
@@ -139,7 +139,7 @@ class _ArithmeticObjective:
 @given(seed=st.integers(0, 2**31 - 1), chain=st.integers(0, 3))
 def test_annealing_chain_bit_for_bit_deterministic(seed, chain):
     config = SearchConfig(seed=seed, iterations=12)
-    weights = config.chain_weights[chain]
+    weights = CHAIN_WEIGHTS[chain]
     first, second = {}, {}
     _anneal_chain(SPACE, _ArithmeticObjective(), first, weights, chain, config)
     _anneal_chain(SPACE, _ArithmeticObjective(), second, weights, chain, config)
@@ -157,7 +157,7 @@ def test_annealing_chains_share_cache_consistently(seed):
 
     def explore():
         cache = {}
-        for index, weights in enumerate(config.chain_weights):
+        for index, weights in enumerate(CHAIN_WEIGHTS):
             _anneal_chain(
                 SPACE, _ArithmeticObjective(), cache, weights, index, config
             )

@@ -192,7 +192,7 @@ class RetiredExecutor(Executor):
             traffic += scaled
         for tensor in op.outputs:
             moved = hierarchy.write(tensor)
-            traffic += _scale_traffic(moved, estimate.output_write_factor)
+            traffic += _scale_traffic(moved, 1.0)
         if hierarchy.llc:
             traffic.dram_bytes += (
                 hierarchy.llc.stats.bytes_written_back - writebacks_before

@@ -38,6 +38,11 @@ from repro.reliability import (
     typical_rollout,
     wait_for_edges,
 )
+from repro.reliability.firmware import (
+    EMERGENCY_ROLLOUT_HOURS,
+    OVERRIDE_ROLLOUT_HOURS,
+    TYPICAL_ROLLOUT_DAYS,
+)
 
 
 class TestSecded:
@@ -292,6 +297,13 @@ class TestFirmware:
         assert 14 <= typical_rollout().total_days <= 22
         assert 2 <= emergency_rollout().total_hours <= 4
         assert override_rollout().total_hours <= 1.2
+
+    def test_rollout_plans_match_the_paper_constants(self):
+        """The plans' wall times sit on the module's paper figures, with
+        the bounds above: 18 +/- 4 days, 3 +/- 1 h, at most 1.2 x 1 h."""
+        assert abs(typical_rollout().total_days - TYPICAL_ROLLOUT_DAYS) <= 4
+        assert abs(emergency_rollout().total_hours - EMERGENCY_ROLLOUT_HOURS) <= 1
+        assert override_rollout().total_hours <= 1.2 * OVERRIDE_ROLLOUT_HOURS
 
     def test_staged_detection_catches_before_fleet(self):
         result = staged_detection(issue_incidence=0.001, seed=0)

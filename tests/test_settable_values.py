@@ -1,0 +1,135 @@
+"""Smaller-than-before checks for the settable values of ``src/repro``.
+
+A settable value is a defaulted function parameter (``__init__``
+included) or a defaulted dataclass field that ``__init__`` accepts.
+Each one that no caller set became a module constant or an inlined
+literal; these checks pin the smaller total and keep the retired knobs
+gone.
+"""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _decorator_names(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        yield getattr(target, "id", getattr(target, "attr", None))
+
+
+def _defaulted_fields(node):
+    """Names of the class body's defaulted fields that ``__init__`` takes."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and stmt.value is not None):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(
+            value.func, "id", getattr(value.func, "attr", None)
+        ) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if "default" not in keywords and "default_factory" not in keywords:
+                continue
+        yield stmt.target.id
+
+
+def settable_values():
+    """``(file, owner, name)`` for every settable value in ``src/repro``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        rel = str(path.relative_to(SRC))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                is_record = "dataclass" in set(_decorator_names(node)) or any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                    for base in node.bases
+                )
+                if is_record:
+                    found.extend((rel, node.name, name) for name in _defaulted_fields(node))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                found.extend(
+                    (rel, node.name, arg.arg)
+                    for arg in positional[len(positional) - len(args.defaults):]
+                )
+                found.extend(
+                    (rel, node.name, arg.arg)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+    return found
+
+
+def test_settable_value_count_stays_down():
+    # 1,008 before the values that no caller set became constants.
+    assert len(settable_values()) <= 712
+
+
+@pytest.mark.parametrize("module, owner, name", [
+    ("repro.chaos.campaign", "CampaignConfig", "window_s"),
+    ("repro.chaos.campaign", "CampaignConfig", "defense"),
+    ("repro.chaos.campaign", "CampaignConfig", "priority_weights"),
+    ("repro.sdc.campaign", "CampaignConfig", "screening"),
+    ("repro.sdc.campaign", "CampaignConfig", "ne_threshold"),
+    ("repro.sdc.campaign", "run_campaign", "profiles"),
+    ("repro.sdc.campaign", "run_campaign", "pipeline"),
+    ("repro.cluster.capacity", "autoscaled_day", "burst_factor"),
+    ("repro.cluster.capacity", "autoscaled_day", "predictive"),
+    ("repro.cluster.capacity", "locality_comparison", "num_shards"),
+    ("repro.cluster.capacity", "max_qps_at_slo", "qps_step_fraction"),
+    ("repro.cluster.capacity", "replicas_needed", "admission"),
+    ("repro.cluster.capacity", "policy_comparison", "admission"),
+    ("repro.power.dvfs", "overclock_with_thermal_feedback", "ambient_spread_c"),
+    ("repro.power.capping", "capping_study", "budget_fraction"),
+    ("repro.power.provisioning", "time_domain_provisioning", "optimized_power_factor"),
+    ("repro.power.cluster_link", "power_limited_capacity_sweep", "platform_power_w"),
+    ("repro.power.thermal", "mtia2i_thermal", "ambient_c"),
+    ("repro.power.thermal", "gpu_thermal", "ambient_c"),
+    ("repro.power.thermal", "ThermalNetwork.settle", "max_time_s"),
+    ("repro.surrogate.dataset", "train_gemm_surrogate", "n_rounds"),
+    ("repro.surrogate.model", "SurrogateModel", "learning_rate"),
+    ("repro.fleet_global.regions", "RegionSpec", "platform_power_w"),
+    ("repro.fleet_global.regions", "FleetConfig", "p99_slo_s"),
+    ("repro.fleet_global.drills", "global_firmware_rollout", "plan"),
+    ("repro.resilience.scenario", "run_section_55_drill", "job_profile"),
+    ("repro.resilience.policies", "RolloutPolicy", "plan"),
+    ("repro.codesign.search", "SearchConfig", "chain_weights"),
+    ("repro.codesign.search", "run_codesign_search", "base_chip"),
+    ("repro.reliability.errors", "NumericDlrm", "hidden"),
+    ("repro.tco.model", "CostInputs", "electricity_usd_per_kwh"),
+    ("repro.serving.workload", "DiurnalTrafficModel", "floor_fraction"),
+    ("repro.core.codesign", "Mtia2iSystem", "chip"),
+])
+def test_retired_knob_stays_gone(module, owner, name):
+    target = importlib.import_module(module)
+    for part in owner.split("."):
+        target = getattr(target, part)
+    if dataclasses.is_dataclass(target):
+        names = {field.name for field in dataclasses.fields(target)}
+    else:
+        names = set(inspect.signature(target).parameters)
+    assert name not in names, f"{module}.{owner} takes {name} again"
+
+
+def test_retired_helpers_stay_deleted():
+    """``calibrate_base_latency`` served only the retired ``job_profile``
+    branch of the drill, and the screening model reuses the one margin
+    shortfall formula."""
+    assert not hasattr(importlib.import_module("repro.resilience.simulator"),
+                       "calibrate_base_latency")
+    screening = importlib.import_module("repro.sdc.screening")
+    faults = importlib.import_module("repro.resilience.faults")
+    assert screening.margin_shortfall_fraction is faults.margin_shortfall_fraction
