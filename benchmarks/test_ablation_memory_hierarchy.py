@@ -19,8 +19,8 @@ from conftest import once
 from repro.arch.mtia import mtia2i_spec
 from repro.arch.specs import MemoryLevelSpec
 from repro.models import hc3, lc1
-from repro.perf import DECODE_REQUIREMENT_S, Executor, evaluate_llm, llama2_7b
-from repro.units import GB, MiB, TB
+from repro.perf import Executor, evaluate_llm, llama2_7b
+from repro.units import MiB, TB
 
 
 def _with_sram(chip, capacity_bytes):

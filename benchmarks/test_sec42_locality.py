@@ -16,7 +16,6 @@ import dataclasses
 from conftest import once
 
 from repro.arch import mtia2i_spec
-from repro.core.casestudy import CaseStudyModelConfig, build_case_study_model
 from repro.graph import OpGraph, fc, transpose
 from repro.graph.passes import defer_broadcast, fuse_sibling_transpose_fc
 from repro.kernels import GemmVariant, Stationarity
@@ -81,7 +80,7 @@ def _sibling_fusion_gain():
 def _broadcast_footprint():
     """A broadcast-dominated early merge network — the model class where
     delaying the user-side broadcast cut the footprint up to 2x."""
-    from repro.graph import broadcast, layernorm as ln_op
+    from repro.graph import broadcast
 
     def build(deferred):
         users = model_input(128, 4096, name="users")

@@ -6,8 +6,6 @@ increase over the 1.1 GHz design point), yielding 5-20% end-to-end
 throughput improvements in offline replay across models.
 """
 
-import dataclasses
-
 from conftest import once
 
 from repro.arch import mtia2i_spec

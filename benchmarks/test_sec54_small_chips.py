@@ -8,8 +8,6 @@ provisioning a diurnal load with 85 W MTIA chips versus 700 W-class
 GPUs, across service sizes.
 """
 
-import numpy as np
-
 from repro.fleet import production_gain, production_utilization
 
 

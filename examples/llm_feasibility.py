@@ -18,7 +18,6 @@ from repro.perf import (
     llama2_7b,
     llama3_70b,
     llama3_8b,
-    prefill_report,
 )
 
 

@@ -4,10 +4,8 @@ The cluster tier treats one replica as a single-server queue; what it
 needs from the device level is *how long one routed request occupies a
 replica*.  Rather than invent that number, it is derived from the same
 :class:`~repro.serving.scheduler.ModelJobProfile` the device-level
-simulator executes — either closed-form from the job times
-(:meth:`ServiceModel.from_profile`) or measured by actually running the
-coalescing + job-scheduling pipeline once
-(:meth:`ServiceModel.calibrated`).
+simulator executes, in closed form from the job times
+(:meth:`ServiceModel.from_profile`).
 
 Service times carry a mean-preserving log-normal jitter (input-size and
 cache variation), and requests served by a replica that does not hold
@@ -24,9 +22,7 @@ import math
 import numpy as np
 
 from repro.resilience.policies import require_finite
-from repro.serving.batcher import CoalescingConfig
 from repro.serving.scheduler import ModelJobProfile
-from repro.serving.simulator import simulate_serving
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,27 +87,6 @@ class ServiceModel:
             + profile.merge_submission_delay_s
         )
         return cls(mean_service_s=batch_s / requests_per_batch, **kwargs)
-
-    @classmethod
-    def calibrated(
-        cls,
-        profile: ModelJobProfile,
-        coalescing: CoalescingConfig,
-        **kwargs: float,
-    ) -> "ServiceModel":
-        """Measured calibration: run the device-level serving simulator
-        once (30 s of 256-sample requests at 100 req/s, seed 3) and take
-        busy-seconds-per-offered-request as the mean."""
-        outcome = simulate_serving(
-            profile,
-            coalescing,
-            request_rate_per_s=100.0,
-            samples_per_request=256,
-            duration_s=30.0,
-            seed=3,
-        )
-        mean_service_s = outcome.device_utilization / 100.0
-        return cls(mean_service_s=mean_service_s, **kwargs)
 
 
 def default_service_model() -> ServiceModel:

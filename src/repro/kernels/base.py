@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class KernelEstimate:
-    """Engine-side cost of one kernel invocation, chip-wide."""
+    """Engine-side cost of one kernel invocation, chip-wide.  Frozen:
+    the executor hands one instance to every op with the same kernel."""
 
     # Time the bottleneck compute engine is busy.
     compute_s: float = 0.0

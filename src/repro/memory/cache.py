@@ -12,7 +12,10 @@ and reuse behaviour that determines hit rates.  The executor replays one
 tensor per call (:meth:`SetAssociativeCache.access_tensor`): a single
 loop walks the tensor's blocks with counters and the random-victim state
 held in locals, which keeps the replay cheap enough to run under
-autotuning and co-design sweeps.
+autotuning and co-design sweeps.  Under random replacement each set
+keeps a list of its block ids in the set's insertion order next to the
+set itself, so the victim at a drawn position is one ``list.pop`` away
+instead of a copy of the set's keys.
 """
 
 from __future__ import annotations
@@ -93,10 +96,13 @@ class SetAssociativeCache:
         total_blocks = max(1, capacity_bytes // block_bytes)
         self.num_sets = max(1, total_blocks // associativity)
         # Each set is a dict from block id to a ``(dirty, size_bytes)``
-        # line in insertion order, LRU first.
+        # line in insertion order, LRU first.  The dict is the only
+        # record of residency; under random replacement ``_order`` holds
+        # each set's block ids in the dict's order, to index the victim.
         self._sets: List[Dict[BlockId, Tuple[bool, int]]] = [
             {} for _ in range(self.num_sets)
         ]
+        self._order: List[List[BlockId]] = [[] for _ in range(self.num_sets)]
         # A deterministic linear-congruential sequence drives random
         # victim selection so runs are reproducible.
         self._rand_state = (seed * 2654435761 + 1) & 0xFFFFFFFF
@@ -142,12 +148,15 @@ class SetAssociativeCache:
         bytes missed.  The one place hits, fills, victims and writebacks
         are decided; counters and the random state live in locals and are
         written back once."""
-        sets, num_sets, ways = self._sets, self.num_sets, self.associativity
+        sets, orders = self._sets, self._order
+        num_sets, ways = self.num_sets, self.associativity
         lru = self.replacement == "lru"
         rand = self._rand_state
+        filled = (write, size)
         hits = misses = evictions = writebacks = written_back = 0
         for block in blocks:
-            cache_set = sets[hash(block) % num_sets]
+            index = hash(block) % num_sets
+            cache_set = sets[index]
             line = cache_set.get(block)
             if line is not None:
                 hits += 1
@@ -162,12 +171,15 @@ class SetAssociativeCache:
                     victim = cache_set.pop(next(iter(cache_set)))
                 else:
                     rand = (rand * 1664525 + 1013904223) & 0xFFFFFFFF
-                    victim = cache_set.pop(list(cache_set)[rand % len(cache_set)])
+                    order = orders[index]
+                    victim = cache_set.pop(order.pop(rand % len(order)))
                 evictions += 1
                 if victim[0]:
                     writebacks += 1
                     written_back += victim[1]
-            cache_set[block] = (write, size)
+            if not lru:
+                orders[index].append(block)
+            cache_set[block] = filled
         self._rand_state = rand
         stats = self.stats
         stats.hits += hits
@@ -185,8 +197,12 @@ class SetAssociativeCache:
 
     def invalidate(self, block: BlockId) -> bool:
         """Drop a block without a writeback; returns True if it was present."""
-        cache_set = self._set_for(block)
-        return cache_set.pop(block, None) is not None
+        index = hash(block) % self.num_sets
+        if self._sets[index].pop(block, None) is None:
+            return False
+        if self.replacement == "random":
+            self._order[index].remove(block)
+        return True
 
     def flush(self) -> int:
         """Write back and drop everything; returns the dirty line count."""
@@ -198,6 +214,8 @@ class SetAssociativeCache:
                     self.stats.dirty_writebacks += 1
                     self.stats.bytes_written_back += size
             cache_set.clear()
+        for order in self._order:
+            order.clear()
         return dirty
 
     @property

@@ -13,12 +13,13 @@ the schedule:
    rung replays the LLC once;
 2. the **kernel pass**, per chip: the kernel model supplies engine-side
    times (compute, issue, Local Memory staging) and operand re-read
-   factors that scale each recorded access; embedding gathers take
-   their hit rate from Che's approximation of a Zipf-skewed row stream;
-   the op's latency is the maximum of the engine time and each memory
-   level's streaming time (engines and DMA pipeline against each
-   other), plus the job-launch overhead; energy integrates a
-   utilization-scaled power model.
+   factors that scale each recorded access, estimated once per run for
+   each distinct :func:`_kernel_key` and GEMM variant; embedding
+   gathers take their hit rate from Che's approximation of a
+   Zipf-skewed row stream; the op's latency is the maximum of the
+   engine time and each memory level's streaming time (engines and
+   DMA pipeline against each other), plus the job-launch overhead;
+   energy integrates a utilization-scaled power model.
 
 The same executor runs MTIA 1, MTIA 2i, and the GPU baseline — only the
 chip spec and the placement policy differ, which is what makes the
@@ -323,6 +324,28 @@ def _trace_key(graph: OpGraph, chip: ChipSpec, warmup_runs: int, seed: int) -> t
     )
 
 
+def _kernel_key(op: Op) -> tuple:
+    """Everything :func:`estimate_op` reads of an op, hashable: its
+    type, each operand's shape and dtype, and its attributes in
+    insertion order, with a list as a tuple and a FUSED op's sub-ops by
+    their own keys.  Names, uids and tensor kinds are left out, so
+    same-shaped ops share a key; the GEMM variant goes beside it."""
+    return (
+        op.op_type,
+        tuple([(t.shape, t.dtype) for t in op.inputs]),
+        tuple([(t.shape, t.dtype) for t in op.outputs]),
+        tuple([(name, _attr_key(value)) for name, value in op.attrs.items()]),
+    )
+
+
+def _attr_key(value):
+    if isinstance(value, list):
+        return tuple([
+            _kernel_key(item) if isinstance(item, Op) else item for item in value
+        ])
+    return value
+
+
 CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
@@ -437,8 +460,16 @@ class Executor:
         energy = 0.0
         sparse_hits = sparse_total = 0
         at = 0  # offset of the op's first access in trace.moves
+        # Same-signature ops under the same GEMM variant share one
+        # estimate; nothing mutates a KernelEstimate (it is frozen).
+        estimates: Dict[tuple, KernelEstimate] = {}
         for index, op in enumerate(graph.ops):
-            estimate = self._estimate(op)
+            variant = self._variant(op)
+            key = (_kernel_key(op), variant)
+            estimate = estimates.get(key)
+            if estimate is None:
+                estimate = estimate_op(op, self.chip, gemm_variant=variant)
+                estimates[key] = estimate
             traffic, at, tbe_rows = self._scaled_traffic(
                 op, estimate, trace, at, grid_side
             )
@@ -467,13 +498,12 @@ class Executor:
             energy_j=energy,
         )
 
-    def _estimate(self, op: Op) -> KernelEstimate:
-        variant = None
+    def _variant(self, op: Op) -> Optional[GemmVariant]:
+        """The GEMM variant the op's kernel runs: the selector's pick for
+        an FC op, else the executor's fixed variant (None: the default)."""
         if self.variant_selector is not None and op.op_type is OpType.FC:
-            variant = self.variant_selector(op)
-        elif self.gemm_variant is not None:
-            variant = self.gemm_variant
-        return estimate_op(op, self.chip, gemm_variant=variant)
+            return self.variant_selector(op)
+        return self.gemm_variant
 
     def _scaled_traffic(self, op, estimate, trace, at, grid_side):
         """Scale the op's recorded accesses, starting at ``moves[at]``,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 from typing import Tuple
 
@@ -101,9 +102,10 @@ class TensorSpec:
             count *= dim
         return count
 
-    @property
+    @functools.cached_property
     def num_bytes(self) -> int:
-        """Storage footprint in bytes."""
+        """Storage footprint in bytes, computed on first read (the spec
+        is frozen, and the memory pass reads it on every access)."""
         return self.num_elements * self.dtype.bytes
 
     @property

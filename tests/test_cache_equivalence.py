@@ -109,6 +109,14 @@ class PerBlockCache:
         cache_set[block] = _Line(block=block, dirty=write, size_bytes=size)
         return False
 
+    def contains(self, block: BlockId) -> bool:
+        """Whether the block is currently resident (no LRU update)."""
+        return block in self._set_for(block)
+
+    def invalidate(self, block: BlockId) -> bool:
+        """Drop a block without a writeback; returns True if it was present."""
+        return self._set_for(block).pop(block, None) is not None
+
     def flush(self) -> int:
         """Write back and drop everything; returns the dirty line count."""
         dirty = 0
@@ -148,6 +156,9 @@ def _assert_same_state(cache, oracle):
     oracle_lines = [[(block, line.dirty, line.size_bytes) for block, line in s.items()]
                     for s in oracle._sets]
     assert lines == oracle_lines
+    if cache.replacement == "random":
+        # The victim-position lists mirror each set's order.
+        assert cache._order == [list(s) for s in cache._sets]
 
 
 _GEOMETRY = dict(
@@ -208,3 +219,36 @@ def test_negative_tensor_size_rejected():
     with pytest.raises(ValueError):
         cache.access_tensor(0, -1, False)
     assert cache.stats == CacheStats()
+
+
+_BLOCKS = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+)
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("access"), _BLOCKS, st.booleans(),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=2 * BLOCK))),
+    st.tuples(st.just("tensor"), st.integers(min_value=0, max_value=5),
+              st.integers(min_value=0, max_value=5 * BLOCK), st.booleans()),
+    st.tuples(st.just("invalidate"), _BLOCKS),
+    st.tuples(st.just("contains"), _BLOCKS),
+    st.tuples(st.just("flush")),
+)
+
+
+@given(steps=st.lists(_OPERATIONS, max_size=60), **_GEOMETRY)
+@settings(max_examples=300, deadline=None)
+def test_interleaved_operations_match_per_block_model(num_sets, ways, replacement, seed, steps):
+    """``invalidate``, ``contains`` and a mid-stream ``flush`` between
+    accesses: where a victim-position list could drift from its set."""
+    cache, oracle = _pair(num_sets, ways, replacement, seed)
+    for kind, *args in steps:
+        if kind == "access":
+            block, write, size = args
+            assert cache.access(block, write=write, size_bytes=size) == oracle.access(
+                block, write=write, size_bytes=size)
+        elif kind == "tensor":
+            assert cache.access_tensor(*args) == _oracle_tensor(oracle, *args)
+        else:
+            assert getattr(cache, kind)(*args) == getattr(oracle, kind)(*args)
+        _assert_same_state(cache, oracle)

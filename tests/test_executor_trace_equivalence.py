@@ -34,6 +34,7 @@ from repro.codesign.space import DesignPoint, default_space, derive_chip
 from repro.graph import OpGraph, fc, layernorm, tbe
 from repro.graph.ops import OpType
 from repro.kernels.gemm import default_variants
+from repro.kernels.registry import estimate_op
 from repro.memory.hierarchy import MemoryHierarchy, Placement, partition_for_activations
 from repro.memory.scratch import plan_allocation
 from repro.models.zoo import figure6_models
@@ -107,6 +108,14 @@ class RetiredExecutor(Executor):
         return hierarchy, activation_bytes, activations_in_lls
 
     # -- execution -----------------------------------------------------------
+
+    def _estimate(self, op):
+        variant = None
+        if self.variant_selector is not None and op.op_type is OpType.FC:
+            variant = self.variant_selector(op)
+        elif self.gemm_variant is not None:
+            variant = self.gemm_variant
+        return estimate_op(op, self.chip, gemm_variant=variant)
 
     def run(self, graph: OpGraph, batch: int, warmup_runs: int = 1) -> ExecutionReport:
         if batch <= 0:
