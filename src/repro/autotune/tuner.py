@@ -20,7 +20,6 @@ from repro.autotune.kernel_tuner import (
     TuningResult,
     ann_tune,
     exhaustive_tune,
-    surrogate_tune,
 )
 from repro.fastsim.memo import KernelLatencyMemo
 from repro.autotune.placement import PlacementDecision, tune_placement
@@ -69,7 +68,6 @@ def autotune_model(
     kernel_database: Optional[PerformanceDatabase] = None,
     model_name: str = "model",
     registry: Optional[MetricsRegistry] = None,
-    surrogate=None,
 ) -> AutotuneResult:
     """Full autotuning pass for one model.
 
@@ -77,15 +75,8 @@ def autotune_model(
     it every distinct shape is tuned exhaustively (and a database is
     built as a side effect for subsequent models).
 
-    A fitted :class:`~repro.surrogate.model.GemmSurrogate` as
-    ``surrogate`` replaces both kernel search paths with verified
-    surrogate tuning: the surrogate ranks the variant catalog, the exact
-    cost model re-measures the predicted top 16, and
-    every deployed variant's ``kernel_time_s`` is an exact evaluation.
-    ``surrogate=None`` (the default) is the exact path.
-
     An attached registry records the pass's shape: kernel measurements
-    spent (exhaustive vs ANN vs verified-surrogate), FC ops covered,
+    spent (exhaustive vs ANN), FC ops covered,
     and per-stage wall time (``autotune.tuner.*``).
     """
     obs = active(registry)
@@ -115,13 +106,7 @@ def autotune_model(
         if shape in seen_shapes:
             variants[op.name] = seen_shapes[shape]
             continue
-        if surrogate is not None:
-            result = surrogate_tune(
-                shape, chip, surrogate, top_k=16,
-                memo=memo, registry=registry,
-            )
-            database.add(result)
-        elif len(database):
+        if len(database):
             result = ann_tune(shape, chip, database, memo=memo)
             ann_hits.inc()
         else:

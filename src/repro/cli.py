@@ -23,9 +23,8 @@ Commands:
   capacity study (hosts per region to serve N million users at the P99
   SLO through a full region outage), probe-driven failover with
   capacity spill versus the undefended baseline
-* ``surrogate``  — train the learned performance surrogates and run the
-  exact-verified searches they guide: verified kernel tuning, guided
-  capacity planning, and the guided power-limited sweep
+* ``surrogate``  — train the GEMM kernel surrogate and run verified
+  kernel tuning against the exhaustive exact search
 * ``codesign``   — run the automated model-chip co-design search: seeded
   annealing over the chip design space, surrogate-guided halving rungs,
   and the exact-evaluated Perf / Perf-per-TCO / Perf-per-Watt Pareto
@@ -528,63 +527,6 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
               f"{fast_s / points * 1e9:.1f} ns "
               f"({exact_s / fast_s:.0f}x)")
 
-    if args.sweep:
-        from repro.cluster import default_service_model
-        from repro.cluster.capacity import replicas_needed
-        from repro.power.cluster_link import power_limited_capacity_sweep
-        from repro.surrogate import (
-            train_capacity_surrogate,
-            train_power_surrogate,
-        )
-
-        service = default_service_model()
-        print("\nguided capacity planning (po2, exact answers, fewer "
-              "simulations):")
-        cap_surrogate, cap_report = train_capacity_surrogate(
-            service, qps_points=(300.0, 700.0, 1400.0),
-            policies=("round_robin", "po2"), duration_s=8.0,
-            max_replicas=48, seed=args.seed,
-        )
-        print(f"  trained on seeded exact probes, "
-              f"MAPE {cap_report.mape_train:.2%}")
-        for qps in (500.0, 1100.0):
-            registry = MetricsRegistry()
-            guided = replicas_needed(
-                "po2", qps, service, duration_s=8.0, max_replicas=48,
-                seed=args.seed, surrogate=cap_surrogate, registry=registry,
-            )
-            exact = replicas_needed(
-                "po2", qps, service, duration_s=8.0, max_replicas=48,
-                seed=args.seed,
-            )
-            counters = registry.snapshot()["counters"]
-            print(f"  {qps:7.0f} qps -> {guided.replicas} replicas "
-                  f"({'identical' if guided == exact else 'DIFFERENT'}); "
-                  f"{counters['surrogate.capacity.exact_runs']} vs "
-                  f"{counters['surrogate.capacity.linear_scan_runs']} "
-                  f"cluster simulations")
-
-        print("\nguided power-limited capacity sweep:")
-        power_surrogate, power_report = train_power_surrogate(
-            service, probe_budgets_w=(1100.0, 1800.0, 2600.0),
-            replicas=8, duration_s=10.0, seed=args.seed,
-        )
-        budgets = (1200.0, 1400.0, 1600.0, 2000.0, 2400.0)
-        registry = MetricsRegistry()
-        guided_sweep = power_limited_capacity_sweep(
-            service, budgets, replicas=8, duration_s=10.0, seed=args.seed,
-            surrogate=power_surrogate, registry=registry,
-        )
-        exact_sweep = power_limited_capacity_sweep(
-            service, budgets, replicas=8, duration_s=10.0, seed=args.seed,
-        )
-        counters = registry.snapshot()["counters"]
-        print(f"  {'identical points' if guided_sweep == exact_sweep else 'DIFFERENT POINTS'}; "
-              f"{counters['surrogate.power.exact_runs']} vs "
-              f"{counters['surrogate.power.linear_scan_runs']} cluster "
-              f"simulations across {len(budgets)} budgets")
-        for line in guided_sweep.table().splitlines():
-            print(f"  {line}")
     return 0
 
 
@@ -874,17 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     surrogate = sub.add_parser(
         "surrogate",
-        help="train the learned performance surrogates and run "
-             "exact-verified tuning/capacity/power searches",
+        help="train the GEMM kernel surrogate and run exact-verified "
+             "kernel tuning",
     )
     surrogate.add_argument("--smoke", action="store_true",
                            help="small fixed-size training run for CI")
-    surrogate.add_argument("--train", action="store_true",
-                           help="full training run with error bands and "
-                                "the exact-vs-surrogate speedup probe")
-    surrogate.add_argument("--sweep", action="store_true",
-                           help="also run the guided capacity and power "
-                                "sweeps against their exact baselines")
     surrogate.add_argument("--samples", type=int, default=6000,
                            help="training rows for the GEMM surrogate")
     surrogate.add_argument("--top-k", type=int, default=16,

@@ -115,22 +115,6 @@ def _stream(qps: float, duration_s: float, seed: int) -> Sequence[Request]:
 QPS_STEP_FRACTION = 0.05
 
 
-def _step_fractions() -> Tuple[float, ...]:
-    """The exact probe ladder ``max_qps_at_slo`` walks, highest first:
-    down from the fluid bound in steps of ``QPS_STEP_FRACTION``.
-
-    Built by the same repeated subtraction the scan performs, so the
-    float values (and therefore every derived QPS) are bit-identical
-    between the scan and the surrogate-guided search over this ladder.
-    """
-    fractions = []
-    fraction = 1.0
-    while fraction > QPS_STEP_FRACTION / 2:
-        fractions.append(fraction)
-        fraction -= QPS_STEP_FRACTION
-    return tuple(fractions)
-
-
 def max_qps_at_slo(
     service: ServiceModel,
     replicas: int,
@@ -154,12 +138,14 @@ def max_qps_at_slo(
     config = ClusterConfig(
         replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
     )
-    for fraction in _step_fractions():
+    fraction = 1.0
+    while fraction > QPS_STEP_FRACTION / 2:
         qps = ceiling * fraction
         requests = poisson_stream(qps, duration_s, seed=seed)
         report = run_cluster(config, service, requests, fail_fast=True)
         if report.meets_slo(p99_slo_s):
             return qps, report.p99_latency_s
+        fraction -= QPS_STEP_FRACTION
     return 0.0, float("inf")
 
 
@@ -172,8 +158,6 @@ def replicas_needed(
     duration_s: float = 40.0,
     max_replicas: int = 96,
     seed: int = 0,
-    surrogate=None,
-    registry=None,
 ) -> CapacityPoint:
     """Smallest replica count holding the SLO with zero shedding.
 
@@ -184,20 +168,9 @@ def replicas_needed(
     first shed or timeout already proves infeasibility and the rest of
     the run is skipped.  A run that finishes without loss is identical
     with or without the flag, so the returned point (and its report
-    statistics) match the exhaustive search byte for byte.
-
-    A fitted capacity :class:`~repro.surrogate.model.SurrogateModel` as
-    ``surrogate`` (see
-    :func:`repro.surrogate.dataset.train_capacity_surrogate`) keeps the
-    answer exact but replaces the scan's *starting point*: the surrogate
-    predicts the replica count and
-    :func:`repro.surrogate.verify.verified_min_feasible` certifies the
-    boundary with exact seeded runs from both sides.  Under the same
-    monotone-feasibility assumption the linear scan already relies on,
-    the returned point is identical — only the number of cluster
-    simulations spent changes (tallied under ``surrogate.capacity.*``
-    on an attached registry).  ``surrogate=None`` (the default) is the
-    linear scan.
+    statistics) match the exhaustive search byte for byte.  The answer
+    carries a two-sided certificate: it was probed feasible, and the
+    count below it infeasible unless the answer is the floor.
     """
     if offered_qps <= 0:
         raise ValueError("offered QPS must be positive")
@@ -226,47 +199,13 @@ def replicas_needed(
             feasible=True,
         )
 
-    if surrogate is not None:
-        from repro.obs.metrics import active
-        from repro.surrogate.features import capacity_feature_row
-        from repro.surrogate.verify import verified_min_feasible
-
-        row = capacity_feature_row(
-            policy, offered_qps, service.mean_service_s, p99_slo_s,
-            service.jitter_sigma,
+    for replicas in range(floor, max_replicas + 1):
+        report = run_cluster(
+            _config(replicas), service, requests, locality=locality,
+            fail_fast=True,
         )
-        guess = int(round(float(surrogate.predict(row[None, :])[0])))
-        probed: Dict[int, ClusterReport] = {}
-
-        def _feasible(replicas: int) -> bool:
-            report = run_cluster(
-                _config(replicas), service, requests, locality=locality,
-                fail_fast=True,
-            )
-            probed[replicas] = report
-            return report.meets_slo(p99_slo_s)
-
-        answer, exact_calls = verified_min_feasible(
-            guess, floor, max_replicas, _feasible
-        )
-        obs = active(registry)
-        if obs.enabled:
-            obs.counter("surrogate.capacity.predictions").inc()
-            obs.counter("surrogate.capacity.exact_runs").inc(exact_calls)
-            obs.counter("surrogate.capacity.linear_scan_runs").inc(
-                ((answer if answer is not None else max_replicas) - floor)
-                + 1
-            )
-        if answer is not None:
-            return _point(answer, probed[answer])
-    else:
-        for replicas in range(floor, max_replicas + 1):
-            report = run_cluster(
-                _config(replicas), service, requests, locality=locality,
-                fail_fast=True,
-            )
-            if report.meets_slo(p99_slo_s):
-                return _point(replicas, report)
+        if report.meets_slo(p99_slo_s):
+            return _point(replicas, report)
     # No swept size held the SLO: re-run the ceiling exhaustively so the
     # reported statistics describe the full run, not a truncated probe.
     report = run_cluster(
@@ -287,16 +226,14 @@ def replicas_needed(
 def _sweep_row(args: Tuple) -> Tuple[CapacityPoint, ...]:
     """The cells of ``policies`` at one QPS, sharing one stream —
     module-level so it pickles for :func:`~repro.fastsim.trials.trial_map`
-    workers.  The last slot is a fitted capacity surrogate (or None):
-    the pure-numpy surrogate pickles, so guided rows fan out across
-    processes like exact ones.
+    workers.
 
     Each cell is a :func:`replicas_needed` call, whose ``_stream``
     returns the row's stream while the row runs: the stream is keyed by
     every argument that determines it, and freed when the row returns.
     """
     global _row_stream
-    qps, policies, service, p99_slo_s, locality, duration_s, seed, surrogate = args
+    qps, policies, service, p99_slo_s, locality, duration_s, seed = args
     key = (qps, duration_s, seed)
     _row_stream = (key, _stream(*key))
     try:
@@ -305,7 +242,6 @@ def _sweep_row(args: Tuple) -> Tuple[CapacityPoint, ...]:
                 policy, qps, service,
                 p99_slo_s=p99_slo_s, locality=locality,
                 duration_s=duration_s, seed=seed,
-                surrogate=surrogate,
             )
             for policy in policies
         )
@@ -322,7 +258,6 @@ def capacity_sweep(
     duration_s: float = 40.0,
     seed: int = 0,
     processes: Optional[int] = None,
-    surrogate=None,
 ) -> CapacitySweep:
     """The full hosts-vs-QPS grid, one seeded run per cell step.
 
@@ -334,18 +269,13 @@ def capacity_sweep(
     building its own stream — identical points either way, because
     each cell's randomness is a pure function of its arguments.  Points
     come back policy-major, in ``policies`` then ``qps_points`` order.
-
-    A fitted capacity ``surrogate`` goes into every cell (see
-    :func:`replicas_needed`): the grid's points are unchanged, only the
-    simulations-per-cell count drops.  ``surrogate=None`` (the default)
-    is exact.
     """
     if any(qps <= 0 for qps in qps_points):
         raise ValueError("offered QPS must be positive")
     distinct = tuple(dict.fromkeys(policies))
     groups = [distinct] if processes is None else [(p,) for p in distinct]
     rows = [
-        (qps, group, service, p99_slo_s, locality, duration_s, seed, surrogate)
+        (qps, group, service, p99_slo_s, locality, duration_s, seed)
         for qps in dict.fromkeys(qps_points)
         for group in groups
     ]

@@ -165,7 +165,6 @@ class CodesignObjective:
         p99_slo_s: float = CODESIGN_P99_SLO_S,
         duration_s: float = 6.0,
         seed: int = 0,
-        surrogate=None,
         max_cell_replicas: int = 8,
         registry=None,
     ) -> None:
@@ -176,7 +175,9 @@ class CodesignObjective:
         self.p99_slo_s = p99_slo_s
         self.duration_s = duration_s
         self.seed = seed
-        self.surrogate = surrogate
+        # The executor surrogate; assigned after construction because
+        # its training reads this objective's graph summaries.
+        self.surrogate = None
         self.max_cell_replicas = max_cell_replicas
         self.registry = registry
         self.reference_service = default_service_model()

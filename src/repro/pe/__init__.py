@@ -15,12 +15,7 @@ from repro.pe.dpe import (
 )
 from repro.pe.fi import DmaConfig, dma_time, overlapped_load_time
 from repro.pe.mlu import MluConfig, fused_transpose_savings, reshape_time, transpose_time
-from repro.pe.reduction import (
-    ReductionConfig,
-    accumulate_time,
-    cross_pe_reduce_time,
-    rowwise_minmax,
-)
+from repro.pe.reduction import rowwise_minmax
 from repro.pe.riscv import RiscvVectorConfig, gemm_issue, tbe_issue, vector_kernel_issue
 from repro.pe.simd import (
     elementwise_time,
@@ -37,10 +32,7 @@ __all__ = [
     "DpeConfig",
     "MluConfig",
     "PipelineStage",
-    "ReductionConfig",
     "RiscvVectorConfig",
-    "accumulate_time",
-    "cross_pe_reduce_time",
     "dma_time",
     "dpe_compute_time",
     "eager_launch_timeline",

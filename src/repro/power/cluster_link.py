@@ -24,18 +24,14 @@ import bisect
 import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.mtia import mtia2i_spec
 from repro.arch.specs import ChipSpec
-from repro.cluster.capacity import _step_fractions, max_qps_at_slo
+from repro.cluster.capacity import max_qps_at_slo
 from repro.cluster.service import ServiceModel
-from repro.cluster.simulator import ClusterConfig, run_cluster
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.activity import chip_power_w
 from repro.power.dvfs import DEFAULT_LADDER_HZ
 from repro.serving.simulator import DEFAULT_P99_SLO_S
-from repro.serving.workload import poisson_stream
 from repro.units import GHZ
 
 
@@ -175,63 +171,6 @@ class PowerLimitedSweep:
         }
 
 
-def _guided_max_qps_at_slo(
-    service: ServiceModel,
-    replicas: int,
-    p99_slo_s: float,
-    duration_s: float,
-    seed: int,
-    predicted_fraction: float,
-) -> Tuple[float, float, int, int]:
-    """Surrogate-guided :func:`max_qps_at_slo` over the same probe
-    ladder.
-
-    The surrogate's prediction (a fraction of the fluid ceiling) picks
-    the starting rung;
-    :func:`repro.surrogate.verify.verified_min_feasible` walks the
-    ladder with exact seeded runs until the feasibility boundary holds
-    a two-sided certificate.  When SLO feasibility is monotone in
-    offered load — the assumption the step-down scan already encodes —
-    the answer matches :func:`max_qps_at_slo` bit for bit; only the
-    probe count changes.  (Each rung draws its own arrival stream, so
-    a seeded boundary blip *can* make feasibility locally non-monotone;
-    there the scan takes the highest feasible rung and this search
-    returns a certified boundary, which may be one blip lower.  Both
-    answers are exact-evaluated either way.)  Returns
-    ``(max_qps, p99, exact_runs, scan_runs)`` where ``scan_runs`` is
-    what the step-down scan would have spent.
-    """
-    from repro.surrogate.verify import verified_min_feasible
-
-    fractions = _step_fractions()
-    ceiling = replicas * service.capacity_per_replica()
-    config = ClusterConfig(
-        replicas=replicas, num_hosts=replicas, p99_slo_s=p99_slo_s, seed=seed
-    )
-    probed: Dict[int, Tuple[float, float, bool]] = {}
-
-    def _feasible(index: int) -> bool:
-        qps = ceiling * fractions[index]
-        requests = poisson_stream(qps, duration_s, seed=seed)
-        report = run_cluster(config, service, requests, fail_fast=True)
-        ok = report.meets_slo(p99_slo_s)
-        probed[index] = (qps, report.p99_latency_s, ok)
-        return ok
-
-    # Index 0 is the highest rung; feasibility is monotone non-
-    # decreasing in index (less load → easier SLO).
-    guess = int(
-        np.argmin(np.abs(np.asarray(fractions) - predicted_fraction))
-    )
-    answer, exact_runs = verified_min_feasible(
-        guess, 0, len(fractions) - 1, _feasible
-    )
-    if answer is None:
-        return 0.0, float("inf"), exact_runs, len(fractions)
-    qps, p99, _ = probed[answer]
-    return qps, p99, exact_runs, answer + 1
-
-
 def power_limited_capacity_sweep(
     service: ServiceModel,
     server_budgets_w: Sequence[float],
@@ -239,7 +178,6 @@ def power_limited_capacity_sweep(
     duration_s: float = 20.0,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
-    surrogate=None,
 ) -> PowerLimitedSweep:
     """Sweep rack budget → sustainable QPS at the serving P99 SLO.
 
@@ -251,43 +189,17 @@ def power_limited_capacity_sweep(
     deterministic and monotone:
     more watts → same-or-higher frequency → stochastically faster
     service on the identical arrival stream.
-
-    A fitted power :class:`~repro.surrogate.model.SurrogateModel` as
-    ``surrogate`` (see :func:`repro.surrogate.dataset.train_power_surrogate`)
-    replaces the per-budget step-down scan with the verified guided search
-    (:func:`_guided_max_qps_at_slo`): identical sweep points whenever
-    feasibility is monotone in load (see that function's caveat), with
-    fewer cluster simulations, tallied under ``surrogate.power.*``.
-    ``surrogate=None`` (the default) is the exact scan.
     """
     if replicas <= 0:
         raise ValueError("need at least one replica")
     obs = active(registry)
-    if surrogate is not None:
-        from repro.surrogate.features import power_feature_row
     points = []
     for budget in sorted(server_budgets_w):
         per_chip = max(0.0, (budget - PLATFORM_POWER_W) / replicas)
         scaled, frequency = service_model_at_budget(service, per_chip)
-        if surrogate is not None:
-            row = power_feature_row(
-                scaled.mean_service_s, replicas, DEFAULT_P99_SLO_S, duration_s,
-                scaled.jitter_sigma,
-            )
-            predicted = float(surrogate.predict(row[None, :])[0])
-            max_qps, p99, exact_runs, scan_runs = _guided_max_qps_at_slo(
-                scaled, replicas, DEFAULT_P99_SLO_S, duration_s, seed, predicted
-            )
-            if obs.enabled:
-                obs.counter("surrogate.power.predictions").inc()
-                obs.counter("surrogate.power.exact_runs").inc(exact_runs)
-                obs.counter("surrogate.power.linear_scan_runs").inc(
-                    scan_runs
-                )
-        else:
-            max_qps, p99 = max_qps_at_slo(
-                scaled, replicas, DEFAULT_P99_SLO_S, duration_s, seed
-            )
+        max_qps, p99 = max_qps_at_slo(
+            scaled, replicas, DEFAULT_P99_SLO_S, duration_s, seed
+        )
         points.append(
             PowerLimitedPoint(
                 server_budget_w=float(budget),

@@ -15,12 +15,6 @@ cache.  Any tuning run can therefore double as dataset collection by
 passing a recorder-equipped memo (the transparency property — the
 recorder never perturbs memo results — is tested in
 ``tests/test_surrogate_properties.py``).
-
-The capacity/power collectors run the exact seeded cluster searches on
-a probe grid; they are orders of magnitude more expensive per row, so
-their grids are small and their surrogates are used only to pick probe
-*starting points* inside verified searches (see
-:mod:`repro.surrogate.verify`).
 """
 
 from __future__ import annotations
@@ -41,9 +35,7 @@ from repro.surrogate.features import (
     GEMM_FEATURE_NAMES,
     GemmFeatureSpace,
     GraphSummary,
-    capacity_feature_row,
     executor_feature_row,
-    power_feature_row,
 )
 from repro.surrogate.model import GemmSurrogate, SurrogateModel, TrainReport
 from repro.tensors.dtypes import DType
@@ -292,95 +284,6 @@ def train_gemm_surrogate(
     return GemmSurrogate(space, latency, energy), reports
 
 
-def train_capacity_surrogate(
-    service,
-    qps_points: Sequence[float],
-    policies: Sequence[str] = ("round_robin", "po2"),
-    duration_s: float = 40.0,
-    max_replicas: int = 96,
-    seed: int = 0,
-) -> Tuple[SurrogateModel, TrainReport]:
-    """Fit a replicas-needed predictor from exact capacity searches at
-    the serving P99 SLO.
-
-    Each row costs a full seeded cluster search, so the grid is small;
-    the resulting model seeds :func:`repro.cluster.capacity
-    .replicas_needed`'s verified walk with a starting replica count —
-    it never decides feasibility itself.
-    """
-    from repro.cluster.capacity import replicas_needed
-    from repro.serving.simulator import DEFAULT_P99_SLO_S as p99_slo_s
-
-    X: List[np.ndarray] = []
-    y: List[float] = []
-    for policy in policies:
-        for qps in qps_points:
-            point = replicas_needed(
-                policy, qps, service, p99_slo_s=p99_slo_s,
-                duration_s=duration_s, max_replicas=max_replicas, seed=seed,
-            )
-            if not point.feasible:
-                continue
-            X.append(capacity_feature_row(
-                policy, qps, service.mean_service_s, p99_slo_s,
-                service.jitter_sigma,
-            ))
-            y.append(float(point.replicas))
-    if len(y) < 2:
-        raise ValueError("capacity probe grid produced too few feasible rows")
-    model = SurrogateModel(n_rounds=8)
-    report = model.fit(
-        np.vstack(X), np.asarray(y), seed=seed, holdout_fraction=0.0,
-        target="capacity_replicas",
-    )
-    return model, report
-
-
-def train_power_surrogate(
-    service,
-    probe_budgets_w: Sequence[float],
-    replicas: int = 24,
-    duration_s: float = 20.0,
-    seed: int = 0,
-) -> Tuple[SurrogateModel, TrainReport]:
-    """Fit a max-QPS-fraction predictor from exact power-sweep probes at
-    the serving P99 SLO, on the MTIA 2i server's 800 W platform.
-
-    Targets are the feasible fraction of the fluid capacity ceiling at
-    each probe budget (linear-space targets: fractions live in [0, 1]).
-    The model seeds the guided descent in
-    :func:`repro.power.cluster_link.power_limited_capacity_sweep`.
-    """
-    from repro.cluster.capacity import max_qps_at_slo
-    from repro.power.cluster_link import PLATFORM_POWER_W, service_model_at_budget
-    from repro.serving.simulator import DEFAULT_P99_SLO_S as p99_slo_s
-
-    X: List[np.ndarray] = []
-    y: List[float] = []
-    for budget in probe_budgets_w:
-        per_chip = max(0.0, (budget - PLATFORM_POWER_W) / replicas)
-        scaled, _ = service_model_at_budget(service, per_chip)
-        max_qps, _ = max_qps_at_slo(
-            scaled, replicas, p99_slo_s, duration_s, seed
-        )
-        ceiling = replicas * scaled.capacity_per_replica()
-        if max_qps <= 0 or ceiling <= 0:
-            continue  # nothing feasible at this probe: no learnable row
-        X.append(power_feature_row(
-            scaled.mean_service_s, replicas, p99_slo_s, duration_s,
-            scaled.jitter_sigma,
-        ))
-        y.append(max_qps / ceiling)
-    if len(y) < 2:
-        raise ValueError("power probe grid produced too few rows")
-    model = SurrogateModel(log_targets=False, n_rounds=8)
-    report = model.fit(
-        np.vstack(X), np.asarray(y), seed=seed, holdout_fraction=0.0,
-        target="power_fraction",
-    )
-    return model, report
-
-
 __all__ = [
     "DatasetRecorder",
     "SurrogateDataset",
@@ -388,8 +291,6 @@ __all__ = [
     "collect_executor_graph_dataset",
     "collect_gemm_dataset",
     "sample_gemm_points",
-    "train_capacity_surrogate",
     "train_executor_surrogate",
     "train_gemm_surrogate",
-    "train_power_surrogate",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -298,57 +298,6 @@ class GemmFeatureSpace:
         return sb.block, vb.block, cross
 
 
-# -- cluster / power feature rows -------------------------------------
-
-CAPACITY_POLICY_ORDER: Tuple[str, ...] = ("round_robin", "jsq", "po2", "locality")
-
-CAPACITY_FEATURE_NAMES: Tuple[str, ...] = (
-    "log2_qps", "log2_mean_service_s", "log2_slo_s",
-    "offered_load", "jitter_sigma",
-) + tuple(f"policy_{p}" for p in CAPACITY_POLICY_ORDER)
-
-
-def capacity_feature_row(
-    policy: str, offered_qps: float, mean_service_s: float,
-    p99_slo_s: float, jitter_sigma: float,
-) -> np.ndarray:
-    """Features for a replicas-needed query (one row, float64)."""
-    if policy not in CAPACITY_POLICY_ORDER:
-        raise ValueError(f"unknown policy {policy!r}")
-    onehot = [1.0 if policy == p else 0.0 for p in CAPACITY_POLICY_ORDER]
-    return np.array(
-        [
-            math.log2(offered_qps), math.log2(mean_service_s),
-            math.log2(p99_slo_s), offered_qps * mean_service_s,
-            jitter_sigma,
-        ]
-        + onehot,
-        dtype=np.float64,
-    )
-
-
-POWER_FEATURE_NAMES: Tuple[str, ...] = (
-    "log2_mean_service_s", "log2_ceiling_qps", "log2_replicas",
-    "log2_slo_s", "log2_duration_s", "jitter_sigma",
-)
-
-
-def power_feature_row(
-    mean_service_s: float, replicas: int, p99_slo_s: float,
-    duration_s: float, jitter_sigma: float,
-) -> np.ndarray:
-    """Features for a max-QPS-fraction query (one row, float64)."""
-    ceiling = replicas / mean_service_s
-    return np.array(
-        [
-            math.log2(mean_service_s), math.log2(ceiling),
-            math.log2(replicas), math.log2(p99_slo_s),
-            math.log2(duration_s), jitter_sigma,
-        ],
-        dtype=np.float64,
-    )
-
-
 # -- executor (whole-graph) feature rows -------------------------------
 
 EXECUTOR_FEATURE_NAMES: Tuple[str, ...] = (
@@ -479,17 +428,7 @@ def executor_feature_row(
     )
 
 
-_FEATURE_EXPORTS: Dict[str, Tuple[str, ...]] = {
-    "gemm": GEMM_FEATURE_NAMES,
-    "capacity": CAPACITY_FEATURE_NAMES,
-    "power": POWER_FEATURE_NAMES,
-    "executor": EXECUTOR_FEATURE_NAMES,
-}
-
-
 __all__ = [
-    "CAPACITY_FEATURE_NAMES",
-    "CAPACITY_POLICY_ORDER",
     "EXECUTOR_FEATURE_NAMES",
     "GEMM_CROSS_SLICE",
     "GEMM_FEATURE_NAMES",
@@ -497,11 +436,8 @@ __all__ = [
     "GEMM_VARIANT_SLICE",
     "GemmFeatureSpace",
     "GraphSummary",
-    "POWER_FEATURE_NAMES",
     "ShapeBlock",
     "VariantBlock",
-    "capacity_feature_row",
     "executor_feature_row",
-    "power_feature_row",
     "summarize_graph",
 ]

@@ -17,7 +17,7 @@ Determinism is a contract, not an accident:
   arrays and predictions (property-tested in
   ``tests/test_surrogate_properties.py``).
 
-Targets are modelled in log2 space by default (latencies and energies
+Targets are modelled in log2 space (latencies and energies
 span decades); error bands are always reported in *linear* space as
 relative errors (MAPE, P95) on a held-out split the fit never saw.
 
@@ -60,7 +60,6 @@ class TrainReport:
     target: str
     n_train: int
     n_holdout: int
-    mape_train: float
     mape_holdout: float
     p95_rel_error_holdout: float
     max_rel_error_holdout: float
@@ -229,12 +228,7 @@ class BoostedStumps:
 class SurrogateModel:
     """Ridge + boosted stumps, with seeded holdout error bands."""
 
-    def __init__(
-        self,
-        log_targets: bool = True,
-        n_rounds: int = 24,
-    ) -> None:
-        self.log_targets = log_targets
+    def __init__(self, n_rounds: int = 24) -> None:
         self.ridge = RidgeRegressor(l2=RIDGE_L2)
         self.stumps = BoostedStumps(n_rounds=n_rounds)
         self.report: Optional[TrainReport] = None
@@ -251,7 +245,7 @@ class SurrogateModel:
         y = np.asarray(y, dtype=np.float64)
         if len(X) != len(y):
             raise ValueError("X and y must be row-aligned")
-        if np.any(y <= 0) and self.log_targets:
+        if np.any(y <= 0):
             raise ValueError("log-space targets must be positive")
         rng = np.random.default_rng(seed)
         perm = rng.permutation(len(y))
@@ -259,20 +253,17 @@ class SurrogateModel:
         hold, train = perm[:n_holdout], perm[n_holdout:]
         if not len(train):
             raise ValueError("holdout fraction leaves no training rows")
-        yt = np.log2(y) if self.log_targets else y
+        yt = np.log2(y)
         self.ridge.fit(X[train], yt[train])
         residual = yt[train] - self.ridge.predict(X[train])
         self.stumps.fit(X[train], residual)
-        train_rel = _rel_errors(self.predict(X[train]), y[train])
-        if len(hold):
-            hold_rel = _rel_errors(self.predict(X[hold]), y[hold])
-        else:
-            hold_rel = train_rel
+        # With no holdout rows the bands fall back to the training rows.
+        scored = hold if len(hold) else train
+        hold_rel = _rel_errors(self.predict(X[scored]), y[scored])
         self.report = TrainReport(
             target=target,
             n_train=len(train),
             n_holdout=len(hold),
-            mape_train=float(train_rel.mean()),
             mape_holdout=float(hold_rel.mean()),
             p95_rel_error_holdout=float(
                 np.quantile(hold_rel, 0.95)
@@ -282,14 +273,14 @@ class SurrogateModel:
         return self.report
 
     def predict_transformed(self, X: np.ndarray) -> np.ndarray:
-        """Prediction in model space (log2 if ``log_targets``)."""
+        """Prediction in model space (log2 of the target)."""
         return self.ridge.predict(X) + self.stumps.predict(
             np.asarray(X, dtype=np.float64)
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         pred = self.predict_transformed(X)
-        return np.exp2(pred) if self.log_targets else pred
+        return np.exp2(pred)
 
 
 # -- factorized GEMM binding ------------------------------------------
@@ -326,7 +317,6 @@ class _FactorizedStack:
             model.stumps, GEMM_VARIANT_SLICE
         )
         self.cross_stumps = _partition_stumps(model.stumps, GEMM_CROSS_SLICE)
-        self.log_targets = model.log_targets
 
     @staticmethod
     def _axis_score(
@@ -417,7 +407,7 @@ class GemmSurrogate:
         """Predicted kernel seconds, shape (S, V), float32."""
         sb, vb, cross = self.space.grid_blocks(shapes, variants)
         pred = self._fast.grid(sb, vb, cross)
-        return np.exp2(pred) if self._fast.log_targets else pred
+        return np.exp2(pred)
 
     def rank_variants(
         self,

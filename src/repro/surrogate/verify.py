@@ -1,32 +1,18 @@
 """The verified-surrogate pattern: predictions propose, exact decides.
 
-A surrogate is allowed to be wrong; the integrations are not.  Every
-inner loop that adopts a surrogate in this repository does so through
-one of two verified shapes, both of which guarantee the *returned*
-answer was produced by the exact model:
-
-* :func:`verified_argmin` — the surrogate ranks a candidate set, the
-  exact model re-evaluates the predicted top-k, and the argmin over
-  those exact values is returned.  Soundness contract: the winner's
-  value is always an exact evaluation (never a prediction); the only
-  failure mode is *missing* a better candidate outside the top-k,
-  which the quality-gap metric measures.
-
-* :func:`verified_min_feasible` / :func:`verified_max_feasible` — for
-  monotone feasibility searches (replicas-needed walks up, the power
-  sweep's QPS fraction walks down), the surrogate only chooses the
-  probe's *starting point*; exact evaluations then walk to the
-  boundary and certify it from both sides.  Under the monotonicity the
-  exact searches already assume, the result is *identical* to the
-  unguided linear scan — the surrogate can only change how many exact
-  runs it takes to get there (property-tested against the linear scan
-  in ``tests/test_surrogate_properties.py``).
+A surrogate is allowed to be wrong; the answers built on it are not.
+:func:`verified_argmin` is the one verified shape: the surrogate ranks
+a candidate set, the exact model re-evaluates the predicted top-k, and
+the argmin over those exact values is returned.  Soundness contract:
+the winner's value is always an exact evaluation (never a prediction);
+the only failure mode is *missing* a better candidate outside the
+top-k, which the quality-gap metric measures.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -72,63 +58,6 @@ def verified_argmin(
     )
 
 
-def verified_min_feasible(
-    guess: int,
-    lo: int,
-    hi: int,
-    feasible: Callable[[int], bool],
-) -> Tuple[Optional[int], int]:
-    """Smallest ``i`` in ``[lo, hi]`` with ``feasible(i)``, assuming
-    feasibility is monotone non-decreasing in ``i``.
-
-    ``guess`` (clamped into range) is where exact probing starts — the
-    surrogate's only influence.  Returns ``(answer, exact_calls)``;
-    ``answer`` is ``None`` when even ``hi`` is infeasible.  The answer
-    always carries a two-sided exact certificate: ``feasible(answer)``
-    was evaluated True and, when ``answer > lo``, ``feasible(answer-1)``
-    was evaluated False — exactly the certificate the linear scan from
-    ``lo`` produces, so the two agree on every monotone predicate.
-    """
-    if lo > hi:
-        raise ValueError("empty search range")
-    probe = min(max(guess, lo), hi)
-    calls = 0
-    if feasible(probe):
-        calls += 1
-        # Walk down while the point below is still feasible.
-        while probe > lo:
-            calls += 1
-            if feasible(probe - 1):
-                probe -= 1
-            else:
-                return probe, calls
-        return lo, calls
-    calls += 1
-    # Walk up to the first feasible point.
-    while probe < hi:
-        probe += 1
-        calls += 1
-        if feasible(probe):
-            return probe, calls
-    return None, calls
-
-
-def verified_max_feasible(
-    guess: int,
-    lo: int,
-    hi: int,
-    feasible: Callable[[int], bool],
-) -> Tuple[Optional[int], int]:
-    """Largest ``i`` in ``[lo, hi]`` with ``feasible(i)``, assuming
-    feasibility is monotone non-increasing in ``i`` (the mirror image
-    of :func:`verified_min_feasible`)."""
-    answer, calls = verified_min_feasible(
-        lo + hi - min(max(guess, lo), hi), lo, hi,
-        lambda i: feasible(lo + hi - i),
-    )
-    return (None if answer is None else lo + hi - answer), calls
-
-
 def argmin_match(result: VerifiedArgmin, exact_best_index: int,
                  exact_best_value: float) -> bool:
     """Did the verified search recover the exhaustive argmin?
@@ -146,6 +75,4 @@ __all__ = [
     "VerifiedArgmin",
     "argmin_match",
     "verified_argmin",
-    "verified_max_feasible",
-    "verified_min_feasible",
 ]

@@ -14,10 +14,7 @@ from repro.pe import (
     DpeConfig,
     MluConfig,
     PipelineStage,
-    ReductionConfig,
     RiscvVectorConfig,
-    accumulate_time,
-    cross_pe_reduce_time,
     dma_time,
     dpe_compute_time,
     eager_launch_timeline,
@@ -159,18 +156,6 @@ class TestIssue:
 
 
 class TestReduction:
-    def test_accumulate_time(self):
-        config = ReductionConfig()
-        assert accumulate_time(32 * 1000, config) == pytest.approx(
-            1000 / config.frequency_hz
-        )
-
-    def test_cross_pe_reduce_scales_with_hops(self):
-        config = ReductionConfig()
-        short = cross_pe_reduce_time(1024, 4, num_pes=2, config=config)
-        long = cross_pe_reduce_time(1024, 4, num_pes=8, config=config)
-        assert long > short
-
     def test_rowwise_minmax(self):
         m = np.array([[1.0, -5.0, 3.0], [0.0, 2.0, 2.0]])
         lo, hi = rowwise_minmax(m)

@@ -74,8 +74,9 @@ def settable_values():
 
 
 def test_settable_value_count_stays_down():
-    # 1,008 before the values that no caller set became constants.
-    assert len(settable_values()) <= 712
+    # 1,008 before the values that no caller set became constants; 712
+    # before the surrogate-guided capacity and power searches went.
+    assert len(settable_values()) <= 697
 
 
 @pytest.mark.parametrize("module, owner, name", [
@@ -112,6 +113,13 @@ def test_settable_value_count_stays_down():
     ("repro.tco.model", "CostInputs", "electricity_usd_per_kwh"),
     ("repro.serving.workload", "DiurnalTrafficModel", "floor_fraction"),
     ("repro.core.codesign", "Mtia2iSystem", "chip"),
+    ("repro.cluster.capacity", "replicas_needed", "surrogate"),
+    ("repro.cluster.capacity", "replicas_needed", "registry"),
+    ("repro.cluster.capacity", "capacity_sweep", "surrogate"),
+    ("repro.power.cluster_link", "power_limited_capacity_sweep", "surrogate"),
+    ("repro.autotune.tuner", "autotune_model", "surrogate"),
+    ("repro.codesign.objectives", "CodesignObjective", "surrogate"),
+    ("repro.surrogate.model", "SurrogateModel", "log_targets"),
 ])
 def test_retired_knob_stays_gone(module, owner, name):
     target = importlib.import_module(module)
@@ -133,3 +141,15 @@ def test_retired_helpers_stay_deleted():
     screening = importlib.import_module("repro.sdc.screening")
     faults = importlib.import_module("repro.resilience.faults")
     assert screening.margin_shortfall_fraction is faults.margin_shortfall_fraction
+
+
+@pytest.mark.parametrize("name", [
+    "train_capacity_surrogate",
+    "train_power_surrogate",
+    "verified_min_feasible",
+    "verified_max_feasible",
+])
+def test_guided_capacity_and_power_helpers_stay_deleted(name):
+    """Capacity and power questions have one exact scan each; the
+    surrogate package keeps no helper that only a guided scan used."""
+    assert not hasattr(importlib.import_module("repro.surrogate"), name)

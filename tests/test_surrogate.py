@@ -1,5 +1,5 @@
 """Unit tests for repro.surrogate: features, models, verification, and
-the three opt-in integrations (kernel tuning, capacity, power)."""
+the verified kernel-tuning integration."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ import numpy as np
 import pytest
 
 from repro.arch import mtia2i_spec
-from repro.autotune import autotune_model, exhaustive_tune, surrogate_tune
-from repro.cluster.capacity import capacity_sweep, replicas_needed
-from repro.cluster.service import ServiceModel
+from repro.autotune import exhaustive_tune, surrogate_tune
 from repro.fastsim.memo import KernelLatencyMemo
 from repro.kernels.gemm import default_variants
 from repro.models.zoo import lc1
 from repro.obs.metrics import MetricsRegistry
-from repro.power.cluster_link import power_limited_capacity_sweep
 from repro.surrogate import (
     DatasetRecorder,
     GemmFeatureSpace,
@@ -24,12 +21,8 @@ from repro.surrogate import (
     SurrogateModel,
     collect_executor_dataset,
     collect_gemm_dataset,
-    train_capacity_surrogate,
     train_gemm_surrogate,
-    train_power_surrogate,
     verified_argmin,
-    verified_max_feasible,
-    verified_min_feasible,
 )
 from repro.surrogate.features import GEMM_FEATURE_NAMES
 from repro.tensors import DType, GemmShape
@@ -131,26 +124,6 @@ class TestVerify:
         assert result.exact_evaluations == 3
         assert set(result.evaluated) == {4, 1, 3}
 
-    def test_min_feasible_matches_linear_scan(self):
-        for boundary in range(0, 10):
-            feasible = lambda i: i >= boundary  # noqa: E731
-            scan = next(i for i in range(10) if feasible(i))
-            for guess in range(-2, 12):
-                answer, _ = verified_min_feasible(guess, 0, 9, feasible)
-                assert answer == scan
-
-    def test_min_feasible_infeasible_range(self):
-        answer, calls = verified_min_feasible(5, 0, 9, lambda i: False)
-        assert answer is None
-        assert calls == 5  # 5..9 probed once each
-
-    def test_max_feasible_mirror(self):
-        for boundary in range(0, 10):
-            feasible = lambda i: i <= boundary  # noqa: E731
-            for guess in range(-2, 12):
-                answer, _ = verified_max_feasible(guess, 0, 9, feasible)
-                assert answer == boundary
-
 
 class TestKernelIntegration:
     def test_surrogate_tune_matches_exhaustive_time(self):
@@ -183,21 +156,6 @@ class TestKernelIntegration:
                 GemmShape(8, 8, 8), CHIP, SURROGATE, dtype=DType.INT8
             )
 
-    def test_autotune_model_on_off_same_kernel_times(self):
-        build = lc1().graph_at
-        off = autotune_model(build, CHIP, model_name="lc1")
-        on = autotune_model(
-            build, CHIP, model_name="lc1", surrogate=SURROGATE,
-        )
-        assert off.kernel_variants.keys() == on.kernel_variants.keys()
-        for name, gold in off.kernel_variants.items():
-            assert on.kernel_variants[name].kernel_time_s == pytest.approx(
-                gold.kernel_time_s, rel=1e-12
-            )
-        evals_off = sum(r.evaluations for r in off.kernel_variants.values())
-        evals_on = sum(r.evaluations for r in on.kernel_variants.values())
-        assert evals_on < evals_off / 10
-
 
 class TestDataset:
     def test_recorder_rows_align_with_memo_misses(self):
@@ -224,61 +182,3 @@ class TestDataset:
         )
         assert dataset.X.shape[0] > 0
         assert np.all(dataset.latency_s > 0)
-
-
-class TestServingIntegrations:
-    SERVICE = ServiceModel(mean_service_s=0.004, jitter_sigma=0.3)
-
-    def test_replicas_needed_on_off_identical(self):
-        surrogate, _ = train_capacity_surrogate(
-            self.SERVICE, qps_points=(400.0, 1200.0),
-            policies=("po2",), duration_s=6.0, max_replicas=40,
-        )
-        registry = MetricsRegistry()
-        for qps in (500.0, 1000.0):
-            off = replicas_needed(
-                "po2", qps, self.SERVICE, duration_s=6.0, max_replicas=40
-            )
-            on = replicas_needed(
-                "po2", qps, self.SERVICE, duration_s=6.0, max_replicas=40,
-                surrogate=surrogate, registry=registry,
-            )
-            assert off == on
-        counters = registry.snapshot()["counters"]
-        assert counters["surrogate.capacity.predictions"] == 2
-        assert counters["surrogate.capacity.exact_runs"] >= 2
-
-    def test_capacity_sweep_on_off_identical(self):
-        surrogate, _ = train_capacity_surrogate(
-            self.SERVICE, qps_points=(400.0, 1200.0),
-            policies=("po2",), duration_s=6.0, max_replicas=40,
-        )
-        off = capacity_sweep(
-            self.SERVICE, qps_points=(600.0,), policies=("po2",),
-            duration_s=6.0,
-        )
-        on = capacity_sweep(
-            self.SERVICE, qps_points=(600.0,), policies=("po2",),
-            duration_s=6.0, surrogate=surrogate,
-        )
-        assert off == on
-
-    def test_power_sweep_on_off_identical(self):
-        budgets = (1200.0, 1600.0, 2000.0, 2400.0)
-        surrogate, _ = train_power_surrogate(
-            self.SERVICE, probe_budgets_w=(1100.0, 1800.0, 2600.0),
-            replicas=24, duration_s=6.0,
-        )
-        registry = MetricsRegistry()
-        off = power_limited_capacity_sweep(
-            self.SERVICE, budgets, replicas=24, duration_s=6.0
-        )
-        on = power_limited_capacity_sweep(
-            self.SERVICE, budgets, replicas=24, duration_s=6.0,
-            surrogate=surrogate, registry=registry,
-        )
-        assert off == on
-        counters = registry.snapshot()["counters"]
-        assert counters["surrogate.power.exact_runs"] <= counters[
-            "surrogate.power.linear_scan_runs"
-        ]

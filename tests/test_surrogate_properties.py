@@ -10,9 +10,7 @@ rests on:
   ``KernelLatencyMemo`` never changes what ``measure`` returns, for any
   lookup sequence, and the recorded rows are exactly the cache misses;
 * verification soundness — ``verified_argmin`` returns the min over
-  its exact-evaluated set (never a prediction), and
-  ``verified_min_feasible`` / ``verified_max_feasible`` agree with the
-  linear scan on every monotone predicate, from every starting guess.
+  its exact-evaluated set (never a prediction).
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ from repro.surrogate import (
     DatasetRecorder,
     train_gemm_surrogate,
     verified_argmin,
-    verified_max_feasible,
-    verified_min_feasible,
 )
 from repro.tensors import DType, GemmShape
 
@@ -110,58 +106,3 @@ def test_verified_argmin_winner_is_exact_evaluated(values, top_k, seed):
     assert result.best_value == min(values[i] for i in result.evaluated)
     assert result.exact_evaluations == min(top_k, len(values))
     assert result.surrogate_evaluations == len(values)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    lo=st.integers(min_value=-20, max_value=20),
-    size=st.integers(min_value=1, max_value=30),
-    boundary_offset=st.integers(min_value=0, max_value=31),
-    guess=st.integers(min_value=-40, max_value=60),
-)
-def test_min_feasible_equals_linear_scan_on_monotone(
-    lo, size, boundary_offset, guess
-):
-    hi = lo + size - 1
-    boundary = lo + boundary_offset  # > hi means nothing is feasible
-    calls = []
-
-    def feasible(i):
-        calls.append(i)
-        assert lo <= i <= hi  # never probes outside the range
-        return i >= boundary
-
-    scan = next((i for i in range(lo, hi + 1) if i >= boundary), None)
-    answer, exact_calls = verified_min_feasible(guess, lo, hi, feasible)
-    assert answer == scan
-    assert exact_calls == len(calls)
-    # Two-sided certificate: the boundary itself was exact-probed, and
-    # so was the point just below it (when one exists in range).
-    if answer is not None:
-        assert answer in calls
-        if answer > lo:
-            assert answer - 1 in calls
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    lo=st.integers(min_value=-20, max_value=20),
-    size=st.integers(min_value=1, max_value=30),
-    boundary_offset=st.integers(min_value=-1, max_value=30),
-    guess=st.integers(min_value=-40, max_value=60),
-)
-def test_max_feasible_equals_linear_scan_on_monotone(
-    lo, size, boundary_offset, guess
-):
-    hi = lo + size - 1
-    boundary = lo + boundary_offset  # < lo means nothing is feasible
-
-    def feasible(i):
-        assert lo <= i <= hi
-        return i <= boundary
-
-    scan = next(
-        (i for i in range(hi, lo - 1, -1) if i <= boundary), None
-    )
-    answer, _ = verified_max_feasible(guess, lo, hi, feasible)
-    assert answer == scan
