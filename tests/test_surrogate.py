@@ -3,6 +3,7 @@ the verified kernel-tuning integration."""
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -175,6 +176,17 @@ class TestDataset:
         assert dataset.X.shape[0] <= 300
         assert dataset.energy_j is not None
         assert np.all(dataset.energy_j > 0)
+
+    def test_collect_gemm_dataset_bytes_pinned(self):
+        """The training table is a fixed function of (chip, count,
+        seed): the sha256 of its X, latency and energy bytes."""
+        dataset, _space = collect_gemm_dataset(CHIP, 1500, seed=0)
+        digest = hashlib.sha256()
+        for column in (dataset.X, dataset.latency_s, dataset.energy_j):
+            digest.update(column.tobytes())
+        assert digest.hexdigest() == (
+            "ff36c31bf7d373ddec10ff8a063c77d6ecd0d392e650135698a189342991bfab"
+        )
 
     def test_collect_executor_dataset(self):
         dataset = collect_executor_dataset(
