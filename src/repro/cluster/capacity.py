@@ -26,9 +26,8 @@ from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.routing import POLICY_NAMES
 from repro.cluster.service import ServiceModel
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
-from repro.fastsim.trials import trial_map
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import AdmissionConfig
+from repro.resilience.policies import AdmissionConfig, require_finite
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
     DiurnalTrafficModel,
@@ -172,6 +171,8 @@ def replicas_needed(
     carries a two-sided certificate: it was probed feasible, and the
     count below it infeasible unless the answer is the floor.
     """
+    require_finite("offered_qps", offered_qps)
+    require_finite("duration_s", duration_s)
     if offered_qps <= 0:
         raise ValueError("offered QPS must be positive")
     requests = _stream(offered_qps, duration_s, seed)
@@ -223,17 +224,22 @@ def replicas_needed(
     )
 
 
-def _sweep_row(args: Tuple) -> Tuple[CapacityPoint, ...]:
-    """The cells of ``policies`` at one QPS, sharing one stream —
-    module-level so it pickles for :func:`~repro.fastsim.trials.trial_map`
-    workers.
+def _sweep_row(
+    qps: float,
+    policies: Sequence[str],
+    service: ServiceModel,
+    p99_slo_s: float,
+    locality: Optional[ShardLocalityMap],
+    duration_s: float,
+    seed: int,
+) -> Tuple[CapacityPoint, ...]:
+    """The cells of ``policies`` at one QPS, sharing one stream.
 
     Each cell is a :func:`replicas_needed` call, whose ``_stream``
     returns the row's stream while the row runs: the stream is keyed by
     every argument that determines it, and freed when the row returns.
     """
     global _row_stream
-    qps, policies, service, p99_slo_s, locality, duration_s, seed = args
     key = (qps, duration_s, seed)
     _row_stream = (key, _stream(*key))
     try:
@@ -257,32 +263,25 @@ def capacity_sweep(
     locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 40.0,
     seed: int = 0,
-    processes: Optional[int] = None,
 ) -> CapacitySweep:
     """The full hosts-vs-QPS grid, one seeded run per cell step.
 
-    Every cell is an independent seeded simulation, so the grid maps
-    over :func:`~repro.fastsim.trials.trial_map`: ``processes=None``
-    (the default) runs sequentially, one row of cells per distinct QPS
-    so that each stream is built once, and is the reference behaviour;
-    ``processes=N`` fans single cells across worker processes, each
-    building its own stream — identical points either way, because
-    each cell's randomness is a pure function of its arguments.  Points
-    come back policy-major, in ``policies`` then ``qps_points`` order.
+    Cells run one row per distinct QPS, so each stream is built once and
+    shared by the row's policies.  Points come back policy-major, in
+    ``policies`` then ``qps_points`` order.
     """
+    for qps in qps_points:
+        require_finite("qps_points", qps)
+    require_finite("duration_s", duration_s)
     if any(qps <= 0 for qps in qps_points):
         raise ValueError("offered QPS must be positive")
     distinct = tuple(dict.fromkeys(policies))
-    groups = [distinct] if processes is None else [(p,) for p in distinct]
-    rows = [
-        (qps, group, service, p99_slo_s, locality, duration_s, seed)
-        for qps in dict.fromkeys(qps_points)
-        for group in groups
-    ]
     cells = {
         (point.policy, point.offered_qps): point
-        for row in trial_map(_sweep_row, rows, processes=processes)
-        for point in row
+        for qps in dict.fromkeys(qps_points)
+        for point in _sweep_row(
+            qps, distinct, service, p99_slo_s, locality, duration_s, seed
+        )
     }
     points = tuple(
         cells[policy, qps] for policy in policies for qps in qps_points

@@ -20,7 +20,6 @@ import numpy as np
 PROB_BITS = 12
 PROB_SCALE = 1 << PROB_BITS
 STATE_LOWER = 1 << 23
-MASK_32 = 0xFFFFFFFF
 
 
 class AnsError(ValueError):

@@ -16,8 +16,6 @@ pieces in this package:
 - :mod:`repro.fastsim.vectorize`: numpy vectorizations of per-request
   math that are *byte-identical* to the scalar loops they replace
   (same RNG draws in the same order, same float accumulation order).
-- :mod:`repro.fastsim.trials`: an opt-in ``multiprocessing`` map over
-  independent seeded trials, sequential by default.
 
 Determinism is the contract: every golden in ``repro.obs.golden`` is
 byte-identical on the fast paths.  The exact paths they replaced are
@@ -29,12 +27,10 @@ parity against them.
 
 from repro.fastsim.engine import EventEngine
 from repro.fastsim.memo import KernelLatencyMemo
-from repro.fastsim.trials import trial_map
 from repro.fastsim.vectorize import seeded_poisson_arrivals
 
 __all__ = [
     "EventEngine",
     "KernelLatencyMemo",
     "seeded_poisson_arrivals",
-    "trial_map",
 ]

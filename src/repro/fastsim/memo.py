@@ -27,25 +27,13 @@ from repro.tensors.tensor import GemmShape
 
 
 class KernelLatencyMemo:
-    """Per-chip cache of kernel cost-model evaluations.
+    """Per-chip cache of kernel cost-model evaluations."""
 
-    ``recorder`` is the dump-to-dataset hook
-    (:class:`repro.surrogate.dataset.DatasetRecorder` or any callable
-    with its signature): it is invoked once per cache *miss* — i.e.
-    once per distinct exact evaluation — with
-    ``(shape, variant, dtype, time_s)``, so memoized exact evaluations
-    double as surrogate training rows.  The hook observes and never
-    steers: measured values are computed and cached before it runs, and
-    its presence cannot change what ``measure`` returns (property-
-    tested in ``tests/test_surrogate_properties.py``).
-    """
+    __slots__ = ("_chip", "_table", "hits", "misses")
 
-    __slots__ = ("_chip", "_table", "_recorder", "hits", "misses")
-
-    def __init__(self, chip: ChipSpec, recorder=None) -> None:
+    def __init__(self, chip: ChipSpec) -> None:
         self._chip = chip
         self._table: Dict[Tuple, float] = {}
-        self._recorder = recorder
         self.hits = 0
         self.misses = 0
 
@@ -74,6 +62,4 @@ class KernelLatencyMemo:
         self.misses += 1
         time_s = estimate_gemm(shape, self._chip, dtype, variant).engine_time_s
         self._table[key] = time_s
-        if self._recorder is not None:
-            self._recorder(shape, variant, dtype, time_s)
         return time_s

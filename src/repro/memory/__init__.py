@@ -9,14 +9,13 @@ from repro.memory.hierarchy import (
     Traffic,
     partition_for_activations,
 )
-from repro.memory.scratch import BufferRequest, ScratchAllocator, plan_allocation
+from repro.memory.scratch import BufferRequest, plan_allocation
 
 __all__ = [
     "BufferRequest",
     "CacheStats",
     "MemoryHierarchy",
     "Placement",
-    "ScratchAllocator",
     "SetAssociativeCache",
     "SramPartition",
     "Traffic",

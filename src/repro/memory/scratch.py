@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,37 +135,3 @@ def plan_allocation(
 
 def _align(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
-
-
-class ScratchAllocator:
-    """A stateful wrapper enforcing an LLS capacity limit."""
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.alignment = 128
-        self._requests: List[BufferRequest] = []
-        self._plan: Optional[AllocationPlan] = None
-
-    def request(self, name: str, size_bytes: int, start: int, end: int) -> None:
-        """Register a buffer to be placed."""
-        self._requests.append(BufferRequest(name, size_bytes, start, end))
-        self._plan = None
-
-    @property
-    def plan(self) -> AllocationPlan:
-        """The (lazily computed) packing of all registered buffers."""
-        if self._plan is None:
-            self._plan = plan_allocation(self._requests, alignment=self.alignment)
-        return self._plan
-
-    @property
-    def fits(self) -> bool:
-        """Whether the packed buffers fit within LLS capacity."""
-        return self.plan.peak_bytes <= self.capacity_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Peak footprint as a fraction of capacity."""
-        return self.plan.peak_bytes / self.capacity_bytes

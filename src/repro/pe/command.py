@@ -1,74 +1,18 @@
-"""Command Processor (CP) and Circular Buffer model.
+"""Command Processor (CP) pipeline model.
 
 The CP orchestrates the fixed-function units: dependency checking,
 scheduling, and tracking of custom instructions, plus arbitration of
 Local Memory between the RISC-V cores and the engines.  It exposes a
 hardware-managed Circular Buffer (CB) abstraction over Local Memory
 (paper section 3.2): producers append tiles, consumers pop them, and the
-CP tracks the dependencies so software never polls.
-
-The CB here is a *functional* implementation — the dataflow pipeline
-simulator uses it to verify that a kernel's producer/consumer schedule is
-deadlock-free and to measure its steady-state occupancy.
+CP tracks the dependencies so software never polls.  The engines chained
+through CBs form a dataflow pipeline, priced here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
-from typing import Deque, List
-
-
-class CircularBufferError(RuntimeError):
-    """Raised on CB protocol violations (overflow/underflow)."""
-
-
-class CircularBuffer:
-    """A bounded FIFO of tiles in Local Memory, managed by the CP."""
-
-    def __init__(self, name: str, num_slots: int, slot_bytes: int) -> None:
-        if num_slots <= 0 or slot_bytes <= 0:
-            raise ValueError("slots and slot size must be positive")
-        self.name = name
-        self.num_slots = num_slots
-        self.slot_bytes = slot_bytes
-        self._queue: Deque[object] = deque()
-        self.max_occupancy = 0
-        self.total_pushes = 0
-
-    @property
-    def occupancy(self) -> int:
-        """Slots currently full."""
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        """Whether a push would overflow."""
-        return len(self._queue) >= self.num_slots
-
-    @property
-    def empty(self) -> bool:
-        """Whether a pop would underflow."""
-        return not self._queue
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Local Memory consumed by this CB."""
-        return self.num_slots * self.slot_bytes
-
-    def push(self, item: object) -> None:
-        """Producer side: append a tile."""
-        if self.full:
-            raise CircularBufferError(f"CB {self.name!r} overflow")
-        self._queue.append(item)
-        self.total_pushes += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._queue))
-
-    def pop(self) -> object:
-        """Consumer side: remove the oldest tile."""
-        if self.empty:
-            raise CircularBufferError(f"CB {self.name!r} underflow")
-        return self._queue.popleft()
+from typing import List
 
 
 @dataclasses.dataclass(frozen=True)

@@ -60,35 +60,3 @@ def tile_utilization(shape: GemmShape, config: DpeConfig, dtype: DType) -> float
     k_fill = shape.k / (math.ceil(shape.k / k_elements) * k_elements)
     n_fill = shape.n / (math.ceil(shape.n / config.tile_cols) * config.tile_cols)
     return m_fill * k_fill * n_fill
-
-
-def dpe_compute_time(
-    shape: GemmShape,
-    config: DpeConfig,
-    dtype: DType,
-    sparse: bool = False,
-) -> float:
-    """Time for one DPE to execute a GEMM, compute-side only.
-
-    A 97% pipeline efficiency covers drain/fill bubbles between tile
-    passes.  Memory and instruction-issue constraints are composed by the
-    kernel model, not here.
-    """
-    if sparse and not config.sparsity_supported:
-        raise ValueError("this DPE does not support 2:4 sparsity")
-    util = tile_utilization(shape, config, dtype)
-    peak = config.peak_flops(dtype) * (2.0 if sparse else 1.0)
-    effective = peak * util * 0.97
-    return shape.flops / effective
-
-
-def weight_cache_passes(shape: GemmShape, config: DpeConfig, dtype: DType) -> int:
-    """How many times the streamed operand must be re-read because the
-    cached operand does not fit in the DPE's 64 KiB input cache.
-
-    MTIA 2i increased the DPE input caches to accommodate the 2x larger
-    effective tile size (section 3.6); when the cached tile still does not
-    cover K x tile_cols, the activation stream repeats.
-    """
-    tile_weight_bytes = shape.k * config.tile_cols * dtype.bytes
-    return max(1, math.ceil(tile_weight_bytes / (64 * 1024)))

@@ -39,16 +39,3 @@ def transpose_time(num_bytes: int, config: MluConfig) -> float:
     if num_bytes < 0:
         raise ValueError("byte count must be non-negative")
     return num_bytes / (config.streaming_bandwidth * TRANSPOSE_EFFICIENCY)
-
-
-def fused_transpose_savings(num_bytes: int, num_fused_ops: int, config: MluConfig) -> float:
-    """Time saved by fusing a Slice/Reshape/Concat chain into one transpose.
-
-    The unfused chain streams the data once per operator; the fused kernel
-    touches it once.  Returns the saved seconds.
-    """
-    if num_fused_ops < 1:
-        raise ValueError("must fuse at least one op")
-    unfused = num_fused_ops * reshape_time(num_bytes, config)
-    fused = transpose_time(num_bytes, config)
-    return max(0.0, unfused - fused)

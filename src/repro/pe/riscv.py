@@ -91,24 +91,6 @@ def tbe_issue(
     )
 
 
-def vector_kernel_issue(
-    num_vector_ops: int, issue: IssueSpec, ops_per_instruction: float = 16.0
-) -> IssueEstimate:
-    """Instructions for a kernel run on the RISC-V vector extension.
-
-    The vector core's 64 B registers process 32 FP16 elements per
-    instruction; ``ops_per_instruction`` captures how much work each
-    vector instruction performs.
-    """
-    if ops_per_instruction <= 0:
-        raise ValueError("ops per instruction must be positive")
-    instructions = num_vector_ops / ops_per_instruction
-    return IssueEstimate(
-        instructions=instructions,
-        issue_time_s=instructions / issue.instructions_per_s,
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class RiscvVectorConfig:
     """The RISC-V vector extension: 64-byte vector registers.

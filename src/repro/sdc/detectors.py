@@ -42,19 +42,6 @@ from repro.reliability.ecc import (
     encode_word,
 )
 
-# Detector names, in the order a corruption would meet them on the way to
-# a user: at memory read, inline in the kernel, then the background and
-# periodic mechanisms.
-DETECTOR_ORDER: Tuple[str, ...] = (
-    "ecc",
-    "overflow",
-    "abft",
-    "range_guard",
-    "row_hash",
-    "fleet_screen",
-)
-
-
 @dataclasses.dataclass(frozen=True)
 class ProtectionProfile:
     """Which detectors a campaign arm enables."""

@@ -24,7 +24,6 @@ from repro.resilience.faults import (
 )
 from repro.units import GHZ
 
-HOURS = 3600.0
 DAYS = 86_400.0
 
 

@@ -8,8 +8,7 @@ implements the fast/accurate split those papers argue for:
 - :mod:`repro.surrogate.features` — deterministic analytic features
   (roofline sketches) from ``ChipSpec`` + shape/variant descriptors;
 - :mod:`repro.surrogate.dataset` — seeded trace collection off the
-  exact models, with ``fastsim.memo`` recorder hooks so memoized exact
-  evaluations double as training rows;
+  exact models;
 - :mod:`repro.surrogate.model` — a pure-numpy, bit-for-bit-reproducible
   ridge + gradient-boosted-stumps stack with measured holdout error
   bands, plus the factorized GEMM sweep path (>=100x cheaper per
@@ -28,22 +27,15 @@ This package never imports ``repro.autotune`` at module level — the
 tuner imports *us*.
 """
 
-from repro.surrogate.dataset import (
-    DatasetRecorder,
-    collect_executor_dataset,
-    collect_gemm_dataset,
-    train_gemm_surrogate,
-)
+from repro.surrogate.dataset import collect_gemm_dataset, train_gemm_surrogate
 from repro.surrogate.features import GemmFeatureSpace
 from repro.surrogate.model import RidgeRegressor, SurrogateModel
 from repro.surrogate.verify import verified_argmin
 
 __all__ = [
-    "DatasetRecorder",
     "GemmFeatureSpace",
     "RidgeRegressor",
     "SurrogateModel",
-    "collect_executor_dataset",
     "collect_gemm_dataset",
     "train_gemm_surrogate",
     "verified_argmin",

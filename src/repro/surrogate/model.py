@@ -367,8 +367,7 @@ class GemmSurrogate:
       shape, feeding the verified top-k re-evaluation in
       :func:`repro.autotune.kernel_tuner.surrogate_tune`.
 
-    Instances are plain numpy state and pickle cleanly (the capacity
-    sweep ships its surrogate to ``trial_map`` workers the same way).
+    Instances are plain numpy state and pickle cleanly.
     """
 
     def __init__(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Sequence, Tuple
 
-import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,21 +57,7 @@ def verified_argmin(
     )
 
 
-def argmin_match(result: VerifiedArgmin, exact_best_index: int,
-                 exact_best_value: float) -> bool:
-    """Did the verified search recover the exhaustive argmin?
-
-    Matches on *value*, not index: candidate sets routinely contain
-    distinct variants with identical exact cost (e.g. broadcast/prefetch
-    don't move engine time), and any of them is a correct answer.
-    """
-    del exact_best_index
-    return bool(np.isclose(result.best_value, exact_best_value,
-                           rtol=1e-12, atol=0.0))
-
-
 __all__ = [
     "VerifiedArgmin",
-    "argmin_match",
     "verified_argmin",
 ]

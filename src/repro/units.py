@@ -21,7 +21,6 @@ MB = 1_000_000
 GB = 1_000_000_000
 TB = 1_000_000_000_000
 
-KHZ = 1_000.0
 MHZ = 1_000_000.0
 GHZ = 1_000_000_000.0
 

@@ -754,12 +754,10 @@ class TestCapacityPlanning:
                 key[0], key[1], samples_per_request=64, seed=key[2]
             )
 
-    def test_sweep_is_identical_across_processes(self):
+    def test_sweep_points_come_back_policy_major(self):
         service = _service(mean_s=0.02, jitter=0.2)
-        kwargs = dict(qps_points=[30.0, 60.0, 30.0],
-                      policies=("po2", "jsq", "po2"), duration_s=4.0)
-        sweep = capacity_sweep(service, **kwargs)
-        assert sweep == capacity_sweep(service, processes=2, **kwargs)
+        sweep = capacity_sweep(service, qps_points=[30.0, 60.0, 30.0],
+                               policies=("po2", "jsq", "po2"), duration_s=4.0)
         assert [(p.policy, p.offered_qps) for p in sweep.points] == [
             (policy, qps)
             for policy in ("po2", "jsq", "po2")
@@ -769,6 +767,20 @@ class TestCapacityPlanning:
     def test_sweep_rejects_a_non_positive_qps(self):
         with pytest.raises(ValueError, match="QPS must be positive"):
             capacity_sweep(_service(mean_s=0.02, jitter=0.2), [30.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_capacity_rejects_non_finite_qps_and_duration(self, bad):
+        from repro.cluster import capacity
+
+        service = _service(mean_s=0.02, jitter=0.2)
+        with pytest.raises(ValueError, match="offered_qps must be finite"):
+            capacity.replicas_needed("jsq", bad, service)
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            capacity.replicas_needed("jsq", 30.0, service, duration_s=bad)
+        with pytest.raises(ValueError, match="qps_points must be finite"):
+            capacity_sweep(service, [30.0, bad])
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            capacity_sweep(service, [30.0], duration_s=bad)
 
     def test_more_qps_needs_no_fewer_replicas(self):
         service = _service(mean_s=0.02, jitter=0.2)

@@ -5,9 +5,8 @@ keyed on every input of the run (base stream, ``ClusterConfig``,
 ``ServiceModel``, throttle and injection schedule).  In the default
 capacity study the undefended arm's two regions without a drill repeat
 the baseline arm's runs, so 10 of its 45 cluster runs are reused.  A
-study must report the same with the memo cold, warm or split across
-worker processes, and an observed study must simulate every run so
-that its metrics are recorded.
+study must report the same with the memo cold or warm, and an observed
+study must simulate every run so that its metrics are recorded.
 """
 
 from __future__ import annotations
@@ -57,14 +56,12 @@ def test_default_study_simulates_35_of_45_region_runs(cluster_runs):
             )
 
 
-def test_cold_warm_and_parallel_studies_are_equal(cluster_runs):
+def test_cold_and_warm_studies_are_equal(cluster_runs):
     cold = run_capacity_study(sizes=(4, 5))
     assert len(cluster_runs) == 14
     warm = run_capacity_study(sizes=(4, 5))
     assert len(cluster_runs) == 14 + 6  # only the defended arm reruns
-    fleet_simulator._plain_region_run.cache_clear()
-    parallel = run_capacity_study(sizes=(4, 5), processes=2)
-    assert cold == warm == parallel
+    assert cold == warm
 
 
 def test_observed_study_simulates_every_run(cluster_runs):

@@ -9,7 +9,6 @@ from repro.memory import (
     BufferRequest,
     MemoryHierarchy,
     Placement,
-    ScratchAllocator,
     SetAssociativeCache,
     SramPartition,
     Traffic,
@@ -195,14 +194,6 @@ class TestScratch:
         assert plan.offset_of("x") == 0
         with pytest.raises(KeyError):
             plan.offset_of("missing")
-
-    def test_allocator_capacity(self):
-        allocator = ScratchAllocator(capacity_bytes=1500)
-        allocator.request("a", 1000, 0, 1)
-        allocator.request("b", 1000, 2, 3)
-        assert allocator.fits  # reuse makes both fit
-        allocator.request("c", 1000, 0, 3)
-        assert not allocator.fits
 
     def test_invalid_requests(self):
         with pytest.raises(ValueError):

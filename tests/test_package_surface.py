@@ -5,8 +5,8 @@ only names that some caller imports through the package, its
 ``__all__`` lists exactly what it imports from its own modules, and the
 top-level ``repro`` package names only the quick-start entry points.
 The "smaller than before" checks pin the retired surface: the re-export
-count, the top-level names, the deleted members and the ``use_surrogate``
-flag stay gone.
+count, the top-level names, the deleted members, modules and names, and
+the ``use_surrogate`` flag stay gone.
 """
 
 import ast
@@ -58,10 +58,11 @@ def test_all_lists_exactly_the_own_imports(package):
 def test_subpackage_re_exports_stay_pruned():
     # 647 before the names with no caller through the package path left;
     # 443 before the guided capacity/power helpers and the unread
-    # reduction-network model went.
+    # reduction-network model went; 436 before the NoC package and the
+    # other models that only their own tests reached went.
     assert sum(
         len(importlib.import_module(package).__all__) for package in SUBPACKAGES
-    ) <= 436
+    ) <= 416
 
 
 def test_top_level_names_only_the_quick_start():
@@ -83,6 +84,36 @@ def test_top_level_names_only_the_quick_start():
 ])
 def test_dead_members_stay_deleted(module, owner, member):
     assert not hasattr(getattr(importlib.import_module(module), owner), member)
+
+
+@pytest.mark.parametrize("module", [
+    "repro.noc", "repro.pe.fi", "repro.fastsim.trials",
+])
+def test_unreached_modules_stay_deleted(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro.pe.command", "CircularBuffer"),
+    ("repro.pe.command", "CircularBufferError"),
+    ("repro.pe.dpe", "dpe_compute_time"),
+    ("repro.pe.dpe", "weight_cache_passes"),
+    ("repro.pe.riscv", "vector_kernel_issue"),
+    ("repro.pe.mlu", "fused_transpose_savings"),
+    ("repro.memory.scratch", "ScratchAllocator"),
+    ("repro.surrogate.dataset", "DatasetRecorder"),
+    ("repro.surrogate.dataset", "collect_executor_dataset"),
+    ("repro.surrogate.verify", "argmin_match"),
+    ("repro.fastsim", "trial_map"),
+    ("repro.sdc.detectors", "DETECTOR_ORDER"),
+    ("repro.compression.ans", "MASK_32"),
+    ("repro.units", "KHZ"),
+    ("repro.sdc.screening", "HOURS"),
+])
+def test_unreached_names_stay_deleted(module, name):
+    """Each of these had no reader but its own tests."""
+    assert not hasattr(importlib.import_module(module), name)
 
 
 def test_surrogate_is_the_only_switch():

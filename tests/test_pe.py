@@ -1,5 +1,5 @@
-"""Tests for the PE engine models: DPE, SIMD, RISC-V issue, RE, MLU, CP,
-FI, and the work-queue engine."""
+"""Tests for the PE engine models: DPE, SIMD, RISC-V issue, RE, MLU, CP
+and the work-queue engine."""
 
 import numpy as np
 import pytest
@@ -8,25 +8,18 @@ from hypothesis import strategies as st
 
 from repro.arch import mtia1_spec, mtia2i_spec
 from repro.pe import (
-    CircularBuffer,
-    CircularBufferError,
-    DmaConfig,
     DpeConfig,
     MluConfig,
     PipelineStage,
     RiscvVectorConfig,
-    dma_time,
-    dpe_compute_time,
     eager_launch_timeline,
     eager_viable,
     elementwise_time,
-    fused_transpose_savings,
     gemm_issue,
     launch_reduction,
     lut_approximation,
     lut_gather_time,
     mtia2i_simd_config,
-    overlapped_load_time,
     pipeline_time,
     reshape_time,
     rowwise_minmax,
@@ -34,8 +27,6 @@ from repro.pe import (
     tbe_issue,
     tile_utilization,
     transpose_time,
-    vector_kernel_issue,
-    weight_cache_passes,
 )
 from repro.tensors import DType, GemmShape
 
@@ -58,30 +49,6 @@ class TestDpe:
         util = tile_utilization(GemmShape(16, 2048, 16), DpeConfig(), DType.FP16)
         assert util == pytest.approx(0.25)
 
-    def test_compute_time_scales_with_flops(self):
-        config = DpeConfig()
-        t1 = dpe_compute_time(GemmShape(256, 1024, 256), config, DType.FP16)
-        t2 = dpe_compute_time(GemmShape(256, 2048, 256), config, DType.FP16)
-        assert t2 == pytest.approx(2 * t1, rel=0.01)
-
-    def test_sparsity_halves_time(self):
-        config = DpeConfig()
-        shape = GemmShape(256, 2048, 256)
-        dense = dpe_compute_time(shape, config, DType.FP16)
-        sparse = dpe_compute_time(shape, config, DType.FP16, sparse=True)
-        assert sparse == pytest.approx(dense / 2)
-
-    def test_sparsity_unsupported_raises(self):
-        config = DpeConfig(sparsity_supported=False)
-        with pytest.raises(ValueError):
-            dpe_compute_time(GemmShape(32, 32, 32), config, DType.FP16, sparse=True)
-
-    def test_weight_cache_passes(self):
-        config = DpeConfig()
-        small = weight_cache_passes(GemmShape(256, 512, 256), config, DType.FP16)
-        large = weight_cache_passes(GemmShape(256, 32768, 256), config, DType.FP16)
-        assert small == 1
-        assert large > 1
 
 
 class TestSimd:
@@ -145,10 +112,6 @@ class TestIssue:
         narrow = tbe_issue(12_800, issue, use_advanced_instructions=False)
         assert narrow.instructions > wide.instructions
 
-    def test_vector_kernel_issue(self):
-        est = vector_kernel_issue(1024, mtia2i_spec().issue, ops_per_instruction=16)
-        assert est.instructions == pytest.approx(64)
-
     def test_vector_config_lanes(self):
         config = RiscvVectorConfig()
         assert config.elements_per_s(DType.FP16) == 32 * 1.35e9
@@ -172,37 +135,8 @@ class TestMlu:
         config = MluConfig()
         assert transpose_time(1 << 20, config) > reshape_time(1 << 20, config)
 
-    def test_fused_transpose_saves(self):
-        """Section 6: replacing Slice/Reshape/Concat with one transpose."""
-        config = MluConfig()
-        saved = fused_transpose_savings(1 << 20, num_fused_ops=3, config=config)
-        assert saved > 0
-
 
 class TestCommandProcessor:
-    def test_circular_buffer_fifo(self):
-        cb = CircularBuffer("cb", num_slots=2, slot_bytes=1024)
-        cb.push("x")
-        cb.push("y")
-        assert cb.pop() == "x"
-        assert cb.pop() == "y"
-
-    def test_overflow_underflow(self):
-        cb = CircularBuffer("cb", num_slots=1, slot_bytes=1024)
-        cb.push(1)
-        with pytest.raises(CircularBufferError):
-            cb.push(2)
-        cb.pop()
-        with pytest.raises(CircularBufferError):
-            cb.pop()
-
-    def test_occupancy_tracking(self):
-        cb = CircularBuffer("cb", num_slots=4, slot_bytes=128)
-        for i in range(3):
-            cb.push(i)
-        assert cb.max_occupancy == 3
-        assert cb.footprint_bytes == 4 * 128
-
     def test_pipeline_law(self):
         stages = [PipelineStage("a", 1.0), PipelineStage("b", 3.0), PipelineStage("c", 1.0)]
         # fill (5) + 9 more tiles at the 3.0 bottleneck.
@@ -242,26 +176,6 @@ def test_pipeline_simulation_bounds(times, tiles, slots):
     serial = tiles * sum(times)
     assert sim >= law - 1e-9
     assert sim <= serial + 1e-9
-
-
-class TestDma:
-    def test_dma_time(self):
-        config = DmaConfig(bandwidth_bytes_per_s=64e9, setup_latency_s=1e-6)
-        assert dma_time(64e9, config) == pytest.approx(1.0 + 1e-6)
-
-    def test_transfer_count_adds_setup(self):
-        config = DmaConfig(setup_latency_s=1e-6)
-        assert dma_time(0, config, num_transfers=10) == pytest.approx(1e-5)
-
-    def test_prefetch_hides_load(self):
-        hidden = overlapped_load_time(10e-3, 8e-3, prefetch=True)
-        exposed = overlapped_load_time(10e-3, 8e-3, prefetch=False)
-        assert hidden < exposed
-        assert hidden >= 10e-3
-
-    def test_prefetch_cannot_hide_more_than_compute(self):
-        t = overlapped_load_time(1e-3, 100e-3, prefetch=True)
-        assert t == pytest.approx(1e-3 + 100e-3 - 1e-3 * 0.95)
 
 
 class TestEagerMode:

@@ -75,8 +75,9 @@ def settable_values():
 
 def test_settable_value_count_stays_down():
     # 1,008 before the values that no caller set became constants; 712
-    # before the surrogate-guided capacity and power searches went.
-    assert len(settable_values()) <= 697
+    # before the surrogate-guided capacity and power searches went; 697
+    # before the process pool and the models only tests reached went.
+    assert len(settable_values()) <= 684
 
 
 @pytest.mark.parametrize("module, owner, name", [
@@ -120,6 +121,9 @@ def test_settable_value_count_stays_down():
     ("repro.autotune.tuner", "autotune_model", "surrogate"),
     ("repro.codesign.objectives", "CodesignObjective", "surrogate"),
     ("repro.surrogate.model", "SurrogateModel", "log_targets"),
+    ("repro.cluster.capacity", "capacity_sweep", "processes"),
+    ("repro.fleet_global.capacity", "run_capacity_study", "processes"),
+    ("repro.fastsim.memo", "KernelLatencyMemo", "recorder"),
 ])
 def test_retired_knob_stays_gone(module, owner, name):
     target = importlib.import_module(module)

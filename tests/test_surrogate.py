@@ -11,16 +11,12 @@ import pytest
 
 from repro.arch import mtia2i_spec
 from repro.autotune import exhaustive_tune, surrogate_tune
-from repro.fastsim.memo import KernelLatencyMemo
 from repro.kernels.gemm import default_variants
-from repro.models.zoo import lc1
 from repro.obs.metrics import MetricsRegistry
 from repro.surrogate import (
-    DatasetRecorder,
     GemmFeatureSpace,
     RidgeRegressor,
     SurrogateModel,
-    collect_executor_dataset,
     collect_gemm_dataset,
     train_gemm_surrogate,
     verified_argmin,
@@ -68,12 +64,6 @@ class TestFeatures:
         np.testing.assert_array_equal(
             ranking, np.argsort(row, kind="stable")
         )
-
-    def test_dtype_mismatch_rejected(self):
-        space = GemmFeatureSpace(CHIP, dtype=DType.FP16)
-        recorder = DatasetRecorder()
-        recorder(GemmShape(8, 8, 8), default_variants()[0], DType.INT8, 1e-6)
-        assert recorder.to_dataset(space).X.shape[0] == 0
 
 
 class TestModel:
@@ -159,18 +149,6 @@ class TestKernelIntegration:
 
 
 class TestDataset:
-    def test_recorder_rows_align_with_memo_misses(self):
-        recorder = DatasetRecorder()
-        memo = KernelLatencyMemo(CHIP, recorder=recorder)
-        variants = default_variants()[:5]
-        shape = GemmShape(96, 160, 224)
-        for variant in variants + variants:  # second pass is all hits
-            memo.measure(shape, variant, DType.FP16)
-        assert len(recorder) == memo.misses == 5
-        dataset = recorder.to_dataset(GemmFeatureSpace(CHIP))
-        assert dataset.X.shape == (5, len(GEMM_FEATURE_NAMES))
-        assert np.all(dataset.latency_s > 0)
-
     def test_collect_gemm_dataset_deduplicates(self):
         dataset, _space = collect_gemm_dataset(CHIP, n_samples=300, seed=1)
         assert dataset.X.shape[0] <= 300
@@ -187,10 +165,3 @@ class TestDataset:
         assert digest.hexdigest() == (
             "ff36c31bf7d373ddec10ff8a063c77d6ecd0d392e650135698a189342991bfab"
         )
-
-    def test_collect_executor_dataset(self):
-        dataset = collect_executor_dataset(
-            lc1().graph_at, CHIP, batches=(64,)
-        )
-        assert dataset.X.shape[0] > 0
-        assert np.all(dataset.latency_s > 0)

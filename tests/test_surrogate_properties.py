@@ -1,14 +1,11 @@
 """Property-based tests for repro.surrogate.
 
-Hypothesis drives the three contracts the verified-surrogate pattern
+Hypothesis drives the two contracts the verified-surrogate pattern
 rests on:
 
 * training reproducibility — the full collect-train pipeline is a pure
   function of (chip, n_samples, seed): two runs produce bit-identical
   predictions, whatever the seed or sample count;
-* recorder transparency — attaching a ``DatasetRecorder`` to a
-  ``KernelLatencyMemo`` never changes what ``measure`` returns, for any
-  lookup sequence, and the recorded rows are exactly the cache misses;
 * verification soundness — ``verified_argmin`` returns the min over
   its exact-evaluated set (never a prediction).
 """
@@ -20,14 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import mtia2i_spec
-from repro.fastsim.memo import KernelLatencyMemo
 from repro.kernels.gemm import default_variants
-from repro.surrogate import (
-    DatasetRecorder,
-    train_gemm_surrogate,
-    verified_argmin,
-)
-from repro.tensors import DType, GemmShape
+from repro.surrogate import train_gemm_surrogate, verified_argmin
 
 CHIP = mtia2i_spec()
 VARIANTS = default_variants()
@@ -45,46 +36,6 @@ def test_training_bit_for_bit_reproducible(seed, n_samples):
         first.predict_time_grid(shapes, probe),
         second.predict_time_grid(shapes, probe),
     )
-
-
-lookup_sequences = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=7),   # shape pick
-        st.integers(min_value=0, max_value=30),  # variant pick
-    ),
-    min_size=0, max_size=40,
-)
-
-_SHAPES = [
-    GemmShape(m, k, n)
-    for m, k, n in [(8, 16, 32), (64, 64, 64), (100, 300, 50),
-                    (256, 512, 128), (33, 65, 129), (512, 512, 512),
-                    (40, 4096, 24), (1024, 128, 1024)]
-]
-
-
-@settings(max_examples=40, deadline=None)
-@given(lookups=lookup_sequences)
-def test_recorder_never_steers_the_memo(lookups):
-    bare = KernelLatencyMemo(CHIP)
-    recorder = DatasetRecorder()
-    recorded = KernelLatencyMemo(CHIP, recorder=recorder)
-    for shape_pick, variant_pick in lookups:
-        shape = _SHAPES[shape_pick]
-        variant = VARIANTS[variant_pick]
-        assert bare.measure(shape, variant, DType.FP16) == recorded.measure(
-            shape, variant, DType.FP16
-        )
-    assert bare.hits == recorded.hits
-    assert bare.misses == recorded.misses
-    # One recorded row per distinct exact evaluation, in miss order.
-    assert len(recorder) == recorded.misses
-    replay = KernelLatencyMemo(CHIP)
-    for (m, k, n), variant, dtype, time_s in zip(
-        recorder.shapes, recorder.variants, recorder.dtypes,
-        recorder.times_s,
-    ):
-        assert replay.measure(GemmShape(m, k, n), variant, dtype) == time_s
 
 
 @settings(max_examples=100, deadline=None)
