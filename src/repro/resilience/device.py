@@ -15,6 +15,11 @@ stays in the router's rotation — eating requests that will time out —
 until enough health checks fail to drain it.  The state machine tracks
 that distinction (:attr:`Device.in_rotation` vs :attr:`Device.serving`)
 plus per-state residency time for the unavailability accounting.
+
+:meth:`Device.transition` moves a standalone device.  The simulator moves
+its pool's devices with :meth:`PoolCensus.transition`, which makes the
+same legality check and residency accrual and updates the live census
+in the same step.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 
 class DeviceState(enum.Enum):
-    """Lifecycle states of one accelerator."""
+    """Lifecycle states of one accelerator.
+
+    Members hash by identity (they are singletons), so the census and
+    residency dicts keyed on them stay in C.
+    """
+
+    __hash__ = object.__hash__
 
     HEALTHY = "healthy"
     DEGRADED = "degraded"
@@ -51,14 +62,20 @@ _ALLOWED: FrozenSet[Tuple[DeviceState, DeviceState]] = frozenset(
     }
 )
 
-# States in which the device produces zero goodput.
-_DOWN_STATES = frozenset(
-    {DeviceState.WEDGED, DeviceState.DRAINING, DeviceState.REBOOTING}
-)
+# States in which the device produces zero goodput, in the fixed order
+# their residencies are summed.
+_DOWN_STATES = (DeviceState.WEDGED, DeviceState.DRAINING, DeviceState.REBOOTING)
 
 
 class TransitionError(RuntimeError):
     """An illegal lifecycle transition was attempted."""
+
+
+def _illegal(device: "Device", new_state: DeviceState) -> TransitionError:
+    return TransitionError(
+        f"device {device.device_id}: illegal transition "
+        f"{device.state.value} -> {new_state.value}"
+    )
 
 
 @dataclasses.dataclass
@@ -113,10 +130,7 @@ class Device:
         """Move to ``new_state``, validating legality and accruing the
         residency time of the state being left."""
         if (self.state, new_state) not in _ALLOWED:
-            raise TransitionError(
-                f"device {self.device_id}: illegal transition "
-                f"{self.state.value} -> {new_state.value}"
-            )
+            raise _illegal(self, new_state)
         self._accrue(now_s)
         self.state = new_state
         self.state_entered_s = now_s
@@ -134,7 +148,10 @@ class Device:
 
     def downtime_seconds(self) -> float:
         """Accrued seconds in states that serve nothing."""
-        return sum(self.state_seconds[state] for state in _DOWN_STATES)
+        total = 0.0
+        for state in _DOWN_STATES:
+            total += self.state_seconds[state]
+        return total
 
     def health_check(self) -> bool:
         """Run one health probe; returns ``True`` when it passes.
@@ -172,10 +189,23 @@ class PoolCensus:
             scales[device.device_id] = device.throughput_scale
         return cls(counts, scales)
 
-    def moved(self, device: Device, old_state: DeviceState) -> None:
-        """Record that ``device`` left ``old_state`` for its current one."""
-        self.counts[old_state] -= 1
-        self.counts[device.state] += 1
+    def transition(self, device: Device, state: DeviceState, now_s: float) -> None:
+        """Move ``device`` to ``state`` as :meth:`Device.transition` does
+        and update the census, in one step: the simulator makes one of
+        these per lifecycle change, so it is kept to a single call."""
+        old_state = device.state
+        if (old_state, state) not in _ALLOWED:
+            raise _illegal(device, state)
+        elapsed = now_s - device.state_entered_s
+        if elapsed > 0.0:
+            device.state_seconds[old_state] += elapsed
+        device.state = state
+        device.state_entered_s = now_s
+        if state is DeviceState.HEALTHY:
+            device.consecutive_health_failures = 0
+        counts = self.counts
+        counts[old_state] -= 1
+        counts[state] += 1
         self.scales[device.device_id] = device.throughput_scale
 
     @property

@@ -6,17 +6,29 @@ devices draining, rollout waves restarting servers — is appended to an
 ground truth: tests compare two seeded runs event-for-event, the drill
 example prints it as a timeline, and :mod:`repro.resilience.trace`
 exports it through the Chrome-trace writer.
+
+The simulator records plain ``(time_s, kind, device_id, detail)`` rows
+through :meth:`EventLog.record`; the frozen :class:`Event` objects are
+built from them on the first read and cached, so a run whose log is
+only counted never builds them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class EventKind(enum.Enum):
-    """Everything that can happen to a device (or the pool) over time."""
+    """Everything that can happen to a device (or the pool) over time.
+
+    Members hash by identity (they are singletons), so the dict and set
+    lookups keyed on them stay in C instead of calling
+    ``Enum.__hash__``.
+    """
+
+    __hash__ = object.__hash__
 
     # Faults, drawn from the reliability models.
     FAULT_DEADLOCK = "fault_deadlock"  # PCIe/NoC/Control-Core wedge (section 5.5)
@@ -62,16 +74,38 @@ class EventLog:
     """Append-only, simulation-ordered record of everything that happened."""
 
     def __init__(self) -> None:
-        self._events: List[Event] = []
+        self._rows: List[Tuple[float, EventKind, Optional[int], Dict[str, float]]] = []
+        self._last_s = 0.0
+        # Events built from ``_rows[:len(_built)]``, extended on read.
+        self._built: List[Event] = []
 
     def append(self, event: Event) -> None:
         """Record an event; times must be non-decreasing."""
-        if self._events and event.time_s < self._events[-1].time_s - 1e-9:
+        self.record(event.time_s, event.kind, event.device_id, event.detail)
+
+    def record(self, time_s: float, kind: EventKind,
+               device_id: Optional[int], detail: Dict[str, float]) -> None:
+        """Record an event as a row, validated as :meth:`append` does."""
+        if time_s < 0:
+            raise ValueError("event time must be non-negative")
+        if time_s < self._last_s - 1e-9:
             raise ValueError("events must be appended in time order")
-        self._events.append(event)
+        self._last_s = time_s
+        self._rows.append((time_s, kind, device_id, detail))
+
+    @property
+    def _events(self) -> List[Event]:
+        built = self._built
+        if len(built) < len(self._rows):
+            built.extend(
+                Event(time_s=time_s, kind=kind, device_id=device_id,
+                      detail=detail)
+                for time_s, kind, device_id, detail in self._rows[len(built):]
+            )
+        return built
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)

@@ -12,12 +12,19 @@ The arithmetic deliberately reuses the :mod:`repro.serving.faults`
 machinery — :func:`~repro.serving.faults.queueing_delay_factor` for the
 latency blow-up and :class:`~repro.serving.faults.FaultImpact` for the
 ``slo_at_risk`` verdict — so the simulator and the static headroom
-analysis cannot drift apart.
+analysis cannot drift apart.  The verdict depends only on the pool's
+size, its effective size, the load and the device throughput, and a run
+revisits few distinct combinations, so it is memoized.
+
+Float sums here are explicit left-to-right loops: builtin ``sum`` is
+compensated from Python 3.12 and would round differently across the
+supported interpreters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import List, Optional
 
@@ -98,7 +105,9 @@ def evaluate_interval(
     # Each attempt independently lands on a wedged replica w.p. p_bad
     # (routers that exclude the failed instance do slightly better; this
     # is the conservative bound).
-    retry_amplification = sum(p_bad**k for k in range(max_attempts))
+    retry_amplification = 0.0
+    for k in range(max_attempts):
+        retry_amplification += p_bad**k
     failed_fraction = p_bad**max_attempts
     if policies.hedge is not None:
         # A hedge fires for every wedged-routed first attempt plus the
@@ -149,18 +158,8 @@ def evaluate_interval(
     # --- SLO verdict via the serving-tier machinery --------------------
     total = len(census.scales)
     effective_devices = max(1, int(round(live_capacity / device_throughput)))
-    impact = FaultImpact(
-        before=PoolState(
-            devices=total,
-            device_throughput=device_throughput,
-            offered_load=offered_samples_per_s,
-        ),
-        after=PoolState(
-            devices=effective_devices,
-            device_throughput=device_throughput,
-            offered_load=offered_samples_per_s,
-        ),
-        fault_rate=(total - effective_devices) / total if total else 0.0,
+    slo_at_risk = _slo_at_risk(
+        total, effective_devices, device_throughput, offered_samples_per_s
     )
 
     return IntervalMetrics(
@@ -181,8 +180,28 @@ def evaluate_interval(
         utilization=utilization,
         p50_latency_s=p50,
         p99_latency_s=p99,
-        slo_at_risk=impact.slo_at_risk,
+        slo_at_risk=slo_at_risk,
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _slo_at_risk(total: int, effective_devices: int, device_throughput: float,
+                 offered_samples_per_s: float) -> bool:
+    """:class:`FaultImpact`'s verdict on a pool of ``total`` devices that
+    serves like ``effective_devices``."""
+    return FaultImpact(
+        before=PoolState(
+            devices=total,
+            device_throughput=device_throughput,
+            offered_load=offered_samples_per_s,
+        ),
+        after=PoolState(
+            devices=effective_devices,
+            device_throughput=device_throughput,
+            offered_load=offered_samples_per_s,
+        ),
+        fault_rate=(total - effective_devices) / total if total else 0.0,
+    ).slo_at_risk
 
 
 @dataclasses.dataclass(frozen=True)

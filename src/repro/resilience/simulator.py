@@ -20,9 +20,12 @@ randomness flows from one seeded generator consumed in a fixed order, so
 two runs with the same seed produce identical event logs — byte for
 byte — which the acceptance tests assert.
 
-Every lifecycle change (wedge, degrade, degrade-end, drain,
-reboot-start, reboot-done, rollout wave) goes through one
-``_transition`` helper, which keeps a
+Each queued event carries its bound handler, the :class:`Device` it
+concerns (``None`` for pool-level events) and a tuple of positional
+arguments, so the run loop calls the handler directly.  Every lifecycle
+change (wedge, degrade, degrade-end, drain, reboot-start, reboot-done,
+rollout wave) goes through one ``_transition`` step that checks
+legality, accrues residency and keeps a
 :class:`~repro.resilience.device.PoolCensus` live; the hourly metrics
 tick reads that census instead of rescanning the pool.  Ticks fall at
 ``k * metrics_interval_s`` plus the window's end, and a final partial
@@ -32,7 +35,7 @@ interval averages its corrupted samples over the time it covers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from repro.resilience.device import (
     PoolCensus,
     downed_device_minutes,
 )
-from repro.resilience.events import Event, EventKind, EventLog
+from repro.resilience.events import EventKind, EventLog
 from repro.resilience.faults import (
     FaultRates,
     fault_rates_from_reliability,
@@ -122,10 +125,13 @@ class ResilienceSimulator:
             for i in range(config.devices)
         }
         # Every lifecycle change goes through _transition, which keeps
-        # this census live for the metrics ticks.
+        # this census live for the metrics ticks; it is the census's own
+        # one-call transition step.
         self._census = PoolCensus.of(self._devices)
+        self._transition = self._census.transition
         self._log = EventLog()
-        # Payloads are ``(kind, device_id, handler_kwargs)``.
+        # Payloads are ``(handler, device_or_None, args)``; the run loop
+        # calls ``handler(time_s, device, *args)``.
         self._events = EventEngine()
         self._intervals: List[IntervalMetrics] = []
         # Transient bookkeeping.
@@ -137,35 +143,20 @@ class ResilienceSimulator:
         self._patch_scheduled: set = set()
         self._last_shedding = False
         self._last_tick_s = 0.0
-        self._handlers = {
-            "fault_deadlock": self._on_deadlock,
-            "fault_ecc_ue": self._on_ecc_ue,
-            "fault_sdc": self._on_sdc,
-            "fault_throttle": self._on_throttle,
-            "degrade_end": self._on_degrade_end,
-            "drain_decision": self._on_drain_decision,
-            "reboot_start": self._on_reboot_start,
-            "reboot_done": self._on_reboot_done,
-            "metrics": self._on_metrics,
-            "rollout_start": self._on_rollout_start,
-            "rollout_wave": self._on_rollout_wave,
-        }
 
     # ------------------------------------------------------------------
     # Event plumbing
     # ------------------------------------------------------------------
 
-    def _push(self, time_s: float, kind: str, device_id: Optional[int] = None,
-              **payload: float) -> None:
-        self._events.schedule(time_s, (kind, device_id, payload))
+    def _push(self, time_s: float, handler: Callable[..., None],
+              device: Optional[Device] = None, *args: object) -> None:
+        self._events.schedule(time_s, (handler, device, args))
 
     def _emit(self, time_s: float, kind: EventKind,
               device_id: Optional[int] = None, **detail: float) -> None:
         if self._obs.enabled:
             self._obs.counter("resilience.events." + kind.value).inc()
-        self._log.append(
-            Event(time_s=time_s, kind=kind, device_id=device_id, detail=detail)
-        )
+        self._log.record(time_s, kind, device_id, detail)
 
     # ------------------------------------------------------------------
     # Run
@@ -181,26 +172,36 @@ class ResilienceSimulator:
         # ticks), taking their sequence numbers in this order; runtime
         # events go through ``_push``.
         events = self._events
+        devices = self._devices
+        on_fault = {
+            "deadlock": self._on_deadlock,
+            "ecc_ue": self._on_ecc_ue,
+            "sdc": self._on_sdc,
+            "throttle": self._on_throttle,
+        }
         events.schedule_batch(
-            (time_s, (f"fault_{family}", device_id, {}))
+            (time_s, (on_fault[family], devices[device_id], ()))
             for family, arrivals in schedule.items()
             for time_s, device_id in arrivals
         )
         # Metrics ticks: t=0 baseline, then every interval, then t=end.
         # ``k * interval`` rather than a running sum, which drifts.
+        tick = (self._on_metrics, None, ())
         ticks = []
         k = 0
         while k * config.metrics_interval_s < config.duration_s:
-            ticks.append((k * config.metrics_interval_s, ("metrics", None, {})))
+            ticks.append((k * config.metrics_interval_s, tick))
             k += 1
-        ticks.append((config.duration_s, ("metrics", None, {})))
+        ticks.append((config.duration_s, tick))
         events.schedule_batch(ticks)
 
+        end_s = config.duration_s + 1e-9
+        pop = events.pop
         while events:
-            time_s, _, (kind, device_id, payload) = events.pop()
-            if time_s > config.duration_s + 1e-9:
+            time_s, _, (handler, device, args) = pop()
+            if time_s > end_s:
                 break
-            self._dispatch(time_s, kind, device_id, payload)
+            handler(time_s, device, *args)
 
         unavailability = downed_device_minutes(self._devices, end_s=config.duration_s)
         baseline = min(
@@ -216,22 +217,6 @@ class ResilienceSimulator:
             events=self._log,
             unavailability_device_minutes=unavailability,
         )
-
-    def _dispatch(self, time_s: float, kind: str, device_id: Optional[int],
-                  payload: dict) -> None:
-        handler = self._handlers[kind]
-        if device_id is None:
-            handler(time_s, **payload)
-        else:
-            handler(time_s, self._devices[device_id], **payload)
-
-    def _transition(self, device: Device, state: DeviceState,
-                    time_s: float) -> None:
-        """Move ``device`` to ``state`` (legality-checked, residency
-        accrued) and update the live census."""
-        old_state = device.state
-        device.transition(state, time_s)
-        self._census.moved(device, old_state)
 
     # ------------------------------------------------------------------
     # Fault handlers (arrivals on no-longer-susceptible devices are
@@ -249,8 +234,7 @@ class ResilienceSimulator:
             # consecutive failures leading to the drain decision.
             for failure in range(1, drain.failures_to_drain + 1):
                 when = time_s + failure * drain.health_check_interval_s
-                self._push(when, "drain_decision", device.device_id,
-                           failure=float(failure))
+                self._push(when, self._on_drain_decision, device)
 
     def _on_ecc_ue(self, time_s: float, device: Device) -> None:
         if not device.serving:
@@ -280,7 +264,7 @@ class ResilienceSimulator:
         )
         if device.state == DeviceState.HEALTHY:
             self._transition(device, DeviceState.DEGRADED, time_s)
-        self._push(until, "degrade_end", device.device_id)
+        self._push(until, self._on_degrade_end, device)
 
     def _on_degrade_end(self, time_s: float, device: Device) -> None:
         if device.state != DeviceState.DEGRADED:
@@ -294,8 +278,7 @@ class ResilienceSimulator:
     # Drain / reboot lifecycle
     # ------------------------------------------------------------------
 
-    def _on_drain_decision(self, time_s: float, device: Device,
-                           failure: float) -> None:
+    def _on_drain_decision(self, time_s: float, device: Device) -> None:
         drain = self.policies.drain
         if drain is None or device.state != DeviceState.WEDGED:
             return  # recovered another way (e.g. a rollout power-cycle)
@@ -305,8 +288,8 @@ class ResilienceSimulator:
         if device.consecutive_health_failures >= drain.failures_to_drain:
             self._transition(device, DeviceState.DRAINING, time_s)
             self._emit(time_s, EventKind.DRAIN_START, device.device_id)
-            self._push(time_s + drain.drain_grace_s, "reboot_start",
-                       device.device_id)
+            self._push(time_s + drain.drain_grace_s, self._on_reboot_start,
+                       device)
 
     def _on_reboot_start(self, time_s: float, device: Device) -> None:
         drain = self.policies.drain
@@ -317,11 +300,10 @@ class ResilienceSimulator:
         self._obs.histogram("resilience.reboot_duration_s").observe(reboot_s)
         self._emit(time_s, EventKind.REBOOT_START, device.device_id,
                    reboot_s=reboot_s)
-        self._push(time_s + reboot_s, "reboot_done", device.device_id,
-                   patch=0.0)
+        self._push(time_s + reboot_s, self._on_reboot_done, device, False)
 
     def _on_reboot_done(self, time_s: float, device: Device,
-                        patch: float) -> None:
+                        patch: bool) -> None:
         if device.state != DeviceState.REBOOTING:
             return  # pragma: no cover - defensive; single reboot in flight
         self._transition(device, DeviceState.HEALTHY, time_s)
@@ -342,7 +324,7 @@ class ResilienceSimulator:
     # Metrics and the rollout trigger
     # ------------------------------------------------------------------
 
-    def _on_metrics(self, time_s: float) -> None:
+    def _on_metrics(self, time_s: float, _device: None) -> None:
         # The last interval may be partial: average over what elapsed.
         elapsed_s = time_s - self._last_tick_s
         self._last_tick_s = time_s
@@ -389,15 +371,16 @@ class ResilienceSimulator:
                 delay = self.policies.rollout.detection_delay_s
                 self._emit(time_s, EventKind.ROLLOUT_TRIGGERED,
                            starts_in_s=delay)
-                self._push(time_s + delay, "rollout_start")
+                self._push(time_s + delay, self._on_rollout_start)
 
-    def _on_rollout_start(self, time_s: float) -> None:
+    def _on_rollout_start(self, time_s: float, _device: None) -> None:
         if self._rollout_started:
             return
         self._rollout_started = True
-        self._push(time_s, "rollout_wave", wave_index=0.0)
+        self._push(time_s, self._on_rollout_wave, None, 0.0)
 
-    def _on_rollout_wave(self, time_s: float, wave_index: float) -> None:
+    def _on_rollout_wave(self, time_s: float, _device: None,
+                         wave_index: float) -> None:
         """One restart wave under the plan's concurrency cap.
 
         Waves self-schedule until every device is covered: a device
@@ -421,14 +404,13 @@ class ResilienceSimulator:
             self._patch_scheduled.add(device.device_id)
             self._emit(time_s, EventKind.REBOOT_START, device.device_id,
                        reboot_s=restart_s, rollout=1.0)
-            self._push(time_s + restart_s, "reboot_done", device.device_id,
-                       patch=1.0)
+            self._push(time_s + restart_s, self._on_reboot_done, device, True)
         if wave:
             self._emit(time_s, EventKind.ROLLOUT_WAVE,
                        wave_index=wave_index, devices=float(len(wave)))
         if len(wave) < len(remaining):
-            self._push(time_s + restart_s, "rollout_wave",
-                       wave_index=wave_index + 1.0)
+            self._push(time_s + restart_s, self._on_rollout_wave, None,
+                       wave_index + 1.0)
 
 
 def run_resilience(

@@ -16,8 +16,6 @@ KiB = 1024
 MiB = 1024 * KiB
 GiB = 1024 * MiB
 
-KB = 1_000
-MB = 1_000_000
 GB = 1_000_000_000
 TB = 1_000_000_000_000
 
@@ -28,9 +26,7 @@ US = 1e-6
 MS = 1e-3
 NS = 1e-9
 
-GFLOPS = 1e9
 TFLOPS = 1e12
-MFLOPS = 1e6
 
 
 def fmt_bytes(num_bytes: float) -> str:

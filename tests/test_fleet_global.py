@@ -8,7 +8,6 @@ rollouts), the composed fleet simulator's conservation and attribution,
 and the region-outage capacity study's verdict logic.
 """
 
-import dataclasses
 import math
 
 import pytest

@@ -109,6 +109,10 @@ def test_unreached_modules_stay_deleted(module):
     ("repro.sdc.detectors", "DETECTOR_ORDER"),
     ("repro.compression.ans", "MASK_32"),
     ("repro.units", "KHZ"),
+    ("repro.units", "KB"),
+    ("repro.units", "MB"),
+    ("repro.units", "GFLOPS"),
+    ("repro.units", "MFLOPS"),
     ("repro.sdc.screening", "HOURS"),
 ])
 def test_unreached_names_stay_deleted(module, name):

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import math
+import pickle
+from unittest import mock
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.resilience import (
     FaultRates,
     PoolCensus,
     ResilienceConfig,
+    ResilienceSimulator,
     TransitionError,
     evaluate_interval,
     fault_rates_from_reliability,
@@ -34,6 +38,8 @@ from repro.resilience.policies import (
     RetryPolicy,
     RolloutPolicy,
 )
+from repro.resilience import device as device_module
+from repro.resilience import metrics as metrics_module
 from repro.resilience.scenario import section_55_policies
 from repro.units import GHZ
 
@@ -100,6 +106,47 @@ class TestDeviceLifecycle:
         device.patched = True
         assert not device.susceptible_to_deadlock
 
+    def test_downtime_sums_left_to_right_in_fixed_order(self):
+        # (1e16 + 1) + 1 rounds back to 1e16; a compensated sum or another
+        # order of the three down states gives 1e16 + 2.
+        device = Device(device_id=0)
+        device.state_seconds.update({
+            DeviceState.WEDGED: 1e16,
+            DeviceState.DRAINING: 1.0,
+            DeviceState.REBOOTING: 1.0,
+        })
+        with mock.patch.object(device_module, "sum", math.fsum, create=True):
+            assert device.downtime_seconds() == 1e16
+
+    def test_illegal_transition_through_simulator_raises(self):
+        sim = ResilienceSimulator(ResilienceConfig(devices=3, offered_load=2000.0))
+        device = sim._devices[1]
+        with pytest.raises(TransitionError):
+            sim._transition(device, DeviceState.DRAINING, 5.0)
+        # Nothing moved: the device, its residency and the census.
+        assert device.state is DeviceState.HEALTHY
+        assert device.state_entered_s == 0.0
+        assert sim._census == PoolCensus.of(sim._devices)
+        sim._transition(device, DeviceState.WEDGED, 5.0)
+        with pytest.raises(TransitionError):
+            sim._transition(device, DeviceState.HEALTHY, 6.0)
+        assert sim._census.counts[DeviceState.WEDGED] == 1
+
+    def test_enum_members_survive_pickle(self):
+        members = list(DeviceState) + list(EventKind)
+        index = {member: i for i, member in enumerate(members)}
+        for i, member in enumerate(members):
+            clone = pickle.loads(pickle.dumps(member))
+            assert clone is member
+            assert index[clone] == i
+        device = Device(device_id=4)
+        device.transition(DeviceState.WEDGED, 3.0)
+        device.finalize(10.0)
+        clone = pickle.loads(pickle.dumps(device))
+        assert clone.state is DeviceState.WEDGED
+        assert clone.state_seconds[DeviceState.WEDGED] == 7.0
+        assert clone.downtime_seconds() == 7.0
+
 
 # ---------------------------------------------------------------------------
 # Event log
@@ -132,6 +179,56 @@ class TestEventLog:
                           "device_id": None, "detail": {"wedged": 17.0}}]
         assert "slo_at_risk" in log.timeline()
         assert "t=    2.00h" in log.timeline()
+
+    def test_both_paths_reject_negative_and_out_of_order_times(self):
+        log = EventLog()
+        with pytest.raises(ValueError, match="non-negative"):
+            log.record(-1.0, EventKind.FAULT_SDC, 0, {})
+        with pytest.raises(ValueError, match="non-negative"):
+            log.append(Event(time_s=-1.0, kind=EventKind.FAULT_SDC))
+        log.record(5.0, EventKind.FAULT_DEADLOCK, 1, {})
+        with pytest.raises(ValueError, match="time order"):
+            log.record(1.0, EventKind.REBOOT_DONE, 1, {})
+        with pytest.raises(ValueError, match="time order"):
+            log.append(Event(time_s=1.0, kind=EventKind.REBOOT_DONE, device_id=1))
+        log.append(Event(time_s=6.0, kind=EventKind.REBOOT_DONE, device_id=1))
+        with pytest.raises(ValueError, match="time order"):
+            log.record(5.5, EventKind.FAULT_SDC, 2, {})
+        assert [e.time_s for e in log] == [5.0, 6.0]
+
+    def test_row_built_events_equal_eager_ones(self):
+        eager = [
+            Event(time_s=1.0, kind=EventKind.FAULT_THROTTLE, device_id=3,
+                  detail={"duration_s": 900.0}),
+            Event(time_s=1.0, kind=EventKind.FAULT_DEADLOCK, device_id=1),
+            Event(time_s=2.5, kind=EventKind.SLO_AT_RISK,
+                  detail={"wedged": 2.0, "utilization": 0.9}),
+            Event(time_s=4.0, kind=EventKind.FAULT_DEADLOCK, device_id=3),
+        ]
+        appended = EventLog()
+        rows = EventLog()
+        for event in eager[:2]:
+            appended.append(event)
+            rows.record(event.time_s, event.kind, event.device_id,
+                        dict(event.detail))
+        assert list(rows) == eager[:2]
+        for event in eager[2:]:
+            appended.append(event)
+            rows.record(event.time_s, event.kind, event.device_id,
+                        dict(event.detail))
+        first = list(rows)
+        assert first == eager and len(rows) == 4
+        assert all(a is b for a, b in zip(first, rows))
+        assert rows[2] is first[2] and rows[-1] == eager[-1]
+        assert rows.to_jsonable() == appended.to_jsonable()
+        assert rows.of_kind(EventKind.FAULT_DEADLOCK) == [eager[1], eager[3]]
+        assert rows.of_kind(EventKind.FAULT_DEADLOCK, EventKind.SLO_AT_RISK) == (
+            eager[1:]
+        )
+        assert rows.first_of_kind(EventKind.SLO_AT_RISK) is first[2]
+        assert rows.first_of_kind(EventKind.ROLLOUT_DONE) is None
+        assert rows.for_device(3) == [eager[0], eager[3]]
+        assert rows.timeline() == appended.timeline()
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +567,23 @@ class TestSection55Arc:
         assert digest == (
             "6616ceebc1454f97077fc7acf81fca07eab475592ca62d8a9a1cf9ff04dac462"
         )
+
+    def test_intervals_hold_under_compensated_sum(self, drill):
+        # Python 3.12's builtin ``sum`` is compensated; shadowing it with
+        # ``math.fsum`` in the modules that compute intervals and
+        # downtime shows any float sum left to it on every interpreter.
+        with mock.patch.object(metrics_module, "sum", math.fsum, create=True), \
+                mock.patch.object(device_module, "sum", math.fsum, create=True):
+            again = run_section_55_drill(seed=0)
+        def digest(report):
+            series = [dataclasses.astuple(m) for m in report.intervals]
+            return hashlib.sha256(repr(series).encode()).hexdigest()
+
+        for arm, base in ((again.baseline, drill.baseline),
+                          (again.mitigated, drill.mitigated)):
+            assert digest(arm) == digest(base)
+            assert (arm.unavailability_device_minutes.hex()
+                    == base.unavailability_device_minutes.hex())
 
     def test_different_seed_different_schedule(self, drill):
         other = run_section_55_drill(seed=1, duration_days=30)

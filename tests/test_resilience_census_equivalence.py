@@ -3,18 +3,21 @@
 ``ResilienceSimulator`` keeps a :class:`PoolCensus` live by routing
 every lifecycle change through ``_transition``, and each metrics tick
 reads that census.  The oracle is the per-tick scan it replaced, kept
-here verbatim (``scan_evaluate_interval``): after every dispatched
-event the live census must equal ``PoolCensus.of(devices)`` with a
+here (``scan_evaluate_interval``): after every dispatched event the
+live census must equal ``PoolCensus.of(devices)`` with a
 ``live_scale`` bit-equal to the scan's sum, and every interval the
-simulator records must equal the scan's, field by field.
+simulator records must equal the scan's, field by field.  Events carry
+bound handlers, so the tests wrap every ``_on_*`` handler of the
+simulator instance before the run.
 
 Windows are short and fault rates inflated, so wedges, degrades,
 degrade-ends, drains, reboots and rollout waves all occur; degraded
 scales are non-dyadic, so a different summation order shows up as a
 different float.  Python 3.11's builtin ``sum`` is itself a plain
-left-to-right loop, so the tests shadow ``sum`` in the device module
-with ``math.fsum`` to stand in for the compensated sum of Python 3.12+
-on every interpreter.
+left-to-right loop, so the tests shadow ``sum`` in the device and
+metrics modules with ``math.fsum`` to stand in for the compensated sum
+of Python 3.12+ on every interpreter; the oracle's own sums are
+explicit loops.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resilience import device as device_module
+from repro.resilience import metrics as metrics_module
 from repro.resilience import (
     Device,
     DeviceState,
@@ -93,7 +97,9 @@ def scan_evaluate_interval(
     # Each attempt independently lands on a wedged replica w.p. p_bad
     # (routers that exclude the failed instance do slightly better; this
     # is the conservative bound).
-    retry_amplification = sum(p_bad**k for k in range(max_attempts))
+    retry_amplification = 0.0
+    for k in range(max_attempts):
+        retry_amplification += p_bad**k
     failed_fraction = p_bad**max_attempts
     if policies.hedge is not None:
         # A hedge fires for every wedged-routed first attempt plus the
@@ -182,12 +188,10 @@ def scan_evaluate_interval(
 
 @contextlib.contextmanager
 def compensated_builtin_sum():
-    """Make a builtin ``sum`` in the device module round like 3.12+.
-
-    Only ``Device.downtime_seconds`` calls ``sum`` there today, and no
-    test here reads the unavailability it feeds.
-    """
-    with mock.patch.object(device_module, "sum", math.fsum, create=True):
+    """Make a builtin ``sum`` in the device and metrics modules round
+    like 3.12+ (neither calls one today)."""
+    with mock.patch.object(device_module, "sum", math.fsum, create=True), \
+            mock.patch.object(metrics_module, "sum", math.fsum, create=True):
         yield
 
 
@@ -253,21 +257,21 @@ def run_checked(config, rates, policies):
     Returns the report and the set of ``(old, new)`` transitions seen.
     """
     sim = ResilienceSimulator(config, rates=rates, policies=policies)
-    dispatch = sim._dispatch
     transition = sim._transition
     seen = set()
+    ticks_checked = []
 
     def checked_transition(device, state, time_s):
         seen.add((device.state, state))
         transition(device, state, time_s)
 
-    def checked_dispatch(time_s, kind, device_id, payload):
-        dispatch(time_s, kind, device_id, payload)
+    def check_after(time_s, is_tick):
         live = sim._census
         assert live == PoolCensus.of(sim._devices)
         oracle_scale = scan_live_scale(sim._devices)
         assert live.live_scale.hex() == oracle_scale.hex()
-        if kind == "metrics":
+        if is_tick:
+            ticks_checked.append(time_s)
             metrics = sim._intervals[-1]
             oracle = scan_evaluate_interval(
                 now_s=time_s,
@@ -286,9 +290,22 @@ def run_checked(config, rates, policies):
                 assert type(got) is type(want), field.name
                 assert repr(got) == repr(want), (field.name, got, want)
 
+    def checked(name):
+        handler = getattr(sim, name)
+
+        def checked_handler(time_s, *args):
+            handler(time_s, *args)
+            check_after(time_s, name == "_on_metrics")
+
+        return checked_handler
+
     sim._transition = checked_transition
-    sim._dispatch = checked_dispatch
-    return sim.run(), seen
+    for name in dir(ResilienceSimulator):
+        if name.startswith("_on_"):
+            setattr(sim, name, checked(name))
+    report = sim.run()
+    assert ticks_checked == [m.time_s for m in report.intervals]
+    return report, seen
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,7 +364,6 @@ def test_census_of_counts_every_state():
     }
     assert census.scales == [1.0, 0.3, 0.0, 0.0, 1.0]
     assert census.live_scale == scan_live_scale(devices)
-    old = devices[3].state
-    devices[3].transition(DeviceState.REBOOTING, 2.0)
-    census.moved(devices[3], old)
+    census.transition(devices[3], DeviceState.REBOOTING, 2.0)
     assert census == PoolCensus.of(devices)
+    assert devices[3].state_seconds[DeviceState.DRAINING] == 1.0
