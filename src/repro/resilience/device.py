@@ -16,10 +16,9 @@ until enough health checks fail to drain it.  The state machine tracks
 that distinction (:attr:`Device.in_rotation` vs :attr:`Device.serving`)
 plus per-state residency time for the unavailability accounting.
 
-:meth:`Device.transition` moves a standalone device.  The simulator moves
-its pool's devices with :meth:`PoolCensus.transition`, which makes the
-same legality check and residency accrual and updates the live census
-in the same step.
+:meth:`Device.transition` holds the lifecycle rules.  The simulator moves
+its pool's devices through :meth:`PoolCensus.transition`, which calls it
+and then updates the live census.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ _DOWN_STATES = (DeviceState.WEDGED, DeviceState.DRAINING, DeviceState.REBOOTING)
 
 class TransitionError(RuntimeError):
     """An illegal lifecycle transition was attempted."""
-
-
-def _illegal(device: "Device", new_state: DeviceState) -> TransitionError:
-    return TransitionError(
-        f"device {device.device_id}: illegal transition "
-        f"{device.state.value} -> {new_state.value}"
-    )
 
 
 @dataclasses.dataclass
@@ -130,7 +122,10 @@ class Device:
         """Move to ``new_state``, validating legality and accruing the
         residency time of the state being left."""
         if (self.state, new_state) not in _ALLOWED:
-            raise _illegal(self, new_state)
+            raise TransitionError(
+                f"device {self.device_id}: illegal transition "
+                f"{self.state.value} -> {new_state.value}"
+            )
         self._accrue(now_s)
         self.state = new_state
         self.state_entered_s = now_s
@@ -190,19 +185,11 @@ class PoolCensus:
         return cls(counts, scales)
 
     def transition(self, device: Device, state: DeviceState, now_s: float) -> None:
-        """Move ``device`` to ``state`` as :meth:`Device.transition` does
-        and update the census, in one step: the simulator makes one of
-        these per lifecycle change, so it is kept to a single call."""
+        """Move ``device`` to ``state`` with :meth:`Device.transition` and
+        update the census to match, so the simulator makes one call per
+        lifecycle change."""
         old_state = device.state
-        if (old_state, state) not in _ALLOWED:
-            raise _illegal(device, state)
-        elapsed = now_s - device.state_entered_s
-        if elapsed > 0.0:
-            device.state_seconds[old_state] += elapsed
-        device.state = state
-        device.state_entered_s = now_s
-        if state is DeviceState.HEALTHY:
-            device.consecutive_health_failures = 0
+        device.transition(state, now_s)
         counts = self.counts
         counts[old_state] -= 1
         counts[state] += 1
