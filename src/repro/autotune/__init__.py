@@ -9,7 +9,6 @@ from repro.autotune.kernel_tuner import (
     compare_tuners,
     exhaustive_tune,
     measure_variant,
-    surrogate_tune,
 )
 from repro.autotune.placement import tune_placement
 from repro.autotune.sharding import plan_sharding, required_shards
@@ -24,7 +23,6 @@ __all__ = [
     "measure_variant",
     "plan_sharding",
     "required_shards",
-    "surrogate_tune",
     "tune_batch_size",
     "tune_coalescing",
     "tune_placement",

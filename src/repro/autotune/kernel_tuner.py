@@ -10,26 +10,23 @@ of exhaustive FC tuning."
 
 The tuner below implements both paths against the same kernel cost
 model, so the speedup and the quality gap are measured quantities.
+The cost model is a closed form that prices all 1,152 catalog variants
+of a shape in tens of milliseconds, so the exact exhaustive pass is the
+gold standard and no learned predictor stands in front of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.specs import ChipSpec
-from repro.fastsim.memo import KernelLatencyMemo
 from repro.kernels.gemm import GemmVariant, default_variants, estimate_gemm
-from repro.obs.metrics import MetricsRegistry, active
-from repro.surrogate.verify import verified_argmin
 from repro.tensors.dtypes import DType
 from repro.tensors.tensor import GemmShape
-
-if TYPE_CHECKING:
-    from repro.surrogate.model import GemmSurrogate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,105 +44,36 @@ def measure_variant(
     variant: GemmVariant,
     chip: ChipSpec,
     dtype: DType = DType.FP16,
-    memo: Optional[KernelLatencyMemo] = None,
 ) -> float:
     """Kernel time for one (shape, variant) point.
 
     This is the tuner's 'run the kernel and time it' primitive; in this
-    library it evaluates the kernel cost model.  Passing a ``memo``
-    (bound to the same ``chip``) caches evaluations across a tuning run:
-    the cost model is pure in (shape, dtype, variant, chip), so the
-    memoized value is the recomputed value, and tuning outcomes are
-    unchanged — only duplicate evaluations are skipped.
+    library it evaluates the kernel cost model.
     """
-    if memo is not None:
-        if memo.chip is not chip:
-            raise ValueError("memo is bound to a different chip instance")
-        return memo.measure(shape, variant, dtype)
-    estimate = estimate_gemm(shape, chip, dtype, variant)
-    return estimate.engine_time_s
+    return estimate_gemm(shape, chip, dtype, variant).engine_time_s
 
 
 def exhaustive_tune(
     shape: GemmShape,
     chip: ChipSpec,
     variants: Optional[List[GemmVariant]] = None,
-    memo: Optional[KernelLatencyMemo] = None,
 ) -> TuningResult:
-    """Measure every variant at FP16 and keep the best — the slow gold
-    standard.
-
-    ``evaluations`` counts cost-model invocations *requested* — the
-    tuner's work metric — whether or not a ``memo`` short-circuited any
-    of them.
-    """
+    """Measure every variant at FP16 and keep the best (the first on a
+    tie) — the slow gold standard.  ``evaluations`` counts cost-model
+    invocations, the tuner's work metric."""
     variants = variants if variants is not None else default_variants()
     if not variants:
         raise ValueError("need at least one variant")
     best_variant = None
     best_time = math.inf
     for variant in variants:
-        t = measure_variant(shape, variant, chip, DType.FP16, memo=memo)
+        t = measure_variant(shape, variant, chip)
         if t < best_time:
             best_time = t
             best_variant = variant
     return TuningResult(
         shape=shape, variant=best_variant, kernel_time_s=best_time,
         evaluations=len(variants),
-    )
-
-
-def surrogate_tune(
-    shape: GemmShape,
-    chip: ChipSpec,
-    surrogate: "GemmSurrogate",
-    variants: Optional[List[GemmVariant]] = None,
-    dtype: DType = DType.FP16,
-    top_k: int = 16,
-    memo: Optional[KernelLatencyMemo] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> TuningResult:
-    """Verified surrogate tuning: predict all, exact-measure the top-k.
-
-    The surrogate's factorized sweep ranks the whole variant catalog at
-    ~100x less than one exact evaluation *per variant*; the exact cost
-    model then re-measures only the predicted ``top_k`` and the argmin
-    over those exact values wins (soundness:
-    :func:`repro.surrogate.verify.verified_argmin` — the returned
-    ``kernel_time_s`` is always an exact evaluation, never a
-    prediction).  ``evaluations`` counts exact cost-model invocations,
-    matching the other tuners' work metric; surrogate predictions are
-    tallied separately under ``surrogate.kernel.*`` on an attached
-    registry.
-    """
-    if surrogate.chip is not chip:
-        raise ValueError("surrogate is bound to a different chip instance")
-    if surrogate.dtype is not dtype:
-        raise ValueError(
-            f"surrogate was trained for {surrogate.dtype}, not {dtype}"
-        )
-    variants = variants if variants is not None else default_variants()
-    if not variants:
-        raise ValueError("need at least one variant")
-    ranking = surrogate.rank_variants((shape.m, shape.k, shape.n), variants)
-    result = verified_argmin(
-        ranking,
-        lambda i: measure_variant(shape, variants[i], chip, dtype, memo=memo),
-        top_k=min(top_k, len(variants)),
-    )
-    obs = active(registry)
-    if obs.enabled:
-        obs.counter("surrogate.kernel.predictions").inc(
-            result.surrogate_evaluations
-        )
-        obs.counter("surrogate.kernel.exact_evals").inc(
-            result.exact_evaluations
-        )
-    return TuningResult(
-        shape=shape,
-        variant=variants[result.best_index],
-        kernel_time_s=result.best_value,
-        evaluations=result.exact_evaluations,
     )
 
 
@@ -210,15 +138,14 @@ def ann_tune(
     shape: GemmShape,
     chip: ChipSpec,
     database: PerformanceDatabase,
-    memo: Optional[KernelLatencyMemo] = None,
 ) -> TuningResult:
     """Pick an FP16 variant by ANN lookup: one neighbour probe plus a
     single validation measurement — versus hundreds for exhaustive
     search."""
     neighbour = database.nearest(shape)
     if neighbour is None:
-        return exhaustive_tune(shape, chip, memo=memo)
-    t = measure_variant(shape, neighbour.variant, chip, DType.FP16, memo=memo)
+        return exhaustive_tune(shape, chip)
+    t = measure_variant(shape, neighbour.variant, chip)
     return TuningResult(shape=shape, variant=neighbour.variant, kernel_time_s=t, evaluations=1)
 
 
@@ -245,29 +172,17 @@ def compare_tuners(
 ) -> TunerComparison:
     """Build an FP16 database from ``training_shapes``, answer
     ``query_shapes`` via ANN, and compare against exhaustive tuning of
-    the queries.
-
-    One :class:`~repro.fastsim.memo.KernelLatencyMemo` and one variant
-    list span the whole comparison, so a (shape, variant) point shared
-    between the gold exhaustive pass and the ANN validation probe is
-    costed once; evaluation *counts* (the paper's tuning-time metric)
-    still tally every requested measurement.
-    """
+    the queries."""
     database = PerformanceDatabase()
-    memo = KernelLatencyMemo(chip)
     variants = default_variants()
     for shape in training_shapes:
-        database.add(
-            exhaustive_tune(shape, chip, variants=variants, memo=memo)
-        )
+        database.add(exhaustive_tune(shape, chip, variants=variants))
     exhaustive_evals = 0
     ann_evals = 0
     gaps: List[float] = []
     for shape in query_shapes:
-        gold = exhaustive_tune(
-            shape, chip, variants=variants, memo=memo
-        )
-        approx = ann_tune(shape, chip, database, memo=memo)
+        gold = exhaustive_tune(shape, chip, variants=variants)
+        approx = ann_tune(shape, chip, database)
         exhaustive_evals += gold.evaluations
         ann_evals += approx.evaluations
         if gold.kernel_time_s > 0:

@@ -21,7 +21,6 @@ from repro.autotune.kernel_tuner import (
     ann_tune,
     exhaustive_tune,
 )
-from repro.fastsim.memo import KernelLatencyMemo
 from repro.autotune.placement import PlacementDecision, tune_placement
 from repro.autotune.sharding import ShardPlan, plan_sharding
 from repro.graph.graph import OpGraph
@@ -93,7 +92,6 @@ def autotune_model(
         started = time.perf_counter()
 
     database = kernel_database if kernel_database is not None else PerformanceDatabase()
-    memo = KernelLatencyMemo(chip)  # one latency table per tuning pass
     final_graph = build_graph(placement.batch)
     variants: Dict[str, TuningResult] = {}
     seen_shapes: Dict[GemmShape, TuningResult] = {}
@@ -107,10 +105,10 @@ def autotune_model(
             variants[op.name] = seen_shapes[shape]
             continue
         if len(database):
-            result = ann_tune(shape, chip, database, memo=memo)
+            result = ann_tune(shape, chip, database)
             ann_hits.inc()
         else:
-            result = exhaustive_tune(shape, chip, memo=memo)
+            result = exhaustive_tune(shape, chip)
             database.add(result)
         measurements.inc(result.evaluations)
         seen_shapes[shape] = result

@@ -23,8 +23,6 @@ Commands:
   capacity study (hosts per region to serve N million users at the P99
   SLO through a full region outage), probe-driven failover with
   capacity spill versus the undefended baseline
-* ``surrogate``  — train the GEMM kernel surrogate and run verified
-  kernel tuning against the exhaustive exact search
 * ``codesign``   — run the automated model-chip co-design search: seeded
   annealing over the chip design space, surrogate-guided halving rungs,
   and the exact-evaluated Perf / Perf-per-TCO / Perf-per-Watt Pareto
@@ -57,7 +55,7 @@ _LLMS = {
 
 # The CI subset: fast enough for every push, still covering the headline
 # claims (kernel efficiency, serving consolidation, SDC ladder, cluster
-# capacity, time-domain power).
+# capacity, time-domain power, ANN kernel tuning).
 _SMOKE_BENCHMARKS = (
     "test_sec33_gemm_efficiency.py",
     "test_fig5_tbe_consolidation.py",
@@ -66,7 +64,7 @@ _SMOKE_BENCHMARKS = (
     "test_sec52_sec53_power.py",
     "test_sec5_chaos.py",
     "test_sec5_fleet.py",
-    "test_sec41_surrogate.py",
+    "test_sec41_autotune.py",
     "test_sec6_codesign.py",
 )
 
@@ -446,90 +444,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0 if healthy else 1
 
 
-_SURROGATE_QUERY_SHAPES = (
-    (700, 1700, 800),
-    (3000, 600, 2000),
-    (512, 26592, 2048),
-    (150, 300, 150),
-    (4096, 2048, 1024),
-)
-
-
-def cmd_surrogate(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.autotune import exhaustive_tune, measure_variant, surrogate_tune
-    from repro.kernels.gemm import default_variants
-    from repro.obs.metrics import MetricsRegistry
-    from repro.surrogate import train_gemm_surrogate
-    from repro.tensors.tensor import GemmShape
-
-    chip = mtia2i_spec()
-    samples = 1500 if args.smoke else args.samples
-    print(f"training GEMM surrogate: {samples} sampled (shape, variant) "
-          f"points, seed {args.seed}")
-    started = time.perf_counter()
-    surrogate, reports = train_gemm_surrogate(
-        chip, n_samples=samples, seed=args.seed,
-        include_energy=not args.smoke,
-    )
-    train_s = time.perf_counter() - started
-    print(f"{'target':>8}  {'rows':>6}  {'MAPE':>7}  {'P95 rel':>8}  "
-          f"{'max rel':>8}")
-    for target, report in sorted(reports.items()):
-        print(f"{target:>8}  {report.n_train + report.n_holdout:6d}  "
-              f"{report.mape_holdout:7.2%}  "
-              f"{report.p95_rel_error_holdout:8.2%}  "
-              f"{report.max_rel_error_holdout:8.2%}")
-    print(f"trained in {train_s:.2f} s")
-
-    variants = default_variants()
-    registry = MetricsRegistry()
-    print(f"\nverified tuning, {len(variants)} variants, "
-          f"top-{args.top_k} exact re-measure:")
-    matches = 0
-    for mkn in _SURROGATE_QUERY_SHAPES:
-        shape = GemmShape(*mkn)
-        gold = exhaustive_tune(shape, chip, variants=variants)
-        result = surrogate_tune(
-            shape, chip, surrogate, variants=variants,
-            top_k=args.top_k, registry=registry,
-        )
-        match = abs(result.kernel_time_s - gold.kernel_time_s) <= (
-            1e-12 * gold.kernel_time_s
-        )
-        matches += match
-        print(f"  {str(mkn):>20}  exact {gold.kernel_time_s * 1e6:8.2f} us  "
-              f"verified {result.kernel_time_s * 1e6:8.2f} us  "
-              f"{'match' if match else 'MISS'}  "
-              f"({result.evaluations} vs {gold.evaluations} exact evals)")
-    print(f"argmin recovered on {matches}/{len(_SURROGATE_QUERY_SHAPES)} "
-          f"query shapes; {len(variants) / args.top_k:.0f}x fewer exact "
-          f"evaluations per shape")
-
-    if not args.smoke:
-        shapes = [GemmShape(*mkn) for mkn in _SURROGATE_QUERY_SHAPES]
-        started = time.perf_counter()
-        for shape in shapes:
-            for variant in variants:
-                measure_variant(shape, variant, chip)
-        exact_s = time.perf_counter() - started
-        mkns = [(s.m, s.k, s.n) for s in shapes]
-        surrogate.predict_time_grid(mkns, variants)  # warm variant cache
-        fast_s = float("inf")
-        for _ in range(5):
-            started = time.perf_counter()
-            surrogate.predict_time_grid(mkns, variants)
-            fast_s = min(fast_s, time.perf_counter() - started)
-        points = len(shapes) * len(variants)
-        print(f"\nper-point cost over the {points}-point sweep: exact "
-              f"{exact_s / points * 1e6:.2f} us, surrogate "
-              f"{fast_s / points * 1e9:.1f} ns "
-              f"({exact_s / fast_s:.0f}x)")
-
-    return 0
-
-
 def cmd_codesign(args: argparse.Namespace) -> int:
     from repro.codesign import (
         SearchConfig,
@@ -813,20 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--detail", action="store_true",
                        help="print per-region detail at the verdict size")
     fleet.set_defaults(func=cmd_fleet)
-
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="train the GEMM kernel surrogate and run exact-verified "
-             "kernel tuning",
-    )
-    surrogate.add_argument("--smoke", action="store_true",
-                           help="small fixed-size training run for CI")
-    surrogate.add_argument("--samples", type=int, default=6000,
-                           help="training rows for the GEMM surrogate")
-    surrogate.add_argument("--top-k", type=int, default=16,
-                           help="exact re-measurements per verified tune")
-    surrogate.add_argument("--seed", type=int, default=0)
-    surrogate.set_defaults(func=cmd_surrogate)
 
     codesign = sub.add_parser(
         "codesign",

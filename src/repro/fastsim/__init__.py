@@ -1,9 +1,8 @@
 """Shared fast-simulation substrate (ROADMAP item 1).
 
 The hot engines — ``serving.scheduler``, ``cluster.simulator`` (and
-through it ``fleet_global`` and ``chaos``), ``resilience.simulator``,
-the ``sdc`` campaign loop, and ``autotune`` evaluation — all run on the
-pieces in this package:
+through it ``fleet_global`` and ``chaos``) and ``resilience.simulator``
+— run on the pieces in this package:
 
 - :mod:`repro.fastsim.engine`: the deterministic event queue the
   serving scheduler and the resilience simulator run on — a binary heap
@@ -11,8 +10,6 @@ pieces in this package:
   one total order, ``(time_s, tiebreak)``.  The cluster tier's own loop
   (:mod:`repro.cluster.event_loop`) keeps that order with a merged
   arrival stream and one local heap.
-- :mod:`repro.fastsim.memo`: memoized kernel-latency tables keyed on
-  (op, shape, dtype, frequency, variant).
 - :mod:`repro.fastsim.vectorize`: numpy vectorizations of per-request
   math that are *byte-identical* to the scalar loops they replace
   (same RNG draws in the same order, same float accumulation order).
@@ -26,11 +23,9 @@ parity against them.
 """
 
 from repro.fastsim.engine import EventEngine
-from repro.fastsim.memo import KernelLatencyMemo
 from repro.fastsim.vectorize import seeded_poisson_arrivals
 
 __all__ = [
     "EventEngine",
-    "KernelLatencyMemo",
     "seeded_poisson_arrivals",
 ]

@@ -29,7 +29,13 @@ _OP_IDS = itertools.count()
 
 
 class OpType(enum.Enum):
-    """Kinds of operators in the IR."""
+    """Kinds of operators in the IR.
+
+    Members hash by identity (they are singletons), so the executor's
+    dict lookups keyed on them stay in C.
+    """
+
+    __hash__ = object.__hash__
 
     FC = "fc"
     TBE = "tbe"

@@ -20,7 +20,13 @@ from repro.tensors.tensor import TensorSpec
 
 
 class Placement(enum.Enum):
-    """Where a tensor's home is during model execution."""
+    """Where a tensor's home is during model execution.
+
+    Members hash by identity (they are singletons), so the dict lookups
+    keyed on them stay in C.
+    """
+
+    __hash__ = object.__hash__
 
     LOCAL_MEMORY = "local_memory"  # distributed PE-local SRAM
     LLS = "lls"  # software-managed scratch (pinned, never evicted)

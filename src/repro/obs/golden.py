@@ -63,17 +63,6 @@ GOLDEN_SCALARS: Dict[str, Dict[str, Tuple[float, float]]] = {
         "mean_quality_gap": (0.0, 1.0),
         "best_fill_fraction": (0.8869534201826197, 0.02),
     },
-    "sec41_surrogate": {
-        # Learned surrogate over the exact kernel cost model: sub-1%
-        # holdout MAPE (band allows BLAS reduction-order drift), the
-        # verified top-16 recovering the exhaustive argmin on every
-        # section 4.1 query shape, and 1152/16 = 72x fewer exact
-        # evaluations per tuned shape.  The >=100x wall-clock speedup
-        # is asserted inside the benchmark, not pinned here.
-        "holdout_mape_latency": (0.004165515788359837, 0.5),
-        "verified_argmin_match": (1.0, 1e-9),
-        "eval_reduction": (72.0, 1e-9),
-    },
     "sec6_codesign": {
         # The co-design DSE acceptance shapes: every front point exact,
         # the MTIA 1 -> 2 generational step recovered as the sanity

@@ -17,8 +17,6 @@ from repro.perf.trace import summarize_trace, to_chrome_trace, write_chrome_trac
 from repro.perf.roofline import (
     attainable,
     dual_roofline,
-    ridge_point,
-    sram_cliff,
     sweep,
 )
 
@@ -38,8 +36,6 @@ __all__ = [
     "llama3_70b",
     "llama3_8b",
     "prefill_report",
-    "ridge_point",
-    "sram_cliff",
     "summarize_trace",
     "sweep",
     "to_chrome_trace",

@@ -38,13 +38,6 @@ def attainable(
     return min(peak_flops, intensity_flops_per_byte * bandwidth_bytes_per_s)
 
 
-def ridge_point(peak_flops: float, bandwidth_bytes_per_s: float) -> float:
-    """Intensity where the memory roof meets the compute roof."""
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError("bandwidth must be positive")
-    return peak_flops / bandwidth_bytes_per_s
-
-
 def dual_roofline(
     chip: ChipSpec,
     intensity_flops_per_byte: float,
@@ -77,15 +70,6 @@ def dual_roofline(
         attainable_flops=flops,
         bound=bound,
     )
-
-
-def sram_cliff(chip: ChipSpec, intensity_flops_per_byte: float) -> float:
-    """Slowdown factor between fully-SRAM-resident and fully-DRAM-resident
-    FP16 execution at a given intensity — the 'performance drops sharply
-    as models exceed the SRAM capacity' effect (section 3.6)."""
-    high = dual_roofline(chip, intensity_flops_per_byte, 1.0, DType.FP16).attainable_flops
-    low = dual_roofline(chip, intensity_flops_per_byte, 0.0, DType.FP16).attainable_flops
-    return high / low if low else float("inf")
 
 
 def sweep(chip: ChipSpec, intensities: List[float]) -> List[RooflinePoint]:

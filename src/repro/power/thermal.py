@@ -166,24 +166,10 @@ def mtia2i_thermal() -> ThermalNetwork:
     )
 
 
-def gpu_thermal() -> ThermalNetwork:
-    """The GPU baseline: far more sink mass, far lower resistance, and a
-    35 °C ambient."""
-    return ThermalNetwork(
-        stages=(
-            RcStage("die", heat_capacity_j_per_c=60.0, resistance_c_per_w=0.030),
-            RcStage("spreader", heat_capacity_j_per_c=400.0, resistance_c_per_w=0.025),
-            RcStage("heatsink", heat_capacity_j_per_c=2500.0, resistance_c_per_w=0.045),
-        ),
-        ambient_c=35.0,
-    )
-
-
 __all__ = [
     "RcStage",
     "THROTTLE_LIMIT_C",
     "THROTTLE_TARGET_C",
     "ThermalNetwork",
-    "gpu_thermal",
     "mtia2i_thermal",
 ]

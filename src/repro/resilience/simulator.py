@@ -141,6 +141,8 @@ class ResilienceSimulator:
         self._rollout_started = False
         self._rollout_done = False
         self._patch_scheduled: set = set()
+        # Kept where ``patched`` flips, so the rollout-done check is O(1).
+        self._unpatched = sum(not d.patched for d in self._devices.values())
         self._last_shedding = False
         self._last_tick_s = 0.0
 
@@ -309,13 +311,15 @@ class ResilienceSimulator:
         self._transition(device, DeviceState.HEALTHY, time_s)
         self._degrade_until.pop(device.device_id, None)
         if patch:
-            device.patched = True
+            if not device.patched:
+                device.patched = True
+                self._unpatched -= 1
             self._emit(time_s, EventKind.DEVICE_PATCHED, device.device_id)
         self._emit(time_s, EventKind.REBOOT_DONE, device.device_id)
         if (
             self._rollout_started
             and not self._rollout_done
-            and all(d.patched for d in self._devices.values())
+            and not self._unpatched
         ):
             self._rollout_done = True
             self._emit(time_s, EventKind.ROLLOUT_DONE)

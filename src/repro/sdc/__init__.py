@@ -21,7 +21,6 @@ from repro.sdc.detectors import (
     abft_activation_checksum,
     abft_col_check,
     abft_overhead_fraction,
-    abft_row_check,
     abft_weight_checksum,
     accumulator_bound,
     hash_rows,
@@ -51,7 +50,6 @@ __all__ = [
     "abft_activation_checksum",
     "abft_col_check",
     "abft_overhead_fraction",
-    "abft_row_check",
     "abft_weight_checksum",
     "accumulator_bound",
     "expected_blast_window_s",

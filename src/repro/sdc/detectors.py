@@ -169,16 +169,6 @@ def abft_col_check(
     )
 
 
-def abft_row_check(
-    acc: np.ndarray, x_values: np.ndarray, w_checksum: np.ndarray
-) -> bool:
-    """``(XW)1 == X(W1)`` with the publish-time weight checksum — catches
-    weight-memory and accumulator corruption."""
-    return bool(
-        np.array_equal(acc.sum(axis=1), x_values.astype(np.int64) @ w_checksum)
-    )
-
-
 def abft_overhead_fraction(m: int, k: int, n: int) -> float:
     """Extra MACs/adds of the two checksum identities relative to the
     ``m*k*n`` MACs of the protected GEMM.

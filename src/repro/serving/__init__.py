@@ -15,7 +15,6 @@ from repro.serving.workload import (
     diurnal_load_curve,
     diurnal_poisson_stream,
     poisson_stream,
-    replay_stream,
     with_priorities,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "max_throughput_under_slo",
     "queueing_delay_factor",
     "poisson_stream",
-    "replay_stream",
     "schedule_batches",
     "simulate_serving",
     "with_priorities",

@@ -252,20 +252,3 @@ def diurnal_poisson_stream(
         Request(arrival_s=float(t), samples=int(s), request_id=i)
         for i, (t, s) in enumerate(zip(arrivals, sizes))
     ]
-
-
-def replay_stream(
-    inter_arrival_s: Sequence[float], samples: Sequence[int]
-) -> List[Request]:
-    """Build a request stream from recorded inter-arrival gaps — the
-    'traffic-replay tests' of section 4.1."""
-    if len(inter_arrival_s) != len(samples):
-        raise ValueError("gap and size traces must align")
-    requests = []
-    t = 0.0
-    for i, (gap, size) in enumerate(zip(inter_arrival_s, samples)):
-        if gap < 0:
-            raise ValueError("inter-arrival gaps must be non-negative")
-        t += gap
-        requests.append(Request(arrival_s=t, samples=int(size), request_id=i))
-    return requests

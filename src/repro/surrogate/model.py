@@ -17,34 +17,17 @@ Determinism is a contract, not an accident:
   arrays and predictions (property-tested in
   ``tests/test_surrogate_properties.py``).
 
-Targets are modelled in log2 space (latencies and energies
-span decades); error bands are always reported in *linear* space as
-relative errors (MAPE, P95) on a held-out split the fit never saw.
-
-:class:`GemmSurrogate` binds the stack to the GEMM feature space and
-adds the factorized sweep path: on a shapes x variants grid, shape-only
-and variant-only columns are scored once per axis value and only the 9
-cross columns are touched per point, so a depth-1 ensemble predicts in
-tens of nanoseconds per point — the >=100x-per-evaluation headroom over
-the exact kernel model that the sec41 surrogate benchmark pins.
+Targets are modelled in log2 space (latencies span decades); error
+bands are always reported in *linear* space as relative errors (MAPE,
+P95) on a held-out split the fit never saw.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.arch.specs import ChipSpec
-from repro.kernels.gemm import GemmVariant
-from repro.surrogate.features import (
-    GEMM_CROSS_SLICE,
-    GEMM_SHAPE_SLICE,
-    GEMM_VARIANT_SLICE,
-    GemmFeatureSpace,
-)
-from repro.tensors.dtypes import DType
 
 # Fit settings shared by every surrogate: the ridge penalty, the boosting
 # shrinkage, the split candidates per feature, and the smallest leaf.
@@ -81,8 +64,7 @@ class RidgeRegressor:
     """Closed-form ridge with internal standardization.
 
     Weights are folded back to raw feature space after the solve, so
-    prediction is a single mat-vec on unscaled features — the property
-    the factorized grid path depends on.
+    prediction is a single mat-vec on unscaled features.
     """
 
     def __init__(self, l2: float = 1e-3) -> None:
@@ -155,9 +137,8 @@ class BoostedStumps:
     Stumps are the 'small trees' of the stack: each round fits the
     current residual with the single best (feature, threshold) split
     over per-feature quantile candidates.  The whole ensemble evaluates
-    as one boolean mask matrix times a leaf-delta vector —
-    ``pred = base + (X[:, feats] <= thrs) @ deltas`` — which is why the
-    fast sweep path can afford dozens of rounds.
+    as one boolean mask matrix times a leaf-delta vector:
+    ``pred = base + (X[:, feats] <= thrs) @ deltas``.
     """
 
     def __init__(self, n_rounds: int = 24) -> None:
@@ -283,148 +264,8 @@ class SurrogateModel:
         return np.exp2(pred)
 
 
-# -- factorized GEMM binding ------------------------------------------
-
-
-def _partition_stumps(
-    stumps: BoostedStumps, col_slice: slice
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(local feature idx, thresholds, deltas) for stumps whose split
-    feature falls inside ``col_slice``."""
-    inside = (stumps.features >= col_slice.start) & (
-        stumps.features < col_slice.stop
-    )
-    return (
-        stumps.features[inside] - col_slice.start,
-        stumps.thresholds[inside].astype(np.float32),
-        stumps.deltas[inside].astype(np.float32),
-    )
-
-
-class _FactorizedStack:
-    """One SurrogateModel compiled for the grid fast path (float32)."""
-
-    def __init__(self, model: SurrogateModel) -> None:
-        if model.ridge.weights is None:
-            raise RuntimeError("model must be fitted first")
-        w = model.ridge.weights.astype(np.float32)
-        self.w_shape = w[GEMM_SHAPE_SLICE]
-        self.w_variant = w[GEMM_VARIANT_SLICE]
-        self.w_cross = w[GEMM_CROSS_SLICE]
-        self.bias = np.float32(model.ridge.intercept + model.stumps.base)
-        self.shape_stumps = _partition_stumps(model.stumps, GEMM_SHAPE_SLICE)
-        self.variant_stumps = _partition_stumps(
-            model.stumps, GEMM_VARIANT_SLICE
-        )
-        self.cross_stumps = _partition_stumps(model.stumps, GEMM_CROSS_SLICE)
-
-    @staticmethod
-    def _axis_score(
-        block: np.ndarray,
-        weights: np.ndarray,
-        stumps: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> np.ndarray:
-        score = block @ weights
-        feats, thrs, deltas = stumps
-        if len(feats):
-            score = score + (
-                (block[:, feats] <= thrs).astype(np.float32) @ deltas
-            )
-        return score
-
-    def grid(
-        self, shape_block: np.ndarray, variant_block: np.ndarray,
-        cross: np.ndarray,
-    ) -> np.ndarray:
-        """Model-space predictions over the (S, V) grid."""
-        s_score = self._axis_score(shape_block, self.w_shape, self.shape_stumps)
-        v_score = self._axis_score(
-            variant_block, self.w_variant, self.variant_stumps
-        )
-        flat = cross.reshape(-1, cross.shape[-1])
-        c_score = flat @ self.w_cross
-        feats, thrs, deltas = self.cross_stumps
-        if len(feats):
-            c_score = c_score + (
-                (flat[:, feats] <= thrs).astype(np.float32) @ deltas
-            )
-        out = c_score.reshape(cross.shape[:2])
-        out = out + s_score[:, None]
-        out = out + v_score[None, :]
-        return out + self.bias
-
-
-class GemmSurrogate:
-    """The kernel-latency (and optionally energy) surrogate.
-
-    Wraps a :class:`GemmFeatureSpace` and fitted
-    :class:`SurrogateModel` stacks; exposes the two prediction paths
-    the integrations use:
-
-    * :meth:`predict_time_grid` — factorized shapes x variants sweep,
-      the fast inner-loop path;
-    * :meth:`rank_variants` — predicted-ascending variant order for one
-      shape, feeding the verified top-k re-evaluation in
-      :func:`repro.autotune.kernel_tuner.surrogate_tune`.
-
-    Instances are plain numpy state and pickle cleanly.
-    """
-
-    def __init__(
-        self,
-        space: GemmFeatureSpace,
-        latency: SurrogateModel,
-        energy: Optional[SurrogateModel] = None,
-    ) -> None:
-        self.space = space
-        self.latency = latency
-        self.energy = energy
-        self._fast = _FactorizedStack(latency)
-
-    @property
-    def chip(self) -> ChipSpec:
-        return self.space.chip
-
-    @property
-    def dtype(self) -> DType:
-        return self.space.dtype
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_fast")
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._fast = _FactorizedStack(self.latency)
-
-    def predict_time_grid(
-        self,
-        shapes: Sequence[Tuple[int, int, int]],
-        variants: Sequence[GemmVariant],
-    ) -> np.ndarray:
-        """Predicted kernel seconds, shape (S, V), float32."""
-        sb, vb, cross = self.space.grid_blocks(shapes, variants)
-        pred = self._fast.grid(sb, vb, cross)
-        return np.exp2(pred)
-
-    def rank_variants(
-        self,
-        shape: Tuple[int, int, int],
-        variants: Sequence[GemmVariant],
-    ) -> np.ndarray:
-        """Variant indices sorted by predicted time, fastest first.
-
-        Stable sort: prediction ties resolve to the lower index, so the
-        ranking is a pure function of (shape, variants, model state).
-        """
-        times = self.predict_time_grid([shape], variants)[0]
-        return np.argsort(times, kind="stable")
-
-
 __all__ = [
     "BoostedStumps",
-    "GemmSurrogate",
     "RidgeRegressor",
     "SurrogateModel",
     "TrainReport",

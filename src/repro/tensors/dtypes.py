@@ -15,7 +15,13 @@ import numpy as np
 
 
 class DType(enum.Enum):
-    """An element type with a known storage width."""
+    """An element type with a known storage width.
+
+    Members hash by identity (they are singletons), so the dict lookups
+    keyed on them stay in C.
+    """
+
+    __hash__ = object.__hash__
 
     INT8 = "int8"
     UINT8 = "uint8"

@@ -11,8 +11,6 @@ checks the contracts every consumer relies on:
   order regardless of push order, and the cluster tier's
   ``injection_sort_key`` is permutation-invariant (any arrangement of
   the same injections sorts to one schedule);
-* memo transparency — a memoized kernel latency equals the recomputed
-  one, always, for any lookup sequence;
 * vectorization identity — ``seeded_poisson_arrivals`` produces the
   same floats AND the same final generator state as the scalar
   ``t += rng.exponential(...)`` loop it replaced, so any draw made
@@ -27,20 +25,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import mtia2i_spec
-from repro.autotune import measure_variant
 from repro.cluster.simulator import (
     INJECTION_KINDS,
     Injection,
     injection_sort_key,
 )
-from repro.fastsim import (
-    EventEngine,
-    KernelLatencyMemo,
-    seeded_poisson_arrivals,
-)
-from repro.kernels.gemm import default_variants
-from repro.tensors import DType, GemmShape
+from repro.fastsim import EventEngine, seeded_poisson_arrivals
 
 # Event times including exact duplicates (drawn times are rounded to
 # force collisions).
@@ -161,38 +151,6 @@ class TestInjectionOrdering:
                     INJECTION_KINDS.index(earlier.kind)
                     <= INJECTION_KINDS.index(later.kind)
                 )
-
-
-gemm_dims = st.integers(min_value=1, max_value=4096)
-
-
-class TestMemoTransparency:
-    @given(
-        m=gemm_dims, k=gemm_dims, n=gemm_dims,
-        variant_indices=st.lists(
-            st.integers(min_value=0, max_value=31), min_size=1, max_size=8
-        ),
-        dtype=st.sampled_from((DType.FP16, DType.INT8)),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_memoized_equals_recomputed(
-        self, m, k, n, variant_indices, dtype
-    ):
-        chip = mtia2i_spec()
-        memo = KernelLatencyMemo(chip)
-        shape = GemmShape(m, k, n)
-        variants = default_variants()
-        for index in variant_indices:
-            variant = variants[index % len(variants)]
-            bare = measure_variant(shape, variant, chip, dtype)
-            # Twice through the memo: the miss then the hit.
-            assert measure_variant(
-                shape, variant, chip, dtype, memo=memo
-            ) == bare
-            assert measure_variant(
-                shape, variant, chip, dtype, memo=memo
-            ) == bare
-        assert memo.hits >= len(variant_indices)
 
 
 class TestVectorizedArrivals:

@@ -44,8 +44,7 @@ class TestFreshness:
 @pytest.mark.parametrize(
     "script",
     ["quickstart.py", "llm_feasibility.py", "capacity_planning.py",
-     "sdc_campaign.py", "fleet_failover.py", "surrogate_sweep.py",
-     "codesign_search.py"],
+     "sdc_campaign.py", "fleet_failover.py", "codesign_search.py"],
 )
 def test_fast_examples_run(script):
     """The quick examples execute cleanly end to end (the slow journey

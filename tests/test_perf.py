@@ -24,11 +24,8 @@ from repro.perf import (
     llama3_70b,
     llama3_8b,
     prefill_report,
-    ridge_point,
-    sram_cliff,
     sweep,
 )
-from repro.tensors import DType
 from repro.tensors.tensor import stable_uid_scope
 from repro.units import MiB
 
@@ -124,22 +121,11 @@ class TestRoofline:
         assert attainable(10, peak_flops=100, bandwidth_bytes_per_s=5) == 50
         assert attainable(1000, peak_flops=100, bandwidth_bytes_per_s=5) == 100
 
-    def test_ridge_point(self):
-        chip = mtia2i_spec()
-        ridge_sram = ridge_point(chip.peak_gemm_flops(DType.FP16), chip.sram.bandwidth_bytes_per_s)
-        ridge_dram = ridge_point(chip.peak_gemm_flops(DType.FP16), chip.dram.bandwidth_bytes_per_s)
-        assert ridge_dram > 10 * ridge_sram
-
     def test_sram_13x_bandwidth_gap(self):
         """Section 3.6: SRAM offers ~13x LPDDR's bandwidth."""
         chip = mtia2i_spec(ecc_enabled=False)
         gap = chip.sram.bandwidth_bytes_per_s / chip.dram.bandwidth_bytes_per_s
         assert gap == pytest.approx(13.2, rel=0.05)
-
-    def test_sram_cliff_is_steep(self):
-        """Performance drops sharply when the working set spills to DRAM."""
-        cliff = sram_cliff(mtia2i_spec(), intensity_flops_per_byte=100)
-        assert cliff > 5
 
     def test_dual_roofline_bounds(self):
         chip = mtia2i_spec()

@@ -9,6 +9,8 @@ from unittest import mock
 
 import pytest
 
+from repro.graph.ops import OpType
+from repro.memory.hierarchy import Placement
 from repro.reliability import emergency_rollout, typical_rollout
 from repro.resilience import (
     Device,
@@ -41,6 +43,7 @@ from repro.resilience.policies import (
 from repro.resilience import device as device_module
 from repro.resilience import metrics as metrics_module
 from repro.resilience.scenario import section_55_policies
+from repro.tensors.dtypes import DType
 from repro.units import GHZ
 
 import numpy as np
@@ -133,9 +136,16 @@ class TestDeviceLifecycle:
         assert sim._census.counts[DeviceState.WEDGED] == 1
 
     def test_enum_members_survive_pickle(self):
-        members = list(DeviceState) + list(EventKind)
+        # The resilience enums and the executor tier's enums all hash by
+        # identity; a pickled member must come back as the same object
+        # and find its own dict entry.
+        members = (
+            list(DeviceState) + list(EventKind)
+            + list(OpType) + list(DType) + list(Placement)
+        )
         index = {member: i for i, member in enumerate(members)}
         for i, member in enumerate(members):
+            assert type(member).__hash__ is object.__hash__
             clone = pickle.loads(pickle.dumps(member))
             assert clone is member
             assert index[clone] == i

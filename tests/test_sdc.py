@@ -23,7 +23,6 @@ from repro.sdc import (
     abft_activation_checksum,
     abft_col_check,
     abft_overhead_fraction,
-    abft_row_check,
     abft_weight_checksum,
     accumulator_bound,
     expected_blast_window_s,
@@ -92,6 +91,14 @@ class TestEccWordChannel:
         assert result.data == expected
         assert result.outcome == "silent"
         assert read_word_unprotected(self.WORD, ()).outcome == "clean"
+
+
+def abft_row_check(acc, x_values, w_checksum):
+    """``(XW)1 == X(W1)`` with the publish-time weight checksum: the
+    row identity the serving pipeline checks inline."""
+    return bool(
+        np.array_equal(acc.sum(axis=1), x_values.astype(np.int64) @ w_checksum)
+    )
 
 
 class TestAbft:

@@ -15,7 +15,6 @@ from repro.serving import (
     diurnal_load_curve,
     max_throughput_under_slo,
     poisson_stream,
-    replay_stream,
     schedule_batches,
     simulate_serving,
 )
@@ -39,10 +38,6 @@ class TestWorkload:
     def test_diurnal_curve_peak_to_mean(self):
         curve = diurnal_load_curve(1000, peak_to_mean=2.2, noise=0.0)
         assert np.max(curve) / np.mean(curve) == pytest.approx(2.2, rel=0.35)
-
-    def test_replay_stream(self):
-        requests = replay_stream([0.1, 0.2, 0.3], [10, 20, 30])
-        assert [r.arrival_s for r in requests] == pytest.approx([0.1, 0.3, 0.6])
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
