@@ -4,8 +4,8 @@ The stack is a ridge regression plus small gradient-boosted trees over
 the analytic features from :mod:`repro.surrogate.features` — the
 NeuroScalar-style split: the ridge captures the roofline structure the
 features expose, the boosted trees mop up the piecewise corrections the
-exact models apply (pipeline efficiency, issue amortization,
-double-buffer overlap) that a linear model cannot bend around.
+exact executor applies (pipeline overlap, scheduling, TBE behaviour)
+that a linear model cannot bend around.
 
 Determinism is a contract, not an accident:
 
