@@ -8,7 +8,8 @@ Exercises the serving-side machinery the paper's sections 3.4, 4.1, 5.3,
 * allocate models NUMA-aware across a 24-accelerator Grand Teton server;
 * co-locate a full server of low-complexity models and watch host DRAM
   become the bottleneck without the paper's copy-elimination work;
-* re-derive the rack power budget with the P90 methodology.
+* re-derive the rack power budget with the P90 methodology from a
+  simulated production window.
 
 Run:  python examples/serving_fleet.py
 """
@@ -16,7 +17,7 @@ Run:  python examples/serving_fleet.py
 from repro.arch import mtia2i_server
 from repro.autotune import tune_coalescing
 from repro.fleet import NumaAllocator
-from repro.reliability import provisioning_study
+from repro.power import time_domain_provisioning
 from repro.serving import (
     CoalescingConfig,
     ModelJobProfile,
@@ -106,7 +107,7 @@ def main() -> None:
         )
 
     print("\n5) power provisioning (section 5.3)")
-    outcome = provisioning_study(server)
+    outcome = time_domain_provisioning()
     print(f"   initial stress-test budget: {outcome.initial_budget_w:,.0f} W/server")
     print(f"   P90 experiment budget:      {outcome.experiment_budget_w:,.0f} W/server")
     print(f"   P90 fleet budget:           {outcome.fleet_budget_w:,.0f} W/server")

@@ -57,27 +57,6 @@ class ServerSpec:
         return self.accelerators_per_server // len(self.sockets)
 
     @property
-    def host_cores_per_accelerator(self) -> float:
-        """CPU cores available to each accelerator's model instance."""
-        return self.sockets[0].cores / self.accelerators_per_socket
-
-    @property
-    def host_dram_per_accelerator_bytes(self) -> float:
-        """Host DRAM capacity share per accelerator."""
-        return self.sockets[0].dram_capacity_bytes / self.accelerators_per_socket
-
-    @property
-    def host_dram_bandwidth_per_accelerator(self) -> float:
-        """Host DRAM bandwidth share per accelerator — the bottleneck the
-        paper calls out for low-complexity models on 24 accelerators."""
-        return self.sockets[0].dram_bandwidth_bytes_per_s / self.accelerators_per_socket
-
-    @property
-    def nic_bandwidth_per_accelerator(self) -> float:
-        """Front-end network bandwidth share per accelerator."""
-        return self.sockets[0].nic_bandwidth_bytes_per_s / self.accelerators_per_socket
-
-    @property
     def max_power_watts(self) -> float:
         """Nameplate server power: platform plus all accelerators at TDP."""
         return self.platform_power_watts + self.accelerators_per_server * self.chip.tdp_watts

@@ -196,11 +196,6 @@ class ChipSpec:
         if not (0 <= self.overlap_factor <= 1):
             raise ValueError("overlap factor must be in [0, 1]")
 
-    @property
-    def overclock_ratio(self) -> float:
-        """Operating frequency relative to the design frequency."""
-        return self.frequency_hz / self.design_frequency_hz
-
     def leakage_power_w(self, temperature_c: Optional[float] = None) -> float:
         """Static (leakage + always-on) power at a junction temperature.
 
@@ -230,43 +225,6 @@ class ChipSpec:
     def gemm_to_simd_ratio(self, gemm_dtype: DType = DType.FP16) -> float:
         """GEMM-to-SIMD throughput ratio (section 3.2: 32:1 on MTIA 2i)."""
         return self.gemm.peak(gemm_dtype) / self.vector.peak(DType.FP32)
-
-    def at_frequency(self, frequency_hz: float) -> "ChipSpec":
-        """This chip re-clocked: compute and on-chip bandwidth scale with
-        frequency, off-chip DRAM and PCIe do not.
-
-        Used by the overclocking study (section 5.2).
-        """
-        if frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
-        scale = frequency_hz / self.frequency_hz
-        scaled_gemm = GemmEngineSpec(
-            peak_flops={d: f * scale for d, f in self.gemm.peak_flops.items()},
-            sparsity_speedup=self.gemm.sparsity_speedup,
-        )
-        scaled_vector = VectorEngineSpec(
-            peak_flops={d: f * scale for d, f in self.vector.peak_flops.items()}
-        )
-        scaled_local = dataclasses.replace(
-            self.local_memory,
-            bandwidth_bytes_per_s=self.local_memory.bandwidth_bytes_per_s * scale,
-        )
-        scaled_sram = dataclasses.replace(
-            self.sram, bandwidth_bytes_per_s=self.sram.bandwidth_bytes_per_s * scale
-        )
-        scaled_issue = dataclasses.replace(
-            self.issue, instructions_per_s=self.issue.instructions_per_s * scale
-        )
-        return dataclasses.replace(
-            self,
-            frequency_hz=frequency_hz,
-            gemm=scaled_gemm,
-            vector=scaled_vector,
-            local_memory=scaled_local,
-            sram=scaled_sram,
-            issue=scaled_issue,
-            noc_bandwidth_bytes_per_s=self.noc_bandwidth_bytes_per_s * scale,
-        )
 
     def with_ecc_enabled(self) -> "ChipSpec":
         """This chip with controller-based ECC on: DRAM bandwidth is derated

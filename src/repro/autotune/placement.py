@@ -29,11 +29,6 @@ class PlacementDecision:
     activation_buffer_bytes: int
     report: ExecutionReport
 
-    @property
-    def throughput(self) -> float:
-        """Samples/s of the chosen configuration."""
-        return self.report.throughput_samples_per_s
-
 
 def activation_buffer_bytes(graph: OpGraph) -> int:
     """The liveness-packed activation footprint autotuning fits into LLS."""

@@ -38,13 +38,6 @@ class ShardPlan:
         """Footprint of the fullest shard, including replicated weights."""
         return (max(self.bytes_per_shard) if self.bytes_per_shard else 0) + self.replicated_bytes
 
-    @property
-    def balance(self) -> float:
-        """Mean/max shard fill — 1.0 is perfectly balanced."""
-        if not self.bytes_per_shard or max(self.bytes_per_shard) == 0:
-            return 1.0
-        return sum(self.bytes_per_shard) / len(self.bytes_per_shard) / max(self.bytes_per_shard)
-
 
 def required_shards(graph: OpGraph, chip: ChipSpec) -> int:
     """Minimum devices to hold the model plus runtime buffers."""

@@ -25,7 +25,6 @@ from repro.autotune.placement import PlacementDecision, tune_placement
 from repro.autotune.sharding import ShardPlan, plan_sharding
 from repro.graph.graph import OpGraph
 from repro.graph.ops import OpType
-from repro.kernels.gemm import GemmVariant
 from repro.tensors.tensor import GemmShape
 
 
@@ -43,11 +42,6 @@ class AutotuneResult:
     def batch(self) -> int:
         """The tuned batch size."""
         return self.placement.batch
-
-    def variant_for(self, op_name: str) -> Optional[GemmVariant]:
-        """The tuned kernel variant for an FC op, if any."""
-        result = self.kernel_variants.get(op_name)
-        return result.variant if result else None
 
 
 def _iter_fc_ops(graph: OpGraph):

@@ -328,12 +328,6 @@ class CampaignResult:
         return (self.outcome("retry_storm", False),
                 self.outcome("retry_storm", True))
 
-    def scalars(self) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for outcome in self.outcomes:
-            merged.update(outcome.scalars())
-        return merged
-
     def summary(self) -> str:
         lines = [
             "chaos campaign: "

@@ -91,10 +91,6 @@ class FaultDomainTopology:
     def power_domain_of(self, replica_id: int) -> int:
         return self.rack_of(replica_id) // self.racks_per_power_domain
 
-    def tor_of(self, replica_id: int) -> int:
-        """One ToR switch per rack: losing it partitions the rack."""
-        return self.rack_of(replica_id)
-
     def replicas_on_host(self, host: int) -> Tuple[int, ...]:
         if not (0 <= host < self.num_hosts):
             raise ValueError(f"host {host} outside topology")

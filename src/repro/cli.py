@@ -27,9 +27,9 @@ Commands:
   annealing over the chip design space, surrogate-guided halving rungs,
   and the exact-evaluated Perf / Perf-per-TCO / Perf-per-Watt Pareto
   front with the "MTIA 3" proposal and the MTIA 1 → 2 sanity anchor
-* ``bench``      — run the benchmarks, aggregate ``BENCH_results.json``,
-  and fail on regressions against the previous snapshot or the pinned
-  golden values
+* ``bench``      — run the benchmarks, aggregate their scalars into
+  ``benchmarks/out/bench_results.json``, and fail on regressions against
+  the committed ``BENCH_results.json`` or the pinned golden values
 """
 
 from __future__ import annotations
@@ -602,8 +602,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"[bench] GOLDEN VIOLATION {violation}")
     failed = failed or bool(violations)
 
-    write_results(results, args.out)
-    print(f"[bench] wrote {args.out}")
+    out = args.out or bench_dir / "out" / "bench_results.json"
+    write_results(results, out)
+    print(f"[bench] wrote {out}")
     return 1 if failed else 0
 
 
@@ -741,14 +742,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run benchmarks, aggregate BENCH_results.json, flag regressions",
+        help="run benchmarks, aggregate results, flag regressions against "
+             "BENCH_results.json",
     )
     bench.add_argument("--smoke", action="store_true",
                        help="run only the fast CI subset")
     bench.add_argument("--dir", default="benchmarks",
                        help="benchmark directory (default: benchmarks)")
-    bench.add_argument("--out", default="BENCH_results.json",
-                       help="aggregated results path")
+    bench.add_argument("--out",
+                       help="aggregated results path "
+                            "(default: <dir>/out/bench_results.json)")
     bench.add_argument("--baseline", default="BENCH_results.json",
                        help="previous snapshot to diff against")
     bench.add_argument("--rel-tol", type=float, default=0.05,

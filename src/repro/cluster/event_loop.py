@@ -182,8 +182,8 @@ def run_events(
     max_total = admission.max_total_outstanding
     name = config.policy
     rng = sim._rng
-    # ``ServiceModel.sample``, inlined: the same expression, the
-    # same draw.
+    # The service draw: mean-preserving log-normal jitter around
+    # ``mean_service_s``, stretched by the cross-host penalty.
     service = sim.service
     mean_s = service.mean_service_s
     sigma = service.jitter_sigma

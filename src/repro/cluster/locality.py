@@ -48,38 +48,6 @@ class ShardLocalityMap:
             shard_weights=tuple([1.0 / num_shards] * num_shards),
         )
 
-    @classmethod
-    def from_model(
-        cls,
-        model_name: str = "HC3",
-        num_shards: int = 4,
-    ) -> "ShardLocalityMap":
-        """Build from a zoo model's actual table-to-shard placement on
-        MTIA 2i.
-
-        Plans sharding with the production LPT heuristic and weights each
-        shard by the embedding bytes it ends up holding — lookup traffic
-        tracks table size in the paper's workloads (Table 1: embeddings
-        dominate both bytes and sparse access volume).
-        """
-        from repro.arch.mtia import mtia2i_spec
-        from repro.autotune.sharding import plan_sharding
-        from repro.models import figure6_models
-
-        for model in figure6_models():
-            if model.name.lower() == model_name.lower():
-                break
-        else:
-            raise ValueError(f"unknown zoo model {model_name!r}")
-        plan = plan_sharding(
-            model.graph(), mtia2i_spec(), num_shards=num_shards
-        )
-        total = sum(plan.bytes_per_shard)
-        if total == 0:
-            return cls.uniform(num_shards)
-        weights = tuple(b / total for b in plan.bytes_per_shard)
-        return cls(num_shards=num_shards, shard_weights=weights)
-
     def sample_shards(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` request shard affinities from the popularity
         distribution (one vectorized draw, deterministic under seed)."""

@@ -83,10 +83,6 @@ class HostPool:
         )
         return (total - self.free_accelerators()) / total
 
-    def hosts_in_use(self) -> int:
-        """Hosts carrying at least one allocation."""
-        return sum(1 for a in self._allocators if a.allocations)
-
     def fragmentation_stats(self, request_size: int = 1) -> FragmentationStats:
         """Pool-wide fragmentation: sockets are the placement unit."""
         if request_size <= 0:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from repro.resilience.policies import require_finite
 from repro.serving.scheduler import ModelJobProfile
 
@@ -43,21 +41,13 @@ class ServiceModel:
             raise ValueError("jitter sigma must be non-negative")
         if self.cross_host_penalty < 1:
             raise ValueError("cross-host penalty must be at least 1")
-        # ``sample`` runs once per routed request; precompute the
+        # The event loop draws once per routed request; precompute the
         # log-normal location parameter (same expression, same float).
         object.__setattr__(
             self,
             "_lognormal_mu",
             math.log(self.mean_service_s) - 0.5 * self.jitter_sigma**2,
         )
-
-    def sample(self, rng: np.random.Generator, cross_host: bool = False) -> float:
-        """Draw one service time (mean-preserving log-normal jitter)."""
-        if self.jitter_sigma == 0:
-            base = self.mean_service_s
-        else:
-            base = float(rng.lognormal(self._lognormal_mu, self.jitter_sigma))
-        return base * (self.cross_host_penalty if cross_host else 1.0)
 
     def capacity_per_replica(self) -> float:
         """Sustainable requests/s of one replica at 100% occupancy."""

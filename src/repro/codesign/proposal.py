@@ -5,7 +5,7 @@ one aligned row per design with its axes, physicals, and objectives.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.codesign.objectives import CandidateEval
 from repro.codesign.search import SearchResult
@@ -126,14 +126,7 @@ def result_scalars(result: SearchResult) -> Dict[str, float]:
     return out
 
 
-def dominated_anchors(result: SearchResult) -> Sequence[CandidateEval]:
-    """Anchors that did not survive onto the front (for reporting)."""
-    front_labels = {e.label for e in result.front}
-    return [a for a in result.anchors if a.label not in front_labels]
-
-
 __all__ = [
-    "dominated_anchors",
     "front_table",
     "proposal_summary",
     "result_scalars",

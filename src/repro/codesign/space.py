@@ -13,7 +13,7 @@ dataclasses' ``__post_init__`` checks, and a physical scaling model
 keeps candidates plausible:
 
 * compute throughput scales with the PE count and (with voltage) the
-  clock, exactly like :meth:`ChipSpec.at_frequency`;
+  clock;
 * die area is rebuilt from component shares (PE array, SRAM, NoC,
   DRAM PHY/misc) so a candidate with 2x the SRAM pays for it in mm^2;
 * ``typical_watts``/``tdp_watts`` are rebuilt from the same shares with
@@ -107,8 +107,8 @@ def derive_chip(
     * ``num_pes`` (must be a perfect square — it is a PE *grid*) scales
       chip-wide GEMM/vector throughput; per-PE local memory and issue
       rate are per-PE quantities and carry over.
-    * ``frequency_hz`` scales compute, on-chip bandwidth, issue rate and
-      NoC exactly like :meth:`ChipSpec.at_frequency`; off-chip DRAM and
+    * ``frequency_hz`` scales compute, on-chip (local memory and SRAM)
+      bandwidth, issue rate and NoC in proportion; off-chip DRAM and
       PCIe do not scale.  A derived chip is *designed* at its operating
       point, so ``design_frequency_hz`` follows it.
     * ``sram_capacity_bytes`` scales SRAM bandwidth proportionally
@@ -356,16 +356,6 @@ class DesignSpace:
             for (axis, ladder), i in zip(self.axes().items(), indices)
         }
         return DesignPoint(**values)
-
-    def indices_of(self, point: DesignPoint) -> Tuple[int, ...]:
-        """Inverse of :meth:`point_at`; raises if off-grid."""
-        out = []
-        for axis, ladder in self.axes().items():
-            value = getattr(point, axis)
-            if value not in ladder:
-                raise ValueError(f"{axis}={value} is not on the grid")
-            out.append(ladder.index(value))
-        return tuple(out)
 
     def random_point(self, rng: np.random.Generator) -> DesignPoint:
         """A uniformly sampled grid point (one rng draw per axis)."""

@@ -3,7 +3,6 @@
 from repro.compression.ans import (
     ans_decode,
     ans_encode,
-    compression_ratio,
     fp16_weight_bytes,
     int8_weight_bytes,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "GZIP_ENGINE_BYTES_PER_S",
     "ans_decode",
     "ans_encode",
-    "compression_ratio",
     "fp16_weight_bytes",
     "gzip_ratio",
     "int8_weight_bytes",

@@ -132,11 +132,6 @@ def ans_decode(encoded: AnsEncoded) -> bytes:
     return out.tobytes()
 
 
-def compression_ratio(data: bytes) -> float:
-    """Measured saved fraction for a byte string (0 = incompressible)."""
-    return ans_encode(data).compression_ratio()
-
-
 def int8_weight_bytes(num_weights: int, seed: int = 0) -> bytes:
     """Synthetic INT8 weights: narrow, centered distributions (std 5)
     like trained quantized weights — highly compressible (the paper's

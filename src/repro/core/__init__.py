@@ -7,7 +7,6 @@ from repro.core.casestudy import (
     run_case_study,
 )
 from repro.core.codesign import Mtia2iSystem, optimize_graph
-from repro.core.publish import publish_model
 from repro.core.evaluation import evaluate_model, gpu_shards_for
 
 __all__ = [
@@ -17,6 +16,5 @@ __all__ = [
     "evaluate_model",
     "gpu_shards_for",
     "optimize_graph",
-    "publish_model",
     "run_case_study",
 ]

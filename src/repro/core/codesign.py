@@ -47,11 +47,6 @@ class CodesignResult:
     autotune: AutotuneResult
     report: ExecutionReport
 
-    @property
-    def throughput(self) -> float:
-        """Tuned per-chip throughput, samples/s."""
-        return self.report.throughput_samples_per_s
-
 
 class Mtia2iSystem:
     """Facade over the whole performance model for one chip.

@@ -16,7 +16,7 @@ hash; and the same holistic metric set is compared.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -57,15 +57,9 @@ class SyntheticCtrModel:
         self,
         num_requests: int,
         seed: int = 1,
-        rng: Optional[np.random.Generator] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draw (features, labels) for a traffic slice.
-
-        An explicit ``rng`` wins over ``seed`` (the
-        :mod:`repro.fleet.server_sim` convention).
-        """
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        """Draw (features, labels) for a traffic slice."""
+        rng = np.random.default_rng(seed)
         features = rng.normal(0, 1, size=(num_requests, self.num_features))
         logits = features @ self.true_weights + self.bias
         probs = 1.0 / (1.0 + np.exp(-logits))
@@ -128,18 +122,16 @@ def run_ab_test(
     num_requests: int = 100_000,
     treatment_fraction: float = 0.5,
     seed: int = 11,
-    rng: Optional[np.random.Generator] = None,
 ) -> AbTestResult:
     """Split traffic between backends by request hash and compare.
 
     Mirrors the paper's setup: both backends are deployed in the same
-    'region' and receive statistically identical traffic slices.
-    Randomness is reproducible: pass either a ``seed`` or an explicit
-    ``rng`` (which wins when both are given).
+    'region' and receive statistically identical traffic slices drawn
+    from ``seed``.
     """
     if not (0 < treatment_fraction < 1):
         raise ValueError("treatment fraction must be in (0, 1)")
-    features, labels = model.sample(num_requests, seed=seed, rng=rng)
+    features, labels = model.sample(num_requests, seed=seed)
     # Deterministic hash split, as production traffic routers do.
     assignment = (np.arange(num_requests) * 2654435761 % 1000) < treatment_fraction * 1000
     control_features, control_labels = features[~assignment], labels[~assignment]

@@ -126,24 +126,3 @@ class NumaAllocator:
     def free_by_socket(self) -> List[int]:
         """Free accelerator count per socket."""
         return [len(free) for free in self._free]
-
-    def fragmentation_stats(self, request_size: int = 1) -> FragmentationStats:
-        """Fragmentation accounting for the current free pool.
-
-        ``request_size`` probes placeability for a grant of that many
-        accelerators (which must co-locate on one socket).
-        """
-        if request_size <= 0:
-            raise ValueError("probe request size must be positive")
-        per_socket = self.free_by_socket()
-        free_total = sum(per_socket)
-        largest = max(per_socket, default=0)
-        fragmentation = 1.0 - largest / free_total if free_total else 0.0
-        unplaceable = sum(f for f in per_socket if f < request_size)
-        return FragmentationStats(
-            free_total=free_total,
-            largest_socket_free=largest,
-            fragmentation=fragmentation,
-            request_size=request_size,
-            unplaceable_free=unplaceable,
-        )

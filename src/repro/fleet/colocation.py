@@ -75,12 +75,6 @@ class ColocationResult:
             return 1.0
         return self.socket_capacity_bytes_per_s / demand
 
-    def total_effective_throughput(self, name: str) -> float:
-        """Aggregate samples/s for one model across its instances."""
-        return sum(
-            p.effective_throughput for p in self.placements if p.name == name
-        )
-
     @property
     def host_bound_sockets(self) -> List[int]:
         """Sockets where host DRAM limits the accelerators."""

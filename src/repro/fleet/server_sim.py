@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -84,7 +83,6 @@ def production_utilization(
     device_throughput: float,
     mean_load: float,
     peak_to_mean: float = 2.2,
-    rng: Optional[np.random.Generator] = None,
     seed: int = 42,
 ) -> UtilizationResult:
     """Average device utilization when capacity is provisioned for peak.
@@ -97,14 +95,12 @@ def production_utilization(
     waste.  This is section 5.4's 'smaller chips' argument made
     quantitative.
 
-    Randomness is reproducible: pass either a ``seed`` or an explicit
-    ``rng`` (which wins when both are given); the default matches the
-    historical behaviour (``default_rng(42)``).
+    The noise comes from ``default_rng(seed)``; the default seed matches
+    the historical behaviour (``default_rng(42)``).
     """
     if device_throughput <= 0 or mean_load <= 0 or peak_to_mean < 1:
         raise ValueError("invalid utilization inputs")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     # Diurnal load curve with noise.
     num_intervals = 2000
     t = np.linspace(0, 2 * np.pi, num_intervals)

@@ -19,7 +19,6 @@ from repro.fleet_global.capacity import run_capacity_study, smoke_study
 from repro.fleet_global.drills import (
     RegionEvent,
     build_drill,
-    global_firmware_rollout,
     region_outage_drill,
 )
 from repro.fleet_global.failover import (
@@ -46,7 +45,6 @@ __all__ = [
     "RegionSpec",
     "SpillRouter",
     "build_drill",
-    "global_firmware_rollout",
     "rate_for_users",
     "region_outage_drill",
     "run_capacity_study",

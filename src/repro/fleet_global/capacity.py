@@ -26,7 +26,7 @@ import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.fleet_global.drills import region_outage_drill
-from repro.fleet_global.regions import FleetConfig, standard_fleet
+from repro.fleet_global.regions import standard_fleet
 from repro.fleet_global.simulator import FleetReport, run_fleet
 from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.simulator import DEFAULT_P99_SLO_S
@@ -47,9 +47,6 @@ class CapacityPoint:
     baseline: FleetReport
     undefended: FleetReport
     defended: FleetReport
-
-    def meets(self, report: FleetReport, config: FleetConfig) -> bool:
-        return report.meets_slo(DEFAULT_P99_SLO_S, DEFAULT_MAX_LOSS_FRACTION)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,14 +22,6 @@ ground-truth unreachable intervals the health probes observe:
   its own users still reach it (anycast keeps local traffic local).
   Probes fail, so the defended arm stops spilling *into* it; nothing is
   injected into the region's own cluster.
-
-:func:`global_firmware_rollout` rides
-:class:`repro.reliability.firmware.RolloutPlan` region by region: each
-region restarts in concurrency-capped waves
-(:func:`~repro.chaos.domains.firmware_rollout`), regions are serialized
-``region_gap_s`` apart — the canary-region structure that contains a
-regressed build to the first region when the rollback lands before the
-second region starts.
 """
 
 from __future__ import annotations
@@ -38,14 +30,12 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.domains import (
-    firmware_rollout,
     merge_schedules,
     power_domain_trip,
     rack_failure,
 )
 from repro.cluster.simulator import Injection
 from repro.fleet_global.regions import FleetConfig, RegionSpec
-from repro.reliability.firmware import emergency_rollout
 
 EVENT_KINDS = ("outage", "brownout", "partition")
 
@@ -100,14 +90,6 @@ class DrillSchedule:
 
     def isolated_for(self, region: str) -> Tuple[Tuple[float, float], ...]:
         return self.isolated.get(region, ())
-
-    @property
-    def first_fault_s(self) -> float:
-        return min((e.at_s for e in self.events), default=0.0)
-
-    @property
-    def all_clear_s(self) -> float:
-        return max((e.clear_s for e in self.events), default=0.0)
 
 
 def _region_outage(spec: RegionSpec, event: RegionEvent) -> List[Injection]:
@@ -200,45 +182,10 @@ def region_outage_drill(
     )
 
 
-def global_firmware_rollout(
-    fleet: FleetConfig,
-    at_s: float,
-    region_gap_s: float,
-    regression_slow: float = 1.0,
-    rollback_at_s: Optional[float] = None,
-) -> Dict[str, Tuple[Injection, ...]]:
-    """A staged *global* rollout: region-by-region, waves within each.
-
-    Region ``i`` starts its :func:`~repro.chaos.domains.firmware_rollout`
-    wave schedule at ``at_s + i * region_gap_s``: 1 s restarts, waves 2 s
-    apart, each honoring the emergency plan's restart-safety concurrency
-    cap.  With ``regression_slow > 1`` the build is bad, and a
-    ``rollback_at_s`` that lands before region 1 starts demonstrates the
-    canary-region payoff: only the first region's hosts ever serve
-    degraded, later regions install the fixed build from the start.
-    """
-    if region_gap_s < 0:
-        raise ValueError("region gap must be non-negative")
-    plan = emergency_rollout()
-    schedules: Dict[str, Tuple[Injection, ...]] = {}
-    for index, spec in enumerate(fleet.regions):
-        schedules[spec.name] = tuple(firmware_rollout(
-            spec.topology(),
-            at_s=at_s + index * region_gap_s,
-            restart_s=1.0,
-            wave_gap_s=2.0,
-            plan=plan,
-            regression_slow=regression_slow,
-            rollback_at_s=rollback_at_s,
-        ))
-    return schedules
-
-
 __all__ = [
     "DrillSchedule",
     "EVENT_KINDS",
     "RegionEvent",
     "build_drill",
-    "global_firmware_rollout",
     "region_outage_drill",
 ]

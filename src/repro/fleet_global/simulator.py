@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.chaos.brownout import BrownoutController, default_ladder
-from repro.chaos.domains import merge_schedules
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import (
     ClusterConfig,
@@ -149,11 +148,6 @@ class FleetReport:
             )
         if self.lb_shed > self.shed:
             raise ValueError("LB sheds are a subset of sheds")
-
-    @property
-    def answered(self) -> int:
-        """Requests that got a response, wherever it was served."""
-        return self.served + self.spilled_served
 
     @property
     def loss_fraction(self) -> float:
@@ -432,7 +426,6 @@ def run_fleet(
     drill: Optional[DrillSchedule] = None,
     defended: bool = False,
     failover: Optional[FailoverConfig] = None,
-    extra_injections: Optional[Dict[str, Sequence[Injection]]] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> FleetReport:
     """Run the global fleet once and return the attributed report.
@@ -443,8 +436,6 @@ def run_fleet(
     probe-driven failover with capacity spill at the front door and the
     chaos-tier defense suite plus brownout ladder inside every region.
     Power-budget throttles (physics, not policy) apply to both arms.
-    ``extra_injections`` layers additional per-region schedules (e.g. a
-    staged global firmware rollout) over the drill's.
     """
     failover = failover or FailoverConfig()
     service = default_service_model()
@@ -462,7 +453,6 @@ def run_fleet(
     # region's stream is its base stream (nothing spills or LB-sheds
     # without monitors), so an unobserved one is looked up in the
     # region-run memo; an observed run records its own metrics.
-    extra_injections = extra_injections or {}
     memo = not defended and registry is None
     base_keys = _base_keys(config)
     reports: List[ClusterReport] = []
@@ -470,9 +460,6 @@ def run_fleet(
         schedule: Sequence[Injection] = (
             drill.injections_for(spec.name) if drill else ()
         )
-        extra = extra_injections.get(spec.name, ())
-        if extra:
-            schedule = merge_schedules(schedule, extra)
         cluster_config = ClusterConfig(
             replicas=spec.replicas,
             num_hosts=spec.num_hosts,

@@ -6,7 +6,6 @@ from repro.graph.ops import (
     broadcast,
     cast,
     concat,
-    dequantize,
     elementwise,
     fc,
     fused,
@@ -14,9 +13,6 @@ from repro.graph.ops import (
     interaction,
     layernorm,
     mha,
-    quantize,
-    reshape,
-    softmax,
     tbe,
     transpose,
 )
@@ -28,7 +24,6 @@ __all__ = [
     "broadcast",
     "cast",
     "concat",
-    "dequantize",
     "elementwise",
     "fc",
     "fused",
@@ -36,9 +31,6 @@ __all__ = [
     "interaction",
     "layernorm",
     "mha",
-    "quantize",
-    "reshape",
-    "softmax",
     "tbe",
     "transpose",
 ]

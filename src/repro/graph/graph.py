@@ -76,21 +76,6 @@ class OpGraph:
 
     # -- structure queries --------------------------------------------------
 
-    def graph_inputs(self) -> List[TensorSpec]:
-        """Tensors consumed but never produced, excluding weights/tables."""
-        seen: Set[int] = set()
-        result: List[TensorSpec] = []
-        for op in self.ops:
-            for t in op.inputs:
-                if (
-                    t.uid not in self._producer
-                    and t.kind in (TensorKind.INPUT, TensorKind.ACTIVATION)
-                    and t.uid not in seen
-                ):
-                    seen.add(t.uid)
-                    result.append(t)
-        return result
-
     def graph_outputs(self) -> List[TensorSpec]:
         """Tensors produced but never consumed."""
         consumed = {t.uid for op in self.ops for t in op.inputs}
@@ -211,9 +196,3 @@ class OpGraph:
             for live in self.liveness()
             if live.tensor.num_bytes > 0
         ]
-
-    def summary(self) -> str:
-        """One-line-per-op description of the graph."""
-        lines = [f"graph {self.name!r}: {len(self.ops)} ops"]
-        lines.extend(f"  [{i}] {op}" for i, op in enumerate(self.ops))
-        return "\n".join(lines)

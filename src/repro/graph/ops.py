@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.tensors.dtypes import DType
 from repro.tensors.tensor import (
@@ -91,18 +91,6 @@ class Op:
     def output_bytes(self) -> int:
         """Bytes across all outputs."""
         return sum(t.num_bytes for t in self.outputs)
-
-    def weight_inputs(self) -> List[TensorSpec]:
-        """Inputs that are weights or embedding tables."""
-        return [
-            t
-            for t in self.inputs
-            if t.kind in (TensorKind.WEIGHT, TensorKind.EMBEDDING)
-        ]
-
-    def activation_inputs(self) -> List[TensorSpec]:
-        """Inputs that are activations or model inputs."""
-        return [t for t in self.inputs if t not in self.weight_inputs()]
 
     def __str__(self) -> str:
         ins = ", ".join(str(t) for t in self.inputs)
@@ -289,20 +277,6 @@ def layernorm(x: TensorSpec, name: str = "layernorm") -> Op:
     )
 
 
-def softmax(x: TensorSpec) -> Op:
-    """Row-wise softmax."""
-    out = activation(*x.shape, dtype=x.dtype, name="softmax_out")
-    rows = x.shape[0] if x.rank > 1 else 1
-    cols = x.num_elements // rows
-    return Op(
-        op_type=OpType.SOFTMAX,
-        name="softmax",
-        inputs=[x],
-        outputs=[out],
-        attrs={"rows": rows, "cols": cols},
-    )
-
-
 def mha(
     x: TensorSpec,
     heads: int,
@@ -358,14 +332,6 @@ def transpose(x: TensorSpec, name: str = "transpose") -> Op:
     """
     out = transposed(x).with_kind(TensorKind.ACTIVATION)
     return Op(op_type=OpType.TRANSPOSE, name=name, inputs=[x], outputs=[out])
-
-
-def reshape(x: TensorSpec, shape: Tuple[int, ...], name: str = "reshape") -> Op:
-    """Reshape preserving element count; output is an activation."""
-    out = x.with_shape(shape).with_kind(TensorKind.ACTIVATION)
-    if out.num_elements != x.num_elements:
-        raise ValueError(f"reshape changes element count: {x.shape} -> {shape}")
-    return Op(op_type=OpType.RESHAPE, name=name, inputs=[x], outputs=[out])
 
 
 def concat(xs: Sequence[TensorSpec], axis: int = -1, name: str = "concat") -> Op:
@@ -426,18 +392,6 @@ def broadcast(x: TensorSpec, factor: int, name: str = "broadcast") -> Op:
         outputs=[out],
         attrs={"factor": factor},
     )
-
-
-def quantize(x: TensorSpec) -> Op:
-    """Dynamic row-wise quantization FP16 -> INT8."""
-    out = activation(*x.shape, dtype=DType.INT8, name="quantize_out")
-    return Op(op_type=OpType.QUANTIZE, name="quantize", inputs=[x], outputs=[out])
-
-
-def dequantize(x: TensorSpec) -> Op:
-    """Dequantize INT32 accumulators / INT8 data back to FP16."""
-    out = activation(*x.shape, dtype=DType.FP16, name="dequantize_out")
-    return Op(op_type=OpType.DEQUANTIZE, name="dequantize", inputs=[x], outputs=[out])
 
 
 def cast(x: TensorSpec, out_dtype: DType, name: str = "cast") -> Op:

@@ -1,23 +1,17 @@
 """Graph optimization passes (paper sections 4.2 and 6)."""
 
-from repro.graph.passes.broadcast import broadcast_savings, defer_broadcast
+from repro.graph.passes.broadcast import defer_broadcast
 from repro.graph.passes.fusion import (
     batch_layernorms,
-    count_kernel_launches,
-    fuse_horizontal_fc,
     fuse_sibling_transpose_fc,
     fuse_vertical,
 )
-from repro.graph.passes.scheduling import minimize_liveness, schedule_quality
+from repro.graph.passes.scheduling import minimize_liveness
 
 __all__ = [
     "batch_layernorms",
-    "broadcast_savings",
-    "count_kernel_launches",
     "defer_broadcast",
-    "fuse_horizontal_fc",
     "fuse_sibling_transpose_fc",
     "fuse_vertical",
     "minimize_liveness",
-    "schedule_quality",
 ]

@@ -126,16 +126,3 @@ def _user_side_chain(graph: OpGraph, bcast: Op) -> List[Op]:
         chain.append(nxt)
         current = nxt.output
     return chain
-
-
-def broadcast_savings(before: OpGraph, after: OpGraph) -> Dict[str, float]:
-    """Footprint and FLOP savings from deferral."""
-    peak_before = before.peak_activation_bytes()
-    peak_after = after.peak_activation_bytes()
-    return {
-        "peak_activation_before": float(peak_before),
-        "peak_activation_after": float(peak_after),
-        "footprint_reduction": peak_before / peak_after if peak_after else 1.0,
-        "flops_before": before.total_flops(),
-        "flops_after": after.total_flops(),
-    }

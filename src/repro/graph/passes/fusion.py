@@ -9,8 +9,6 @@ load and store intermediates through LLS/LLC:
 * **sibling transpose-FC fusion** — a transposed output used as input to
   multiple FC layers is fused with them, shrinking the activation size
   and improving cache hit rate (up to 15% on some models);
-* **horizontal FC fusion** — parallel FCs reading the same input run as
-  one kernel;
 * **LayerNorm batching** — hundreds of small LayerNorms are batched
   horizontally to amortize kernel-launch overhead (section 6).
 """
@@ -114,35 +112,6 @@ def fuse_sibling_transpose_fc(graph: OpGraph) -> OpGraph:
     return _rebuild(graph, new_ops)
 
 
-def fuse_horizontal_fc(graph: OpGraph) -> OpGraph:
-    """Fuse parallel FCs (two or more) that read the same input tensor into
-    one kernel."""
-    groups: Dict[int, List[Op]] = {}
-    for op in graph.ops:
-        if op.op_type is OpType.FC:
-            groups.setdefault(op.inputs[0].uid, []).append(op)
-    fuse_sets = {
-        id(member): members
-        for members in groups.values()
-        if len(members) >= 2
-        for member in members
-    }
-    new_ops: List[Op] = []
-    emitted: Set[int] = set()
-    for op in graph.ops:
-        members = fuse_sets.get(id(op))
-        if members is None:
-            new_ops.append(op)
-            continue
-        group_key = id(members[0])
-        if group_key in emitted:
-            continue
-        emitted.add(group_key)
-        new_ops.append(fused(members, name=f"{members[0].name}_horizontal_fused"))
-    graph_out = _rebuild_tolerant(graph, new_ops)
-    return graph_out
-
-
 def _rebuild_tolerant(graph: OpGraph, new_ops: List[Op]) -> OpGraph:
     """Rebuild, hoisting fused ops later if their inputs are not ready yet.
 
@@ -233,8 +202,3 @@ def batch_layernorms(graph: OpGraph) -> OpGraph:
         emitted.add(key)
         new_ops.append(fused(group, name=f"layernorm_batch_{len(group)}"))
     return _rebuild_tolerant(graph, new_ops)
-
-
-def count_kernel_launches(graph: OpGraph) -> int:
-    """Number of kernel launches the schedule needs (fused ops launch once)."""
-    return len(graph.ops)

@@ -94,14 +94,3 @@ def minimize_liveness(graph: OpGraph) -> OpGraph:
     if rescheduled.peak_activation_bytes() <= graph.peak_activation_bytes():
         return rescheduled
     return graph
-
-
-def schedule_quality(graph: OpGraph) -> Dict[str, float]:
-    """Metrics comparing schedules: peak activation bytes and mean span."""
-    liveness = graph.liveness()
-    spans = [live.span for live in liveness] or [0]
-    return {
-        "peak_activation_bytes": float(graph.peak_activation_bytes()),
-        "mean_live_span": sum(spans) / len(spans),
-        "num_live_ranges": float(len(liveness)),
-    }

@@ -18,13 +18,10 @@ from repro.kernels.normalization import (
 )
 from repro.kernels.registry import estimate_op
 from repro.kernels.tbe import (
-    EmbeddingAccessPattern,
     estimate_tbe,
-    simulate_tbe_hit_rate,
 )
 
 __all__ = [
-    "EmbeddingAccessPattern",
     "GemmVariant",
     "KernelEstimate",
     "LAYERNORM_PASSES",
@@ -40,5 +37,4 @@ __all__ = [
     "estimate_tbe",
     "gemm_efficiency",
     "naive_variant",
-    "simulate_tbe_hit_rate",
 ]

@@ -56,10 +56,6 @@ class GemmVariant:
         if min(self.block_m, self.block_n, self.block_k) <= 0:
             raise ValueError("block sizes must be positive")
 
-    def key(self) -> tuple:
-        """Hashable identity for the performance database."""
-        return dataclasses.astuple(self)
-
 
 def default_variants() -> List[GemmVariant]:
     """The variant grid the kernel generator emits.

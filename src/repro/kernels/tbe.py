@@ -7,16 +7,12 @@ memory-latency sensitive, and — before MTIA 2i's indexed DMA_IN and
 
 The gather's memory behaviour (how many rows hit in SRAM versus LPDDR)
 is measured by the executor through the LLC simulation driven by a
-synthetic index stream; this module supplies the engine-side costs and
-the index-stream generator.
+synthetic index stream; this module supplies the engine-side costs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-
-import numpy as np
 
 from repro.arch.specs import ChipSpec
 from repro.kernels.base import KernelEstimate
@@ -52,49 +48,3 @@ def estimate_tbe(
         engine="simd",
         prefetch=chip.issue.indexed_dma,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class EmbeddingAccessPattern:
-    """A synthetic index distribution for one embedding table.
-
-    Production embedding accesses are heavily skewed (hot entities
-    dominate), which is why MTIA 2i keeps 40-60% of sparse accesses in
-    SRAM despite tables far exceeding SRAM capacity (paper section 4.2).
-    We model the skew with a Zipf distribution, the standard synthetic
-    stand-in for recommendation traffic.
-    """
-
-    num_rows: int
-    zipf_exponent: float = 1.05
-
-    def __post_init__(self) -> None:
-        if self.num_rows <= 0:
-            raise ValueError("table must have rows")
-        if self.zipf_exponent <= 1.0:
-            raise ValueError("zipf exponent must exceed 1 for a proper distribution")
-
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` row indices, clamped into the table."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        raw = rng.zipf(self.zipf_exponent, size=count)
-        return np.minimum(raw - 1, self.num_rows - 1).astype(np.int64)
-
-
-def simulate_tbe_hit_rate(
-    pattern: EmbeddingAccessPattern,
-    row_bytes: int,
-    cache,
-    num_lookups: int,
-) -> float:
-    """Replay a synthetic index stream (seed 0) through an LLC instance
-    and return the measured hit rate for embedding-row gathers."""
-    rng = np.random.default_rng(0)
-    indices = pattern.sample(num_lookups, rng)
-    before_hits, before_total = cache.stats.hits, cache.stats.accesses
-    for index in indices:
-        cache.access((-1, int(index)), write=False, size_bytes=row_bytes)
-    hits = cache.stats.hits - before_hits
-    total = cache.stats.accesses - before_total
-    return hits / total if total else 0.0

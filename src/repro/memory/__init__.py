@@ -1,7 +1,7 @@
 """Memory hierarchy: LLC cache simulation, LLS scratch allocation, and the
 partitioned SRAM placement machinery (paper sections 3.6 and 4.1)."""
 
-from repro.memory.cache import CacheStats, SetAssociativeCache, tensor_blocks
+from repro.memory.cache import CacheStats, SetAssociativeCache
 from repro.memory.hierarchy import (
     MemoryHierarchy,
     Placement,
@@ -21,5 +21,4 @@ __all__ = [
     "Traffic",
     "partition_for_activations",
     "plan_allocation",
-    "tensor_blocks",
 ]

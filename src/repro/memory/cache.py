@@ -108,9 +108,6 @@ class SetAssociativeCache:
         self._rand_state = (seed * 2654435761 + 1) & 0xFFFFFFFF
         self.stats = CacheStats()
 
-    def _set_for(self, block: BlockId) -> Dict[BlockId, Tuple[bool, int]]:
-        return self._sets[hash(block) % self.num_sets]
-
     def access(
         self, block: BlockId, write: bool = False, size_bytes: Optional[int] = None
     ) -> bool:
@@ -131,7 +128,7 @@ class SetAssociativeCache:
         """Access every block of a tensor in order; returns bytes missed.
 
         Equivalent to :meth:`access` on each ``(uid, index)`` block of
-        :func:`tensor_blocks` — full blocks, then a partial tail.
+        the tensor — full blocks, then a partial tail.
         """
         if num_bytes < 0:
             raise ValueError("tensor size must be non-negative")
@@ -190,59 +187,3 @@ class SetAssociativeCache:
         stats.bytes_missed += misses * size
         stats.bytes_written_back += written_back
         return misses * size
-
-    def contains(self, block: BlockId) -> bool:
-        """Whether the block is currently resident (no LRU update)."""
-        return block in self._set_for(block)
-
-    def invalidate(self, block: BlockId) -> bool:
-        """Drop a block without a writeback; returns True if it was present."""
-        index = hash(block) % self.num_sets
-        if self._sets[index].pop(block, None) is None:
-            return False
-        if self.replacement == "random":
-            self._order[index].remove(block)
-        return True
-
-    def flush(self) -> int:
-        """Write back and drop everything; returns the dirty line count."""
-        dirty = 0
-        for cache_set in self._sets:
-            for is_dirty, size in cache_set.values():
-                if is_dirty:
-                    dirty += 1
-                    self.stats.dirty_writebacks += 1
-                    self.stats.bytes_written_back += size
-            cache_set.clear()
-        for order in self._order:
-            order.clear()
-        return dirty
-
-    @property
-    def resident_blocks(self) -> int:
-        """Number of blocks currently cached."""
-        return sum(len(s) for s in self._sets)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes currently cached (actual block sizes)."""
-        return sum(size for s in self._sets for _, size in s.values())
-
-
-def tensor_blocks(tensor_uid: int, num_bytes: int, block_bytes: int) -> List[Tuple[int, int, int]]:
-    """Split a tensor into cache blocks.
-
-    Returns ``(tensor_uid, block_index, block_size)`` triples; the last
-    block may be partial.
-    """
-    if num_bytes < 0:
-        raise ValueError("tensor size must be non-negative")
-    blocks = []
-    index = 0
-    remaining = num_bytes
-    while remaining > 0:
-        size = min(block_bytes, remaining)
-        blocks.append((tensor_uid, index, size))
-        remaining -= size
-        index += 1
-    return blocks

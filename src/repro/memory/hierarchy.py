@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.arch.specs import ChipSpec
 from repro.memory.cache import SetAssociativeCache
@@ -148,7 +148,6 @@ class MemoryHierarchy:
             else None
         )
         self._placements: Dict[int, Placement] = {}
-        self._no_reuse_hint: Set[int] = set()
         self._lls_used_bytes = 0
 
     def place(self, tensor: TensorSpec, placement: Placement, reserve: bool = True) -> None:
@@ -176,23 +175,6 @@ class MemoryHierarchy:
         """Where a tensor lives; unplaced tensors default to LLC-cached DRAM
         (weights) or LLS when kind-based policy says so."""
         return self._placements.get(tensor.uid, Placement.LLC)
-
-    def release_lls(self, tensor: TensorSpec) -> None:
-        """Return a tensor's LLS reservation (activation buffer reuse is
-        modelled by the scratch allocator; this supports explicit frees)."""
-        if self._placements.get(tensor.uid) is Placement.LLS:
-            self._lls_used_bytes -= tensor.num_bytes
-            del self._placements[tensor.uid]
-
-    def hint_no_reuse(self, tensor: TensorSpec) -> None:
-        """Mark a tensor with the paper's memory hint: its data will not be
-        reused, so LLC write-backs to DRAM can be skipped (section 4.2)."""
-        self._no_reuse_hint.add(tensor.uid)
-
-    @property
-    def lls_free_bytes(self) -> int:
-        """Remaining LLS capacity."""
-        return self.partition.lls_bytes - self._lls_used_bytes
 
     def read(self, tensor: TensorSpec, num_bytes: Optional[int] = None) -> Traffic:
         """Model reading ``num_bytes`` of a tensor (default: all of it).
@@ -230,8 +212,7 @@ class MemoryHierarchy:
             if self.llc is None:
                 traffic.dram_bytes += size
             else:
-                dirty = write and tensor.uid not in self._no_reuse_hint
-                missed = self.llc.access_tensor(tensor.uid, size, dirty)
+                missed = self.llc.access_tensor(tensor.uid, size, write)
                 # Every byte passes through SRAM.  A read miss also costs
                 # the DRAM fill; a write miss is write-allocate, with no
                 # fill read.
@@ -245,9 +226,3 @@ class MemoryHierarchy:
     def llc_hit_rate(self) -> float:
         """Measured LLC hit rate so far."""
         return self.llc.stats.hit_rate if self.llc else 0.0
-
-    def writeback_traffic(self) -> Traffic:
-        """DRAM traffic from dirty LLC evictions accumulated so far."""
-        if self.llc is None:
-            return Traffic()
-        return Traffic(dram_bytes=float(self.llc.stats.bytes_written_back))

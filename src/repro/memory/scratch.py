@@ -45,10 +45,6 @@ class BufferRequest:
         if self.end < self.start:
             raise ValueError(f"{self.name}: end {self.end} before start {self.start}")
 
-    def overlaps(self, other: "BufferRequest") -> bool:
-        """Whether the two buffers are ever live at the same time."""
-        return self.start <= other.end and other.start <= self.end
-
 
 @dataclasses.dataclass(frozen=True)
 class Placement:
@@ -73,34 +69,6 @@ class AllocationPlan:
     def peak_bytes(self) -> int:
         """High-water mark of the packed region."""
         return max((p.end_offset for p in self.placements), default=0)
-
-    @property
-    def total_requested_bytes(self) -> int:
-        """Sum of buffer sizes — the footprint without any reuse."""
-        return sum(p.request.size_bytes for p in self.placements)
-
-    @property
-    def reuse_factor(self) -> float:
-        """How much memory reuse saved: requested / peak (>= 1)."""
-        return self.total_requested_bytes / self.peak_bytes if self.peak_bytes else 1.0
-
-    def offset_of(self, name: str) -> int:
-        """Offset of a named buffer."""
-        for placement in self.placements:
-            if placement.request.name == name:
-                return placement.offset
-        raise KeyError(f"no buffer named {name!r}")
-
-    def validate(self) -> None:
-        """Check no two simultaneously-live buffers overlap in memory."""
-        for i, a in enumerate(self.placements):
-            for b in self.placements[i + 1 :]:
-                if not a.request.overlaps(b.request):
-                    continue
-                if a.offset < b.end_offset and b.offset < a.end_offset:
-                    raise AssertionError(
-                        f"overlap between {a.request.name} and {b.request.name}"
-                    )
 
 
 def plan_allocation(

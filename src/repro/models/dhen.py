@@ -42,11 +42,6 @@ class DhenConfig:
         if min(self.batch, self.hidden_dim, self.num_layers) <= 0:
             raise ValueError("batch, hidden_dim, and num_layers must be positive")
 
-    @property
-    def embedding_bytes(self) -> int:
-        """Total embedding footprint."""
-        return sum(bag.total_bytes for bag in self.embeddings)
-
 
 def _dhen_layer(
     graph: OpGraph, x: TensorSpec, config: DhenConfig, layer: int

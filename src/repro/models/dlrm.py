@@ -58,11 +58,6 @@ class DlrmConfig:
         if not self.embeddings:
             raise ValueError("DLRM needs at least one embedding bag")
 
-    @property
-    def embedding_bytes(self) -> int:
-        """Total embedding footprint."""
-        return sum(bag.total_bytes for bag in self.embeddings)
-
 
 def _mlp(
     graph: OpGraph,

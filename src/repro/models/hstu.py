@@ -45,11 +45,6 @@ class HstuConfig:
         if self.mean_seq_len <= 0 or self.max_seq_len <= 0:
             raise ValueError("sequence lengths must be positive")
 
-    @property
-    def embedding_bytes(self) -> int:
-        """Total embedding footprint."""
-        return self.num_tables * self.rows_per_table * self.embed_dim * self.dtype.bytes
-
     def sample_seq_lengths(self) -> List[int]:
         """Draw a skewed (log-normal) batch of user-history lengths."""
         rng = np.random.default_rng(self.seed)
@@ -109,8 +104,3 @@ def build_hstu(config: HstuConfig) -> OpGraph:
     head_w = weight(config.hidden_dim, 1, dtype=dtype, name="hstu_head_w")
     graph.add(fc(current, head_w, name="hstu_prediction"))
     return graph
-
-
-def hstu_flops_per_request(graph: OpGraph, batch: int) -> float:
-    """FLOPs per request (HSTU complexity is quoted per request)."""
-    return graph.total_flops() / batch

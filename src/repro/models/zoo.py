@@ -49,10 +49,6 @@ class ZooModel:
         """Build the model graph at the MTIA batch size."""
         return self.build_at(self.batch)
 
-    def graph_at(self, batch: int) -> OpGraph:
-        """Build the model graph at an arbitrary batch size."""
-        return self.build_at(batch)
-
     def gpu_graph(self) -> OpGraph:
         """Build the model graph at the GPU-autotuned batch size."""
         return self.build_at(self.gpu_batch or self.batch)

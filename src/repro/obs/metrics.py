@@ -61,24 +61,18 @@ class Counter:
 class Gauge:
     """A last-value-wins instantaneous reading."""
 
-    __slots__ = ("name", "_value", "_updates")
+    __slots__ = ("name", "_value")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._value = 0.0
-        self._updates = 0
 
     def set(self, value: float) -> None:
         self._value = float(value)
-        self._updates += 1
 
     @property
     def value(self) -> float:
         return self._value
-
-    @property
-    def updates(self) -> int:
-        return self._updates
 
 
 class Series:

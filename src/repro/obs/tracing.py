@@ -4,13 +4,11 @@ One builder for every timeline the reproduction emits.  Before this
 module existed, :mod:`repro.perf.trace` (executor op timelines) and
 :mod:`repro.resilience.trace` (fleet incident timelines) each assembled
 raw trace-event dicts by hand; both now go through :class:`TraceWriter`,
-which owns the three invariants the Chrome trace-event spec cares
+which owns the two invariants the Chrome trace-event spec cares
 about:
 
 * every event carries ``ph``, ``ts``, and ``pid`` (and ``tid`` for
   lane-scoped events);
-* ``B``/``E`` duration events nest properly per lane (enforced with a
-  per-lane span stack — unbalanced ``end`` calls raise);
 * lane naming goes through ``M``-phase metadata records emitted ahead
   of the data events.
 
@@ -34,7 +32,7 @@ __all__ = [
 
 
 class TraceError(RuntimeError):
-    """A malformed timeline: unbalanced or time-travelling spans."""
+    """A malformed timeline: one lane label bound to two tids."""
 
 
 def trace_metadata(process_name: str, lanes: Dict[str, int], pid: int = 0) -> List[Dict]:
@@ -80,7 +78,6 @@ class TraceWriter:
         self.pid = pid
         self._lanes: Dict[str, int] = {}
         self._events: List[Dict] = []
-        self._stacks: Dict[int, List[Dict]] = {}
 
     # ------------------------------------------------------------------
     # Lanes
@@ -152,41 +149,6 @@ class TraceWriter:
              "args": dict(values)}
         )
 
-    def begin(self, name: str, ts: float, tid: int) -> None:
-        """Open a nested (``ph: B``) span on ``tid``."""
-        event = {
-            "name": name,
-            "cat": "span",
-            "ph": "B",
-            "ts": ts,
-            "pid": self.pid,
-            "tid": tid,
-            "args": {},
-        }
-        self._events.append(event)
-        self._stacks.setdefault(tid, []).append(event)
-
-    def end(self, ts: float, tid: int) -> None:
-        """Close the innermost open span on ``tid`` (``ph: E``)."""
-        stack = self._stacks.get(tid)
-        if not stack:
-            raise TraceError(f"end() with no open span on tid {tid}")
-        opener = stack.pop()
-        if ts < opener["ts"]:
-            raise TraceError(
-                f"span {opener['name']!r} ends at {ts} before it began "
-                f"at {opener['ts']}"
-            )
-        self._events.append(
-            {"name": opener["name"], "cat": opener["cat"], "ph": "E",
-             "ts": ts, "pid": self.pid, "tid": tid, "args": {}}
-        )
-
-    @property
-    def open_span_count(self) -> int:
-        """Spans begun but not yet ended, across all lanes."""
-        return sum(len(stack) for stack in self._stacks.values())
-
     @property
     def events(self) -> List[Dict]:
         """The data events appended so far (no metadata)."""
@@ -198,13 +160,6 @@ class TraceWriter:
 
     def document(self, other_data: Optional[Dict] = None) -> Dict:
         """The finished trace document (metadata first, then events)."""
-        if self.open_span_count:
-            open_names = [
-                event["name"]
-                for stack in self._stacks.values()
-                for event in stack
-            ]
-            raise TraceError(f"unclosed spans: {open_names}")
         document: Dict = {
             "traceEvents": trace_metadata(self.process_name, self._lanes,
                                           pid=self.pid) + self._events,

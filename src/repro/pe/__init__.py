@@ -1,6 +1,6 @@
 """Processing Element engine models (paper section 3.2 and 3.3)."""
 
-from repro.pe.command import PipelineStage, pipeline_time, simulate_pipeline
+from repro.pe.command import PipelineStage, pipeline_time
 from repro.pe.dpe import DpeConfig, tile_utilization
 from repro.pe.mlu import MluConfig, reshape_time, transpose_time
 from repro.pe.reduction import rowwise_minmax
@@ -29,7 +29,6 @@ __all__ = [
     "pipeline_time",
     "reshape_time",
     "rowwise_minmax",
-    "simulate_pipeline",
     "tbe_issue",
     "tile_utilization",
     "transpose_time",

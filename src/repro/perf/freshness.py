@@ -65,17 +65,3 @@ def weight_update_latency(
         eager_update_s=eager,
         graph_republish_s=graph,
     )
-
-
-def freshness_quality_gain(update_interval_s: float) -> float:
-    """Quality retained relative to perfectly fresh weights.
-
-    A simple exponential-staleness model: prediction quality decays by
-    0.2% per hour of average weight age (half the update interval).
-    Used to translate update cadence into the quality terms product
-    teams reason about.
-    """
-    if update_interval_s < 0:
-        raise ValueError("interval must be non-negative")
-    average_age_hours = update_interval_s / 2 / 3600.0
-    return (1.0 - 0.002) ** average_age_hours

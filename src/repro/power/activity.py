@@ -82,40 +82,6 @@ class PowerTrace:
     def peak_power_w(self) -> float:
         return max((s.total_w for s in self.segments), default=0.0)
 
-    def component_energy_j(self) -> dict:
-        """Energy split by activity component."""
-        return {
-            "compute": sum(s.compute_w * s.duration_s for s in self.segments),
-            "sram": sum(s.sram_w * s.duration_s for s in self.segments),
-            "lpddr": sum(s.lpddr_w * s.duration_s for s in self.segments),
-            "leakage": sum(s.leakage_w * s.duration_s for s in self.segments),
-        }
-
-    def resample(self, dt_s: float) -> Tuple[np.ndarray, np.ndarray]:
-        """The trace on a uniform grid (for thermal stepping).
-
-        Returns ``(times, powers)`` where ``powers[i]`` is the
-        energy-preserving mean power over ``[times[i], times[i] + dt_s)``.
-        """
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
-        duration = self.duration_s
-        if duration == 0:
-            return np.zeros(0), np.zeros(0)
-        num_bins = int(np.ceil(duration / dt_s))
-        energy = np.zeros(num_bins)
-        t = 0.0
-        for segment in self.segments:
-            start, end = t, t + segment.duration_s
-            t = end
-            first, last = int(start // dt_s), int(np.ceil(end / dt_s))
-            for b in range(first, min(last, num_bins)):
-                lo, hi = b * dt_s, (b + 1) * dt_s
-                overlap = max(0.0, min(end, hi) - max(start, lo))
-                energy[b] += segment.total_w * overlap
-        times = np.arange(num_bins) * dt_s
-        return times, energy / dt_s
-
 
 def activity_trace(
     report: ExecutionReport,
@@ -218,15 +184,6 @@ def utilization_profile(
     return np.clip(base * jitter, 0.02, 1.0)
 
 
-def trace_scalars(trace: PowerTrace) -> dict:
-    """Flat scalars for the benchmark harness."""
-    return {
-        "avg_power_w": trace.avg_power_w,
-        "peak_power_w": trace.peak_power_w,
-        "energy_j": trace.energy_j,
-    }
-
-
 __all__ = [
     "PowerSegment",
     "PowerTrace",
@@ -234,6 +191,5 @@ __all__ = [
     "activity_trace",
     "chip_power_w",
     "dynamic_power_w",
-    "trace_scalars",
     "utilization_profile",
 ]

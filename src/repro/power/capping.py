@@ -27,7 +27,7 @@ below the server-level one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,13 +91,6 @@ class CapOutcome:
     @property
     def p99_deficit(self) -> float:
         return float(np.percentile(self.deficits, 99))
-
-    def scalars(self) -> Dict[str, float]:
-        return {
-            f"{self.policy}_p99_deficit": self.p99_deficit,
-            f"{self.policy}_delivered_fraction": self.delivered_fraction,
-            f"{self.policy}_cap_violation_fraction": self.cap_violation_fraction,
-        }
 
 
 class PerChipCapController:
@@ -252,13 +245,6 @@ class CappingComparison:
     def p99_deficit_improvement(self) -> float:
         """How much P99 deficit fine-grained allocation removes."""
         return self.server_level.p99_deficit - self.per_chip.p99_deficit
-
-    def scalars(self) -> Dict[str, float]:
-        out = {"budget_w": self.budget_w}
-        out.update(self.per_chip.scalars())
-        out.update(self.server_level.scalars())
-        out["p99_deficit_improvement"] = self.p99_deficit_improvement
-        return out
 
 
 def capping_study(

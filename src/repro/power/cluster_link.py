@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.arch.mtia import mtia2i_spec
 from repro.arch.specs import ChipSpec
@@ -69,22 +69,6 @@ class ThrottleSchedule:
     @classmethod
     def constant(cls, multiplier: float) -> "ThrottleSchedule":
         return cls(times_s=(0.0,), multipliers=(multiplier,))
-
-    @classmethod
-    def from_frequency_trace(
-        cls,
-        times_s: Sequence[float],
-        frequencies_hz: Sequence[float],
-        nominal_hz: float,
-    ) -> "ThrottleSchedule":
-        """Build from a governed frequency trace (e.g. the example run of
-        :func:`repro.power.dvfs.overclock_with_thermal_feedback`)."""
-        if nominal_hz <= 0:
-            raise ValueError("nominal frequency must be positive")
-        return cls(
-            times_s=tuple(times_s),
-            multipliers=tuple(nominal_hz / f for f in frequencies_hz),
-        )
 
 
 def frequency_for_chip_budget(chip: ChipSpec, per_chip_budget_w: float) -> float:
@@ -162,13 +146,6 @@ class PowerLimitedSweep:
                 f"{p.p99_latency_s * 1e3:7.1f}"
             )
         return "\n".join(lines)
-
-    def scalars(self) -> Dict[str, float]:
-        return {
-            "knee_budget_w": self.knee_budget_w,
-            "min_budget_qps": self.points[0].max_qps,
-            "max_budget_qps": self.points[-1].max_qps,
-        }
 
 
 def power_limited_capacity_sweep(

@@ -256,17 +256,6 @@ class ThermalFeedbackResult:
     def max_gain(self) -> float:
         return float(np.max(self.chip_gains))
 
-    def scalars(self) -> Dict[str, float]:
-        """Flat scalars for the benchmark harness."""
-        return {
-            "mean_gain": self.mean_gain,
-            "min_gain": self.min_gain,
-            "max_gain": self.max_gain,
-            "mean_frequency_ghz": self.mean_frequency_hz / GHZ,
-            "peak_junction_c": self.peak_junction_c,
-            "thermal_throttles": float(self.thermal_throttles),
-        }
-
 
 def overclock_with_thermal_feedback(
     curve: ThroughputCurve,

@@ -1,11 +1,11 @@
 """Time-domain replay of the rack-budget re-derivation (section 5.3).
 
-``repro.reliability.power`` models the provisioning lifecycle with
-static draws from closed-form distributions.  This module replays it in
-the time domain: a fleet of 24-chip servers runs the shared diurnal
-utilization tape through the leakage-aware power model for a simulated
-production window, and the two P90 prongs the paper describes are
-measured off that telemetry stream —
+The initial budget is :func:`repro.reliability.power.stress_test_budget`.
+This module replays production in the time domain: a fleet of 24-chip
+servers runs the shared diurnal utilization tape through the
+leakage-aware power model for a simulated production window, and the
+two P90 prongs the paper describes are measured off that telemetry
+stream —
 
 1. an experiment budget: every accelerator held at the fleet-wide P90 of
    per-chip draw during its own high-load windows;
@@ -14,21 +14,21 @@ measured off that telemetry stream —
 
 The revised budget is the higher of the two, exactly the rule the paper
 states, and against the stress-test initial budget it lands the ~40%
-reduction — now derived from the same watt-level model the DVFS and
-capping studies step, not from an assumed telemetry distribution.
+reduction, derived from the same watt-level model the DVFS and capping
+studies step.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.arch.server import mtia2i_server
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.activity import chip_power_w, utilization_profile
-from repro.reliability.power import PAPER_REDUCTION_FRACTION, stress_test_budget
+from repro.reliability.power import stress_test_budget
 
 
 # Optimized production models draw this fraction of the out-of-the-box
@@ -60,19 +60,6 @@ class TimeDomainProvisioning:
         if self.initial_budget_w <= 0:
             return 0.0
         return 1.0 - self.revised_budget_w / self.initial_budget_w
-
-    @property
-    def matches_paper(self) -> bool:
-        return abs(self.reduction_fraction - PAPER_REDUCTION_FRACTION) < 0.10
-
-    def scalars(self) -> Dict[str, float]:
-        return {
-            "initial_budget_w": self.initial_budget_w,
-            "revised_budget_w": self.revised_budget_w,
-            "reduction_fraction": self.reduction_fraction,
-            "mean_server_power_w": self.mean_server_power_w,
-            "peak_server_power_w": self.peak_server_power_w,
-        }
 
 
 def time_domain_provisioning(

@@ -22,7 +22,7 @@ degrees, per the AutoDNNchip-style substitution argument in DESIGN.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -45,11 +45,6 @@ class RcStage:
             raise ValueError(f"{self.name}: heat capacity must be positive")
         if self.resistance_c_per_w <= 0:
             raise ValueError(f"{self.name}: resistance must be positive")
-
-    @property
-    def time_constant_s(self) -> float:
-        """The stage's own RC time constant."""
-        return self.heat_capacity_j_per_c * self.resistance_c_per_w
 
 
 class ThermalNetwork:
@@ -88,10 +83,6 @@ class ThermalNetwork:
         """Closed-form junction (die) temperature under constant power."""
         return float(self.steady_state(power_w)[0])
 
-    def initial_state(self) -> np.ndarray:
-        """All nodes at ambient (a cold start)."""
-        return np.full(len(self.stages), self.ambient_c)
-
     def max_stable_dt(self) -> float:
         """Explicit-Euler stability bound with a 2x safety factor."""
         conductance = 1.0 / self._resistances
@@ -123,29 +114,6 @@ class ThermalNetwork:
             inflow = np.concatenate(([power_w], outflow[:-1]))
             temps = temps + h * (inflow - outflow) / self._capacities
         return temps
-
-    def settle(
-        self,
-        power_w: float,
-        tolerance_c: float = 0.01,
-    ) -> Tuple[np.ndarray, float]:
-        """Step from the initial state until within ``tolerance_c`` of
-        steady state.
-
-        Returns ``(temps, simulated_seconds)``.  Bounded by 40x the
-        slowest stage time constant so a pathological network cannot
-        spin forever.
-        """
-        temps = self.initial_state()
-        target = self.steady_state(power_w)
-        slowest = max(s.time_constant_s for s in self.stages)
-        horizon = 40.0 * slowest
-        dt = max(self.max_stable_dt(), slowest / 50.0)
-        t = 0.0
-        while t < horizon and float(np.max(np.abs(temps - target))) > tolerance_c:
-            temps = self.step(temps, power_w, dt)
-            t += dt
-        return temps, t
 
 
 def mtia2i_thermal() -> ThermalNetwork:

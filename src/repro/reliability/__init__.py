@@ -45,8 +45,6 @@ from repro.reliability.overclock import (
 )
 from repro.reliability.power import (
     PAPER_REDUCTION_FRACTION,
-    provisioning_study,
-    sample_production_power,
     stress_test_budget,
 )
 
@@ -78,10 +76,8 @@ __all__ = [
     "inject_and_classify",
     "overclock_throughput_gain",
     "override_rollout",
-    "provisioning_study",
     "run_overclocking_study",
     "sample_fleet_errors",
-    "sample_production_power",
     "sensitivity_study",
     "staged_detection",
     "stress_test_budget",

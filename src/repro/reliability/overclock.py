@@ -79,19 +79,13 @@ def run_overclocking_study(
     num_chips: int = PAPER_STUDY_CHIPS,
     margin: Optional[MarginModel] = None,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
 ) -> StudyResult:
-    """Simulate the 3,000-chip x 10-test x 3-frequency campaign.
-
-    Randomness is reproducible: pass either a ``seed`` or an explicit
-    ``rng`` (which wins when both are given), matching the convention of
-    :func:`repro.fleet.server_sim.production_utilization`.
-    """
+    """Simulate the 3,000-chip x 10-test x 3-frequency campaign; the
+    draws come from ``default_rng(seed)`` in a fixed order."""
     if num_chips <= 0:
         raise ValueError("need at least one chip")
     margin = margin or MarginModel()
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     fmax = margin.sample_fmax(num_chips, rng)
     pass_rates: Dict[float, Dict[str, float]] = {}
     for frequency in STUDY_FREQUENCIES_HZ:

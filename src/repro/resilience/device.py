@@ -13,8 +13,9 @@ The key production subtlety the paper's section 5.5 deadlock exposes is
 the gap between *being* dead and being *known* dead: a WEDGED device
 stays in the router's rotation — eating requests that will time out —
 until enough health checks fail to drain it.  The state machine tracks
-that distinction (:attr:`Device.in_rotation` vs :attr:`Device.serving`)
-plus per-state residency time for the unavailability accounting.
+that distinction (a WEDGED device is not :attr:`Device.serving`, yet the
+census still counts it toward the rotation) plus per-state residency
+time for the unavailability accounting.
 
 :meth:`Device.transition` holds the lifecycle rules.  The simulator moves
 its pool's devices through :meth:`PoolCensus.transition`, which calls it
@@ -85,19 +86,6 @@ class Device:
     state_seconds: Dict[DeviceState, float] = dataclasses.field(
         default_factory=lambda: {state: 0.0 for state in DeviceState}
     )
-
-    @property
-    def in_rotation(self) -> bool:
-        """Whether the router still targets this device.
-
-        WEDGED counts: the serving tier has not yet noticed the silent
-        failure, so requests keep landing on it.
-        """
-        return self.state in (
-            DeviceState.HEALTHY,
-            DeviceState.DEGRADED,
-            DeviceState.WEDGED,
-        )
 
     @property
     def serving(self) -> bool:

@@ -118,10 +118,6 @@ class EventLog:
         wanted = set(kinds)
         return [e for e in self._events if e.kind in wanted]
 
-    def for_device(self, device_id: int) -> List[Event]:
-        """Events attributed to one device, in order."""
-        return [e for e in self._events if e.device_id == device_id]
-
     def first_of_kind(self, kind: EventKind) -> Optional[Event]:
         """Earliest event of a kind, or ``None``."""
         for event in self._events:

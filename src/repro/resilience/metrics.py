@@ -72,11 +72,6 @@ class IntervalMetrics:
             return 1.0
         return self.goodput_samples_per_s / self.offered_samples_per_s
 
-    @property
-    def in_rotation(self) -> int:
-        """Devices the router still targets (wedged-but-undetected count)."""
-        return self.healthy + self.degraded + self.wedged
-
 
 def evaluate_interval(
     now_s: float,

@@ -189,10 +189,6 @@ class DrainPolicy:
         mu = np.log(self.reboot_mttr_s) - 0.5 * self.reboot_sigma**2
         return float(rng.lognormal(mu, self.reboot_sigma))
 
-    def detection_latency_s(self) -> float:
-        """Expected wall time from wedge to drain decision."""
-        return self.health_check_interval_s * self.failures_to_drain
-
 
 @dataclasses.dataclass(frozen=True)
 class LoadShedPolicy:

@@ -53,17 +53,6 @@ class ProtectionProfile:
     row_hash: bool = False
     fleet_screen: bool = False
 
-    def enabled(self, detector: str) -> bool:
-        """Whether ``detector`` participates in this profile.
-
-        The accumulator overflow assertion is hardware behaviour
-        (satellite of the same PR), not an optional detector — it is
-        loud in every profile.
-        """
-        if detector == "overflow":
-            return True
-        return bool(getattr(self, detector))
-
 
 def standard_profiles() -> Tuple[ProtectionProfile, ...]:
     """The ladder the campaign table reports: nothing → ECC → ECC+ABFT →

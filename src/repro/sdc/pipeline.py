@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.fleet.abtest import Backend, SyntheticCtrModel
+from repro.fleet.abtest import SyntheticCtrModel
 from repro.quant.int8 import (
     QuantizedTensor,
     accumulate_int8,
@@ -446,51 +446,6 @@ class CtrServingPipeline:
             row_hash_ok=self._row_hash_ok(state, table_clean),
             overflowed=overflowed,
         )
-
-    # -- §5.6 linkage ------------------------------------------------------
-
-    def ab_model(self):
-        """A model-like adapter for :func:`repro.fleet.abtest.run_ab_test`.
-
-        The harness only needs ``model.sample``; this adapter supplies
-        the pipeline's own traffic, with the embedding-table index
-        carried as a trailing feature column so each backend re-gathers
-        the embedding slice from *its own* (possibly corrupted) table.
-        Labels come from the clean ground truth, so a corrupted arm's NE
-        rises exactly as the campaign measures it.
-        """
-        pipeline = self
-
-        class _Adapter:
-            def sample(self, num_requests, seed=1, rng=None):
-                if rng is not None:
-                    seed = int(rng.integers(2**31))
-                slice_ = pipeline.sample(num_requests, seed=seed)
-                features = np.concatenate(
-                    [slice_.dense, slice_.indices[:, None].astype(np.float64)],
-                    axis=1,
-                )
-                return features, slice_.labels
-
-        return _Adapter()
-
-    def backend(self, state: Optional[PipelineState] = None) -> Backend:
-        """Wrap a (possibly corrupted) pipeline state as an A/B-test
-        backend for the :meth:`ab_model` adapter's traffic: the trailing
-        feature column is the embedding index, everything before it the
-        dense features."""
-        state = state or self.clean_state()
-
-        def predict(features: np.ndarray) -> np.ndarray:
-            features = np.asarray(features)
-            slice_ = RequestSlice(
-                dense=features[:, :-1],
-                indices=features[:, -1].astype(np.intp),
-                labels=np.zeros(len(features)),
-            )
-            return self.serve(slice_, state).predictions
-
-        return predict
 
 
 __all__ = [

@@ -174,10 +174,6 @@ class DiurnalTrafficModel:
         """The daily-peak expected rate."""
         return self.mean_rate_per_s * self.peak_to_mean
 
-    def shifted(self, phase_h: float) -> "DiurnalTrafficModel":
-        """This curve moved ``phase_h`` hours east (peak earlier)."""
-        return dataclasses.replace(self, phase_h=self.phase_h + phase_h)
-
     def scaled(self, factor: float) -> "DiurnalTrafficModel":
         """This curve at ``factor`` times the traffic (per-region share)."""
         if factor <= 0:

@@ -25,7 +25,7 @@ P95) on a held-out split the fit never saw.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,14 +46,6 @@ class TrainReport:
     mape_holdout: float
     p95_rel_error_holdout: float
     max_rel_error_holdout: float
-
-    def scalars(self) -> Dict[str, float]:
-        return {
-            f"{self.target}.n_train": float(self.n_train),
-            f"{self.target}.n_holdout": float(self.n_holdout),
-            f"{self.target}.mape_holdout": self.mape_holdout,
-            f"{self.target}.p95_rel_error": self.p95_rel_error_holdout,
-        }
 
 
 def _rel_errors(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -1,12 +1,8 @@
 """Tensor descriptions (symbolic) and jagged tensors (concrete numerics)."""
 
-from repro.tensors.dtypes import DType, parse_dtype, quantize_to_bf16
+from repro.tensors.dtypes import DType
 from repro.tensors.jagged import (
     JaggedTensor,
-    jagged_dense_elementwise_add,
-    jagged_hadamard,
-    jagged_linear,
-    jagged_mean_pool,
     jagged_softmax,
     jagged_sum_pool,
 )
@@ -31,15 +27,9 @@ __all__ = [
     "activation",
     "concat_specs",
     "embedding_table",
-    "jagged_dense_elementwise_add",
-    "jagged_hadamard",
-    "jagged_linear",
-    "jagged_mean_pool",
     "jagged_softmax",
     "jagged_sum_pool",
     "model_input",
-    "parse_dtype",
-    "quantize_to_bf16",
     "transposed",
     "weight",
 ]

@@ -7,14 +7,14 @@ a flat ``values`` array of shape ``(total_len, dim)`` plus an ``offsets``
 array of length ``batch + 1`` delimiting each row's segment.
 
 Unlike most of this library, which is symbolic, these operators compute
-real values: the quantization, error-injection, and A/B-testing subsystems
-run actual numerics through them.
+real values: the section 4.3 benchmark pools and normalizes sampled
+sequences through them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,18 +62,9 @@ class JaggedTensor:
         """Per-row sequence lengths."""
         return np.diff(self.offsets)
 
-    @property
-    def total_length(self) -> int:
-        """Sum of all sequence lengths."""
-        return int(self.offsets[-1])
-
     def row(self, i: int) -> np.ndarray:
         """The ``i``-th variable-length row as a view."""
         return self.values[self.offsets[i] : self.offsets[i + 1]]
-
-    def rows(self) -> List[np.ndarray]:
-        """All rows, as views into ``values``."""
-        return [self.row(i) for i in range(self.batch_size)]
 
     @classmethod
     def from_rows(cls, rows: Sequence[np.ndarray]) -> "JaggedTensor":
@@ -90,90 +81,6 @@ class JaggedTensor:
         else:
             values = np.zeros((0, dim))
         return cls(values=values, offsets=offsets)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, lengths: Sequence[int]) -> "JaggedTensor":
-        """Convert a padded ``(batch, max_len, dim)`` array into jagged form.
-
-        Entries beyond each row's length are dropped.
-        """
-        dense = np.asarray(dense)
-        if dense.ndim != 3:
-            raise ValueError(f"dense must be 3-D (batch, max_len, dim), got {dense.shape}")
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if len(lengths) != dense.shape[0]:
-            raise ValueError("lengths must have one entry per batch item")
-        if np.any(lengths < 0) or np.any(lengths > dense.shape[1]):
-            raise ValueError("lengths must lie in [0, max_len]")
-        rows = [dense[i, : lengths[i]] for i in range(dense.shape[0])]
-        jagged = cls.from_rows(rows) if len(rows) else cls(
-            np.zeros((0, dense.shape[2])), np.zeros(1, dtype=np.int64)
-        )
-        if jagged.dim != dense.shape[2] and jagged.total_length == 0:
-            jagged = cls(np.zeros((0, dense.shape[2])), jagged.offsets)
-        return jagged
-
-    def to_dense(self, max_len: int = None, pad_value: float = 0.0) -> np.ndarray:
-        """Convert to a padded ``(batch, max_len, dim)`` array.
-
-        Rows longer than ``max_len`` are truncated; shorter rows are padded
-        with ``pad_value``.  Defaults to the longest row's length.
-        """
-        if max_len is None:
-            max_len = int(self.lengths.max()) if self.batch_size else 0
-        dense = np.full((self.batch_size, max_len, self.dim), pad_value, dtype=self.values.dtype)
-        for i in range(self.batch_size):
-            row = self.row(i)[:max_len]
-            dense[i, : row.shape[0]] = row
-        return dense
-
-    def map_values(self, fn: Callable[[np.ndarray], np.ndarray]) -> "JaggedTensor":
-        """Apply an elementwise (shape-preserving) function to the values."""
-        out = fn(self.values)
-        if out.shape != self.values.shape:
-            raise ValueError("map_values function must preserve shape")
-        return JaggedTensor(values=out, offsets=self.offsets.copy())
-
-
-def jagged_dense_elementwise_add(jagged: JaggedTensor, dense: np.ndarray) -> JaggedTensor:
-    """Add a dense ``(batch, max_len, dim)`` tensor to a jagged tensor.
-
-    Only positions that exist in the jagged tensor are produced — the dense
-    padding is ignored, matching FBGEMM's jagged_dense_elementwise_add.
-    """
-    if dense.ndim != 3 or dense.shape[0] != jagged.batch_size or dense.shape[2] != jagged.dim:
-        raise ValueError(
-            f"dense shape {dense.shape} incompatible with jagged "
-            f"(batch={jagged.batch_size}, dim={jagged.dim})"
-        )
-    out = np.empty_like(jagged.values)
-    for i in range(jagged.batch_size):
-        start, stop = jagged.offsets[i], jagged.offsets[i + 1]
-        length = stop - start
-        if length > dense.shape[1]:
-            raise ValueError(f"row {i} longer than dense max_len {dense.shape[1]}")
-        out[start:stop] = jagged.values[start:stop] + dense[i, :length]
-    return JaggedTensor(values=out, offsets=jagged.offsets.copy())
-
-
-def jagged_hadamard(a: JaggedTensor, b: JaggedTensor) -> JaggedTensor:
-    """Elementwise (Hadamard) product of two identically-shaped jagged tensors."""
-    if not np.array_equal(a.offsets, b.offsets) or a.dim != b.dim:
-        raise ValueError("jagged tensors must share offsets and dim")
-    return JaggedTensor(values=a.values * b.values, offsets=a.offsets.copy())
-
-
-def jagged_linear(jagged: JaggedTensor, weight_matrix: np.ndarray) -> JaggedTensor:
-    """Linear transform of every jagged row: ``values @ W``.
-
-    ``weight_matrix`` has shape ``(dim, out_dim)``.  Offsets are preserved.
-    """
-    weight_matrix = np.asarray(weight_matrix)
-    if weight_matrix.ndim != 2 or weight_matrix.shape[0] != jagged.dim:
-        raise ValueError(
-            f"weight shape {weight_matrix.shape} incompatible with dim {jagged.dim}"
-        )
-    return JaggedTensor(values=jagged.values @ weight_matrix, offsets=jagged.offsets.copy())
 
 
 def jagged_softmax(jagged: JaggedTensor) -> JaggedTensor:
@@ -192,16 +99,6 @@ def jagged_softmax(jagged: JaggedTensor) -> JaggedTensor:
         exp = np.exp(seg)
         out[start:stop] = exp / exp.sum(axis=0, keepdims=True)
     return JaggedTensor(values=out.astype(jagged.values.dtype, copy=False), offsets=jagged.offsets.copy())
-
-
-def jagged_mean_pool(jagged: JaggedTensor) -> np.ndarray:
-    """Mean-pool each jagged row to a single vector; empty rows pool to zero."""
-    pooled = np.zeros((jagged.batch_size, jagged.dim), dtype=np.float64)
-    for i in range(jagged.batch_size):
-        row = jagged.row(i)
-        if row.shape[0]:
-            pooled[i] = row.mean(axis=0)
-    return pooled.astype(jagged.values.dtype, copy=False)
 
 
 def jagged_sum_pool(jagged: JaggedTensor) -> np.ndarray:

@@ -185,15 +185,6 @@ class GemmShape:
         """Bytes in the M x N output tensor."""
         return self.m * self.n * dtype.bytes
 
-    def arithmetic_intensity(self, dtype: DType) -> float:
-        """FLOPs per byte moved, assuming each operand is touched once."""
-        total_bytes = (
-            self.weight_bytes(dtype)
-            + self.activation_bytes(dtype)
-            + self.output_bytes(dtype)
-        )
-        return self.flops / total_bytes
-
     def __str__(self) -> str:
         return f"{self.m}x{self.k}x{self.n}"
 

@@ -45,6 +45,18 @@ from repro.resilience.policies import ClientRetryConfig, DrainPolicy
 from repro.serving.workload import Request
 
 
+def sample_service(
+    service: ServiceModel, rng: np.random.Generator, cross_host: bool = False
+) -> float:
+    """Draw one service time (mean-preserving log-normal jitter): the
+    per-request draw the cluster event loop inlines."""
+    if service.jitter_sigma == 0:
+        base = service.mean_service_s
+    else:
+        base = float(rng.lognormal(service._lognormal_mu, service.jitter_sigma))
+    return base * (service.cross_host_penalty if cross_host else 1.0)
+
+
 def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
     """The admissible routing targets at ``now_s``.
 
@@ -620,7 +632,7 @@ class ReferenceSimulator:
             self._emit("brownout_level", level)
 
     def _start_service(self, replica: _Replica, index: int, cross: bool) -> None:
-        service_s = self.service.sample(self._rng, cross_host=cross)
+        service_s = sample_service(self.service, self._rng, cross_host=cross)
         if self.throttle is not None:
             service_s *= self.throttle.multiplier(self._now)
         if replica.slow_factor != 1.0:

@@ -99,31 +99,6 @@ class TestEccDerating:
         assert gpu.with_ecc_enabled() is gpu
 
 
-class TestReclocking:
-    def test_at_frequency_scales_compute(self):
-        base = mtia2i_spec(ecc_enabled=False)
-        slow = base.at_frequency(1.1e9)
-        scale = 1.1 / 1.35
-        assert slow.peak_gemm_flops(DType.FP16) == pytest.approx(177e12 * scale)
-        assert slow.sram.bandwidth_bytes_per_s == pytest.approx(2.7e12 * scale)
-        assert slow.noc_bandwidth_bytes_per_s == pytest.approx(
-            base.noc_bandwidth_bytes_per_s * scale
-        )
-
-    def test_at_frequency_keeps_offchip(self):
-        base = mtia2i_spec(ecc_enabled=False)
-        slow = base.at_frequency(1.1e9)
-        assert slow.dram.bandwidth_bytes_per_s == base.dram.bandwidth_bytes_per_s
-        assert slow.host_link.bandwidth_bytes_per_s == base.host_link.bandwidth_bytes_per_s
-
-    def test_overclock_ratio(self):
-        assert mtia2i_spec().overclock_ratio == pytest.approx(1.35 / 1.1)
-
-    def test_invalid_frequency(self):
-        with pytest.raises(ValueError):
-            mtia2i_spec().at_frequency(0)
-
-
 class TestSpecValidation:
     def test_memory_level_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -165,15 +140,6 @@ class TestServer:
         assert server.accelerators_per_server == 24
         assert server.accelerators_per_socket == 12
         assert server.accelerators_per_module == 2
-
-    def test_per_accelerator_shares(self):
-        """Section 3.4: 8 cores, 96 GB host DRAM (38 GB/s), ~4.17 GB/s
-        Ethernet per accelerator."""
-        server = mtia2i_server()
-        assert server.host_cores_per_accelerator == pytest.approx(8.0)
-        assert server.host_dram_per_accelerator_bytes == pytest.approx(96 * GiB)
-        assert server.host_dram_bandwidth_per_accelerator == pytest.approx(460e9 / 12)
-        assert server.nic_bandwidth_per_accelerator == pytest.approx(50e9 / 12, rel=0.01)
 
     def test_gpu_server_shape(self):
         assert gpu_server().accelerators_per_server == 8

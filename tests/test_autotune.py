@@ -155,7 +155,8 @@ class TestSharding:
         graph = self._big_model(180)
         plan = plan_sharding(graph, mtia2i_spec())
         assert plan.num_shards == 2
-        assert plan.balance > 0.9
+        fills = plan.bytes_per_shard
+        assert sum(fills) / len(fills) / max(fills) > 0.9  # mean/max fill
         assert len(plan.table_assignment) == 64
 
     def test_plan_respects_capacity(self):
@@ -177,12 +178,6 @@ class TestOrchestrator:
         assert result.shard_plan.num_shards == 1
         assert len(result.kernel_variants) > 0
         assert result.placement.activations_in_lls
-
-    def test_variant_lookup(self):
-        result = autotune_model(_builder(), mtia2i_spec())
-        name = next(iter(result.kernel_variants))
-        assert result.variant_for(name) is not None
-        assert result.variant_for("nonexistent") is None
 
     def test_database_reuse_across_models(self):
         """The second model tunes via ANN against the first's database."""

@@ -240,6 +240,22 @@ class TestBenchCli:
         assert results["benchmarks"]["demo"]["scalars"] == {"x": 1.0}
         assert "no baseline" in capsys.readouterr().out
 
+    def test_default_out_leaves_the_baseline_untouched(self, tmp_path):
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        self._seed_out(bench_dir)
+        baseline = tmp_path / "BENCH_results.json"
+        write_results(_results(demo={"x": 1.0}, other={"y": 2.0}), baseline)
+        before = baseline.read_bytes()
+        for _ in range(2):  # a second run must not read the first's output
+            assert main([
+                "bench", "--no-run", "--dir", str(bench_dir),
+                "--baseline", str(baseline),
+            ]) == 0
+        assert baseline.read_bytes() == before
+        written = load_results(bench_dir / "out" / "bench_results.json")
+        assert written["benchmarks"] == {"demo": {"scalars": {"x": 1.0}}}
+
     def test_regression_against_baseline_fails(self, tmp_path, capsys):
         bench_dir = tmp_path / "benchmarks"
         bench_dir.mkdir()

@@ -8,20 +8,21 @@ the same resident lines, in the same order, after every step.
 
 The oracle below is the per-block cache as it stood before the replay
 loop, kept verbatim (``_Line`` dataclass, one ``access`` per block, one
-LCG step per random victim).  It lives only here, not in ``src/``.
+LCG step per random victim), with the block split it replayed
+(:func:`tensor_blocks`).  Both live only here, not in ``src/``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import CacheStats, SetAssociativeCache, tensor_blocks
+from repro.memory import CacheStats, SetAssociativeCache
 
 BlockId = Hashable
 
@@ -109,25 +110,24 @@ class PerBlockCache:
         cache_set[block] = _Line(block=block, dirty=write, size_bytes=size)
         return False
 
-    def contains(self, block: BlockId) -> bool:
-        """Whether the block is currently resident (no LRU update)."""
-        return block in self._set_for(block)
 
-    def invalidate(self, block: BlockId) -> bool:
-        """Drop a block without a writeback; returns True if it was present."""
-        return self._set_for(block).pop(block, None) is not None
+def tensor_blocks(tensor_uid: int, num_bytes: int, block_bytes: int) -> List[Tuple[int, int, int]]:
+    """Split a tensor into cache blocks.
 
-    def flush(self) -> int:
-        """Write back and drop everything; returns the dirty line count."""
-        dirty = 0
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                if line.dirty:
-                    dirty += 1
-                    self.stats.dirty_writebacks += 1
-                    self.stats.bytes_written_back += line.size_bytes
-            cache_set.clear()
-        return dirty
+    Returns ``(tensor_uid, block_index, block_size)`` triples; the last
+    block may be partial.
+    """
+    if num_bytes < 0:
+        raise ValueError("tensor size must be non-negative")
+    blocks = []
+    index = 0
+    remaining = num_bytes
+    while remaining > 0:
+        size = min(block_bytes, remaining)
+        blocks.append((tensor_uid, index, size))
+        remaining -= size
+        index += 1
+    return blocks
 
 
 BLOCK = 64
@@ -185,8 +185,6 @@ def test_access_tensor_matches_per_block_model(num_sets, ways, replacement, seed
         assert cache.access_tensor(uid, num_bytes, dirty) == _oracle_tensor(
             oracle, uid, num_bytes, dirty)
         _assert_same_state(cache, oracle)
-    assert cache.flush() == oracle.flush()
-    _assert_same_state(cache, oracle)
 
 
 @given(
@@ -208,8 +206,6 @@ def test_access_matches_per_block_model(num_sets, ways, replacement, seed, steps
         assert cache.access(block, write=write, size_bytes=size) == oracle.access(
             block, write=write, size_bytes=size)
         _assert_same_state(cache, oracle)
-    assert cache.flush() == oracle.flush()
-    _assert_same_state(cache, oracle)
 
 
 def test_negative_tensor_size_rejected():
@@ -230,25 +226,19 @@ _OPERATIONS = st.one_of(
               st.one_of(st.none(), st.integers(min_value=0, max_value=2 * BLOCK))),
     st.tuples(st.just("tensor"), st.integers(min_value=0, max_value=5),
               st.integers(min_value=0, max_value=5 * BLOCK), st.booleans()),
-    st.tuples(st.just("invalidate"), _BLOCKS),
-    st.tuples(st.just("contains"), _BLOCKS),
-    st.tuples(st.just("flush")),
 )
 
 
 @given(steps=st.lists(_OPERATIONS, max_size=60), **_GEOMETRY)
 @settings(max_examples=300, deadline=None)
 def test_interleaved_operations_match_per_block_model(num_sets, ways, replacement, seed, steps):
-    """``invalidate``, ``contains`` and a mid-stream ``flush`` between
-    accesses: where a victim-position list could drift from its set."""
+    """One-block and whole-tensor accesses interleaved on one cache."""
     cache, oracle = _pair(num_sets, ways, replacement, seed)
     for kind, *args in steps:
         if kind == "access":
             block, write, size = args
             assert cache.access(block, write=write, size_bytes=size) == oracle.access(
                 block, write=write, size_bytes=size)
-        elif kind == "tensor":
-            assert cache.access_tensor(*args) == _oracle_tensor(oracle, *args)
         else:
-            assert getattr(cache, kind)(*args) == getattr(oracle, kind)(*args)
+            assert cache.access_tensor(*args) == _oracle_tensor(oracle, *args)
         _assert_same_state(cache, oracle)

@@ -72,7 +72,6 @@ class TestFaultDomainTopology:
             assert topo.power_domain_of(r) == (
                 topo.rack_of(r) // topo.racks_per_power_domain
             )
-            assert topo.tor_of(r) == topo.rack_of(r)
 
     def test_racks_partition_the_replicas(self):
         topo = FaultDomainTopology(replicas=13, replicas_per_host=3)

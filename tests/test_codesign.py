@@ -285,4 +285,6 @@ def test_search_front_exact_deterministic_and_anchored():
 def test_search_respects_space_grid():
     result = _tiny_search()
     for evaluation in result.serving_evals:
-        TINY_SPACE.indices_of(evaluation.point)  # raises if off-grid
+        point = evaluation.point
+        assert all(getattr(point, axis) in ladder
+                   for axis, ladder in TINY_SPACE.axes().items())

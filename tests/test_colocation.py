@@ -88,7 +88,10 @@ class TestColocation:
             mtia2i_server(),
             [ColocationRequest("LC1", lc1_report, instances=6)],
         )
-        assert result.total_effective_throughput("LC1") == pytest.approx(
+        total = sum(
+            p.effective_throughput for p in result.placements if p.name == "LC1"
+        )
+        assert total == pytest.approx(
             6 * lc1_report.throughput_samples_per_s, rel=0.01
         )
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec, mtia_nextgen_spec, spec_ratio
 from repro.graph import OpGraph, fc, transpose
-from repro.graph.passes import fuse_horizontal_fc
 from repro.kernels import estimate_op
 from repro.models.dlrm import build_dlrm, small_dlrm
 from repro.perf import Executor
@@ -80,19 +79,6 @@ class TestGraphExecutorConsistency:
 
 
 class TestFusionConsistency:
-    def test_horizontal_fusion_estimate_bounded_by_parts(self):
-        x = model_input(512, 512, name="x")
-        graph = OpGraph(name="parallel")
-        ops = [
-            graph.add(fc(x, weight(512, 256, name=f"w{i}"), name=f"fc{i}"))
-            for i in range(3)
-        ]
-        fused_graph = fuse_horizontal_fc(graph)
-        chip = mtia2i_spec()
-        fused_cost = estimate_op(fused_graph.ops[0], chip)
-        parts = sum(estimate_op(op, chip).compute_s for op in ops)
-        assert fused_cost.compute_s <= parts
-
     def test_fused_sub_ops_preserved(self):
         x = model_input(64, 64, name="x")
         graph = OpGraph(name="t")

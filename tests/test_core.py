@@ -35,7 +35,7 @@ class TestMtia2iSystem:
     def test_deploy_end_to_end(self):
         system = Mtia2iSystem()
         result = system.deploy(_builder(), model_name="small")
-        assert result.throughput > 0
+        assert result.report.throughput_samples_per_s > 0
         assert result.autotune.shard_plan.num_shards == 1
         assert result.report.activations_in_lls
 

@@ -16,13 +16,10 @@ from repro.fleet import (
     production_utilization,
     run_ab_test,
 )
-from repro.arch import mtia2i_server
 from repro.reliability import (
     deadlock_incidence,
-    provisioning_study,
     run_overclocking_study,
     sample_fleet_errors,
-    sample_production_power,
     sensitivity_study,
     staged_detection,
 )
@@ -86,17 +83,6 @@ class TestReliabilityStudies:
         again = run_overclocking_study(num_chips=200, seed=1)
         assert first == again
 
-    def test_run_overclocking_study_explicit_rng_wins(self):
-        """An explicit generator overrides the seed (the
-        server_sim convention), consumed in a defined order."""
-        first = run_overclocking_study(
-            num_chips=200, rng=np.random.default_rng(21), seed=999
-        )
-        again = run_overclocking_study(
-            num_chips=200, rng=np.random.default_rng(21), seed=0
-        )
-        assert first == again
-
     def test_run_overclocking_study_default_matches_historical_seed(self):
         """The no-argument call keeps reproducing the pre-seed-threading
         numbers (default_rng(0))."""
@@ -109,20 +95,6 @@ class TestReliabilityStudies:
         again = sensitivity_study(trials_per_region=20, seed=5)
         assert first.outcomes == again.outcomes
 
-    def test_sample_production_power(self):
-        server = mtia2i_server()
-        first = sample_production_power(server, seed=7)
-        again = sample_production_power(server, seed=7)
-        assert np.array_equal(first.values_w, again.values_w)
-        other = sample_production_power(server, seed=8)
-        assert not np.array_equal(first.values_w, other.values_w)
-
-    def test_provisioning_study(self):
-        server = mtia2i_server()
-        assert provisioning_study(server, seed=4) == provisioning_study(
-            server, seed=4
-        )
-
 
 class TestFleetStudies:
     def test_production_utilization_seed(self):
@@ -130,17 +102,6 @@ class TestFleetStudies:
         again = production_utilization(1000.0, 10_000.0, seed=13)
         assert first == again
         assert first != production_utilization(1000.0, 10_000.0, seed=14)
-
-    def test_production_utilization_explicit_rng_wins(self):
-        """An explicit generator overrides the seed and is consumed in a
-        defined order, so identical generators mean identical results."""
-        first = production_utilization(
-            1000.0, 10_000.0, rng=np.random.default_rng(21), seed=999
-        )
-        again = production_utilization(
-            1000.0, 10_000.0, rng=np.random.default_rng(21), seed=0
-        )
-        assert first == again
 
     def test_production_utilization_default_matches_historical_seed(self):
         """The no-argument call must keep reproducing the pre-seed-threading
@@ -163,21 +124,6 @@ class TestFleetStudies:
         assert first != run_ab_test(
             model, backend, backend, num_requests=5_000, seed=12
         )
-
-    def test_run_ab_test_explicit_rng_wins(self):
-        """An explicit generator overrides the seed, so the same generator
-        state gives the same traffic slice regardless of the seed."""
-        model = SyntheticCtrModel(seed=0)
-        backend = model.exact_backend()
-        first = run_ab_test(
-            model, backend, backend, num_requests=5_000,
-            rng=np.random.default_rng(3), seed=999,
-        )
-        again = run_ab_test(
-            model, backend, backend, num_requests=5_000,
-            rng=np.random.default_rng(3), seed=11,
-        )
-        assert first == again
 
     def test_run_ab_test_default_matches_historical_seed(self):
         """The default call keeps reproducing the pre-seed-threading

@@ -23,7 +23,7 @@ import pytest
 from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec
 from repro.graph import OpGraph, elementwise, fc, fused, hstu_attention, layernorm
 from repro.graph.ops import OpType
-from repro.graph.passes import fuse_horizontal_fc, fuse_vertical
+from repro.graph.passes import fuse_vertical
 from repro.kernels.gemm import GemmVariant, default_variants
 from repro.kernels.registry import estimate_op
 from repro.models.zoo import figure6_models
@@ -89,7 +89,7 @@ def _build(name: str, fused: bool = False) -> OpGraph:
     model = MODELS[name]
     with stable_uid_scope():
         graph = model.build_at(model.batch)
-    return fuse_horizontal_fc(fuse_vertical(graph)) if fused else graph
+    return fuse_vertical(graph) if fused else graph
 
 
 def _check(chip, graph, batch, **options) -> ExecutionReport:

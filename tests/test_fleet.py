@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch import mtia2i_server
+from repro.cluster.provisioning import HostPool
 from repro.fleet import (
     AllocationError,
     HOST_DRAM_AMPLIFICATION_NAIVE,
@@ -129,7 +130,9 @@ class TestNumaAllocator:
         assert len(allocator.allocate("again", 12).accelerator_ids) == 12
 
     def test_fragmentation_stats_empty_server(self):
-        stats = NumaAllocator(mtia2i_server()).fragmentation_stats()
+        # One server's fragmentation, read through the one-host pool that
+        # owns its allocator.
+        stats = HostPool(num_hosts=1).fragmentation_stats()
         assert stats.free_total == 24
         assert stats.largest_socket_free == 12
         assert stats.fragmentation == pytest.approx(0.5)
@@ -138,30 +141,30 @@ class TestNumaAllocator:
     def test_fragmentation_blocks_large_request(self):
         """A server can have plenty free yet place no large sharded model
         — the quantity the cluster pool's capacity accounting tracks."""
-        allocator = NumaAllocator(mtia2i_server())
-        allocator.allocate("a", 7)
-        allocator.allocate("b", 7)  # lands on socket 1
-        stats = allocator.fragmentation_stats(request_size=6)
+        pool = HostPool(num_hosts=1)
+        pool.acquire("a", 7)
+        pool.acquire("b", 7)  # lands on socket 1
+        stats = pool.fragmentation_stats(request_size=6)
         assert stats.free_total == 10  # 5 free on each socket
         assert stats.largest_socket_free == 5
         assert not stats.placeable
         assert stats.unplaceable_free == 10
         with pytest.raises(AllocationError):
-            allocator.allocate("big", 6)
+            pool.acquire("big", 6)
 
     def test_fragmentation_clears_after_release(self):
-        allocator = NumaAllocator(mtia2i_server())
-        a = allocator.allocate("a", 7)
-        allocator.allocate("b", 7)
-        allocator.release(a)
-        stats = allocator.fragmentation_stats(request_size=6)
+        pool = HostPool(num_hosts=1)
+        a = pool.acquire("a", 7)
+        pool.acquire("b", 7)
+        pool.release(a)
+        stats = pool.fragmentation_stats(request_size=6)
         assert stats.largest_socket_free == 12
         assert stats.placeable
 
     def test_fragmentation_probe_validation(self):
-        allocator = NumaAllocator(mtia2i_server())
+        pool = HostPool(num_hosts=1)
         with pytest.raises(ValueError):
-            allocator.fragmentation_stats(request_size=0)
+            pool.fragmentation_stats(request_size=0)
 
 
 class TestAbTest:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from repro.arch import mtia1_spec, mtia2i_spec
-from repro.perf import freshness_quality_gain, weight_update_latency
+from repro.perf import weight_update_latency
 
 
 class TestFreshness:
@@ -28,17 +28,9 @@ class TestFreshness:
         old = weight_update_latency(1 << 30, mtia1_spec())
         assert old.eager_update_s > new.eager_update_s
 
-    def test_quality_gain_monotone(self):
-        fresh = freshness_quality_gain(60)
-        stale = freshness_quality_gain(24 * 3600)
-        assert fresh > stale
-        assert 0 < stale < fresh <= 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             weight_update_latency(-1, mtia2i_spec())
-        with pytest.raises(ValueError):
-            freshness_quality_gain(-1)
 
 
 @pytest.mark.parametrize(

@@ -6,14 +6,10 @@ import pytest
 from repro.graph import OpGraph, OpType, broadcast, elementwise, fc, layernorm, transpose
 from repro.graph.passes import (
     batch_layernorms,
-    broadcast_savings,
-    count_kernel_launches,
     defer_broadcast,
-    fuse_horizontal_fc,
     fuse_sibling_transpose_fc,
     fuse_vertical,
     minimize_liveness,
-    schedule_quality,
 )
 from repro.tensors import model_input, weight
 
@@ -32,7 +28,7 @@ class TestVerticalFusion:
     def test_chain_fused(self):
         g = _chain_graph()
         fused_graph = fuse_vertical(g)
-        assert count_kernel_launches(fused_graph) < count_kernel_launches(g)
+        assert len(fused_graph.ops) < len(g.ops)
         kinds = [op.op_type for op in fused_graph.ops]
         assert OpType.FUSED in kinds
 
@@ -55,7 +51,7 @@ class TestVerticalFusion:
         g.add(elementwise([f1.output], name="e1"))
         g.add(elementwise([f1.output], name="e2"))
         fused_graph = fuse_vertical(g)
-        assert count_kernel_launches(fused_graph) == 3
+        assert len(fused_graph.ops) == 3
 
     def test_fused_graph_schedulable(self):
         fuse_vertical(_chain_graph()).validate_schedule()
@@ -74,34 +70,17 @@ class TestSiblingTransposeFusion:
         """The paper's sibling transpose-FC fusion (up to 15% gain)."""
         g = self._graph()
         fused_graph = fuse_sibling_transpose_fc(g)
-        assert count_kernel_launches(fused_graph) == 1
+        assert len(fused_graph.ops) == 1
         assert fused_graph.ops[0].op_type is OpType.FUSED
 
     def test_single_consumer_not_fused(self):
         g = self._graph(num_siblings=1)
-        assert count_kernel_launches(fuse_sibling_transpose_fc(g)) == 2
+        assert len(fuse_sibling_transpose_fc(g).ops) == 2
 
     def test_outputs_preserved(self):
         g = self._graph()
         fused_graph = fuse_sibling_transpose_fc(g)
         assert len(fused_graph.graph_outputs()) == 3
-
-
-class TestHorizontalFusion:
-    def test_parallel_fcs_fused(self):
-        x = model_input(64, 128)
-        g = OpGraph()
-        for i in range(4):
-            g.add(fc(x, weight(128, 32, name=f"w{i}"), name=f"fc{i}"))
-        fused_graph = fuse_horizontal_fc(g)
-        assert count_kernel_launches(fused_graph) == 1
-
-    def test_different_inputs_not_fused(self):
-        a, b = model_input(4, 8), model_input(4, 8)
-        g = OpGraph()
-        g.add(fc(a, weight(8, 8), name="fa"))
-        g.add(fc(b, weight(8, 8), name="fb"))
-        assert count_kernel_launches(fuse_horizontal_fc(g)) == 2
 
 
 class TestLayernormBatching:
@@ -113,7 +92,7 @@ class TestLayernormBatching:
         for i in range(6):
             g.add(layernorm(f.output, name=f"ln{i}"))
         batched = batch_layernorms(g)
-        launches = count_kernel_launches(batched)
+        launches = len(batched.ops)
         assert launches == 2  # the fc + one batched layernorm kernel
 
     def test_dependent_layernorms_not_merged(self):
@@ -124,7 +103,7 @@ class TestLayernormBatching:
         g.add(layernorm(f.output, name="ln2"))
         batched = batch_layernorms(g)
         # ln2 depends on f which depends on ln1: cannot batch.
-        assert count_kernel_launches(batched) == 3
+        assert len(batched.ops) == 3
 
     def test_flops_preserved(self):
         x = model_input(64, 128)
@@ -167,11 +146,6 @@ class TestScheduling:
         good = minimize_liveness(bad)
         assert good.peak_activation_bytes() < bad.peak_activation_bytes()
 
-    def test_schedule_quality_metrics(self):
-        metrics = schedule_quality(self._diamond())
-        assert metrics["peak_activation_bytes"] > 0
-        assert metrics["num_live_ranges"] > 0
-
 
 class TestBroadcastDeferral:
     def _graph(self, chain_len=2):
@@ -201,8 +175,7 @@ class TestBroadcastDeferral:
     def test_deferral_reduces_footprint(self):
         g = self._graph(chain_len=3)
         deferred = defer_broadcast(g)
-        savings = broadcast_savings(g, deferred)
-        assert savings["footprint_reduction"] > 1.0
+        assert deferred.peak_activation_bytes() < g.peak_activation_bytes()
 
     def test_non_user_side_chain_untouched(self):
         users = model_input(8, 64)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec
 from repro.core import optimize_graph
-from repro.graph.passes import count_kernel_launches
 from repro.models import figure6_models, lc1
 from repro.models.dlrm import build_dlrm, small_dlrm
 from repro.perf import Executor
@@ -38,7 +37,7 @@ class TestOptimizationStack:
 
     def test_fusion_reduces_launches_end_to_end(self):
         graph = _graph(1024)
-        assert count_kernel_launches(optimize_graph(graph)) < count_kernel_launches(graph)
+        assert len(optimize_graph(graph).ops) < len(graph.ops)
 
 
 class TestCrossPlatformSanity:

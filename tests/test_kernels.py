@@ -1,18 +1,13 @@
 """Tests for the kernel cost models."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec
-from repro.graph import fc, layernorm, mha, softmax, tbe, transpose
+from repro.graph import OpType, fc, layernorm, mha, tbe, transpose
+from repro.graph.ops import Op
 from repro.kernels import (
-    EmbeddingAccessPattern,
     GemmVariant,
     KernelEstimate,
     Stationarity,
@@ -26,11 +21,8 @@ from repro.kernels import (
     estimate_tbe,
     gemm_efficiency,
     naive_variant,
-    simulate_tbe_hit_rate,
 )
-from repro.memory import SetAssociativeCache
 from repro.tensors import DType, GemmShape, embedding_table, model_input, weight
-from repro.units import MiB
 
 
 class TestGemmKernel:
@@ -74,7 +66,7 @@ class TestGemmKernel:
     def test_variant_grid_nonempty(self):
         variants = default_variants()
         assert len(variants) > 50
-        assert len({v.key() for v in variants}) == len(variants)
+        assert len(set(variants)) == len(variants)
 
     def test_stationarity_changes_read_factors(self):
         shape = GemmShape(4096, 1024, 4096)
@@ -122,51 +114,7 @@ class TestTbeKernel:
         weighted = estimate_tbe(10_000, 128, chip, weighted=True)
         assert weighted.compute_s == pytest.approx(2 * plain.compute_s)
 
-    def test_zipf_pattern_is_skewed(self):
-        import numpy as np
-
-        pattern = EmbeddingAccessPattern(num_rows=1_000_000)
-        rng = np.random.default_rng(0)
-        indices = pattern.sample(10_000, rng)
-        # Hot head: far more accesses land in the first 1% of rows than a
-        # uniform distribution's 1%.
-        head = np.mean(indices < 10_000)
-        assert head > 0.35
-
-    def test_hit_rate_in_paper_band(self):
-        """Section 4.2: caching keeps 40-60% of sparse accesses in SRAM.
-
-        With the default Zipf skew and an LLC-sized cache the measured
-        hit rate lands in (or near) that band."""
-        cache = SetAssociativeCache(capacity_bytes=128 * MiB, block_bytes=64 * 1024)
-        pattern = EmbeddingAccessPattern(num_rows=50_000_000, zipf_exponent=1.05)
-        rate = simulate_tbe_hit_rate(pattern, row_bytes=256, cache=cache, num_lookups=8000)
-        assert 0.3 < rate < 0.8
-
-    def test_hit_rate_independent_of_hash_seed(self):
-        """Row keys are ints, so the LLC set mapping — and the measured
-        rate — must not move with the per-process ``str`` hash salt."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        code = (
-            "from repro.kernels import EmbeddingAccessPattern, simulate_tbe_hit_rate\n"
-            "from repro.memory import SetAssociativeCache\n"
-            "from repro.units import MiB\n"
-            "print(repr(simulate_tbe_hit_rate(EmbeddingAccessPattern(200_000), 65536,"
-            " SetAssociativeCache(4 * MiB), 20_000)))\n"
-        )
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-            result = subprocess.run([sys.executable, "-c", code], env=env,
-                                    capture_output=True, text=True, check=True, timeout=120)
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1]
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingAccessPattern(num_rows=0)
-        with pytest.raises(ValueError):
-            EmbeddingAccessPattern(num_rows=10, zipf_exponent=1.0)
         with pytest.raises(ValueError):
             estimate_tbe(-1, 128, mtia2i_spec())
 
@@ -216,7 +164,8 @@ class TestRegistry:
             fc(x, weight(128, 64)),
             tbe(tables, batch=8, avg_indices_per_lookup=4),
             layernorm(x),
-            softmax(x),
+            Op(op_type=OpType.SOFTMAX, name="softmax", inputs=[x], outputs=[x],
+               attrs={"rows": 64, "cols": 128}),
             transpose(x),
             mha(x, heads=4, head_dim=32, seq_len=8, batch=8),
         ]

@@ -217,6 +217,6 @@ class TestFigure6Zoo:
 
     def test_graph_at_builds_other_batches(self):
         m = self.models[0]
-        assert m.graph_at(128).flops_per_sample(128) == pytest.approx(
+        assert m.build_at(128).flops_per_sample(128) == pytest.approx(
             m.graph().flops_per_sample(m.batch), rel=0.05
         )

@@ -89,7 +89,7 @@ def test_passes_preserve_graph_outputs(graph):
 @given(graph=random_graphs())
 @settings(max_examples=25, deadline=None)
 def test_executor_handles_any_valid_graph(graph):
-    batch = graph.graph_inputs()[0].shape[0]
+    batch = graph.ops[0].inputs[0].shape[0]  # every tensor has batch rows
     report = Executor(mtia2i_spec()).run(graph, batch, warmup_runs=0)
     assert report.latency_s > 0
     assert report.latency_s < 10.0  # these graphs are tiny

@@ -1,6 +1,8 @@
 """Tests for the PE engine models: DPE, SIMD, RISC-V issue, RE, MLU, CP
 and the work-queue engine."""
 
+from typing import List
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,47 @@ from repro.pe import (
     pipeline_time,
     reshape_time,
     rowwise_minmax,
-    simulate_pipeline,
     tbe_issue,
     tile_utilization,
     transpose_time,
 )
 from repro.tensors import DType, GemmShape
+
+
+def simulate_pipeline(
+    stages: List[PipelineStage],
+    num_tiles: int,
+    cb_slots: int = 2,
+) -> float:
+    """Makespan of a CB-connected pipeline with *finite* buffers (the
+    oracle for :func:`pipeline_time`).
+
+    Unlike :func:`pipeline_time`, this honours the bounded circular
+    buffers between stages: a fast producer stalls when the downstream CB
+    is full (it may run at most ``cb_slots`` tiles ahead of its consumer),
+    which is how undersized CBs serialize a kernel.
+
+    Computed with the standard recurrence for a flow line with finite
+    inter-stage buffers: tile ``t`` on stage ``s`` starts once (a) stage
+    ``s`` finished tile ``t-1``, (b) stage ``s-1`` finished tile ``t``,
+    and (c) stage ``s+1`` has finished tile ``t - cb_slots`` so a slot is
+    free.
+    """
+    if num_tiles < 0 or cb_slots <= 0:
+        raise ValueError("tile count must be >= 0 and cb_slots > 0")
+    if num_tiles == 0 or not stages:
+        return 0.0
+    num_stages = len(stages)
+    finish = [[0.0] * num_tiles for _ in range(num_stages)]
+    for tile in range(num_tiles):
+        for s in range(num_stages):
+            prev_tile_done = finish[s][tile - 1] if tile else 0.0
+            upstream_done = finish[s - 1][tile] if s else 0.0
+            start = max(prev_tile_done, upstream_done)
+            if s + 1 < num_stages and tile >= cb_slots:
+                start = max(start, finish[s + 1][tile - cb_slots])
+            finish[s][tile] = start + stages[s].time_per_tile_s
+    return finish[-1][-1]
 
 
 class TestDpe:

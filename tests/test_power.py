@@ -36,8 +36,29 @@ from repro.power import (
 )
 from repro.power.capping import PerChipCapController, ServerCapController, run_capping
 from repro.reliability.overclock import DESIGN_FREQUENCY_HZ
+from repro.reliability.power import PAPER_REDUCTION_FRACTION
 from repro.serving.workload import poisson_stream
 from repro.units import GHZ
+
+
+def settle(network, power_w, tolerance_c=0.01):
+    """Step a network from ambient until within ``tolerance_c`` of its
+    closed-form steady state (the oracle for ``step``).
+
+    Returns ``(temps, simulated_seconds)``.  Bounded by 40x the slowest
+    stage time constant so a pathological network cannot spin forever.
+    """
+    temps = np.full(len(network.stages), network.ambient_c)
+    target = network.steady_state(power_w)
+    slowest = max(s.heat_capacity_j_per_c * s.resistance_c_per_w
+                  for s in network.stages)
+    horizon = 40.0 * slowest
+    dt = max(network.max_stable_dt(), slowest / 50.0)
+    t = 0.0
+    while t < horizon and float(np.max(np.abs(temps - target))) > tolerance_c:
+        temps = network.step(temps, power_w, dt)
+        t += dt
+    return temps, t
 
 
 def _linear_curve(slope: float = 0.85) -> ThroughputCurve:
@@ -67,8 +88,11 @@ class TestActivity:
             assert segment.sram_w >= 0
             assert segment.lpddr_w >= 0
             assert segment.leakage_w > 0
-        components = trace.component_energy_j()
-        assert sum(components.values()) == pytest.approx(trace.energy_j)
+        components = sum(
+            (s.compute_w + s.sram_w + s.lpddr_w + s.leakage_w) * s.duration_s
+            for s in trace.segments
+        )
+        assert components == pytest.approx(trace.energy_j)
 
     def test_hot_trace_draws_more(self):
         chip = mtia2i_spec()
@@ -77,15 +101,6 @@ class TestActivity:
         cold = activity_trace(report, chip, temperature_c=60.0)
         hot = activity_trace(report, chip, temperature_c=100.0)
         assert hot.energy_j > cold.energy_j
-
-    def test_resample_preserves_energy(self):
-        chip = mtia2i_spec()
-        model = hc1()
-        report = Executor(chip).run(model.graph(), model.batch, warmup_runs=1)
-        trace = activity_trace(report, chip)
-        _, powers = trace.resample(trace.duration_s / 50)
-        resampled_energy = float(np.sum(powers) * trace.duration_s / 50)
-        assert resampled_energy == pytest.approx(trace.energy_j, rel=0.03)
 
     def test_dynamic_power_scales_superlinearly_with_frequency(self):
         chip = mtia2i_spec()
@@ -109,13 +124,13 @@ class TestThermal:
 
     def test_stepping_converges_to_steady_state(self):
         net = mtia2i_thermal()
-        temps, _ = net.settle(65.0, tolerance_c=0.01)
+        temps, _ = settle(net, 65.0, tolerance_c=0.01)
         target = net.steady_state(65.0)
         assert np.max(np.abs(temps - target)) <= 0.02
 
     def test_large_dt_is_substepped_stably(self):
         net = mtia2i_thermal()
-        temps = net.initial_state()
+        temps = np.full(len(net.stages), net.ambient_c)
         for _ in range(20):
             temps = net.step(temps, 80.0, 120.0)  # dt >> stability limit
         assert np.all(np.isfinite(temps))
@@ -123,7 +138,7 @@ class TestThermal:
 
     def test_zero_power_stays_at_ambient(self):
         net = mtia2i_thermal()
-        temps = net.step(net.initial_state(), 0.0, 100.0)
+        temps = net.step(np.full(len(net.stages), net.ambient_c), 0.0, 100.0)
         assert np.allclose(temps, net.ambient_c)
 
     def test_invalid_networks_rejected(self):
@@ -278,7 +293,7 @@ class TestProvisioning:
     def test_reduction_lands_near_paper(self):
         outcome = time_domain_provisioning(num_servers=20, duration_s=300.0, seed=0)
         assert 0.30 <= outcome.reduction_fraction <= 0.50
-        assert outcome.matches_paper
+        assert abs(outcome.reduction_fraction - PAPER_REDUCTION_FRACTION) < 0.10
 
     def test_revised_budget_is_max_of_prongs(self):
         outcome = time_domain_provisioning(num_servers=10, duration_s=200.0, seed=2)
@@ -319,14 +334,6 @@ class TestClusterCoupling:
         assert schedule.multiplier(9.99) == 1.0
         assert schedule.multiplier(10.0) == 2.0
         assert schedule.multiplier(1e9) == 2.0
-
-    def test_schedule_from_frequency_trace(self):
-        schedule = ThrottleSchedule.from_frequency_trace(
-            times_s=(0.0, 1.0), frequencies_hz=(1.35 * GHZ, 0.9 * GHZ),
-            nominal_hz=1.35 * GHZ,
-        )
-        assert schedule.multiplier(0.5) == pytest.approx(1.0)
-        assert schedule.multiplier(1.5) == pytest.approx(1.5)
 
     def test_service_model_at_budget_scales_mean(self):
         service = default_service_model()

@@ -28,10 +28,8 @@ from repro.reliability import (
     inject_and_classify,
     overclock_throughput_gain,
     override_rollout,
-    provisioning_study,
     run_overclocking_study,
     sample_fleet_errors,
-    sample_production_power,
     sensitivity_study,
     staged_detection,
     stress_test_budget,
@@ -359,20 +357,6 @@ class TestFirmware:
 
 
 class TestPower:
-    def test_reduction_near_40_percent(self):
-        outcome = provisioning_study(mtia2i_server(), seed=3)
-        assert 0.30 <= outcome.reduction_fraction <= 0.50
-
-    def test_revised_takes_higher_of_two(self):
-        outcome = provisioning_study(mtia2i_server())
-        assert outcome.revised_budget_w == max(
-            outcome.experiment_budget_w, outcome.fleet_budget_w
-        )
-
     def test_initial_budget_above_nameplate(self):
         server = mtia2i_server()
         assert stress_test_budget(server) > server.max_power_watts
-
-    def test_power_sample_percentiles_ordered(self):
-        sample = sample_production_power(mtia2i_server())
-        assert sample.percentile(50) <= sample.percentile(90) <= sample.percentile(99)

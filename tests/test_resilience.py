@@ -81,13 +81,16 @@ class TestDeviceLifecycle:
 
     def test_rotation_vs_serving(self):
         device = Device(device_id=0)
-        assert device.in_rotation and device.serving
+        assert device.serving
         device.transition(DeviceState.WEDGED, 0.0)
-        # The crux of section 5.5: silently dead but still routed to.
-        assert device.in_rotation and not device.serving
+        # The crux of section 5.5: silently dead, but the census still
+        # counts it among the routed-to states until it is drained.
+        assert not device.serving
         assert device.throughput_scale == 0.0
-        device.transition(DeviceState.DRAINING, 1.0)
-        assert not device.in_rotation
+        census = PoolCensus.of({0: device})
+        assert census.counts[DeviceState.WEDGED] == 1
+        census.transition(device, DeviceState.DRAINING, 1.0)
+        assert census.counts[DeviceState.WEDGED] == 0
 
     def test_degraded_scale(self):
         device = Device(device_id=0, degraded_scale=0.5)
@@ -176,7 +179,6 @@ class TestEventLog:
         log.append(Event(time_s=2.0, kind=EventKind.FAULT_SDC, device_id=2))
         log.append(Event(time_s=3.0, kind=EventKind.FAULT_DEADLOCK, device_id=2))
         assert len(log.of_kind(EventKind.FAULT_DEADLOCK)) == 2
-        assert len(log.for_device(2)) == 2
         assert log.first_of_kind(EventKind.FAULT_SDC).time_s == 2.0
         assert log.first_of_kind(EventKind.ROLLOUT_DONE) is None
 
@@ -237,7 +239,6 @@ class TestEventLog:
         )
         assert rows.first_of_kind(EventKind.SLO_AT_RISK) is first[2]
         assert rows.first_of_kind(EventKind.ROLLOUT_DONE) is None
-        assert rows.for_device(3) == [eager[0], eager[3]]
         assert rows.timeline() == appended.timeline()
 
 
@@ -307,7 +308,6 @@ class TestPolicies:
         samples = [drain.sample_reboot_s(rng) for _ in range(2000)]
         assert np.mean(samples) == pytest.approx(600.0, rel=0.05)
         assert DrainPolicy(reboot_sigma=0.0).sample_reboot_s(rng) == 600.0
-        assert drain.detection_latency_s() == pytest.approx(180.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -645,7 +645,8 @@ class TestDrainPath:
             e for e in drains if e.device_id == first_wedge.device_id
         )
         assert first_drain.time_s - first_wedge.time_s == pytest.approx(
-            drain_policy.detection_latency_s(), abs=1.0
+            drain_policy.health_check_interval_s * drain_policy.failures_to_drain,
+            abs=1.0
         )
 
     def test_drain_keeps_goodput_high(self):

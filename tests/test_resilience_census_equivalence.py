@@ -54,11 +54,16 @@ from repro.resilience.policies import (
 from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
 
+# The states the router still targets: a WEDGED device has not been
+# noticed yet, so requests keep landing on it.
+ROTATION = (DeviceState.HEALTHY, DeviceState.DEGRADED, DeviceState.WEDGED)
+
+
 def scan_live_scale(devices: Dict[int, Device]) -> float:
     """The retired scan's rotation-capacity sum."""
     live_scale = 0.0
     for device in devices.values():
-        if device.in_rotation:
+        if device.state in ROTATION:
             live_scale += device.throughput_scale
     return live_scale
 
@@ -79,7 +84,7 @@ def scan_evaluate_interval(
     live_scale = 0.0
     for device in devices.values():
         census[device.state] += 1
-        if device.in_rotation:
+        if device.state in ROTATION:
             live_scale += device.throughput_scale
     rotation = (
         census[DeviceState.HEALTHY]

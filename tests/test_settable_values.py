@@ -77,8 +77,10 @@ def test_settable_value_count_stays_down():
     # 1,008 before the values that no caller set became constants; 712
     # before the surrogate-guided capacity and power searches went; 697
     # before the process pool and the models only tests reached went; 684
-    # before the GEMM kernel surrogate and the kernel-latency memo went.
-    assert len(settable_values()) <= 667
+    # before the GEMM kernel surrogate and the kernel-latency memo went;
+    # 667 before the census left only program-read members and the
+    # explicit-``rng`` knobs went.
+    assert len(settable_values()) <= 641
 
 
 # Owners deleted whole: a deleted owner takes no knob.
@@ -86,6 +88,8 @@ DELETED_OWNERS = {
     ("repro.fastsim.memo", "KernelLatencyMemo"),
     ("repro.surrogate.dataset", "train_gemm_surrogate"),
     ("repro.power.thermal", "gpu_thermal"),
+    ("repro.fleet_global.drills", "global_firmware_rollout"),
+    ("repro.power.thermal", "ThermalNetwork.settle"),
 }
 
 
@@ -136,11 +140,20 @@ DELETED_OWNERS = {
     ("repro.autotune.kernel_tuner", "measure_variant", "memo"),
     ("repro.autotune.kernel_tuner", "exhaustive_tune", "memo"),
     ("repro.autotune.kernel_tuner", "ann_tune", "memo"),
+    # One way to seed: ``seed`` alone, no explicit generator that wins
+    # over it.
+    ("repro.reliability.overclock", "run_overclocking_study", "rng"),
+    ("repro.fleet.server_sim", "production_utilization", "rng"),
+    ("repro.fleet.abtest", "run_ab_test", "rng"),
+    ("repro.fleet.abtest", "SyntheticCtrModel.sample", "rng"),
+    ("repro.fleet_global.simulator", "run_fleet", "extra_injections"),
 ])
 def test_retired_knob_stays_gone(module, owner, name):
     if (module, owner) in DELETED_OWNERS:
         with pytest.raises((ModuleNotFoundError, AttributeError)):
-            getattr(importlib.import_module(module), owner)
+            target = importlib.import_module(module)
+            for part in owner.split("."):
+                target = getattr(target, part)
         return
     target = importlib.import_module(module)
     for part in owner.split("."):

@@ -14,15 +14,9 @@ from repro.tensors import (
     activation,
     concat_specs,
     embedding_table,
-    jagged_dense_elementwise_add,
-    jagged_hadamard,
-    jagged_linear,
-    jagged_mean_pool,
     jagged_softmax,
     jagged_sum_pool,
     model_input,
-    parse_dtype,
-    quantize_to_bf16,
     transposed,
     weight,
 )
@@ -38,34 +32,6 @@ class TestDtypes:
 
     def test_bits(self):
         assert DType.FP16.bits == 16
-
-    def test_classification(self):
-        assert DType.FP16.is_float and not DType.FP16.is_int
-        assert DType.INT8.is_int and not DType.INT8.is_float
-
-    def test_numpy_mapping(self):
-        assert DType.FP16.to_numpy() == np.float16
-        assert DType.INT8.to_numpy() == np.int8
-        # BF16 is stored as FP32 in numpy (no native bfloat16).
-        assert DType.BF16.to_numpy() == np.float32
-
-    def test_parse(self):
-        assert parse_dtype("FP16") is DType.FP16
-        assert parse_dtype("int8") is DType.INT8
-        with pytest.raises(ValueError):
-            parse_dtype("fp8")
-
-    def test_bf16_rounding_is_idempotent(self):
-        x = np.random.default_rng(0).normal(size=1000).astype(np.float32)
-        once = quantize_to_bf16(x)
-        twice = quantize_to_bf16(once)
-        np.testing.assert_array_equal(once, twice)
-
-    def test_bf16_error_bound(self):
-        x = np.linspace(0.1, 100, 1000).astype(np.float32)
-        rounded = quantize_to_bf16(x)
-        # BF16 has 8 mantissa bits (incl. implicit): relative error < 2^-8.
-        assert np.max(np.abs(rounded - x) / x) < 2 ** -8
 
 
 class TestTensorSpec:
@@ -138,11 +104,6 @@ class TestGemmShape:
         assert s.activation_bytes(DType.FP16) == 4 * 8 * 2
         assert s.output_bytes(DType.FP32) == 4 * 16 * 4
 
-    def test_arithmetic_intensity_grows_with_size(self):
-        small = GemmShape(64, 64, 64).arithmetic_intensity(DType.FP16)
-        big = GemmShape(2048, 2048, 2048).arithmetic_intensity(DType.FP16)
-        assert big > small
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             GemmShape(0, 1, 1)
@@ -161,25 +122,12 @@ class TestJagged:
         assert j.batch_size == 3
         assert j.dim == 4
         assert list(j.lengths) == [2, 0, 3]
-        assert j.total_length == 5
+        assert int(j.lengths.sum()) == 5
 
     def test_row_views(self):
         j = self._make()
         assert j.row(0).shape == (2, 4)
         assert j.row(1).shape == (0, 4)
-
-    def test_dense_roundtrip(self):
-        j = self._make()
-        dense = j.to_dense()
-        back = JaggedTensor.from_dense(dense, j.lengths)
-        np.testing.assert_array_equal(back.values, j.values)
-        np.testing.assert_array_equal(back.offsets, j.offsets)
-
-    def test_to_dense_padding(self):
-        j = self._make()
-        dense = j.to_dense(max_len=4, pad_value=-1)
-        assert dense.shape == (3, 4, 4)
-        assert np.all(dense[0, 2:] == -1)
 
     def test_invalid_offsets(self):
         with pytest.raises(ValueError):
@@ -196,72 +144,12 @@ class TestJagged:
         np.testing.assert_allclose(pooled[1], np.zeros(4))
         np.testing.assert_allclose(pooled[2], 6 * np.ones(4))
 
-    def test_mean_pool_empty_row_is_zero(self):
-        j = self._make()
-        pooled = jagged_mean_pool(j)
-        np.testing.assert_allclose(pooled[1], np.zeros(4))
-        np.testing.assert_allclose(pooled[0], np.ones(4))
-
-    def test_hadamard(self):
-        j = self._make()
-        prod = jagged_hadamard(j, j)
-        np.testing.assert_allclose(prod.row(2), 4 * np.ones((3, 4)))
-
-    def test_hadamard_mismatch(self):
-        j = self._make()
-        other = JaggedTensor.from_rows([np.ones((1, 4))] * 3)
-        with pytest.raises(ValueError):
-            jagged_hadamard(j, other)
-
-    def test_linear(self):
-        j = self._make()
-        w = np.eye(4) * 3
-        out = jagged_linear(j, w)
-        np.testing.assert_allclose(out.row(0), 3 * np.ones((2, 4)))
-
-    def test_linear_shape_check(self):
-        with pytest.raises(ValueError):
-            jagged_linear(self._make(), np.ones((5, 2)))
-
     def test_softmax_normalizes_per_segment(self):
         rng = np.random.default_rng(1)
         j = JaggedTensor.from_rows([rng.normal(size=(5, 3)), rng.normal(size=(2, 3))])
         soft = jagged_softmax(j)
         np.testing.assert_allclose(soft.row(0).sum(axis=0), np.ones(3), atol=1e-9)
         np.testing.assert_allclose(soft.row(1).sum(axis=0), np.ones(3), atol=1e-9)
-
-    def test_dense_add_ignores_padding(self):
-        j = self._make()
-        dense = np.full((3, 5, 4), 10.0)
-        out = jagged_dense_elementwise_add(j, dense)
-        np.testing.assert_allclose(out.row(0), 11 * np.ones((2, 4)))
-        assert out.total_length == j.total_length
-
-    def test_map_values_shape_preserved(self):
-        j = self._make()
-        out = j.map_values(lambda v: v * 2)
-        np.testing.assert_allclose(out.values, j.values * 2)
-        with pytest.raises(ValueError):
-            j.map_values(lambda v: v[:1])
-
-
-@given(
-    lengths=st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=10),
-    dim=st.integers(min_value=1, max_value=8),
-)
-@settings(max_examples=50, deadline=None)
-def test_jagged_dense_roundtrip_property(lengths, dim):
-    """from_dense(to_dense(j)) is the identity for any jagged tensor."""
-    rng = np.random.default_rng(0)
-    rows = [rng.normal(size=(length, dim)) for length in lengths]
-    j = JaggedTensor.from_rows(rows) if any(lengths) else JaggedTensor(
-        np.zeros((0, dim)), np.zeros(len(lengths) + 1, dtype=np.int64)
-    )
-    if j.dim != dim:
-        return  # all-empty degenerate case with dim defaulting
-    back = JaggedTensor.from_dense(j.to_dense(), j.lengths)
-    np.testing.assert_allclose(back.values, j.values)
-    np.testing.assert_array_equal(back.offsets, j.offsets)
 
 
 @given(
@@ -273,5 +161,5 @@ def test_jagged_sum_pool_matches_dense_sum(lengths):
     rng = np.random.default_rng(2)
     rows = [rng.normal(size=(length, 3)) for length in lengths]
     j = JaggedTensor.from_rows(rows)
-    dense_sum = j.to_dense().sum(axis=1)
+    dense_sum = np.stack([row.sum(axis=0) for row in rows])
     np.testing.assert_allclose(jagged_sum_pool(j), dense_sum, atol=1e-9)
