@@ -337,6 +337,8 @@ class CampaignResult:
             f"duration={self.config.duration_s:.0f}s",
         ]
         lines.extend(o.summary() for o in self.outcomes)
+        if not any(o.scenario == "retry_storm" for o in self.outcomes):
+            return "\n".join(lines)
         storm_off, storm_on = self.headline
         verdict = (
             "metastable undefended"

@@ -90,7 +90,7 @@ _FAULT_AT_S = 8.0
 # The storm's clients: impatient (re-send after 250 ms) and persistent
 # (no retry cap) — production front-end behaviour, and the load side of
 # every metastable-failure story.
-STORM_CLIENT = ClientRetryConfig(timeout_s=0.25, max_retries=None)
+STORM_CLIENT = ClientRetryConfig(timeout_s=0.25)
 
 
 def _single_host(topology: FaultDomainTopology) -> List[Injection]:

@@ -366,8 +366,7 @@ def cmd_power(args: argparse.Namespace) -> int:
           f"max {dvfs.max_gain:+.1%}); paper band 5-20%")
     print(f"   mean frequency {dvfs.mean_frequency_hz / 1e9:.3f} GHz, "
           f"peak junction {dvfs.peak_junction_c:.1f} C, "
-          f"{dvfs.thermal_throttles} thermal / {dvfs.cap_throttles} cap "
-          f"throttle events")
+          f"{dvfs.thermal_throttles} thermal throttle events")
 
     print(f"\n2) power capping at equal budget ({cap_duration:.0f} s)")
     capping = capping_study(duration_s=cap_duration, seed=args.seed)

@@ -9,8 +9,8 @@ the NUMA-aware allocator, replica faults at the section 5 reliability
 rates, and the capacity-planning sweep production provisioning runs —
 hosts needed versus offered QPS at a fixed P99 SLO.
 
-The admission caps, client retries, drain and overload defenses a run
-takes are the shared recovery vocabulary of
+The admission cap, client retries, reboot times and overload defenses
+a run takes are the shared recovery vocabulary of
 :mod:`repro.resilience.policies`, imported from there.
 """
 

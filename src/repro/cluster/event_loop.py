@@ -179,7 +179,6 @@ def run_events(
     resolved = sim._resolved
     admission = config.admission
     cap = admission.max_outstanding_per_replica
-    max_total = admission.max_total_outstanding
     name = config.policy
     rng = sim._rng
     # The service draw: mean-preserving log-normal jitter around
@@ -203,7 +202,6 @@ def run_events(
     client = sim.client
     brownout = sim.brownout
     autoscaler = sim.autoscaler
-    throttle = sim.throttle
     tracer = sim._tracer
     obs = sim._obs
     observed = sim._obs_enabled
@@ -231,8 +229,8 @@ def run_events(
     # At a service start: shaping, the departure token, the
     # autoscaler's busy window and the trace.
     fitted = (
-        disrupted or throttle is not None or brownout is not None
-        or autoscaler is not None or tracer is not None
+        disrupted or brownout is not None or autoscaler is not None
+        or tracer is not None
     )
     draws = {_SETTLE}  # the steps that draw from the generator
     if defense is not None:
@@ -411,7 +409,6 @@ def run_events(
                 if (defense is not None
                         and defense.past_deadline(now, arrival_s)) or (
                             kind == _FAULT_RETRY
-                            and retry_deadline is not None
                             and now > arrival_s + retry_deadline):
                     if not resolved[index]:
                         lost += sim._time_out(now, index)
@@ -427,33 +424,30 @@ def run_events(
                         continue
             shard = shards[index]
             chosen = None
-            if max_total is None or total < max_total or watched:
-                if indexed and not watched:
-                    group = shard if by_shard else 0
-                    depth = min_depth[group]
-                    if depth < local_limit:
-                        mask = masks[group][depth]
-                        chosen = replicas[(mask & -mask).bit_length() - 1]
-                if chosen is None and (listed or watched):
-                    if saturated:
-                        candidates = [r for r in live if r.outstanding < cap]
-                    else:
-                        candidates = live
-                    if watched:
-                        candidates = [
-                            r for r in candidates
-                            if r.replica_id not in watched
-                            or defense.replica_allowed(r.replica_id, now)
-                        ]
-                        if max_total is not None and total >= max_total:
-                            candidates = None
-                    if candidates:
-                        if by_shard and used < block_len:
-                            # A spill draws its po2 pair.
-                            _rewind(rng, saved, mu, sigma, used)
-                            used = block_len = 0
-                            block_size = _FIRST_BLOCK
-                        chosen = choose(candidates, shard, rng)
+            if indexed and not watched:
+                group = shard if by_shard else 0
+                depth = min_depth[group]
+                if depth < local_limit:
+                    mask = masks[group][depth]
+                    chosen = replicas[(mask & -mask).bit_length() - 1]
+            if chosen is None and (listed or watched):
+                if saturated:
+                    candidates = [r for r in live if r.outstanding < cap]
+                else:
+                    candidates = live
+                if watched:
+                    candidates = [
+                        r for r in candidates
+                        if r.replica_id not in watched
+                        or defense.replica_allowed(r.replica_id, now)
+                    ]
+                if candidates:
+                    if by_shard and used < block_len:
+                        # A spill draws its po2 pair.
+                        _rewind(rng, saved, mu, sigma, used)
+                        used = block_len = 0
+                        block_size = _FIRST_BLOCK
+                    chosen = choose(candidates, shard, rng)
             if chosen is None:
                 lost += sim._drop_copy(now, index)
                 continue
@@ -600,9 +594,6 @@ def run_events(
                 # re-send into the drain, so a permanently dead tier
                 # cannot keep the run alive.
                 if now > sim._horizon or (
-                    client.max_retries is not None
-                    and attempts >= client.max_retries
-                ) or (
                     defense is not None
                     and defense.past_deadline(now, arrivals[index])
                 ):
@@ -647,8 +638,6 @@ def run_events(
         service_s = base * (penalty if cross else 1.0)
         seq += 1
         if fitted:
-            if throttle is not None:
-                service_s *= throttle.multiplier(now)
             if replica.slow_factor != 1.0:
                 service_s *= replica.slow_factor
             if brownout is not None:

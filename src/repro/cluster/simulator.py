@@ -6,7 +6,7 @@ An event-driven composition of everything below it in the stack:
   bursty stream);
 * a front door routing each request to one replica through a pluggable
   :mod:`repro.cluster.routing` policy, under the
-  :class:`~repro.resilience.policies.AdmissionConfig` overload caps;
+  :class:`~repro.resilience.policies.AdmissionConfig` per-replica cap;
 * per-replica single-server queues whose service times come from
   :class:`~repro.cluster.service.ServiceModel` (calibrated from the
   device-level serving profiles);
@@ -175,8 +175,7 @@ class ClusterConfig:
     fault_rate_per_replica_hour: float = 0.0
     # Fault-stranded requests are re-routed only while inside this many
     # SLOs of their arrival; past it they are counted ``timed_out``.
-    # ``None`` restores the old unbounded-retry behaviour.
-    retry_deadline_slos: Optional[float] = 1.0
+    retry_deadline_slos: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -185,8 +184,7 @@ class ClusterConfig:
         require_count("hosts", self.num_hosts)
         require_finite("SLO", self.p99_slo_s)
         require_finite("fault rate", self.fault_rate_per_replica_hour)
-        if self.retry_deadline_slos is not None:
-            require_finite("retry deadline", self.retry_deadline_slos)
+        require_finite("retry deadline", self.retry_deadline_slos)
         if self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown routing policy {self.policy!r}; "
@@ -202,8 +200,8 @@ class ClusterConfig:
             raise ValueError("SLO must be positive")
         if self.fault_rate_per_replica_hour < 0:
             raise ValueError("fault rate must be non-negative")
-        if self.retry_deadline_slos is not None and self.retry_deadline_slos <= 0:
-            raise ValueError("retry deadline must be positive (or None)")
+        if self.retry_deadline_slos <= 0:
+            raise ValueError("retry deadline must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -370,7 +368,6 @@ class ClusterSimulator:
         pool: Optional[HostPool] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[TraceWriter] = None,
-        throttle=None,
         defense=None,
         client: Optional[ClientRetryConfig] = None,
         injections: Sequence[Injection] = (),
@@ -380,12 +377,6 @@ class ClusterSimulator:
         self.config = config
         self.service = service
         self.requests = list(requests)
-        # Optional power/thermal coupling: anything with a
-        # ``multiplier(time_s)`` method (e.g. repro.power.cluster_link
-        # .ThrottleSchedule) stretching service times while the tier is
-        # frequency-throttled.  Applied after the rng draw, so None
-        # preserves byte-identical event logs.
-        self.throttle = throttle
         # Chaos hooks — all off by default; see the module docstring.
         # ``defense`` is a repro.resilience.policies.DefenseRuntime;
         # ``brownout`` duck-types repro.chaos.brownout.BrownoutController,
@@ -416,10 +407,7 @@ class ClusterSimulator:
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
         self._drain_policy = DrainPolicy()
-        self._retry_deadline_s = (
-            None if config.retry_deadline_slos is None
-            else config.retry_deadline_slos * config.p99_slo_s
-        )
+        self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
         # sampling, service and reboot times, and — only when a defense
@@ -756,7 +744,6 @@ def run_cluster(
     pool: Optional[HostPool] = None,
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
-    throttle=None,
     defense=None,
     client: Optional[ClientRetryConfig] = None,
     injections: Sequence[Injection] = (),
@@ -775,7 +762,7 @@ def run_cluster(
     return ClusterSimulator(
         config, service, requests,
         locality=locality, autoscaler=autoscaler, pool=pool,
-        registry=registry, tracer=tracer, throttle=throttle,
-        defense=defense, client=client, injections=injections,
+        registry=registry, tracer=tracer, defense=defense,
+        client=client, injections=injections,
         brownout=brownout, fail_fast=fail_fast,
     ).run()

@@ -161,7 +161,6 @@ class CodesignObjective:
     def __init__(
         self,
         models: Optional[Sequence[ZooModel]] = None,
-        base_chip: Optional[ChipSpec] = None,
         p99_slo_s: float = CODESIGN_P99_SLO_S,
         duration_s: float = 6.0,
         seed: int = 0,
@@ -171,7 +170,7 @@ class CodesignObjective:
         self.models = tuple(models if models is not None else figure6_models())
         if not self.models:
             raise ValueError("need at least one zoo model")
-        self.base_chip = base_chip or mtia2i_spec()
+        self.base_chip = mtia2i_spec()
         self.p99_slo_s = p99_slo_s
         self.duration_s = duration_s
         self.seed = seed

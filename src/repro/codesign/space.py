@@ -64,7 +64,6 @@ _AXIS_NAMES = (
     "num_pes",
     "frequency_hz",
     "sram_capacity_bytes",
-    "sram_bandwidth_bytes_per_s",
     "dram_capacity_bytes",
     "dram_bandwidth_bytes_per_s",
     "gemm_to_simd",
@@ -92,7 +91,6 @@ def derive_chip(
     num_pes: Optional[int] = None,
     frequency_hz: Optional[float] = None,
     sram_capacity_bytes: Optional[int] = None,
-    sram_bandwidth_bytes_per_s: Optional[float] = None,
     dram_capacity_bytes: Optional[int] = None,
     dram_bandwidth_bytes_per_s: Optional[float] = None,
     gemm_to_simd: Optional[float] = None,
@@ -112,7 +110,7 @@ def derive_chip(
       PCIe do not scale.  A derived chip is *designed* at its operating
       point, so ``design_frequency_hz`` follows it.
     * ``sram_capacity_bytes`` scales SRAM bandwidth proportionally
-      (more banks) unless ``sram_bandwidth_bytes_per_s`` pins it.
+      (more banks).
     * ``gemm_to_simd`` (>= 1) resizes the vector engines relative to the
       (scaled) GEMM engines.
     * ``noc_bandwidth_bytes_per_s`` defaults to the base NoC scaled by
@@ -130,7 +128,6 @@ def derive_chip(
             ("num_pes", num_pes),
             ("frequency_hz", frequency_hz),
             ("sram_capacity_bytes", sram_capacity_bytes),
-            ("sram_bandwidth_bytes_per_s", sram_bandwidth_bytes_per_s),
             ("dram_capacity_bytes", dram_capacity_bytes),
             ("dram_bandwidth_bytes_per_s", dram_bandwidth_bytes_per_s),
             ("gemm_to_simd", gemm_to_simd),
@@ -184,11 +181,7 @@ def derive_chip(
         else base.sram.capacity_bytes
     )
     sram_cap_scale = sram_capacity / base.sram.capacity_bytes
-    sram_bandwidth = (
-        sram_bandwidth_bytes_per_s
-        if sram_bandwidth_bytes_per_s is not None
-        else base.sram.bandwidth_bytes_per_s * sram_cap_scale * freq_scale
-    )
+    sram_bandwidth = base.sram.bandwidth_bytes_per_s * sram_cap_scale * freq_scale
     sram = dataclasses.replace(
         base.sram,
         capacity_bytes=int(sram_capacity),

@@ -1,23 +1,16 @@
-"""Region-scale disaster drills: outages, brownouts, partitions, rollouts.
+"""Region-scale disaster drills: outages and partitions.
 
 The fleet tier's fault vocabulary is one level up from the chaos tier's:
 instead of "host 3 dies" it speaks "region eu-west is dark for six
 seconds".  Each :class:`RegionEvent` is translated into the cluster-level
 :class:`~repro.cluster.simulator.Injection` schedule its region executes
 — *reusing the correlated builders of* :mod:`repro.chaos.domains`, so a
-region outage is literally every rack of the region failing together and
-a region brownout is a subset of its power domains tripping — plus the
-ground-truth unreachable intervals the health probes observe:
+region outage is literally every rack of the region failing together —
+plus the ground-truth unreachable intervals the health probes observe:
 
 * ``outage`` — the whole region goes dark (grid loss, fiber cut at the
   region boundary): every rack fails via
   :func:`~repro.chaos.domains.rack_failure`, and probes fail.
-* ``brownout`` — partial power loss: ``magnitude`` is the fraction of
-  the region's power domains whose breakers trip
-  (:func:`~repro.chaos.domains.power_domain_trip` with a genuine budget
-  breach).  The region stays probe-healthy — degraded, not dark — so
-  failover does *not* engage and the region's own defenses (admission,
-  brownout ladder) carry the event.
 * ``partition`` — the region is severed from the rest of the planet but
   its own users still reach it (anycast keeps local traffic local).
   Probes fail, so the defended arm stops spilling *into* it; nothing is
@@ -29,15 +22,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.chaos.domains import (
-    merge_schedules,
-    power_domain_trip,
-    rack_failure,
-)
+from repro.chaos.domains import merge_schedules, rack_failure
 from repro.cluster.simulator import Injection
 from repro.fleet_global.regions import FleetConfig, RegionSpec
 
-EVENT_KINDS = ("outage", "brownout", "partition")
+EVENT_KINDS = ("outage", "partition")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,7 +37,6 @@ class RegionEvent:
     kind: str
     at_s: float
     duration_s: float
-    magnitude: float = 1.0  # brownout: fraction of power domains tripped
 
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
@@ -60,8 +48,6 @@ class RegionEvent:
             raise ValueError("event time must be non-negative")
         if self.duration_s <= 0:
             raise ValueError("event duration must be positive")
-        if not (0 < self.magnitude <= 1):
-            raise ValueError("magnitude must be in (0, 1]")
 
     @property
     def clear_s(self) -> float:
@@ -101,26 +87,6 @@ def _region_outage(spec: RegionSpec, event: RegionEvent) -> List[Injection]:
     ))
 
 
-def _region_brownout(spec: RegionSpec, event: RegionEvent) -> List[Injection]:
-    topology = spec.topology()
-    tripped = max(1, round(event.magnitude * topology.num_power_domains))
-    # The trip is sourced from the section 5.3 power model: a demand
-    # spike 20% over whatever budget the builder derives opens the
-    # breaker; the builder refuses to trip within budget.
-    schedules = []
-    for domain in range(min(tripped, topology.num_power_domains)):
-        schedule = power_domain_trip(
-            topology, domain=domain, at_s=event.at_s,
-            duration_s=event.duration_s,
-            demand_w_per_server=1.2 * 10_000.0,
-            budget_w_per_server=10_000.0,
-        )
-        if not schedule:
-            raise AssertionError("a 20% overdraw must trip the breaker")
-        schedules.append(schedule)
-    return merge_schedules(*schedules)
-
-
 def build_drill(
     fleet: FleetConfig, events: Sequence[RegionEvent]
 ) -> DrillSchedule:
@@ -135,8 +101,6 @@ def build_drill(
             unreachable.setdefault(event.region, []).append(
                 (event.at_s, event.clear_s)
             )
-        elif event.kind == "brownout":
-            schedule = _region_brownout(spec, event)
         else:  # partition: spill-in blocked, healthy inside
             schedule = []
             isolated.setdefault(event.region, []).append(

@@ -3,11 +3,8 @@
 A region is one deployment of the cluster tier — a replica set with its
 own fault-domain topology (:class:`~repro.chaos.domains
 .FaultDomainTopology`), its own diurnal traffic phase (users live in
-timezones: a region 8 hours east peaks 8/24 of a day earlier), its own
-share of the global user base, and optionally its own power budget,
-which caps the region's clock through
-:class:`~repro.power.cluster_link.ThrottleSchedule` exactly as the
-section 5.3 rack budgets cap a server.
+timezones: a region 8 hours east peaks 8/24 of a day earlier) and its
+own share of the global user base.
 
 :class:`FleetConfig` is the global composition: the region list, the
 worldwide traffic level (expressed in *millions of users* through
@@ -18,16 +15,10 @@ question in its own units), the simulated day, and the shared SLO.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
-from repro.arch.mtia import mtia2i_spec
 from repro.chaos.domains import FaultDomainTopology
 from repro.cluster.routing import POLICY_NAMES
-from repro.power.cluster_link import (
-    PLATFORM_POWER_W,
-    ThrottleSchedule,
-    frequency_for_chip_budget,
-)
 from repro.serving.workload import DiurnalTrafficModel
 
 # The traffic-scale knob tying "N million users" to simulated offered
@@ -65,10 +56,6 @@ class RegionSpec:
     timezone_offset_h: float = 0.0  # hours east of the reference region
     replicas: int = 8
     traffic_share: float = 1.0  # relative share of the global user base
-    # Per-server power budget; None = unconstrained.  A budget that only
-    # admits a lower ladder frequency stretches the region's service
-    # times through a ThrottleSchedule, never silently.
-    power_budget_w_per_server: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -77,14 +64,10 @@ class RegionSpec:
             raise ValueError("region needs at least one replica")
         if self.traffic_share <= 0:
             raise ValueError("traffic share must be positive")
-        if (self.power_budget_w_per_server is not None
-                and self.power_budget_w_per_server <= 0):
-            raise ValueError("power budget must be positive")
 
     def topology(self) -> FaultDomainTopology:
-        """Two replicas per host and two hosts per rack; one rack per
-        power domain, so a region is several independent power feeds and
-        a partial brownout (some breakers trip) is expressible."""
+        """Two replicas per host, two hosts per rack and one rack per
+        power domain."""
         return FaultDomainTopology(
             replicas=self.replicas,
             replicas_per_host=REPLICAS_PER_HOST,
@@ -95,26 +78,6 @@ class RegionSpec:
     @property
     def num_hosts(self) -> int:
         return self.topology().num_hosts
-
-    def throttle(self) -> Optional[ThrottleSchedule]:
-        """The region's power-budget throttle, if it is budget-capped.
-
-        The budget funds the 800 W platform first; the remainder splits
-        across the region's accelerators, and the highest ladder frequency
-        that fits sets a constant service-time multiplier
-        (``f_nominal / f_budget``).  ``None`` when unconstrained, so an
-        unbudgeted region's event log stays byte-identical to a plain
-        cluster run.
-        """
-        if self.power_budget_w_per_server is None:
-            return None
-        chip = mtia2i_spec()
-        per_chip = max(
-            0.0,
-            (self.power_budget_w_per_server - PLATFORM_POWER_W) / REPLICAS_PER_HOST,
-        )
-        frequency = frequency_for_chip_budget(chip, per_chip)
-        return ThrottleSchedule.constant(chip.frequency_hz / frequency)
 
 
 def standard_regions(replicas_per_region: int = 8) -> Tuple[RegionSpec, ...]:

@@ -3,8 +3,8 @@
 The hierarchy the paper's serving fleet actually runs: a global anycast
 front door routes each user request to its home region; each region is
 one :class:`~repro.cluster.simulator.ClusterSimulator` deployment (with
-its own injections, power throttle, and — on the defended arm — the
-full chaos defense suite and brownout ladder).  The composition is a
+its own injections and — on the defended arm — the full chaos defense
+suite and brownout ladder).  The composition is a
 deterministic two-pass design:
 
 1. **LB pass.**  Per-region diurnal streams (timezone-phased via
@@ -61,7 +61,6 @@ from repro.fleet_global.failover import (
 )
 from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
-from repro.power.cluster_link import ThrottleSchedule
 from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
@@ -284,7 +283,6 @@ def _plain_region_run(
     base_key: Tuple,
     cluster_config: ClusterConfig,
     service: ServiceModel,
-    throttle: Optional[ThrottleSchedule],
     schedule: Tuple[Injection, ...],
 ) -> ClusterReport:
     """One undefended region's cluster run over its own base stream.
@@ -296,7 +294,7 @@ def _plain_region_run(
     """
     return run_cluster(
         cluster_config, service, _base_stream(*base_key),
-        throttle=throttle, injections=schedule,
+        injections=schedule,
     )
 
 
@@ -470,15 +468,13 @@ def run_fleet(
         )
         if memo:
             reports.append(_plain_region_run(
-                base_keys[index], cluster_config, service, spec.throttle(),
-                tuple(schedule),
+                base_keys[index], cluster_config, service, tuple(schedule),
             ))
             continue
         brownout = BrownoutController(default_ladder()) if defended else None
         reports.append(run_cluster(
             cluster_config, service, dest_streams[index],
             registry=registry,
-            throttle=spec.throttle(),
             defense=(
                 DefenseRuntime(DefenseConfig.full(deadline_s=0.3))
                 if defended else None

@@ -40,18 +40,13 @@ class OpType(enum.Enum):
     FC = "fc"
     TBE = "tbe"
     LAYERNORM = "layernorm"
-    SOFTMAX = "softmax"
     MHA = "mha"
     HSTU_ATTENTION = "hstu_attention"
     TRANSPOSE = "transpose"
-    RESHAPE = "reshape"
     CONCAT = "concat"
-    SLICE = "slice"
     ELEMENTWISE = "elementwise"
     INTERACTION = "interaction"
     BROADCAST = "broadcast"
-    QUANTIZE = "quantize"
-    DEQUANTIZE = "dequantize"
     CAST = "cast"
     FUSED = "fused"
 
@@ -125,11 +120,6 @@ def _layernorm_flops(op: Op) -> float:
     return 8.0 * op.inputs[0].num_elements
 
 
-def _softmax_flops(op: Op) -> float:
-    # Max, subtract, exp, sum, divide: ~5 passes.
-    return 5.0 * op.inputs[0].num_elements
-
-
 def _mha_flops(op: Op) -> float:
     batch = op.attrs["batch"]
     heads = op.attrs["heads"]
@@ -164,26 +154,16 @@ def _interaction_flops(op: Op) -> float:
     return float(batch * pairs * 2 * dim)
 
 
-def _quantize_flops(op: Op) -> float:
-    # Scale computation plus per-element multiply-round.
-    return 3.0 * op.inputs[0].num_elements
-
-
 _FLOP_COUNTERS = {
     OpType.FC: _fc_flops,
     OpType.TBE: _tbe_flops,
     OpType.LAYERNORM: _layernorm_flops,
-    OpType.SOFTMAX: _softmax_flops,
     OpType.MHA: _mha_flops,
     OpType.HSTU_ATTENTION: _hstu_flops,
     OpType.ELEMENTWISE: _elementwise_flops,
     OpType.INTERACTION: _interaction_flops,
-    OpType.QUANTIZE: _quantize_flops,
-    OpType.DEQUANTIZE: _quantize_flops,
     OpType.TRANSPOSE: lambda op: 0.0,
-    OpType.RESHAPE: lambda op: 0.0,
     OpType.CONCAT: lambda op: 0.0,
-    OpType.SLICE: lambda op: 0.0,
     OpType.BROADCAST: lambda op: 0.0,
     OpType.CAST: lambda op: float(op.output.num_elements),
     OpType.FUSED: lambda op: sum(sub.flops() for sub in op.attrs.get("sub_ops", [])),

@@ -12,13 +12,11 @@ from repro.kernels.gemm import GemmVariant, estimate_gemm
 from repro.kernels.layout import (
     estimate_cast,
     estimate_copy,
-    estimate_quantize,
     estimate_transpose,
 )
 from repro.kernels.normalization import (
     estimate_elementwise,
     estimate_layernorm,
-    estimate_softmax,
 )
 from repro.kernels.tbe import estimate_tbe
 
@@ -49,8 +47,6 @@ def estimate_op(
         )
     if op.op_type is OpType.LAYERNORM:
         return estimate_layernorm(op.attrs["rows"], op.attrs["cols"], chip, op.inputs[0].dtype)
-    if op.op_type is OpType.SOFTMAX:
-        return estimate_softmax(op.attrs["rows"], op.attrs["cols"], chip, op.inputs[0].dtype)
     if op.op_type is OpType.MHA:
         return estimate_mha(
             batch=op.attrs["batch"],
@@ -70,13 +66,10 @@ def estimate_op(
         )
     if op.op_type is OpType.TRANSPOSE:
         return estimate_transpose(op.inputs[0].num_bytes, chip)
-    if op.op_type in (OpType.RESHAPE, OpType.CONCAT, OpType.SLICE, OpType.BROADCAST):
+    if op.op_type in (OpType.CONCAT, OpType.BROADCAST):
         return estimate_copy(op.output_bytes(), chip)
     if op.op_type is OpType.CAST:
         return estimate_cast(op.output.num_elements, chip, op.inputs[0].dtype)
-    if op.op_type in (OpType.QUANTIZE, OpType.DEQUANTIZE):
-        rows = op.inputs[0].shape[0]
-        return estimate_quantize(op.inputs[0].num_elements, rows, chip)
     if op.op_type is OpType.ELEMENTWISE:
         return estimate_elementwise(
             op.output.num_elements,

@@ -17,8 +17,8 @@ loop in the time domain —
   server-level capping (the load-spike-smoothing claim);
 * :mod:`repro.power.provisioning` — the ~40% rack-budget reduction,
   replayed from simulated watt-level telemetry;
-* :mod:`repro.power.cluster_link` — throttling pushed down into the
-  cluster DES and rack budgets pushed up into capacity planning.
+* :mod:`repro.power.cluster_link` — rack budgets pushed up into
+  capacity planning.
 """
 
 from repro.power.activity import (
@@ -29,7 +29,6 @@ from repro.power.activity import (
 )
 from repro.power.capping import capping_study, water_fill
 from repro.power.cluster_link import (
-    ThrottleSchedule,
     power_limited_capacity_sweep,
     service_model_at_budget,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "DvfsGovernor",
     "RcStage",
     "ThermalNetwork",
-    "ThrottleSchedule",
     "ThroughputCurve",
     "activity_trace",
     "calibrate_throughput",

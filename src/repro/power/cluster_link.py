@@ -1,26 +1,15 @@
 """Coupling power management into the serving tier.
 
-Two directions of coupling:
-
-* :class:`ThrottleSchedule` pushes frequency throttling *down* into the
-  cluster DES: a piecewise-constant service-time multiplier derived from
-  a governed frequency trace, handed to
-  :class:`~repro.cluster.simulator.ClusterSimulator` via its
-  ``throttle`` parameter.  A replica running at 80% clock takes 1/0.8x
-  as long per request; the multiplier is applied after the rng draw so
-  an unthrottled run stays byte-identical to one with no schedule.
-
-* :func:`power_limited_capacity_sweep` pushes a rack budget *up* into
-  capacity planning: for each budget, the highest ladder frequency
-  whose per-chip draw fits determines the replica service rate, and the
-  sweep finds the maximum QPS the fixed replica set sustains at the P99
-  SLO.  QPS-per-rack versus budget is monotone and has a knee at the
-  budget that first admits the full ladder — past it, watts buy nothing.
+:func:`power_limited_capacity_sweep` pushes a rack budget *up* into
+capacity planning: for each budget, the highest ladder frequency whose
+per-chip draw fits determines the replica service rate, and the sweep
+finds the maximum QPS the fixed replica set sustains at the P99 SLO.
+QPS-per-rack versus budget is monotone and has a knee at the budget
+that first admits the full ladder — past it, watts buy nothing.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 from typing import Optional, Sequence, Tuple
 
@@ -38,37 +27,6 @@ from repro.units import GHZ
 # Server power outside the accelerators (host CPU, NICs, fans), funded
 # first out of every rack budget.
 PLATFORM_POWER_W = 800.0
-
-
-@dataclasses.dataclass(frozen=True)
-class ThrottleSchedule:
-    """A piecewise-constant service-time multiplier over time.
-
-    ``multiplier(t)`` is the factor service times stretch by at time
-    ``t`` — 1.0 when unthrottled, ``f_nominal / f_throttled`` when the
-    clock is down.  Constant before the first breakpoint at the first
-    segment's value, and after the last breakpoint at the last one.
-    """
-
-    times_s: Tuple[float, ...]
-    multipliers: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.times_s or len(self.times_s) != len(self.multipliers):
-            raise ValueError("need matching, non-empty breakpoints")
-        if list(self.times_s) != sorted(self.times_s):
-            raise ValueError("breakpoints must be ascending")
-        if any(m <= 0 for m in self.multipliers):
-            raise ValueError("multipliers must be positive")
-
-    def multiplier(self, time_s: float) -> float:
-        """The service-time stretch factor in effect at ``time_s``."""
-        index = bisect.bisect_right(self.times_s, time_s) - 1
-        return self.multipliers[max(0, index)]
-
-    @classmethod
-    def constant(cls, multiplier: float) -> "ThrottleSchedule":
-        return cls(times_s=(0.0,), multipliers=(multiplier,))
 
 
 def frequency_for_chip_budget(chip: ChipSpec, per_chip_budget_w: float) -> float:
@@ -199,7 +157,6 @@ def power_limited_capacity_sweep(
 __all__ = [
     "PowerLimitedPoint",
     "PowerLimitedSweep",
-    "ThrottleSchedule",
     "frequency_for_chip_budget",
     "power_limited_capacity_sweep",
     "service_model_at_budget",

@@ -1,12 +1,12 @@
-"""DVFS governor with thermal and power-cap feedback (section 5.2, live).
+"""DVFS governor with thermal feedback (section 5.2, live).
 
 ``repro.reliability.overclock`` models the *static* study: 3,000 chips x
 10 tests showed ample margin, so the fleet shipped at 1.35 GHz.  This
 module makes that decision dynamic.  Each chip's maximum stable
 frequency is drawn from the same :class:`MarginModel` distribution the
 study discovered; a per-chip governor walks a frequency/voltage ladder,
-stepping down when the junction crosses the throttle limit or the draw
-crosses a power cap, stepping back up when there is headroom.  Coupled
+stepping down when the junction crosses the throttle limit and back up
+when there is thermal headroom.  Coupled
 to the lumped RC network in :mod:`repro.power.thermal` and the
 leakage-aware power model in :mod:`repro.power.activity`, the governed
 fleet reproduces the paper's 5-20% end-to-end overclocking gain — now
@@ -63,7 +63,6 @@ class DvfsConfig:
     # A ladder state is usable only if the chip's measured fmax clears it
     # by this factor — the qualification guard band the study kept.
     qualification_margin: float = 1.05
-    power_cap_w: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.ladder_hz or any(f <= 0 for f in self.ladder_hz):
@@ -162,7 +161,6 @@ class DvfsGovernor:
         )
         self.index = min(self.index, self.max_index)
         self.thermal_throttles = 0
-        self.cap_throttles = 0
 
     @property
     def frequency_hz(self) -> float:
@@ -174,32 +172,19 @@ class DvfsGovernor:
             self.chip, self.frequency_hz, utilization, junction_c
         )
 
-    def step(self, junction_c: float, utilization: float) -> float:
+    def step(self, junction_c: float) -> float:
         """One governor tick: adjust at most one ladder state.
 
         Returns the frequency to run until the next tick.
         """
         config = self.config
-        power = self.power_w(utilization, junction_c)
-        over_cap = (
-            config.power_cap_w is not None and power > config.power_cap_w
-        )
-        if junction_c > config.thermal_limit_c or over_cap:
+        if junction_c > config.thermal_limit_c:
             if self.index > 0:
                 self.index -= 1
-            if junction_c > config.thermal_limit_c:
-                self.thermal_throttles += 1
-                self._obs.counter("power.throttle.thermal").inc()
-            else:
-                self.cap_throttles += 1
-                self._obs.counter("power.throttle.cap").inc()
+            self.thermal_throttles += 1
+            self._obs.counter("power.throttle.thermal").inc()
         elif junction_c < config.thermal_target_c and self.index < self.max_index:
-            next_freq = config.ladder_hz[self.index + 1]
-            next_power = chip_power_w(
-                self.chip, next_freq, utilization, junction_c
-            )
-            if config.power_cap_w is None or next_power <= config.power_cap_w:
-                self.index += 1
+            self.index += 1
         self._obs.gauge("power.frequency_hz").set(self.frequency_hz)
         return self.frequency_hz
 
@@ -240,7 +225,6 @@ class ThermalFeedbackResult:
     mean_frequency_hz: float
     peak_junction_c: float
     thermal_throttles: int
-    cap_throttles: int
     example_run: GovernedChipRun
 
     @property
@@ -294,7 +278,7 @@ def overclock_with_thermal_feedback(
     gains = []
     total_freq = 0.0
     peak_junction = -np.inf
-    thermal_throttles = cap_throttles = 0
+    thermal_throttles = 0
     example: Optional[GovernedChipRun] = None
     template = mtia2i_thermal()
     for chip_index in range(num_chips):
@@ -321,7 +305,7 @@ def overclock_with_thermal_feedback(
         times, freqs, junctions, powers = [], [], [], []
         for step in range(steps):
             junction = float(temps[0])
-            frequency = governor.step(junction, float(util[step]))
+            frequency = governor.step(junction)
             power = governor.power_w(float(util[step]), junction)
             temps = base_network.step(temps, power, dt_s)
             governed_work += curve.relative(frequency) * util[step] * dt_s
@@ -339,7 +323,6 @@ def overclock_with_thermal_feedback(
         )
         gains.append(governed_work / baseline_work - 1.0)
         thermal_throttles += governor.thermal_throttles
-        cap_throttles += governor.cap_throttles
         if chip_index == num_chips - 1:
             # Trace the hottest (most downstream) chip — the one whose
             # governor actually works for a living.
@@ -354,7 +337,6 @@ def overclock_with_thermal_feedback(
         mean_frequency_hz=total_freq / (num_chips * steps),
         peak_junction_c=float(peak_junction),
         thermal_throttles=thermal_throttles,
-        cap_throttles=cap_throttles,
         example_run=example,
     )
     if obs.enabled:

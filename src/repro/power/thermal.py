@@ -6,10 +6,13 @@ resistances, with the last stage tied to ambient.  Power is injected at
 the die node; the junction temperature that feeds back into leakage and
 the DVFS governor is the die node's temperature.
 
-Explicit-Euler stepping with automatic sub-stepping at the stability
-limit; the closed-form steady state (every resistance carries the full
-injected power, so ``T_i = ambient + P * sum(R_j, j >= i)``) doubles as
-the validation oracle the hypothesis property tests converge against.
+Under constant power the chain is linear, so a step is exact: the
+zero-order hold ``target + expm(A·dt) @ (temps - target)``, where
+``target`` is the closed-form steady state (every resistance carries the
+full injected power, so ``T_i = ambient + P * sum(R_j, j >= i)``) and
+``A = -C⁻¹G`` the chain's conductance matrix over its capacities.  The
+steady state doubles as the oracle the hypothesis property tests
+converge against.
 
 Constants for the MTIA 2i package reflect a dense 24-chip Grand Teton
 chassis: shared airflow pre-heated by upstream modules (hot ambient),
@@ -22,7 +25,7 @@ degrees, per the AutoDNNchip-style substitution argument in DESIGN.md.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -61,6 +64,8 @@ class ThermalNetwork:
         self._resistances = np.array(
             [s.resistance_c_per_w for s in self.stages]
         )
+        # expm(A·dt) per step length.
+        self._propagators: Dict[float, np.ndarray] = {}
 
     @property
     def total_resistance_c_per_w(self) -> float:
@@ -83,20 +88,40 @@ class ThermalNetwork:
         """Closed-form junction (die) temperature under constant power."""
         return float(self.steady_state(power_w)[0])
 
-    def max_stable_dt(self) -> float:
-        """Explicit-Euler stability bound with a 2x safety factor."""
-        conductance = 1.0 / self._resistances
-        node_g = conductance.copy()
-        node_g[1:] += conductance[:-1]
-        return float(0.5 * np.min(self._capacities / node_g))
+    def _propagator(self, dt_s: float) -> np.ndarray:
+        """``expm(A·dt)``, from ``eigh`` of the symmetrized chain.
+
+        ``G`` is symmetric, so ``S = C^-1/2 G C^-1/2`` is too, with
+        eigenpairs ``(λ, V)``, and ``expm(A·dt) = C^-1/2 V diag(exp(-λ
+        dt)) Vᵀ C^1/2``.
+        """
+        propagator = self._propagators.get(dt_s)
+        if propagator is None:
+            conductance = 1.0 / self._resistances
+            node_g = conductance.copy()
+            node_g[1:] += conductance[:-1]
+            chain = (
+                np.diag(node_g)
+                - np.diag(conductance[:-1], 1)
+                - np.diag(conductance[:-1], -1)
+            )
+            scale = 1.0 / np.sqrt(self._capacities)
+            rates, vectors = np.linalg.eigh(
+                scale[:, None] * chain * scale[None, :]
+            )
+            left = scale[:, None] * vectors
+            right = vectors.T / scale[None, :]
+            propagator = (left * np.exp(-rates * dt_s)) @ right
+            self._propagators[dt_s] = propagator
+        return propagator
 
     def step(
         self, temps_c: np.ndarray, power_w: float, dt_s: float
     ) -> np.ndarray:
         """Advance the network ``dt_s`` under constant injected power.
 
-        Sub-steps internally at the stability limit, so any caller dt is
-        safe; returns the new temperature vector (input untouched).
+        Exact for any ``dt``; returns the new temperature vector (input
+        untouched).
         """
         if dt_s < 0:
             raise ValueError("dt must be non-negative")
@@ -105,15 +130,8 @@ class ThermalNetwork:
             raise ValueError("temperature vector does not match the network")
         if dt_s == 0:
             return temps
-        stable = self.max_stable_dt()
-        substeps = max(1, int(np.ceil(dt_s / stable)))
-        h = dt_s / substeps
-        for _ in range(substeps):
-            downstream = np.append(temps[1:], self.ambient_c)
-            outflow = (temps - downstream) / self._resistances
-            inflow = np.concatenate(([power_w], outflow[:-1]))
-            temps = temps + h * (inflow - outflow) / self._capacities
-        return temps
+        target = self.steady_state(power_w)
+        return target + self._propagator(dt_s) @ (temps - target)
 
 
 def mtia2i_thermal() -> ThermalNetwork:

@@ -32,10 +32,6 @@ class QuantizedTensor:
     values: np.ndarray  # int8
     scales: np.ndarray  # float32; shape broadcastable against values
 
-    def dequantize(self) -> np.ndarray:
-        """Back to floating point."""
-        return self.values.astype(np.float32) * self.scales
-
 
 def _symmetric_scale(abs_max: np.ndarray) -> np.ndarray:
     abs_max = np.maximum(np.asarray(abs_max, dtype=np.float64), 1e-12)

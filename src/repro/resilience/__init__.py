@@ -6,16 +6,17 @@ estimates and :mod:`repro.serving.faults` removes a fixed fraction of
 devices once, this package closes the loop over *time*: a seeded
 discrete-event simulator in which faults drawn from the reliability
 models land on a serving pool, devices walk an explicit lifecycle
-(HEALTHY -> DEGRADED -> WEDGED -> DRAINING -> REBOOTING -> HEALTHY),
+(HEALTHY -> DEGRADED -> WEDGED -> REBOOTING -> HEALTHY),
 recovery policies fight back, and an emergency firmware rollout can
 patch the fleet mid-window — reproducing the paper's section 5.5 arc as
 one closed system.
 
 :mod:`repro.resilience.policies` is the recovery vocabulary every tier
-shares: retry and backoff, hedging, drain, load shed and admission caps,
-the rollout trigger, and the overload defenses (deadlines, retry token
-bucket, circuit breakers) the cluster and chaos tiers arm.  Its names
-are imported from that module, not from this package.
+shares: retry and backoff, hedging, reboot times, load shed and the
+admission cap, the rollout trigger, and the overload defenses
+(deadlines, retry token bucket, circuit breakers) the cluster and chaos
+tiers arm.  Its names are imported from that module, not from this
+package.
 """
 
 from repro.resilience.device import Device, DeviceState, PoolCensus, TransitionError

@@ -4,16 +4,15 @@ Each accelerator in the pool walks an explicit lifecycle::
 
     HEALTHY -> DEGRADED  (power throttle, correctable-error storm)
     HEALTHY -> WEDGED    (PCIe deadlock: the device vanishes silently)
-    DEGRADED -> HEALTHY | WEDGED | DRAINING
-    WEDGED -> DRAINING   (health checks finally notice)
-    DRAINING -> REBOOTING
+    DEGRADED -> HEALTHY | WEDGED
+    HEALTHY | DEGRADED | WEDGED -> REBOOTING  (a firmware-rollout restart)
     REBOOTING -> HEALTHY
 
 The key production subtlety the paper's section 5.5 deadlock exposes is
 the gap between *being* dead and being *known* dead: a WEDGED device
 stays in the router's rotation — eating requests that will time out —
-until enough health checks fail to drain it.  The state machine tracks
-that distinction (a WEDGED device is not :attr:`Device.serving`, yet the
+until the rollout power-cycles it.  The state machine tracks that
+distinction (a WEDGED device is not :attr:`Device.serving`, yet the
 census still counts it toward the rotation) plus per-state residency
 time for the unavailability accounting.
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 
 class DeviceState(enum.Enum):
@@ -41,7 +40,6 @@ class DeviceState(enum.Enum):
     HEALTHY = "healthy"
     DEGRADED = "degraded"
     WEDGED = "wedged"
-    DRAINING = "draining"
     REBOOTING = "rebooting"
 
 
@@ -53,18 +51,15 @@ _ALLOWED: FrozenSet[Tuple[DeviceState, DeviceState]] = frozenset(
         (DeviceState.HEALTHY, DeviceState.REBOOTING),  # rollout restart
         (DeviceState.DEGRADED, DeviceState.HEALTHY),
         (DeviceState.DEGRADED, DeviceState.WEDGED),
-        (DeviceState.DEGRADED, DeviceState.DRAINING),
         (DeviceState.DEGRADED, DeviceState.REBOOTING),  # rollout restart
-        (DeviceState.WEDGED, DeviceState.DRAINING),
         (DeviceState.WEDGED, DeviceState.REBOOTING),  # rollout power-cycle
-        (DeviceState.DRAINING, DeviceState.REBOOTING),
         (DeviceState.REBOOTING, DeviceState.HEALTHY),
     }
 )
 
 # States in which the device produces zero goodput, in the fixed order
 # their residencies are summed.
-_DOWN_STATES = (DeviceState.WEDGED, DeviceState.DRAINING, DeviceState.REBOOTING)
+_DOWN_STATES = (DeviceState.WEDGED, DeviceState.REBOOTING)
 
 
 class TransitionError(RuntimeError):
@@ -81,7 +76,6 @@ class Device:
     degraded_scale: float = 0.6
     # Whether the firmware mitigation (Control-Core data in SRAM) is on.
     patched: bool = False
-    consecutive_health_failures: int = 0
     state_entered_s: float = 0.0
     state_seconds: Dict[DeviceState, float] = dataclasses.field(
         default_factory=lambda: {state: 0.0 for state in DeviceState}
@@ -117,8 +111,6 @@ class Device:
         self._accrue(now_s)
         self.state = new_state
         self.state_entered_s = now_s
-        if new_state == DeviceState.HEALTHY:
-            self.consecutive_health_failures = 0
 
     def _accrue(self, now_s: float) -> None:
         elapsed = max(0.0, now_s - self.state_entered_s)
@@ -135,18 +127,6 @@ class Device:
         for state in _DOWN_STATES:
             total += self.state_seconds[state]
         return total
-
-    def health_check(self) -> bool:
-        """Run one health probe; returns ``True`` when it passes.
-
-        WEDGED devices always fail (the PCIe link is gone); everything
-        else responds.  A pass resets the consecutive-failure counter.
-        """
-        if self.state == DeviceState.WEDGED:
-            self.consecutive_health_failures += 1
-            return False
-        self.consecutive_health_failures = 0
-        return True
 
 
 @dataclasses.dataclass
@@ -199,16 +179,13 @@ class PoolCensus:
         return total
 
 
-def downed_device_minutes(devices: Dict[int, "Device"], end_s: Optional[float] = None) -> float:
-    """Total device-minutes spent serving nothing across the pool.
-
-    Call after :meth:`Device.finalize` (or pass ``end_s`` to finalize
-    here) — this is the paper's unavailability currency: how much
-    provisioned capacity the incident burned.
+def downed_device_minutes(devices: Dict[int, "Device"], end_s: float) -> float:
+    """Total device-minutes spent serving nothing across the pool, each
+    device finalized at ``end_s`` — the paper's unavailability currency:
+    how much provisioned capacity the incident burned.
     """
     total = 0.0
     for device in devices.values():
-        if end_s is not None:
-            device.finalize(end_s)
+        device.finalize(end_s)
         total += device.downtime_seconds()
     return total / 60.0

@@ -1,7 +1,7 @@
 """Event records for the resilience simulator.
 
-Every state change in the fleet — faults landing, health checks failing,
-devices draining, rollout waves restarting servers — is appended to an
+Every state change in the fleet — faults landing, devices degrading and
+recovering, rollout waves restarting servers — is appended to an
 :class:`EventLog` in simulation order.  The log is the simulator's
 ground truth: tests compare two seeded runs event-for-event, the drill
 example prints it as a timeline, and :mod:`repro.resilience.trace`
@@ -35,11 +35,8 @@ class EventKind(enum.Enum):
     FAULT_ECC_UE = "fault_ecc_ue"  # detected-uncorrectable memory error (5.1)
     FAULT_SDC = "fault_sdc"  # silent corruption from thin overclock margin (5.2)
     FAULT_THROTTLE = "fault_throttle"  # power-cap throttling (5.3)
-    THROTTLE_END = "throttle_end"
     DEGRADE_END = "degrade_end"
-    # Health-check / drain / reboot lifecycle.
-    HEALTH_CHECK_FAIL = "health_check_fail"
-    DRAIN_START = "drain_start"
+    # Rollout restarts.
     REBOOT_START = "reboot_start"
     REBOOT_DONE = "reboot_done"
     # Serving-tier reactions.

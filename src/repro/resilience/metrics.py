@@ -163,7 +163,9 @@ def evaluate_interval(
         healthy=healthy,
         degraded=degraded,
         wedged=wedged,
-        draining=counts[DeviceState.DRAINING],
+        # Nothing drains a device (the rollout power-cycles it); the
+        # field stays in the row the pinned interval digest hashes.
+        draining=0,
         rebooting=counts[DeviceState.REBOOTING],
         capacity_samples_per_s=live_capacity,
         offered_samples_per_s=offered_samples_per_s,

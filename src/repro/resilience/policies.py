@@ -13,13 +13,13 @@ off when its field is ``None``; there is no second way to switch one off.
   timeout, the load side of a retry storm (cluster simulator).
 * :class:`HedgePolicy` — after a latency budget expires, re-dispatch the
   request to a second replica and take the first response.
-* :class:`DrainPolicy` — periodic health checks; after N consecutive
-  failures the device is drained and rebooted with a log-normal MTTR
-  (reboots are mostly ~10 minutes with a long tail of stuck hosts).
+* :class:`DrainPolicy` — the log-normal reboot time of a failed
+  replica (reboots are mostly ~10 minutes with a long tail of stuck
+  hosts).
 * :class:`LoadShedPolicy` — past a utilization ceiling the tier sheds
   excess load rather than queue into SLO collapse;
-  :class:`AdmissionConfig` — the cluster front door's per-replica and
-  tier-wide outstanding caps, past which a request is shed.
+  :class:`AdmissionConfig` — the cluster front door's per-replica
+  outstanding cap, past which a request is shed.
 * :class:`RolloutPolicy` — when the pool's ``slo_at_risk`` signal trips,
   an emergency firmware rollout
   (:func:`repro.reliability.firmware.emergency_rollout`) patches the
@@ -122,21 +122,16 @@ class ClientRetryConfig:
 
     A client that has not seen a response ``timeout_s`` after sending
     re-sends the request (a duplicate the servers cannot distinguish),
-    up to ``max_retries`` times (``None`` = unbounded, the storm case),
-    after whatever backoff an armed defense imposes.
+    without limit (the storm case), after whatever backoff an armed
+    defense imposes.
     """
 
     timeout_s: float = 0.25
-    max_retries: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_finite("client timeout", self.timeout_s)
-        if self.max_retries is not None:
-            require_count("max retries", self.max_retries)
         if self.timeout_s <= 0:
             raise ValueError("client timeout must be positive")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max retries must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,26 +154,16 @@ class HedgePolicy:
 
 @dataclasses.dataclass(frozen=True)
 class DrainPolicy:
-    """Health-check-driven drain/quarantine with MTTR-distributed reboot."""
+    """MTTR-distributed reboot of a failed replica."""
 
-    health_check_interval_s: float = 60.0
-    failures_to_drain: int = 3
-    drain_grace_s: float = 30.0
     reboot_mttr_s: float = 600.0
     reboot_sigma: float = 0.35  # log-normal shape: mostly ~MTTR, long tail
 
     def __post_init__(self) -> None:
-        require_finite("health-check interval", self.health_check_interval_s)
-        require_count("failures to drain", self.failures_to_drain)
-        require_finite("drain grace", self.drain_grace_s)
         require_finite("reboot MTTR", self.reboot_mttr_s)
         require_finite("reboot sigma", self.reboot_sigma)
-        if self.health_check_interval_s <= 0:
-            raise ValueError("health-check interval must be positive")
-        if self.failures_to_drain < 1:
-            raise ValueError("need at least one failure to drain")
-        if self.drain_grace_s < 0 or self.reboot_mttr_s <= 0:
-            raise ValueError("drain grace must be >= 0 and MTTR > 0")
+        if self.reboot_mttr_s <= 0:
+            raise ValueError("reboot MTTR must be positive")
         if self.reboot_sigma < 0:
             raise ValueError("reboot sigma must be non-negative")
 
@@ -209,21 +194,15 @@ class AdmissionConfig:
     A replica stops being an admissible routing target once its
     outstanding count reaches the per-replica cap, and a request that
     finds no admissible replica at all is shed — counted, never silently
-    dropped.  The optional total cap models a global front-door token
-    limit.
+    dropped.
     """
 
     max_outstanding_per_replica: int = 16
-    max_total_outstanding: Optional[int] = None
 
     def __post_init__(self) -> None:
         require_count("per-replica outstanding cap", self.max_outstanding_per_replica)
-        if self.max_total_outstanding is not None:
-            require_count("total outstanding cap", self.max_total_outstanding)
         if self.max_outstanding_per_replica < 1:
             raise ValueError("per-replica outstanding cap must be at least 1")
-        if self.max_total_outstanding is not None and self.max_total_outstanding < 1:
-            raise ValueError("total outstanding cap must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,7 +229,6 @@ class ResiliencePolicies:
 
     retry: Optional[RetryPolicy] = None
     hedge: Optional[HedgePolicy] = None
-    drain: Optional[DrainPolicy] = None
     shed: Optional[LoadShedPolicy] = LoadShedPolicy()
     rollout: Optional[RolloutPolicy] = None
 
@@ -258,18 +236,6 @@ class ResiliencePolicies:
     def none() -> "ResiliencePolicies":
         """No mitigation at all — the paper's counterfactual baseline."""
         return ResiliencePolicies(shed=None)
-
-    @staticmethod
-    def production() -> "ResiliencePolicies":
-        """The full stack: retries, hedging, drain, shed, and the
-        emergency-rollout trigger."""
-        return ResiliencePolicies(
-            retry=RetryPolicy(),
-            hedge=HedgePolicy(),
-            drain=DrainPolicy(),
-            shed=LoadShedPolicy(),
-            rollout=RolloutPolicy(),
-        )
 
 
 class TokenBucket:

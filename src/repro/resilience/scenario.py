@@ -16,8 +16,7 @@ The drill runs the *same seeded fault schedule* twice:
 Deliberately absent from the mitigated run is an automated drain: the
 paper's deadlock takes the device off PCIe silently, and clearing it
 needs a coordinated power-cycle — exactly what the firmware rollout
-provides.  (The drain policy exists and is exercised elsewhere; here it
-would mask the arc the paper describes.)
+provides.
 
 Because both runs share a seed, their pre-sampled fault schedules are
 identical, so the comparison isolates policy effects — and two drills
@@ -47,7 +46,6 @@ def section_55_policies() -> ResiliencePolicies:
     return ResiliencePolicies(
         retry=RetryPolicy(),
         hedge=HedgePolicy(),
-        drain=None,  # the wedge needs the rollout's power-cycle
         shed=LoadShedPolicy(),
         rollout=RolloutPolicy(),
     )

@@ -7,8 +7,8 @@ closed loop over simulated time:
   (:mod:`repro.resilience.faults`);
 * a per-device lifecycle state machine
   (:mod:`repro.resilience.device`);
-* serving-tier recovery policies — retry, hedging, drain/reboot, load
-  shedding (:mod:`repro.resilience.policies`);
+* serving-tier recovery policies — retry, hedging, load shedding
+  (:mod:`repro.resilience.policies`);
 * the emergency firmware rollout of
   :func:`repro.reliability.firmware.emergency_rollout`, executed wave by
   wave under its restart-concurrency limit when the pool's
@@ -23,9 +23,9 @@ byte — which the acceptance tests assert.
 Each queued event carries its bound handler, the :class:`Device` it
 concerns (``None`` for pool-level events) and a tuple of positional
 arguments, so the run loop calls the handler directly.  Every lifecycle
-change (wedge, degrade, degrade-end, drain, reboot-start, reboot-done,
-rollout wave) goes through one ``_transition`` step that checks
-legality, accrues residency and keeps a
+change (wedge, degrade, degrade-end, rollout restart, reboot-done) goes
+through one ``_transition`` step that checks legality, accrues
+residency and keeps a
 :class:`~repro.resilience.device.PoolCensus` live; the hourly metrics
 tick reads that census instead of rescanning the pool.  Ticks fall at
 ``k * metrics_interval_s`` plus the window's end, and a final partial
@@ -47,11 +47,7 @@ from repro.resilience.device import (
     downed_device_minutes,
 )
 from repro.resilience.events import EventKind, EventLog
-from repro.resilience.faults import (
-    FaultRates,
-    fault_rates_from_reliability,
-    presample_fault_arrivals,
-)
+from repro.resilience.faults import FaultRates, presample_fault_arrivals
 from repro.obs.metrics import MetricsRegistry, active
 from repro.resilience.metrics import (
     IntervalMetrics,
@@ -63,9 +59,8 @@ from repro.resilience.policies import ResiliencePolicies
 # Rollout-wave restart priority: cure the worst devices first.
 _WAVE_PRIORITY = {
     DeviceState.WEDGED: 0,
-    DeviceState.DRAINING: 1,
-    DeviceState.DEGRADED: 2,
-    DeviceState.HEALTHY: 3,
+    DeviceState.DEGRADED: 1,
+    DeviceState.HEALTHY: 2,
 }
 
 
@@ -108,13 +103,13 @@ class ResilienceSimulator:
     def __init__(
         self,
         config: ResilienceConfig,
-        rates: Optional[FaultRates] = None,
-        policies: Optional[ResiliencePolicies] = None,
+        rates: FaultRates,
+        policies: ResiliencePolicies,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
-        self.rates = rates if rates is not None else fault_rates_from_reliability()
-        self.policies = policies if policies is not None else ResiliencePolicies.production()
+        self.rates = rates
+        self.policies = policies
         # Observability only: the registry never touches the RNG or the
         # event heap, so seeded runs are byte-identical with or without
         # it (pinned by the trace-hash regression test).
@@ -230,13 +225,6 @@ class ResilienceSimulator:
             return
         self._transition(device, DeviceState.WEDGED, time_s)
         self._emit(time_s, EventKind.FAULT_DEADLOCK, device.device_id)
-        drain = self.policies.drain
-        if drain is not None:
-            # The device fails every probe from now on; schedule the
-            # consecutive failures leading to the drain decision.
-            for failure in range(1, drain.failures_to_drain + 1):
-                when = time_s + failure * drain.health_check_interval_s
-                self._push(when, self._on_drain_decision, device)
 
     def _on_ecc_ue(self, time_s: float, device: Device) -> None:
         if not device.serving:
@@ -270,51 +258,25 @@ class ResilienceSimulator:
 
     def _on_degrade_end(self, time_s: float, device: Device) -> None:
         if device.state != DeviceState.DEGRADED:
-            return  # wedged, drained, or rebooted in the meantime
+            return  # wedged or rebooted in the meantime
         if time_s + 1e-9 < self._degrade_until.get(device.device_id, 0.0):
             return  # a later episode extended the degradation
         self._transition(device, DeviceState.HEALTHY, time_s)
         self._emit(time_s, EventKind.DEGRADE_END, device.device_id)
 
     # ------------------------------------------------------------------
-    # Drain / reboot lifecycle
+    # Reboot completion
     # ------------------------------------------------------------------
 
-    def _on_drain_decision(self, time_s: float, device: Device) -> None:
-        drain = self.policies.drain
-        if drain is None or device.state != DeviceState.WEDGED:
-            return  # recovered another way (e.g. a rollout power-cycle)
-        if not device.health_check():
-            self._emit(time_s, EventKind.HEALTH_CHECK_FAIL, device.device_id,
-                       consecutive=float(device.consecutive_health_failures))
-        if device.consecutive_health_failures >= drain.failures_to_drain:
-            self._transition(device, DeviceState.DRAINING, time_s)
-            self._emit(time_s, EventKind.DRAIN_START, device.device_id)
-            self._push(time_s + drain.drain_grace_s, self._on_reboot_start,
-                       device)
-
-    def _on_reboot_start(self, time_s: float, device: Device) -> None:
-        drain = self.policies.drain
-        if drain is None or device.state != DeviceState.DRAINING:
-            return
-        self._transition(device, DeviceState.REBOOTING, time_s)
-        reboot_s = drain.sample_reboot_s(self._rng)
-        self._obs.histogram("resilience.reboot_duration_s").observe(reboot_s)
-        self._emit(time_s, EventKind.REBOOT_START, device.device_id,
-                   reboot_s=reboot_s)
-        self._push(time_s + reboot_s, self._on_reboot_done, device, False)
-
-    def _on_reboot_done(self, time_s: float, device: Device,
-                        patch: bool) -> None:
+    def _on_reboot_done(self, time_s: float, device: Device) -> None:
         if device.state != DeviceState.REBOOTING:
             return  # pragma: no cover - defensive; single reboot in flight
         self._transition(device, DeviceState.HEALTHY, time_s)
         self._degrade_until.pop(device.device_id, None)
-        if patch:
-            if not device.patched:
-                device.patched = True
-                self._unpatched -= 1
-            self._emit(time_s, EventKind.DEVICE_PATCHED, device.device_id)
+        if not device.patched:
+            device.patched = True
+            self._unpatched -= 1
+        self._emit(time_s, EventKind.DEVICE_PATCHED, device.device_id)
         self._emit(time_s, EventKind.REBOOT_DONE, device.device_id)
         if (
             self._rollout_started
@@ -387,9 +349,9 @@ class ResilienceSimulator:
                          wave_index: float) -> None:
         """One restart wave under the plan's concurrency cap.
 
-        Waves self-schedule until every device is covered: a device
-        mid-reboot (from a drain) when its wave fires is skipped and
-        picked up by a later wave, so the rollout always completes.
+        Waves self-schedule until every device is covered, so the
+        rollout always completes.  Only a wave restarts a device, so no
+        device still waiting for its wave is mid-reboot.
         """
         plan = self.policies.rollout.resolved_plan()
         wave_size = plan.restart_wave_size(self.config.devices)
@@ -399,16 +361,15 @@ class ResilienceSimulator:
         ]
         if not remaining:
             return
-        candidates = [d for d in remaining if d.state != DeviceState.REBOOTING]
-        candidates.sort(key=lambda d: (_WAVE_PRIORITY[d.state], d.device_id))
-        wave = candidates[:wave_size]
+        remaining.sort(key=lambda d: (_WAVE_PRIORITY[d.state], d.device_id))
+        wave = remaining[:wave_size]
         restart_s = plan.restart_minutes * 60.0
         for device in wave:
             self._transition(device, DeviceState.REBOOTING, time_s)
             self._patch_scheduled.add(device.device_id)
             self._emit(time_s, EventKind.REBOOT_START, device.device_id,
                        reboot_s=restart_s, rollout=1.0)
-            self._push(time_s + restart_s, self._on_reboot_done, device, True)
+            self._push(time_s + restart_s, self._on_reboot_done, device)
         if wave:
             self._emit(time_s, EventKind.ROLLOUT_WAVE,
                        wave_index=wave_index, devices=float(len(wave)))
@@ -418,13 +379,10 @@ class ResilienceSimulator:
 
 
 def run_resilience(
-    config: Optional[ResilienceConfig] = None,
-    rates: Optional[FaultRates] = None,
-    policies: Optional[ResiliencePolicies] = None,
+    config: ResilienceConfig,
+    rates: FaultRates,
+    policies: ResiliencePolicies,
     registry: Optional[MetricsRegistry] = None,
 ) -> ResilienceReport:
     """One-call entry point: simulate a pool and return the report."""
-    return ResilienceSimulator(
-        config or ResilienceConfig(), rates=rates, policies=policies,
-        registry=registry,
-    ).run()
+    return ResilienceSimulator(config, rates, policies, registry).run()

@@ -5,7 +5,7 @@ Perfetto / ``chrome://tracing`` timeline through the unified writer in
 :mod:`repro.obs.tracing` (the same one the executor traces use):
 
 * one lane per device that experienced an incident, with duration spans
-  for its wedged/degraded/draining/rebooting episodes;
+  for its wedged/degraded/rebooting episodes;
 * a pool lane carrying instant markers (SLO trip, rollout trigger,
   waves, completion) and SDC flashes;
 * counter tracks for goodput fraction, wedged-device count, and
@@ -31,13 +31,11 @@ _SPAN_OPENERS = {
     EventKind.FAULT_DEADLOCK: "wedged",
     EventKind.FAULT_ECC_UE: "degraded (ecc)",
     EventKind.FAULT_THROTTLE: "degraded (throttle)",
-    EventKind.DRAIN_START: "draining",
     EventKind.REBOOT_START: "rebooting",
 }
 _SPAN_CLOSERS = {
     EventKind.FAULT_DEADLOCK,  # a degraded device can still wedge
     EventKind.DEGRADE_END,
-    EventKind.DRAIN_START,
     EventKind.REBOOT_START,
     EventKind.REBOOT_DONE,
 }

@@ -9,8 +9,11 @@ verbatim, apart from these adaptations:
 
 * ``ReferenceSimulator.run`` always takes the general loop and always
   revalidates (the old ``engine="reference"`` mode);
-* ``AdmissionConfig.tier_admissible`` and ``routing.healthy_candidates``
-  left ``src`` with their last callers and live here as functions.
+* ``routing.healthy_candidates`` left ``src`` with its last caller and
+  lives here as a function;
+* the hooks and switches only tests set (the power ``throttle``
+  schedule, the tier-wide outstanding cap, a client retry cap and the
+  unbounded fault-retry deadline) left the simulator and left here too.
 
 Everything the loop consumes (configs, the service model, routing
 policies, locality, pool, drain policy and the report) is the package's
@@ -80,13 +83,6 @@ def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
             r for r in candidates if defense.replica_allowed(r.replica_id, now_s)
         ]
     return candidates
-
-
-def tier_admissible(admission, total_outstanding: int) -> bool:
-    """Whether the tier as a whole may admit another request."""
-    if admission.max_total_outstanding is None:
-        return True
-    return total_outstanding < admission.max_total_outstanding
 
 
 class _Replica:
@@ -160,7 +156,6 @@ class ReferenceSimulator:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[TraceWriter] = None,
         model_name: str = "model",
-        throttle=None,
         defense=None,
         client: Optional[ClientRetryConfig] = None,
         injections: Sequence[Injection] = (),
@@ -170,12 +165,6 @@ class ReferenceSimulator:
         self.config = config
         self.service = service
         self.requests = list(requests)
-        # Optional power/thermal coupling: anything with a
-        # ``multiplier(time_s)`` method (e.g. repro.power.cluster_link
-        # .ThrottleSchedule) stretching service times while the tier is
-        # frequency-throttled.  Applied after the rng draw, so None
-        # preserves byte-identical event logs.
-        self.throttle = throttle
         # Chaos hooks — all off by default; see the module docstring.
         # ``defense`` duck-types repro.resilience.policies.DefenseRuntime and
         # ``brownout`` repro.chaos.brownout.BrownoutController, so the
@@ -198,10 +187,7 @@ class ReferenceSimulator:
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
         self._drain_policy = DrainPolicy()
-        self._retry_deadline_s = (
-            None if config.retry_deadline_slos is None
-            else config.retry_deadline_slos * config.p99_slo_s
-        )
+        self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
         # sampling, reboot times, and — only when a defense is armed —
@@ -578,7 +564,7 @@ class ReferenceSimulator:
             return
         # The always-on retry cutoff: a fault-stranded request past its
         # deadline is lost, not re-routed forever.
-        if (mode == "fault_retry" and self._retry_deadline_s is not None
+        if (mode == "fault_retry"
                 and self._now > request.arrival_s + self._retry_deadline_s):
             if index not in self._terminal:
                 self._finalize_timeout(index)
@@ -599,8 +585,6 @@ class ReferenceSimulator:
             self._replicas.values(), admission,
             now_s=self._now, defense=self.defense,
         )
-        if candidates and not tier_admissible(admission, self._outstanding_total):
-            candidates = []
         chosen = self.policy.choose(candidates, shard, self._rng) \
             if candidates else None
         if chosen is None:
@@ -633,8 +617,6 @@ class ReferenceSimulator:
 
     def _start_service(self, replica: _Replica, index: int, cross: bool) -> None:
         service_s = sample_service(self.service, self._rng, cross_host=cross)
-        if self.throttle is not None:
-            service_s *= self.throttle.multiplier(self._now)
         if replica.slow_factor != 1.0:
             service_s *= replica.slow_factor
         rung_name = None
@@ -892,9 +874,6 @@ class ReferenceSimulator:
             self._finalize_timeout(index)
             return
         attempts = self._attempts.get(index, 0)
-        if client.max_retries is not None and attempts >= client.max_retries:
-            self._finalize_timeout(index)
-            return
         arrival = self.requests[index].arrival_s
         if self.defense is not None:
             # Deadline propagation reaches the client too: past the

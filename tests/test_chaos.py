@@ -468,7 +468,7 @@ class TestScenarios:
     def test_retry_storm_ships_impatient_clients(self):
         storm = scenario_by_name("retry_storm")
         assert storm.client is not None
-        assert storm.client.max_retries is None
+        assert storm.client.timeout_s == 0.25
 
     def test_unknown_scenario_is_an_error(self):
         with pytest.raises(ValueError, match="unknown scenario"):

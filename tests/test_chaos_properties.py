@@ -152,8 +152,6 @@ clients = st.one_of(
         ClientRetryConfig,
         timeout_s=st.floats(min_value=0.05, max_value=0.5,
                             allow_nan=False, allow_infinity=False),
-        max_retries=st.one_of(st.none(),
-                              st.integers(min_value=0, max_value=3)),
     ),
 )
 

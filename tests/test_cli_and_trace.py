@@ -74,6 +74,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Perf/TCO" in out
 
+    def test_chaos_single_scenario_without_the_storm(self, capsys):
+        # The storm headline is printed only when the storm ran.
+        assert main(["chaos", "--smoke", "--scenario", "thermal"]) == 0
+        out = capsys.readouterr().out
+        assert "thermal" in out and "headline" not in out
+
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["evaluate", "--model", "LC99"])

@@ -14,7 +14,7 @@ autoscaler, the host pool, the metrics snapshot and the trace.
 Arrival times and service times are drawn on dyadic grids, so equal
 arrival timestamps and arrival-versus-departure ties are common and
 exact; the stream is passed in shuffled order.  Small per-replica caps
-and tier caps make saturation and shedding common.
+make saturation and shedding common.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from repro.cluster.routing import POLICY_NAMES
 from repro.fleet_global import run_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
-from repro.power.cluster_link import ThrottleSchedule
 from repro.resilience.policies import (
     AdmissionConfig,
     Backoff,
@@ -79,7 +78,6 @@ _runs = st.fixed_dictionaries({
     "num_hosts": st.integers(min_value=1, max_value=12),
     "num_shards": st.integers(min_value=1, max_value=4),
     "per_replica": st.sampled_from([1, 2, 3, 16]),
-    "total": st.sampled_from([None, 1, 3, 8]),
     "fail_fast": st.booleans(),
     "p99_slo_s": st.sampled_from([2.0 ** -4, 2.0 ** -2, 0.1]),
     "mean_service_s": st.sampled_from([2.0 ** -6, 2.0 ** -5, 0.013]),
@@ -152,7 +150,6 @@ def _config(draw, **extra):
         p99_slo_s=draw["p99_slo_s"],
         admission=AdmissionConfig(
             max_outstanding_per_replica=draw["per_replica"],
-            max_total_outstanding=draw["total"],
         ),
         seed=draw["seed"],
         **extra,
@@ -215,8 +212,7 @@ _DEFENSES = {
 }
 _CLIENTS = (
     ClientRetryConfig(timeout_s=2.0 ** -5),
-    ClientRetryConfig(timeout_s=2.0 ** -4, max_retries=0),
-    ClientRetryConfig(timeout_s=2.0 ** -4, max_retries=2),
+    ClientRetryConfig(timeout_s=2.0 ** -4),
 )
 
 
@@ -253,7 +249,7 @@ def _hooked(draw):
     run["ticks"] = draw(_ticks(min_size=10))
     run["fail_fast"] = draw(st.sampled_from([False, False, False, True]))
     run["fault_rate"] = draw(st.sampled_from([0.0, 3600.0, 14400.0]))
-    run["retry_deadline_slos"] = draw(st.sampled_from([None, 1.0, 4.0]))
+    run["retry_deadline_slos"] = draw(st.sampled_from([1.0, 4.0]))
     run["accelerators"] = draw(st.sampled_from([1, 8, 12]))
     run["autoscaler"] = draw(st.none() | st.builds(
         AutoscalerConfig,
@@ -270,7 +266,6 @@ def _hooked(draw):
     run["client"] = draw(st.sampled_from([None, *_CLIENTS]))
     run["defense"] = draw(st.sampled_from([None, *_DEFENSES]))
     run["brownout"] = draw(st.booleans())
-    run["throttle"] = draw(st.booleans())
     run["tracer"] = draw(st.booleans())
     run["registry"] = draw(st.booleans())
     return run
@@ -292,11 +287,6 @@ def _hook_factory(draw, service):
                 ),
                 enter_at=1.0, exit_at=0.5, step=1.0,
             ))
-        if draw["throttle"]:
-            hooks["throttle"] = ThrottleSchedule(
-                times_s=(0.0, 16 * GRID_S, 40 * GRID_S),
-                multipliers=(1.0, 2.0, 1.0),
-            )
         if draw["autoscaler"] is not None:
             hooks["autoscaler"] = Autoscaler(draw["autoscaler"], service)
         if draw["tracer"]:
@@ -338,7 +328,7 @@ _ALONE = {
         Injection(1.5, "heal", (3,)), Injection(2.0, "down", (2,)),
     ]},
     "client": lambda service: {
-        "client": ClientRetryConfig(timeout_s=0.05, max_retries=2)
+        "client": ClientRetryConfig(timeout_s=0.05)
     },
     "defense": lambda service: {
         "defense": DefenseRuntime(DefenseConfig.full(deadline_s=0.05))
@@ -347,9 +337,6 @@ _ALONE = {
         rungs=(BrownoutRung("full"), BrownoutRung("tiny", 0.5, priority_floor=1)),
         enter_at=1.0, exit_at=0.5, step=1.0,
     ))},
-    "throttle": lambda service: {
-        "throttle": ThrottleSchedule((0.0, 1.0), (1.0, 2.0))
-    },
     "autoscaler": lambda service: {"autoscaler": Autoscaler(AutoscalerConfig(
         min_replicas=1, max_replicas=8, tick_interval_s=0.5, cooldown_s=0.0,
         predictive=False,
@@ -383,19 +370,16 @@ def test_each_hook_alone_matches_reference(hook, policy):
     assert fast == reference
 
 
-@pytest.mark.parametrize("max_total", [None, 6])
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_two_failure_breakers_match_reference(policy, max_total):
+def test_two_failure_breakers_match_reference(policy):
     """Replica 1 fails once and its next success resets the count;
     replica 0 fails twice, opens, rejects routes through its cooldown
-    (those at the tier cap too) and probes its way closed.  Only
-    breakers that are not closed with no failure counted stay watched."""
+    and probes its way closed.  Only breakers that are not closed with
+    no failure counted stay watched."""
     service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
     config = ClusterConfig(
         replicas=4, num_hosts=2, policy=policy, seed=5,
-        admission=AdmissionConfig(
-            max_outstanding_per_replica=4, max_total_outstanding=max_total,
-        ),
+        admission=AdmissionConfig(max_outstanding_per_replica=4),
     )
     requests = poisson_stream(190.0, 3.0, seed=5)
     injections = [
@@ -453,7 +437,7 @@ def test_up_count_follows_every_state_change():
 def test_every_hook_at_once_matches_reference(policy):
     """One longer run with every hook armed: faults, all six injection
     kinds, a retrying client, the full defense suite, brownout,
-    throttling, autoscaling, a tracer and a registry."""
+    autoscaling, a tracer and a registry."""
     service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
     config = ClusterConfig(
         replicas=6, num_hosts=2, policy=policy,
@@ -474,14 +458,13 @@ def test_every_hook_at_once_matches_reference(policy):
     def make_hooks():
         return {
             "injections": injections,
-            "client": ClientRetryConfig(timeout_s=0.2, max_retries=3),
+            "client": ClientRetryConfig(timeout_s=0.2),
             "defense": DefenseRuntime(DefenseConfig.full(deadline_s=0.4)),
             "brownout": BrownoutController(BrownoutConfig(
                 rungs=(BrownoutRung("full"), BrownoutRung("fp16", 0.75),
                        BrownoutRung("tiny", 0.5, priority_floor=1)),
                 enter_at=3.0, exit_at=1.5, step=2.0,
             )),
-            "throttle": ThrottleSchedule((0.0, 5.0, 8.0), (1.0, 1.5, 1.0)),
             "autoscaler": Autoscaler(AutoscalerConfig(
                 min_replicas=2, max_replicas=10, tick_interval_s=1.0,
                 cooldown_s=2.0, predictive=False,

@@ -121,7 +121,7 @@ def _chaotic_cluster_run(run):
     )
     return run(
         config, service, requests,
-        client=ClientRetryConfig(timeout_s=0.3, max_retries=2),
+        client=ClientRetryConfig(timeout_s=0.3),
         injections=injections,
     )
 

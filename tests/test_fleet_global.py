@@ -1,9 +1,9 @@
 """Tests for the global fleet tier (repro.fleet_global).
 
-Covers the region/fleet configuration (timezone phases, traffic shares,
-power-budget throttles), the probe-eye health monitor (detection lag,
+Covers the region/fleet configuration (timezone phases, traffic
+shares), the probe-eye health monitor (detection lag,
 flap damping, up/down hysteresis), the deterministic spill router, the
-drill compiler (outage/brownout/partition semantics, staged global
+drill compiler (outage/partition semantics, staged global
 rollouts), the composed fleet simulator's conservation and attribution,
 and the region-outage capacity study's verdict logic.
 """
@@ -64,15 +64,6 @@ class TestRegions:
         big = fleet.traffic_model(regions[0]).mean_rate_per_s
         small = fleet.traffic_model(regions[1]).mean_rate_per_s
         assert big == pytest.approx(3.0 * small)
-
-    def test_unbudgeted_region_has_no_throttle(self):
-        assert RegionSpec(name="r").throttle() is None
-
-    def test_power_budget_throttles_the_region(self):
-        tight = RegionSpec(name="r", power_budget_w_per_server=900.0)
-        throttle = tight.throttle()
-        assert throttle is not None
-        assert throttle.multiplier(0.0) > 1.0  # service times stretch
 
     def test_fleet_validation(self):
         with pytest.raises(ValueError):
@@ -239,7 +230,7 @@ class TestDrills:
             RegionEvent(region="r", kind="outage", at_s=0.0, duration_s=0.0)
         with pytest.raises(ValueError):
             RegionEvent(region="r", kind="brownout", at_s=0.0,
-                        duration_s=1.0, magnitude=0.0)
+                        duration_s=1.0)
 
     def test_outage_takes_every_replica_and_marks_unreachable(self):
         fleet = standard_fleet(replicas_per_region=8)
@@ -260,20 +251,6 @@ class TestDrills:
         start, end = drill.unreachable_for(fleet.regions[0].name)[0]
         # phase_h=0 peaks mid-run; the default window must cover it.
         assert start < fleet.duration_s / 2 < end
-
-    def test_brownout_trips_a_fraction_of_power_domains(self):
-        fleet = standard_fleet(replicas_per_region=8)
-        drill = build_drill(fleet, [RegionEvent(
-            region="us-east", kind="brownout", at_s=2.0, duration_s=4.0,
-            magnitude=0.5,
-        )])
-        schedule = drill.injections_for("us-east")
-        downed = {
-            target for injection in schedule if injection.kind == "down"
-            for target in injection.targets
-        }
-        assert 0 < len(downed) < 8  # partial, not a full outage
-        assert drill.unreachable_for("us-east") == ()  # probes stay green
 
     def test_partition_is_isolated_not_unreachable(self):
         fleet = standard_fleet()

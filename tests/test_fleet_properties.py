@@ -1,7 +1,7 @@
 """Property-based tests for the global fleet tier's safety invariants.
 
 Mirrors ``tests/test_chaos_properties.py`` one level up: Hypothesis
-generates arbitrary region-scale drill schedules (outages, brownouts,
+generates arbitrary region-scale drill schedules (outages and
 partitions at arbitrary times, on either arm) against small fleets and
 asserts the two contracts the tier rests on:
 
@@ -49,8 +49,6 @@ region_events = st.builds(
                    allow_nan=False, allow_infinity=False),
     duration_s=st.floats(min_value=0.1, max_value=DURATION_S,
                          allow_nan=False, allow_infinity=False),
-    magnitude=st.floats(min_value=0.1, max_value=1.0,
-                        allow_nan=False, allow_infinity=False),
 )
 
 drills = st.lists(region_events, min_size=0, max_size=4)

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import gpu_spec, mtia1_spec, mtia2i_spec
-from repro.graph import OpType, fc, layernorm, mha, tbe, transpose
-from repro.graph.ops import Op
+from repro.graph import fc, layernorm, mha, tbe, transpose
 from repro.kernels import (
     GemmVariant,
     KernelEstimate,
@@ -164,8 +163,6 @@ class TestRegistry:
             fc(x, weight(128, 64)),
             tbe(tables, batch=8, avg_indices_per_lookup=4),
             layernorm(x),
-            Op(op_type=OpType.SOFTMAX, name="softmax", inputs=[x], outputs=[x],
-               attrs={"rows": 64, "cols": 128}),
             transpose(x),
             mha(x, heads=4, head_dim=32, seq_len=8, batch=8),
         ]

@@ -66,10 +66,11 @@ def test_subpackage_re_exports_stay_pruned():
     # reduction-network model went; 436 before the NoC package and the
     # other models that only their own tests reached went; 416 before the
     # GEMM kernel surrogate, the kernel-latency memo and five test-only
-    # names went; 406 before the census left only program-read members.
+    # names went; 406 before the census left only program-read members;
+    # 378 before the cluster tier's power throttle schedule went.
     assert sum(
         len(importlib.import_module(package).__all__) for package in SUBPACKAGES
-    ) <= 378
+    ) <= 377
 
 
 def test_top_level_names_only_the_quick_start():
@@ -268,18 +269,47 @@ RETIRED_NAMES = (
     ("repro.tensors", "jagged_hadamard"),
     ("repro.tensors", "jagged_linear"),
     ("repro.tensors", "jagged_mean_pool"),
+    # Hooks and mode switches only tests turned on: the cluster tier's
+    # power throttle, the resilience DES's health-check drain, region
+    # brownout drills; and the op types nothing builds.
+    ("repro.power", "ThrottleSchedule"),
+    ("repro.power.cluster_link", "ThrottleSchedule"),
+    ("repro.fleet_global.regions", "RegionSpec.throttle"),
+    ("repro.fleet_global.drills", "_region_brownout"),
+    ("repro.resilience.policies", "ResiliencePolicies.production"),
+    ("repro.resilience.simulator", "ResilienceSimulator._on_drain_decision"),
+    ("repro.resilience.simulator", "ResilienceSimulator._on_reboot_start"),
+    ("repro.resilience.device", "Device.health_check"),
+    ("repro.resilience.device", "DeviceState.DRAINING"),
+    ("repro.resilience.events", "EventKind.HEALTH_CHECK_FAIL"),
+    ("repro.resilience.events", "EventKind.DRAIN_START"),
+    ("repro.resilience.events", "EventKind.THROTTLE_END"),
+    ("repro.graph.ops", "OpType.SOFTMAX"),
+    ("repro.graph.ops", "OpType.RESHAPE"),
+    ("repro.graph.ops", "OpType.SLICE"),
+    ("repro.graph.ops", "OpType.QUANTIZE"),
+    ("repro.graph.ops", "OpType.DEQUANTIZE"),
+    ("repro.power.thermal", "ThermalNetwork.max_stable_dt"),
+    # Read only by the bare string of the deleted ``OpType.DEQUANTIZE``;
+    # the round trip is a test helper now.
+    ("repro.quant.int8", "QuantizedTensor.dequantize"),
 )
 
 
 @pytest.mark.parametrize("module, name", RETIRED_NAMES)
 def test_unreached_names_stay_deleted(module, name):
     """Each of these had no reader but its own tests, or lived in a
-    module that is deleted whole."""
+    module that is deleted whole.  A dotted name is a member of a
+    module-level owner that stays."""
     if module in DELETED_MODULES:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
-    else:
-        assert not hasattr(importlib.import_module(module), name)
+        return
+    owner, _, member = name.rpartition(".")
+    target = importlib.import_module(module)
+    for part in filter(None, owner.split(".")):
+        target = getattr(target, part)
+    assert not hasattr(target, member)
 
 
 def test_surrogate_is_the_only_switch():

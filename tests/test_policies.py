@@ -86,8 +86,7 @@ _FLOATS = {
     RetryPolicy: ("timeout_s",),
     ClientRetryConfig: ("timeout_s",),
     HedgePolicy: ("hedge_after_s", "false_hedge_fraction"),
-    DrainPolicy: ("health_check_interval_s", "drain_grace_s",
-                  "reboot_mttr_s", "reboot_sigma"),
+    DrainPolicy: ("reboot_mttr_s", "reboot_sigma"),
     LoadShedPolicy: ("max_utilization",),
     RolloutPolicy: ("detection_delay_s",),
     BreakerConfig: ("cooldown_s",),
@@ -95,9 +94,7 @@ _FLOATS = {
 }
 _COUNTS = {
     RetryPolicy: ("max_attempts",),
-    ClientRetryConfig: ("max_retries",),
-    DrainPolicy: ("failures_to_drain",),
-    AdmissionConfig: ("max_outstanding_per_replica", "max_total_outstanding"),
+    AdmissionConfig: ("max_outstanding_per_replica",),
     BreakerConfig: ("failure_threshold", "probe_quota", "close_after_successes"),
 }
 _BAD = [
@@ -148,7 +145,7 @@ def test_one_backoff_and_one_way_to_say_off():
     for cls in (HedgePolicy, LoadShedPolicy, RolloutPolicy):
         assert "enabled" not in {f.name for f in dataclasses.fields(cls)}
     assert {f.name for f in dataclasses.fields(ClientRetryConfig)} == {
-        "timeout_s", "max_retries",
+        "timeout_s",
     }
     assert not hasattr(DefenseConfig, "inert")
     assert not hasattr(AdmissionConfig, "priority_admissible")

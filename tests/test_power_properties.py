@@ -4,8 +4,9 @@ Hypothesis drives the thermal and power models with randomized inputs
 and checks the physics that must hold for *every* input:
 
 * RC stepping converges to the closed-form steady state for random
-  networks, powers, and (oversized) time steps — the explicit-Euler
-  sub-stepping can never diverge or settle on the wrong fixed point;
+  networks, powers, and time steps, and k steps of ``dt`` equal one
+  step of ``k·dt`` — the exact zero-order hold can never diverge or
+  settle on the wrong fixed point, however stiff the chain;
 * the per-op activity trace integrates back to the executor's energy
   for random op profiles and temperatures — power attribution splits
   energy, it never creates or destroys it;
@@ -76,16 +77,21 @@ class TestThermalConvergence:
     def test_stepping_converges_to_closed_form(self, stages, power, dt):
         network = ThermalNetwork(stages, ambient_c=40.0)
         target = network.steady_state(power)
-        temps = np.full(len(network.stages), network.ambient_c)
+        start = np.full(len(network.stages), network.ambient_c)
+        # The step is exact, so four steps of dt are one step of 4·dt.
+        temps = start
+        for _ in range(4):
+            temps = network.step(temps, power, dt)
+        once = network.step(start, power, 4.0 * dt)
+        assert np.max(np.abs(temps - once)) < 1e-6 * max(1.0, power)
         # March well past the slowest system mode — bounded above by
         # (total C) x (total R), which dominates every eigenvalue of the
-        # chain.  Sub-stepping makes any caller dt stable, so grow dt
-        # rather than truncate time when the network is slow.
+        # chain — in ten steps, however stiff the chain.
         total_c = sum(s.heat_capacity_j_per_c for s in network.stages)
         horizon = 30.0 * total_c * network.total_resistance_c_per_w
-        dt = max(dt, horizon / 3000.0)
-        for _ in range(int(np.ceil(horizon / dt)) + 1):
-            temps = network.step(temps, power, dt)
+        temps = start
+        for _ in range(10):
+            temps = network.step(temps, power, horizon / 10.0)
         assert np.all(np.isfinite(temps))
         assert np.max(np.abs(temps - target)) < max(0.05, 0.001 * power)
 

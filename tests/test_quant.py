@@ -25,6 +25,11 @@ from repro.quant import (
 from repro.tensors import GemmShape
 
 
+def dequantize(q):
+    """A quantized tensor back in floating point."""
+    return q.values.astype(np.float32) * q.scales
+
+
 def _skewed_activations(rows=128, cols=256, seed=0):
     """Rows with wildly different dynamic ranges — the case that separates
     per-tensor from row-wise quantization."""
@@ -37,21 +42,21 @@ class TestQuantizeNumerics:
     def test_rowwise_roundtrip_error_small(self):
         x = _skewed_activations()
         q = quantize_rowwise(x)
-        rel = np.abs(q.dequantize() - x) / (np.abs(x).max(axis=1, keepdims=True))
+        rel = np.abs(dequantize(q) - x) / (np.abs(x).max(axis=1, keepdims=True))
         assert np.max(rel) < 1 / 127
 
     def test_per_tensor_worse_on_skewed_rows(self):
         x = _skewed_activations()
-        rowwise = np.linalg.norm(quantize_rowwise(x).dequantize() - x)
-        tensor = np.linalg.norm(quantize_per_tensor(x).dequantize() - x)
+        rowwise = np.linalg.norm(dequantize(quantize_rowwise(x)) - x)
+        tensor = np.linalg.norm(dequantize(quantize_per_tensor(x)) - x)
         assert rowwise < tensor
 
     def test_group_quantization_between(self):
         """Per-N-batch-item lands between per-tensor and row-wise."""
         x = _skewed_activations(rows=256)
-        err_row = np.linalg.norm(quantize_rowwise(x).dequantize() - x)
-        err_group = np.linalg.norm(quantize_per_group(x, 32).dequantize() - x)
-        err_tensor = np.linalg.norm(quantize_per_tensor(x).dequantize() - x)
+        err_row = np.linalg.norm(dequantize(quantize_rowwise(x)) - x)
+        err_group = np.linalg.norm(dequantize(quantize_per_group(x, 32)) - x)
+        err_tensor = np.linalg.norm(dequantize(quantize_per_tensor(x)) - x)
         assert err_row <= err_group <= err_tensor
 
     def test_values_in_int8_range(self):
@@ -102,7 +107,7 @@ def test_rowwise_quantization_bounded_error_property(rows, cols, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(0, 1, size=(rows, cols)) * np.exp(rng.normal(0, 1, size=(rows, 1)))
     q = quantize_rowwise(x.astype(np.float32))
-    steps = np.abs(q.dequantize() - x.astype(np.float32)) / np.maximum(q.scales, 1e-12)
+    steps = np.abs(dequantize(q) - x.astype(np.float32)) / np.maximum(q.scales, 1e-12)
     assert np.max(steps) <= 0.5 + 1e-3
 
 

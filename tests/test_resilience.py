@@ -58,21 +58,19 @@ class TestDeviceLifecycle:
     def test_full_cycle(self):
         device = Device(device_id=0)
         device.transition(DeviceState.WEDGED, 10.0)
-        device.transition(DeviceState.DRAINING, 20.0)
-        device.transition(DeviceState.REBOOTING, 25.0)
-        device.transition(DeviceState.HEALTHY, 625.0)
+        device.transition(DeviceState.REBOOTING, 20.0)
+        device.transition(DeviceState.HEALTHY, 620.0)
         device.finalize(1000.0)
         assert device.state == DeviceState.HEALTHY
         assert device.state_seconds[DeviceState.WEDGED] == pytest.approx(10.0)
-        assert device.state_seconds[DeviceState.DRAINING] == pytest.approx(5.0)
         assert device.state_seconds[DeviceState.REBOOTING] == pytest.approx(600.0)
-        # Downtime = wedged + draining + rebooting.
-        assert device.downtime_seconds() == pytest.approx(615.0)
+        # Downtime = wedged + rebooting.
+        assert device.downtime_seconds() == pytest.approx(610.0)
 
     def test_illegal_transitions_raise(self):
         device = Device(device_id=0)
         with pytest.raises(TransitionError):
-            device.transition(DeviceState.DRAINING, 1.0)  # healthy can't drain
+            device.transition(DeviceState.HEALTHY, 1.0)  # no self-loop
         device.transition(DeviceState.WEDGED, 1.0)
         with pytest.raises(TransitionError):
             device.transition(DeviceState.HEALTHY, 2.0)  # wedge needs a reboot
@@ -84,12 +82,12 @@ class TestDeviceLifecycle:
         assert device.serving
         device.transition(DeviceState.WEDGED, 0.0)
         # The crux of section 5.5: silently dead, but the census still
-        # counts it among the routed-to states until it is drained.
+        # counts it among the routed-to states until it is restarted.
         assert not device.serving
         assert device.throughput_scale == 0.0
         census = PoolCensus.of({0: device})
         assert census.counts[DeviceState.WEDGED] == 1
-        census.transition(device, DeviceState.DRAINING, 1.0)
+        census.transition(device, DeviceState.REBOOTING, 1.0)
         assert census.counts[DeviceState.WEDGED] == 0
 
     def test_degraded_scale(self):
@@ -98,37 +96,20 @@ class TestDeviceLifecycle:
         assert device.throughput_scale == 0.5
         assert device.serving
 
-    def test_health_checks(self):
-        device = Device(device_id=0)
-        assert device.health_check()
-        device.transition(DeviceState.WEDGED, 0.0)
-        assert not device.health_check()
-        assert not device.health_check()
-        assert device.consecutive_health_failures == 2
-
     def test_patched_immunity(self):
         device = Device(device_id=0)
         assert device.susceptible_to_deadlock
         device.patched = True
         assert not device.susceptible_to_deadlock
 
-    def test_downtime_sums_left_to_right_in_fixed_order(self):
-        # (1e16 + 1) + 1 rounds back to 1e16; a compensated sum or another
-        # order of the three down states gives 1e16 + 2.
-        device = Device(device_id=0)
-        device.state_seconds.update({
-            DeviceState.WEDGED: 1e16,
-            DeviceState.DRAINING: 1.0,
-            DeviceState.REBOOTING: 1.0,
-        })
-        with mock.patch.object(device_module, "sum", math.fsum, create=True):
-            assert device.downtime_seconds() == 1e16
-
     def test_illegal_transition_through_simulator_raises(self):
-        sim = ResilienceSimulator(ResilienceConfig(devices=3, offered_load=2000.0))
+        sim = ResilienceSimulator(
+            ResilienceConfig(devices=3, offered_load=2000.0),
+            fault_rates_from_reliability(), section_55_policies(),
+        )
         device = sim._devices[1]
         with pytest.raises(TransitionError):
-            sim._transition(device, DeviceState.DRAINING, 5.0)
+            sim._transition(device, DeviceState.HEALTHY, 5.0)
         # Nothing moved: the device, its residency and the census.
         assert device.state is DeviceState.HEALTHY
         assert device.state_entered_s == 0.0
@@ -317,7 +298,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             HedgePolicy(hedge_after_s=0)
         with pytest.raises(ValueError):
-            DrainPolicy(failures_to_drain=0)
+            DrainPolicy(reboot_mttr_s=0)
         with pytest.raises(ValueError):
             LoadShedPolicy(max_utilization=0)
         with pytest.raises(ValueError):
@@ -331,11 +312,12 @@ class TestPolicies:
 
     def test_bundles(self):
         none = ResiliencePolicies.none()
-        assert none.retry is None and none.drain is None
-        assert none.hedge is None and none.shed is None and none.rollout is None
-        prod = ResiliencePolicies.production()
-        assert prod.retry is not None and prod.drain is not None
-        assert all(getattr(prod, f.name) is not None for f in dataclasses.fields(prod))
+        assert all(getattr(none, f.name) is None for f in dataclasses.fields(none))
+        mitigated = section_55_policies()
+        assert all(
+            getattr(mitigated, f.name) is not None
+            for f in dataclasses.fields(mitigated)
+        )
 
 
 class TestRolloutWaves:
@@ -366,10 +348,7 @@ _PATHS = {
     DeviceState.HEALTHY: (),
     DeviceState.DEGRADED: (DeviceState.DEGRADED,),
     DeviceState.WEDGED: (DeviceState.WEDGED,),
-    DeviceState.DRAINING: (DeviceState.WEDGED, DeviceState.DRAINING),
-    DeviceState.REBOOTING: (
-        DeviceState.WEDGED, DeviceState.DRAINING, DeviceState.REBOOTING,
-    ),
+    DeviceState.REBOOTING: (DeviceState.WEDGED, DeviceState.REBOOTING),
 }
 
 
@@ -448,7 +427,7 @@ class TestEvaluateInterval:
 
     def test_load_shedding_caps_utilization(self):
         # 8k offered onto 4 healthy devices = 2x overload.
-        states = [DeviceState.HEALTHY] * 4 + [DeviceState.DRAINING] * 6
+        states = [DeviceState.HEALTHY] * 4 + [DeviceState.REBOOTING] * 6
         policies = ResiliencePolicies(shed=LoadShedPolicy(max_utilization=0.9))
         metrics = self._metrics(states, policies)
         assert metrics.shed_fraction > 0.5
@@ -456,7 +435,7 @@ class TestEvaluateInterval:
         assert metrics.slo_at_risk
 
     def test_overload_without_shedding_drops_excess(self):
-        states = [DeviceState.HEALTHY] * 4 + [DeviceState.DRAINING] * 6
+        states = [DeviceState.HEALTHY] * 4 + [DeviceState.REBOOTING] * 6
         metrics = self._metrics(states, ResiliencePolicies.none())
         assert metrics.shed_fraction == 0.0
         assert metrics.goodput_samples_per_s == pytest.approx(4000.0)
@@ -609,50 +588,8 @@ class TestSection55Arc:
         assert "recovered" in text
 
 
-class TestDrainPath:
-    """Health-check drain/quarantine with MTTR reboots (production bundle)."""
-
-    def _run(self):
-        rates = FaultRates(
-            deadlock_per_device_hour=0.02,
-            ecc_ue_per_device_hour=0.0,
-            sdc_per_device_hour=0.0,
-            throttle_per_device_hour=0.0,
-        )
-        config = ResilienceConfig(
-            devices=40,
-            device_throughput=1000.0,
-            offered_load=28_000.0,
-            duration_s=86_400.0,
-            metrics_interval_s=600.0,
-            seed=11,
-        )
-        return run_resilience(config, rates, ResiliencePolicies.production())
-
-    def test_wedged_devices_get_drained_and_rebooted(self):
-        report = self._run()
-        wedges = report.events.of_kind(EventKind.FAULT_DEADLOCK)
-        drains = report.events.of_kind(EventKind.DRAIN_START)
-        reboots = report.events.of_kind(EventKind.REBOOT_DONE)
-        assert wedges, "fault schedule should produce deadlocks"
-        assert len(drains) == len(wedges)
-        assert len(reboots) >= len(drains)
-        # Detection latency: drain happens after the configured number of
-        # failed health checks, not instantly.
-        drain_policy = DrainPolicy()
-        first_wedge = wedges[0]
-        first_drain = next(
-            e for e in drains if e.device_id == first_wedge.device_id
-        )
-        assert first_drain.time_s - first_wedge.time_s == pytest.approx(
-            drain_policy.health_check_interval_s * drain_policy.failures_to_drain,
-            abs=1.0
-        )
-
-    def test_drain_keeps_goodput_high(self):
-        report = self._run()
-        assert report.min_goodput_fraction > 0.95
-        assert report.final_goodput_fraction > 0.99
+class TestThrottleEpisodes:
+    """Power-cap throttle episodes degrade devices and end on time."""
 
     def test_throttle_episodes_recover(self):
         rates = FaultRates(0.0, 0.0, 0.0, 0.2, throttle_duration_s=1200.0)
@@ -660,7 +597,7 @@ class TestDrainPath:
             devices=20, offered_load=12_000.0, duration_s=6 * 3600.0,
             metrics_interval_s=300.0, seed=2,
         )
-        report = run_resilience(config, rates, ResiliencePolicies.production())
+        report = run_resilience(config, rates, section_55_policies())
         throttles = report.events.of_kind(EventKind.FAULT_THROTTLE)
         ends = report.events.of_kind(EventKind.DEGRADE_END)
         assert throttles
@@ -681,7 +618,7 @@ class TestResilienceTrace:
             devices=12, offered_load=8_000.0, duration_s=6 * 3600.0,
             metrics_interval_s=600.0, seed=5,
         )
-        return run_resilience(config, rates, ResiliencePolicies.production())
+        return run_resilience(config, rates, section_55_policies())
 
     def test_trace_structure(self):
         report = self._report()
@@ -725,8 +662,7 @@ class TestConfig:
 
     def test_policies_helper_matches_paper_story(self):
         policies = section_55_policies()
-        assert policies.drain is None  # the wedge needs the rollout
-        assert policies.rollout is not None
+        assert policies.rollout is not None  # the wedge needs the rollout
         assert policies.retry is not None
 
 

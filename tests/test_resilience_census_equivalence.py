@@ -11,7 +11,7 @@ bound handlers, so the tests wrap every ``_on_*`` handler of the
 simulator instance before the run.
 
 Windows are short and fault rates inflated, so wedges, degrades,
-degrade-ends, drains, reboots and rollout waves all occur; degraded
+degrade-ends, rollout waves and reboots all occur; degraded
 scales are non-dyadic, so a different summation order shows up as a
 different float.  Python 3.11's builtin ``sum`` is itself a plain
 left-to-right loop, so the tests shadow ``sum`` in the device and
@@ -44,13 +44,13 @@ from repro.resilience import (
 )
 from repro.resilience.metrics import _DELAY_CAP_UTILIZATION
 from repro.resilience.policies import (
-    DrainPolicy,
     HedgePolicy,
     LoadShedPolicy,
     ResiliencePolicies,
     RetryPolicy,
     RolloutPolicy,
 )
+from repro.resilience.scenario import section_55_policies
 from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
 
@@ -174,7 +174,7 @@ def scan_evaluate_interval(
         healthy=census[DeviceState.HEALTHY],
         degraded=census[DeviceState.DEGRADED],
         wedged=census[DeviceState.WEDGED],
-        draining=census[DeviceState.DRAINING],
+        draining=0,
         rebooting=census[DeviceState.REBOOTING],
         capacity_samples_per_s=live_capacity,
         offered_samples_per_s=offered_samples_per_s,
@@ -200,23 +200,21 @@ def compensated_builtin_sum():
         yield
 
 
-def _policies(retry, hedge, drain, shed, rollout, delay_s):
+def _policies(retry, hedge, shed, rollout, delay_s):
     return ResiliencePolicies(
         retry=RetryPolicy() if retry else None,
         hedge=HedgePolicy() if hedge else None,
-        drain=DrainPolicy() if drain else None,
         shed=LoadShedPolicy() if shed else None,
         rollout=RolloutPolicy(detection_delay_s=delay_s) if rollout else None,
     )
 
 
 _bundles = st.one_of(
-    st.sampled_from([ResiliencePolicies.none(), ResiliencePolicies.production()]),
+    st.sampled_from([ResiliencePolicies.none(), section_55_policies()]),
     st.builds(
         _policies,
         retry=st.booleans(),
         hedge=st.booleans(),
-        drain=st.booleans(),
         shed=st.booleans(),
         rollout=st.booleans(),
         delay_s=st.sampled_from([0.0, 600.0, 1800.0]),
@@ -261,7 +259,7 @@ def run_checked(config, rates, policies):
 
     Returns the report and the set of ``(old, new)`` transitions seen.
     """
-    sim = ResilienceSimulator(config, rates=rates, policies=policies)
+    sim = ResilienceSimulator(config, rates, policies)
     transition = sim._transition
     seen = set()
     ticks_checked = []
@@ -321,13 +319,11 @@ def test_live_census_matches_full_scan(config, rates, policies):
     assert report.intervals[-1].time_s == config.duration_s
 
 
-# The seven lifecycle changes the simulator makes.
+# The five lifecycle changes the simulator makes.
 _WEDGE = {(DeviceState.HEALTHY, DeviceState.WEDGED),
           (DeviceState.DEGRADED, DeviceState.WEDGED)}
 _DEGRADE = {(DeviceState.HEALTHY, DeviceState.DEGRADED)}
 _DEGRADE_END = {(DeviceState.DEGRADED, DeviceState.HEALTHY)}
-_DRAIN = {(DeviceState.WEDGED, DeviceState.DRAINING)}
-_REBOOT_START = {(DeviceState.DRAINING, DeviceState.REBOOTING)}
 _REBOOT_DONE = {(DeviceState.REBOOTING, DeviceState.HEALTHY)}
 _ROLLOUT_WAVE = {(DeviceState.HEALTHY, DeviceState.REBOOTING),
                  (DeviceState.DEGRADED, DeviceState.REBOOTING),
@@ -335,20 +331,19 @@ _ROLLOUT_WAVE = {(DeviceState.HEALTHY, DeviceState.REBOOTING),
 
 
 def test_every_transition_kind_is_checked():
-    """One drained, rolled-out run makes all seven lifecycle changes."""
+    """One rolled-out run makes all five lifecycle changes."""
     config = _config(devices=40, utilization=0.85, duration_s=24 * 3600.0,
                      interval_s=1800.0, degraded_scale=0.7, seed=1)
     rates = FaultRates(deadlock_per_device_hour=0.1, ecc_ue_per_device_hour=0.2,
                        sdc_per_device_hour=0.1, throttle_per_device_hour=0.5,
                        throttle_duration_s=900.0, ecc_degrade_duration_s=120.0)
     policies = dataclasses.replace(
-        ResiliencePolicies.production(),
+        section_55_policies(),
         rollout=RolloutPolicy(detection_delay_s=600.0),
     )
     with compensated_builtin_sum():
         report, seen = run_checked(config, rates, policies)
-    for kind in (_WEDGE, _DEGRADE, _DEGRADE_END, _DRAIN, _REBOOT_START,
-                 _REBOOT_DONE, _ROLLOUT_WAVE):
+    for kind in (_WEDGE, _DEGRADE, _DEGRADE_END, _REBOOT_DONE, _ROLLOUT_WAVE):
         assert seen & kind, kind
     assert report.intervals[-1].time_s == config.duration_s
 
@@ -358,17 +353,16 @@ def test_census_of_counts_every_state():
     devices[1].transition(DeviceState.DEGRADED, 0.0)
     devices[2].transition(DeviceState.WEDGED, 0.0)
     devices[3].transition(DeviceState.WEDGED, 0.0)
-    devices[3].transition(DeviceState.DRAINING, 1.0)
+    devices[3].transition(DeviceState.REBOOTING, 1.0)
     census = PoolCensus.of(devices)
     assert census.counts == {
         DeviceState.HEALTHY: 2,
         DeviceState.DEGRADED: 1,
         DeviceState.WEDGED: 1,
-        DeviceState.DRAINING: 1,
-        DeviceState.REBOOTING: 0,
+        DeviceState.REBOOTING: 1,
     }
     assert census.scales == [1.0, 0.3, 0.0, 0.0, 1.0]
     assert census.live_scale == scan_live_scale(devices)
-    census.transition(devices[3], DeviceState.REBOOTING, 2.0)
+    census.transition(devices[3], DeviceState.HEALTHY, 2.0)
     assert census == PoolCensus.of(devices)
-    assert devices[3].state_seconds[DeviceState.DRAINING] == 1.0
+    assert devices[3].state_seconds[DeviceState.REBOOTING] == 1.0

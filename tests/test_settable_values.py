@@ -79,8 +79,9 @@ def test_settable_value_count_stays_down():
     # before the process pool and the models only tests reached went; 684
     # before the GEMM kernel surrogate and the kernel-latency memo went;
     # 667 before the census left only program-read members and the
-    # explicit-``rng`` knobs went.
-    assert len(settable_values()) <= 641
+    # explicit-``rng`` knobs went; 641 before the hooks and mode switches
+    # only tests turned on went.
+    assert len(settable_values()) <= 621
 
 
 # Owners deleted whole: a deleted owner takes no knob.
@@ -147,6 +148,25 @@ DELETED_OWNERS = {
     ("repro.fleet.abtest", "run_ab_test", "rng"),
     ("repro.fleet.abtest", "SyntheticCtrModel.sample", "rng"),
     ("repro.fleet_global.simulator", "run_fleet", "extra_injections"),
+    # Hooks and mode switches only tests turned on.
+    ("repro.cluster.simulator", "ClusterSimulator", "throttle"),
+    ("repro.cluster.simulator", "run_cluster", "throttle"),
+    ("repro.fleet_global.simulator", "_plain_region_run", "throttle"),
+    ("repro.fleet_global.regions", "RegionSpec", "power_budget_w_per_server"),
+    ("repro.resilience.policies", "AdmissionConfig", "max_total_outstanding"),
+    ("repro.resilience.policies", "ClientRetryConfig", "max_retries"),
+    ("repro.resilience.policies", "ResiliencePolicies", "drain"),
+    ("repro.resilience.policies", "DrainPolicy", "health_check_interval_s"),
+    ("repro.resilience.policies", "DrainPolicy", "failures_to_drain"),
+    ("repro.resilience.policies", "DrainPolicy", "drain_grace_s"),
+    ("repro.resilience.device", "Device", "consecutive_health_failures"),
+    ("repro.resilience.simulator", "ResilienceSimulator._on_reboot_done", "patch"),
+    ("repro.fleet_global.drills", "RegionEvent", "magnitude"),
+    ("repro.power.dvfs", "DvfsConfig", "power_cap_w"),
+    ("repro.power.dvfs", "DvfsGovernor.step", "utilization"),
+    ("repro.power.dvfs", "ThermalFeedbackResult", "cap_throttles"),
+    ("repro.codesign.space", "derive_chip", "sram_bandwidth_bytes_per_s"),
+    ("repro.codesign.objectives", "CodesignObjective", "base_chip"),
 ])
 def test_retired_knob_stays_gone(module, owner, name):
     if (module, owner) in DELETED_OWNERS:
@@ -163,6 +183,24 @@ def test_retired_knob_stays_gone(module, owner, name):
     else:
         names = set(inspect.signature(target).parameters)
     assert name not in names, f"{module}.{owner} takes {name} again"
+
+
+@pytest.mark.parametrize("owner", ["ResilienceSimulator", "run_resilience"])
+def test_resilience_run_inputs_have_no_default(owner):
+    """A resilience run takes its config, fault rates and policies from
+    the caller; no default bundle stands in for the drill's."""
+    target = getattr(importlib.import_module("repro.resilience.simulator"), owner)
+    parameters = inspect.signature(target).parameters
+    for name in ("config", "rates", "policies"):
+        assert parameters[name].default is inspect.Parameter.empty, name
+
+
+def test_fault_retries_always_have_a_deadline():
+    """``retry_deadline_slos`` is a finite number; ``None`` no longer
+    switches the cutoff off."""
+    simulator = importlib.import_module("repro.cluster.simulator")
+    with pytest.raises(TypeError):
+        simulator.ClusterConfig(retry_deadline_slos=None)
 
 
 def test_retired_helpers_stay_deleted():
