@@ -37,7 +37,7 @@ def main() -> None:
     drill = region_outage_drill(fleet)
     print("\ndrill:")
     for event in drill.events:
-        print(f"  t={event.at_s:5.1f}s {event.kind} {event.region} "
+        print(f"  t={event.at_s:5.1f}s outage {event.region} "
               f"for {event.duration_s:.1f}s")
 
     print("\nsame day, same seed, defenses off then on...\n")

@@ -42,7 +42,7 @@ from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
+from repro.resilience.policies import DefenseRuntime
 from repro.serving.workload import poisson_stream, with_priorities
 
 
@@ -55,9 +55,6 @@ WINDOW_S = 2.0
 # SLO: generous enough that a healthy tier scores ~1.0, tight enough
 # that storm-era stale serves score 0).
 GOODPUT_LATENCY_S = 0.2
-# Defended-run defense suite; deadline 0.3 s sits above the storm
-# client's 250 ms timeout so first sends are never dead on arrival.
-DEFENSE = DefenseConfig.full(deadline_s=0.3)
 # Priority mix for brownout scenarios (best-effort, normal, critical).
 PRIORITY_WEIGHTS = (0.3, 0.5, 0.2)
 
@@ -280,13 +277,12 @@ def run_scenario(
         replicas=config.replicas,
         num_hosts=topology.num_hosts,
         policy="po2",
-        admission=AdmissionConfig(),
         seed=config.seed,
     )
     report = run_cluster(
         cluster_config, service, requests,
         registry=registry, tracer=tracer,
-        defense=DefenseRuntime(DEFENSE) if defended else None,
+        defense=DefenseRuntime() if defended else None,
         client=scenario.client,
         injections=scenario.injections(topology),
         brownout=brownout,

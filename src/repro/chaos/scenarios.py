@@ -35,7 +35,7 @@ scenario               section 5 incident it reproduces
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.chaos.domains import (
     FaultDomainTopology,
@@ -51,7 +51,6 @@ from repro.arch.server import mtia2i_server
 from repro.cluster.simulator import Injection
 from repro.reliability.firmware import emergency_rollout
 from repro.reliability.power import stress_test_budget
-from repro.resilience.policies import ClientRetryConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,9 +60,10 @@ class ChaosScenario:
     ``fault_clear_s`` is when the injected trouble is over — recovery
     metrics (time-to-recovery, post-clear goodput) are measured from
     there.  ``build`` maps the campaign's fault topology to the
-    injection schedule; ``client`` (if any) is the retry behaviour the
-    scenario's clients exhibit; ``use_brownout`` arms the degradation
-    ladder in defended runs.
+    injection schedule; ``client`` says whether the scenario's clients
+    re-send unanswered requests
+    (:data:`~repro.resilience.policies.CLIENT_TIMEOUT_S`);
+    ``use_brownout`` arms the degradation ladder in defended runs.
     """
 
     name: str
@@ -72,7 +72,7 @@ class ChaosScenario:
     fault_at_s: float
     fault_clear_s: float
     build: Callable[[FaultDomainTopology], List[Injection]]
-    client: Optional[ClientRetryConfig] = None
+    client: bool = False
     use_brownout: bool = False
 
     def __post_init__(self) -> None:
@@ -86,11 +86,6 @@ class ChaosScenario:
 # Shared timing: trouble starts after the tier warms up and clears with
 # enough run left to observe (or fail to observe) recovery.
 _FAULT_AT_S = 8.0
-
-# The storm's clients: impatient (re-send after 250 ms) and persistent
-# (no retry cap) — production front-end behaviour, and the load side of
-# every metastable-failure story.
-STORM_CLIENT = ClientRetryConfig(timeout_s=0.25)
 
 
 def _single_host(topology: FaultDomainTopology) -> List[Injection]:
@@ -196,7 +191,9 @@ def standard_catalog() -> Tuple[ChaosScenario, ...]:
             paper_ref="section 5.5 (overload after correlated faults)",
             fault_at_s=_FAULT_AT_S, fault_clear_s=_FAULT_AT_S + 4.0,
             build=_retry_storm,
-            client=STORM_CLIENT,
+            # Impatient, persistent clients: the load side of every
+            # metastable-failure story.
+            client=True,
         ),
         ChaosScenario(
             name="thermal",
@@ -225,7 +222,6 @@ def scenario_by_name(name: str) -> ChaosScenario:
 
 
 __all__ = [
-    "STORM_CLIENT",
     "ChaosScenario",
     "scenario_by_name",
     "standard_catalog",

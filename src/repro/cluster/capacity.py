@@ -27,7 +27,7 @@ from repro.cluster.routing import POLICY_NAMES
 from repro.cluster.service import ServiceModel
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import AdmissionConfig, require_finite
+from repro.resilience.policies import require_finite
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
     DiurnalTrafficModel,
@@ -184,7 +184,6 @@ def replicas_needed(
             num_hosts=math.ceil(max_replicas / 24) + 1,
             policy=policy,
             p99_slo_s=p99_slo_s,
-            admission=AdmissionConfig(),
             seed=seed,
         )
 
@@ -317,7 +316,6 @@ def policy_comparison(
             replicas=replicas,
             num_hosts=math.ceil(replicas / 24) + 1,
             policy=policy,
-            admission=AdmissionConfig(),
             seed=seed,
         )
         for policy in policies

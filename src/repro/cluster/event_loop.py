@@ -18,6 +18,14 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
+from repro.resilience.policies import (
+    CLIENT_TIMEOUT_S,
+    DEADLINE_S,
+    MAX_OUTSTANDING_PER_REPLICA,
+    backoff_s,
+    sample_reboot_s,
+)
+
 if TYPE_CHECKING:
     from repro.cluster.simulator import ClusterSimulator
 
@@ -149,15 +157,17 @@ def run_events(
     stay.  ``jsq`` and ``locality`` route from the least-outstanding
     index of :class:`_Targets`: the lowest set bit at the group's
     minimum depth is the lowest id, the policies' tie-break, and a
-    minimum at or above the admission cap means no admissible target.
+    minimum at or above the admission cap
+    (:data:`~repro.resilience.policies.MAX_OUTSTANDING_PER_REPLICA`)
+    means no admissible target.
     Every other route (``round_robin``, ``po2``, a ``locality`` spill,
     and every route while a circuit breaker is watched) is the policy's
     own ``choose`` over the admissible list: ``live`` while no replica
     sits at the admission cap, else the cap filter, then each watched
     breaker in id order, which counts its own rejections.  The defense
-    runtime's ``watched`` map holds the breakers that are not closed
-    with no failure counted; any other breaker admits every route and
-    ignores dispatches and serves, so while the map is empty no breaker
+    runtime's ``watched`` map holds the breakers that are not closed; a
+    closed breaker admits every route and ignores dispatches and
+    serves, so while the map is empty no breaker
     is consulted and ``jsq`` and ``locality`` route from the index.
 
     *Service times.*  While routing draws nothing (``round_robin``,
@@ -177,8 +187,7 @@ def run_events(
     shards = sim._shards
     replicas = sim._replicas
     resolved = sim._resolved
-    admission = config.admission
-    cap = admission.max_outstanding_per_replica
+    cap = MAX_OUTSTANDING_PER_REPLICA
     name = config.policy
     rng = sim._rng
     # The service draw: mean-preserving log-normal jitter around
@@ -208,10 +217,9 @@ def run_events(
     # The breakers a route, dispatch or serve must consult; every other
     # replica's breaker admits everything and ignores both.
     watched = {} if defense is None else defense.watched
-    deadline = None if defense is None else defense.deadline_s
     retry_deadline = sim._retry_deadline_s
     # A client re-sends, so a copy can outlive its request's outcome.
-    copies = client is not None
+    copies = client
     # Replicas can fail, partition and return, stranding work.
     disrupted = bool(sim._fault_schedule or sim.injections)
     # One guard per stage.  Before routing: retry bookkeeping, offered
@@ -244,10 +252,10 @@ def run_events(
     for injection in sim.injections:
         seq += 1
         heap.append((injection.time_s, seq, _INJECT, injection))
-    if client is not None:
+    if client:
         for index, arrival_s in enumerate(arrivals):
             seq += 1
-            heap.append((arrival_s + client.timeout_s, seq, _CLIENT, index))
+            heap.append((arrival_s + CLIENT_TIMEOUT_S, seq, _CLIENT, index))
     if autoscaler is not None:
         tick = autoscaler.config.tick_interval_s
         time_s = tick
@@ -318,7 +326,7 @@ def run_events(
                         replica.deferred_depart = True
                     continue
                 if watched:
-                    defense.on_replica_success(replica.replica_id, now)
+                    defense.on_replica_success(replica.replica_id)
             index = replica.in_service
             if copies and resolved[index]:
                 # A duplicate of an already-resolved request: the
@@ -360,8 +368,8 @@ def run_events(
             queue = replica.queue
             depth = replica.outstanding
             left = depth - 1
-            if deadline is not None:
-                while queue and now > arrivals[queue[0][0]] + deadline:
+            if defense is not None:
+                while queue and now > arrivals[queue[0][0]] + DEADLINE_S:
                     index = queue.popleft()[0]
                     left -= 1
                     if resolved[index]:
@@ -466,7 +474,7 @@ def run_events(
             total += 1
             if noted:
                 if watched:
-                    defense.on_dispatch(chosen.replica_id, now)
+                    defense.on_dispatch(chosen.replica_id)
                 if observed:
                     if kind == _ARRIVAL:
                         obs.counter("cluster.admitted").inc()
@@ -529,16 +537,16 @@ def run_events(
                 if observed:
                     obs.counter("cluster.retries").inc()
                 if defense is not None:
-                    delay = defense.backoff_s(attempt, rng)
-                    if delay > 0:
-                        seq += 1
-                        heappush(heap, (now + delay, seq, _FAULT_RETRY, index))
-                        continue
+                    # Backoff jitter keeps every delay positive.
+                    seq += 1
+                    heappush(heap, (now + backoff_s(attempt, rng), seq,
+                                    _FAULT_RETRY, index))
+                    continue
                 work.append((_FAULT_RETRY, index))
             elif kind == _SETTLE:
                 replica, was_draining, natural = entity
                 if natural:
-                    reboot_s = sim._drain_policy.sample_reboot_s(rng)
+                    reboot_s = sample_reboot_s(rng)
                     if observed:
                         obs.histogram("cluster.reboot_s").observe(reboot_s)
                 if was_draining:
@@ -602,16 +610,16 @@ def run_events(
                 if defense is not None and not defense.take_retry_token(now):
                     # Over the retry budget: wait a full timeout.
                     seq += 1
-                    heappush(heap, (now + client.timeout_s, seq, _CLIENT, index))
+                    heappush(heap, (now + CLIENT_TIMEOUT_S, seq, _CLIENT, index))
                     continue
                 sim._attempts[index] = attempts + 1
-                delay = 0.0 if defense is None else defense.backoff_s(attempts, rng)
+                delay = 0.0 if defense is None else backoff_s(attempts, rng)
                 seq += 1
                 heappush(heap, (now + delay, seq, _CLIENT_RETRY, index))
                 seq += 1
                 heappush(
                     heap,
-                    (now + delay + client.timeout_s, seq, _CLIENT, index),
+                    (now + delay + CLIENT_TIMEOUT_S, seq, _CLIENT, index),
                 )
             elif kind == _SCALE:
                 sim._on_scale(now)

@@ -5,8 +5,9 @@ An event-driven composition of everything below it in the stack:
 * traffic from :mod:`repro.serving.workload` (Poisson or the diurnal +
   bursty stream);
 * a front door routing each request to one replica through a pluggable
-  :mod:`repro.cluster.routing` policy, under the
-  :class:`~repro.resilience.policies.AdmissionConfig` per-replica cap;
+  :mod:`repro.cluster.routing` policy, under the per-replica
+  outstanding cap
+  (:data:`~repro.resilience.policies.MAX_OUTSTANDING_PER_REPLICA`);
 * per-replica single-server queues whose service times come from
   :class:`~repro.cluster.service.ServiceModel` (calibrated from the
   device-level serving profiles);
@@ -18,8 +19,8 @@ An event-driven composition of everything below it in the stack:
   :class:`~repro.cluster.provisioning.HostPool`;
 * replica-stopping faults at rates from the section 5 reliability
   models (:func:`repro.resilience.faults.fault_rates_from_reliability`),
-  with reboot times from the
-  :class:`~repro.resilience.policies.DrainPolicy`.
+  with log-normal reboot times
+  (:func:`~repro.resilience.policies.sample_reboot_s`).
 
 The chaos tier (:mod:`repro.chaos`) plugs in through four optional
 hooks, every one of which defaults to off and leaves the event log
@@ -28,10 +29,9 @@ byte-identical when unused:
 * ``injections`` — externally scheduled correlated faults
   (:class:`Injection`): forced replica outages, network partitions,
   service-time inflation (thermal throttling);
-* ``client`` — client-side retry behaviour
-  (:class:`~repro.resilience.policies.ClientRetryConfig`): a request that has not completed within
-  the client timeout is re-sent, duplicating work — the raw material of
-  a retry storm;
+* ``client`` — retrying clients: a request that has not completed
+  within :data:`~repro.resilience.policies.CLIENT_TIMEOUT_S` is
+  re-sent, duplicating work — the raw material of a retry storm;
 * ``defense`` — a :class:`~repro.resilience.policies.DefenseRuntime`
   (deadline propagation, retry token bucket, backoff with jitter,
   per-replica circuit breakers);
@@ -77,13 +77,7 @@ from repro.cluster.service import ServiceModel
 from repro.fleet.allocator import AllocationError
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import (
-    AdmissionConfig,
-    ClientRetryConfig,
-    DrainPolicy,
-    require_count,
-    require_finite,
-)
+from repro.resilience.policies import require_count, require_finite
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import Request
 
@@ -169,9 +163,6 @@ class ClusterConfig:
     num_hosts: int = 8
     policy: str = "po2"
     p99_slo_s: float = DEFAULT_P99_SLO_S
-    admission: AdmissionConfig = dataclasses.field(
-        default_factory=AdmissionConfig
-    )
     fault_rate_per_replica_hour: float = 0.0
     # Fault-stranded requests are re-routed only while inside this many
     # SLOs of their arrival; past it they are counted ``timed_out``.
@@ -369,7 +360,7 @@ class ClusterSimulator:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[TraceWriter] = None,
         defense=None,
-        client: Optional[ClientRetryConfig] = None,
+        client: bool = False,
         injections: Sequence[Injection] = (),
         brownout=None,
         fail_fast: bool = False,
@@ -406,7 +397,6 @@ class ClusterSimulator:
         self._obs_enabled = self._obs.enabled
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
-        self._drain_policy = DrainPolicy()
         self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
@@ -638,7 +628,7 @@ class ClusterSimulator:
         the client's next timeout check will retry or give up — and
         this returns 0.
         """
-        if self.client is not None:
+        if self.client:
             self._rejected += 1
             if self._obs_enabled:
                 self._obs.counter("cluster.rejected").inc()
@@ -685,11 +675,20 @@ class ClusterSimulator:
         return was_draining
 
     def _revive(self, now: float, replica: _Replica, kind: str) -> None:
-        """Bring a down replica back up (``recover`` or ``inject_up``)."""
+        """Bring a down replica back up (``recover`` or ``inject_up``).
+
+        The serving count rises here as it does at a scale-up, so the
+        peak is raised here too: a replica that comes back after the
+        autoscaler replaced it serves next to its replacement.
+        """
         replica.state = "up"
         self._up += 1
         replica.mark_up(now)
         self._emit(now, kind, replica.replica_id)
+        self._peak_replicas = max(
+            self._peak_replicas,
+            sum(1 for r in self._replicas if r.serving),
+        )
 
     def _on_scale(self, now: float) -> None:
         assert self.autoscaler is not None
@@ -745,7 +744,7 @@ def run_cluster(
     registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
     defense=None,
-    client: Optional[ClientRetryConfig] = None,
+    client: bool = False,
     injections: Sequence[Injection] = (),
     brownout=None,
     fail_fast: bool = False,

@@ -4,8 +4,8 @@ Section 5's productionization story, one level up from :mod:`repro
 .chaos`: regions with timezone-phased diurnal traffic
 (:mod:`~repro.fleet_global.regions`), an anycast front door with
 probe-driven failover and capacity spill
-(:mod:`~repro.fleet_global.failover`), region-scale disaster drills and
-staged global firmware rollouts (:mod:`~repro.fleet_global.drills`),
+(:mod:`~repro.fleet_global.failover`), region-scale outage drills
+(:mod:`~repro.fleet_global.drills`),
 the composed deterministic simulator enforcing global request
 conservation (:mod:`~repro.fleet_global.simulator`), and the
 region-outage capacity study answering the ROADMAP's hosts-per-region
@@ -23,7 +23,6 @@ from repro.fleet_global.drills import (
 )
 from repro.fleet_global.failover import (
     Assignment,
-    FailoverConfig,
     HealthMonitor,
     SpillRouter,
 )
@@ -38,7 +37,6 @@ from repro.fleet_global.simulator import run_fleet
 
 __all__ = [
     "Assignment",
-    "FailoverConfig",
     "FleetConfig",
     "HealthMonitor",
     "RegionEvent",

@@ -1,20 +1,14 @@
-"""Region-scale disaster drills: outages and partitions.
+"""Region-scale disaster drills: whole-region outages.
 
 The fleet tier's fault vocabulary is one level up from the chaos tier's:
 instead of "host 3 dies" it speaks "region eu-west is dark for six
-seconds".  Each :class:`RegionEvent` is translated into the cluster-level
+seconds" (grid loss, fiber cut at the region boundary).  Each
+:class:`RegionEvent` is translated into the cluster-level
 :class:`~repro.cluster.simulator.Injection` schedule its region executes
 — *reusing the correlated builders of* :mod:`repro.chaos.domains`, so a
-region outage is literally every rack of the region failing together —
-plus the ground-truth unreachable intervals the health probes observe:
-
-* ``outage`` — the whole region goes dark (grid loss, fiber cut at the
-  region boundary): every rack fails via
-  :func:`~repro.chaos.domains.rack_failure`, and probes fail.
-* ``partition`` — the region is severed from the rest of the planet but
-  its own users still reach it (anycast keeps local traffic local).
-  Probes fail, so the defended arm stops spilling *into* it; nothing is
-  injected into the region's own cluster.
+region outage is literally every rack of the region failing together via
+:func:`~repro.chaos.domains.rack_failure` — plus the ground-truth
+unreachable intervals the health probes observe.
 """
 
 from __future__ import annotations
@@ -26,24 +20,16 @@ from repro.chaos.domains import merge_schedules, rack_failure
 from repro.cluster.simulator import Injection
 from repro.fleet_global.regions import FleetConfig, RegionSpec
 
-EVENT_KINDS = ("outage", "partition")
-
 
 @dataclasses.dataclass(frozen=True)
 class RegionEvent:
-    """One region-scale incident in a drill."""
+    """One region going dark in a drill."""
 
     region: str
-    kind: str
     at_s: float
     duration_s: float
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(
-                f"unknown region event kind {self.kind!r}; "
-                f"choose one of {EVENT_KINDS}"
-            )
         if self.at_s < 0:
             raise ValueError("event time must be non-negative")
         if self.duration_s <= 0:
@@ -61,21 +47,15 @@ class DrillSchedule:
 
     events: Tuple[RegionEvent, ...]
     injections: Dict[str, Tuple[Injection, ...]]
-    # Outages: the region is gone — home traffic must fail over and
-    # spill must avoid it.
+    # The region is gone — home traffic must fail over and spill must
+    # avoid it.
     unreachable: Dict[str, Tuple[Tuple[float, float], ...]]
-    # Partitions: the region is fine for its own anycast traffic but
-    # invisible to the rest of the planet — only spill-in is blocked.
-    isolated: Dict[str, Tuple[Tuple[float, float], ...]]
 
     def injections_for(self, region: str) -> Tuple[Injection, ...]:
         return self.injections.get(region, ())
 
     def unreachable_for(self, region: str) -> Tuple[Tuple[float, float], ...]:
         return self.unreachable.get(region, ())
-
-    def isolated_for(self, region: str) -> Tuple[Tuple[float, float], ...]:
-        return self.isolated.get(region, ())
 
 
 def _region_outage(spec: RegionSpec, event: RegionEvent) -> List[Injection]:
@@ -93,19 +73,12 @@ def build_drill(
     """Compile region events into per-region schedules and probe truth."""
     by_region: Dict[str, List[Injection]] = {}
     unreachable: Dict[str, List[Tuple[float, float]]] = {}
-    isolated: Dict[str, List[Tuple[float, float]]] = {}
     for event in events:
         spec = fleet.regions[fleet.region_index(event.region)]
-        if event.kind == "outage":
-            schedule = _region_outage(spec, event)
-            unreachable.setdefault(event.region, []).append(
-                (event.at_s, event.clear_s)
-            )
-        else:  # partition: spill-in blocked, healthy inside
-            schedule = []
-            isolated.setdefault(event.region, []).append(
-                (event.at_s, event.clear_s)
-            )
+        schedule = _region_outage(spec, event)
+        unreachable.setdefault(event.region, []).append(
+            (event.at_s, event.clear_s)
+        )
         if schedule:
             merged = by_region.setdefault(event.region, [])
             by_region[event.region] = merge_schedules(merged, schedule)
@@ -117,10 +90,6 @@ def build_drill(
         unreachable={
             name: tuple(sorted(spans))
             for name, spans in unreachable.items()
-        },
-        isolated={
-            name: tuple(sorted(spans))
-            for name, spans in isolated.items()
         },
     )
 
@@ -141,14 +110,12 @@ def region_outage_drill(
     start = 0.3 * fleet.duration_s if at_s is None else at_s
     length = 0.3 * fleet.duration_s if duration_s is None else duration_s
     return build_drill(
-        fleet, [RegionEvent(region=name, kind="outage",
-                            at_s=start, duration_s=length)]
+        fleet, [RegionEvent(region=name, at_s=start, duration_s=length)]
     )
 
 
 __all__ = [
     "DrillSchedule",
-    "EVENT_KINDS",
     "RegionEvent",
     "build_drill",
     "region_outage_drill",

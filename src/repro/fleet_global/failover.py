@@ -2,7 +2,7 @@
 
 The anycast load balancer never sees a region's true state — it sees
 *probes*: periodic health checks whose answers are already
-``probe_lag_s`` stale when they arrive, debounced so one dropped probe
+:data:`PROBE_LAG_S` stale when they arrive, debounced so one dropped probe
 cannot fail a healthy region over (flap damping), with an asymmetric
 up/down threshold (hysteresis) so a region recovering from an outage
 must prove itself before taking traffic back.  :class:`HealthMonitor`
@@ -26,32 +26,15 @@ import bisect
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-
-@dataclasses.dataclass(frozen=True)
-class FailoverConfig:
-    """Probe cadence, damping, and spill pricing."""
-
-    probe_interval_s: float = 0.5
-    probe_lag_s: float = 0.25  # a probe's answer reflects this far back
-    down_after: int = 2  # consecutive failed probes to declare down
-    up_after: int = 2  # consecutive good probes to take traffic back
-    spill_one_way_s: float = 0.015  # inter-region forward (and return) leg
-    # Spill admission: a region stops accepting spill once its assigned
-    # load (home + spilled-in) reaches this fraction of its nominal
-    # request capacity over the run.
-    max_spill_load: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0:
-            raise ValueError("probe interval must be positive")
-        if self.probe_lag_s < 0:
-            raise ValueError("probe lag must be non-negative")
-        if self.down_after < 1 or self.up_after < 1:
-            raise ValueError("probe thresholds must be at least 1")
-        if self.spill_one_way_s < 0:
-            raise ValueError("spill latency must be non-negative")
-        if not (0 < self.max_spill_load <= 1):
-            raise ValueError("spill load cap must be in (0, 1]")
+PROBE_INTERVAL_S = 0.5
+PROBE_LAG_S = 0.25  # a probe's answer reflects this far back
+DOWN_AFTER = 2  # consecutive failed probes to declare down
+UP_AFTER = 2  # consecutive good probes to take traffic back
+SPILL_ONE_WAY_S = 0.015  # inter-region forward (and return) leg
+# Spill admission: a region stops accepting spill once its assigned load
+# (home + spilled-in) reaches this fraction of its nominal request
+# capacity over the run.
+MAX_SPILL_LOAD = 0.95
 
 
 Interval = Tuple[float, float]
@@ -67,22 +50,19 @@ def _inside(intervals: Sequence[Interval], t_s: float) -> bool:
 class HealthMonitor:
     """Probe-eye view of one region's health over a run.
 
-    Built from the ground-truth unreachable intervals (outages and
-    partitions the drill schedule injects), it replays the probe
-    sequence once — probes at ``k * probe_interval_s``, each observing
-    the truth ``probe_lag_s`` earlier — applying the down/up streak
-    thresholds, and exposes the *detected*-down intervals the router
-    queries.  Pure and deterministic: same truth, same config, same
-    detection timeline.
+    Built from the ground-truth unreachable intervals (the outages the
+    drill schedule injects), it replays the probe sequence once —
+    probes at ``k * PROBE_INTERVAL_S``, each observing the truth
+    ``PROBE_LAG_S`` earlier — applying the down/up streak thresholds,
+    and exposes the *detected*-down intervals the router queries.  Pure
+    and deterministic: same truth, same detection timeline.
     """
 
     def __init__(
         self,
         truth_down: Sequence[Interval],
         horizon_s: float,
-        config: Optional[FailoverConfig] = None,
     ) -> None:
-        self.config = config or FailoverConfig()
         self.truth_down = tuple(
             (float(start), float(end)) for start, end in truth_down
         )
@@ -94,29 +74,28 @@ class HealthMonitor:
         self._starts = [start for start, _ in self.detected_down]
 
     def _replay_probes(self) -> Tuple[Interval, ...]:
-        config = self.config
         detected: List[Interval] = []
         down_since: Optional[float] = None
         fail_streak = 0
         ok_streak = 0
-        t = config.probe_interval_s
-        while t <= self.horizon_s + config.probe_lag_s + (
-            config.down_after + config.up_after
-        ) * config.probe_interval_s:
-            observed_at = t - config.probe_lag_s
+        t = PROBE_INTERVAL_S
+        while t <= self.horizon_s + PROBE_LAG_S + (
+            DOWN_AFTER + UP_AFTER
+        ) * PROBE_INTERVAL_S:
+            observed_at = t - PROBE_LAG_S
             failing = observed_at >= 0 and _inside(self.truth_down, observed_at)
             if failing:
                 fail_streak += 1
                 ok_streak = 0
-                if down_since is None and fail_streak >= config.down_after:
+                if down_since is None and fail_streak >= DOWN_AFTER:
                     down_since = t
             else:
                 ok_streak += 1
                 fail_streak = 0
-                if down_since is not None and ok_streak >= config.up_after:
+                if down_since is not None and ok_streak >= UP_AFTER:
                     detected.append((down_since, t))
                     down_since = None
-            t += config.probe_interval_s
+            t += PROBE_INTERVAL_S
         if down_since is not None:
             detected.append((down_since, float("inf")))
         return tuple(detected)
@@ -156,7 +135,7 @@ class SpillRouter:
     Tracks assigned load per region (home and spilled-in alike) and, for
     a request whose home is detected-down, picks the healthy region with
     the lowest assigned-requests-per-replica, ties broken by region
-    index.  A candidate past ``max_spill_load`` of its nominal capacity
+    index.  A candidate past :data:`MAX_SPILL_LOAD` of its nominal capacity
     refuses spill; with no willing candidate the request is shed at the
     LB.  State is advanced one arrival at a time in chronological order,
     so the assignment sequence is a pure function of the arrival
@@ -173,27 +152,12 @@ class SpillRouter:
         monitors: Sequence[Optional[HealthMonitor]],
         replicas: Sequence[int],
         capacity_requests: Sequence[float],
-        config: Optional[FailoverConfig] = None,
-        spill_monitors: Optional[
-            Sequence[Optional[HealthMonitor]]
-        ] = None,
     ) -> None:
         if len(monitors) != len(replicas) or len(replicas) != len(
             capacity_requests
         ):
             raise ValueError("monitors, replicas, capacities must align")
-        self.config = config or FailoverConfig()
         self.monitors = list(monitors)
-        # A partitioned region is unreachable as a spill *destination*
-        # while its own anycast traffic still lands on it, so spill
-        # eligibility can be stricter than the home check.  Defaults to
-        # the home monitors (outages block both).
-        self.spill_monitors = (
-            list(spill_monitors) if spill_monitors is not None
-            else list(monitors)
-        )
-        if len(self.spill_monitors) != len(replicas):
-            raise ValueError("spill monitors must align with regions")
         self.replicas = list(replicas)
         self.capacity_requests = list(capacity_requests)
         self.assigned = [0] * len(replicas)
@@ -208,8 +172,8 @@ class SpillRouter:
             for region in regions
         ]
 
-    def _spill_down(self, region: int, t_s: float) -> bool:
-        monitor = self.spill_monitors[region]
+    def _down(self, region: int, t_s: float) -> bool:
+        monitor = self.monitors[region]
         return monitor is not None and monitor.down_at(t_s)
 
     def assign(self, home: int, arrival_s: float) -> Assignment:
@@ -221,11 +185,10 @@ class SpillRouter:
         best: Optional[int] = None
         best_load = float("inf")
         for region in range(len(self.replicas)):
-            if region == home or self._spill_down(region, arrival_s):
+            if region == home or self._down(region, arrival_s):
                 continue
             if (self.assigned[region]
-                    >= self.config.max_spill_load
-                    * self.capacity_requests[region]):
+                    >= MAX_SPILL_LOAD * self.capacity_requests[region]):
                 continue  # spill admission: the region is already full
             load = self.assigned[region] / self.replicas[region]
             if load < best_load:
@@ -241,7 +204,6 @@ class SpillRouter:
 
 __all__ = [
     "Assignment",
-    "FailoverConfig",
     "HealthMonitor",
     "SpillRouter",
 ]

@@ -55,13 +55,13 @@ from repro.cluster.simulator import (
 from repro.fastsim.vectorize import sorted_percentile
 from repro.fleet_global.drills import DrillSchedule
 from repro.fleet_global.failover import (
-    FailoverConfig,
+    SPILL_ONE_WAY_S,
     HealthMonitor,
     SpillRouter,
 )
 from repro.fleet_global.regions import FleetConfig
 from repro.obs.metrics import MetricsRegistry, active
-from repro.resilience.policies import AdmissionConfig, DefenseConfig, DefenseRuntime
+from repro.resilience.policies import DefenseRuntime
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.serving.workload import (
     DiurnalTrafficModel,
@@ -134,7 +134,6 @@ class FleetReport:
     lb_shed: int
     latencies_s: Tuple[float, ...]
     regions: Tuple[RegionOutcome, ...]
-    spill_one_way_s: float
 
     def __post_init__(self) -> None:
         if (self.served + self.shed + self.timed_out + self.spilled_served
@@ -318,68 +317,47 @@ def _region_streams(
 
 
 def _build_monitors(
-    config: FleetConfig,
-    drill: Optional[DrillSchedule],
-    failover: FailoverConfig,
-) -> Tuple[List[Optional[HealthMonitor]], List[Optional[HealthMonitor]]]:
-    """(home, spill) probe monitors per region.
-
-    Home failover reacts to outages only; spill eligibility also honors
-    partitions (a partitioned region serves its own users but cannot be
-    reached from other regions' front doors).
-    """
-    horizon = config.duration_s
-    home: List[Optional[HealthMonitor]] = []
-    spill: List[Optional[HealthMonitor]] = []
+    config: FleetConfig, drill: Optional[DrillSchedule]
+) -> List[Optional[HealthMonitor]]:
+    """One probe monitor per region that the drill takes down; home
+    failover and spill eligibility both read it."""
+    monitors: List[Optional[HealthMonitor]] = []
     for spec in config.regions:
         down = drill.unreachable_for(spec.name) if drill else ()
-        cut = drill.isolated_for(spec.name) if drill else ()
-        home.append(
-            HealthMonitor(down, horizon, failover) if down else None
+        monitors.append(
+            HealthMonitor(down, config.duration_s) if down else None
         )
-        both = tuple(sorted((*down, *cut)))
-        spill.append(
-            HealthMonitor(both, horizon, failover) if both else None
-        )
-    return home, spill
+    return monitors
 
 
 def _build_router(
     config: FleetConfig,
     drill: Optional[DrillSchedule],
     defended: bool,
-    failover: FailoverConfig,
     service: ServiceModel,
 ) -> Tuple[List[Optional[HealthMonitor]], SpillRouter]:
-    """The home monitors and the LB's spill router for one run; the
+    """The monitors and the LB's spill router for one run; the
     undefended arm has no monitors, so it never spills or LB-sheds."""
-    num_regions = len(config.regions)
     if defended:
-        home_monitors, spill_monitors = _build_monitors(
-            config, drill, failover
-        )
+        monitors = _build_monitors(config, drill)
     else:
-        home_monitors = [None] * num_regions
-        spill_monitors = [None] * num_regions
+        monitors = [None] * len(config.regions)
     capacity_requests = [
         spec.replicas * service.capacity_per_replica() * config.duration_s
         for spec in config.regions
     ]
     router = SpillRouter(
-        home_monitors,
+        monitors,
         [spec.replicas for spec in config.regions],
         capacity_requests,
-        failover,
-        spill_monitors=spill_monitors,
     )
-    return home_monitors, router
+    return monitors, router
 
 
 def _lb_pass(
     streams: Streams,
     order: MergeOrder,
     router: SpillRouter,
-    spill_one_way_s: float,
 ) -> Tuple[List[List[Request]], List[List[Tuple[int, bool]]], List[int]]:
     """The LB pass: one global chronological sweep through ``router``.
 
@@ -407,7 +385,7 @@ def _lb_pass(
         if spilled or request.request_id != len(bucket):
             arrival = request.arrival_s
             if spilled:
-                arrival += spill_one_way_s
+                arrival += SPILL_ONE_WAY_S
             request = Request(
                 arrival_s=arrival,
                 samples=request.samples,
@@ -423,7 +401,6 @@ def run_fleet(
     config: FleetConfig,
     drill: Optional[DrillSchedule] = None,
     defended: bool = False,
-    failover: Optional[FailoverConfig] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> FleetReport:
     """Run the global fleet once and return the attributed report.
@@ -433,18 +410,14 @@ def run_fleet(
     loss lands as cluster sheds/timeouts.  ``defended=True`` arms
     probe-driven failover with capacity spill at the front door and the
     chaos-tier defense suite plus brownout ladder inside every region.
-    Power-budget throttles (physics, not policy) apply to both arms.
     """
-    failover = failover or FailoverConfig()
     service = default_service_model()
     streams, order = _region_streams(config, defended)
     offered = sum(len(stream) for stream in streams)
     num_regions = len(config.regions)
-    home_monitors, router = _build_router(
-        config, drill, defended, failover, service
-    )
+    home_monitors, router = _build_router(config, drill, defended, service)
     dest_streams, dest_tags, lb_shed_by_origin = _lb_pass(
-        streams, order, router, failover.spill_one_way_s
+        streams, order, router
     )
 
     # Region pass: independent seeded cluster runs.  An undefended
@@ -463,7 +436,6 @@ def run_fleet(
             num_hosts=spec.num_hosts,
             policy=config.policy,
             p99_slo_s=DEFAULT_P99_SLO_S,
-            admission=AdmissionConfig(),
             seed=config.seed + _CLUSTER_SEED + index,
         )
         if memo:
@@ -475,10 +447,7 @@ def run_fleet(
         reports.append(run_cluster(
             cluster_config, service, dest_streams[index],
             registry=registry,
-            defense=(
-                DefenseRuntime(DefenseConfig.full(deadline_s=0.3))
-                if defended else None
-            ),
+            defense=DefenseRuntime() if defended else None,
             injections=schedule,
             brownout=brownout,
         ))
@@ -491,7 +460,7 @@ def run_fleet(
     timed_out_o = [0] * num_regions
     spilled_in_served = [0] * num_regions
     latencies: List[float] = []
-    round_trip = 2.0 * failover.spill_one_way_s
+    round_trip = 2.0 * SPILL_ONE_WAY_S
     for dest, report in enumerate(reports):
         tags = dest_tags[dest]
         for time_s, kind, index in report.event_log:
@@ -542,7 +511,6 @@ def run_fleet(
         lb_shed=sum(lb_shed_by_origin),
         latencies_s=tuple(latencies),
         regions=outcomes,
-        spill_one_way_s=failover.spill_one_way_s,
     )
     obs = active(registry)
     if obs.enabled:

@@ -405,9 +405,9 @@ class Executor:
     chip.  ``seed`` seeds the LLC's random-victim sequence (and is part
     of the trace key).  ``host_input_fraction`` in [0, 1] scales every
     op's host-link bytes; ``zipf_exponent`` (>= 0) skews the embedding
-    row stream; ``temperature_c`` sets the junction temperature of the
-    leakage term (None: the chip's reference temperature).  Bad values
-    raise ``ValueError`` here, not as a NaN latency later.
+    row stream.  Leakage is charged at the chip's reference junction
+    temperature.  Bad values raise ``ValueError`` here, not as a NaN
+    latency later.
     """
 
     def __init__(
@@ -418,7 +418,6 @@ class Executor:
         zipf_exponent: float = 1.05,
         seed: int = 0,
         host_input_fraction: float = 1.0,
-        temperature_c: Optional[float] = None,
     ) -> None:
         if not 0.0 <= host_input_fraction <= 1.0:
             raise ValueError(
@@ -428,18 +427,12 @@ class Executor:
             raise ValueError(
                 f"zipf_exponent must be finite and non-negative, got {zipf_exponent!r}"
             )
-        if temperature_c is not None and not math.isfinite(temperature_c):
-            raise ValueError(f"temperature_c must be finite, got {temperature_c!r}")
         self.chip = chip
         self.gemm_variant = gemm_variant
         self.variant_selector = variant_selector
         self.zipf_exponent = zipf_exponent
         self.seed = seed
         self.host_input_fraction = host_input_fraction
-        # Junction temperature for the leakage term of the energy model.
-        # None evaluates leakage at the chip's reference temperature —
-        # exactly the historical constant-idle behaviour.
-        self.temperature_c = temperature_c
 
     def run(self, graph: OpGraph, batch: int, warmup_runs: int = 1) -> ExecutionReport:
         """Execute the graph and report steady-state behaviour.
@@ -627,7 +620,7 @@ class Executor:
 
     def _op_energy(self, profile: OpProfile) -> float:
         chip = self.chip
-        leakage = chip.leakage_power_w(self.temperature_c)
+        leakage = chip.leakage_power_w()
         dynamic = chip.typical_watts * (1.0 - chip.idle_power_fraction)
         busy = profile.compute_s / profile.time_s if profile.time_s else 0.0
         busy = min(1.0, busy)

@@ -6,10 +6,10 @@ produces rather than invented:
 1. :func:`activity_trace` turns an :class:`~repro.perf.executor.ExecutionReport`
    into a time-domain power trace: one segment per op, splitting the
    op's dynamic power across compute, SRAM, and LPDDR activity by the
-   executor's own component-time breakdown, plus the chip's
-   (temperature-dependent) leakage floor.  The trace integrates back to
-   exactly ``report.energy_j`` when evaluated at the same junction
-   temperature the executor used — the invariant the property tests pin.
+   executor's own component-time breakdown, plus the chip's leakage
+   floor at its reference junction temperature, as the executor charges
+   it.  The trace integrates back to exactly ``report.energy_j`` — the
+   invariant the property tests pin.
 
 2. :func:`chip_power_w` is the closed-form operating-point model the
    time-domain studies (DVFS, capping, provisioning) step: dynamic power
@@ -86,7 +86,6 @@ class PowerTrace:
 def activity_trace(
     report: ExecutionReport,
     chip: ChipSpec,
-    temperature_c: Optional[float] = None,
 ) -> PowerTrace:
     """Per-op power trace of one executed batch.
 
@@ -97,7 +96,7 @@ def activity_trace(
     to the executor's component times — the activity split the thermal
     and capping models consume.
     """
-    leakage = chip.leakage_power_w(temperature_c)
+    leakage = chip.leakage_power_w()
     dynamic_full = chip.typical_watts * (1.0 - chip.idle_power_fraction)
     segments = []
     t = 0.0

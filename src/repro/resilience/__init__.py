@@ -11,12 +11,14 @@ recovery policies fight back, and an emergency firmware rollout can
 patch the fleet mid-window — reproducing the paper's section 5.5 arc as
 one closed system.
 
-:mod:`repro.resilience.policies` is the recovery vocabulary every tier
-shares: retry and backoff, hedging, reboot times, load shed and the
-admission cap, the rollout trigger, and the overload defenses
-(deadlines, retry token bucket, circuit breakers) the cluster and chaos
-tiers arm.  Its names are imported from that module, not from this
-package.
+:mod:`repro.resilience.policies` is the cluster tier's recovery
+vocabulary, stated at the values every program runs: the admission cap,
+client retries, reboot times, backoff, and the overload defenses
+(deadlines, retry token bucket, circuit breakers) the cluster, chaos and
+fleet tiers arm.  Its names are imported from that module, not from
+this package.  The fluid model's retry, hedge, shed and rollout
+settings sit next to their reader, :func:`evaluate_interval`, and a run
+switches them all on or off with one ``mitigated`` flag.
 """
 
 from repro.resilience.device import Device, DeviceState, PoolCensus, TransitionError

@@ -33,11 +33,21 @@ from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
 from repro.resilience.device import DeviceState, PoolCensus
 from repro.resilience.events import EventLog
-from repro.resilience.policies import ResiliencePolicies
 
 # Utilization at which the reported delay factor saturates (keeps the
 # time series finite through an overload episode).
 _DELAY_CAP_UTILIZATION = 0.995
+
+# The mitigated serving tier: each request gets up to MAX_ATTEMPTS
+# attempts, a hedge to a second replica after HEDGE_AFTER_S, and the
+# tier sheds load past SHED_MAX_UTILIZATION of live capacity.  The
+# unmitigated tier makes one attempt, never hedges and never sheds.
+MAX_ATTEMPTS = 3
+HEDGE_AFTER_S = 0.05
+# Fraction of *healthy* requests that still trip the hedge budget (tail
+# latency), adding background attempt amplification.
+FALSE_HEDGE_FRACTION = 0.01
+SHED_MAX_UTILIZATION = 0.95
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,13 +88,14 @@ def evaluate_interval(
     census: PoolCensus,
     offered_samples_per_s: float,
     device_throughput: float,
-    policies: ResiliencePolicies,
+    mitigated: bool,
     base_p50_s: float,
     base_p99_s: float,
     baseline_utilization: float,
     corrupted_samples_per_s: float = 0.0,
 ) -> IntervalMetrics:
-    """Convert the pool's lifecycle census into one metrics sample."""
+    """Convert the pool's lifecycle census into one metrics sample,
+    with the retry, hedge and shed policies on when ``mitigated``."""
     counts = census.counts
     healthy = counts[DeviceState.HEALTHY]
     degraded = counts[DeviceState.DEGRADED]
@@ -94,10 +105,7 @@ def evaluate_interval(
     p_bad = wedged / rotation if rotation else 1.0
 
     # --- Retry chain: attempts and terminal failures -------------------
-    if policies.retry is None:
-        max_attempts = 1
-    else:
-        max_attempts = policies.retry.max_attempts
+    max_attempts = MAX_ATTEMPTS if mitigated else 1
     # Each attempt independently lands on a wedged replica w.p. p_bad
     # (routers that exclude the failed instance do slightly better; this
     # is the conservative bound).
@@ -105,10 +113,10 @@ def evaluate_interval(
     for k in range(max_attempts):
         retry_amplification += p_bad**k
     failed_fraction = p_bad**max_attempts
-    if policies.hedge is not None:
+    if mitigated:
         # A hedge fires for every wedged-routed first attempt plus the
         # healthy tail that trips the budget anyway.
-        hedge_extra = p_bad + policies.hedge.false_hedge_fraction * (1.0 - p_bad)
+        hedge_extra = p_bad + FALSE_HEDGE_FRACTION * (1.0 - p_bad)
         retry_amplification += hedge_extra
         # The hedge gives the request a second, independent replica.
         failed_fraction *= p_bad
@@ -126,11 +134,11 @@ def evaluate_interval(
         served_fraction = 0.0
     else:
         utilization = live_demand / live_capacity
-        if policies.shed is not None and utilization > policies.shed.max_utilization:
+        if mitigated and utilization > SHED_MAX_UTILIZATION:
             shed_fraction = 1.0 - (
-                policies.shed.max_utilization * live_capacity / live_demand
+                SHED_MAX_UTILIZATION * live_capacity / live_demand
             )
-            utilization = policies.shed.max_utilization
+            utilization = SHED_MAX_UTILIZATION
         admitted = offered_samples_per_s * (1.0 - shed_fraction)
         # Without shedding an overloaded pool drops what it cannot queue.
         served_fraction = min(1.0, 1.0 / utilization) if utilization > 1 else 1.0
@@ -144,12 +152,9 @@ def evaluate_interval(
     p50 = base_p50_s * delay_ratio
     p99 = base_p99_s * delay_ratio
     # When >=1% of requests need a second attempt, the 99th percentile
-    # includes the first attempt's timeout (or the hedge budget).
-    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge is not None):
-        if policies.hedge is not None:
-            p99 = policies.hedge.hedge_after_s + p99
-        elif policies.retry is not None:
-            p99 = policies.retry.timeout_s + policies.retry.backoff.delay_s(0) + p99
+    # includes the hedge budget, which fires before any retry timeout.
+    if mitigated and p_bad >= 0.01:
+        p99 = HEDGE_AFTER_S + p99
 
     # --- SLO verdict via the serving-tier machinery --------------------
     total = len(census.scales)

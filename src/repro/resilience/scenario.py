@@ -31,24 +31,7 @@ from typing import Optional
 
 from repro.resilience.faults import FaultRates, fault_rates_from_reliability
 from repro.resilience.metrics import ResilienceReport
-from repro.resilience.policies import (
-    HedgePolicy,
-    LoadShedPolicy,
-    ResiliencePolicies,
-    RetryPolicy,
-    RolloutPolicy,
-)
 from repro.resilience.simulator import ResilienceConfig, run_resilience
-
-
-def section_55_policies() -> ResiliencePolicies:
-    """The mitigated arm: retry + hedge + shed + emergency rollout."""
-    return ResiliencePolicies(
-        retry=RetryPolicy(),
-        hedge=HedgePolicy(),
-        shed=LoadShedPolicy(),
-        rollout=RolloutPolicy(),
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,8 +129,8 @@ def run_section_55_drill(
         seed=seed,
     )
     rates = fault_rates_from_reliability()
-    baseline = run_resilience(config, rates, ResiliencePolicies.none())
-    mitigated = run_resilience(config, rates, section_55_policies())
+    baseline = run_resilience(config, rates, mitigated=False)
+    mitigated = run_resilience(config, rates, mitigated=True)
     return DrillResult(
         config=config, rates=rates, baseline=baseline, mitigated=mitigated
     )

@@ -8,7 +8,8 @@ closed loop over simulated time:
 * a per-device lifecycle state machine
   (:mod:`repro.resilience.device`);
 * serving-tier recovery policies — retry, hedging, load shedding
-  (:mod:`repro.resilience.policies`);
+  (:func:`repro.resilience.metrics.evaluate_interval`), on in the
+  mitigated arm and off in the other;
 * the emergency firmware rollout of
   :func:`repro.reliability.firmware.emergency_rollout`, executed wave by
   wave under its restart-concurrency limit when the pool's
@@ -54,7 +55,7 @@ from repro.resilience.metrics import (
     ResilienceReport,
     evaluate_interval,
 )
-from repro.resilience.policies import ResiliencePolicies
+from repro.reliability.firmware import emergency_rollout
 
 # Rollout-wave restart priority: cure the worst devices first.
 _WAVE_PRIORITY = {
@@ -62,6 +63,9 @@ _WAVE_PRIORITY = {
     DeviceState.DEGRADED: 1,
     DeviceState.HEALTHY: 2,
 }
+# Wall time between the slo_at_risk trip and the mitigated arm's first
+# rollout wave (paging, triage, build pinning).
+ROLLOUT_DETECTION_DELAY_S = 1800.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,18 +102,22 @@ class ResilienceConfig:
 
 
 class ResilienceSimulator:
-    """Seeded DES over one serving pool."""
+    """Seeded DES over one serving pool.
+
+    ``mitigated`` arms the serving tier's retry, hedge and shed policies
+    and the emergency firmware rollout; without it nothing fights back.
+    """
 
     def __init__(
         self,
         config: ResilienceConfig,
         rates: FaultRates,
-        policies: ResiliencePolicies,
+        mitigated: bool,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config
         self.rates = rates
-        self.policies = policies
+        self.mitigated = mitigated
         # Observability only: the registry never touches the RNG or the
         # event heap, so seeded runs are byte-identical with or without
         # it (pinned by the trace-hash regression test).
@@ -303,7 +311,7 @@ class ResilienceSimulator:
             census=self._census,
             offered_samples_per_s=self.config.offered_load,
             device_throughput=self.config.device_throughput,
-            policies=self.policies,
+            mitigated=self.mitigated,
             base_p50_s=self.config.base_p50_s,
             base_p99_s=self.config.base_p99_s,
             baseline_utilization=self.config.baseline_utilization,
@@ -333,8 +341,8 @@ class ResilienceSimulator:
             self._emit(time_s, EventKind.SLO_AT_RISK,
                        wedged=float(metrics.wedged),
                        utilization=min(metrics.utilization, 1e6))
-            if self.policies.rollout is not None and not self._rollout_started:
-                delay = self.policies.rollout.detection_delay_s
+            if self.mitigated and not self._rollout_started:
+                delay = ROLLOUT_DETECTION_DELAY_S
                 self._emit(time_s, EventKind.ROLLOUT_TRIGGERED,
                            starts_in_s=delay)
                 self._push(time_s + delay, self._on_rollout_start)
@@ -353,7 +361,7 @@ class ResilienceSimulator:
         rollout always completes.  Only a wave restarts a device, so no
         device still waiting for its wave is mid-reboot.
         """
-        plan = self.policies.rollout.resolved_plan()
+        plan = emergency_rollout()
         wave_size = plan.restart_wave_size(self.config.devices)
         remaining = [
             d for d in self._devices.values()
@@ -381,8 +389,8 @@ class ResilienceSimulator:
 def run_resilience(
     config: ResilienceConfig,
     rates: FaultRates,
-    policies: ResiliencePolicies,
+    mitigated: bool,
     registry: Optional[MetricsRegistry] = None,
 ) -> ResilienceReport:
     """One-call entry point: simulate a pool and return the report."""
-    return ResilienceSimulator(config, rates, policies, registry).run()
+    return ResilienceSimulator(config, rates, mitigated, registry).run()

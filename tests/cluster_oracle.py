@@ -13,11 +13,15 @@ verbatim, apart from these adaptations:
   lives here as a function;
 * the hooks and switches only tests set (the power ``throttle``
   schedule, the tier-wide outstanding cap, a client retry cap and the
-  unbounded fault-retry deadline) left the simulator and left here too.
+  unbounded fault-retry deadline) left the simulator and left here too;
+* the recovery settings that run at one value (the per-replica cap, the
+  client timeout, the reboot draw, the defenses) are read from
+  ``repro.resilience.policies`` as the loop reads them.
 
 Everything the loop consumes (configs, the service model, routing
-policies, locality, pool, drain policy and the report) is the package's
-own, so a differential run compares only the two event loops.  See
+policies, locality, pool, recovery vocabulary and the report) is the
+package's own, so a differential run compares only the two event
+loops.  See
 ``tests/test_cluster_plain_equivalence.py``.
 """
 
@@ -44,7 +48,13 @@ from repro.fastsim.vectorize import seeded_poisson_arrivals
 from repro.fleet.allocator import AllocationError
 from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import ClientRetryConfig, DrainPolicy
+from repro.resilience.policies import (
+    CLIENT_TIMEOUT_S,
+    DEADLINE_S,
+    MAX_OUTSTANDING_PER_REPLICA,
+    backoff_s,
+    sample_reboot_s,
+)
 from repro.serving.workload import Request
 
 
@@ -60,7 +70,7 @@ def sample_service(
     return base * (service.cross_host_penalty if cross_host else 1.0)
 
 
-def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
+def healthy_candidates(replicas, now_s=0.0, defense=None):
     """The admissible routing targets at ``now_s``.
 
     A replica is a candidate when it is up, reachable (not severed by a
@@ -71,9 +81,7 @@ def healthy_candidates(replicas, admission, now_s=0.0, defense=None):
     ``defense=None`` and no partitions this reduces exactly to the
     historical up-and-admissible filter.
     """
-    # Inlined ``admission.replica_admissible`` — this filter runs once
-    # per routed request and is the cluster tier's hottest loop.
-    cap = admission.max_outstanding_per_replica
+    cap = MAX_OUTSTANDING_PER_REPLICA
     candidates = [
         r for r in replicas
         if r.state == "up" and not r.partitioned and r.outstanding < cap
@@ -157,7 +165,7 @@ class ReferenceSimulator:
         tracer: Optional[TraceWriter] = None,
         model_name: str = "model",
         defense=None,
-        client: Optional[ClientRetryConfig] = None,
+        client: bool = False,
         injections: Sequence[Injection] = (),
         brownout=None,
         fail_fast: bool = False,
@@ -186,7 +194,6 @@ class ReferenceSimulator:
         self._obs_enabled = self._obs.enabled
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
-        self._drain_policy = DrainPolicy()
         self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
@@ -366,8 +373,8 @@ class ReferenceSimulator:
             (injection.time_s, ("inject", injection))
             for injection in self.injections
         )
-        if self.client is not None:
-            timeout_s = self.client.timeout_s
+        if self.client:
+            timeout_s = CLIENT_TIMEOUT_S
             self._events.schedule_batch(
                 (request.arrival_s + timeout_s, ("client", index))
                 for index, request in enumerate(self.requests)
@@ -501,7 +508,7 @@ class ReferenceSimulator:
         behaviour); with one, the copy just vanishes — the client's next
         timeout check will retry or give up.
         """
-        if self.client is None:
+        if not self.client:
             self._finalize_shed(index)
         else:
             self._rejected += 1
@@ -579,11 +586,9 @@ class ReferenceSimulator:
                 if index not in self._terminal:
                     self._drop_copy(index)
                 return
-        admission = self.config.admission
         shard = self._shards[index]
         candidates = healthy_candidates(
-            self._replicas.values(), admission,
-            now_s=self._now, defense=self.defense,
+            self._replicas.values(), now_s=self._now, defense=self.defense,
         )
         chosen = self.policy.choose(candidates, shard, self._rng) \
             if candidates else None
@@ -593,7 +598,7 @@ class ReferenceSimulator:
         if mode == "arrival" and self._obs_enabled:
             self._obs.counter("cluster.admitted").inc()
         if self.defense is not None:
-            self.defense.on_dispatch(chosen.replica_id, self._now)
+            self.defense.on_dispatch(chosen.replica_id)
         cross = chosen.shard != shard and self.locality.num_shards > 1
         if chosen.in_service is None:
             self._start_service(chosen, index, cross)
@@ -656,13 +661,12 @@ class ReferenceSimulator:
         included: that wasted capacity is exactly what makes an
         undefended retry storm metastable.
         """
-        deadline = None if self.defense is None else self.defense.deadline_s
         while replica.queue:
             index, cross = replica.queue.popleft()
             replica.outstanding -= 1
             self._outstanding_total -= 1
-            if deadline is not None and (
-                self._now > self.requests[index].arrival_s + deadline
+            if self.defense is not None and (
+                self._now > self.requests[index].arrival_s + DEADLINE_S
             ):
                 if index in self._terminal:
                     if self._obs_enabled:
@@ -691,7 +695,7 @@ class ReferenceSimulator:
         replica.outstanding -= 1
         self._outstanding_total -= 1
         if self.defense is not None:
-            self.defense.on_replica_success(replica_id, self._now)
+            self.defense.on_replica_success(replica_id)
         if index in self._terminal:
             # A duplicate copy of an already-resolved request: the
             # capacity is spent, but nothing new is answered.
@@ -748,13 +752,10 @@ class ReferenceSimulator:
                 self._retried += 1
                 if self._obs_enabled:
                     self._obs.counter("cluster.retries").inc()
-                delay = self.defense.backoff_s(attempt, self._rng)
-                if delay > 0:
-                    self._push(
-                        self._now + delay, "retry_fire", (index, "fault_retry")
-                    )
-                else:
-                    self._route(index, mode="fault_retry")
+                delay = backoff_s(attempt, self._rng)
+                self._push(
+                    self._now + delay, "retry_fire", (index, "fault_retry")
+                )
             else:
                 self._retried += 1
                 if self._obs_enabled:
@@ -778,7 +779,7 @@ class ReferenceSimulator:
                 tid=self._tracer.lane(f"replica-{replica_id}"),
             )
         self._strand_and_retry(replica)
-        reboot_s = self._drain_policy.sample_reboot_s(self._rng)
+        reboot_s = sample_reboot_s(self._rng)
         if self._obs_enabled:
             self._obs.histogram("cluster.reboot_s").observe(reboot_s)
         if was_draining:
@@ -794,6 +795,7 @@ class ReferenceSimulator:
         replica.state = "up"
         replica.mark_up(self._now)
         self._emit("recover", replica_id)
+        self._raise_peak()
 
     # ------------------------------------------------------------------
     # Chaos hooks: injections, client retries
@@ -857,13 +859,19 @@ class ReferenceSimulator:
         replica.state = "up"
         replica.mark_up(self._now)
         self._emit("inject_up", replica.replica_id)
+        self._raise_peak()
+
+    def _raise_peak(self) -> None:
+        self._peak_replicas = max(
+            self._peak_replicas,
+            sum(1 for r in self._replicas.values() if r.serving),
+        )
 
     def _on_client_check(self, index: int) -> None:
         """The client's response timer fired: retry or give up."""
         if index in self._terminal:
             return
-        client = self.client
-        assert client is not None
+        assert self.client
         if self._now > self._horizon:
             # Traffic has stopped: clients give up rather than re-send
             # into the drain forever.  Without this cutoff a permanently
@@ -883,14 +891,14 @@ class ReferenceSimulator:
                 return
             if not self.defense.take_retry_token(self._now):
                 # Over the retry budget: wait a full timeout and re-check.
-                self._push(self._now + client.timeout_s, "client", index)
+                self._push(self._now + CLIENT_TIMEOUT_S, "client", index)
                 return
         self._attempts[index] = attempts + 1
         delay = 0.0
         if self.defense is not None:
-            delay += self.defense.backoff_s(attempts, self._rng)
+            delay += backoff_s(attempts, self._rng)
         self._push(self._now + delay, "retry_fire", (index, "client_retry"))
-        self._push(self._now + delay + client.timeout_s, "client", index)
+        self._push(self._now + delay + CLIENT_TIMEOUT_S, "client", index)
 
     def _on_retry_fire(self, entity: Tuple[int, str]) -> None:
         index, mode = entity

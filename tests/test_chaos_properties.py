@@ -6,7 +6,8 @@ Hypothesis drives two state machines with arbitrary inputs:
   it never admits a dispatch while open (inside the cooldown), and a
   half-open period admits exactly the probe quota and not one more;
 * the cluster simulator under arbitrary generated injection schedules,
-  client retry behaviours, and defense suites, against conservation —
+  with and without retrying clients and the defense suite, against
+  conservation —
   every offered request reaches exactly one terminal outcome (served,
   shed, or timed out), no matter what the chaos schedule does.
 """
@@ -24,14 +25,13 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.resilience.policies import (
-    AdmissionConfig,
+    BREAKER_CLOSE_AFTER_SUCCESSES,
     BREAKER_CLOSED,
+    BREAKER_COOLDOWN_S,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    BreakerConfig,
+    BREAKER_PROBE_QUOTA,
     CircuitBreaker,
-    ClientRetryConfig,
-    DefenseConfig,
     DefenseRuntime,
 )
 from repro.serving import Request
@@ -39,15 +39,6 @@ from repro.serving import Request
 # ---------------------------------------------------------------------------
 # Circuit-breaker invariants
 # ---------------------------------------------------------------------------
-
-breaker_configs = st.builds(
-    BreakerConfig,
-    failure_threshold=st.integers(min_value=1, max_value=3),
-    cooldown_s=st.floats(min_value=0.1, max_value=2.0,
-                         allow_nan=False, allow_infinity=False),
-    probe_quota=st.integers(min_value=1, max_value=4),
-    close_after_successes=st.integers(min_value=1, max_value=3),
-)
 
 # An op sequence: time always advances by `dt`, then one event fires.
 breaker_ops = st.lists(
@@ -62,9 +53,9 @@ breaker_ops = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=breaker_configs, ops=breaker_ops)
-def test_breaker_never_admits_while_open(config, ops):
-    breaker = CircuitBreaker(config)
+@given(ops=breaker_ops)
+def test_breaker_never_admits_while_open(ops):
+    breaker = CircuitBreaker()
     now = 0.0
     opened_at = None
     for dt, op in ops:
@@ -72,15 +63,15 @@ def test_breaker_never_admits_while_open(config, ops):
         if op == "attempt":
             admitted = breaker.allow(now)
             if admitted:
-                breaker.on_dispatch(now)
+                breaker.on_dispatch()
             if breaker.state == BREAKER_OPEN:
                 # An admission can never leave (or find) the breaker
                 # open: open means no traffic, full stop.
                 assert not admitted
                 assert opened_at is not None
-                assert now - opened_at < config.cooldown_s
+                assert now - opened_at < BREAKER_COOLDOWN_S
         elif op == "success":
-            breaker.record_success(now)
+            breaker.record_success()
         else:
             before = breaker.state
             breaker.record_failure(now)
@@ -93,27 +84,25 @@ def test_breaker_never_admits_while_open(config, ops):
 
 
 @settings(max_examples=200, deadline=None)
-@given(config=breaker_configs,
-       attempts=st.integers(min_value=1, max_value=20))
-def test_half_open_admits_exactly_the_probe_quota(config, attempts):
-    breaker = CircuitBreaker(config)
-    for _ in range(config.failure_threshold):
-        breaker.record_failure(0.0)
+@given(attempts=st.integers(min_value=1, max_value=20))
+def test_half_open_admits_exactly_the_probe_quota(attempts):
+    breaker = CircuitBreaker()
+    breaker.record_failure(0.0)
     assert breaker.state == BREAKER_OPEN
     # Cooldown elapses; every admission until a success/failure verdict
     # must come out of the probe quota.
-    now = config.cooldown_s
+    now = BREAKER_COOLDOWN_S
     admitted = 0
     for _ in range(attempts):
         if breaker.allow(now):
-            breaker.on_dispatch(now)
+            breaker.on_dispatch()
             admitted += 1
     assert breaker.state == BREAKER_HALF_OPEN
-    assert admitted == min(attempts, config.probe_quota)
-    # Closing takes exactly close_after_successes probe completions.
-    for _ in range(config.close_after_successes):
+    assert admitted == min(attempts, BREAKER_PROBE_QUOTA)
+    # Closing takes exactly BREAKER_CLOSE_AFTER_SUCCESSES completions.
+    for _ in range(BREAKER_CLOSE_AFTER_SUCCESSES):
         assert breaker.state == BREAKER_HALF_OPEN
-        breaker.record_success(now)
+        breaker.record_success()
     assert breaker.state == BREAKER_CLOSED
 
 
@@ -146,48 +135,32 @@ injection_events = st.builds(
 
 schedules = st.lists(injection_events, min_size=0, max_size=12)
 
-clients = st.one_of(
-    st.none(),
-    st.builds(
-        ClientRetryConfig,
-        timeout_s=st.floats(min_value=0.05, max_value=0.5,
-                            allow_nan=False, allow_infinity=False),
-    ),
-)
-
-defenses = st.sampled_from(["none", "inert", "full"])
+clients = st.booleans()
+defenses = st.booleans()
 
 
-def _run(gaps, schedule, client, defense_mode, seed):
+def _run(gaps, schedule, client, defended, seed):
     requests = []
     clock = 0.0
     for i, gap in enumerate(gaps):
         clock += gap
         requests.append(Request(arrival_s=clock, samples=8, request_id=i))
-    defense = {
-        "none": None,
-        "inert": DefenseRuntime(DefenseConfig()),
-        "full": DefenseRuntime(DefenseConfig.full(deadline_s=0.3)),
-    }[defense_mode]
     config = ClusterConfig(
-        replicas=REPLICAS,
-        num_hosts=2,
-        policy="po2",
-        admission=AdmissionConfig(max_outstanding_per_replica=4),
-        seed=seed,
+        replicas=REPLICAS, num_hosts=2, policy="po2", seed=seed,
     )
     return run_cluster(
         config, SERVICE, requests,
-        defense=defense, client=client, injections=schedule,
+        defense=DefenseRuntime() if defended else None,
+        client=client, injections=schedule,
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(gaps=streams, schedule=schedules, client=clients,
-       defense_mode=defenses, seed=st.integers(min_value=0, max_value=2**16))
+       defended=defenses, seed=st.integers(min_value=0, max_value=2**16))
 def test_conservation_under_arbitrary_chaos(gaps, schedule, client,
-                                            defense_mode, seed):
-    report = _run(gaps, schedule, client, defense_mode, seed)
+                                            defended, seed):
+    report = _run(gaps, schedule, client, defended, seed)
     assert report.served + report.shed + report.timed_out == report.offered
     served = TallyCounter(
         e for _, kind, e in report.event_log if kind == "serve"
@@ -206,9 +179,9 @@ def test_conservation_under_arbitrary_chaos(gaps, schedule, client,
 
 @settings(max_examples=60, deadline=None)
 @given(gaps=streams, schedule=schedules, client=clients,
-       defense_mode=defenses, seed=st.integers(min_value=0, max_value=2**16))
+       defended=defenses, seed=st.integers(min_value=0, max_value=2**16))
 def test_chaos_runs_are_deterministic(gaps, schedule, client,
-                                      defense_mode, seed):
-    first = _run(gaps, schedule, client, defense_mode, seed)
-    second = _run(gaps, schedule, client, defense_mode, seed)
+                                      defended, seed):
+    first = _run(gaps, schedule, client, defended, seed)
+    second = _run(gaps, schedule, client, defended, seed)
     assert first == second

@@ -16,6 +16,7 @@ from repro.cluster import (
     POLICY_NAMES,
     ServiceModel,
     ShardLocalityMap,
+    autoscaled_day,
     capacity_sweep,
     default_service_model,
     locality_comparison,
@@ -25,7 +26,7 @@ from repro.cluster import (
 )
 from repro.fleet import AllocationError
 from repro.obs import MetricsRegistry, TraceWriter
-from repro.resilience.policies import AdmissionConfig
+from repro.resilience.policies import MAX_OUTSTANDING_PER_REPLICA
 from repro.serving import DiurnalTrafficModel, diurnal_poisson_stream, poisson_stream
 from repro.serving.workload import FLOOR_FRACTION, Request
 from tests.cluster_oracle import sample_service
@@ -153,44 +154,51 @@ class TestRoutingPolicies:
 
 
 class TestAdmission:
-    """The caps, observed through runs: ``count`` simultaneous arrivals
-    on a tier whose service outlasts them all."""
+    """The per-replica cap, observed through runs: ``count``
+    simultaneous arrivals on a tier whose service outlasts them all."""
 
     @staticmethod
-    def _burst(count, admission, replicas=1, policy="po2"):
+    def _burst(count, replicas=1, policy="po2"):
         requests = [
             Request(arrival_s=0.0, samples=1, request_id=i)
             for i in range(count)
         ]
         return run_cluster(
-            ClusterConfig(replicas=replicas, policy=policy,
-                          admission=admission),
+            ClusterConfig(replicas=replicas, policy=policy),
             ServiceModel(mean_service_s=1.0, jitter_sigma=0.0),
             requests,
         )
 
     def test_replica_cap(self):
-        report = self._burst(2, AdmissionConfig(max_outstanding_per_replica=1))
-        assert (report.served, report.shed) == (1, 1)
-        assert report.event_log[0] == (0.0, "shed", 1)
+        cap = MAX_OUTSTANDING_PER_REPLICA
+        report = self._burst(cap + 1)
+        assert (report.served, report.shed) == (cap, 1)
+        assert report.event_log[0] == (0.0, "shed", cap)
         for policy in POLICY_NAMES:
-            report = self._burst(
-                9, AdmissionConfig(max_outstanding_per_replica=4),
-                replicas=2, policy=policy,
-            )
-            assert (report.served, report.shed) == (8, 1)
+            report = self._burst(2 * cap + 1, replicas=2, policy=policy)
+            assert (report.served, report.shed) == (2 * cap, 1)
 
     def test_unbounded_tier_by_default(self):
-        report = self._burst(64 * 16, AdmissionConfig(), replicas=64)
+        report = self._burst(64 * 16, replicas=64)
         assert report.shed == 0
         assert report.served == 64 * 16
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(max_outstanding_per_replica=0)
-
 
 class TestAutoscaler:
+    @pytest.mark.parametrize("fault_rate", [30.0, 300.0])
+    def test_peak_counts_replicas_revived_after_the_last_scale_tick(
+        self, fault_rate
+    ):
+        """Faulted replicas reboot after the autoscaler replaced them
+        and serve next to their replacements: the peak must count them
+        (the smoke day once reported ``peak=5 final=11``)."""
+        report, _ = autoscaled_day(
+            default_service_model(), day_length_s=900.0,
+            fault_rate_per_replica_hour=fault_rate,
+        )
+        assert report.faults > 0
+        assert report.final_replicas <= report.peak_replicas
+
     def _scaler(self, **overrides):
         defaults = dict(min_replicas=1, max_replicas=20, cooldown_s=0.0)
         defaults.update(overrides)
@@ -343,7 +351,6 @@ class TestClusterSimulator:
     def test_overload_sheds_and_conserves(self):
         report = _run(
             replicas=1, rate=200.0, duration=10.0,
-            config={"admission": AdmissionConfig(max_outstanding_per_replica=4)},
         )
         assert report.shed > 0
         assert report.served + report.shed == report.offered
@@ -601,18 +608,9 @@ class TestConfigBoundary:
         with pytest.raises(ValueError, match="routing policy"):
             ClusterConfig(policy="bogus")
 
-    @pytest.mark.parametrize("fields", [
-        {"max_outstanding_per_replica": 2.5},
-        {"max_outstanding_per_replica": True},
-    ])
-    def test_admission_rejects_non_integer_caps(self, fields):
-        with pytest.raises(ValueError, match="integer"):
-            AdmissionConfig(**fields)
-
     def test_numpy_integers_are_counts(self):
         config = ClusterConfig(
             replicas=np.int64(3), num_hosts=np.int32(2),
-            admission=AdmissionConfig(max_outstanding_per_replica=np.int64(4)),
         )
         assert config.replicas == 3
 

@@ -13,8 +13,12 @@ autoscaler, the host pool, the metrics snapshot and the trace.
 
 Arrival times and service times are drawn on dyadic grids, so equal
 arrival timestamps and arrival-versus-departure ties are common and
-exact; the stream is passed in shuffled order.  Small per-replica caps
-make saturation and shedding common.
+exact; the stream is passed in shuffled order.  Every run takes the
+recovery settings the program runs (``repro.resilience.policies``):
+short dense streams on few replicas reach the per-replica cap, and the
+named cases below assert that each recovery path (cap shed, breaker
+rejection, denied retry, deadline drop, client retry, fault
+re-dispatch) fires at least once.
 """
 
 from __future__ import annotations
@@ -47,14 +51,7 @@ from repro.cluster.routing import POLICY_NAMES
 from repro.fleet_global import run_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import (
-    AdmissionConfig,
-    Backoff,
-    BreakerConfig,
-    ClientRetryConfig,
-    DefenseConfig,
-    DefenseRuntime,
-)
+from repro.resilience.policies import BREAKER_CLOSED, DefenseRuntime
 from repro.serving.scheduler import schedule_batches
 from repro.serving.workload import Request, poisson_stream
 from tests.cluster_oracle import ReferenceSimulator
@@ -77,7 +74,6 @@ _runs = st.fixed_dictionaries({
     "replicas": st.integers(min_value=1, max_value=12),
     "num_hosts": st.integers(min_value=1, max_value=12),
     "num_shards": st.integers(min_value=1, max_value=4),
-    "per_replica": st.sampled_from([1, 2, 3, 16]),
     "fail_fast": st.booleans(),
     "p99_slo_s": st.sampled_from([2.0 ** -4, 2.0 ** -2, 0.1]),
     "mean_service_s": st.sampled_from([2.0 ** -6, 2.0 ** -5, 0.013]),
@@ -104,7 +100,7 @@ def _hook_state(simulator, hooks):
         state["defense"] = (
             defense.retries_denied, defense.deadline_drops,
             defense.breaker_rejections,
-            None if bucket is None else (bucket._tokens, bucket._last_s),
+            (bucket._tokens, bucket._last_s),
             sorted((i, sorted(vars(b).items())) for i, b in defense._breakers.items()),
         )
     brownout = hooks.get("brownout")
@@ -148,9 +144,6 @@ def _config(draw, **extra):
         num_hosts=draw["num_hosts"],
         policy=draw["policy"],
         p99_slo_s=draw["p99_slo_s"],
-        admission=AdmissionConfig(
-            max_outstanding_per_replica=draw["per_replica"],
-        ),
         seed=draw["seed"],
         **extra,
     )
@@ -185,35 +178,6 @@ def test_plain_loop_matches_reference(draw):
         fail_fast=draw["fail_fast"],
     )
     assert fast == reference
-
-
-_BREAKER = BreakerConfig(
-    failure_threshold=1, cooldown_s=2.0 ** -3, probe_quota=1,
-    close_after_successes=1,
-)
-# Opens on the second failure and closes on the second probe success,
-# so a closed breaker's failure count is reset by a success.
-_BREAKER_2 = BreakerConfig(
-    failure_threshold=2, cooldown_s=2.0 ** -3, probe_quota=2,
-    close_after_successes=2,
-)
-_BACKOFF = Backoff(base_s=2.0 ** -7, cap_s=2.0 ** -4)
-_DEFENSES = {
-    "deadline": DefenseConfig(deadline_s=2.0 ** -4),
-    "tokens": DefenseConfig(retry_tokens_per_s=8.0, retry_token_burst=1.0),
-    "backoff": DefenseConfig(backoff=_BACKOFF),
-    "breaker": DefenseConfig(breaker=_BREAKER),
-    "breaker2": DefenseConfig(breaker=_BREAKER_2),
-    "all": DefenseConfig(
-        deadline_s=2.0 ** -4, retry_tokens_per_s=8.0, retry_token_burst=2.0,
-        backoff=_BACKOFF, breaker=_BREAKER,
-    ),
-    "full": DefenseConfig.full(deadline_s=2.0 ** -4),
-}
-_CLIENTS = (
-    ClientRetryConfig(timeout_s=2.0 ** -5),
-    ClientRetryConfig(timeout_s=2.0 ** -4),
-)
 
 
 @st.composite
@@ -263,8 +227,8 @@ def _hooked(draw):
     # without one rejects such targets (see test_cluster.TestInjectionTargets).
     max_target = run["replicas"] + (2 if run["autoscaler"] is not None else -1)
     run["injections"] = draw(_injections(max_target, max(run["ticks"])))
-    run["client"] = draw(st.sampled_from([None, *_CLIENTS]))
-    run["defense"] = draw(st.sampled_from([None, *_DEFENSES]))
+    run["client"] = draw(st.booleans())
+    run["defense"] = draw(st.booleans())
     run["brownout"] = draw(st.booleans())
     run["tracer"] = draw(st.booleans())
     run["registry"] = draw(st.booleans())
@@ -276,8 +240,8 @@ def _hook_factory(draw, service):
 
     def make():
         hooks = {"injections": draw["injections"], "client": draw["client"]}
-        if draw["defense"] is not None:
-            hooks["defense"] = DefenseRuntime(_DEFENSES[draw["defense"]])
+        if draw["defense"]:
+            hooks["defense"] = DefenseRuntime()
         if draw["brownout"]:
             hooks["brownout"] = BrownoutController(BrownoutConfig(
                 rungs=(
@@ -327,12 +291,8 @@ _ALONE = {
         Injection(1.2, "down", (0,)), Injection(1.4, "up", (0,)),
         Injection(1.5, "heal", (3,)), Injection(2.0, "down", (2,)),
     ]},
-    "client": lambda service: {
-        "client": ClientRetryConfig(timeout_s=0.05)
-    },
-    "defense": lambda service: {
-        "defense": DefenseRuntime(DefenseConfig.full(deadline_s=0.05))
-    },
+    "client": lambda service: {"client": True},
+    "defense": lambda service: {"defense": DefenseRuntime()},
     "brownout": lambda service: {"brownout": BrownoutController(BrownoutConfig(
         rungs=(BrownoutRung("full"), BrownoutRung("tiny", 0.5, priority_floor=1)),
         enter_at=1.0, exit_at=0.5, step=1.0,
@@ -355,7 +315,6 @@ def test_each_hook_alone_matches_reference(hook, policy):
     config = ClusterConfig(
         replicas=4, num_hosts=2, policy=policy, seed=3,
         fault_rate_per_replica_hour=3600.0 if hook == "faults" else 0.0,
-        admission=AdmissionConfig(max_outstanding_per_replica=4),
     )
     requests = [
         Request(arrival_s=r.arrival_s, samples=1, request_id=r.request_id,
@@ -372,16 +331,13 @@ def test_each_hook_alone_matches_reference(hook, policy):
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_two_failure_breakers_match_reference(policy):
-    """Replica 1 fails once and its next success resets the count;
-    replica 0 fails twice, opens, rejects routes through its cooldown
-    and probes its way closed.  Only breakers that are not closed with
-    no failure counted stay watched."""
+    """Replicas 0 and 1 fail together and replica 0 fails again while
+    its breaker is open.  Both breakers reject routes through the
+    cooldown, then probe their way closed; a closed breaker leaves the
+    watched map."""
     service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
-    config = ClusterConfig(
-        replicas=4, num_hosts=2, policy=policy, seed=5,
-        admission=AdmissionConfig(max_outstanding_per_replica=4),
-    )
-    requests = poisson_stream(190.0, 3.0, seed=5)
+    config = ClusterConfig(replicas=4, num_hosts=2, policy=policy, seed=5)
+    requests = poisson_stream(150.0, 6.0, seed=5)
     injections = [
         Injection(1.0, "down", (0, 1)), Injection(1.25, "up", (0, 1)),
         Injection(1.251, "down", (0,)), Injection(1.3, "up", (0,)),
@@ -389,7 +345,7 @@ def test_two_failure_breakers_match_reference(policy):
     runtimes = []
 
     def make_hooks():
-        runtimes.append(DefenseRuntime(DefenseConfig(breaker=_BREAKER_2)))
+        runtimes.append(DefenseRuntime())
         return {"injections": injections, "defense": runtimes[-1]}
 
     fast, reference = _both(
@@ -401,8 +357,7 @@ def test_two_failure_breakers_match_reference(policy):
     assert defense.breaker_rejections > 0
     assert sorted(defense._breakers) == [0, 1]
     for breaker in defense._breakers.values():
-        assert breaker.state == "closed"
-        assert breaker._consecutive_failures == 0
+        assert breaker.state == BREAKER_CLOSED
     assert defense.watched == {}
 
 
@@ -442,7 +397,6 @@ def test_every_hook_at_once_matches_reference(policy):
     config = ClusterConfig(
         replicas=6, num_hosts=2, policy=policy,
         fault_rate_per_replica_hour=600.0, seed=7,
-        admission=AdmissionConfig(max_outstanding_per_replica=6),
     )
     requests = [
         Request(arrival_s=r.arrival_s, samples=1, request_id=r.request_id,
@@ -458,8 +412,8 @@ def test_every_hook_at_once_matches_reference(policy):
     def make_hooks():
         return {
             "injections": injections,
-            "client": ClientRetryConfig(timeout_s=0.2),
-            "defense": DefenseRuntime(DefenseConfig.full(deadline_s=0.4)),
+            "client": True,
+            "defense": DefenseRuntime(),
             "brownout": BrownoutController(BrownoutConfig(
                 rungs=(BrownoutRung("full"), BrownoutRung("fp16", 0.75),
                        BrownoutRung("tiny", 0.5, priority_floor=1)),
@@ -480,6 +434,34 @@ def test_every_hook_at_once_matches_reference(policy):
     report = fast[0]
     assert report.faults and report.retried and report.client_retries
     assert report.scale_events and report.brownout_served
+    assert fast == reference
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_defenses_act_and_match_reference(policy):
+    """Three throttled replicas fill their queues and then fail at once:
+    the stranded burst outruns the retry budget, the breakers reject
+    routes through their cooldown and queued work passes its deadline."""
+    service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.45)
+    config = ClusterConfig(replicas=4, num_hosts=2, policy=policy, seed=5)
+    injections = [
+        Injection(0.5, "slow", (0, 1, 2), 4.0),
+        Injection(1.5, "down", (0, 1, 2)),
+        Injection(2.0, "up", (0, 1, 2)), Injection(2.0, "slow_end", (0, 1, 2)),
+    ]
+    runtimes = []
+
+    def make_hooks():
+        runtimes.append(DefenseRuntime())
+        return {"injections": injections, "defense": runtimes[-1]}
+
+    fast, reference = _both(
+        config, service, poisson_stream(150.0, 4.0, seed=5),
+        make_hooks=make_hooks, locality=ShardLocalityMap.uniform(2),
+    )
+    defense = runtimes[0]
+    assert fast[0].retried and defense.retries_denied
+    assert defense.breaker_rejections and defense.deadline_drops
     assert fast == reference
 
 
@@ -546,10 +528,7 @@ def test_draining_replicas_that_fail_retire():
 
 def test_capacity_scale_run_matches_reference():
     """One long saturated run: queues build, the cap binds, work sheds."""
-    config = ClusterConfig(
-        replicas=6, policy="locality",
-        admission=AdmissionConfig(max_outstanding_per_replica=3), seed=4,
-    )
+    config = ClusterConfig(replicas=6, policy="locality", seed=4)
     service = ServiceModel(mean_service_s=0.012)
     requests = poisson_stream(540.0, 20.0, seed=4)
     fast, reference = _both(
@@ -578,12 +557,9 @@ def test_jittered_locality_spills_match_reference():
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_more_replicas_than_a_machine_word(policy):
     """The least-outstanding index keys replicas by bit position."""
-    config = ClusterConfig(
-        replicas=70, num_hosts=4, policy=policy,
-        admission=AdmissionConfig(max_outstanding_per_replica=4), seed=2,
-    )
+    config = ClusterConfig(replicas=70, num_hosts=4, policy=policy, seed=2)
     service = ServiceModel(mean_service_s=0.05, jitter_sigma=0.3)
-    requests = poisson_stream(1500.0, 4.0, seed=2)
+    requests = poisson_stream(2500.0, 4.0, seed=2)
     fast, reference = _both(
         config, service, requests, locality=ShardLocalityMap.uniform(3)
     )

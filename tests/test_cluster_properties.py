@@ -26,7 +26,6 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.obs import MetricsRegistry
-from repro.resilience.policies import AdmissionConfig
 from repro.serving import Request
 
 policies = st.sampled_from(POLICY_NAMES)
@@ -44,7 +43,6 @@ configs = st.builds(
     replicas=st.integers(min_value=1, max_value=6),
     policy=policies,
     seed=st.integers(min_value=0, max_value=2**16),
-    per_replica_cap=st.integers(min_value=1, max_value=8),
     fault_rate=st.sampled_from([0.0, 0.0, 200.0]),
     num_shards=st.integers(min_value=1, max_value=4),
 )
@@ -66,9 +64,6 @@ def _run(gaps, params, registry=None):
         replicas=params["replicas"],
         num_hosts=1,
         policy=params["policy"],
-        admission=AdmissionConfig(
-            max_outstanding_per_replica=params["per_replica_cap"]
-        ),
         fault_rate_per_replica_hour=params["fault_rate"],
         seed=params["seed"],
     )
@@ -138,7 +133,7 @@ def test_shedding_respects_admission_cap(gaps, params):
 def test_policies_agree_on_conservation_not_on_routing(gaps, seed):
     reports = {
         policy: _run(gaps, dict(replicas=3, policy=policy, seed=seed,
-                                per_replica_cap=4, fault_rate=0.0,
+                                fault_rate=0.0,
                                 num_shards=2))
         for policy in POLICY_NAMES
     }

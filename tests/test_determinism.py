@@ -29,7 +29,6 @@ from repro.resilience import (
     presample_fault_arrivals,
     run_resilience,
 )
-from repro.resilience.scenario import section_55_policies
 from repro.serving import (
     CoalescingConfig,
     ModelJobProfile,
@@ -153,20 +152,20 @@ class TestResilienceDeterminism:
 
     def test_full_run_event_log(self):
         first = run_resilience(self._CONFIG, self._RATES,
-                               section_55_policies())
+                               mitigated=True)
         again = run_resilience(self._CONFIG, self._RATES,
-                               section_55_policies())
+                               mitigated=True)
         assert first.events.to_jsonable() == again.events.to_jsonable()
         assert first.goodput_series == again.goodput_series
 
     def test_seed_changes_the_schedule(self):
         first = run_resilience(self._CONFIG, self._RATES,
-                               section_55_policies())
+                               mitigated=True)
         import dataclasses
 
         other_config = dataclasses.replace(self._CONFIG, seed=20)
         other = run_resilience(other_config, self._RATES,
-                               section_55_policies())
+                               mitigated=True)
         assert first.events.to_jsonable() != other.events.to_jsonable()
 
 

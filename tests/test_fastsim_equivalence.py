@@ -39,7 +39,6 @@ from repro.cluster import (
 from repro.fleet_global import region_outage_drill, run_fleet, standard_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceWriter
-from repro.resilience.policies import AdmissionConfig, ClientRetryConfig
 from repro.serving.batcher import CoalescingConfig, coalesce
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
 from repro.serving.workload import poisson_stream
@@ -107,7 +106,6 @@ def _chaotic_cluster_run(run):
         replicas=9,
         num_hosts=3,
         policy="po2",
-        admission=AdmissionConfig(),
         fault_rate_per_replica_hour=40.0,
         seed=5,
     )
@@ -121,7 +119,7 @@ def _chaotic_cluster_run(run):
     )
     return run(
         config, service, requests,
-        client=ClientRetryConfig(timeout_s=0.3),
+        client=True,
         injections=injections,
     )
 

@@ -14,9 +14,9 @@ replaced, kept here verbatim:
   new ``Assignment`` per call.
 
 Hypothesis draws seeds, user counts, durations, region sizes and
-drills (none, outage, partition, both), each with the defended arm on
-and off, and asserts equal destination streams, attribution tags and
-LB sheds.  Cached values must be tuples of frozen ``Request``, and a
+drills (none, one region out, two regions out), each with the defended
+arm on and off, and asserts equal destination streams, attribution tags
+and LB sheds.  Cached values must be tuples of frozen ``Request``, and a
 cold-cache run must report exactly what a warm-cache run does.
 """
 
@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 from repro.cluster.service import default_service_model
 from repro.fleet_global import (
     Assignment,
-    FailoverConfig,
     FleetConfig,
     RegionEvent,
     SpillRouter,
@@ -42,6 +41,7 @@ from repro.fleet_global import (
     standard_fleet,
 )
 from repro.fleet_global import simulator as fleet_simulator
+from repro.fleet_global.failover import MAX_SPILL_LOAD, SPILL_ONE_WAY_S
 from repro.fleet_global.simulator import (
     _PRIORITY_SEED,
     _STREAM_SEED,
@@ -169,11 +169,10 @@ class RetiredSpillRouter(SpillRouter):
         best: Optional[int] = None
         best_load = float("inf")
         for region in range(len(self.replicas)):
-            if region == home or self._spill_down(region, arrival_s):
+            if region == home or self._down(region, arrival_s):
                 continue
             if (self.assigned[region]
-                    >= self.config.max_spill_load
-                    * self.capacity_requests[region]):
+                    >= MAX_SPILL_LOAD * self.capacity_requests[region]):
                 continue  # spill admission: the region is already full
             load = self.assigned[region] / self.replicas[region]
             if load < best_load:
@@ -187,25 +186,20 @@ class RetiredSpillRouter(SpillRouter):
         return Assignment(region=best, spilled=True)
 
 
-def retired_lb_pass(config, drill, defended, failover, service, streams):
+def retired_lb_pass(config, drill, defended, service, streams):
     num_regions = len(config.regions)
     if defended:
-        home_monitors, spill_monitors = _build_monitors(
-            config, drill, failover
-        )
+        monitors = _build_monitors(config, drill)
     else:
-        home_monitors = [None] * num_regions
-        spill_monitors = [None] * num_regions
+        monitors = [None] * num_regions
     capacity_requests = [
         spec.replicas * service.capacity_per_replica() * config.duration_s
         for spec in config.regions
     ]
     router = RetiredSpillRouter(
-        home_monitors,
+        monitors,
         [spec.replicas for spec in config.regions],
         capacity_requests,
-        failover,
-        spill_monitors=spill_monitors,
     )
 
     order = sorted(
@@ -225,7 +219,7 @@ def retired_lb_pass(config, drill, defended, failover, service, streams):
         dest = assignment.region
         arrival = request.arrival_s
         if assignment.spilled:
-            arrival += failover.spill_one_way_s
+            arrival += SPILL_ONE_WAY_S
         bucket = dest_streams[dest]
         bucket.append(Request(
             arrival_s=arrival,
@@ -241,29 +235,25 @@ def retired_lb_pass(config, drill, defended, failover, service, streams):
 
 
 def _drill(fleet: FleetConfig, kind: str, region: int, at: float):
-    """``kind`` over one region from ``at`` of the run to its 60%;
-    ``both`` adds a partition of the next region over the same span."""
+    """An outage of one region from ``at`` of the run to its 60%;
+    ``both`` takes the next region out over the same span too."""
     if kind == "none":
         return None
     names = [spec.name for spec in fleet.regions]
     span = dict(at_s=at * fleet.duration_s,
                 duration_s=(0.6 - at) * fleet.duration_s)
-    events = []
-    if kind in ("outage", "both"):
-        events.append(RegionEvent(region=names[region], kind="outage",
-                                  **span))
-    if kind in ("partition", "both"):
-        target = names[(region + 1) % len(names)] if kind == "both" \
-            else names[region]
-        events.append(RegionEvent(region=target, kind="partition", **span))
+    events = [RegionEvent(region=names[region], **span)]
+    if kind == "both":
+        events.append(RegionEvent(
+            region=names[(region + 1) % len(names)], **span,
+        ))
     return build_drill(fleet, events)
 
 
-def _new_lb_pass(fleet, drill, defended, failover, service):
+def _new_lb_pass(fleet, drill, defended, service):
     streams, order = _region_streams(fleet, defended)
-    _, router = _build_router(fleet, drill, defended, failover, service)
-    return streams, _lb_pass(streams, order, router,
-                             failover.spill_one_way_s)
+    _, router = _build_router(fleet, drill, defended, service)
+    return streams, _lb_pass(streams, order, router)
 
 
 def _frozen_request_tuple(stream) -> bool:
@@ -286,27 +276,21 @@ def _clear_caches() -> None:
     users=st.sampled_from([0.5, 1.0, 2.0, 4.0, 6.0]),
     duration_s=st.sampled_from([1.0, 2.5, 4.0, 6.0]),
     size=st.integers(1, 6),
-    kind=st.sampled_from(["none", "outage", "partition", "both"]),
+    kind=st.sampled_from(["none", "outage", "both"]),
     region=st.integers(0, 2),
     at=st.sampled_from([0.0, 0.1, 0.3]),
     defended=st.booleans(),
-    spill_one_way_s=st.sampled_from([0.0, 0.015, 0.1]),
-    max_spill_load=st.sampled_from([0.2, 0.95, 1.0]),
 )
 def test_lb_pass_matches_the_retired_streams_and_loop(
     seed, users, duration_s, size, kind, region, at, defended,
-    spill_one_way_s, max_spill_load,
 ):
     fleet = standard_fleet(size, users, duration_s, seed)
     drill = _drill(fleet, kind, region, at)
-    failover = FailoverConfig(spill_one_way_s=spill_one_way_s,
-                              max_spill_load=max_spill_load)
     service = default_service_model()
 
     old_streams = retired_region_streams(fleet, defended)
-    old = retired_lb_pass(fleet, drill, defended, failover, service,
-                          old_streams)
-    streams, new = _new_lb_pass(fleet, drill, defended, failover, service)
+    old = retired_lb_pass(fleet, drill, defended, service, old_streams)
+    streams, new = _new_lb_pass(fleet, drill, defended, service)
 
     assert streams == tuple(tuple(stream) for stream in old_streams)
     assert all(_frozen_request_tuple(stream) for stream in streams)
@@ -320,11 +304,10 @@ def test_lb_pass_matches_the_retired_streams_and_loop(
 def test_a_drill_run_spills_sheds_restamps_and_passes_through():
     """One fixed case that takes every branch of the LB loop."""
     fleet = standard_fleet(2, 4.0, 6.0, seed=1)
-    drill = _drill(fleet, "outage", 0, 0.1)
-    failover = FailoverConfig(max_spill_load=0.5)
+    drill = _drill(fleet, "both", 0, 0.1)
     service = default_service_model()
     streams, (dest, tags, lb_shed) = _new_lb_pass(
-        fleet, drill, True, failover, service
+        fleet, drill, True, service
     )
     assert sum(lb_shed) > 0
     assert any(spilled for region in tags for _, spilled in region)
@@ -333,15 +316,14 @@ def test_a_drill_run_spills_sheds_restamps_and_passes_through():
     restamped = sum(len(stream) for stream in dest) - passed
     assert passed > 0 and restamped > 0
     assert (dest, tags, lb_shed) == retired_lb_pass(
-        fleet, drill, True, failover, service,
-        retired_region_streams(fleet, True),
+        fleet, drill, True, service, retired_region_streams(fleet, True),
     )
 
 
 def test_undefended_arm_passes_every_request_through():
     fleet = standard_fleet(3, 2.0, 4.0, seed=2)
     streams, (dest, _, lb_shed) = _new_lb_pass(
-        fleet, None, False, FailoverConfig(), default_service_model()
+        fleet, None, False, default_service_model()
     )
     assert lb_shed == [0, 0, 0]
     for stream, routed in zip(streams, dest):

@@ -206,13 +206,12 @@ class TestTraceByteCompatibility:
             fault_rates_from_reliability,
             write_resilience_trace,
         )
-        from repro.resilience.scenario import section_55_policies
         from repro.resilience.simulator import ResilienceConfig, run_resilience
 
         report = run_resilience(ResilienceConfig(
             devices=24, offered_load=20_000.0, duration_s=7 * 86_400.0,
             seed=7,
-        ), fault_rates_from_reliability(), section_55_policies())
+        ), fault_rates_from_reliability(), mitigated=True)
         path = tmp_path / "resilience.json"
         write_resilience_trace(report, str(path))
         assert _sha256(path) == (
@@ -221,17 +220,16 @@ class TestTraceByteCompatibility:
 
     def test_registry_never_steers_the_simulation(self):
         from repro.resilience import fault_rates_from_reliability
-        from repro.resilience.scenario import section_55_policies
         from repro.resilience.simulator import ResilienceConfig, run_resilience
 
         config = ResilienceConfig(
             devices=16, offered_load=10_000.0, duration_s=86_400.0, seed=11
         )
         rates = fault_rates_from_reliability()
-        policies = section_55_policies()
-        bare = run_resilience(config, rates, policies)
+        bare = run_resilience(config, rates, mitigated=True)
         registry = MetricsRegistry()
-        observed = run_resilience(config, rates, policies, registry=registry)
+        observed = run_resilience(config, rates, mitigated=True,
+                                  registry=registry)
         assert [
             (e.time_s, e.kind, e.device_id) for e in bare.events
         ] == [

@@ -92,8 +92,6 @@ class TestExecutor:
             {"zipf_exponent": -0.1},
             {"zipf_exponent": float("nan")},
             {"zipf_exponent": float("inf")},
-            {"temperature_c": float("nan")},
-            {"temperature_c": float("-inf")},
         ],
         ids=lambda option: "{}={}".format(*next(iter(option.items()))),
     )

@@ -91,14 +91,6 @@ class TestActivity:
         )
         assert components == pytest.approx(trace.energy_j)
 
-    def test_hot_trace_draws_more(self):
-        chip = mtia2i_spec()
-        model = hc1()
-        report = Executor(chip).run(model.graph(), model.batch, warmup_runs=1)
-        cold = activity_trace(report, chip, temperature_c=60.0)
-        hot = activity_trace(report, chip, temperature_c=100.0)
-        assert hot.energy_j > cold.energy_j
-
     def test_dynamic_power_scales_superlinearly_with_frequency(self):
         chip = mtia2i_spec()
         low = dynamic_power_w(chip, 1.0 * GHZ, 1.0)
@@ -157,29 +149,6 @@ class TestLeakage:
     def test_leakage_grows_with_temperature(self):
         chip = mtia2i_spec()
         assert chip.leakage_power_w(100.0) > chip.leakage_power_w(60.0)
-
-    def test_executor_energy_unchanged_without_temperature(self):
-        chip = mtia2i_spec()
-        model = hc1()
-        graph = model.graph()  # one graph: executions are then identical
-        baseline = Executor(chip).run(graph, model.batch, warmup_runs=1)
-        explicit = Executor(chip, temperature_c=chip.leakage_ref_temp_c).run(
-            graph, model.batch, warmup_runs=1
-        )
-        assert explicit.energy_j == pytest.approx(baseline.energy_j, rel=1e-9)
-
-    def test_hot_executor_burns_more_energy(self):
-        chip = mtia2i_spec()
-        model = hc1()
-        graph = model.graph()
-        cold = Executor(chip, temperature_c=60.0).run(
-            graph, model.batch, warmup_runs=1
-        )
-        hot = Executor(chip, temperature_c=105.0).run(
-            graph, model.batch, warmup_runs=1
-        )
-        assert hot.energy_j > cold.energy_j
-        assert hot.latency_s == cold.latency_s  # leakage, not slowdown
 
 
 class TestDvfs:

@@ -113,18 +113,13 @@ class TestThermalConvergence:
 
 
 class TestTraceIntegral:
-    @given(
-        specs=op_specs,
-        temperature=st.one_of(
-            st.none(), st.floats(min_value=20.0, max_value=120.0, **finite)
-        ),
-    )
+    @given(specs=op_specs)
     @settings(max_examples=40, deadline=None)
-    def test_trace_integrates_to_executor_energy(self, specs, temperature):
+    def test_trace_integrates_to_executor_energy(self, specs):
         chip = mtia2i_spec()
         profiles = [_profile(i, *spec) for i, spec in enumerate(specs)]
         # The executor's own energy model, reproduced per op.
-        leakage = chip.leakage_power_w(temperature)
+        leakage = chip.leakage_power_w()
         dynamic = chip.typical_watts * (1.0 - chip.idle_power_fraction)
         energy = sum(
             p.time_s * (leakage + dynamic * min(1.0, p.compute_s / p.time_s))
@@ -144,7 +139,7 @@ class TestTraceIntegral:
             weight_bytes=0,
             energy_j=energy,
         )
-        trace = activity_trace(report, chip, temperature_c=temperature)
+        trace = activity_trace(report, chip)
         assert trace.energy_j == pytest.approx(report.energy_j, rel=1e-9, abs=1e-15)
         for segment in trace.segments:
             assert segment.compute_w >= -1e-12

@@ -31,18 +31,10 @@ from repro.resilience import (
     to_resilience_trace,
     write_resilience_trace,
 )
-from repro.resilience.policies import (
-    Backoff,
-    DrainPolicy,
-    HedgePolicy,
-    LoadShedPolicy,
-    ResiliencePolicies,
-    RetryPolicy,
-    RolloutPolicy,
-)
+from repro.resilience.metrics import HEDGE_AFTER_S, SHED_MAX_UTILIZATION
+from repro.resilience.policies import sample_reboot_s
 from repro.resilience import device as device_module
 from repro.resilience import metrics as metrics_module
-from repro.resilience.scenario import section_55_policies
 from repro.tensors.dtypes import DType
 from repro.units import GHZ
 
@@ -105,7 +97,7 @@ class TestDeviceLifecycle:
     def test_illegal_transition_through_simulator_raises(self):
         sim = ResilienceSimulator(
             ResilienceConfig(devices=3, offered_load=2000.0),
-            fault_rates_from_reliability(), section_55_policies(),
+            fault_rates_from_reliability(), mitigated=True,
         )
         device = sim._devices[1]
         with pytest.raises(TransitionError):
@@ -267,57 +259,10 @@ class TestFaultRates:
 
 
 class TestPolicies:
-    def test_backoff_grows_and_caps(self):
-        retry = RetryPolicy(backoff=Backoff(base_s=0.1, factor=2.0,
-                                            cap_s=0.5, jitter=0.0))
-        assert retry.backoff.delay_s(0) == pytest.approx(0.1)
-        assert retry.backoff.delay_s(1) == pytest.approx(0.2)
-        assert retry.backoff.delay_s(3) == pytest.approx(0.5)  # capped
-        assert retry.backoff.delay_s(9) == pytest.approx(0.5)
-
-    def test_backoff_jitter_bounded(self):
-        retry = RetryPolicy(backoff=Backoff(base_s=0.1, jitter=0.5))
-        rng = np.random.default_rng(0)
-        for retry_index in (0, 1, 2):
-            base = retry.backoff.delay_s(retry_index)
-            value = retry.backoff.delay_s(retry_index, rng)
-            assert base * 0.5 <= value <= base * 1.5
-
     def test_drain_reboot_mttr(self):
-        drain = DrainPolicy(reboot_mttr_s=600.0, reboot_sigma=0.3)
         rng = np.random.default_rng(1)
-        samples = [drain.sample_reboot_s(rng) for _ in range(2000)]
+        samples = [sample_reboot_s(rng) for _ in range(2000)]
         assert np.mean(samples) == pytest.approx(600.0, rel=0.05)
-        assert DrainPolicy(reboot_sigma=0.0).sample_reboot_s(rng) == 600.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            HedgePolicy(hedge_after_s=0)
-        with pytest.raises(ValueError):
-            DrainPolicy(reboot_mttr_s=0)
-        with pytest.raises(ValueError):
-            LoadShedPolicy(max_utilization=0)
-        with pytest.raises(ValueError):
-            RolloutPolicy(detection_delay_s=-1)
-
-    def test_rollout_defaults_to_emergency_plan(self):
-        policy = RolloutPolicy()
-        assert policy.resolved_plan().max_concurrent_restart_fraction == (
-            emergency_rollout().max_concurrent_restart_fraction
-        )
-
-    def test_bundles(self):
-        none = ResiliencePolicies.none()
-        assert all(getattr(none, f.name) is None for f in dataclasses.fields(none))
-        mitigated = section_55_policies()
-        assert all(
-            getattr(mitigated, f.name) is not None
-            for f in dataclasses.fields(mitigated)
-        )
 
 
 class TestRolloutWaves:
@@ -363,13 +308,13 @@ def _pool(states, degraded_scale=0.6):
 
 
 class TestEvaluateInterval:
-    def _metrics(self, states, policies, offered=8_000.0, **kwargs):
+    def _metrics(self, states, mitigated, offered=8_000.0, **kwargs):
         defaults = dict(
             now_s=0.0,
             census=PoolCensus.of(_pool(states)),
             offered_samples_per_s=offered,
             device_throughput=1000.0,
-            policies=policies,
+            mitigated=mitigated,
             base_p50_s=0.02,
             base_p99_s=0.08,
             baseline_utilization=0.8,
@@ -379,7 +324,7 @@ class TestEvaluateInterval:
 
     def test_healthy_pool(self):
         metrics = self._metrics([DeviceState.HEALTHY] * 10,
-                                ResiliencePolicies.none())
+                                False)
         assert metrics.goodput_fraction == pytest.approx(1.0)
         assert metrics.retry_amplification == pytest.approx(1.0)
         assert metrics.failed_fraction == 0.0
@@ -388,70 +333,60 @@ class TestEvaluateInterval:
 
     def test_wedged_without_retry_loses_their_share(self):
         states = [DeviceState.HEALTHY] * 8 + [DeviceState.WEDGED] * 2
-        metrics = self._metrics(states, ResiliencePolicies.none())
+        metrics = self._metrics(states, False)
         assert metrics.failed_fraction == pytest.approx(0.2)
         assert metrics.goodput_fraction == pytest.approx(0.8)
 
     def test_retry_recovers_goodput_with_amplification(self):
         states = [DeviceState.HEALTHY] * 8 + [DeviceState.WEDGED] * 2
-        policies = ResiliencePolicies(retry=RetryPolicy(max_attempts=3))
-        # 6k offered leaves headroom on the 8 survivors for the retried load.
-        metrics = self._metrics(states, policies, offered=6_000.0)
-        assert metrics.failed_fraction == pytest.approx(0.2**3)
+        # 6k offered leaves headroom on the 8 survivors for the retried
+        # and hedged load.
+        metrics = self._metrics(states, True, offered=6_000.0)
+        # Three attempts, then the hedge's independent second replica.
+        assert metrics.failed_fraction == pytest.approx(0.2**4)
         assert metrics.goodput_fraction > 0.99
-        assert metrics.retry_amplification == pytest.approx(1 + 0.2 + 0.04)
-        # The retried tail pushes P99 past the timeout.
-        assert metrics.p99_latency_s > policies.retry.timeout_s
+        hedge_extra = 0.2 + 0.01 * 0.8
+        assert metrics.retry_amplification == pytest.approx(
+            1 + 0.2 + 0.04 + hedge_extra
+        )
+        # The hedged tail pushes P99 past the hedge budget.
+        assert metrics.p99_latency_s > HEDGE_AFTER_S
 
     def test_retry_amplification_can_overload_survivors(self):
         # At exactly-full surviving capacity the retried load overflows:
         # goodput dips below the no-retry wedge share would suggest.
         states = [DeviceState.HEALTHY] * 8 + [DeviceState.WEDGED] * 2
-        policies = ResiliencePolicies(retry=RetryPolicy(max_attempts=3))
-        metrics = self._metrics(states, policies, offered=8_000.0)
+        metrics = self._metrics(states, True, offered=8_000.0)
         assert metrics.utilization >= 0.95
         assert metrics.goodput_fraction < 1.0
         assert metrics.slo_at_risk
 
-    def test_hedging_trades_attempts_for_latency(self):
-        states = [DeviceState.HEALTHY] * 8 + [DeviceState.WEDGED] * 2
-        retry_only = self._metrics(states, ResiliencePolicies(retry=RetryPolicy()))
-        hedged = self._metrics(
-            states,
-            ResiliencePolicies(retry=RetryPolicy(),
-                               hedge=HedgePolicy()),
-        )
-        assert hedged.p99_latency_s < retry_only.p99_latency_s
-        assert hedged.retry_amplification > retry_only.retry_amplification
-        assert hedged.failed_fraction < retry_only.failed_fraction
-
     def test_load_shedding_caps_utilization(self):
         # 8k offered onto 4 healthy devices = 2x overload.
         states = [DeviceState.HEALTHY] * 4 + [DeviceState.REBOOTING] * 6
-        policies = ResiliencePolicies(shed=LoadShedPolicy(max_utilization=0.9))
-        metrics = self._metrics(states, policies)
+        metrics = self._metrics(states, True)
         assert metrics.shed_fraction > 0.5
-        assert metrics.utilization == pytest.approx(0.9)
+        assert metrics.utilization == SHED_MAX_UTILIZATION
         assert metrics.slo_at_risk
 
     def test_overload_without_shedding_drops_excess(self):
         states = [DeviceState.HEALTHY] * 4 + [DeviceState.REBOOTING] * 6
-        metrics = self._metrics(states, ResiliencePolicies.none())
+        metrics = self._metrics(states, False)
         assert metrics.shed_fraction == 0.0
         assert metrics.goodput_samples_per_s == pytest.approx(4000.0)
 
     def test_all_devices_down(self):
         states = [DeviceState.REBOOTING] * 4
-        metrics = self._metrics(states, ResiliencePolicies.none())
+        metrics = self._metrics(states, False)
         assert metrics.goodput_samples_per_s == 0.0
         assert metrics.slo_at_risk
 
     def test_degraded_devices_reduce_capacity(self):
         healthy = self._metrics([DeviceState.HEALTHY] * 10,
-                                ResiliencePolicies.none())
+                                False)
         degraded = self._metrics(
             [DeviceState.HEALTHY] * 5 + [DeviceState.DEGRADED] * 5,
-            ResiliencePolicies.none(),
+            False,
         )
         assert degraded.capacity_samples_per_s < healthy.capacity_samples_per_s
         assert degraded.utilization > healthy.utilization
@@ -597,7 +532,7 @@ class TestThrottleEpisodes:
             devices=20, offered_load=12_000.0, duration_s=6 * 3600.0,
             metrics_interval_s=300.0, seed=2,
         )
-        report = run_resilience(config, rates, section_55_policies())
+        report = run_resilience(config, rates, mitigated=True)
         throttles = report.events.of_kind(EventKind.FAULT_THROTTLE)
         ends = report.events.of_kind(EventKind.DEGRADE_END)
         assert throttles
@@ -618,7 +553,7 @@ class TestResilienceTrace:
             devices=12, offered_load=8_000.0, duration_s=6 * 3600.0,
             metrics_interval_s=600.0, seed=5,
         )
-        return run_resilience(config, rates, section_55_policies())
+        return run_resilience(config, rates, mitigated=True)
 
     def test_trace_structure(self):
         report = self._report()
@@ -660,11 +595,6 @@ class TestConfig:
                                   offered_load=850.0)
         assert config.baseline_utilization == pytest.approx(0.85)
 
-    def test_policies_helper_matches_paper_story(self):
-        policies = section_55_policies()
-        assert policies.rollout is not None  # the wedge needs the rollout
-        assert policies.retry is not None
-
 
 class TestMetricsTicks:
     _NO_FAULTS = FaultRates(
@@ -680,7 +610,7 @@ class TestMetricsTicks:
         config = ResilienceConfig(devices=4, offered_load=3000.0,
                                   duration_s=1.0, metrics_interval_s=0.1)
         report = run_resilience(config, rates=self._NO_FAULTS,
-                                policies=ResiliencePolicies.none())
+                                mitigated=False)
         times = [m.time_s for m in report.intervals]
         assert len(times) == 11
         assert all(a < b for a, b in zip(times, times[1:]))
@@ -698,7 +628,7 @@ class TestMetricsTicks:
         config = ResilienceConfig(devices=4, offered_load=3000.0,
                                   duration_s=7 * 3600.0 + 60.0)
         report = run_resilience(config, rates=self._NO_FAULTS,
-                                policies=ResiliencePolicies.none())
+                                mitigated=False)
         last = report.intervals[-1]
         assert last.time_s == config.duration_s
         poisoned = config.device_throughput * self._NO_FAULTS.sdc_blast_window_s

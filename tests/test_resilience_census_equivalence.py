@@ -42,15 +42,13 @@ from repro.resilience import (
     ResilienceConfig,
     ResilienceSimulator,
 )
-from repro.resilience.metrics import _DELAY_CAP_UTILIZATION
-from repro.resilience.policies import (
-    HedgePolicy,
-    LoadShedPolicy,
-    ResiliencePolicies,
-    RetryPolicy,
-    RolloutPolicy,
+from repro.resilience.metrics import (
+    _DELAY_CAP_UTILIZATION,
+    FALSE_HEDGE_FRACTION,
+    HEDGE_AFTER_S,
+    MAX_ATTEMPTS,
+    SHED_MAX_UTILIZATION,
 )
-from repro.resilience.scenario import section_55_policies
 from repro.serving.faults import FaultImpact, PoolState, queueing_delay_factor
 
 
@@ -73,7 +71,7 @@ def scan_evaluate_interval(
     devices: Dict[int, Device],
     offered_samples_per_s: float,
     device_throughput: float,
-    policies: ResiliencePolicies,
+    mitigated: bool,
     base_p50_s: float,
     base_p99_s: float,
     baseline_utilization: float,
@@ -95,10 +93,7 @@ def scan_evaluate_interval(
     p_bad = census[DeviceState.WEDGED] / rotation if rotation else 1.0
 
     # --- Retry chain: attempts and terminal failures -------------------
-    if policies.retry is None:
-        max_attempts = 1
-    else:
-        max_attempts = policies.retry.max_attempts
+    max_attempts = MAX_ATTEMPTS if mitigated else 1
     # Each attempt independently lands on a wedged replica w.p. p_bad
     # (routers that exclude the failed instance do slightly better; this
     # is the conservative bound).
@@ -106,10 +101,10 @@ def scan_evaluate_interval(
     for k in range(max_attempts):
         retry_amplification += p_bad**k
     failed_fraction = p_bad**max_attempts
-    if policies.hedge is not None:
+    if mitigated:
         # A hedge fires for every wedged-routed first attempt plus the
         # healthy tail that trips the budget anyway.
-        hedge_extra = p_bad + policies.hedge.false_hedge_fraction * (1.0 - p_bad)
+        hedge_extra = p_bad + FALSE_HEDGE_FRACTION * (1.0 - p_bad)
         retry_amplification += hedge_extra
         # The hedge gives the request a second, independent replica.
         failed_fraction *= p_bad
@@ -127,11 +122,11 @@ def scan_evaluate_interval(
         served_fraction = 0.0
     else:
         utilization = live_demand / live_capacity
-        if policies.shed is not None and utilization > policies.shed.max_utilization:
+        if mitigated and utilization > SHED_MAX_UTILIZATION:
             shed_fraction = 1.0 - (
-                policies.shed.max_utilization * live_capacity / live_demand
+                SHED_MAX_UTILIZATION * live_capacity / live_demand
             )
-            utilization = policies.shed.max_utilization
+            utilization = SHED_MAX_UTILIZATION
         admitted = offered_samples_per_s * (1.0 - shed_fraction)
         # Without shedding an overloaded pool drops what it cannot queue.
         served_fraction = min(1.0, 1.0 / utilization) if utilization > 1 else 1.0
@@ -145,12 +140,9 @@ def scan_evaluate_interval(
     p50 = base_p50_s * delay_ratio
     p99 = base_p99_s * delay_ratio
     # When >=1% of requests need a second attempt, the 99th percentile
-    # includes the first attempt's timeout (or the hedge budget).
-    if p_bad >= 0.01 and (policies.retry is not None or policies.hedge is not None):
-        if policies.hedge is not None:
-            p99 = policies.hedge.hedge_after_s + p99
-        elif policies.retry is not None:
-            p99 = policies.retry.timeout_s + policies.retry.backoff.delay_s(0) + p99
+    # includes the hedge budget.
+    if mitigated and p_bad >= 0.01:
+        p99 = HEDGE_AFTER_S + p99
 
     # --- SLO verdict via the serving-tier machinery --------------------
     total = len(devices)
@@ -200,27 +192,6 @@ def compensated_builtin_sum():
         yield
 
 
-def _policies(retry, hedge, shed, rollout, delay_s):
-    return ResiliencePolicies(
-        retry=RetryPolicy() if retry else None,
-        hedge=HedgePolicy() if hedge else None,
-        shed=LoadShedPolicy() if shed else None,
-        rollout=RolloutPolicy(detection_delay_s=delay_s) if rollout else None,
-    )
-
-
-_bundles = st.one_of(
-    st.sampled_from([ResiliencePolicies.none(), section_55_policies()]),
-    st.builds(
-        _policies,
-        retry=st.booleans(),
-        hedge=st.booleans(),
-        shed=st.booleans(),
-        rollout=st.booleans(),
-        delay_s=st.sampled_from([0.0, 600.0, 1800.0]),
-    ),
-)
-
 _rates = st.builds(
     FaultRates,
     deadlock_per_device_hour=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
@@ -254,12 +225,12 @@ _configs = st.builds(
 )
 
 
-def run_checked(config, rates, policies):
+def run_checked(config, rates, mitigated):
     """Run one simulation, checking the census after every event.
 
     Returns the report and the set of ``(old, new)`` transitions seen.
     """
-    sim = ResilienceSimulator(config, rates, policies)
+    sim = ResilienceSimulator(config, rates, mitigated)
     transition = sim._transition
     seen = set()
     ticks_checked = []
@@ -281,7 +252,7 @@ def run_checked(config, rates, policies):
                 devices=sim._devices,
                 offered_samples_per_s=config.offered_load,
                 device_throughput=config.device_throughput,
-                policies=policies,
+                mitigated=mitigated,
                 base_p50_s=config.base_p50_s,
                 base_p99_s=config.base_p99_s,
                 baseline_utilization=config.baseline_utilization,
@@ -312,10 +283,10 @@ def run_checked(config, rates, policies):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=_configs, rates=_rates, policies=_bundles)
-def test_live_census_matches_full_scan(config, rates, policies):
+@given(config=_configs, rates=_rates, mitigated=st.booleans())
+def test_live_census_matches_full_scan(config, rates, mitigated):
     with compensated_builtin_sum():
-        report, _ = run_checked(config, rates, policies)
+        report, _ = run_checked(config, rates, mitigated)
     assert report.intervals[-1].time_s == config.duration_s
 
 
@@ -337,12 +308,8 @@ def test_every_transition_kind_is_checked():
     rates = FaultRates(deadlock_per_device_hour=0.1, ecc_ue_per_device_hour=0.2,
                        sdc_per_device_hour=0.1, throttle_per_device_hour=0.5,
                        throttle_duration_s=900.0, ecc_degrade_duration_s=120.0)
-    policies = dataclasses.replace(
-        section_55_policies(),
-        rollout=RolloutPolicy(detection_delay_s=600.0),
-    )
     with compensated_builtin_sum():
-        report, seen = run_checked(config, rates, policies)
+        report, seen = run_checked(config, rates, mitigated=True)
     for kind in (_WEDGE, _DEGRADE, _DEGRADE_END, _REBOOT_DONE, _ROLLOUT_WAVE):
         assert seen & kind, kind
     assert report.intervals[-1].time_s == config.duration_s

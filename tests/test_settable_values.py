@@ -80,8 +80,9 @@ def test_settable_value_count_stays_down():
     # before the GEMM kernel surrogate and the kernel-latency memo went;
     # 667 before the census left only program-read members and the
     # explicit-``rng`` knobs went; 641 before the hooks and mode switches
-    # only tests turned on went.
-    assert len(settable_values()) <= 621
+    # only tests turned on went; 621 before the recovery settings that
+    # run at one value became constants.
+    assert len(settable_values()) <= 578
 
 
 # Owners deleted whole: a deleted owner takes no knob.
@@ -91,6 +92,18 @@ DELETED_OWNERS = {
     ("repro.power.thermal", "gpu_thermal"),
     ("repro.fleet_global.drills", "global_firmware_rollout"),
     ("repro.power.thermal", "ThermalNetwork.settle"),
+    ("repro.resilience.policies", "Backoff"),
+    ("repro.resilience.policies", "RetryPolicy"),
+    ("repro.resilience.policies", "ClientRetryConfig"),
+    ("repro.resilience.policies", "HedgePolicy"),
+    ("repro.resilience.policies", "DrainPolicy"),
+    ("repro.resilience.policies", "LoadShedPolicy"),
+    ("repro.resilience.policies", "AdmissionConfig"),
+    ("repro.resilience.policies", "RolloutPolicy"),
+    ("repro.resilience.policies", "ResiliencePolicies"),
+    ("repro.resilience.policies", "BreakerConfig"),
+    ("repro.resilience.policies", "DefenseConfig"),
+    ("repro.fleet_global.failover", "FailoverConfig"),
 }
 
 
@@ -167,6 +180,37 @@ DELETED_OWNERS = {
     ("repro.power.dvfs", "ThermalFeedbackResult", "cap_throttles"),
     ("repro.codesign.space", "derive_chip", "sram_bandwidth_bytes_per_s"),
     ("repro.codesign.objectives", "CodesignObjective", "base_chip"),
+    # Recovery settings that run at one value, now module constants.
+    ("repro.resilience.policies", "Backoff", "base_s"),
+    ("repro.resilience.policies", "Backoff", "jitter"),
+    ("repro.resilience.policies", "RetryPolicy", "timeout_s"),
+    ("repro.resilience.policies", "RetryPolicy", "max_attempts"),
+    ("repro.resilience.policies", "ClientRetryConfig", "timeout_s"),
+    ("repro.resilience.policies", "HedgePolicy", "hedge_after_s"),
+    ("repro.resilience.policies", "DrainPolicy", "reboot_mttr_s"),
+    ("repro.resilience.policies", "LoadShedPolicy", "max_utilization"),
+    ("repro.resilience.policies", "AdmissionConfig",
+     "max_outstanding_per_replica"),
+    ("repro.resilience.policies", "RolloutPolicy", "detection_delay_s"),
+    ("repro.resilience.policies", "ResiliencePolicies", "retry"),
+    ("repro.resilience.policies", "BreakerConfig", "failure_threshold"),
+    ("repro.resilience.policies", "BreakerConfig", "cooldown_s"),
+    ("repro.resilience.policies", "DefenseConfig", "deadline_s"),
+    ("repro.resilience.policies", "DefenseConfig", "retry_tokens_per_s"),
+    ("repro.resilience.policies", "DefenseRuntime", "config"),
+    ("repro.resilience.policies", "CircuitBreaker", "config"),
+    ("repro.cluster.simulator", "ClusterConfig", "admission"),
+    ("repro.resilience.metrics", "evaluate_interval", "policies"),
+    ("repro.resilience.simulator", "run_resilience", "policies"),
+    ("repro.fleet_global.failover", "FailoverConfig", "probe_interval_s"),
+    ("repro.fleet_global.failover", "FailoverConfig", "max_spill_load"),
+    ("repro.fleet_global.failover", "HealthMonitor", "config"),
+    ("repro.fleet_global.failover", "SpillRouter", "config"),
+    ("repro.fleet_global.failover", "SpillRouter", "spill_monitors"),
+    ("repro.fleet_global.simulator", "run_fleet", "failover"),
+    ("repro.fleet_global.drills", "RegionEvent", "kind"),
+    ("repro.perf.executor", "Executor", "temperature_c"),
+    ("repro.power.activity", "activity_trace", "temperature_c"),
 ])
 def test_retired_knob_stays_gone(module, owner, name):
     if (module, owner) in DELETED_OWNERS:
@@ -187,11 +231,11 @@ def test_retired_knob_stays_gone(module, owner, name):
 
 @pytest.mark.parametrize("owner", ["ResilienceSimulator", "run_resilience"])
 def test_resilience_run_inputs_have_no_default(owner):
-    """A resilience run takes its config, fault rates and policies from
-    the caller; no default bundle stands in for the drill's."""
+    """A resilience run takes its config, fault rates and arm (mitigated
+    or not) from the caller; no default stands in for the drill's."""
     target = getattr(importlib.import_module("repro.resilience.simulator"), owner)
     parameters = inspect.signature(target).parameters
-    for name in ("config", "rates", "policies"):
+    for name in ("config", "rates", "mitigated"):
         assert parameters[name].default is inspect.Parameter.empty, name
 
 
