@@ -75,13 +75,12 @@ def build_drill(
     unreachable: Dict[str, List[Tuple[float, float]]] = {}
     for event in events:
         spec = fleet.regions[fleet.region_index(event.region)]
-        schedule = _region_outage(spec, event)
+        by_region[event.region] = merge_schedules(
+            by_region.get(event.region, []), _region_outage(spec, event)
+        )
         unreachable.setdefault(event.region, []).append(
             (event.at_s, event.clear_s)
         )
-        if schedule:
-            merged = by_region.setdefault(event.region, [])
-            by_region[event.region] = merge_schedules(merged, schedule)
     return DrillSchedule(
         events=tuple(events),
         injections={
