@@ -34,20 +34,31 @@ SRC = ROOT / "src"
 # ---------------------------------------------------------------------------
 
 
-def test_backoff_delay():
+@pytest.mark.parametrize("base, factor, cap, jitter, nominal", [
+    (0.1, 2.0, 0.5, 0.0, [0.1, 0.2, 0.4, 0.5, 0.5, 0.5]),
+    (policies.BACKOFF_BASE_S, policies.BACKOFF_FACTOR, policies.BACKOFF_CAP_S,
+     policies.BACKOFF_JITTER, [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]),
+    (0.05, 3.0, 0.05, 0.25, [0.05] * 6),
+], ids=["capped", "jittered", "capped_at_base"])
+def test_backoff_delay(monkeypatch, base, factor, cap, jitter, nominal):
     """Retry 0 waits ``base``; each later retry ``factor`` times longer
     up to the cap; the generator jitters each delay by one symmetric
-    draw."""
-    nominal = [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+    draw.  ``jittered`` is the program's own setting; the other two move
+    the constants to pin the cap and a zero jitter."""
+    monkeypatch.setattr(policies, "BACKOFF_BASE_S", base)
+    monkeypatch.setattr(policies, "BACKOFF_FACTOR", factor)
+    monkeypatch.setattr(policies, "BACKOFF_CAP_S", cap)
+    monkeypatch.setattr(policies, "BACKOFF_JITTER", jitter)
     rng, twin = np.random.default_rng(7), np.random.default_rng(7)
     jittered = [backoff_s(r, rng) for r in range(len(nominal))]
     draws = [float(twin.uniform(-1.0, 1.0)) for _ in nominal]
     assert jittered == pytest.approx(
-        [d * (1.0 + 0.5 * u) for d, u in zip(nominal, draws)], rel=1e-12
+        [d * (1.0 + jitter * u) for d, u in zip(nominal, draws)], rel=1e-12
     )
     # One draw per delay.
     assert rng.bit_generator.state == twin.bit_generator.state
-    assert all(0.5 * d <= x <= 1.5 * d for d, x in zip(nominal, jittered))
+    assert all((1 - jitter) * d <= x <= (1 + jitter) * d
+               for d, x in zip(nominal, jittered))
     # Seeded: the same generator state gives the same delays.
     again = np.random.default_rng(7)
     assert [backoff_s(r, again) for r in range(len(nominal))] == jittered
