@@ -16,6 +16,7 @@ defended run's unavailability drops ~25x versus undefended.
 from conftest import once
 
 from repro.chaos import CampaignConfig, run_scenario, scenario_by_name
+from repro.chaos.campaign import RECOVERY_THRESHOLD
 
 PAIRED_SCENARIOS = ("retry_storm", "power_trip")
 
@@ -65,7 +66,7 @@ def test_sec5_chaos(benchmark, record, record_json):
     assert storm_off.post_clear_goodput_ratio < 0.5
     assert storm_on.recovered
     assert storm_on.time_to_recovery_s <= 2.0
-    assert storm_on.post_clear_goodput_ratio >= config.recovery_threshold
+    assert storm_on.post_clear_goodput_ratio >= RECOVERY_THRESHOLD
     # Brownout converts an availability hit into a quality hit.
     assert trip_on.unavailability < trip_off.unavailability / 5
     # Conservation held in every run (ClusterReport enforces it too).

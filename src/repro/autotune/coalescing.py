@@ -9,10 +9,8 @@ configuration achieves near-full batches (>95% requests per batch).
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.batcher import CoalescingConfig
 from repro.serving.scheduler import ModelJobProfile
 from repro.serving.simulator import (
@@ -47,22 +45,10 @@ def tune_coalescing(
     windows_s: Sequence[float] = DEFAULT_WINDOWS_S,
     parallel_windows: Sequence[int] = DEFAULT_PARALLEL_WINDOWS,
     duration_s: float = 20.0,
-    registry: Optional[MetricsRegistry] = None,
 ) -> CoalescingTuningResult:
     """Sweep (window, parallelism) and keep the highest throughput under
-    the serving P99 SLO, for 256-sample requests.
-
-    An attached registry records the sweep's progress: configs
-    evaluated, per-config wall time (so configs/sec falls out of the
-    histogram), and the best-so-far SLO-throughput curve
-    (``autotune.coalescing.*``).
-    """
-    obs = active(registry)
-    configs_evaluated = obs.counter("autotune.coalescing.configs_evaluated")
-    eval_wall = obs.histogram("autotune.coalescing.config_eval_s")
-    best_curve = obs.series("autotune.coalescing.best_so_far_samples_per_s")
+    the serving P99 SLO, for 256-sample requests."""
     candidates: List[CoalescingCandidate] = []
-    best_so_far = -1.0
     for window in windows_s:
         for parallel in parallel_windows:
             config = CoalescingConfig(
@@ -70,7 +56,6 @@ def tune_coalescing(
                 max_parallel_windows=parallel,
                 max_batch_samples=max_batch_samples,
             )
-            started = time.perf_counter() if obs.enabled else 0.0
             outcome = max_throughput_under_slo(
                 profile,
                 config,
@@ -80,15 +65,5 @@ def tune_coalescing(
                 iterations=6,
             )
             candidates.append(CoalescingCandidate(config=config, outcome=outcome))
-            configs_evaluated.inc()
-            if obs.enabled:
-                eval_wall.observe(time.perf_counter() - started)
-                if outcome.served_samples_per_s > best_so_far:
-                    best_so_far = outcome.served_samples_per_s
-                best_curve.append(len(candidates), best_so_far)
     best = max(candidates, key=lambda c: c.outcome.served_samples_per_s)
-    if obs.enabled:
-        obs.gauge("autotune.coalescing.best_fill_fraction").set(
-            best.outcome.mean_fill_fraction
-        )
     return CoalescingTuningResult(best=best, candidates=candidates)

@@ -43,14 +43,13 @@ def measure_variant(
     shape: GemmShape,
     variant: GemmVariant,
     chip: ChipSpec,
-    dtype: DType = DType.FP16,
 ) -> float:
     """Kernel time for one (shape, variant) point.
 
     This is the tuner's 'run the kernel and time it' primitive; in this
     library it evaluates the kernel cost model.
     """
-    return estimate_gemm(shape, chip, dtype, variant).engine_time_s
+    return estimate_gemm(shape, chip, DType.FP16, variant).engine_time_s
 
 
 def exhaustive_tune(

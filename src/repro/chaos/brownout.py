@@ -37,6 +37,16 @@ import numpy as np
 from repro.fleet.abtest import SyntheticCtrModel, run_ab_test
 from repro.quant.int8 import quantize_weights_static, quantized_matmul
 
+# Priority mix of tiered traffic (best-effort, normal, critical).
+PRIORITY_WEIGHTS = (0.3, 0.5, 0.2)
+# The ladder's hysteresis, in outstanding requests per up replica: the
+# controller escalates one level each time pressure crosses
+# ``ENTER_AT + level * LEVEL_STEP`` and de-escalates below
+# ``EXIT_AT + level * LEVEL_STEP``; the enter/exit gap keeps the ladder
+# from flapping at a threshold.
+ENTER_AT = 8.0
+EXIT_AT = 4.0
+LEVEL_STEP = 4.0
 
 @dataclasses.dataclass(frozen=True)
 class BrownoutRung:
@@ -63,29 +73,16 @@ class BrownoutRung:
 
 @dataclasses.dataclass(frozen=True)
 class BrownoutConfig:
-    """When to climb and descend the ladder.
-
-    Pressure is outstanding requests per up replica.  The controller
-    escalates one level each time pressure crosses
-    ``enter_at + level * step`` and de-escalates below
-    ``exit_at + level * step`` — the enter/exit gap is the hysteresis
-    that keeps the ladder from flapping at a threshold.
-    """
+    """The ladder's rungs, climbed and descended at the module's
+    hysteresis thresholds."""
 
     rungs: Tuple[BrownoutRung, ...]
-    enter_at: float = 8.0
-    exit_at: float = 4.0
-    step: float = 4.0
 
     def __post_init__(self) -> None:
         if not self.rungs:
             raise ValueError("need at least one rung")
         if self.rungs[0].service_multiplier != 1.0 or self.rungs[0].priority_floor != 0:
             raise ValueError("rung 0 must be full service (no degradation)")
-        if not (0 < self.exit_at < self.enter_at):
-            raise ValueError("need 0 < exit_at < enter_at for hysteresis")
-        if self.step <= 0:
-            raise ValueError("level step must be positive")
 
 
 class BrownoutController:
@@ -105,14 +102,13 @@ class BrownoutController:
 
     def on_route(self, now_s: float, outstanding: int, up_replicas: int) -> int:
         pressure = outstanding / max(up_replicas, 1)
-        config = self.config
-        top = len(config.rungs) - 1
+        top = len(self.config.rungs) - 1
         while (self.level < top
-               and pressure >= config.enter_at + self.level * config.step):
+               and pressure >= ENTER_AT + self.level * LEVEL_STEP):
             self.level += 1
             self.escalations += 1
         while (self.level > 0
-               and pressure < config.exit_at + (self.level - 1) * config.step):
+               and pressure < EXIT_AT + (self.level - 1) * LEVEL_STEP):
             self.level -= 1
         return self.level
 

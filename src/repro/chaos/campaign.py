@@ -31,6 +31,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.brownout import (
+    PRIORITY_WEIGHTS,
     BrownoutController,
     default_ladder,
     measure_ladder_quality,
@@ -40,7 +41,6 @@ from repro.chaos.domains import FaultDomainTopology
 from repro.chaos.scenarios import ChaosScenario, standard_catalog
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import ClusterConfig, ClusterReport, run_cluster
-from repro.obs.metrics import MetricsRegistry, active
 from repro.obs.tracing import TraceWriter
 from repro.resilience.policies import DefenseRuntime
 from repro.serving.workload import poisson_stream, with_priorities
@@ -55,8 +55,9 @@ WINDOW_S = 2.0
 # SLO: generous enough that a healthy tier scores ~1.0, tight enough
 # that storm-era stale serves score 0).
 GOODPUT_LATENCY_S = 0.2
-# Priority mix for brownout scenarios (best-effort, normal, critical).
-PRIORITY_WEIGHTS = (0.3, 0.5, 0.2)
+# A scoring window counts as recovered once its goodput ratio reaches
+# this fraction.
+RECOVERY_THRESHOLD = 0.95
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,15 +69,12 @@ class CampaignConfig:
     utilization: float = 0.75  # offered load / fleet capacity
     duration_s: float = 30.0
     seed: int = 0
-    recovery_threshold: float = 0.95
 
     def __post_init__(self) -> None:
         if not (0 < self.utilization < 1):
             raise ValueError("utilization must be in (0, 1)")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if not (0 < self.recovery_threshold <= 1):
-            raise ValueError("recovery threshold must be in (0, 1]")
 
     def topology(self) -> FaultDomainTopology:
         return FaultDomainTopology(
@@ -212,13 +210,13 @@ def _score(
     )
     ttr = math.inf
     for window in post_clear:
-        if window.ratio >= config.recovery_threshold:
+        if window.ratio >= RECOVERY_THRESHOLD:
             ttr = max(0.0, window.start_s - scenario.fault_clear_s)
             break
     breach = sum(
         WINDOW_S for w in scored
         if w.start_s >= scenario.fault_at_s
-        and w.ratio < config.recovery_threshold
+        and w.ratio < RECOVERY_THRESHOLD
     )
     goodput = sum(w.good for w in windows)
     unavailability = (
@@ -244,7 +242,6 @@ def run_scenario(
     scenario: ChaosScenario,
     config: Optional[CampaignConfig] = None,
     defended: bool = False,
-    registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
     ne_deltas: Optional[Dict[str, float]] = None,
 ) -> ScenarioOutcome:
@@ -281,7 +278,7 @@ def run_scenario(
     )
     report = run_cluster(
         cluster_config, service, requests,
-        registry=registry, tracer=tracer,
+        tracer=tracer,
         defense=DefenseRuntime() if defended else None,
         client=scenario.client,
         injections=scenario.injections(topology),
@@ -294,14 +291,6 @@ def run_scenario(
         scenario, defended, report,
         [r.arrival_s for r in requests], config, quality_cost,
     )
-    obs = active(registry)
-    if obs.enabled:
-        tag = "defended" if defended else "undefended"
-        for key, value in outcome.scalars().items():
-            obs.gauge(f"chaos.{key}").set(value)
-        obs.counter(f"chaos.{scenario.name}.{tag}.goodput").inc(
-            outcome.goodput
-        )
     return outcome
 
 
@@ -352,7 +341,6 @@ class CampaignResult:
 def run_campaign(
     config: Optional[CampaignConfig] = None,
     scenarios: Optional[Sequence[ChaosScenario]] = None,
-    registry: Optional[MetricsRegistry] = None,
     tracer: Optional[TraceWriter] = None,
     price_quality: bool = False,
 ) -> CampaignResult:
@@ -371,7 +359,6 @@ def run_campaign(
         for defended in (False, True):
             outcomes.append(run_scenario(
                 scenario, config, defended=defended,
-                registry=registry,
                 tracer=tracer if defended else None,
                 ne_deltas=ne_deltas,
             ))

@@ -413,7 +413,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet_global.capacity import smoke_study
 
     if args.smoke:
-        study = smoke_study()
+        study = smoke_study(seed=args.seed)
     else:
         study = run_capacity_study(
             users_millions=args.users,

@@ -21,28 +21,27 @@ from repro.cluster.service import ServiceModel
 from repro.serving.workload import DiurnalTrafficModel
 
 
+# The utilization band: a tick measuring busy fraction above
+# ``SCALE_UP_UTILIZATION`` or below ``SCALE_DOWN_UTILIZATION`` resizes
+# toward ``TARGET_UTILIZATION``.
+TARGET_UTILIZATION = 0.70
+SCALE_UP_UTILIZATION = 0.85
+SCALE_DOWN_UTILIZATION = 0.45
+
+
 @dataclasses.dataclass(frozen=True)
 class AutoscalerConfig:
-    """Scaling bounds, band, cadence, and forecast lead."""
+    """Scaling bounds, cadence, and forecast lead."""
 
     min_replicas: int = 1
     max_replicas: int = 64
-    target_utilization: float = 0.70
-    scale_up_utilization: float = 0.85
-    scale_down_utilization: float = 0.45
     tick_interval_s: float = 30.0
     cooldown_s: float = 60.0
-    predictive: bool = True
     predictive_lead_s: float = 300.0
 
     def __post_init__(self) -> None:
         if not (1 <= self.min_replicas <= self.max_replicas):
             raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if not (0 < self.scale_down_utilization < self.target_utilization
-                < self.scale_up_utilization <= 1):
-            raise ValueError(
-                "need 0 < scale_down < target < scale_up <= 1 utilization"
-            )
         if self.tick_interval_s <= 0 or self.cooldown_s < 0:
             raise ValueError("tick interval must be positive, cooldown >= 0")
         if self.predictive_lead_s < 0:
@@ -50,7 +49,8 @@ class AutoscalerConfig:
 
 
 class Autoscaler:
-    """Desired-replica-count controller for one replica set."""
+    """Desired-replica-count controller for one replica set; with a
+    ``traffic_model`` it also provisions for the forecast rate."""
 
     def __init__(
         self,
@@ -70,7 +70,7 @@ class Autoscaler:
     def _replicas_for_rate(self, rate_per_s: float) -> int:
         demand = rate_per_s * self.service.mean_service_s
         return self._clamp(
-            math.ceil(demand / self.config.target_utilization)
+            math.ceil(demand / TARGET_UTILIZATION)
             if demand > 0 else self.config.min_replicas
         )
 
@@ -87,11 +87,11 @@ class Autoscaler:
         if now_s - self._last_change_s < config.cooldown_s:
             return current
         reactive = current
-        if (measured_utilization > config.scale_up_utilization
-                or measured_utilization < config.scale_down_utilization):
+        if (measured_utilization > SCALE_UP_UTILIZATION
+                or measured_utilization < SCALE_DOWN_UTILIZATION):
             reactive = self._replicas_for_rate(measured_rate_per_s)
         predictive = 0
-        if config.predictive and self.traffic_model is not None:
+        if self.traffic_model is not None:
             forecast = self.traffic_model.rate_at(
                 now_s + config.predictive_lead_s
             )
@@ -99,7 +99,7 @@ class Autoscaler:
         desired = self._clamp(max(reactive, predictive))
         # Never scale *down* on the forecast alone while measured load is
         # inside the band — the model may underestimate a burst in flight.
-        if desired < current and measured_utilization >= config.scale_down_utilization:
+        if desired < current and measured_utilization >= SCALE_DOWN_UTILIZATION:
             return current
         if desired != current:
             self._last_change_s = now_s

@@ -21,7 +21,11 @@ import dataclasses
 import math
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cluster.autoscaler import Autoscaler, AutoscalerConfig
+from repro.cluster.autoscaler import (
+    TARGET_UTILIZATION,
+    Autoscaler,
+    AutoscalerConfig,
+)
 from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.routing import POLICY_NAMES
 from repro.cluster.service import ServiceModel
@@ -112,6 +116,8 @@ def _stream(qps: float, duration_s: float, seed: int) -> Sequence[Request]:
 # Rung spacing of the max-QPS probe ladder, as a fraction of the fluid
 # capacity bound.
 QPS_STEP_FRACTION = 0.05
+# The largest replica count :func:`replicas_needed` walks up to.
+MAX_SWEEP_REPLICAS = 96
 
 
 def max_qps_at_slo(
@@ -153,9 +159,7 @@ def replicas_needed(
     offered_qps: float,
     service: ServiceModel,
     p99_slo_s: float = DEFAULT_P99_SLO_S,
-    locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 40.0,
-    max_replicas: int = 96,
     seed: int = 0,
 ) -> CapacityPoint:
     """Smallest replica count holding the SLO with zero shedding.
@@ -169,8 +173,10 @@ def replicas_needed(
     with or without the flag, so the returned point (and its report
     statistics) match the exhaustive search byte for byte.  The answer
     carries a two-sided certificate: it was probed feasible, and the
-    count below it infeasible unless the answer is the floor.
+    count below it infeasible unless the answer is the floor.  The walk
+    stops at ``MAX_SWEEP_REPLICAS``.
     """
+    max_replicas = MAX_SWEEP_REPLICAS
     require_finite("offered_qps", offered_qps)
     require_finite("duration_s", duration_s)
     if offered_qps <= 0:
@@ -201,16 +207,13 @@ def replicas_needed(
 
     for replicas in range(floor, max_replicas + 1):
         report = run_cluster(
-            _config(replicas), service, requests, locality=locality,
-            fail_fast=True,
+            _config(replicas), service, requests, fail_fast=True,
         )
         if report.meets_slo(p99_slo_s):
             return _point(replicas, report)
     # No swept size held the SLO: re-run the ceiling exhaustively so the
     # reported statistics describe the full run, not a truncated probe.
-    report = run_cluster(
-        _config(max_replicas), service, requests, locality=locality
-    )
+    report = run_cluster(_config(max_replicas), service, requests)
     return CapacityPoint(
         policy=policy,
         offered_qps=offered_qps,
@@ -228,7 +231,6 @@ def _sweep_row(
     policies: Sequence[str],
     service: ServiceModel,
     p99_slo_s: float,
-    locality: Optional[ShardLocalityMap],
     duration_s: float,
     seed: int,
 ) -> Tuple[CapacityPoint, ...]:
@@ -245,8 +247,7 @@ def _sweep_row(
         return tuple(
             replicas_needed(
                 policy, qps, service,
-                p99_slo_s=p99_slo_s, locality=locality,
-                duration_s=duration_s, seed=seed,
+                p99_slo_s=p99_slo_s, duration_s=duration_s, seed=seed,
             )
             for policy in policies
         )
@@ -259,7 +260,6 @@ def capacity_sweep(
     qps_points: Sequence[float],
     policies: Sequence[str] = POLICY_NAMES,
     p99_slo_s: float = DEFAULT_P99_SLO_S,
-    locality: Optional[ShardLocalityMap] = None,
     duration_s: float = 40.0,
     seed: int = 0,
 ) -> CapacitySweep:
@@ -279,7 +279,7 @@ def capacity_sweep(
         (point.policy, point.offered_qps): point
         for qps in dict.fromkeys(qps_points)
         for point in _sweep_row(
-            qps, distinct, service, p99_slo_s, locality, duration_s, seed
+            qps, distinct, service, p99_slo_s, duration_s, seed
         )
     }
     points = tuple(
@@ -362,7 +362,7 @@ def autoscaled_day(
     )
     max_replicas = 48
     floor = max(1, math.ceil(
-        model.rate_at(0.0) * service.mean_service_s / 0.7
+        model.rate_at(0.0) * service.mean_service_s / TARGET_UTILIZATION
     ))
     autoscaler = Autoscaler(
         AutoscalerConfig(
@@ -370,7 +370,6 @@ def autoscaled_day(
             max_replicas=max_replicas,
             tick_interval_s=min(30.0, day_length_s / 60.0),
             cooldown_s=min(60.0, day_length_s / 30.0),
-            predictive=True,
             predictive_lead_s=day_length_s / 12.0,
         ),
         service,

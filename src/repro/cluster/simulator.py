@@ -43,7 +43,7 @@ A request now reaches exactly one of *three* terminal outcomes — served,
 shed, or timed out — and the report enforces
 ``served + shed + timed_out == offered``.  The timeout bucket closes the
 old unbounded-retry hole: a request stranded by a fault is re-routed
-only while it is inside its deadline (``retry_deadline_slos`` times the
+only while it is inside its deadline (``RETRY_DEADLINE_SLOS`` times the
 P99 SLO); past that it is counted ``timed_out`` instead of bouncing
 through the front door forever.
 
@@ -154,28 +154,29 @@ class Injection:
             raise ValueError("slow injections must not speed replicas up")
 
 
+# Each replica holds one accelerator of the host pool.
+ACCELERATORS_PER_REPLICA = 1
+# Fault-stranded requests are re-routed only while inside this many
+# SLOs of their arrival; past it they are counted ``timed_out``.
+RETRY_DEADLINE_SLOS = 1.0
+
+
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
     """One cluster run's shape: replicas, policy, limits, faults."""
 
     replicas: int = 8
-    accelerators_per_replica: int = 1
     num_hosts: int = 8
     policy: str = "po2"
     p99_slo_s: float = DEFAULT_P99_SLO_S
     fault_rate_per_replica_hour: float = 0.0
-    # Fault-stranded requests are re-routed only while inside this many
-    # SLOs of their arrival; past it they are counted ``timed_out``.
-    retry_deadline_slos: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_count("replicas", self.replicas)
-        require_count("accelerators per replica", self.accelerators_per_replica)
         require_count("hosts", self.num_hosts)
         require_finite("SLO", self.p99_slo_s)
         require_finite("fault rate", self.fault_rate_per_replica_hour)
-        require_finite("retry deadline", self.retry_deadline_slos)
         if self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown routing policy {self.policy!r}; "
@@ -183,16 +184,12 @@ class ClusterConfig:
             )
         if self.replicas <= 0:
             raise ValueError("need at least one replica")
-        if self.accelerators_per_replica <= 0:
-            raise ValueError("replicas need at least one accelerator")
         if self.num_hosts <= 0:
             raise ValueError("need at least one host")
         if self.p99_slo_s <= 0:
             raise ValueError("SLO must be positive")
         if self.fault_rate_per_replica_hour < 0:
             raise ValueError("fault rate must be non-negative")
-        if self.retry_deadline_slos <= 0:
-            raise ValueError("retry deadline must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -397,7 +394,7 @@ class ClusterSimulator:
         self._obs_enabled = self._obs.enabled
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
-        self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
+        self._retry_deadline_s = RETRY_DEADLINE_SLOS * config.p99_slo_s
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
         # sampling, service and reboot times, and — only when a defense
@@ -493,9 +490,7 @@ class ClusterSimulator:
 
     def _spawn_replica(self, now: float) -> Optional[_Replica]:
         try:
-            grant = self.pool.acquire(
-                "model", self.config.accelerators_per_replica
-            )
+            grant = self.pool.acquire("model", ACCELERATORS_PER_REPLICA)
         except AllocationError:
             self._emit(now, "pool_exhausted")
             return None

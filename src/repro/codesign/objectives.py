@@ -70,6 +70,8 @@ from repro.tensors.tensor import stable_uid_scope
 # 100 ms SLO would zero out the older anchor entirely instead of
 # ranking it, degenerating the front the sanity check reads.
 CODESIGN_P99_SLO_S = 0.25
+# The largest serving cell a candidate's DES rung simulates.
+MAX_CELL_REPLICAS = 8
 
 # Feasible fraction of the fluid capacity bound used at the cheap
 # fidelities (the DES scan typically lands near this at the codesign
@@ -161,23 +163,19 @@ class CodesignObjective:
     def __init__(
         self,
         models: Optional[Sequence[ZooModel]] = None,
-        p99_slo_s: float = CODESIGN_P99_SLO_S,
         duration_s: float = 6.0,
         seed: int = 0,
-        max_cell_replicas: int = 8,
         registry=None,
     ) -> None:
         self.models = tuple(models if models is not None else figure6_models())
         if not self.models:
             raise ValueError("need at least one zoo model")
         self.base_chip = mtia2i_spec()
-        self.p99_slo_s = p99_slo_s
         self.duration_s = duration_s
         self.seed = seed
         # The executor surrogate; assigned after construction because
         # its training reads this objective's graph summaries.
         self.surrogate = None
-        self.max_cell_replicas = max_cell_replicas
         self.registry = registry
         self.reference_service = default_service_model()
         self.summaries: Dict[str, GraphSummary] = {
@@ -280,9 +278,9 @@ class CodesignObjective:
         )
         replicas_per_server = self._server.accelerators_per_server / shards
         if fidelity == "serving":
-            cell = max(1, min(int(replicas_per_server), self.max_cell_replicas))
+            cell = max(1, min(int(replicas_per_server), MAX_CELL_REPLICAS))
             qps_cell, _ = max_qps_at_slo(
-                service, cell, self.p99_slo_s, self.duration_s, self.seed
+                service, cell, CODESIGN_P99_SLO_S, self.duration_s, self.seed
             )
             qps_server = qps_cell * replicas_per_server / cell
         else:

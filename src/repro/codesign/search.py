@@ -58,6 +58,9 @@ CHAIN_WEIGHTS: Tuple[Tuple[float, float, float], ...] = (
     (0.0, 0.0, 1.0),
     (1.0, 1.0, 1.0),
 )
+# The geometric cooling ladder's first and last temperatures.
+T_INITIAL = 0.4
+T_FINAL = 0.02
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +69,6 @@ class SearchConfig:
 
     seed: int = 0
     iterations: int = 60  # annealing steps per chain
-    t_initial: float = 0.4
-    t_final: float = 0.02
     device_rung_keep: int = 16  # candidates promoted to exact device eval
     serving_rung_keep: int = 8  # of those, promoted to the DES rung
     train_chips: int = 16  # seeded derived-chip sample for training
@@ -75,8 +76,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.iterations <= 0:
             raise ValueError("need at least one iteration")
-        if not (0 < self.t_final <= self.t_initial):
-            raise ValueError("need 0 < t_final <= t_initial")
         if self.serving_rung_keep > self.device_rung_keep:
             raise ValueError("serving rung cannot outnumber device rung")
         if min(self.device_rung_keep, self.serving_rung_keep) <= 0:
@@ -135,9 +134,7 @@ def _scalarize(
 
 def _temperatures(config: SearchConfig) -> np.ndarray:
     """Geometric cooling ladder, one temperature per iteration."""
-    return np.geomspace(
-        config.t_initial, config.t_final, num=config.iterations
-    )
+    return np.geomspace(T_INITIAL, T_FINAL, num=config.iterations)
 
 
 def _anneal_chain(

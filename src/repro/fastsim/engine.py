@@ -6,10 +6,8 @@ Callers make ``tiebreak`` unique per engine (the default is a
 monotonically increasing sequence number, i.e. FIFO among equal
 timestamps — exactly the ``(time_s, seq, ...)`` heap tuples the
 resilience simulator has always used, and the order the cluster tier's
-own event loop keeps).  Injection-style callers
-that need an argument-order-independent total order pass an explicit
-tiebreak tuple built from ``repro.cluster.simulator.injection_sort_key``
-semantics: ``(kind_rank, targets, magnitude, seq)``.
+own event loop keeps).  The one explicit tiebreak is the serving
+scheduler's integer job rank, which orders its ready queue.
 
 Runtime events live in a binary heap (``heapq``); pre-known event
 populations staged with :meth:`EventEngine.schedule_batch` drain from

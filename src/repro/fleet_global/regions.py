@@ -3,8 +3,8 @@
 A region is one deployment of the cluster tier — a replica set with its
 own fault-domain topology (:class:`~repro.chaos.domains
 .FaultDomainTopology`), its own diurnal traffic phase (users live in
-timezones: a region 8 hours east peaks 8/24 of a day earlier) and its
-own share of the global user base.
+timezones: a region 8 hours east peaks 8/24 of a day earlier) and an
+equal share of the global user base.
 
 :class:`FleetConfig` is the global composition: the region list, the
 worldwide traffic level (expressed in *millions of users* through
@@ -18,7 +18,6 @@ import dataclasses
 from typing import Tuple
 
 from repro.chaos.domains import FaultDomainTopology
-from repro.cluster.routing import POLICY_NAMES
 from repro.serving.workload import DiurnalTrafficModel
 
 # The traffic-scale knob tying "N million users" to simulated offered
@@ -28,11 +27,11 @@ from repro.serving.workload import DiurnalTrafficModel
 # region standing in for O(10k) hosts — so the constant carries the same
 # compression; the capacity study's *shape* is what reproduces).
 PEAK_RPS_PER_MILLION_USERS = 100.0
+# Every region's diurnal peak-to-mean ratio.
+PEAK_TO_MEAN = 2.2
 
 
-def rate_for_users(
-    users_millions: float, peak_to_mean: float = 2.2
-) -> float:
+def rate_for_users(users_millions: float) -> float:
     """Global *mean* request rate implied by ``users_millions`` users.
 
     The user count is quoted at the daily peak (how capacity questions
@@ -41,7 +40,7 @@ def rate_for_users(
     """
     if users_millions <= 0:
         raise ValueError("user count must be positive")
-    return users_millions * PEAK_RPS_PER_MILLION_USERS / peak_to_mean
+    return users_millions * PEAK_RPS_PER_MILLION_USERS / PEAK_TO_MEAN
 
 
 # One accelerator (replica) per host slot, two to a host.
@@ -55,15 +54,12 @@ class RegionSpec:
     name: str
     timezone_offset_h: float = 0.0  # hours east of the reference region
     replicas: int = 8
-    traffic_share: float = 1.0  # relative share of the global user base
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region needs a name")
         if self.replicas <= 0:
             raise ValueError("region needs at least one replica")
-        if self.traffic_share <= 0:
-            raise ValueError("traffic share must be positive")
 
     def topology(self) -> FaultDomainTopology:
         """Two replicas per host, two hosts per rack and one rack per
@@ -94,19 +90,13 @@ def standard_regions(replicas_per_region: int = 8) -> Tuple[RegionSpec, ...]:
 
 @dataclasses.dataclass(frozen=True)
 class FleetConfig:
-    """The global fleet: regions, worldwide traffic and timing (judged
-    at the serving P99 SLO, ``DEFAULT_P99_SLO_S``)."""
+    """The global fleet: regions, worldwide traffic and timing (routed
+    power-of-two, judged at the serving P99 SLO, ``DEFAULT_P99_SLO_S``)."""
 
     regions: Tuple[RegionSpec, ...]
     users_millions: float = 4.0
-    peak_to_mean: float = 2.2
     duration_s: float = 24.0  # one compressed diurnal day
-    policy: str = "po2"
-    samples_per_request: int = 64
     seed: int = 0
-    # Priority mix for the defended arm's brownout ladder
-    # (best-effort, normal, critical) — matches the chaos campaign.
-    priority_weights: Tuple[float, ...] = (0.3, 0.5, 0.2)
 
     def __post_init__(self) -> None:
         if not self.regions:
@@ -118,28 +108,10 @@ class FleetConfig:
             raise ValueError("user count must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
-        if self.peak_to_mean < 1:
-            raise ValueError("peak-to-mean must be at least 1")
-        if self.samples_per_request <= 0:
-            raise ValueError("requests must carry at least one sample")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown routing policy {self.policy!r}; "
-                f"choose one of {POLICY_NAMES}"
-            )
-        weights = tuple(self.priority_weights)
-        if not weights or any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError(
-                "priority weights must be non-negative, non-empty and "
-                "sum to a positive total"
-            )
-        # A tuple whatever the caller passed, so the config (and the
-        # stream cache keyed on the weights) stays hashable.
-        object.__setattr__(self, "priority_weights", weights)
 
     @property
     def global_mean_rate_s(self) -> float:
-        return rate_for_users(self.users_millions, self.peak_to_mean)
+        return rate_for_users(self.users_millions)
 
     def region_index(self, name: str) -> int:
         for index, region in enumerate(self.regions):
@@ -148,14 +120,11 @@ class FleetConfig:
         raise KeyError(f"no region named {name!r}")
 
     def traffic_model(self, region: RegionSpec) -> DiurnalTrafficModel:
-        """The region's diurnal curve: its share of global traffic, its
-        timezone phase, one full day compressed into the run."""
-        total_share = sum(r.traffic_share for r in self.regions)
+        """The region's diurnal curve: an equal share of global traffic,
+        its timezone phase, one full day compressed into the run."""
         return DiurnalTrafficModel(
-            mean_rate_per_s=(
-                self.global_mean_rate_s * region.traffic_share / total_share
-            ),
-            peak_to_mean=self.peak_to_mean,
+            mean_rate_per_s=self.global_mean_rate_s / len(self.regions),
+            peak_to_mean=PEAK_TO_MEAN,
             day_length_s=self.duration_s,
             phase_h=region.timezone_offset_h,
         )
@@ -187,6 +156,7 @@ def standard_fleet(
 __all__ = [
     "FleetConfig",
     "PEAK_RPS_PER_MILLION_USERS",
+    "PEAK_TO_MEAN",
     "RegionSpec",
     "rate_for_users",
     "standard_fleet",

@@ -44,7 +44,11 @@ import dataclasses
 import functools
 from typing import List, Optional, Sequence, Tuple
 
-from repro.chaos.brownout import BrownoutController, default_ladder
+from repro.chaos.brownout import (
+    PRIORITY_WEIGHTS,
+    BrownoutController,
+    default_ladder,
+)
 from repro.cluster.service import ServiceModel, default_service_model
 from repro.cluster.simulator import (
     ClusterConfig,
@@ -224,17 +228,11 @@ MergeOrder = Tuple[Tuple[float, int, int], ...]
 def _base_stream(
     model: DiurnalTrafficModel,
     duration_s: float,
-    samples_per_request: int,
     seed: int,
 ) -> Tuple[Request, ...]:
     """One region's diurnal arrivals: a pure function of its inputs,
     so every replica count and arm of a sweep shares it."""
-    return tuple(diurnal_poisson_stream(
-        model,
-        duration_s=duration_s,
-        samples_per_request=samples_per_request,
-        seed=seed,
-    ))
+    return tuple(diurnal_poisson_stream(model, duration_s=duration_s, seed=seed))
 
 
 @functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
@@ -270,7 +268,6 @@ def _base_keys(config: FleetConfig) -> Tuple[Tuple, ...]:
         (
             config.traffic_model(spec),
             config.duration_s,
-            config.samples_per_request,
             config.seed + _STREAM_SEED + index,
         )
         for index, spec in enumerate(config.regions)
@@ -310,7 +307,7 @@ def _region_streams(
     """
     base_keys = _base_keys(config)
     tier_keys = tuple(
-        (config.priority_weights, config.seed + _PRIORITY_SEED + index)
+        (PRIORITY_WEIGHTS, config.seed + _PRIORITY_SEED + index)
         for index in range(len(config.regions))
     ) if defended else None
     return _merged_streams(base_keys, tier_keys)
@@ -434,7 +431,6 @@ def run_fleet(
         cluster_config = ClusterConfig(
             replicas=spec.replicas,
             num_hosts=spec.num_hosts,
-            policy=config.policy,
             p99_slo_s=DEFAULT_P99_SLO_S,
             seed=config.seed + _CLUSTER_SEED + index,
         )

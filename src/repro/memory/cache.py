@@ -31,13 +31,13 @@ BlockId = Hashable
 class CacheStats:
     """Access counters for one cache instance."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_writebacks: int = 0
-    bytes_hit: int = 0
-    bytes_missed: int = 0
-    bytes_written_back: int = 0
+    hits: int = dataclasses.field(default=0, init=False)
+    misses: int = dataclasses.field(default=0, init=False)
+    evictions: int = dataclasses.field(default=0, init=False)
+    dirty_writebacks: int = dataclasses.field(default=0, init=False)
+    bytes_hit: int = dataclasses.field(default=0, init=False)
+    bytes_missed: int = dataclasses.field(default=0, init=False)
+    bytes_written_back: int = dataclasses.field(default=0, init=False)
 
     @property
     def accesses(self) -> int:

@@ -176,22 +176,20 @@ class MemoryHierarchy:
         (weights) or LLS when kind-based policy says so."""
         return self._placements.get(tensor.uid, Placement.LLC)
 
-    def read(self, tensor: TensorSpec, num_bytes: Optional[int] = None) -> Traffic:
-        """Model reading ``num_bytes`` of a tensor (default: all of it).
+    def read(self, tensor: TensorSpec) -> Traffic:
+        """Model reading a whole tensor.
 
         Returns the byte counts that moved at each level.  LLC-resident
         tensors go through the cache simulation: hits cost SRAM bandwidth,
         misses cost DRAM bandwidth *and* SRAM fill bandwidth.
         """
-        size = tensor.num_bytes if num_bytes is None else int(num_bytes)
         placement = self.placement_of(tensor)
-        return self._move(tensor, size, placement, write=False)
+        return self._move(tensor, tensor.num_bytes, placement, write=False)
 
-    def write(self, tensor: TensorSpec, num_bytes: Optional[int] = None) -> Traffic:
+    def write(self, tensor: TensorSpec) -> Traffic:
         """Model writing a tensor (allocating it at its placement)."""
-        size = tensor.num_bytes if num_bytes is None else int(num_bytes)
         placement = self.placement_of(tensor)
-        return self._move(tensor, size, placement, write=True)
+        return self._move(tensor, tensor.num_bytes, placement, write=True)
 
     def _move(
         self, tensor: TensorSpec, size: int, placement: Placement, write: bool

@@ -19,6 +19,8 @@ from repro.models.dlrm import EmbeddingBagConfig
 from repro.tensors.dtypes import DType
 from repro.tensors.tensor import TensorSpec, embedding_table, model_input, weight
 
+# Sequence length of each MHA ensemble member.
+MHA_SEQ_LEN = 8
 
 @dataclasses.dataclass(frozen=True)
 class DhenConfig:
@@ -35,8 +37,6 @@ class DhenConfig:
     # Optional MHA ensemble members (the case-study model added a network
     # of multi-headed attention blocks late in its evolution).
     mha_heads: int = 0
-    mha_seq_len: int = 8
-    dtype: DType = DType.FP16
 
     def __post_init__(self) -> None:
         if min(self.batch, self.hidden_dim, self.num_layers) <= 0:
@@ -48,7 +48,7 @@ def _dhen_layer(
 ) -> TensorSpec:
     """One DHEN layer: FM block + linear compression block, ensembled,
     with a skip connection and layer norm."""
-    dtype = config.dtype
+    dtype = DType.FP16
     hidden = config.hidden_dim
     # Factorization Machine Block: project then pairwise interactions.
     fm_proj_w = weight(hidden, hidden, dtype=dtype, name=f"l{layer}_fm_w")
@@ -75,15 +75,15 @@ def _dhen_layer(
     # Optional MHA ensemble member.
     members = [fm_expanded.output, lcb_up.output]
     if config.mha_heads > 0:
-        head_dim = hidden // config.mha_heads // config.mha_seq_len
+        head_dim = hidden // config.mha_heads // MHA_SEQ_LEN
         if head_dim > 0:
             mha_op = graph.add(
                 mha(
                     x,
                     heads=config.mha_heads,
                     head_dim=head_dim,
-                    seq_len=config.mha_seq_len,
-                    batch=config.batch // config.mha_seq_len or 1,
+                    seq_len=MHA_SEQ_LEN,
+                    batch=config.batch // MHA_SEQ_LEN or 1,
                     name=f"l{layer}_mha",
                 )
             )
@@ -110,7 +110,7 @@ def _dhen_layer(
 def build_dhen(config: DhenConfig) -> OpGraph:
     """Build a DHEN-style ranking model graph."""
     graph = OpGraph(name=config.name)
-    dtype = config.dtype
+    dtype = DType.FP16
     dense_in = model_input(
         config.batch, config.num_dense_features, dtype=dtype, name="dense_features"
     )

@@ -36,7 +36,6 @@ class HstuConfig:
     num_tables: int
     rows_per_table: int
     embed_dim: int
-    dtype: DType = DType.FP16
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -57,7 +56,7 @@ class HstuConfig:
 def build_hstu(config: HstuConfig) -> OpGraph:
     """Build an HSTU-style model graph over a sampled jagged batch."""
     graph = OpGraph(name=config.name)
-    dtype = config.dtype
+    dtype = DType.FP16
     seq_lengths = config.sample_seq_lengths()
     total_tokens = sum(seq_lengths)
 

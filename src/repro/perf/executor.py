@@ -62,6 +62,8 @@ DRAM_EFFICIENCY_DEMAND = 0.62
 # caching; the rest churns with dense-weight and spilled-activation
 # traffic.  Applied to Che's-approximation capacity for TBE gathers.
 TBE_LLC_SHARE = 0.6
+# Zipf exponent of the embedding-row stream the TBE gathers draw from.
+ZIPF_EXPONENT = 1.05
 
 # Memory traces kept by :data:`memory_trace`, least recently used first
 # out.  A zoo-model trace is a few kilobytes.
@@ -403,11 +405,9 @@ class Executor:
     Each run takes its memory pass from :data:`memory_trace` — replayed
     on a miss, reused on a hit — and makes the kernel pass for this
     chip.  ``seed`` seeds the LLC's random-victim sequence (and is part
-    of the trace key).  ``host_input_fraction`` in [0, 1] scales every
-    op's host-link bytes; ``zipf_exponent`` (>= 0) skews the embedding
-    row stream.  Leakage is charged at the chip's reference junction
-    temperature.  Bad values raise ``ValueError`` here, not as a NaN
-    latency later.
+    of the trace key).  Embedding rows follow a Zipf stream with
+    exponent ``ZIPF_EXPONENT``.  Leakage is charged at the chip's
+    reference junction temperature.
     """
 
     def __init__(
@@ -415,24 +415,12 @@ class Executor:
         chip: ChipSpec,
         gemm_variant: Optional[GemmVariant] = None,
         variant_selector: Optional[Callable[[Op], GemmVariant]] = None,
-        zipf_exponent: float = 1.05,
         seed: int = 0,
-        host_input_fraction: float = 1.0,
     ) -> None:
-        if not 0.0 <= host_input_fraction <= 1.0:
-            raise ValueError(
-                f"host_input_fraction must be in [0, 1], got {host_input_fraction!r}"
-            )
-        if not 0.0 <= zipf_exponent < math.inf:
-            raise ValueError(
-                f"zipf_exponent must be finite and non-negative, got {zipf_exponent!r}"
-            )
         self.chip = chip
         self.gemm_variant = gemm_variant
         self.variant_selector = variant_selector
-        self.zipf_exponent = zipf_exponent
         self.seed = seed
-        self.host_input_fraction = host_input_fraction
 
     def run(self, graph: OpGraph, batch: int, warmup_runs: int = 1) -> ExecutionReport:
         """Execute the graph and report steady-state behaviour.
@@ -467,8 +455,6 @@ class Executor:
                 op, estimate, trace, at, grid_side
             )
             traffic.dram_bytes += trace.writebacks[index]
-            if self.host_input_fraction != 1.0:
-                traffic.host_bytes *= self.host_input_fraction
             if tbe_rows is not None:
                 sparse_hits += tbe_rows[0]
                 sparse_total += tbe_rows[1]
@@ -558,7 +544,7 @@ class Executor:
                 row_bytes=row_bytes,
                 llc_bytes_for_tbe=int(trace.partition.llc_bytes * TBE_LLC_SHARE),
                 block_bytes=trace.block_bytes,
-                zipf_exponent=self.zipf_exponent,
+                zipf_exponent=ZIPF_EXPONENT,
             )
         else:
             hit_rate = 0.0

@@ -8,24 +8,20 @@ batch time goes — the same workflow the paper's co-design loop ran on
 real hardware traces.
 
 The document itself is assembled by the unified writer in
-:mod:`repro.obs.tracing` (shared with the fleet-resilience timeline);
-``trace_metadata`` and ``write_trace_json`` are re-exported from there
-for backwards compatibility.
+:mod:`repro.obs.tracing` (shared with the fleet-resilience timeline).
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.obs.tracing import TraceWriter, trace_metadata, write_trace_json
+from repro.obs.tracing import TraceWriter, write_trace_json
 from repro.perf.executor import ExecutionReport
 
 __all__ = [
     "to_chrome_trace",
     "write_chrome_trace",
     "summarize_trace",
-    "trace_metadata",
-    "write_trace_json",
 ]
 
 # Lane assignment: group ops by their bottleneck resource.

@@ -34,7 +34,6 @@ from repro.power.cluster_link import (
 )
 from repro.power.dvfs import (
     DEFAULT_LADDER_HZ,
-    DvfsConfig,
     DvfsGovernor,
     ThroughputCurve,
     calibrate_throughput,
@@ -51,7 +50,6 @@ from repro.power.thermal import (
 __all__ = [
     "DEFAULT_LADDER_HZ",
     "THROTTLE_LIMIT_C",
-    "DvfsConfig",
     "DvfsGovernor",
     "RcStage",
     "ThermalNetwork",

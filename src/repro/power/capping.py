@@ -27,7 +27,7 @@ below the server-level one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.arch.server import mtia2i_server
 from repro.arch.specs import ChipSpec
 from repro.obs.metrics import MetricsRegistry, active
 from repro.power.activity import chip_power_w, utilization_profile
-from repro.power.dvfs import DEFAULT_LADDER_HZ
+from repro.power.dvfs import DEFAULT_LADDER_HZ, frequency_for_budget
 
 
 def water_fill(demands_w: np.ndarray, budget_w: float) -> np.ndarray:
@@ -61,20 +61,6 @@ def water_fill(demands_w: np.ndarray, budget_w: float) -> np.ndarray:
         remaining -= float(np.sum(grant))
         unsatisfied = alloc < demands - 1e-12
     return alloc
-
-
-def _frequency_for_budget(
-    chip: ChipSpec,
-    ladder_hz: Sequence[float],
-    utilization: float,
-    budget_w: float,
-) -> float:
-    """Highest ladder frequency whose draw fits the budget (the ladder
-    floor if none does — a chip cannot clock below its minimum state)."""
-    for frequency in reversed(ladder_hz):
-        if chip_power_w(chip, frequency, utilization) <= budget_w:
-            return frequency
-    return ladder_hz[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,17 +93,16 @@ class PerChipCapController:
         self.chip = chip
         self.num_chips = num_chips
         self.budget_w = budget_w
-        self.ladder_hz = DEFAULT_LADDER_HZ
 
     def tick(self, utilizations: np.ndarray) -> Tuple[np.ndarray, float]:
         """Returns (per-chip frequency, total draw) for one tick."""
         demands = np.array([
-            chip_power_w(self.chip, self.ladder_hz[-1], float(u))
+            chip_power_w(self.chip, DEFAULT_LADDER_HZ[-1], float(u))
             for u in utilizations
         ])
         alloc = water_fill(demands, self.budget_w)
         freqs = np.array([
-            _frequency_for_budget(self.chip, self.ladder_hz, float(u), float(a))
+            frequency_for_budget(self.chip, float(u), float(a))
             for u, a in zip(utilizations, alloc)
         ])
         power = float(sum(
@@ -143,23 +128,22 @@ class ServerCapController:
         self.chip = chip
         self.num_chips = num_chips
         self.budget_w = budget_w
-        self.ladder_hz = DEFAULT_LADDER_HZ
-        self.index = len(self.ladder_hz) - 1
+        self.index = len(DEFAULT_LADDER_HZ) - 1
         self._last_power: Optional[float] = None
 
     def tick(self, utilizations: np.ndarray) -> Tuple[np.ndarray, float]:
         if self._last_power is not None:
             if self._last_power > self.budget_w and self.index > 0:
                 self.index -= 1
-            elif self.index < len(self.ladder_hz) - 1:
+            elif self.index < len(DEFAULT_LADDER_HZ) - 1:
                 # Step back up only if the next state would have fit the
                 # previous tick's load.
                 probe = self._last_power * (
-                    self.ladder_hz[self.index + 1] / self.ladder_hz[self.index]
+                    DEFAULT_LADDER_HZ[self.index + 1] / DEFAULT_LADDER_HZ[self.index]
                 )
                 if probe <= self.budget_w:
                     self.index += 1
-        frequency = self.ladder_hz[self.index]
+        frequency = DEFAULT_LADDER_HZ[self.index]
         power = float(sum(
             chip_power_w(self.chip, frequency, float(u)) for u in utilizations
         ))
@@ -249,14 +233,13 @@ class CappingComparison:
 
 def capping_study(
     duration_s: float = 600.0,
-    mean_utilization: float = 0.6,
     seed: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> CappingComparison:
     """Head-to-head: both controllers, one demand tape, one budget.
 
-    The tape runs one tick a second on the MTIA 2i server, with a 3%
-    chance per chip and tick of a full-load spike.  The budget is 82% of
+    The tape runs one tick a second on the MTIA 2i server, around 60%
+    mean load, with a 3% chance per chip and tick of a full-load spike.  The budget is 82% of
     the server's worst-case accelerator draw (all 24 chips flat-out at
     the top ladder frequency) — tight enough that spikes force a choice,
     loose enough that the steady diurnal load fits.
@@ -267,7 +250,7 @@ def capping_study(
     worst_case = num_chips * chip_power_w(chip, DEFAULT_LADDER_HZ[-1], 1.0)
     budget = 0.82 * worst_case
     rng = np.random.default_rng(seed)
-    tape = _spiky_utilization(num_chips, duration_s, 1.0, mean_utilization, 0.03, rng)
+    tape = _spiky_utilization(num_chips, duration_s, 1.0, 0.6, 0.03, rng)
     per_chip = run_capping(
         PerChipCapController(chip, num_chips, budget),
         tape, registry=registry,

@@ -17,9 +17,7 @@ from repro.arch.mtia import mtia2i_spec
 from repro.arch.specs import ChipSpec
 from repro.cluster.capacity import max_qps_at_slo
 from repro.cluster.service import ServiceModel
-from repro.obs.metrics import MetricsRegistry, active
-from repro.power.activity import chip_power_w
-from repro.power.dvfs import DEFAULT_LADDER_HZ
+from repro.power.dvfs import frequency_for_budget
 from repro.serving.simulator import DEFAULT_P99_SLO_S
 from repro.units import GHZ
 
@@ -27,15 +25,6 @@ from repro.units import GHZ
 # Server power outside the accelerators (host CPU, NICs, fans), funded
 # first out of every rack budget.
 PLATFORM_POWER_W = 800.0
-
-
-def frequency_for_chip_budget(chip: ChipSpec, per_chip_budget_w: float) -> float:
-    """Highest ``DEFAULT_LADDER_HZ`` frequency whose worst-case
-    (full-utilization) draw fits the budget (ladder floor if none does)."""
-    for frequency in reversed(DEFAULT_LADDER_HZ):
-        if chip_power_w(chip, frequency, 1.0) <= per_chip_budget_w:
-            return frequency
-    return DEFAULT_LADDER_HZ[0]
 
 
 def service_model_at_budget(
@@ -52,7 +41,8 @@ def service_model_at_budget(
     parameters and carry over unchanged.
     """
     chip = chip or mtia2i_spec()
-    frequency = frequency_for_chip_budget(chip, per_chip_budget_w)
+    # The worst-case (full-utilization) draw must fit.
+    frequency = frequency_for_budget(chip, 1.0, per_chip_budget_w)
     scaled = dataclasses.replace(
         service,
         mean_service_s=service.mean_service_s * chip.frequency_hz / frequency,
@@ -112,7 +102,6 @@ def power_limited_capacity_sweep(
     replicas: int = 24,
     duration_s: float = 20.0,
     seed: int = 0,
-    registry: Optional[MetricsRegistry] = None,
 ) -> PowerLimitedSweep:
     """Sweep rack budget → sustainable QPS at the serving P99 SLO.
 
@@ -127,7 +116,6 @@ def power_limited_capacity_sweep(
     """
     if replicas <= 0:
         raise ValueError("need at least one replica")
-    obs = active(registry)
     points = []
     for budget in sorted(server_budgets_w):
         per_chip = max(0.0, (budget - PLATFORM_POWER_W) / replicas)
@@ -144,20 +132,14 @@ def power_limited_capacity_sweep(
                 p99_latency_s=p99,
             )
         )
-        if obs.enabled:
-            obs.series("power.sweep.max_qps").append(float(budget), max_qps)
-    sweep = PowerLimitedSweep(
+    return PowerLimitedSweep(
         points=tuple(points), p99_slo_s=DEFAULT_P99_SLO_S, replicas=replicas
     )
-    if obs.enabled:
-        obs.gauge("power.sweep.knee_budget_w").set(sweep.knee_budget_w)
-    return sweep
 
 
 __all__ = [
     "PowerLimitedPoint",
     "PowerLimitedSweep",
-    "frequency_for_chip_budget",
     "power_limited_capacity_sweep",
     "service_model_at_budget",
 ]

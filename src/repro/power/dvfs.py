@@ -3,7 +3,7 @@
 ``repro.reliability.overclock`` models the *static* study: 3,000 chips x
 10 tests showed ample margin, so the fleet shipped at 1.35 GHz.  This
 module makes that decision dynamic.  Each chip's maximum stable
-frequency is drawn from the same :class:`MarginModel` distribution the
+frequency is drawn from the same margin distribution the
 study discovered; a per-chip governor walks a frequency/voltage ladder,
 stepping down when the junction crosses the throttle limit and back up
 when there is thermal headroom.  Coupled
@@ -36,7 +36,7 @@ from repro.power.thermal import (
     ThermalNetwork,
     mtia2i_thermal,
 )
-from repro.reliability.overclock import DESIGN_FREQUENCY_HZ, MarginModel
+from repro.reliability.overclock import DESIGN_FREQUENCY_HZ, sample_fmax
 from repro.units import GHZ
 
 # The frequency/voltage ladder the governor walks.  The deployed
@@ -51,28 +51,21 @@ DEFAULT_LADDER_HZ: Tuple[float, ...] = (
 GOVERNOR_TICK_S = 1.0
 UTILIZATION_MEAN = 0.85
 AMBIENT_SPREAD_C = 7.0
+# A ladder state is usable only if the chip's measured fmax clears it
+# by this factor — the qualification guard band the study kept.
+QUALIFICATION_MARGIN = 1.05
 
 
-@dataclasses.dataclass(frozen=True)
-class DvfsConfig:
-    """Governor parameters."""
-
-    ladder_hz: Tuple[float, ...] = DEFAULT_LADDER_HZ
-    thermal_limit_c: float = THROTTLE_LIMIT_C
-    thermal_target_c: float = THROTTLE_TARGET_C
-    # A ladder state is usable only if the chip's measured fmax clears it
-    # by this factor — the qualification guard band the study kept.
-    qualification_margin: float = 1.05
-
-    def __post_init__(self) -> None:
-        if not self.ladder_hz or any(f <= 0 for f in self.ladder_hz):
-            raise ValueError("ladder must contain positive frequencies")
-        if list(self.ladder_hz) != sorted(self.ladder_hz):
-            raise ValueError("ladder must be ascending")
-        if self.thermal_target_c >= self.thermal_limit_c:
-            raise ValueError("thermal target must sit below the limit")
-        if self.qualification_margin < 1.0:
-            raise ValueError("qualification margin must be at least 1")
+def frequency_for_budget(
+    chip: ChipSpec, utilization: float, budget_w: float
+) -> float:
+    """Highest ladder frequency whose draw at ``utilization`` fits the
+    budget (the ladder floor if none does — a chip cannot clock below
+    its minimum state)."""
+    for frequency in reversed(DEFAULT_LADDER_HZ):
+        if chip_power_w(chip, frequency, utilization) <= budget_w:
+            return frequency
+    return DEFAULT_LADDER_HZ[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,26 +125,26 @@ def calibrate_throughput(model) -> ThroughputCurve:
 
 
 class DvfsGovernor:
-    """One chip's frequency governor."""
+    """One chip's frequency governor: it walks ``DEFAULT_LADDER_HZ``,
+    stepping down above the thermal throttle limit and up below the
+    target."""
 
     def __init__(
         self,
         chip: ChipSpec,
-        config: DvfsConfig,
         fmax_hz: float,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.chip = chip
-        self.config = config
         self.fmax_hz = fmax_hz
         self._obs = active(registry)
-        ladder = config.ladder_hz
+        ladder = DEFAULT_LADDER_HZ
         # Highest ladder state the chip's measured margin qualifies; the
         # ladder floor is always permitted (a chip that cannot hold even
         # that is scrapped upstream, in the screening models).
         usable = [
             i for i, f in enumerate(ladder)
-            if f * config.qualification_margin <= fmax_hz
+            if f * QUALIFICATION_MARGIN <= fmax_hz
         ]
         self.max_index = usable[-1] if usable else 0
         # Start at the design point, as the fleet did pre-study.
@@ -164,7 +157,7 @@ class DvfsGovernor:
 
     @property
     def frequency_hz(self) -> float:
-        return self.config.ladder_hz[self.index]
+        return DEFAULT_LADDER_HZ[self.index]
 
     def power_w(self, utilization: float, junction_c: float) -> float:
         """Draw at the current state under a load and temperature."""
@@ -177,13 +170,12 @@ class DvfsGovernor:
 
         Returns the frequency to run until the next tick.
         """
-        config = self.config
-        if junction_c > config.thermal_limit_c:
+        if junction_c > THROTTLE_LIMIT_C:
             if self.index > 0:
                 self.index -= 1
             self.thermal_throttles += 1
             self._obs.counter("power.throttle.thermal").inc()
-        elif junction_c < config.thermal_target_c and self.index < self.max_index:
+        elif junction_c < THROTTLE_TARGET_C and self.index < self.max_index:
             self.index += 1
         self._obs.gauge("power.frequency_hz").set(self.frequency_hz)
         return self.frequency_hz
@@ -269,11 +261,10 @@ def overclock_with_thermal_feedback(
     if num_chips <= 0:
         raise ValueError("need at least one chip")
     dt_s = GOVERNOR_TICK_S
-    config = DvfsConfig()
     chip = mtia2i_spec()
     obs = active(registry)
     rng = np.random.default_rng(seed)
-    fmax = MarginModel().sample_fmax(num_chips, rng)
+    fmax = sample_fmax(num_chips, rng)
     steps = int(np.ceil(duration_s / dt_s))
     gains = []
     total_freq = 0.0
@@ -292,7 +283,7 @@ def overclock_with_thermal_feedback(
         util = utilization_profile(
             duration_s, dt_s, mean=UTILIZATION_MEAN, rng=rng
         )
-        governor = DvfsGovernor(chip, config, float(fmax[chip_index]),
+        governor = DvfsGovernor(chip, float(fmax[chip_index]),
                                 registry=registry)
         # Warm start: the chip was already serving at the design point
         # before the governor engaged, so begin from that closed-loop
@@ -350,7 +341,6 @@ def overclock_with_thermal_feedback(
 
 __all__ = [
     "DEFAULT_LADDER_HZ",
-    "DvfsConfig",
     "DvfsGovernor",
     "GovernedChipRun",
     "ThermalFeedbackResult",

@@ -37,7 +37,6 @@ from repro.reliability.fleet import (
 )
 from repro.reliability.overclock import (
     DESIGN_FREQUENCY_HZ,
-    MarginModel,
     PAPER_STUDY_CHIPS,
     STUDY_FREQUENCIES_HZ,
     overclock_throughput_gain,
@@ -56,7 +55,6 @@ __all__ = [
     "ECC_THROUGHPUT_PENALTY",
     "EccDecisionInputs",
     "ErrorRegion",
-    "MarginModel",
     "NumericDlrm",
     "Outcome",
     "PAPER_REDUCTION_FRACTION",

@@ -57,6 +57,8 @@ _ALLOWED: FrozenSet[Tuple[DeviceState, DeviceState]] = frozenset(
     }
 )
 
+# Relative throughput while DEGRADED (power-cap / correctable-storm).
+DEGRADED_SCALE = 0.6
 # States in which the device produces zero goodput, in the fixed order
 # their residencies are summed.
 _DOWN_STATES = (DeviceState.WEDGED, DeviceState.REBOOTING)
@@ -71,14 +73,16 @@ class Device:
     """One accelerator's health bookkeeping inside the simulator."""
 
     device_id: int
-    state: DeviceState = DeviceState.HEALTHY
-    # Relative throughput while DEGRADED (power-cap / correctable-storm).
-    degraded_scale: float = 0.6
+    # Run state: every device starts healthy, unpatched, at time zero.
+    state: DeviceState = dataclasses.field(
+        default=DeviceState.HEALTHY, init=False
+    )
     # Whether the firmware mitigation (Control-Core data in SRAM) is on.
-    patched: bool = False
-    state_entered_s: float = 0.0
+    patched: bool = dataclasses.field(default=False, init=False)
+    state_entered_s: float = dataclasses.field(default=0.0, init=False)
     state_seconds: Dict[DeviceState, float] = dataclasses.field(
-        default_factory=lambda: {state: 0.0 for state in DeviceState}
+        default_factory=lambda: {state: 0.0 for state in DeviceState},
+        init=False,
     )
 
     @property
@@ -92,7 +96,7 @@ class Device:
         if self.state == DeviceState.HEALTHY:
             return 1.0
         if self.state == DeviceState.DEGRADED:
-            return self.degraded_scale
+            return DEGRADED_SCALE
         return 0.0
 
     @property
@@ -134,8 +138,8 @@ class PoolCensus:
     """The pool's lifecycle census, kept live across transitions.
 
     ``counts`` holds the number of devices per state. ``scales[i]`` is
-    device ``i``'s rotation throughput scale: 1.0 when healthy, its
-    ``degraded_scale`` when degraded, 0.0 otherwise. Device ids must be
+    device ``i``'s rotation throughput scale: 1.0 when healthy,
+    ``DEGRADED_SCALE`` when degraded, 0.0 otherwise. Device ids must be
     ``0 .. n-1``.
     """
 

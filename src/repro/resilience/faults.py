@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,8 +41,11 @@ from repro.reliability.fleet import (
     PAPER_AFFECTED_FRACTION,
     card_error_probability_for_server_fraction,
 )
-from repro.reliability.overclock import DESIGN_FREQUENCY_HZ, MarginModel
-from repro.units import GHZ
+from repro.reliability.overclock import (
+    MEAN_FMAX_HZ,
+    SHIPPED_FREQUENCY_HZ,
+    SIGMA_FMAX_HZ,
+)
 
 HOURS_PER_DAY = 24.0
 # Share of memory errors that are double-bit (detected-uncorrectable)
@@ -59,6 +62,10 @@ SDC_BLAST_WINDOW_S = 60.0
 # Fraction of production power samples above the rack cap (section
 # 5.3's P90 methodology leaves a small tail by construction).
 POWER_THROTTLE_TAIL = 0.02
+# How long a power throttle, and the degrade after an uncorrectable
+# memory error, hold a device below full throughput.
+THROTTLE_DURATION_S = 1800.0
+ECC_DEGRADE_DURATION_S = 600.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,8 +77,6 @@ class FaultRates:
     ecc_ue_per_device_hour: float
     sdc_per_device_hour: float
     throttle_per_device_hour: float
-    throttle_duration_s: float = 1800.0
-    ecc_degrade_duration_s: float = 600.0
     sdc_blast_window_s: float = SDC_BLAST_WINDOW_S
 
     def __post_init__(self) -> None:
@@ -83,31 +88,23 @@ class FaultRates:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.throttle_duration_s < 0 or self.ecc_degrade_duration_s < 0:
-            raise ValueError("durations must be non-negative")
 
 
-def margin_shortfall_fraction(margin: MarginModel, operating_hz: float) -> float:
+def margin_shortfall_fraction(operating_hz: float) -> float:
     """P(chip f_max < operating frequency) under the margin model — the
     tail of chips the overclock shipped with thin margin."""
-    z = (operating_hz - margin.mean_fmax_hz) / margin.sigma_hz
+    z = (operating_hz - MEAN_FMAX_HZ) / SIGMA_FMAX_HZ
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def fault_rates_from_reliability(
-    deadlock_fraction_per_day: Optional[float] = None,
-    operating_frequency_hz: float = 1.35 * GHZ,
-    mitigated: bool = False,
-) -> FaultRates:
+def fault_rates_from_reliability() -> FaultRates:
     """Derive the simulator's fault rates from the section 5 models.
 
-    ``deadlock_fraction_per_day`` defaults to the incidence the firmware
-    model produces at its paper-calibrated knobs (~0.1%/day).
+    The deadlock fraction is the incidence the unmitigated firmware
+    model produces at its paper-calibrated knobs (~0.1%/day); the SDC
+    rate is the margin tail at the shipped frequency.
     """
-    if deadlock_fraction_per_day is None:
-        deadlock_fraction_per_day = deadlock_incidence(mitigated=mitigated)
-    if not (0 <= deadlock_fraction_per_day <= 1):
-        raise ValueError("deadlock fraction must be in [0, 1]")
+    deadlock_fraction_per_day = deadlock_incidence()
 
     card_error_per_window = card_error_probability_for_server_fraction(
         PAPER_AFFECTED_FRACTION
@@ -118,11 +115,8 @@ def fault_rates_from_reliability(
         / (FLEET_OBSERVATION_DAYS * HOURS_PER_DAY)
     )
 
-    marginal = margin_shortfall_fraction(MarginModel(), operating_frequency_hz)
+    marginal = margin_shortfall_fraction(SHIPPED_FREQUENCY_HZ)
     sdc_per_hour = marginal * SDC_EVENTS_PER_MARGINAL_CHIP_HOUR
-    if operating_frequency_hz <= DESIGN_FREQUENCY_HZ:
-        # At the design point the study saw no measurable margin tail.
-        sdc_per_hour = 0.0
 
     return FaultRates(
         deadlock_per_device_hour=deadlock_fraction_per_day / HOURS_PER_DAY,

@@ -31,7 +31,12 @@ from typing import Optional
 
 from repro.resilience.faults import FaultRates, fault_rates_from_reliability
 from repro.resilience.metrics import ResilienceReport
-from repro.resilience.simulator import ResilienceConfig, run_resilience
+from repro.resilience.simulator import (
+    BASE_P99_S,
+    DEVICE_THROUGHPUT,
+    ResilienceConfig,
+    run_resilience,
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,7 +80,7 @@ class DrillResult:
             f"    peak retry amplification: "
             f"{mit.peak_retry_amplification:.2f} attempts/request",
             f"    peak P99 with retries: {max(mit.p99_series) * 1e3:.0f} ms "
-            f"(baseline {config.base_p99_s * 1e3:.0f} ms)",
+            f"(baseline {BASE_P99_S * 1e3:.0f} ms)",
             _rollout_lines(mit),
             f"    unavailability: {mit.unavailability_device_minutes:,.0f} "
             f"device-minutes",
@@ -124,7 +129,7 @@ def run_section_55_drill(
         raise ValueError("baseline utilization must be in (0, 1)")
     config = ResilienceConfig(
         devices=devices,
-        offered_load=utilization * devices * ResilienceConfig.device_throughput,
+        offered_load=utilization * devices * DEVICE_THROUGHPUT,
         duration_s=duration_days * 86_400.0,
         seed=seed,
     )

@@ -29,7 +29,7 @@ through one ``_transition`` step that checks legality, accrues
 residency and keeps a
 :class:`~repro.resilience.device.PoolCensus` live; the hourly metrics
 tick reads that census instead of rescanning the pool.  Ticks fall at
-``k * metrics_interval_s`` plus the window's end, and a final partial
+``k * METRICS_INTERVAL_S`` plus the window's end, and a final partial
 interval averages its corrupted samples over the time it covers.
 """
 
@@ -48,7 +48,12 @@ from repro.resilience.device import (
     downed_device_minutes,
 )
 from repro.resilience.events import EventKind, EventLog
-from repro.resilience.faults import FaultRates, presample_fault_arrivals
+from repro.resilience.faults import (
+    ECC_DEGRADE_DURATION_S,
+    THROTTLE_DURATION_S,
+    FaultRates,
+    presample_fault_arrivals,
+)
 from repro.obs.metrics import MetricsRegistry, active
 from repro.resilience.metrics import (
     IntervalMetrics,
@@ -66,39 +71,36 @@ _WAVE_PRIORITY = {
 # Wall time between the slo_at_risk trip and the mitigated arm's first
 # rollout wave (paging, triage, build pinning).
 ROLLOUT_DETECTION_DELAY_S = 1800.0
+# Samples/s per healthy device, and the fault-free request latency at
+# baseline utilization.
+DEVICE_THROUGHPUT = 1000.0
+BASE_P50_S = 0.020
+BASE_P99_S = 0.080
+# Seconds between metrics ticks.
+METRICS_INTERVAL_S = 3600.0
 
 
 @dataclasses.dataclass(frozen=True)
 class ResilienceConfig:
-    """One resilience run's pool, load, and clock parameters."""
+    """One resilience run's pool, load, and window."""
 
     devices: int = 300
-    device_throughput: float = 1000.0  # samples/s per healthy device
     offered_load: float = 255_000.0  # samples/s (85% of 300 devices)
     duration_s: float = 90 * 86_400.0
-    metrics_interval_s: float = 3600.0
-    degraded_scale: float = 0.6
-    # Baseline request latency (fault-free, at baseline utilization).
-    base_p50_s: float = 0.020
-    base_p99_s: float = 0.080
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.devices <= 0 or self.device_throughput <= 0:
+        if self.devices <= 0:
             raise ValueError("pool must have capacity")
         if self.offered_load < 0:
             raise ValueError("load must be non-negative")
-        if self.duration_s <= 0 or self.metrics_interval_s <= 0:
-            raise ValueError("window and metrics interval must be positive")
-        if not (0 < self.degraded_scale <= 1):
-            raise ValueError("degraded scale must be in (0, 1]")
-        if self.base_p50_s <= 0 or self.base_p99_s < self.base_p50_s:
-            raise ValueError("need 0 < p50 <= p99 baseline latency")
+        if self.duration_s <= 0:
+            raise ValueError("window must be positive")
 
     @property
     def baseline_utilization(self) -> float:
         """Offered load over the fault-free pool capacity."""
-        return self.offered_load / (self.devices * self.device_throughput)
+        return self.offered_load / (self.devices * DEVICE_THROUGHPUT)
 
 
 class ResilienceSimulator:
@@ -124,7 +126,7 @@ class ResilienceSimulator:
         self._obs = active(registry)
         self._rng = np.random.default_rng(config.seed)
         self._devices: Dict[int, Device] = {
-            i: Device(device_id=i, degraded_scale=config.degraded_scale)
+            i: Device(device_id=i)
             for i in range(config.devices)
         }
         # Every lifecycle change goes through _transition, which keeps
@@ -194,8 +196,8 @@ class ResilienceSimulator:
         tick = (self._on_metrics, None, ())
         ticks = []
         k = 0
-        while k * config.metrics_interval_s < config.duration_s:
-            ticks.append((k * config.metrics_interval_s, tick))
+        while k * METRICS_INTERVAL_S < config.duration_s:
+            ticks.append((k * METRICS_INTERVAL_S, tick))
             k += 1
         ticks.append((config.duration_s, tick))
         events.schedule_batch(ticks)
@@ -210,7 +212,7 @@ class ResilienceSimulator:
 
         unavailability = downed_device_minutes(self._devices, end_s=config.duration_s)
         baseline = min(
-            config.offered_load, config.devices * config.device_throughput
+            config.offered_load, config.devices * DEVICE_THROUGHPUT
         )
         return ResilienceReport(
             num_devices=config.devices,
@@ -238,12 +240,12 @@ class ResilienceSimulator:
         if not device.serving:
             return
         self._emit(time_s, EventKind.FAULT_ECC_UE, device.device_id)
-        self._degrade(device, time_s, self.rates.ecc_degrade_duration_s)
+        self._degrade(device, time_s, ECC_DEGRADE_DURATION_S)
 
     def _on_sdc(self, time_s: float, device: Device) -> None:
         if not device.serving:
             return
-        poisoned = self.config.device_throughput * self.rates.sdc_blast_window_s
+        poisoned = DEVICE_THROUGHPUT * self.rates.sdc_blast_window_s
         self._corrupted_samples += poisoned
         self._emit(time_s, EventKind.FAULT_SDC, device.device_id,
                    poisoned_samples=poisoned)
@@ -252,8 +254,8 @@ class ResilienceSimulator:
         if not device.serving:
             return
         self._emit(time_s, EventKind.FAULT_THROTTLE, device.device_id,
-                   duration_s=self.rates.throttle_duration_s)
-        self._degrade(device, time_s, self.rates.throttle_duration_s)
+                   duration_s=THROTTLE_DURATION_S)
+        self._degrade(device, time_s, THROTTLE_DURATION_S)
 
     def _degrade(self, device: Device, time_s: float, duration_s: float) -> None:
         until = time_s + duration_s
@@ -310,10 +312,10 @@ class ResilienceSimulator:
             now_s=time_s,
             census=self._census,
             offered_samples_per_s=self.config.offered_load,
-            device_throughput=self.config.device_throughput,
+            device_throughput=DEVICE_THROUGHPUT,
             mitigated=self.mitigated,
-            base_p50_s=self.config.base_p50_s,
-            base_p99_s=self.config.base_p99_s,
+            base_p50_s=BASE_P50_S,
+            base_p99_s=BASE_P99_S,
             baseline_utilization=self.config.baseline_utilization,
             corrupted_samples_per_s=corrupted_per_s,
         )

@@ -32,7 +32,6 @@ from repro.sdc.detectors import (
 )
 from repro.sdc.pipeline import CtrServingPipeline
 from repro.sdc.resilience_link import expected_blast_window_s, sdc_fault_rates
-from repro.sdc.screening import FleetScreeningModel
 from repro.sdc.sites import (
     CorruptionSite,
     DEFAULT_SITE_WEIGHTS,
@@ -45,7 +44,6 @@ __all__ = [
     "CorruptionSite",
     "CtrServingPipeline",
     "DEFAULT_SITE_WEIGHTS",
-    "FleetScreeningModel",
     "ProtectionProfile",
     "abft_activation_checksum",
     "abft_col_check",

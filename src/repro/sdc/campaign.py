@@ -23,7 +23,6 @@ import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.fleet.abtest import normalized_entropy
-from repro.obs.metrics import MetricsRegistry, active
 from repro.reliability.ecc import ECC_MIDPOINT_PENALTY, hashing_integrity_overhead
 from repro.sdc.detectors import (
     ProtectionProfile,
@@ -33,7 +32,11 @@ from repro.sdc.detectors import (
     standard_profiles,
 )
 from repro.sdc.pipeline import CtrServingPipeline, ServeResult
-from repro.sdc.screening import FleetScreeningModel
+from repro.sdc.screening import (
+    SCREEN_INTERVAL_S,
+    SCREEN_SENSITIVITY,
+    screening_overhead_fraction,
+)
 from repro.sdc.sites import CorruptionSite, Injection, plan_injections, sites_in
 
 import numpy as np
@@ -65,8 +68,6 @@ INLINE_LATENCY_S = 0.02
 # at which serving reads each table row.
 HASH_SCAN_INTERVAL_S = 3600.0
 TABLE_READS_PER_S = 1.0 / 3600.0
-# The periodic fleet screen the ``full`` profile arms.
-SCREENING = FleetScreeningModel()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +77,6 @@ class CampaignConfig:
     trials: int = 400
     requests: int = 8000
     seed: int = 0
-    site_weights: Optional[Dict[CorruptionSite, float]] = None
 
     def __post_init__(self) -> None:
         if self.trials <= 0 or self.requests <= 0:
@@ -173,13 +173,12 @@ def profile_overhead_fraction(profile: ProtectionProfile, table_bytes: int) -> f
     if profile.row_hash:
         overhead += hashing_integrity_overhead(table_bytes, TABLE_READS_PER_S)
     if profile.fleet_screen:
-        overhead += SCREENING.overhead_fraction()
+        overhead += screening_overhead_fraction()
     return overhead
 
 
 def run_campaign(
     config: Optional[CampaignConfig] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> CampaignResult:
     """Run one seeded campaign over every profile.
 
@@ -187,13 +186,8 @@ def run_campaign(
     shared across profiles (profiles differ only in which verdicts they
     *consult*), so the none/ecc/ecc+abft/full rows are guaranteed to
     face byte-identical corruptions.
-
-    An attached registry records per-detector catch-latency histograms
-    and per-profile detection counters (``sdc.*``); the campaign result
-    is identical either way.
     """
     config = config or CampaignConfig()
-    obs = active(registry)
     pipeline = CtrServingPipeline(seed=config.seed)
 
     rng = np.random.default_rng(config.seed)
@@ -203,7 +197,6 @@ def run_campaign(
         weight_values_size=pipeline.qweights.values.size,
         table_shape=pipeline.table.shape,
         num_features=pipeline.model.num_features,
-        site_weights=config.site_weights,
     )
     requests = pipeline.sample(config.requests, seed=config.seed + 1)
     clean = pipeline.serve(requests, pipeline.clean_state())
@@ -271,13 +264,13 @@ def run_campaign(
         if (
             profile.fleet_screen
             and injection.site in _RECURRING_SITES
-            and injection.screen_draw < SCREENING.sensitivity
+            and injection.screen_draw < SCREEN_SENSITIVITY
         ):
             # A recurring datapath fault marks a marginal chip; the
             # periodic screen catches it at its next pass on this device.
             return TrialOutcome(
                 injection, True, "fleet_screen",
-                injection.latency_draw * SCREENING.interval_s,
+                injection.latency_draw * SCREEN_INTERVAL_S,
                 ne_delta, ne_impacting,
             )
         return TrialOutcome(injection, False, "", 0.0, ne_delta, ne_impacting)
@@ -295,16 +288,6 @@ def run_campaign(
             detector_counts[outcome.detector] = (
                 detector_counts.get(outcome.detector, 0) + 1
             )
-        if obs.enabled:
-            name = profile.name
-            obs.counter(f"sdc.{name}.detected").inc(len(detected))
-            obs.counter(f"sdc.{name}.undetected").inc(
-                len(outcomes) - len(detected)
-            )
-            for outcome in detected:
-                obs.histogram(
-                    f"sdc.catch_latency_s.{outcome.detector}"
-                ).observe(outcome.latency_s)
         summaries.append(
             ProfileSummary(
                 profile=profile,

@@ -86,10 +86,10 @@ class PipelineState:
 
     table: np.ndarray  # fp16 (rows, dim)
     weight_values: np.ndarray  # int8 (F, 1)
-    activation_fault: Optional[Injection] = None
-    accumulator_fault: Optional[Injection] = None
-    table_dirty: bool = False
-    weights_dirty: bool = False
+    activation_fault: Optional[Injection] = dataclasses.field(default=None, init=False)
+    accumulator_fault: Optional[Injection] = dataclasses.field(default=None, init=False)
+    table_dirty: bool = dataclasses.field(default=False, init=False)
+    weights_dirty: bool = dataclasses.field(default=False, init=False)
 
 
 @dataclasses.dataclass(frozen=True)

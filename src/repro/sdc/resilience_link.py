@@ -24,46 +24,37 @@ simulation runs with measured rather than assumed SDC behaviour.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
-
 from repro.resilience.faults import FaultRates, fault_rates_from_reliability
-from repro.sdc.campaign import SCREENING, ProfileSummary
+from repro.sdc.campaign import ProfileSummary
+from repro.sdc.screening import sdc_rate_per_chip_hour
 
 # How long a silent corruption keeps serving before out-of-band
 # replacement of the corrupted artifact (model republish cadence).
-DEFAULT_UNDETECTED_WINDOW_S = 6 * 3600.0
+UNDETECTED_WINDOW_S = 6 * 3600.0
 
 
-def expected_blast_window_s(
-    summary: ProfileSummary,
-    undetected_window_s: float = DEFAULT_UNDETECTED_WINDOW_S,
-) -> float:
+def expected_blast_window_s(summary: ProfileSummary) -> float:
     """Expected seconds of poisoned traffic per SDC event under this
     profile: detected-impacting events contribute their measured
     latency, silent-impacting events the out-of-band window."""
-    if undetected_window_s <= 0:
-        raise ValueError("undetected window must be positive")
     poisoned = 0.0
     for outcome in summary.outcomes:
         if not outcome.ne_impacting:
             continue
-        poisoned += outcome.latency_s if outcome.detected else undetected_window_s
+        poisoned += outcome.latency_s if outcome.detected else UNDETECTED_WINDOW_S
     return poisoned / summary.trials
 
 
-def sdc_fault_rates(
-    summary: ProfileSummary, base: Optional[FaultRates] = None
-) -> FaultRates:
+def sdc_fault_rates(summary: ProfileSummary) -> FaultRates:
     """A :class:`FaultRates` whose SDC family is measured, not assumed.
 
-    The event rate comes from the campaign screen's margin tail (the
-    same §5.2 distribution PR-1 used), the blast window from the
-    campaign's detection latencies under ``summary``'s profile.  All
-    other fault families keep ``base``'s values.
+    The event rate comes from the screen's margin tail (the same §5.2
+    distribution PR-1 used), the blast window from the campaign's
+    detection latencies under ``summary``'s profile.  All other fault
+    families keep :func:`fault_rates_from_reliability`'s values.
     """
-    base = base or fault_rates_from_reliability()
     return dataclasses.replace(
-        base,
-        sdc_per_device_hour=SCREENING.sdc_rate_per_chip_hour(),
+        fault_rates_from_reliability(),
+        sdc_per_device_hour=sdc_rate_per_chip_hour(),
         sdc_blast_window_s=expected_blast_window_s(summary),
     )

@@ -105,9 +105,9 @@ def plan_injections(
     weight_values_size: int,
     table_shape: Tuple[int, int],
     num_features: int,
-    site_weights: Dict[CorruptionSite, float] = None,
 ) -> Tuple[Injection, ...]:
-    """Pre-sample ``trials`` injections in a fixed order.
+    """Pre-sample ``trials`` injections in a fixed order, over the
+    sites in ``DEFAULT_SITE_WEIGHTS`` proportions.
 
     ``weight_values_size`` is the INT8 weight element count,
     ``table_shape`` the FP16 embedding table's (rows, dim), and
@@ -117,10 +117,10 @@ def plan_injections(
     """
     if trials <= 0:
         raise ValueError("need at least one trial")
-    weights = dict(DEFAULT_SITE_WEIGHTS if site_weights is None else site_weights)
-    probs = np.array([weights.get(site, 0.0) for site in SITE_ORDER], dtype=np.float64)
-    if probs.sum() <= 0:
-        raise ValueError("site weights must have positive mass")
+    probs = np.array(
+        [DEFAULT_SITE_WEIGHTS.get(site, 0.0) for site in SITE_ORDER],
+        dtype=np.float64,
+    )
     probs = probs / probs.sum()
 
     table_rows, table_dim = table_shape

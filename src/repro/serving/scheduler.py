@@ -75,8 +75,8 @@ class _Job:
     duration_s: float
     enqueue_s: float
     remaining_deps: int = 0
-    start_s: float = -1.0
-    finish_s: float = -1.0
+    start_s: float = dataclasses.field(default=-1.0, init=False)
+    finish_s: float = dataclasses.field(default=-1.0, init=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,14 +100,6 @@ class ScheduleResult:
     def utilization(self) -> float:
         """Device busy fraction over the makespan."""
         return self.device_busy_s / self.makespan_s if self.makespan_s else 0.0
-
-    def request_latencies(self) -> List[float]:
-        """Per-request latency: arrival to merge completion."""
-        return [
-            completion.merge_done_s - request.arrival_s
-            for completion in self.completions
-            for request in completion.batch.requests
-        ]
 
     def latency_percentile(self, percentile: float) -> float:
         """A latency percentile over requests (e.g. 99 for P99)."""

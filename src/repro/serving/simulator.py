@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, active
 from repro.serving.batcher import CoalescingConfig, coalesce, coalescing_stats
 from repro.serving.scheduler import ModelJobProfile, schedule_batches
 from repro.serving.workload import poisson_stream
@@ -41,40 +40,18 @@ def simulate_serving(
     duration_s: float = 60.0,
     p99_slo_s: float = DEFAULT_P99_SLO_S,
     seed: int = 3,
-    registry: Optional[MetricsRegistry] = None,
 ) -> ServingOutcome:
-    """Simulate one device serving Poisson traffic.
-
-    An attached registry is threaded through the coalescer and the job
-    scheduler, and additionally receives the end-to-end view: a request
-    latency histogram and the SLO-attainment fraction
-    (``serving.simulator.*``).
-    """
-    obs = active(registry)
+    """Simulate one device serving Poisson traffic."""
     requests = poisson_stream(
         rate_per_s=request_rate_per_s,
         duration_s=duration_s,
         samples_per_request=samples_per_request,
         seed=seed,
     )
-    batches = coalesce(requests, coalescing, registry=registry)
+    batches = coalesce(requests, coalescing)
     stats = coalescing_stats(batches, coalescing)
-    result = schedule_batches(batches, profile, registry=registry)
+    result = schedule_batches(batches, profile)
     p99 = result.latency_percentile(99)
-    if obs.enabled:
-        latency = obs.histogram("serving.simulator.request_latency_s")
-        latencies = result.request_latencies()
-        within = 0
-        for value in latencies:
-            latency.observe(value)
-            if value <= p99_slo_s:
-                within += 1
-        obs.gauge("serving.simulator.slo_attainment").set(
-            within / len(latencies) if latencies else 1.0
-        )
-        obs.gauge("serving.simulator.mean_fill_fraction").set(
-            stats.mean_fill_fraction
-        )
     return ServingOutcome(
         offered_samples_per_s=sum(r.samples for r in requests) / duration_s,
         served_samples_per_s=result.throughput_samples_per_s,

@@ -186,8 +186,6 @@ class DiurnalTrafficModel:
 def diurnal_poisson_stream(
     model: DiurnalTrafficModel,
     duration_s: float,
-    samples_per_request: int = 64,
-    samples_jitter: float = 0.3,
     burst_rate_per_hour: float = 0.0,
     burst_factor: float = 3.0,
     burst_duration_s: float = 30.0,
@@ -201,7 +199,8 @@ def diurnal_poisson_stream(
     ``burst_rate_per_hour``.  Sampling is Lewis-Shedler thinning against
     the peak intensity, with all randomness drawn from one seeded
     generator in a fixed order (episodes, then arrivals, then sizes), so
-    the stream is a pure function of the seed.
+    the stream is a pure function of the seed.  Requests carry 64
+    candidates on average, log-normally jittered (sigma 0.3).
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
@@ -241,7 +240,7 @@ def diurnal_poisson_stream(
     sizes = np.maximum(
         1,
         np.round(
-            samples_per_request * rng.lognormal(0, samples_jitter, size=len(arrivals))
+            64 * rng.lognormal(0, 0.3, size=len(arrivals))
         ).astype(int),
     )
     return [

@@ -20,6 +20,10 @@ from repro.arch.server import ServerSpec, gpu_server, mtia2i_server
 
 
 ELECTRICITY_USD_PER_KWH = 0.08
+# Datacenter power usage effectiveness, and the server depreciation
+# period capital expense is amortized over.
+PUE = 1.1
+DEPRECIATION_YEARS = 4.0
 # Amortized datacenter provisioning cost per watt-year (power delivery +
 # cooling infrastructure).
 PROVISIONING_USD_PER_WATT_YEAR = 2.0
@@ -27,18 +31,10 @@ PROVISIONING_USD_PER_WATT_YEAR = 2.0
 
 @dataclasses.dataclass(frozen=True)
 class CostInputs:
-    """Dollar and facility parameters of the TCO model."""
+    """Build costs of one server design."""
 
     accelerator_cost_usd: float
     platform_cost_usd: float  # CPUs, DRAM, NIC, chassis, switches
-    depreciation_years: float = 4.0
-    pue: float = 1.1
-
-    def __post_init__(self) -> None:
-        if self.depreciation_years <= 0:
-            raise ValueError("depreciation period must be positive")
-        if self.pue < 1.0:
-            raise ValueError("PUE cannot be below 1")
 
 
 # Estimated build costs.  The GPU figure reflects an H100-80GB-class
@@ -149,9 +145,9 @@ def server_tco(
     capex = (
         costs.platform_cost_usd
         + server.accelerators_per_server * costs.accelerator_cost_usd
-    ) / costs.depreciation_years
+    ) / DEPRECIATION_YEARS
     hours_per_year = 8760.0
-    energy = avg_power_watts / 1000.0 * costs.pue * hours_per_year * ELECTRICITY_USD_PER_KWH
+    energy = avg_power_watts / 1000.0 * PUE * hours_per_year * ELECTRICITY_USD_PER_KWH
     provisioning = server.max_power_watts * PROVISIONING_USD_PER_WATT_YEAR
     return TcoBreakdown(
         capex_per_year=capex,

@@ -32,6 +32,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster import simulator as cluster_simulator
 from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.locality import ShardLocalityMap
 from repro.cluster.provisioning import HostPool, ReplicaGrant
@@ -194,7 +195,9 @@ class ReferenceSimulator:
         self._obs_enabled = self._obs.enabled
         self._event_counters: Dict[str, object] = {}
         self._tracer = tracer
-        self._retry_deadline_s = config.retry_deadline_slos * config.p99_slo_s
+        self._retry_deadline_s = (
+            cluster_simulator.RETRY_DEADLINE_SLOS * config.p99_slo_s
+        )
         # All randomness flows from here, consumed in a fixed order:
         # request shards, fault schedule, then event-loop draws (policy
         # sampling, reboot times, and — only when a defense is armed —
@@ -294,7 +297,7 @@ class ReferenceSimulator:
     def _spawn_replica(self) -> Optional[_Replica]:
         try:
             grant = self.pool.acquire(
-                self.model_name, self.config.accelerators_per_replica
+                self.model_name, cluster_simulator.ACCELERATORS_PER_REPLICA
             )
         except AllocationError:
             self._emit("pool_exhausted")

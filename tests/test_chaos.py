@@ -35,7 +35,7 @@ from repro.chaos import (
     thermal_emergency,
     thermal_slow_factor,
 )
-from repro.chaos.campaign import CampaignConfig
+from repro.chaos.campaign import RECOVERY_THRESHOLD, CampaignConfig
 from repro.cluster import ClusterConfig, ServiceModel, run_cluster
 from repro.reliability.firmware import emergency_rollout
 from repro.resilience.policies import (
@@ -359,7 +359,6 @@ class TestBrownout:
                 BrownoutRung("cheap", 0.5, 0),
                 BrownoutRung("tiny", 0.25, 1),
             ),
-            enter_at=8.0, exit_at=4.0, step=4.0,
         )
 
     def test_hysteresis_escalates_and_descends(self):
@@ -443,7 +442,7 @@ class TestCampaign:
         assert not off.recovered
         assert off.post_clear_goodput_ratio < 0.5
         assert on.recovered
-        assert on.post_clear_goodput_ratio >= config.recovery_threshold
+        assert on.post_clear_goodput_ratio >= RECOVERY_THRESHOLD
         # Conservation holds under the storm, defended or not.
         for outcome in (off, on):
             report = outcome.report
@@ -464,8 +463,7 @@ class TestCampaign:
     def test_campaign_config_validation(self):
         with pytest.raises(ValueError):
             CampaignConfig(utilization=1.5)
-        with pytest.raises(ValueError):
-            CampaignConfig(recovery_threshold=0.0)
+        assert 0 < RECOVERY_THRESHOLD <= 1
 
 
 class TestByteIdentityContract:

@@ -230,7 +230,7 @@ class TestAutoscaler:
                                     day_length_s=3600.0)
         scaler = Autoscaler(
             AutoscalerConfig(min_replicas=1, max_replicas=40, cooldown_s=0.0,
-                             predictive=True, predictive_lead_s=300.0),
+                             predictive_lead_s=300.0),
             _service(mean_s=0.02, jitter=0.0),
             traffic_model=model,
         )
@@ -258,8 +258,6 @@ class TestAutoscaler:
     def test_validation(self):
         with pytest.raises(ValueError):
             AutoscalerConfig(min_replicas=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(scale_down_utilization=0.9)
         with pytest.raises(ValueError):
             AutoscalerConfig(tick_interval_s=0.0)
         with pytest.raises(ValueError):
@@ -370,15 +368,17 @@ class TestClusterSimulator:
         kinds = {kind for _, kind, _ in report.event_log}
         assert "fault" in kinds and "recover" in kinds
 
-    def test_fault_retries_respect_deadline_cutoff(self):
+    def test_fault_retries_respect_deadline_cutoff(self, monkeypatch):
+        from repro.cluster import simulator as cluster_simulator
+
         bounded = _run(
             replicas=4, rate=100.0, duration=60.0,
             config={"fault_rate_per_replica_hour": 400.0},
         )
+        monkeypatch.setattr(cluster_simulator, "RETRY_DEADLINE_SLOS", 1e9)
         unbounded = _run(
             replicas=4, rate=100.0, duration=60.0,
-            config={"fault_rate_per_replica_hour": 400.0,
-                    "retry_deadline_slos": 1e9},
+            config={"fault_rate_per_replica_hour": 400.0},
         )
         # The cutoff converts late fault-retries into timeouts; a
         # deadline past the run re-routes every stranded request.
@@ -453,11 +453,9 @@ class TestClusterSimulator:
     def test_config_validation(self):
         for bad in (
             dict(replicas=0),
-            dict(accelerators_per_replica=0),
             dict(num_hosts=0),
             dict(p99_slo_s=0.0),
             dict(fault_rate_per_replica_hour=-1.0),
-            dict(retry_deadline_slos=0.0),
         ):
             with pytest.raises(ValueError):
                 ClusterConfig(**bad)
@@ -588,7 +586,7 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("fields", [
         {"p99_slo_s": float("nan")},
         {"fault_rate_per_replica_hour": float("nan")},
-        {"retry_deadline_slos": float("inf")},
+        {"p99_slo_s": float("inf")},
     ])
     def test_rejects_non_finite_floats(self, fields):
         with pytest.raises(ValueError, match="finite"):
@@ -598,7 +596,7 @@ class TestConfigBoundary:
         {"replicas": 2.5},
         {"replicas": True},
         {"num_hosts": 3.0},
-        {"accelerators_per_replica": 1.5},
+        {"num_hosts": 1.5},
     ])
     def test_rejects_non_integer_counts(self, fields):
         with pytest.raises(ValueError, match="integer"):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import inspect
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,8 @@ from repro.cluster import (
     ShardLocalityMap,
     run_cluster,
 )
+from repro.chaos import brownout as brownout_module
+from repro.cluster import simulator as cluster_simulator
 from repro.cluster.routing import POLICY_NAMES
 from repro.fleet_global import run_fleet
 from repro.obs.metrics import MetricsRegistry
@@ -130,6 +133,16 @@ def _run(simulator_class, config, service, requests, make_hooks=dict,
     )
     report = simulator.run()
     return report, _hook_state(simulator, hooks)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def low_brownout_thresholds():
+    """The ladder's hysteresis is sized for production pressure; these
+    short runs patch it low so the ladder moves."""
+    with mock.patch.multiple(
+        brownout_module, ENTER_AT=1.0, EXIT_AT=0.5, LEVEL_STEP=1.0
+    ):
+        yield
 
 
 def _both(*args, **kwargs):
@@ -221,7 +234,6 @@ def _hooked(draw):
         max_replicas=st.integers(min_value=1, max_value=14),
         tick_interval_s=st.sampled_from([2.0 ** -5, 2.0 ** -3]),
         cooldown_s=st.sampled_from([0.0, 2.0 ** -4]),
-        predictive=st.just(False),
     ))
     # Only an autoscaler can spawn ids past the initial replicas; a run
     # without one rejects such targets (see test_cluster.TestInjectionTargets).
@@ -249,7 +261,6 @@ def _hook_factory(draw, service):
                     BrownoutRung("fp16", 0.75),
                     BrownoutRung("tiny", 0.5, priority_floor=1),
                 ),
-                enter_at=1.0, exit_at=0.5, step=1.0,
             ))
         if draw["autoscaler"] is not None:
             hooks["autoscaler"] = Autoscaler(draw["autoscaler"], service)
@@ -267,18 +278,18 @@ def _hook_factory(draw, service):
 def test_hooked_run_matches_reference(draw):
     """Every hook, alone and together, on the one loop and the oracle."""
     service = _service(draw)
-    config = _config(
-        draw,
-        fault_rate_per_replica_hour=draw["fault_rate"],
-        retry_deadline_slos=draw["retry_deadline_slos"],
-        accelerators_per_replica=draw["accelerators"],
-    )
-    fast, reference = _both(
-        config, service, _requests(draw, priorities=(0, 1, 2)),
-        make_hooks=_hook_factory(draw, service),
-        locality=ShardLocalityMap.uniform(draw["num_shards"]),
-        fail_fast=draw["fail_fast"],
-    )
+    config = _config(draw, fault_rate_per_replica_hour=draw["fault_rate"])
+    with mock.patch.multiple(
+        cluster_simulator,
+        RETRY_DEADLINE_SLOS=draw["retry_deadline_slos"],
+        ACCELERATORS_PER_REPLICA=draw["accelerators"],
+    ):
+        fast, reference = _both(
+            config, service, _requests(draw, priorities=(0, 1, 2)),
+            make_hooks=_hook_factory(draw, service),
+            locality=ShardLocalityMap.uniform(draw["num_shards"]),
+            fail_fast=draw["fail_fast"],
+        )
     assert fast == reference
 
 
@@ -295,11 +306,9 @@ _ALONE = {
     "defense": lambda service: {"defense": DefenseRuntime()},
     "brownout": lambda service: {"brownout": BrownoutController(BrownoutConfig(
         rungs=(BrownoutRung("full"), BrownoutRung("tiny", 0.5, priority_floor=1)),
-        enter_at=1.0, exit_at=0.5, step=1.0,
     ))},
     "autoscaler": lambda service: {"autoscaler": Autoscaler(AutoscalerConfig(
         min_replicas=1, max_replicas=8, tick_interval_s=0.5, cooldown_s=0.0,
-        predictive=False,
     ), service)},
     "tracer": lambda service: {"tracer": TraceWriter("differential")},
     "registry": lambda service: {"registry": MetricsRegistry()},
@@ -374,7 +383,7 @@ def test_up_count_follows_every_state_change():
         config, service, poisson_stream(40.0, 8.0, seed=11),
         autoscaler=Autoscaler(AutoscalerConfig(
             min_replicas=1, max_replicas=8, tick_interval_s=0.5,
-            cooldown_s=0.0, predictive=False,
+            cooldown_s=0.0,
         ), service),
         injections=[Injection(2.0, "down", (1, 2)), Injection(3.0, "up", (1,))],
     )
@@ -417,23 +426,57 @@ def test_every_hook_at_once_matches_reference(policy):
             "brownout": BrownoutController(BrownoutConfig(
                 rungs=(BrownoutRung("full"), BrownoutRung("fp16", 0.75),
                        BrownoutRung("tiny", 0.5, priority_floor=1)),
-                enter_at=3.0, exit_at=1.5, step=2.0,
             )),
             "autoscaler": Autoscaler(AutoscalerConfig(
                 min_replicas=2, max_replicas=10, tick_interval_s=1.0,
-                cooldown_s=2.0, predictive=False,
+                cooldown_s=2.0,
             ), service),
             "tracer": TraceWriter("differential"),
             "registry": MetricsRegistry(),
         }
 
-    fast, reference = _both(
-        config, service, requests, make_hooks=make_hooks,
-        locality=ShardLocalityMap.uniform(3),
-    )
+    with mock.patch.multiple(
+        brownout_module, ENTER_AT=3.0, EXIT_AT=1.5, LEVEL_STEP=2.0
+    ):
+        fast, reference = _both(
+            config, service, requests, make_hooks=make_hooks,
+            locality=ShardLocalityMap.uniform(3),
+        )
     report = fast[0]
     assert report.faults and report.retried and report.client_retries
     assert report.scale_events and report.brownout_served
+    assert fast == reference
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_autoscaler_acts_at_program_thresholds_and_matches_reference(policy):
+    """A busy phase then a quiet one, at the program's utilization band:
+    the autoscaler scales up, scales back down, and drains a replica
+    that it then retires."""
+    service = ServiceModel(mean_service_s=0.02, jitter_sigma=0.3)
+    config = ClusterConfig(replicas=2, num_hosts=2, policy=policy, seed=3)
+    busy = poisson_stream(180.0, 4.0, seed=3)
+    quiet = [
+        Request(arrival_s=4.0 + r.arrival_s, samples=r.samples,
+                request_id=len(busy) + r.request_id)
+        for r in poisson_stream(5.0, 8.0, seed=4)
+    ]
+
+    def make_hooks():
+        return {"autoscaler": Autoscaler(AutoscalerConfig(
+            min_replicas=1, max_replicas=8, tick_interval_s=0.5,
+            cooldown_s=0.0,
+        ), service)}
+
+    fast, reference = _both(
+        config, service, busy + quiet, make_hooks=make_hooks,
+        locality=ShardLocalityMap.uniform(2),
+    )
+    report = fast[0]
+    assert any(new > old for _, old, new in report.scale_events)
+    assert any(new < old for _, old, new in report.scale_events)
+    kinds = {kind for _, kind, _ in report.event_log}
+    assert {"drain", "replica_retired"} <= kinds
     assert fast == reference
 
 
@@ -501,7 +544,7 @@ def test_draining_replicas_that_fail_retire():
         return {
             "autoscaler": Autoscaler(AutoscalerConfig(
                 min_replicas=1, max_replicas=6, tick_interval_s=1.0,
-                cooldown_s=0.0, predictive=False,
+                cooldown_s=0.0,
             ), service),
             "injections": [
                 Injection(0.7, "slow", (2, 3, 4, 5), 300.0),

@@ -11,6 +11,7 @@ from repro.kernels import estimate_op
 from repro.models.dlrm import build_dlrm, small_dlrm
 from repro.perf import Executor
 from repro.tco import GPU_COST, MTIA2I_COST, server_tco
+from repro.tco.model import DEPRECIATION_YEARS
 from repro.tensors import DType, model_input, weight
 
 
@@ -102,7 +103,7 @@ class TestTcoConsistency:
             server_tco(mtia2i_server(), pricey).capex_per_year
             - server_tco(mtia2i_server(), cheap).capex_per_year
         )
-        assert delta == pytest.approx(24 * 4000 / MTIA2I_COST.depreciation_years)
+        assert delta == pytest.approx(24 * 4000 / DEPRECIATION_YEARS)
 
     def test_gpu_accelerators_dominate_gpu_capex(self):
         from repro.arch import gpu_server

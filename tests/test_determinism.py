@@ -137,8 +137,7 @@ class TestFleetStudies:
 class TestResilienceDeterminism:
     _RATES = FaultRates(0.01, 0.002, 0.0, 0.05)
     _CONFIG = ResilienceConfig(
-        devices=30, offered_load=21_000.0, duration_s=86_400.0,
-        metrics_interval_s=1800.0, seed=19,
+        devices=30, offered_load=21_000.0, duration_s=86_400.0, seed=19,
     )
 
     def test_presampled_arrivals(self):

@@ -60,8 +60,6 @@ class PerOpExecutor(Executor):
                 op, estimate, trace, at, grid_side
             )
             traffic.dram_bytes += trace.writebacks[index]
-            if self.host_input_fraction != 1.0:
-                traffic.host_bytes *= self.host_input_fraction
             if tbe_rows is not None:
                 sparse_hits += tbe_rows[0]
                 sparse_total += tbe_rows[1]

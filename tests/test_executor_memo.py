@@ -40,9 +40,9 @@ def read_calls(monkeypatch):
     calls = []
     original = MemoryHierarchy.read
 
-    def spy(self, tensor, num_bytes=None):
+    def spy(self, tensor):
         calls.append(tensor.uid)
-        return original(self, tensor, num_bytes)
+        return original(self, tensor)
 
     monkeypatch.setattr(MemoryHierarchy, "read", spy)
     return calls

@@ -13,9 +13,9 @@ have an oracle too.
 Hypothesis draws zoo models, design-space chips (plus the MTIA 1,
 MTIA 2i and GPU anchors), a second chip in the same SRAM rung that
 differs in PE grid, frequency, LPDDR or NoC, the SRAM granule,
-``warmup_runs`` 0-2, the GEMM variant or a per-op selector,
-``host_input_fraction``, the Zipf exponent, seeds, rebuilt graphs and a
-cold or warm memo, and asserts that every ``ExecutionReport`` equals
+``warmup_runs`` 0-2, the GEMM variant or a per-op selector, the Zipf
+exponent (a module constant, patched per run), seeds, rebuilt graphs and
+a cold or warm memo, and asserts that every ``ExecutionReport`` equals
 the oracle's field by field.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from typing import List
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -38,6 +39,7 @@ from repro.kernels.registry import estimate_op
 from repro.memory.hierarchy import MemoryHierarchy, Placement, partition_for_activations
 from repro.memory.scratch import plan_allocation
 from repro.models.zoo import figure6_models
+from repro.perf import executor as executor_module
 from repro.perf.executor import (
     TBE_LLC_SHARE,
     ExecutionReport,
@@ -206,8 +208,6 @@ class RetiredExecutor(Executor):
             traffic.dram_bytes += (
                 hierarchy.llc.stats.bytes_written_back - writebacks_before
             )
-        if self.host_input_fraction != 1.0:
-            traffic.host_bytes *= self.host_input_fraction
         return traffic, tbe_stats
 
     def _tbe_gather_traffic(self, op, tables, hierarchy, rng):
@@ -224,7 +224,7 @@ class RetiredExecutor(Executor):
                 row_bytes=row_bytes,
                 llc_bytes_for_tbe=int(hierarchy.partition.llc_bytes * TBE_LLC_SHARE),
                 block_bytes=hierarchy.block_bytes,
-                zipf_exponent=self.zipf_exponent,
+                zipf_exponent=executor_module.ZIPF_EXPONENT,
             )
         else:
             hit_rate = 0.0
@@ -288,9 +288,18 @@ def assert_reports_equal(new: ExecutionReport, old: ExecutionReport) -> None:
         assert dataclasses.asdict(mine) == dataclasses.asdict(theirs), mine.op_name
 
 
-def _check(chip, graph, batch, warmup_runs, **options) -> ExecutionReport:
-    new = Executor(chip, **options).run(graph, batch, warmup_runs=warmup_runs)
-    old = RetiredExecutor(chip, **options).run(graph, batch, warmup_runs=warmup_runs)
+def _check(chip, graph, batch, warmup_runs, zipf_exponent=None,
+           **options) -> ExecutionReport:
+    """Both executors on one input; ``zipf_exponent`` patches the
+    executor's module constant for the run."""
+    with mock.patch.object(
+        executor_module, "ZIPF_EXPONENT",
+        executor_module.ZIPF_EXPONENT if zipf_exponent is None else zipf_exponent,
+    ):
+        new = Executor(chip, **options).run(graph, batch, warmup_runs=warmup_runs)
+        old = RetiredExecutor(chip, **options).run(
+            graph, batch, warmup_runs=warmup_runs
+        )
     assert_reports_equal(new, old)
     return new
 
@@ -334,10 +343,10 @@ def _sibling(draw, chip):
 
 @st.composite
 def executor_options(draw):
-    """Everything an ``Executor`` takes besides the chip."""
+    """Everything an ``Executor`` takes besides the chip, plus a Zipf
+    exponent to patch in."""
     options = {
         "seed": draw(st.sampled_from((0, 0, 1, 3))),
-        "host_input_fraction": draw(st.sampled_from((1.0, 1.0, 0.0, 0.25, 0.5))),
         "zipf_exponent": draw(st.sampled_from((1.05, 0.0, 0.8, 1.3))),
     }
     kernels = draw(st.sampled_from(("default", "variant", "selector")))

@@ -56,7 +56,11 @@ def _schedule_fingerprint(result, registry):
             (c.remote_done_s, c.merge_done_s, c.batch.formed_at_s)
             for c in result.completions
         ),
-        tuple(result.request_latencies()),
+        tuple(
+            completion.merge_done_s - request.arrival_s
+            for completion in result.completions
+            for request in completion.batch.requests
+        ),
         result.latency_percentile(99.0),
         depth._count,
         depth._sum,

@@ -25,16 +25,18 @@ from repro.fleet_global import (
     standard_fleet,
     standard_regions,
 )
+from repro.fleet_global.capacity import smoke_study
 from repro.fleet_global.failover import SPILL_ONE_WAY_S
-from repro.fleet_global.regions import PEAK_RPS_PER_MILLION_USERS
+from repro.chaos.brownout import PRIORITY_WEIGHTS
+from repro.fleet_global.regions import PEAK_RPS_PER_MILLION_USERS, PEAK_TO_MEAN
 from repro.fleet_global.simulator import TERMINAL_KINDS
 
 
 class TestRegions:
     def test_rate_for_users_quotes_the_peak(self):
-        # 2M users at peak-to-mean 2.0: peak rate 2*PEAK, mean rate half.
-        assert rate_for_users(2.0, peak_to_mean=2.0) == pytest.approx(
-            PEAK_RPS_PER_MILLION_USERS
+        # 2M users: peak rate 2*PEAK, mean rate that over peak-to-mean.
+        assert rate_for_users(2.0) == pytest.approx(
+            2.0 * PEAK_RPS_PER_MILLION_USERS / PEAK_TO_MEAN
         )
         with pytest.raises(ValueError):
             rate_for_users(0.0)
@@ -54,16 +56,6 @@ class TestRegions:
         assert [m.phase_h for m in models] == [0.0, 8.0, 16.0]
         assert all(m.day_length_s == fleet.duration_s for m in models)
 
-    def test_traffic_share_skews_the_split(self):
-        regions = (
-            RegionSpec(name="big", traffic_share=3.0),
-            RegionSpec(name="small", traffic_share=1.0),
-        )
-        fleet = FleetConfig(regions=regions)
-        big = fleet.traffic_model(regions[0]).mean_rate_per_s
-        small = fleet.traffic_model(regions[1]).mean_rate_per_s
-        assert big == pytest.approx(3.0 * small)
-
     def test_fleet_validation(self):
         with pytest.raises(ValueError):
             FleetConfig(regions=())
@@ -76,32 +68,36 @@ class TestRegions:
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_fleet_rejects_non_positive_samples(self, samples):
-        # Once clamped to one sample per request and run to a P99.
-        with pytest.raises(ValueError, match="sample"):
+        """Request size, routing policy and priority mix are module
+        constants now; the fleet config refuses them as fields where it
+        is built instead of running with a value it would ignore."""
+        with pytest.raises(TypeError):
             FleetConfig(regions=standard_regions(),
                         samples_per_request=samples)
 
     def test_fleet_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(TypeError):
             FleetConfig(regions=standard_regions(), policy="random")
 
     @pytest.mark.parametrize(
         "weights", [(), (0.5, -0.1, 0.6), (0.0, 0.0, 0.0)]
     )
     def test_fleet_rejects_bad_priority_weights(self, weights):
-        # Used to fail only once the defended arm started.
-        with pytest.raises(ValueError, match="priority weights"):
+        with pytest.raises(TypeError):
             FleetConfig(regions=standard_regions(), priority_weights=weights)
 
     def test_fleet_rejects_peak_below_mean(self):
-        with pytest.raises(ValueError, match="peak-to-mean"):
-            FleetConfig(regions=standard_regions(), peak_to_mean=0.9)
+        """The diurnal curve's peak sits at or above its mean."""
+        assert PEAK_TO_MEAN >= 1
+        models = [standard_fleet().traffic_model(spec)
+                  for spec in standard_regions()]
+        assert all(m.peak_to_mean == PEAK_TO_MEAN for m in models)
 
     def test_fleet_priority_weights_become_a_tuple(self):
-        fleet = FleetConfig(regions=standard_regions(),
-                            priority_weights=[0.3, 0.5, 0.2])
-        assert fleet.priority_weights == (0.3, 0.5, 0.2)
-        hash(fleet)
+        """The defended arm's priority mix is the chaos campaign's, as a
+        tuple, so the stream cache keyed on it stays hashable."""
+        assert PRIORITY_WEIGHTS == (0.3, 0.5, 0.2)
+        hash((PRIORITY_WEIGHTS, standard_fleet()))
 
 
 class TestHealthMonitor:
@@ -308,6 +304,12 @@ class TestRunFleet:
 
 
 class TestCapacityStudy:
+    def test_smoke_study_runs_at_its_seed(self):
+        """``fleet --smoke --seed 3`` runs the seed-3 study, not seed 0's."""
+        study = smoke_study(seed=3)
+        assert study == run_capacity_study(sizes=(4, 5, 8), seed=3)
+        assert study.defended_replicas == 8
+
     def test_study_verdict_and_table(self):
         # The short 12 s day concentrates the detection-window loss, so
         # the loss budget scales up with it (the pinned study uses the

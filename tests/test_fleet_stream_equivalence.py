@@ -30,6 +30,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.brownout import PRIORITY_WEIGHTS
 from repro.cluster.service import default_service_model
 from repro.fleet_global import (
     Assignment,
@@ -142,12 +143,11 @@ def retired_region_streams(
         stream = retired_diurnal_poisson_stream(
             config.traffic_model(spec),
             duration_s=config.duration_s,
-            samples_per_request=config.samples_per_request,
             seed=config.seed + _STREAM_SEED + index,
         )
         if defended:
             stream = retired_with_priorities(
-                stream, config.priority_weights,
+                stream, PRIORITY_WEIGHTS,
                 seed=config.seed + _PRIORITY_SEED + index,
             )
         streams.append(stream)

@@ -20,6 +20,7 @@ from repro.chaos import (
     run_scenario,
     scenario_by_name,
 )
+from repro.chaos.campaign import RECOVERY_THRESHOLD
 from repro.codesign import (
     CodesignObjective,
     SearchConfig,
@@ -110,7 +111,7 @@ class TestChaosGoldens:
         assert on.post_clear_goodput_ratio == pytest.approx(
             0.9973865199449794, rel=0.01
         )
-        assert on.post_clear_goodput_ratio >= config.recovery_threshold
+        assert on.post_clear_goodput_ratio >= RECOVERY_THRESHOLD
 
 
 class TestFleetGoldens:

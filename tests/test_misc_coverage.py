@@ -46,20 +46,6 @@ class TestHstuHelpers:
 
 
 class TestExecutorOptions:
-    def test_host_input_fraction_scales_host_traffic(self):
-        import dataclasses as dc
-
-        from repro.models.dlrm import build_dlrm, small_dlrm
-
-        graph_full = build_dlrm(dc.replace(small_dlrm(), batch=1024))
-        graph_half = build_dlrm(dc.replace(small_dlrm(), batch=1024))
-        chip = mtia2i_spec()
-        full = Executor(chip, host_input_fraction=1.0).run(graph_full, 1024)
-        half = Executor(chip, host_input_fraction=0.5).run(graph_half, 1024)
-        host_full = sum(p.host_s for p in full.op_profiles)
-        host_half = sum(p.host_s for p in half.op_profiles)
-        assert host_half == pytest.approx(host_full / 2, rel=0.01)
-
     def test_warmup_validation(self):
         import dataclasses as dc
 

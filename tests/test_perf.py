@@ -96,7 +96,10 @@ class TestExecutor:
         ids=lambda option: "{}={}".format(*next(iter(option.items()))),
     )
     def test_rejects_bad_configuration(self, option):
-        with pytest.raises(ValueError):
+        """The host-input fraction and the Zipf exponent are module
+        constants now; the executor refuses them as options where it is
+        built instead of running with a value it would ignore."""
+        with pytest.raises(TypeError):
             Executor(mtia2i_spec(), **option)
 
     def test_deterministic(self):

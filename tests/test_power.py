@@ -1,7 +1,6 @@
 """Tests for repro.power: activity, thermal, DVFS, capping, provisioning,
 and the cluster coupling."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from repro.perf.executor import Executor
 from repro.power import (
     DEFAULT_LADDER_HZ,
     THROTTLE_LIMIT_C,
-    DvfsConfig,
     DvfsGovernor,
     RcStage,
     ThermalNetwork,
@@ -171,8 +169,7 @@ class TestDvfs:
 
     def test_governor_throttles_over_limit(self):
         chip = mtia2i_spec()
-        config = DvfsConfig()
-        governor = DvfsGovernor(chip, config, fmax_hz=1.6 * GHZ)
+        governor = DvfsGovernor(chip, fmax_hz=1.6 * GHZ)
         start = governor.index
         governor.step(THROTTLE_LIMIT_C + 5.0)
         assert governor.index == start - 1
@@ -180,7 +177,7 @@ class TestDvfs:
 
     def test_governor_ramps_up_when_cool(self):
         chip = mtia2i_spec()
-        governor = DvfsGovernor(chip, DvfsConfig(), fmax_hz=1.6 * GHZ)
+        governor = DvfsGovernor(chip, fmax_hz=1.6 * GHZ)
         for _ in range(len(DEFAULT_LADDER_HZ)):
             governor.step(60.0)
         assert governor.frequency_hz == DEFAULT_LADDER_HZ[-1]
@@ -188,7 +185,7 @@ class TestDvfs:
     def test_weak_chip_is_capped_by_its_margin(self):
         chip = mtia2i_spec()
         # fmax 1.30 GHz with 1.05 qualification only clears 1.2 GHz.
-        governor = DvfsGovernor(chip, DvfsConfig(), fmax_hz=1.30 * GHZ)
+        governor = DvfsGovernor(chip, fmax_hz=1.30 * GHZ)
         for _ in range(len(DEFAULT_LADDER_HZ)):
             governor.step(60.0)
         assert governor.frequency_hz == pytest.approx(1.2 * GHZ)
@@ -323,12 +320,16 @@ class TestObservability:
 
 class TestDvfsConfigValidation:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DvfsConfig(ladder_hz=(2.0 * GHZ, 1.0 * GHZ))
-        with pytest.raises(ValueError):
-            DvfsConfig(thermal_limit_c=90.0, thermal_target_c=95.0)
-        with pytest.raises(ValueError):
-            dataclasses.replace(DvfsConfig(), qualification_margin=0.5)
+        """The governor's constants describe a ladder it can walk: positive
+        and ascending, a throttle target below the limit, and a guard band
+        that never qualifies a state above the chip's fmax."""
+        from repro.power import dvfs
+        from repro.power.thermal import THROTTLE_TARGET_C
+
+        assert DEFAULT_LADDER_HZ and all(f > 0 for f in DEFAULT_LADDER_HZ)
+        assert list(DEFAULT_LADDER_HZ) == sorted(DEFAULT_LADDER_HZ)
+        assert THROTTLE_TARGET_C < THROTTLE_LIMIT_C
+        assert dvfs.QUALIFICATION_MARGIN >= 1.0
 
 
 def test_power_no_longer_reexports_the_capacity_scan():

@@ -11,7 +11,6 @@ from repro.reliability import (
     Component,
     EccDecisionInputs,
     ErrorRegion,
-    MarginModel,
     NumericDlrm,
     Outcome,
     STUDY_FREQUENCIES_HZ,
@@ -238,11 +237,14 @@ class TestOverclocking:
         drop = study.pass_rate_drop(STUDY_FREQUENCIES_HZ[0], STUDY_FREQUENCIES_HZ[-1])
         assert 0 <= drop < 0.01
 
-    def test_low_margin_population_would_fail(self):
+    def test_low_margin_population_would_fail(self, monkeypatch):
         """Sanity: a margin distribution near the operating point shows
         real pass-rate losses — the study's method can detect problems."""
-        margin = MarginModel(mean_fmax_hz=1.30e9, sigma_hz=0.03e9)
-        study = run_overclocking_study(num_chips=1000, margin=margin, seed=5)
+        from repro.reliability import overclock
+
+        monkeypatch.setattr(overclock, "MEAN_FMAX_HZ", 1.30e9)
+        monkeypatch.setattr(overclock, "SIGMA_FMAX_HZ", 0.03e9)
+        study = run_overclocking_study(num_chips=1000, seed=5)
         drop = study.pass_rate_drop(STUDY_FREQUENCIES_HZ[0], STUDY_FREQUENCIES_HZ[-1])
         assert drop > 0.05
 

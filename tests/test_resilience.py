@@ -11,7 +11,7 @@ import pytest
 
 from repro.graph.ops import OpType
 from repro.memory.hierarchy import Placement
-from repro.reliability import emergency_rollout, typical_rollout
+from repro.reliability import deadlock_incidence, emergency_rollout, typical_rollout
 from repro.resilience import (
     Device,
     DeviceState,
@@ -34,6 +34,7 @@ from repro.resilience import (
 from repro.resilience.metrics import HEDGE_AFTER_S, SHED_MAX_UTILIZATION
 from repro.resilience.policies import sample_reboot_s
 from repro.resilience import device as device_module
+from repro.resilience import faults as faults_module
 from repro.resilience import metrics as metrics_module
 from repro.tensors.dtypes import DType
 from repro.units import GHZ
@@ -83,9 +84,9 @@ class TestDeviceLifecycle:
         assert census.counts[DeviceState.WEDGED] == 0
 
     def test_degraded_scale(self):
-        device = Device(device_id=0, degraded_scale=0.5)
+        device = Device(device_id=0)
         device.transition(DeviceState.DEGRADED, 0.0)
-        assert device.throughput_scale == 0.5
+        assert device.throughput_scale == device_module.DEGRADED_SCALE == 0.6
         assert device.serving
 
     def test_patched_immunity(self):
@@ -229,18 +230,15 @@ class TestFaultRates:
         assert rates.sdc_per_device_hour > 0
 
     def test_mitigated_firmware_kills_deadlocks(self):
-        rates = fault_rates_from_reliability(mitigated=True)
-        assert rates.deadlock_per_device_hour == 0.0
+        assert deadlock_incidence(mitigated=True) == 0.0
 
     def test_design_frequency_has_no_sdc_tail(self):
-        rates = fault_rates_from_reliability(operating_frequency_hz=1.1 * GHZ)
-        assert rates.sdc_per_device_hour == 0.0
+        tail = faults_module.margin_shortfall_fraction(1.1 * GHZ)
+        assert tail * faults_module.SDC_EVENTS_PER_MARGINAL_CHIP_HOUR < 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultRates(-1, 0, 0, 0)
-        with pytest.raises(ValueError):
-            fault_rates_from_reliability(deadlock_fraction_per_day=2.0)
 
     def test_presample_sorted_bounded_deterministic(self):
         rates = FaultRates(0.05, 0.01, 0.0, 0.02)
@@ -297,10 +295,10 @@ _PATHS = {
 }
 
 
-def _pool(states, degraded_scale=0.6):
+def _pool(states):
     devices = {}
     for i, state in enumerate(states):
-        device = Device(device_id=i, degraded_scale=degraded_scale)
+        device = Device(device_id=i)
         for step in _PATHS[state]:
             device.transition(step, 0.0)
         devices[i] = device
@@ -527,10 +525,9 @@ class TestThrottleEpisodes:
     """Power-cap throttle episodes degrade devices and end on time."""
 
     def test_throttle_episodes_recover(self):
-        rates = FaultRates(0.0, 0.0, 0.0, 0.2, throttle_duration_s=1200.0)
+        rates = FaultRates(0.0, 0.0, 0.0, 0.2)
         config = ResilienceConfig(
-            devices=20, offered_load=12_000.0, duration_s=6 * 3600.0,
-            metrics_interval_s=300.0, seed=2,
+            devices=20, offered_load=12_000.0, duration_s=6 * 3600.0, seed=2,
         )
         report = run_resilience(config, rates, mitigated=True)
         throttles = report.events.of_kind(EventKind.FAULT_THROTTLE)
@@ -550,8 +547,7 @@ class TestResilienceTrace:
     def _report(self):
         rates = FaultRates(0.05, 0.0, 0.01, 0.05)
         config = ResilienceConfig(
-            devices=12, offered_load=8_000.0, duration_s=6 * 3600.0,
-            metrics_interval_s=600.0, seed=5,
+            devices=12, offered_load=8_000.0, duration_s=6 * 3600.0, seed=5,
         )
         return run_resilience(config, rates, mitigated=True)
 
@@ -586,13 +582,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ResilienceConfig(duration_s=0)
         with pytest.raises(ValueError):
-            ResilienceConfig(base_p50_s=0.1, base_p99_s=0.05)
-        with pytest.raises(ValueError):
             run_section_55_drill(utilization=1.5)
 
     def test_baseline_utilization(self):
-        config = ResilienceConfig(devices=10, device_throughput=100.0,
-                                  offered_load=850.0)
+        config = ResilienceConfig(devices=10, offered_load=8_500.0)
         assert config.baseline_utilization == pytest.approx(0.85)
 
 
@@ -604,11 +597,14 @@ class TestMetricsTicks:
         throttle_per_device_hour=0.0,
     )
 
-    def test_ticks_do_not_drift(self):
+    def test_ticks_do_not_drift(self, monkeypatch):
+        import repro.resilience.simulator as simulator_module
+
         # A running sum of 0.1 s steps reaches 0.9999999999999999 and
         # then adds a duplicate tick at 1.0.
+        monkeypatch.setattr(simulator_module, "METRICS_INTERVAL_S", 0.1)
         config = ResilienceConfig(devices=4, offered_load=3000.0,
-                                  duration_s=1.0, metrics_interval_s=0.1)
+                                  duration_s=1.0)
         report = run_resilience(config, rates=self._NO_FAULTS,
                                 mitigated=False)
         times = [m.time_s for m in report.intervals]
@@ -631,7 +627,8 @@ class TestMetricsTicks:
                                 mitigated=False)
         last = report.intervals[-1]
         assert last.time_s == config.duration_s
-        poisoned = config.device_throughput * self._NO_FAULTS.sdc_blast_window_s
+        poisoned = (simulator_module.DEVICE_THROUGHPUT
+                    * self._NO_FAULTS.sdc_blast_window_s)
         assert last.corrupted_samples_per_s == poisoned / 60.0
         assert all(m.corrupted_samples_per_s == 0.0
                    for m in report.intervals[:-1])

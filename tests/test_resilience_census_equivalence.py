@@ -13,7 +13,9 @@ simulator instance before the run.
 Windows are short and fault rates inflated, so wedges, degrades,
 degrade-ends, rollout waves and reboots all occur; degraded
 scales are non-dyadic, so a different summation order shows up as a
-different float.  Python 3.11's builtin ``sum`` is itself a plain
+different float.  The degraded scale, the metrics interval and the
+transient-fault durations are module constants of the program; the
+tests patch them per example to reach values the program never runs.  Python 3.11's builtin ``sum`` is itself a plain
 left-to-right loop, so the tests shadow ``sum`` in the device and
 metrics modules with ``math.fsum`` to stand in for the compensated sum
 of Python 3.12+ on every interpreter; the oracle's own sums are
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.resilience import device as device_module
 from repro.resilience import metrics as metrics_module
+from repro.resilience import simulator as simulator_module
 from repro.resilience import (
     Device,
     DeviceState,
@@ -198,18 +201,14 @@ _rates = st.builds(
     ecc_ue_per_device_hour=st.sampled_from([0.0, 0.05, 0.2]),
     sdc_per_device_hour=st.sampled_from([0.0, 0.1]),
     throttle_per_device_hour=st.sampled_from([0.0, 0.2, 0.5]),
-    throttle_duration_s=st.sampled_from([300.0, 900.0, 1800.0]),
-    ecc_degrade_duration_s=st.sampled_from([120.0, 600.0]),
 )
 
 
-def _config(devices, utilization, duration_s, interval_s, degraded_scale, seed):
+def _config(devices, utilization, duration_s, seed):
     return ResilienceConfig(
         devices=devices,
         offered_load=devices * 1000.0 * utilization,
         duration_s=duration_s,
-        metrics_interval_s=interval_s,
-        degraded_scale=degraded_scale,
         seed=seed,
     )
 
@@ -219,10 +218,28 @@ _configs = st.builds(
     devices=st.integers(min_value=1, max_value=40),
     utilization=st.sampled_from([0.5, 0.85, 0.95]),
     duration_s=st.sampled_from([6 * 3600.0, 12 * 3600.0 + 60.0, 24 * 3600.0]),
-    interval_s=st.sampled_from([600.0, 1800.0, 3600.0]),
-    degraded_scale=st.sampled_from([0.6, 0.3, 0.7, 0.45, 1.0]),
     seed=st.integers(min_value=0, max_value=3),
 )
+
+# Module constants to patch for one run: the simulator's metrics
+# interval and transient-fault durations, and the device's degraded
+# scale.
+_constants = st.fixed_dictionaries({
+    "METRICS_INTERVAL_S": st.sampled_from([600.0, 1800.0, 3600.0]),
+    "THROTTLE_DURATION_S": st.sampled_from([300.0, 900.0, 1800.0]),
+    "ECC_DEGRADE_DURATION_S": st.sampled_from([120.0, 600.0]),
+    "DEGRADED_SCALE": st.sampled_from([0.6, 0.3, 0.7, 0.45, 1.0]),
+})
+
+
+@contextlib.contextmanager
+def module_constants(constants):
+    """Run with the simulator's and the device's constants patched."""
+    with contextlib.ExitStack() as stack:
+        for name, value in constants.items():
+            module = device_module if name == "DEGRADED_SCALE" else simulator_module
+            stack.enter_context(mock.patch.object(module, name, value))
+        yield
 
 
 def run_checked(config, rates, mitigated):
@@ -251,10 +268,10 @@ def run_checked(config, rates, mitigated):
                 now_s=time_s,
                 devices=sim._devices,
                 offered_samples_per_s=config.offered_load,
-                device_throughput=config.device_throughput,
+                device_throughput=simulator_module.DEVICE_THROUGHPUT,
                 mitigated=mitigated,
-                base_p50_s=config.base_p50_s,
-                base_p99_s=config.base_p99_s,
+                base_p50_s=simulator_module.BASE_P50_S,
+                base_p99_s=simulator_module.BASE_P99_S,
                 baseline_utilization=config.baseline_utilization,
                 corrupted_samples_per_s=metrics.corrupted_samples_per_s,
             )
@@ -283,9 +300,10 @@ def run_checked(config, rates, mitigated):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=_configs, rates=_rates, mitigated=st.booleans())
-def test_live_census_matches_full_scan(config, rates, mitigated):
-    with compensated_builtin_sum():
+@given(config=_configs, constants=_constants, rates=_rates,
+       mitigated=st.booleans())
+def test_live_census_matches_full_scan(config, constants, rates, mitigated):
+    with compensated_builtin_sum(), module_constants(constants):
         report, _ = run_checked(config, rates, mitigated)
     assert report.intervals[-1].time_s == config.duration_s
 
@@ -304,11 +322,12 @@ _ROLLOUT_WAVE = {(DeviceState.HEALTHY, DeviceState.REBOOTING),
 def test_every_transition_kind_is_checked():
     """One rolled-out run makes all five lifecycle changes."""
     config = _config(devices=40, utilization=0.85, duration_s=24 * 3600.0,
-                     interval_s=1800.0, degraded_scale=0.7, seed=1)
+                     seed=1)
     rates = FaultRates(deadlock_per_device_hour=0.1, ecc_ue_per_device_hour=0.2,
-                       sdc_per_device_hour=0.1, throttle_per_device_hour=0.5,
-                       throttle_duration_s=900.0, ecc_degrade_duration_s=120.0)
-    with compensated_builtin_sum():
+                       sdc_per_device_hour=0.1, throttle_per_device_hour=0.5)
+    constants = {"METRICS_INTERVAL_S": 1800.0, "THROTTLE_DURATION_S": 900.0,
+                 "ECC_DEGRADE_DURATION_S": 120.0, "DEGRADED_SCALE": 0.7}
+    with compensated_builtin_sum(), module_constants(constants):
         report, seen = run_checked(config, rates, mitigated=True)
     for kind in (_WEDGE, _DEGRADE, _DEGRADE_END, _REBOOT_DONE, _ROLLOUT_WAVE):
         assert seen & kind, kind
@@ -316,7 +335,7 @@ def test_every_transition_kind_is_checked():
 
 
 def test_census_of_counts_every_state():
-    devices = {i: Device(device_id=i, degraded_scale=0.3) for i in range(5)}
+    devices = {i: Device(device_id=i) for i in range(5)}
     devices[1].transition(DeviceState.DEGRADED, 0.0)
     devices[2].transition(DeviceState.WEDGED, 0.0)
     devices[3].transition(DeviceState.WEDGED, 0.0)
@@ -328,7 +347,7 @@ def test_census_of_counts_every_state():
         DeviceState.WEDGED: 1,
         DeviceState.REBOOTING: 1,
     }
-    assert census.scales == [1.0, 0.3, 0.0, 0.0, 1.0]
+    assert census.scales == [1.0, 0.6, 0.0, 0.0, 1.0]
     assert census.live_scale == scan_live_scale(devices)
     census.transition(devices[3], DeviceState.HEALTHY, 2.0)
     assert census == PoolCensus.of(devices)

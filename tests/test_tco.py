@@ -3,10 +3,10 @@
 import pytest
 
 from repro.arch import gpu_server, mtia2i_server
+from repro.tco import model as tco_model
 from repro.tco import (
     GPU_COST,
     MTIA2I_COST,
-    CostInputs,
     compare_platforms,
     measured_server_power_watts,
     perf_per_tco,
@@ -46,10 +46,17 @@ class TestServerTco:
         assert high.provisioning_per_year == low.provisioning_per_year
 
     def test_cost_inputs_validation(self):
-        with pytest.raises(ValueError):
-            CostInputs(accelerator_cost_usd=1, platform_cost_usd=1, depreciation_years=0)
-        with pytest.raises(ValueError):
-            CostInputs(accelerator_cost_usd=1, platform_cost_usd=1, pue=0.9)
+        """The facility constants are physical: a positive depreciation
+        period and a PUE of at least 1."""
+        assert tco_model.DEPRECIATION_YEARS > 0
+        assert tco_model.PUE >= 1.0
+
+    def test_higher_pue_raises_tco(self, monkeypatch):
+        base = server_tco(mtia2i_server(), MTIA2I_COST)
+        monkeypatch.setattr(tco_model, "PUE", 1.5)
+        worse = server_tco(mtia2i_server(), MTIA2I_COST)
+        assert worse.energy_per_year > base.energy_per_year
+        assert worse.capex_per_year == base.capex_per_year
 
 
 class TestMeasuredPower:
